@@ -15,6 +15,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 
 	"relpipe"
@@ -431,8 +433,16 @@ func BenchmarkServiceOptimize(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			post(b, ts.URL)
 		}
-		if hits := s.Metrics().CacheHits(); hits < int64(b.N) {
-			b.Fatalf("cache hits = %d, want ≥ %d", hits, b.N)
+		var exp bytes.Buffer
+		s.Metrics().Registry().WritePrometheus(&exp)
+		hits := 0
+		for _, line := range strings.Split(exp.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, "relpipe_cache_hits_total "); ok {
+				hits, _ = strconv.Atoi(v)
+			}
+		}
+		if hits < b.N {
+			b.Fatalf("relpipe_cache_hits_total = %d, want ≥ %d", hits, b.N)
 		}
 	})
 }

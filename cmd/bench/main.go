@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	bench [-quick] [-o BENCH_pr.json] [-minspeedup 0] [-mindeltaspeedup 0] [-minsoaspeedup 0] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//	bench [-quick] [-o BENCH_pr.json] [-minratio kernel=floor ...] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	bench -check -baseline BENCH_baseline.json -current BENCH_pr.json [-threshold 0.20] [-allocthreshold 0.20] [-summary $GITHUB_STEP_SUMMARY]
 //
 // Every entry also records allocs/op and B/op (ReadMemStats deltas, the
@@ -19,25 +19,19 @@
 // table to the given file, which CI points at $GITHUB_STEP_SUMMARY so a
 // flagged regression is readable without downloading artifacts.
 //
-// -minspeedup X fails the run when the exact-enumeration or Monte-Carlo
-// P=8/P=1 speedup falls below X on a machine with ≥ 4 cores (skipped,
-// with a notice, on smaller machines where the speedup cannot appear).
-// This is how CI gates the *parallel* kernels, whose absolute ns/op is
-// not comparable to a baseline recorded on different core counts.
-//
-// -mindeltaspeedup X fails the run when the search engine's incremental
-// evaluator scores a move less than X times faster than the
-// full-evaluation reference oracle (the search-optimize-delta vs
-// search-optimize-full kernels: the same pinned neighbor cycle scored
-// through mapping.Evaluator and through EvaluateUnchecked, both
-// single-threaded in the same run — so the floor is machine-class
-// independent and never skipped).
-//
-// -minsoaspeedup X fails the run the same way when the flat-array
-// Monte-Carlo engine runs less than X times faster than the scalar
-// reference oracle (the monte-carlo-soa vs monte-carlo-scalar kernels:
-// the same replication batch with ScalarReference toggled, both
-// single-threaded in the same run).
+// -minratio kernel=floor (repeatable) fails the run when the named
+// same-process ratio printed as "speedup <kernel>" falls below floor, or
+// is missing from the run. The P=8/P=1 ratios (exact-profiles,
+// monte-carlo, frontier, search-optimize, adapt-remap) are skipped, with
+// a notice, below 4 cores where the speedup cannot appear; this is how
+// CI gates the parallel kernels, whose absolute ns/op is not comparable
+// to a baseline recorded on different core counts. The other two ratios
+// pit a fast path against its reference oracle, both single-threaded in
+// the same run, so their floors hold on any machine class:
+// search-optimize-delta (incremental mapping.Evaluator vs full
+// EvaluateUnchecked over the same pinned neighbor cycle) and
+// monte-carlo-soa (flat-array vs scalar engine over the same
+// replication batch).
 //
 // Every instance generator is seeded from a fixed rng seed, so two runs
 // on the same machine measure identical work. To compare across machines
@@ -54,6 +48,8 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"math"
 	"os"
 	"runtime"
@@ -192,7 +188,7 @@ func monteCarloBench(parallelism int) func(sz sizes) func() {
 // through the flat-array engine (the default) or through the scalar
 // reference oracle (Config.ScalarReference). The two kernels execute
 // bit-identical replications, so their ns/op ratio is the pure engine
-// speedup — the "monte-carlo-soa" entry in Speedups that -minsoaspeedup
+// speedup — the "monte-carlo-soa" entry in Speedups that -minratio
 // gates, so the flat-array layout cannot silently rot back to scalar
 // cost. Parallel batch throughput is covered separately by the
 // monte-carlo kernels, where sharding dilutes this ratio.
@@ -319,7 +315,7 @@ func evalPathSetup() (chain.Chain, platform.Platform, mapping.Mapping, []evalNei
 // Options.ReferenceEval. Both kernels score identical (mapping, move)
 // pairs, so their ns/op ratio is the per-evaluation speedup of the
 // incremental path — the "search-optimize-delta" entry in Speedups that
-// -mindeltaspeedup gates, so the delta path cannot silently rot back to
+// -minratio gates, so the delta path cannot silently rot back to
 // full-pass cost. End-to-end Optimize throughput is covered separately
 // by the search-optimize kernels, where the shared seed/propose
 // machinery dilutes this ratio.
@@ -514,7 +510,7 @@ func runBenchmarks(quick bool) File {
 		fmt.Printf("%-24s %14.0f ns/op  %12.0f B/op  %10.0f allocs/op  (%d iters)\n",
 			b.name, ns, bytes, allocs, iters)
 	}
-	for _, base := range []string{"exact-profiles", "monte-carlo", "frontier", "search-optimize", "adapt-remap"} {
+	for _, base := range parallelRatios {
 		p1, ok1 := byName[base+"/P=1"]
 		p8, ok8 := byName[base+"/P=8"]
 		if ok1 && ok8 && p8 > 0 {
@@ -524,7 +520,7 @@ func runBenchmarks(quick bool) File {
 	}
 	// The incremental evaluator's advantage over the full-eval oracle:
 	// same run, same single-threaded pinned instance, so the ratio is
-	// machine-class independent and -mindeltaspeedup can gate it hard.
+	// machine-class independent and -minratio can gate it hard.
 	if d, okD := byName["search-optimize-delta"]; okD && d > 0 {
 		if fl, okF := byName["search-optimize-full"]; okF {
 			f.Speedups["search-optimize-delta"] = fl / d
@@ -534,8 +530,8 @@ func runBenchmarks(quick bool) File {
 	}
 	// The flat-array Monte-Carlo engine's advantage over the scalar
 	// reference oracle: same batch, single-threaded, same run, so this
-	// ratio too is machine-class independent and -minsoaspeedup can
-	// gate it hard.
+	// ratio too is machine-class independent and -minratio can gate it
+	// hard.
 	if soa, okS := byName["monte-carlo-soa"]; okS && soa > 0 {
 		if sc, okC := byName["monte-carlo-scalar"]; okC {
 			f.Speedups["monte-carlo-soa"] = sc / soa
@@ -609,7 +605,7 @@ func isParallel(name string) bool {
 // calibration transfer is only trusted within a machine class, and a
 // hard gate across classes would fail innocent PRs. Regenerate the
 // baseline on the CI runner class to arm the hard gate; the parallel
-// kernels are meanwhile gated directly by -minspeedup on the runner.
+// kernels are meanwhile gated directly by -minratio on the runner.
 // allocsPerOp is additionally gated at allocThreshold (relative, like
 // threshold) when both runs carry alloc data; baselines written before
 // the alloc gate existed carry none and are skipped. Alloc findings
@@ -759,89 +755,64 @@ func writeSummary(path string, baseline, current File, rows []summaryRow) error 
 	return err
 }
 
-// speedupGated lists the kernels whose P=8/P=1 speedup -minspeedup
-// enforces: the two paths the parallel-core work is judged on.
-var speedupGated = []string{"exact-profiles", "monte-carlo"}
+// parallelRatios are the kernels whose Speedups entry is the P=8/P=1
+// ratio, which cannot appear on fewer than 4 cores.
+var parallelRatios = []string{"exact-profiles", "monte-carlo", "frontier", "search-optimize", "adapt-remap"}
 
-// checkSpeedups enforces the -minspeedup floor on multi-core machines.
-// Returns the number of kernels below the floor.
-func checkSpeedups(f File, minSpeedup float64, out *os.File) int {
-	if minSpeedup <= 0 {
-		return 0
+// ratioFloors is the repeatable -minratio kernel=floor flag.
+type ratioFloors map[string]float64
+
+func (r ratioFloors) String() string {
+	var parts []string
+	for _, k := range slices.Sorted(maps.Keys(r)) {
+		parts = append(parts, k+"="+strconv.FormatFloat(r[k], 'g', -1, 64))
 	}
-	if f.GoMaxProcs < 4 {
-		fmt.Fprintf(out, "minspeedup: skipped, GOMAXPROCS=%d < 4 cannot show parallel speedup\n", f.GoMaxProcs)
-		return 0
+	return strings.Join(parts, ",")
+}
+
+func (r ratioFloors) Set(s string) error {
+	kernel, v, ok := strings.Cut(s, "=")
+	if !ok || kernel == "" {
+		return fmt.Errorf("want kernel=floor, got %q", s)
 	}
+	floor, err := strconv.ParseFloat(v, 64)
+	if err != nil || floor <= 0 {
+		return fmt.Errorf("floor for %s must be a positive number, got %q", kernel, v)
+	}
+	r[kernel] = floor
+	return nil
+}
+
+// checkRatios enforces every -minratio floor against the run's Speedups
+// and returns the number of violations. A ratio missing from the run
+// fails; a parallel ratio is skipped, with a notice, below 4 cores.
+func checkRatios(f File, floors ratioFloors, out io.Writer) int {
 	failures := 0
-	for _, kernel := range speedupGated {
-		s, ok := f.Speedups[kernel]
-		if !ok {
-			fmt.Fprintf(out, "minspeedup: %s missing from this run\n", kernel)
-			failures++
+	for _, kernel := range slices.Sorted(maps.Keys(floors)) {
+		floor := floors[kernel]
+		if slices.Contains(parallelRatios, kernel) && f.GoMaxProcs < 4 {
+			fmt.Fprintf(out, "minratio: %s skipped, GOMAXPROCS=%d < 4 cannot show parallel speedup\n", kernel, f.GoMaxProcs)
 			continue
 		}
-		if s < minSpeedup {
-			fmt.Fprintf(out, "minspeedup: %s speedup %.2fx below floor %.2fx\n", kernel, s, minSpeedup)
+		s, ok := f.Speedups[kernel]
+		switch {
+		case !ok:
+			fmt.Fprintf(out, "minratio: %s missing from this run\n", kernel)
+			failures++
+		case s < floor:
+			fmt.Fprintf(out, "minratio: %s speedup %.2fx below floor %.2fx\n", kernel, s, floor)
 			failures++
 		}
 	}
 	return failures
 }
 
-// checkDeltaSpeedup enforces the -mindeltaspeedup floor on the
-// incremental evaluator's advantage over the full-eval oracle
-// (Speedups["search-optimize-delta"]). Both kernels are single-threaded
-// and measured in the same run on the same pinned instance, so unlike
-// -minspeedup the floor holds on any machine class — no core-count
-// skip. Returns 1 on a violation or a missing ratio, 0 otherwise.
-func checkDeltaSpeedup(f File, floor float64, out *os.File) int {
-	if floor <= 0 {
-		return 0
-	}
-	s, ok := f.Speedups["search-optimize-delta"]
-	if !ok {
-		fmt.Fprintln(out, "mindeltaspeedup: search-optimize-delta ratio missing from this run")
-		return 1
-	}
-	if s < floor {
-		fmt.Fprintf(out, "mindeltaspeedup: incremental-vs-full speedup %.2fx below floor %.2fx\n", s, floor)
-		return 1
-	}
-	return 0
-}
-
-// checkSoASpeedup enforces the -minsoaspeedup floor on the flat-array
-// Monte-Carlo engine's advantage over the scalar reference oracle
-// (Speedups["monte-carlo-soa"]). Like the delta gate, both kernels are
-// single-threaded and measured in the same run on the same batch, so
-// the floor holds on any machine class — no core-count skip. Returns 1
-// on a violation or a missing ratio, 0 otherwise.
-func checkSoASpeedup(f File, floor float64, out *os.File) int {
-	if floor <= 0 {
-		return 0
-	}
-	s, ok := f.Speedups["monte-carlo-soa"]
-	if !ok {
-		fmt.Fprintln(out, "minsoaspeedup: monte-carlo-soa ratio missing from this run")
-		return 1
-	}
-	if s < floor {
-		fmt.Fprintf(out, "minsoaspeedup: flat-array-vs-scalar speedup %.2fx below floor %.2fx\n", s, floor)
-		return 1
-	}
-	return 0
-}
-
 func main() {
 	quick := flag.Bool("quick", false, "reduced workloads (the CI gate's configuration)")
 	out := flag.String("o", "", "write results as JSON to this file")
-	minSpeedup := flag.Float64("minspeedup", 0,
-		"fail when the exact-enumeration or Monte-Carlo P=8/P=1 speedup is below this on a >=4-core machine (0 disables)")
-	minDeltaSpeedup := flag.Float64("mindeltaspeedup", 0,
-		"fail when the search incremental-vs-full evaluation speedup is below this (0 disables; machine-class independent)")
-	minSoASpeedup := flag.Float64("minsoaspeedup", 0,
-		"fail when the flat-array-vs-scalar Monte-Carlo engine speedup is below this (0 disables; machine-class independent)")
+	minRatios := ratioFloors{}
+	flag.Var(minRatios, "minratio",
+		"kernel=floor: fail when that speedup ratio is below floor or missing (repeatable; P=8/P=1 ratios skip below 4 cores)")
 	summaryPath := flag.String("summary", "",
 		"with -check: append a markdown comparison table to this file (e.g. $GITHUB_STEP_SUMMARY)")
 	doCheck := flag.Bool("check", false, "compare -current against -baseline instead of running")
@@ -913,9 +884,7 @@ func main() {
 		mf.Close()
 		fmt.Printf("wrote %s\n", *memProfile)
 	}
-	failures := checkSpeedups(f, *minSpeedup, os.Stdout) +
-		checkDeltaSpeedup(f, *minDeltaSpeedup, os.Stdout) +
-		checkSoASpeedup(f, *minSoASpeedup, os.Stdout)
+	failures := checkRatios(f, minRatios, os.Stdout)
 	if *out != "" {
 		b, err := json.MarshalIndent(f, "", "  ")
 		if err != nil {
@@ -930,7 +899,7 @@ func main() {
 		fmt.Printf("wrote %s\n", *out)
 	}
 	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "bench: %d kernel(s) below the -minspeedup floor\n", failures)
+		fmt.Fprintf(os.Stderr, "bench: %d ratio(s) below their -minratio floor\n", failures)
 		os.Exit(1)
 	}
 }

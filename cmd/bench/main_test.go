@@ -1,6 +1,7 @@
 package main
 
 import (
+	"maps"
 	"os"
 	"strings"
 	"testing"
@@ -120,31 +121,117 @@ func TestCheckCalibrationPairing(t *testing.T) {
 	}
 }
 
+// ciFloors are the ratio floors the CI bench job passes as -minratio.
+var ciFloors = ratioFloors{
+	"exact-profiles": 2.0, "monte-carlo": 2.0,
+	"search-optimize-delta": 3.0, "monte-carlo-soa": 2.0,
+}
+
+// healthyRatios is a run in which every gated ratio clears its CI floor.
+var healthyRatios = map[string]float64{
+	"exact-profiles": 3.1, "monte-carlo": 2.4,
+	"search-optimize-delta": 8.5, "monte-carlo-soa": 2.4,
+}
+
+// withRatio is healthyRatios with one kernel's ratio replaced.
+func withRatio(kernel string, v float64) map[string]float64 {
+	m := maps.Clone(healthyRatios)
+	m[kernel] = v
+	return m
+}
+
+// ratioCase is one checkRatios call: the run's core count and ratios,
+// the floors, the failures it must count and a line its output must hold.
+type ratioCase struct {
+	name     string
+	cores    int
+	speedups map[string]float64
+	floors   ratioFloors
+	want     int
+	notice   string
+}
+
+func runRatioCases(t *testing.T, cases []ratioCase) {
+	t.Helper()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var out strings.Builder
+			f := File{GoMaxProcs: tc.cores, Speedups: tc.speedups}
+			if n := checkRatios(f, tc.floors, &out); n != tc.want {
+				t.Fatalf("failures = %d, want %d\n%s", n, tc.want, out.String())
+			}
+			if !strings.Contains(out.String(), tc.notice) {
+				t.Fatalf("output %q lacks %q", out.String(), tc.notice)
+			}
+		})
+	}
+}
+
+// TestCheckRatios: with no floors nothing is checked, a healthy run
+// passes every CI floor, and each listed ratio missing from the run
+// fails, except a parallel one below 4 cores, which is skipped.
+func TestCheckRatios(t *testing.T) {
+	runRatioCases(t, []ratioCase{
+		{"no floors", 8, withRatio("exact-profiles", 0.5), ratioFloors{}, 0, ""},
+		{"healthy", 8, healthyRatios, ciFloors, 0, ""},
+		{"missing on 8 cores", 8, map[string]float64{}, ciFloors, 4, "exact-profiles missing from this run"},
+		{"missing on 1 core", 1, map[string]float64{}, ciFloors, 2, "monte-carlo-soa missing from this run"},
+	})
+}
+
+// TestCheckSpeedups: the parallel (P=8/P=1) ratios fail below their
+// floor on a multi-core run and are skipped with a notice below 4 cores,
+// where the speedup cannot physically appear.
 func TestCheckSpeedups(t *testing.T) {
-	mk := func(cores int, exact, mc float64) File {
-		return File{GoMaxProcs: cores, Speedups: map[string]float64{
-			"exact-profiles": exact, "monte-carlo": mc,
-		}}
+	parallel := ratioFloors{"exact-profiles": 2.0, "monte-carlo": 2.0}
+	runRatioCases(t, []ratioCase{
+		{"healthy", 8, healthyRatios, parallel, 0, ""},
+		{"parallel below floor", 8, withRatio("exact-profiles", 1.2), parallel, 1, "exact-profiles speedup 1.20x below floor 2.00x"},
+		{"parallel skipped below 4 cores", 1, withRatio("monte-carlo", 1.0), parallel, 0, "monte-carlo skipped, GOMAXPROCS=1 < 4"},
+		{"missing", 8, map[string]float64{}, parallel, 2, "monte-carlo missing from this run"},
+	})
+}
+
+// TestCheckDeltaSpeedup: the delta-vs-full search ratio is measured in
+// one process on one thread, so a single core does not skip it.
+func TestCheckDeltaSpeedup(t *testing.T) {
+	delta := ratioFloors{"search-optimize-delta": 3.0}
+	runRatioCases(t, []ratioCase{
+		{"healthy", 1, healthyRatios, delta, 0, ""},
+		{"delta below floor", 8, withRatio("search-optimize-delta", 1.9), delta, 1, "search-optimize-delta speedup 1.90x below floor 3.00x"},
+		{"delta enforced on 1 core", 1, withRatio("search-optimize-delta", 1.9), delta, 1, "search-optimize-delta speedup 1.90x"},
+		{"missing", 1, map[string]float64{}, delta, 1, "search-optimize-delta missing from this run"},
+	})
+}
+
+// TestCheckSoASpeedup: the flat-array-vs-scalar Monte-Carlo ratio
+// follows the same contract as the delta ratio — enforced on any
+// machine, and a missing ratio fails rather than silently passing.
+func TestCheckSoASpeedup(t *testing.T) {
+	soa := ratioFloors{"monte-carlo-soa": 2.0}
+	runRatioCases(t, []ratioCase{
+		{"healthy", 1, healthyRatios, soa, 0, ""},
+		{"soa enforced on 1 core", 1, withRatio("monte-carlo-soa", 1.3), soa, 1, "monte-carlo-soa speedup 1.30x"},
+		{"missing", 1, map[string]float64{}, soa, 1, "monte-carlo-soa missing from this run"},
+	})
+}
+
+// TestRatioFloorsFlag: -minratio repeats, and a malformed or
+// non-positive floor is rejected at parse time.
+func TestRatioFloorsFlag(t *testing.T) {
+	r := ratioFloors{}
+	for _, arg := range []string{"monte-carlo-soa=2", "search-optimize-delta=3.0", "monte-carlo-soa=2.5"} {
+		if err := r.Set(arg); err != nil {
+			t.Fatalf("Set(%q): %v", arg, err)
+		}
 	}
-	// Disabled floor: never fails.
-	if n := checkSpeedups(mk(8, 0.5, 0.5), 0, os.Stdout); n != 0 {
-		t.Fatalf("disabled: %d failures", n)
+	if got := r.String(); got != "monte-carlo-soa=2.5,search-optimize-delta=3" {
+		t.Fatalf("String() = %q", got)
 	}
-	// Too few cores: skipped, the speedup cannot physically appear.
-	if n := checkSpeedups(mk(1, 1.0, 1.0), 2.0, os.Stdout); n != 0 {
-		t.Fatalf("1 core: %d failures, want 0 (skip)", n)
-	}
-	// Multi-core, both kernels above the floor.
-	if n := checkSpeedups(mk(8, 3.1, 2.4), 2.0, os.Stdout); n != 0 {
-		t.Fatalf("healthy: %d failures", n)
-	}
-	// Multi-core, one kernel lost its scaling.
-	if n := checkSpeedups(mk(8, 1.2, 2.4), 2.0, os.Stdout); n != 1 {
-		t.Fatalf("regressed: %d failures, want 1", n)
-	}
-	// A gated kernel missing from the run counts as a failure.
-	if n := checkSpeedups(File{GoMaxProcs: 8, Speedups: map[string]float64{}}, 2.0, os.Stdout); n != 2 {
-		t.Fatalf("missing: %d failures, want 2", n)
+	for _, bad := range []string{"monte-carlo", "=2", "monte-carlo=x", "monte-carlo=0", "monte-carlo=-1"} {
+		if err := r.Set(bad); err == nil {
+			t.Errorf("Set(%q) accepted", bad)
+		}
 	}
 }
 
@@ -216,50 +303,6 @@ func TestQuickRunSmoke(t *testing.T) {
 		if ns <= 0 || iters < 1 {
 			t.Fatalf("%s: ns=%g iters=%d", b.name, ns, iters)
 		}
-	}
-}
-
-// TestCheckDeltaSpeedup: the incremental-vs-full evaluation floor is
-// machine-class independent — no core-count skip — and a missing ratio
-// fails rather than silently passing.
-func TestCheckDeltaSpeedup(t *testing.T) {
-	mk := func(s float64) File {
-		return File{GoMaxProcs: 1, Speedups: map[string]float64{"search-optimize-delta": s}}
-	}
-	if n := checkDeltaSpeedup(mk(1.2), 0, os.Stdout); n != 0 {
-		t.Fatalf("disabled: %d failures", n)
-	}
-	if n := checkDeltaSpeedup(mk(8.5), 3.0, os.Stdout); n != 0 {
-		t.Fatalf("healthy: %d failures", n)
-	}
-	// A single core does NOT skip this gate (both kernels are
-	// single-threaded in the same run).
-	if n := checkDeltaSpeedup(mk(1.9), 3.0, os.Stdout); n != 1 {
-		t.Fatalf("below floor: %d failures, want 1", n)
-	}
-	if n := checkDeltaSpeedup(File{GoMaxProcs: 1, Speedups: map[string]float64{}}, 3.0, os.Stdout); n != 1 {
-		t.Fatalf("missing ratio: %d failures, want 1", n)
-	}
-}
-
-// TestCheckSoASpeedup: the flat-array-vs-scalar Monte-Carlo floor
-// follows the same contract as the delta gate — machine-class
-// independent, and a missing ratio fails rather than silently passing.
-func TestCheckSoASpeedup(t *testing.T) {
-	mk := func(s float64) File {
-		return File{GoMaxProcs: 1, Speedups: map[string]float64{"monte-carlo-soa": s}}
-	}
-	if n := checkSoASpeedup(mk(1.1), 0, os.Stdout); n != 0 {
-		t.Fatalf("disabled: %d failures", n)
-	}
-	if n := checkSoASpeedup(mk(2.4), 2.0, os.Stdout); n != 0 {
-		t.Fatalf("healthy: %d failures", n)
-	}
-	if n := checkSoASpeedup(mk(1.3), 2.0, os.Stdout); n != 1 {
-		t.Fatalf("below floor: %d failures, want 1", n)
-	}
-	if n := checkSoASpeedup(File{GoMaxProcs: 1, Speedups: map[string]float64{}}, 2.0, os.Stdout); n != 1 {
-		t.Fatalf("missing ratio: %d failures, want 1", n)
 	}
 }
 

@@ -173,7 +173,7 @@ func TestClusterE2E(t *testing.T) {
 	}
 	before := int64(0)
 	for _, u := range urls {
-		before += readSolves(t, u)
+		before += readMetric(t, u, "relpipe_solves_total")
 	}
 	var wg sync.WaitGroup
 	start := make(chan struct{})
@@ -204,7 +204,7 @@ func TestClusterE2E(t *testing.T) {
 	}
 	after := int64(0)
 	for _, u := range urls {
-		after += readSolves(t, u)
+		after += readMetric(t, u, "relpipe_solves_total")
 	}
 	if got := after - before; got != 1 {
 		t.Errorf("cluster-wide solves for 9 concurrent identical requests = %d, want 1", got)
@@ -286,32 +286,14 @@ func TestClusterE2E(t *testing.T) {
 	if node := hdr.Get(relpipe.NodeHeader); node != entry {
 		t.Errorf("fallback attributed to %q, want the entry node %q", node, entry)
 	}
-	if n := readFallbacks(t, entry); n < 1 {
+	if n := readMetric(t, entry, "relpipe_cluster_fallbacks_total"); n < 1 {
 		t.Errorf("relpipe_cluster_fallbacks_total on %s = %d, want >= 1", entry, n)
 	}
 }
 
-// readSolves reads the node's cumulative solve count from
-// /metrics.json.
-func readSolves(t *testing.T, url string) int64 {
-	t.Helper()
-	resp, err := http.Get(url + "/metrics.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var m struct {
-		Solves int64 `json:"solves"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
-	return m.Solves
-}
-
-// readFallbacks sums relpipe_cluster_fallbacks_total across peers from
-// the node's Prometheus text exposition.
-func readFallbacks(t *testing.T, url string) int64 {
+// readMetric sums every sample of one series family (across its
+// labels) in the node's Prometheus text exposition.
+func readMetric(t *testing.T, url, family string) int64 {
 	t.Helper()
 	resp, err := http.Get(url + "/metrics")
 	if err != nil {
@@ -324,17 +306,18 @@ func readFallbacks(t *testing.T, url string) int64 {
 	}
 	total := int64(0)
 	for _, line := range strings.Split(string(b), "\n") {
-		if !strings.HasPrefix(line, "relpipe_cluster_fallbacks_total") {
+		sp := strings.LastIndexByte(line, ' ')
+		if sp < 0 || strings.HasPrefix(line, "#") {
 			continue
 		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
+		if name, _, _ := strings.Cut(line[:sp], "{"); name != family {
 			continue
 		}
-		v, err := strconv.ParseFloat(fields[len(fields)-1], 64)
-		if err == nil {
-			total += int64(v)
+		v, err := strconv.ParseFloat(line[sp+1:], 64)
+		if err != nil {
+			t.Fatalf("%s: %v", line, err)
 		}
+		total += int64(v)
 	}
 	return total
 }

@@ -23,9 +23,8 @@
 // Observability: every /v1 response carries an X-Trace-Id header and the
 // recorder keeps the -traces most recent request traces queryable at
 // GET /debug/traces. Metrics are served in Prometheus text format at
-// GET /metrics (JSON mirror at /metrics.json). Each request is logged as
-// one structured line — text (default) or JSON via -log-format — carrying
-// the trace ID. -pprof additionally mounts net/http/pprof under
+// GET /metrics. Each request is logged as one structured line — text
+// (default) or JSON via -log-format — carrying the trace ID. -pprof additionally mounts net/http/pprof under
 // /debug/pprof/ (off by default; the profiling surface is private until
 // an operator opts in).
 //

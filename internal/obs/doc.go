@@ -14,5 +14,5 @@
 // installed, so instrumented code paths cost almost nothing when
 // nothing is listening. The service (internal/service) owns the one
 // Registry and Recorder of the process and exposes them at /metrics
-// (Prometheus text format), /metrics.json and /debug/traces.
+// (Prometheus text format) and /debug/traces.
 package obs

@@ -83,17 +83,17 @@ func TestAdaptEndpointCachesByPolicyParams(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/v1/adapt", req, nil); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
-	m := s.Metrics().Snapshot().(snapshot)
-	if m.CacheHits != 1 {
-		t.Fatalf("identical request not cached: %+v", m)
+	if hits := seriesSum(t, s.Metrics(), "relpipe_cache_hits_total"); hits != 1 {
+		t.Fatalf("identical request not cached: %d hits", hits)
 	}
 	// A different spare pool must miss the cache.
 	req.Spares = 3
 	if code := postJSON(t, ts.URL+"/v1/adapt", req, nil); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
-	if m := s.Metrics().Snapshot().(snapshot); m.CacheHits != 1 || m.CacheMisses != 2 {
-		t.Fatalf("policy params not in cache key: %+v", m)
+	hits, misses := seriesSum(t, s.Metrics(), "relpipe_cache_hits_total"), seriesSum(t, s.Metrics(), "relpipe_cache_misses_total")
+	if hits != 1 || misses != 2 {
+		t.Fatalf("policy params not in cache key: %d hits, %d misses", hits, misses)
 	}
 }
 
@@ -120,8 +120,8 @@ func TestAdaptSearchKnobsKeyScope(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/v1/adapt", req, nil); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
-	if m := s.Metrics().Snapshot().(snapshot); m.CacheHits != 1 {
-		t.Fatalf("search knobs leaked into a non-searching explicit-mapping key: %+v", m)
+	if hits := seriesSum(t, s.Metrics(), "relpipe_cache_hits_total"); hits != 1 {
+		t.Fatalf("search knobs leaked into a non-searching explicit-mapping key: %d hits", hits)
 	}
 	// Same non-searching policy but with the mapping optimized
 	// server-side: the knobs steer that Optimize, so they must key.
@@ -134,8 +134,8 @@ func TestAdaptSearchKnobsKeyScope(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/v1/adapt", req, nil); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
-	if m := s.Metrics().Snapshot().(snapshot); m.CacheMisses != 3 {
-		t.Fatalf("search knobs missing from the server-optimized mapping key: %+v", m)
+	if misses := seriesSum(t, s.Metrics(), "relpipe_cache_misses_total"); misses != 3 {
+		t.Fatalf("search knobs missing from the server-optimized mapping key: %d misses", misses)
 	}
 	req.Policy = "remap"
 	req.Mapping = &sol.Mapping
@@ -147,8 +147,8 @@ func TestAdaptSearchKnobsKeyScope(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/v1/adapt", req, nil); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
-	if m := s.Metrics().Snapshot().(snapshot); m.CacheMisses != 5 {
-		t.Fatalf("remap search knobs missing from cache key: %+v", m)
+	if misses := seriesSum(t, s.Metrics(), "relpipe_cache_misses_total"); misses != 5 {
+		t.Fatalf("remap search knobs missing from cache key: %d misses", misses)
 	}
 }
 

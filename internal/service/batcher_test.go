@@ -37,8 +37,8 @@ func TestBatcherOneBuildPerBatch(t *testing.T) {
 	for i := range entries {
 		entries[i] = b.join(route)
 	}
-	if got := m.BatchCoalesced(); got != members-1 {
-		t.Fatalf("BatchCoalesced = %d, want %d", got, members-1)
+	if got := seriesSum(t, m, "relpipe_solve_batch_coalesced_total"); got != members-1 {
+		t.Fatalf("coalesced = %d, want %d", got, members-1)
 	}
 
 	// Every member resolves tables concurrently; exactly one build, one
@@ -53,8 +53,8 @@ func TestBatcherOneBuildPerBatch(t *testing.T) {
 		}(i, e)
 	}
 	wg.Wait()
-	if got := m.TablesBuilt(); got != 1 {
-		t.Fatalf("TablesBuilt = %d, want 1", got)
+	if got := seriesSum(t, m, "relpipe_solve_batch_tables_built_total"); got != 1 {
+		t.Fatalf("tables built = %d, want 1", got)
 	}
 	for i, tb := range tables {
 		if tb == nil || tb != tables[0] {
@@ -77,8 +77,8 @@ func TestBatcherOneBuildPerBatch(t *testing.T) {
 	if e.provider(in) == tables[0] {
 		t.Fatal("drained batch's tables were reused")
 	}
-	if got := m.TablesBuilt(); got != 2 {
-		t.Fatalf("TablesBuilt after new batch = %d, want 2", got)
+	if got := seriesSum(t, m, "relpipe_solve_batch_tables_built_total"); got != 2 {
+		t.Fatalf("tables built after new batch = %d, want 2", got)
 	}
 	e.leave()
 }
@@ -88,15 +88,15 @@ func TestBatcherMixedInstancesDoNotCoalesce(t *testing.T) {
 	b := newTableBatcher(m)
 	inA, inB := batcherInstances()
 	ea, eb := b.join(inA.Canonical()), b.join(inB.Canonical())
-	if got := m.BatchCoalesced(); got != 0 {
-		t.Fatalf("BatchCoalesced = %d, want 0 (different instances)", got)
+	if got := seriesSum(t, m, "relpipe_solve_batch_coalesced_total"); got != 0 {
+		t.Fatalf("coalesced = %d, want 0 (different instances)", got)
 	}
 	ta, tb := ea.provider(inA), eb.provider(inB)
 	if ta == nil || tb == nil || ta == tb {
 		t.Fatalf("tables %p / %p: want two distinct builds", ta, tb)
 	}
-	if got := m.TablesBuilt(); got != 2 {
-		t.Fatalf("TablesBuilt = %d, want 2", got)
+	if got := seriesSum(t, m, "relpipe_solve_batch_tables_built_total"); got != 2 {
+		t.Fatalf("tables built = %d, want 2", got)
 	}
 	ea.leave()
 	eb.leave()
@@ -115,8 +115,8 @@ func TestBatcherRejectsForeignInstance(t *testing.T) {
 	if tb := e.provider(inB); tb != nil {
 		t.Fatalf("provider handed instance A's batch tables to instance B: %p", tb)
 	}
-	if got := m.TablesBuilt(); got != 0 {
-		t.Fatalf("TablesBuilt = %d, want 0 (declined provider must not build)", got)
+	if got := seriesSum(t, m, "relpipe_solve_batch_tables_built_total"); got != 0 {
+		t.Fatalf("tables built = %d, want 0 (declined provider must not build)", got)
 	}
 	if tb := e.provider(inA); tb == nil {
 		t.Fatal("provider declined the matching instance")
@@ -149,8 +149,8 @@ func TestBatcherRiderLeavingKeepsBatchAlive(t *testing.T) {
 	if size := m.batchSize.Snapshot(); size.Count != 1 || size.Sum != 2 {
 		t.Fatalf("batch size = count %d sum %v, want one observation of 2 (rider counted)", size.Count, size.Sum)
 	}
-	if got := m.TablesBuilt(); got != 1 {
-		t.Fatalf("TablesBuilt = %d, want 1", got)
+	if got := seriesSum(t, m, "relpipe_solve_batch_tables_built_total"); got != 1 {
+		t.Fatalf("tables built = %d, want 1", got)
 	}
 }
 
@@ -245,11 +245,11 @@ func TestSolveBatchEndToEnd(t *testing.T) {
 	}
 	wg.Wait()
 
-	if got := s.metrics.TablesBuilt(); got != 1 {
-		t.Fatalf("TablesBuilt = %d, want 1 (one build for %d member solves)", got, members)
+	if got := seriesSum(t, s.metrics, "relpipe_solve_batch_tables_built_total"); got != 1 {
+		t.Fatalf("tables built = %d, want 1 (one build for %d member solves)", got, members)
 	}
-	if got := s.metrics.BatchCoalesced(); got != members-1 {
-		t.Fatalf("BatchCoalesced = %d, want %d", got, members-1)
+	if got := seriesSum(t, s.metrics, "relpipe_solve_batch_coalesced_total"); got != members-1 {
+		t.Fatalf("coalesced = %d, want %d", got, members-1)
 	}
 
 	// Byte-identity: an unbatched server answers every request with the
@@ -268,7 +268,7 @@ func TestSolveBatchEndToEnd(t *testing.T) {
 			t.Fatalf("member %d: batched body %s != unbatched %s", i, out.body, want.body)
 		}
 	}
-	if ref.metrics.TablesBuilt() != 0 {
+	if seriesSum(t, ref.metrics, "relpipe_solve_batch_tables_built_total") != 0 {
 		t.Fatal("disabled batcher built tables")
 	}
 }
@@ -337,7 +337,7 @@ func TestSolveBatchRiderCancellationEndToEnd(t *testing.T) {
 	if memberOut.status != http.StatusOK {
 		t.Fatalf("surviving member got %d, want 200", memberOut.status)
 	}
-	if got := s.metrics.TablesBuilt(); got != 1 {
-		t.Fatalf("TablesBuilt = %d, want 1", got)
+	if got := seriesSum(t, s.metrics, "relpipe_solve_batch_tables_built_total"); got != 1 {
+		t.Fatalf("tables built = %d, want 1", got)
 	}
 }

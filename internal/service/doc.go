@@ -23,7 +23,7 @@
 //	GET    /v1/jobs/{id}/events  SSE progress stream (see jobs.go)
 //	DELETE /v1/jobs/{id}       cancel → relpipe.JobStatus
 //	GET    /healthz            {"status":"ok"}
-//	GET    /metrics            counter snapshot (JSON)
+//	GET    /metrics            Prometheus text exposition of every counter
 //
 // Status codes: 200 success; 202 job accepted; 400 malformed or invalid
 // input; 404/405 unknown route, job or method; 413 oversized body; 422

@@ -323,7 +323,7 @@ func TestJobCacheDedupInstantCompletion(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("sync = %d", code)
 	}
-	solves := srv.Metrics().Solves()
+	solves := seriesSum(t, srv.Metrics(), "relpipe_solves_total")
 
 	st := submitJobHTTP(t, ts.URL, "optimize", req, "")
 	if st.State != relpipe.JobSucceeded || !st.Cached {
@@ -332,7 +332,7 @@ func TestJobCacheDedupInstantCompletion(t *testing.T) {
 	if !bytes.Equal(want, st.Result) {
 		t.Fatalf("cached job result differs from sync")
 	}
-	if got := srv.Metrics().Solves(); got != solves {
+	if got := seriesSum(t, srv.Metrics(), "relpipe_solves_total"); got != solves {
 		t.Fatalf("cached job ran a solve (%d -> %d)", solves, got)
 	}
 	// And the reverse direction: a job's solve lands in the cache for
@@ -340,12 +340,12 @@ func TestJobCacheDedupInstantCompletion(t *testing.T) {
 	req2 := relpipe.OptimizeRequest{Instance: testInstance(22), Method: "dp"}
 	st2 := submitJobHTTP(t, ts.URL, "optimize", req2, "")
 	st2 = waitJob(t, ts.URL, st2.ID)
-	solves = srv.Metrics().Solves()
+	solves = seriesSum(t, srv.Metrics(), "relpipe_solves_total")
 	code, got := syncBody(t, ts.URL+"/v1/optimize", req2)
 	if code != http.StatusOK || !bytes.Equal(got, st2.Result) {
 		t.Fatalf("sync after job: code %d, body mismatch %v", code, !bytes.Equal(got, st2.Result))
 	}
-	if srv.Metrics().Solves() != solves {
+	if seriesSum(t, srv.Metrics(), "relpipe_solves_total") != solves {
 		t.Fatal("sync request re-solved a job-cached key")
 	}
 }

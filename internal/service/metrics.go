@@ -1,23 +1,12 @@
 package service
 
 import (
-	"encoding/json"
-	"net/http"
 	"strconv"
 
 	"relpipe/internal/fleet"
 	"relpipe/internal/jobs"
 	"relpipe/internal/obs"
 )
-
-// latencyBuckets are the upper bounds (seconds) of the latency
-// histograms, exponential from 1 ms to 10 s; an implicit +Inf bucket
-// catches the rest. They equal obs.DefBuckets (checked by a test) — the
-// service predates the registry and keeps its own name for the JSON
-// snapshot.
-var latencyBuckets = []float64{
-	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
-}
 
 // batchSizeBuckets span plausible solve-batch populations: most
 // batches are a handful of coalesced requests, but a thundering herd
@@ -33,9 +22,9 @@ var fleetDriftBuckets = []float64{
 
 // Metrics aggregates the service counters. It is a thin facade over an
 // obs.Registry: the named methods the server and pool call (Request,
-// CacheHit, ObserveSolve, ...) update registry instruments, the registry
-// renders the Prometheus exposition at /metrics, and Snapshot/ServeHTTP
-// keep serving the pre-registry JSON document at /metrics.json. All
+// CacheHit, ObserveSolve, ...) update registry instruments, and the
+// registry renders the Prometheus exposition at /metrics, the one read
+// path for every counter. Latency histograms use obs.DefBuckets. All
 // methods are safe for concurrent use.
 type Metrics struct {
 	reg *obs.Registry
@@ -78,7 +67,7 @@ func NewMetrics() *Metrics {
 		httpRequests: reg.NewCounterVec("relpipe_http_requests_total",
 			"HTTP requests by endpoint and status code.", "endpoint", "code"),
 		httpLatency: reg.NewHistogramVec("relpipe_http_request_duration_seconds",
-			"HTTP request latency by endpoint.", latencyBuckets, "endpoint"),
+			"HTTP request latency by endpoint.", obs.DefBuckets, "endpoint"),
 		cacheHits: reg.NewCounter("relpipe_cache_hits_total",
 			"Result-cache hits."),
 		cacheMisses: reg.NewCounter("relpipe_cache_misses_total",
@@ -92,9 +81,9 @@ func NewMetrics() *Metrics {
 		queueDepth: reg.NewGauge("relpipe_queue_depth",
 			"Solves waiting for a worker."),
 		solveLatency: reg.NewHistogram("relpipe_solve_duration_seconds",
-			"Solver execution latency.", latencyBuckets),
+			"Solver execution latency.", obs.DefBuckets),
 		stageLatency: reg.NewHistogramVec("relpipe_solver_stage_duration_seconds",
-			"Solver stage latency (dp.table, search.anneal, sim.batch, ...).", latencyBuckets, "stage"),
+			"Solver stage latency (dp.table, search.anneal, sim.batch, ...).", obs.DefBuckets, "stage"),
 		stageUnits: reg.NewCounterVec("relpipe_solver_stage_units_total",
 			"Work units completed per solver stage (restarts, replications, table cells).", "stage"),
 		batchTablesBuilt: reg.NewCounter("relpipe_solve_batch_tables_built_total",
@@ -111,7 +100,7 @@ func NewMetrics() *Metrics {
 		fleetDrift: reg.NewHistogram("relpipe_fleet_drift",
 			"Reliability gap (floor - reliability) observed on fleet drift/down decisions.", fleetDriftBuckets),
 		fleetTick: reg.NewHistogram("relpipe_fleet_tick_duration_seconds",
-			"Fleet control-loop tick latency.", latencyBuckets),
+			"Fleet control-loop tick latency.", obs.DefBuckets),
 		// The cluster families are label-parameterized by peer base URL —
 		// bounded by the static peer list, never by request content. They
 		// stay empty (HELP/TYPE only) on single-node servers.
@@ -122,7 +111,7 @@ func NewMetrics() *Metrics {
 		clusterFallbacks: reg.NewCounterVec("relpipe_cluster_fallbacks_total",
 			"Requests solved locally because their owner node was unreachable.", "peer"),
 		clusterForwardLatency: reg.NewHistogramVec("relpipe_cluster_forward_duration_seconds",
-			"Forward-hop round-trip latency by owner node.", latencyBuckets, "peer"),
+			"Forward-hop round-trip latency by owner node.", obs.DefBuckets, "peer"),
 	}
 }
 
@@ -184,13 +173,6 @@ func (m *Metrics) BatchCoalesce() { m.batchCoalesced.Inc() }
 // BatchSize records the member count of one drained solve batch.
 func (m *Metrics) BatchSize(members float64) { m.batchSize.Observe(members) }
 
-// TablesBuilt returns the shared table builds (tests assert the
-// one-build-per-batch contract through it).
-func (m *Metrics) TablesBuilt() int64 { return int64(m.batchTablesBuilt.Value()) }
-
-// BatchCoalesced returns the requests that joined an existing batch.
-func (m *Metrics) BatchCoalesced() int64 { return int64(m.batchCoalesced.Value()) }
-
 // ClusterForward records one forward hop to a peer (however it ended)
 // with its round-trip latency.
 func (m *Metrics) ClusterForward(peer string, seconds float64) {
@@ -206,18 +188,6 @@ func (m *Metrics) ClusterForwardError(peer string) { m.clusterForwardErrors.With
 // unreachable — the graceful-degradation counter the peer-failure tests
 // and the e2e kill-one-node assertion watch.
 func (m *Metrics) ClusterFallback(peer string) { m.clusterFallbacks.With(peer).Inc() }
-
-// ClusterFallbacks returns the local-solve fallbacks recorded against a
-// peer (tests assert graceful degradation through it).
-func (m *Metrics) ClusterFallbacks(peer string) int64 {
-	var total float64
-	m.clusterFallbacks.Each(func(labelValues []string, value float64) {
-		if labelValues[0] == peer {
-			total += value
-		}
-	})
-	return int64(total)
-}
 
 // RegisterClusterStats exports the membership gauge once the server
 // joins a cluster.
@@ -308,10 +278,6 @@ func (m *Metrics) RegisterTraceStats(rec *obs.Recorder) {
 		func() float64 { _, recorded := rec.Stats(); return float64(recorded) })
 }
 
-// Solves returns the number of underlying solver executions (tests
-// assert dedup and caching through it).
-func (m *Metrics) Solves() int64 { return int64(m.solves.Value()) }
-
 // QueueDepth returns the current pending-solve gauge.
 func (m *Metrics) QueueDepth() int64 { return int64(m.queueDepth.Value()) }
 
@@ -323,68 +289,4 @@ func (m *Metrics) MeanSolveSeconds() float64 {
 		return 0
 	}
 	return s.Sum / float64(s.Count)
-}
-
-// CacheHits returns the number of result-cache hits.
-func (m *Metrics) CacheHits() int64 { return int64(m.cacheHits.Value()) }
-
-// DedupJoins returns the number of requests that joined an in-flight
-// solve.
-func (m *Metrics) DedupJoins() int64 { return int64(m.dedupJoins.Value()) }
-
-// bucketSnapshot is one cumulative histogram bucket, Prometheus-style.
-type bucketSnapshot struct {
-	LE    float64 `json:"le"` // upper bound in seconds
-	Count int64   `json:"count"`
-}
-
-// snapshot is the JSON document served at /metrics.json (the original
-// /metrics format, preserved for existing scrapers).
-type snapshot struct {
-	Requests     map[string]int64 `json:"requests"`
-	CacheHits    int64            `json:"cacheHits"`
-	CacheMisses  int64            `json:"cacheMisses"`
-	DedupJoins   int64            `json:"dedupJoins"`
-	Solves       int64            `json:"solves"`
-	Rejected     int64            `json:"rejected"`
-	QueueDepth   int64            `json:"queueDepth"`
-	SolveLatency struct {
-		Count   int64            `json:"count"`
-		SumSecs float64          `json:"sumSeconds"`
-		Buckets []bucketSnapshot `json:"buckets"`
-		Inf     int64            `json:"infCount"`
-	} `json:"solveLatency"`
-}
-
-// Snapshot returns a copy of every counter. The histogram portion is
-// one consistent snapshot (buckets, sum and count read under one lock);
-// the scalar counters are read individually, so a snapshot taken during
-// traffic may be off by in-flight increments — fine for monitoring.
-func (m *Metrics) Snapshot() any {
-	var s snapshot
-	s.Requests = make(map[string]int64)
-	m.requests.Each(func(labelValues []string, value float64) {
-		s.Requests[labelValues[0]] = int64(value)
-	})
-	s.CacheHits = m.CacheHits()
-	s.CacheMisses = int64(m.cacheMisses.Value())
-	s.DedupJoins = m.DedupJoins()
-	s.Solves = m.Solves()
-	s.Rejected = int64(m.rejected.Value())
-	s.QueueDepth = m.QueueDepth()
-	h := m.solveLatency.Snapshot()
-	s.SolveLatency.Count = int64(h.Count)
-	s.SolveLatency.SumSecs = h.Sum
-	for i, le := range h.UpperBounds {
-		s.SolveLatency.Buckets = append(s.SolveLatency.Buckets,
-			bucketSnapshot{LE: le, Count: int64(h.Buckets[i])})
-	}
-	s.SolveLatency.Inf = int64(h.Count)
-	return s
-}
-
-// ServeHTTP serves the snapshot as JSON (the /metrics.json handler).
-func (m *Metrics) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(m.Snapshot())
 }

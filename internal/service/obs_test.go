@@ -1,8 +1,10 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -29,6 +31,35 @@ func getBody(t *testing.T, url string) (int, string) {
 		}
 	}
 	return resp.StatusCode, sb.String()
+}
+
+// seriesSum renders m's Prometheus exposition and sums the samples that
+// match want: a sample name as exposed (a counter, or a histogram's
+// _count or _sum), summed over its label sets, or one full series
+// (`relpipe_cluster_fallbacks_total{peer="http://..."}`). Tests read
+// counters only this way, so a renamed series breaks the test instead of
+// the scrapers that read /metrics.
+func seriesSum(t testing.TB, m *Metrics, want string) int64 {
+	t.Helper()
+	var buf bytes.Buffer
+	m.Registry().WritePrometheus(&buf)
+	var sum float64
+	for _, line := range strings.Split(buf.String(), "\n") {
+		sp := strings.LastIndexByte(line, ' ')
+		if sp < 0 || strings.HasPrefix(line, "#") {
+			continue
+		}
+		series, value := line[:sp], line[sp+1:]
+		if name, _, _ := strings.Cut(series, "{"); name != want && series != want {
+			continue
+		}
+		v, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			t.Fatalf("series %s: %v", series, err)
+		}
+		sum += v
+	}
+	return int64(sum)
 }
 
 func TestPrometheusEndpoint(t *testing.T) {
@@ -59,15 +90,17 @@ func TestPrometheusEndpoint(t *testing.T) {
 		"# TYPE relpipe_solver_stage_duration_seconds histogram",
 		`relpipe_solver_stage_duration_seconds_count{stage="solve.dp"} 1`,
 		"relpipe_traces_recorded_total",
+		`relpipe_requests_total{endpoint="optimize"} 2`,
+		"relpipe_solve_duration_seconds_count 1",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
-	// The JSON snapshot must still be served at /metrics.json.
-	jcode, jbody := getBody(t, ts.URL+"/metrics.json")
-	if jcode != http.StatusOK || !strings.HasPrefix(strings.TrimSpace(jbody), "{") {
-		t.Fatalf("GET /metrics.json = %d %q", jcode, jbody[:min(len(jbody), 60)])
+	// /metrics is the only counter read path: the retired JSON document
+	// is gone.
+	if code, _ := getBody(t, ts.URL+"/metrics.json"); code != http.StatusNotFound {
+		t.Fatalf("GET /metrics.json = %d, want 404", code)
 	}
 }
 
@@ -231,7 +264,7 @@ func TestEndpointLabelBoundsCardinality(t *testing.T) {
 		"/healthz":                       "/healthz",
 		"/readyz":                        "/readyz",
 		"/metrics":                       "/metrics",
-		"/metrics.json":                  "/metrics.json",
+		"/metrics.json":                  "other",
 		"/debug/traces":                  "/debug/traces",
 		"/debug/pprof/heap":              "/debug/pprof",
 		"/no/such/path":                  "other",

@@ -119,10 +119,10 @@ func TestSearchParamsEnterCacheKey(t *testing.T) {
 	req2 := req
 	req2.Search = &relpipe.SearchParams{Restarts: 2, Budget: 300, Seed: 2}
 	postJSON(t, ts.URL+"/v1/optimize", req2, nil) // new seed: miss
-	if hits := s.Metrics().CacheHits(); hits != 1 {
+	if hits := seriesSum(t, s.Metrics(), "relpipe_cache_hits_total"); hits != 1 {
 		t.Fatalf("cache hits = %d, want 1", hits)
 	}
-	if solves := s.Metrics().Solves(); solves != 2 {
+	if solves := seriesSum(t, s.Metrics(), "relpipe_solves_total"); solves != 2 {
 		t.Fatalf("solves = %d, want 2", solves)
 	}
 }
@@ -138,10 +138,10 @@ func TestSearchParamsIgnoredInKeyForExactMethods(t *testing.T) {
 	postJSON(t, ts.URL+"/v1/optimize", req, nil)
 	req.Search = &relpipe.SearchParams{Seed: 2}
 	postJSON(t, ts.URL+"/v1/optimize", req, nil)
-	if solves := s.Metrics().Solves(); solves != 1 {
+	if solves := seriesSum(t, s.Metrics(), "relpipe_solves_total"); solves != 1 {
 		t.Fatalf("solves = %d, want 1 (search knobs must not fragment exact-method cache keys)", solves)
 	}
-	if hits := s.Metrics().CacheHits(); hits != 1 {
+	if hits := seriesSum(t, s.Metrics(), "relpipe_cache_hits_total"); hits != 1 {
 		t.Fatalf("cache hits = %d, want 1", hits)
 	}
 }

@@ -261,7 +261,6 @@ func NewServer(opts Options) *Server {
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.Handle("GET /metrics", m.Registry().Handler())
-	mux.Handle("GET /metrics.json", s.metrics)
 	mux.HandleFunc("GET /debug/traces", s.handleTraces)
 	if opts.EnablePprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"relpipe"
-	"relpipe/internal/obs"
 )
 
 // testInstance is a small homogeneous instance every endpoint can solve
@@ -283,40 +282,25 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
+// TestMetricsEndpoint: two identical optimize requests leave the
+// request, cache and solve counters and the solve-latency histogram at
+// the values operators read from /metrics, read here through the same
+// registry the endpoint renders.
 func TestMetricsEndpoint(t *testing.T) {
 	s, ts := newTestServer(t, Options{})
 	postJSON(t, ts.URL+"/v1/optimize", relpipe.OptimizeRequest{Instance: testInstance(8), Method: "dp"}, nil)
 	postJSON(t, ts.URL+"/v1/optimize", relpipe.OptimizeRequest{Instance: testInstance(8), Method: "dp"}, nil)
-	resp, err := http.Get(ts.URL + "/metrics.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var doc struct {
-		Requests     map[string]int64 `json:"requests"`
-		CacheHits    int64            `json:"cacheHits"`
-		CacheMisses  int64            `json:"cacheMisses"`
-		Solves       int64            `json:"solves"`
-		SolveLatency struct {
-			Count   int64 `json:"count"`
-			Buckets []struct {
-				LE    float64 `json:"le"`
-				Count int64   `json:"count"`
-			} `json:"buckets"`
-			Inf int64 `json:"infCount"`
-		} `json:"solveLatency"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Requests["optimize"] != 2 || doc.Solves != 1 || doc.CacheHits != 1 || doc.CacheMisses != 1 {
-		t.Fatalf("metrics = %+v", doc)
-	}
-	if doc.SolveLatency.Count != 1 || doc.SolveLatency.Inf != 1 {
-		t.Fatalf("latency histogram = %+v", doc.SolveLatency)
-	}
-	if s.Metrics().Solves() != 1 {
-		t.Fatalf("Solves() = %d", s.Metrics().Solves())
+	for series, want := range map[string]int64{
+		`relpipe_requests_total{endpoint="optimize"}`:      2,
+		"relpipe_solves_total":                             1,
+		"relpipe_cache_hits_total":                         1,
+		"relpipe_cache_misses_total":                       1,
+		"relpipe_solve_duration_seconds_count":             1,
+		`relpipe_solve_duration_seconds_bucket{le="+Inf"}`: 1,
+	} {
+		if got := seriesSum(t, s.Metrics(), series); got != want {
+			t.Errorf("%s = %d, want %d", series, got, want)
+		}
 	}
 }
 
@@ -330,11 +314,11 @@ func TestCachedRepeatSkipsSolve(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/v1/optimize", req, &second); code != http.StatusOK {
 		t.Fatalf("second status = %d", code)
 	}
-	if s.Metrics().Solves() != 1 {
-		t.Fatalf("solves = %d, want 1 (second request must be served from cache)", s.Metrics().Solves())
+	if solves := seriesSum(t, s.Metrics(), "relpipe_solves_total"); solves != 1 {
+		t.Fatalf("solves = %d, want 1 (second request must be served from cache)", solves)
 	}
-	if s.Metrics().CacheHits() != 1 {
-		t.Fatalf("cache hits = %d, want 1", s.Metrics().CacheHits())
+	if hits := seriesSum(t, s.Metrics(), "relpipe_cache_hits_total"); hits != 1 {
+		t.Fatalf("cache hits = %d, want 1", hits)
 	}
 	a, _ := json.Marshal(first)
 	b, _ := json.Marshal(second)
@@ -351,10 +335,10 @@ func TestCacheKeySeparatesEndpointsAndParams(t *testing.T) {
 	postJSON(t, ts.URL+"/v1/optimize", relpipe.OptimizeRequest{Instance: in, Method: "heur-p", Bounds: relpipe.Bounds{Period: 500}}, nil)
 	postJSON(t, ts.URL+"/v1/optimize", relpipe.OptimizeRequest{Instance: in, Method: "dp", Bounds: relpipe.Bounds{Period: 500}}, nil)
 	postJSON(t, ts.URL+"/v1/frontier", relpipe.FrontierRequest{Instance: in}, nil)
-	if hits := s.Metrics().CacheHits(); hits != 0 {
+	if hits := seriesSum(t, s.Metrics(), "relpipe_cache_hits_total"); hits != 0 {
 		t.Fatalf("cache hits = %d, want 0 (distinct requests must not collide)", hits)
 	}
-	if solves := s.Metrics().Solves(); solves != 4 {
+	if solves := seriesSum(t, s.Metrics(), "relpipe_solves_total"); solves != 4 {
 		t.Fatalf("solves = %d, want 4", solves)
 	}
 }
@@ -389,8 +373,8 @@ func TestQueueFullIs429WithRetryAfter(t *testing.T) {
 	if rec.Header().Get("Retry-After") == "" {
 		t.Fatal("429 response missing Retry-After")
 	}
-	if snap := s.Metrics().Snapshot().(snapshot); snap.Rejected != 1 {
-		t.Fatalf("rejected = %d, want 1", snap.Rejected)
+	if rejected := seriesSum(t, s.Metrics(), "relpipe_rejected_total"); rejected != 1 {
+		t.Fatalf("rejected = %d, want 1", rejected)
 	}
 	close(block)
 	if out := <-done; out.status != http.StatusOK {
@@ -507,7 +491,7 @@ func TestTimedOutSolveStillCaches(t *testing.T) {
 	if out := s.process(context.Background(), "slow", fail, nil); out.status != http.StatusOK {
 		t.Fatalf("repeat status = %d, want 200 from cache", out.status)
 	}
-	if got := s.Metrics().Solves(); got != 1 {
+	if got := seriesSum(t, s.Metrics(), "relpipe_solves_total"); got != 1 {
 		t.Fatalf("solves = %d, want 1", got)
 	}
 }
@@ -534,16 +518,5 @@ func TestCanonicalHashStability(t *testing.T) {
 	}
 	if back.Canonical() != a.Canonical() {
 		t.Fatal("JSON round trip changed the canonical hash")
-	}
-}
-
-func TestHistogramBucketConstant(t *testing.T) {
-	if len(latencyBuckets) != len(obs.DefBuckets) {
-		t.Fatalf("len(latencyBuckets) = %d, len(obs.DefBuckets) = %d", len(latencyBuckets), len(obs.DefBuckets))
-	}
-	for i, b := range latencyBuckets {
-		if b != obs.DefBuckets[i] {
-			t.Fatalf("latencyBuckets[%d] = %v, obs.DefBuckets[%d] = %v", i, b, i, obs.DefBuckets[i])
-		}
 	}
 }

@@ -53,10 +53,10 @@ func TestStressIdenticalRequestsShareOneSolve(t *testing.T) {
 	}
 	wg.Wait()
 
-	if solves := s.Metrics().Solves(); solves != 1 {
+	if solves := seriesSum(t, s.Metrics(), "relpipe_solves_total"); solves != 1 {
 		t.Fatalf("solves = %d, want exactly 1 for %d identical requests", solves, clients)
 	}
-	joins, hits := s.Metrics().DedupJoins(), s.Metrics().CacheHits()
+	joins, hits := seriesSum(t, s.Metrics(), "relpipe_dedup_joins_total"), seriesSum(t, s.Metrics(), "relpipe_cache_hits_total")
 	if joins+hits != clients-1 {
 		t.Fatalf("dedup joins (%d) + cache hits (%d) = %d, want %d",
 			joins, hits, joins+hits, clients-1)
@@ -76,10 +76,10 @@ func TestStressIdenticalRequestsShareOneSolve(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("repeat status = %d", resp.StatusCode)
 	}
-	if s.Metrics().Solves() != 1 {
+	if seriesSum(t, s.Metrics(), "relpipe_solves_total") != 1 {
 		t.Fatal("repeat request triggered a new solve")
 	}
-	if s.Metrics().CacheHits() != hits+1 {
+	if seriesSum(t, s.Metrics(), "relpipe_cache_hits_total") != hits+1 {
 		t.Fatal("repeat request did not hit the cache")
 	}
 }
@@ -130,7 +130,7 @@ func TestStressMixedWorkload(t *testing.T) {
 	}
 	wg.Wait()
 
-	if solves := s.Metrics().Solves(); solves > distinct {
+	if solves := seriesSum(t, s.Metrics(), "relpipe_solves_total"); solves > distinct {
 		t.Fatalf("solves = %d, want ≤ %d distinct jobs", solves, distinct)
 	}
 }

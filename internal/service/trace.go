@@ -76,7 +76,7 @@ func endpointLabel(path string) string {
 	switch path {
 	case "/v1/optimize", "/v1/evaluate", "/v1/minperiod", "/v1/frontier",
 		"/v1/mincost", "/v1/simulate", "/v1/adapt", "/v1/batch",
-		"/healthz", "/readyz", "/metrics", "/metrics.json", "/debug/traces":
+		"/healthz", "/readyz", "/metrics", "/debug/traces":
 		return path
 	}
 	return "other"

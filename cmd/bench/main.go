@@ -71,6 +71,7 @@ import (
 	"relpipe/internal/rng"
 	"relpipe/internal/search"
 	"relpipe/internal/sim"
+	"relpipe/internal/sim/simref"
 )
 
 // tagHotPath marks the benchmarks the CI regression gate enforces.
@@ -185,19 +186,22 @@ func monteCarloBench(parallelism int) func(sz sizes) func() {
 
 // monteCarloEngineBench measures the simulation engine itself in
 // isolation: the same replication batch, single-threaded, run either
-// through the flat-array engine (the default) or through the scalar
-// reference oracle (Config.ScalarReference). The two kernels execute
-// bit-identical replications, so their ns/op ratio is the pure engine
-// speedup — the "monte-carlo-soa" entry in Speedups that -minratio
-// gates, so the flat-array layout cannot silently rot back to scalar
-// cost. Parallel batch throughput is covered separately by the
-// monte-carlo kernels, where sharding dilutes this ratio.
+// through the flat-array engine (sim.RunBatch at P=1) or through the
+// scalar reference oracle internal/sim/simref, which only tests and
+// this command link. The two kernels execute bit-identical
+// replications, so their ns/op ratio is the pure engine speedup — the
+// "monte-carlo-soa" entry in Speedups that -minratio gates, so the
+// flat-array layout cannot silently rot back to scalar cost. Parallel
+// batch throughput is covered separately by the monte-carlo kernels,
+// where sharding dilutes this ratio.
 func monteCarloEngineBench(scalar bool) func(sz sizes) func() {
+	if !scalar {
+		return monteCarloBench(1)
+	}
 	return func(sz sizes) func() {
 		cfg := mcConfig(sz)
-		cfg.ScalarReference = scalar
 		return func() {
-			b, err := sim.RunBatch(context.Background(), cfg, sz.mcReps, 1)
+			b, err := simref.RunBatch(cfg, sz.mcReps)
 			if err != nil {
 				panic(err)
 			}

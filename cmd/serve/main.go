@@ -77,7 +77,6 @@ func main() {
 	jobsPerClient := fs.Int("jobs-per-client", 0, "live async jobs per client (0 = default 16)")
 	jobsTTL := fs.Duration("jobs-ttl", 0, "terminal async jobs stay queryable this long (0 = default 10m)")
 	jobsDump := fs.String("jobs-dump", "", "write terminal job statuses to this file on shutdown")
-	solveBatch := fs.Bool("solve-batch", true, "coalesce concurrent same-instance requests into one heuristic-table build")
 	fleetOn := fs.Bool("fleet", true, "enable the fleet controller and its /v1/fleet routes")
 	fleetTick := fs.Duration("fleet-tick", 0, "fleet control-loop period (0 = default 1s)")
 	fleetMax := fs.Int("fleet-deployments", 0, "fleet deployment cap (0 = default 1024)")
@@ -122,7 +121,6 @@ func main() {
 		MaxJobs:            *maxJobs,
 		MaxJobsPerClient:   *jobsPerClient,
 		JobTTL:             *jobsTTL,
-		DisableSolveBatch:  !*solveBatch,
 		DisableFleet:       !*fleetOn,
 		FleetTick:          *fleetTick,
 		MaxDeployments:     *fleetMax,

@@ -49,12 +49,6 @@ func run(instPath string, period, latency float64, datasets int, seed uint64, sc
 	if instPath == "" {
 		return fmt.Errorf("-instance is required")
 	}
-	if seed == 0 {
-		// Repo-wide convention (search, adapt): seed 0 aliases the
-		// default seed 1, so `-seed 0` and the default flag value run
-		// the same reproducible simulation.
-		seed = 1
-	}
 	b, err := os.ReadFile(instPath)
 	if err != nil {
 		return err

@@ -89,7 +89,7 @@ func (b localBackend) Execute(ctx context.Context, req Request) outcome {
 	// Join the instance's solve batch for the whole flight — queue wait
 	// included, so concurrent same-instance requests coalesce even when
 	// one worker serializes their solves (see batcher.go). A nil entry
-	// (batching off) is inert.
+	// (no route) is inert.
 	entry := s.batcher.join(req.Route)
 	defer entry.leave()
 

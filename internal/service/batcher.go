@@ -22,10 +22,8 @@ import (
 )
 
 // tableBatcher coalesces heuristic-table construction across the
-// concurrent requests of one canonical instance. The zero-value pointer
-// (nil) is inert: join returns a nil entry whose provider declines, so
-// a disabled batcher (Options.DisableSolveBatch) costs nothing on the
-// request path.
+// concurrent requests of one canonical instance. Every Server has one;
+// a request without a route gets a nil entry, which is inert.
 type tableBatcher struct {
 	metrics *Metrics
 	mu      sync.Mutex
@@ -49,10 +47,10 @@ type batchEntry struct {
 }
 
 // join registers a request for the instance route and returns its
-// entry; the caller must leave() exactly once. A nil batcher or empty
-// route yields a nil entry, which leave and provider treat as inert.
+// entry; the caller must leave() exactly once. An empty route yields a
+// nil entry, which leave and provider treat as inert.
 func (b *tableBatcher) join(route string) *batchEntry {
-	if b == nil || route == "" {
+	if route == "" {
 		return nil
 	}
 	b.mu.Lock()

@@ -154,23 +154,22 @@ func TestBatcherRiderLeavingKeepsBatchAlive(t *testing.T) {
 	}
 }
 
-// TestBatcherDisabledIsInert: the nil batcher and nil entry are no-ops
-// on every code path the backends touch.
+// TestBatcherDisabledIsInert: a request without a route takes no part
+// in batching — its nil entry is a no-op on every code path the
+// backends touch.
 func TestBatcherDisabledIsInert(t *testing.T) {
-	var b *tableBatcher
-	e := b.join("route")
+	b := newTableBatcher(NewMetrics())
+	e := b.join("")
 	if e != nil {
-		t.Fatalf("nil batcher joined: %v", e)
+		t.Fatalf("empty route joined: %v", e)
 	}
 	e.leave() // must not panic
 	in, _ := batcherInstances()
 	if tb := e.provider(in); tb != nil {
 		t.Fatalf("nil entry provided tables: %p", tb)
 	}
-	s := NewServer(Options{DisableSolveBatch: true})
-	defer s.Close()
-	if s.batcher != nil {
-		t.Fatal("DisableSolveBatch left a batcher installed")
+	if len(b.entries) != 0 {
+		t.Fatalf("empty route left %d entries", len(b.entries))
 	}
 }
 
@@ -195,7 +194,9 @@ func optimizeBody(t *testing.T, in relpipe.Instance, seed uint64) []byte {
 // plugged by an unrelated solve, N same-instance heuristic requests
 // with distinct cache keys stack up in the queue, coalesce into one
 // batch, and their solves share exactly one table build — while
-// producing responses byte-identical to an unbatched server's.
+// producing responses byte-identical to the same server answering the
+// bodies one at a time, where every request is a one-member batch that
+// builds its own tables.
 func TestSolveBatchEndToEnd(t *testing.T) {
 	s := NewServer(Options{Workers: 1, CacheSize: -1})
 	defer s.Close()
@@ -252,9 +253,10 @@ func TestSolveBatchEndToEnd(t *testing.T) {
 		t.Fatalf("coalesced = %d, want %d", got, members-1)
 	}
 
-	// Byte-identity: an unbatched server answers every request with the
-	// exact same bodies.
-	ref := NewServer(Options{Workers: 1, CacheSize: -1, DisableSolveBatch: true})
+	// Byte-identity: answered one at a time, each request forms a
+	// one-member batch and builds its own tables, with the exact same
+	// bodies.
+	ref := NewServer(Options{Workers: 1, CacheSize: -1})
 	defer ref.Close()
 	for i, out := range outs {
 		if out.status != http.StatusOK {
@@ -262,14 +264,14 @@ func TestSolveBatchEndToEnd(t *testing.T) {
 		}
 		want := ref.process(context.Background(), "optimize", parseOptimize, bodies[i])
 		if want.status != http.StatusOK {
-			t.Fatalf("unbatched member %d status = %d", i, want.status)
+			t.Fatalf("one-at-a-time member %d status = %d", i, want.status)
 		}
 		if !bytes.Equal(out.body, want.body) {
-			t.Fatalf("member %d: batched body %s != unbatched %s", i, out.body, want.body)
+			t.Fatalf("member %d: batched body %s != one-at-a-time %s", i, out.body, want.body)
 		}
 	}
-	if seriesSum(t, ref.metrics, "relpipe_solve_batch_tables_built_total") != 0 {
-		t.Fatal("disabled batcher built tables")
+	if got := seriesSum(t, ref.metrics, "relpipe_solve_batch_tables_built_total"); got != members {
+		t.Fatalf("one-at-a-time tables built = %d, want %d (one per request)", got, members)
 	}
 }
 

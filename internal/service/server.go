@@ -67,12 +67,6 @@ type Options struct {
 	// routes (default on: the controller is idle until a deployment
 	// registers, so it costs nothing unused).
 	DisableFleet bool
-	// DisableSolveBatch turns off the solve batcher (batcher.go), which
-	// coalesces the heuristic-table construction of concurrent requests
-	// against the same instance (default on). Batching never changes a
-	// response — tables are bit-identical to self-built ones — so the
-	// knob exists for operators isolating a problem, not for tuning.
-	DisableSolveBatch bool
 	// FleetTick is the fleet control-loop period (default 1s) and
 	// MaxDeployments its registration cap (default 1024).
 	FleetTick      time.Duration
@@ -153,8 +147,8 @@ type Server struct {
 	pool     *Pool
 	cache    *Cache
 	flights  *flightGroup
-	forwards *flightGroup  // collapses concurrent identical cluster forwards
-	batcher  *tableBatcher // nil when Options.DisableSolveBatch
+	forwards *flightGroup // collapses concurrent identical cluster forwards
+	batcher  *tableBatcher
 	metrics  *Metrics
 	recorder *obs.Recorder
 	logger   *slog.Logger
@@ -185,9 +179,7 @@ func NewServer(opts Options) *Server {
 		metrics:   m,
 		logger:    opts.Logger,
 		shutdownC: make(chan struct{}),
-	}
-	if !opts.DisableSolveBatch {
-		s.batcher = newTableBatcher(m)
+		batcher:   newTableBatcher(m),
 	}
 	if opts.TraceCapacity > 0 {
 		// A nil recorder is inert (spans no-op), so a negative capacity
@@ -420,10 +412,10 @@ func parseSolveMethod(methodStr string, sp *relpipe.SearchParams, ex execOpts) (
 type solveCtx struct {
 	ctx      context.Context
 	progress progress.Func
-	// tables is the solve batch's shared heuristic-table provider (nil
-	// when batching is off — see batcher.go). Like the other fields it
-	// never influences an answer: provided tables are bit-identical to
-	// the ones a search builds itself.
+	// tables is the solve batch's shared heuristic-table provider (see
+	// batcher.go; it declines for a request without a route). Like the
+	// other fields it never influences an answer: provided tables are
+	// bit-identical to the ones a search builds itself.
 	tables func(relpipe.Instance) *relpipe.HeuristicTables
 }
 

@@ -2,9 +2,9 @@ package service
 
 // Service-layer pinning of the flat-array Monte-Carlo engine: the
 // /v1/simulate wire response must equal the aggregates of the scalar
-// reference engine, single-run and batched. The wire format maps
-// undefined aggregates (NaN) to 0; the comparison goes through the same
-// mapping.
+// reference oracle (internal/sim/simref), single-run and batched. The
+// wire format maps undefined aggregates (NaN) to 0; the comparison goes
+// through the same mapping.
 
 import (
 	"math"
@@ -12,9 +12,10 @@ import (
 	"testing"
 
 	"relpipe"
+	"relpipe/internal/sim/simref"
 )
 
-func TestSimulateEndpointMatchesScalarReference(t *testing.T) {
+func TestSimulateEndpointMatchesScalarOracle(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	in := testInstance(9)
 	var opt relpipe.OptimizeResponse
@@ -40,11 +41,11 @@ func TestSimulateEndpointMatchesScalarReference(t *testing.T) {
 		cfg := relpipe.SimConfig{
 			Chain: in.Chain, Platform: in.Platform, Mapping: opt.Solution.Mapping,
 			Period: 200, DataSets: 300, Seed: 5, InjectFailures: true,
-			Routing: relpipe.SimTwoHop, WarmUp: 10, ScalarReference: true,
+			Routing: relpipe.SimTwoHop, WarmUp: 10,
 		}
 		var want relpipe.SimulateResponse
 		if reps > 1 {
-			batch, err := relpipe.SimulateBatch(cfg, reps, relpipe.Options{Parallelism: 1})
+			batch, err := simref.RunBatch(cfg, reps)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,7 +57,7 @@ func TestSimulateEndpointMatchesScalarReference(t *testing.T) {
 				SteadyPeriod: zeroIfNaN(batch.MeanSteadyPeriod()),
 			}
 		} else {
-			res, err := relpipe.Simulate(cfg)
+			res, err := simref.Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

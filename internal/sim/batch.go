@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
-
+	"slices"
 	"time"
 
 	"relpipe/internal/obs"
@@ -21,23 +21,14 @@ type BatchResult struct {
 	Seeds []uint64
 }
 
-// RunBatch executes replications independent copies of the simulation,
-// each with its own seed derived deterministically from cfg.Seed, on up
-// to par.Degree(parallelism) goroutines (see internal/par; 1 =
-// sequential, 0 = GOMAXPROCS). Replication seeds are drawn from the
-// master generator before any run starts and each replication is a
-// deterministic function of its seed alone, so the batch is bit-identical
-// for every degree — this is the Monte-Carlo counterpart of the paper's
-// closed forms at service scale: reliability estimates tighten with
-// replications × DataSets while the wall-clock stays one run's worth per
-// worker.
-//
-// cfg.Trace must be nil: a shared trace would interleave operations
-// nondeterministically across replications. Trace single runs instead.
-//
-// A Seed of 0 aliases the default seed 1 — the repo-wide convention
-// (search, adapt, the CLIs' -seed flags) — so a zero-value batch and an
-// explicitly seed-1 batch are the same reproducible experiment.
+// RunBatch executes replications independent copies of the simulation
+// on up to par.Degree(parallelism) goroutines (see internal/par; 1 =
+// sequential, 0 = GOMAXPROCS). Replication r runs on the engine Run
+// uses with Seeds[r], the r-th draw of a master generator seeded with
+// cfg.Seed (0 aliases the default seed 1, the repo-wide convention), so
+// the batch is bit-identical for every degree and any replication can
+// be reproduced standalone. cfg.Trace must be nil: a shared trace would
+// interleave operations across replications; trace single runs.
 func RunBatch(ctx context.Context, cfg Config, replications, parallelism int) (BatchResult, error) {
 	if replications <= 0 {
 		return BatchResult{}, errors.New("sim: replications must be positive")
@@ -45,83 +36,54 @@ func RunBatch(ctx context.Context, cfg Config, replications, parallelism int) (B
 	if cfg.Trace != nil {
 		return BatchResult{}, errors.New("sim: Trace is not supported by RunBatch; trace a single Run instead")
 	}
+	batchStart := time.Now()
+	t, err := newSoaTables(cfg)
+	if err != nil {
+		return BatchResult{}, err
+	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
 	master := rng.New(cfg.Seed)
-	seeds := make([]uint64, replications)
-	for r := range seeds {
-		seeds[r] = master.Uint64()
+	b := BatchResult{Runs: make([]Result, replications), Seeds: make([]uint64, replications)}
+	for r := range b.Seeds {
+		b.Seeds[r] = master.Uint64()
 	}
 	reps := progress.NewCounter(int64(replications), cfg.Progress)
-	batchStart := time.Now()
-	var runs []Result
-	var err error
-	if cfg.ScalarReference {
-		// Reference path: one scalar event loop per replication, exactly
-		// the pre-flat-engine implementation (the differential suite and
-		// the bench's monte-carlo-scalar kernel run through here).
-		runs, err = par.Map(ctx, parallelism, replications, func(r int) (Result, error) {
-			c := cfg
-			c.Seed = seeds[r]
-			c.Progress = nil // per-replication runs report nothing themselves
-			res, runErr := Run(c)
-			if runErr == nil {
+	if !cfg.InjectFailures {
+		// No failure sampling, no RNG draws: every replication is the
+		// same run, so simulate once and hand out independent copies.
+		res, err := newSoaEngine(t, ctx, nil).run(b.Seeds[0])
+		if err != nil {
+			return BatchResult{}, err
+		}
+		for r := range b.Runs {
+			b.Runs[r] = res
+			b.Runs[r].Latencies = slices.Clone(res.Latencies)
+			b.Runs[r].Completions = slices.Clone(res.Completions)
+			reps.Add(1)
+		}
+	} else {
+		// Workers share the tables read-only and each drives its shard
+		// through one reused engine, allocation-free after a first run.
+		err = par.Run(ctx, parallelism, replications, func(ctx context.Context, s par.Shard) error {
+			eng := newSoaEngine(t, ctx, nil)
+			for r := s.Lo; r < s.Hi; r++ {
+				res, err := eng.run(b.Seeds[r])
+				if err != nil {
+					return err
+				}
+				b.Runs[r] = res
 				reps.Add(1)
 			}
-			return res, runErr
+			return nil
 		})
-	} else {
-		runs, err = runBatchSoA(ctx, cfg, seeds, parallelism, reps)
-	}
-	if err != nil {
-		return BatchResult{}, err
+		if err != nil {
+			return BatchResult{}, err
+		}
 	}
 	obs.Stage(ctx, "sim.batch", batchStart, int64(replications), nil)
-	return BatchResult{Runs: runs, Seeds: seeds}, nil
-}
-
-// runBatchSoA executes the replications on the flat-array engine: the
-// segment tables are built once and shared read-only by every worker,
-// and each worker drives a contiguous shard of replications through one
-// reused engine (allocation-free after its first replication). Results
-// are bit-identical to the scalar path at every parallelism degree.
-func runBatchSoA(ctx context.Context, cfg Config, seeds []uint64, parallelism int, reps *progress.Counter) ([]Result, error) {
-	t, err := newSoaTables(cfg)
-	if err != nil {
-		return nil, err
-	}
-	runs := make([]Result, len(seeds))
-	if !cfg.InjectFailures {
-		// No failure sampling means no RNG draws: every replication is
-		// the same deterministic run. Simulate once, hand each
-		// replication its own copy of the outcome.
-		res, err := newSoaEngine(t, ctx).run(seeds[0])
-		if err != nil {
-			return nil, err
-		}
-		for r := range runs {
-			runs[r] = copyResult(res)
-			reps.Add(1)
-		}
-		return runs, nil
-	}
-	err = par.Run(ctx, parallelism, len(seeds), func(ctx context.Context, s par.Shard) error {
-		eng := newSoaEngine(t, ctx)
-		for r := s.Lo; r < s.Hi; r++ {
-			res, err := eng.run(seeds[r])
-			if err != nil {
-				return err
-			}
-			runs[r] = res
-			reps.Add(1)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return runs, nil
+	return b, nil
 }
 
 // DataSets returns the total data sets injected across replications.

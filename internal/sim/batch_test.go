@@ -124,8 +124,8 @@ func TestRunBatchCancellation(t *testing.T) {
 }
 
 // TestRunBatchSeedZeroAliasesDefaultSeed pins the repo-wide seed
-// convention on the Monte-Carlo batch: a Seed of 0 and the default
-// seed 1 run the identical experiment.
+// convention on the Monte-Carlo batch and on a single Run: a Seed of 0
+// and the default seed 1 run the identical experiment.
 func TestRunBatchSeedZeroAliasesDefaultSeed(t *testing.T) {
 	cfg0 := batchConfig(t, 17)
 	cfg0.Seed = 0
@@ -148,5 +148,22 @@ func TestRunBatchSeedZeroAliasesDefaultSeed(t *testing.T) {
 	}
 	if !reflect.DeepEqual(b1, b2) {
 		t.Fatal("RunBatch is not reproducible for a fixed seed")
+	}
+	// Single Run, on a platform lossy enough that the seed decides the
+	// outcome.
+	c, pl, m := mcSetup()
+	run0 := Config{Chain: c, Platform: pl, Mapping: m, Period: 20, DataSets: 300, InjectFailures: true}
+	run1 := run0
+	run1.Seed = 1
+	r0, err := Run(run0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1, err := Run(run1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(r0, r1) {
+		t.Fatal("Run seed 0 does not alias seed 1")
 	}
 }

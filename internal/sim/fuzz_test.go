@@ -1,14 +1,15 @@
-package sim
+package sim_test
 
 // FuzzSimSoA is the differential fuzz target of the flat-array engine:
 // the fuzzer picks an instance shape (task count, platform size,
 // partition, replica counts, routing, period, warm-up, failure
 // injection) from the script bytes and the continuous values (works,
 // output sizes, speeds, failure rates) from the seed, then requires the
-// SoA engine and the scalar reference loop to agree bit-for-bit on
-// every Result field. The seed corpus under testdata/fuzz/FuzzSimSoA
-// replays in every ordinary `go test` run; CI additionally runs the
-// target under -fuzz for a fixed budget (see .github/workflows/ci.yml).
+// SoA engine and the scalar reference loop (simref) to agree
+// bit-for-bit on every Result field and, on a traced rerun, on every
+// recorded Op. The seed corpus under testdata/fuzz/FuzzSimSoA replays
+// in every ordinary `go test` run; CI additionally runs the target
+// under -fuzz for a fixed budget (see .github/workflows/ci.yml).
 
 import (
 	"testing"
@@ -18,6 +19,8 @@ import (
 	"relpipe/internal/mapping"
 	"relpipe/internal/platform"
 	"relpipe/internal/rng"
+	"relpipe/internal/sim"
+	"relpipe/internal/sim/simref"
 )
 
 // fuzzConfig decodes a simulation Config from a seed and a script. The
@@ -25,15 +28,15 @@ import (
 // boundary/replica decision: structural choices come from the script
 // (so the corpus can pin specific shapes), continuous values from the
 // seed's RNG stream. ok is false when the script is too short.
-func fuzzConfig(seed uint64, script []byte) (Config, bool) {
+func fuzzConfig(seed uint64, script []byte) (sim.Config, bool) {
 	if len(script) < 8 {
-		return Config{}, false
+		return sim.Config{}, false
 	}
 	r := rng.New(seed)
 	nTasks := 1 + int(script[0])%5
 	nProcs := 1 + int(script[1])%6
 	maxReplicas := 1 + int(script[2])%3
-	routing := RoutingMode(int(script[3]) % 2)
+	routing := sim.RoutingMode(int(script[3]) % 2)
 	inject := script[4]&1 == 1
 	dataSets := 1 + int(script[5])%60
 	period := 1 + float64(int(script[6])%40)/4
@@ -102,7 +105,7 @@ func fuzzConfig(seed uint64, script []byte) (Config, bool) {
 		}
 	}
 
-	return Config{
+	return sim.Config{
 		Chain:    c,
 		Platform: pl,
 		Mapping:  mapping.Mapping{Parts: interval.FromEnds(ends), Procs: ps},
@@ -128,16 +131,15 @@ func FuzzSimSoA(f *testing.F) {
 		if err := cfg.Mapping.Validate(cfg.Chain, cfg.Platform); err != nil {
 			t.Fatalf("decoder built an invalid mapping: %v", err)
 		}
-		ref := cfg
-		ref.ScalarReference = true
-		got, err := Run(cfg)
+		got, err := sim.Run(cfg)
 		if err != nil {
 			t.Fatalf("SoA run: %v", err)
 		}
-		want, err := Run(ref)
+		want, err := simref.Run(cfg)
 		if err != nil {
 			t.Fatalf("scalar run: %v", err)
 		}
 		requireSameResult(t, "fuzz", got, want)
+		requireSameTracedRun(t, "fuzz", cfg, want)
 	})
 }

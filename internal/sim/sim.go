@@ -1,17 +1,13 @@
 package sim
 
 import (
-	"errors"
-	"fmt"
 	"math"
 
 	"relpipe/internal/chain"
-	"relpipe/internal/des"
 	"relpipe/internal/failure"
 	"relpipe/internal/mapping"
 	"relpipe/internal/platform"
 	"relpipe/internal/progress"
-	"relpipe/internal/rng"
 )
 
 // RoutingMode selects how boundary communications are charged.
@@ -38,6 +34,7 @@ type Config struct {
 	// DataSets is the number of data sets to push through.
 	DataSets int
 	// Seed drives all failure sampling; equal seeds give identical runs.
+	// 0 aliases the default seed 1, the repo-wide convention.
 	Seed uint64
 	// InjectFailures enables transient-failure sampling. When false the
 	// run is deterministic and every data set succeeds.
@@ -48,22 +45,13 @@ type Config struct {
 	// estimate (but still counted for success/latency).
 	WarmUp int
 	// Trace, when non-nil, records every compute/send/forward operation
-	// for Gantt rendering and utilization analysis.
+	// of a single Run, in event order, for Gantt rendering and
+	// utilization analysis; it never changes the Result.
 	Trace *Trace
 	// Progress, when non-nil, receives (replicationsDone, replications)
 	// from RunBatch as replications complete (see internal/progress).
 	// Single Run ignores it. Reporting never influences the result.
 	Progress progress.Func
-	// ScalarReference forces the original closure-based per-replication
-	// event loop (the des.Engine path in this file) instead of the
-	// flat-array engine (soa.go). The two are bit-identical by contract
-	// — same RNG draw order, same Result bits for every Config and seed
-	// (the differential suite and FuzzSimSoA enforce per-field equality)
-	// — so the knob never changes an answer; it exists as the reference
-	// oracle for those checks and for the bench kernel measuring the
-	// flat engine's speedup. Runs with a Trace attached always take the
-	// scalar path (the trace hooks live there).
-	ScalarReference bool
 }
 
 // Result aggregates a run.
@@ -111,224 +99,17 @@ func (r Result) MaxLatency() float64 {
 	return m
 }
 
-// linkKey identifies a serializing point-to-point channel.
-type linkKey struct {
-	boundary int // index of the interval whose output crosses the link
-	src      int // sending replica index (-1 for the router side)
-	dst      int // receiving replica index (-1 for the router side)
-}
-
-type runner struct {
-	cfg      Config
-	eng      *des.Engine
-	rnd      *rng.Rand
-	procFree map[int]float64
-	linkFree map[linkKey]float64
-
-	routerDone []map[int]bool // per boundary, data sets already forwarded
-	done       []bool
-	completion []float64
-
-	compFail [][]float64 // [stage][replica] failure probability
-	commFail []float64   // per boundary, per-hop failure probability
-	commTime []float64   // per boundary, per-hop duration
-	compTime [][]float64 // [stage][replica] compute duration
-}
-
-// Run executes the simulation and returns its result. The flat-array
-// engine (soa.go) does the work unless a Trace is attached or
-// cfg.ScalarReference asks for the reference event loop; both paths
-// return bit-identical Results.
+// Run executes one replication of the simulation on the flat-array
+// engine (soa.go).
 func Run(cfg Config) (Result, error) {
-	if cfg.ScalarReference || cfg.Trace != nil {
-		return runScalar(cfg)
-	}
-	return runSoA(cfg)
-}
-
-// runScalar is the original closure-based discrete-event loop, kept as
-// the reference oracle (see Config.ScalarReference).
-func runScalar(cfg Config) (Result, error) {
-	if err := cfg.Chain.Validate(); err != nil {
+	t, err := newSoaTables(cfg)
+	if err != nil {
 		return Result{}, err
 	}
-	if err := cfg.Platform.Validate(); err != nil {
-		return Result{}, err
+	if cfg.Seed == 0 {
+		cfg.Seed = 1
 	}
-	if err := cfg.Mapping.Validate(cfg.Chain, cfg.Platform); err != nil {
-		return Result{}, err
-	}
-	if cfg.Period <= 0 {
-		return Result{}, errors.New("sim: Period must be positive")
-	}
-	if cfg.DataSets <= 0 {
-		return Result{}, errors.New("sim: DataSets must be positive")
-	}
-	if cfg.WarmUp < 0 || cfg.WarmUp >= cfg.DataSets {
-		cfg.WarmUp = 0
-	}
-
-	r := &runner{
-		cfg:      cfg,
-		eng:      des.New(),
-		rnd:      rng.New(cfg.Seed),
-		procFree: make(map[int]float64),
-		linkFree: make(map[linkKey]float64),
-		done:     make([]bool, cfg.DataSets),
-	}
-	m := cfg.Mapping
-	nStages := len(m.Parts)
-	r.completion = make([]float64, cfg.DataSets)
-	r.routerDone = make([]map[int]bool, nStages) // boundary j = output of stage j
-	for j := range r.routerDone {
-		r.routerDone[j] = make(map[int]bool)
-	}
-	r.compFail = make([][]float64, nStages)
-	r.compTime = make([][]float64, nStages)
-	r.commFail = make([]float64, nStages)
-	r.commTime = make([]float64, nStages)
-	for j := 0; j < nStages; j++ {
-		w := m.Parts.Work(cfg.Chain, j)
-		out := m.Parts.Out(cfg.Chain, j)
-		r.commTime[j] = cfg.Platform.CommTime(out)
-		r.commFail[j] = failure.Prob(cfg.Platform.LinkFailRate, r.commTime[j])
-		r.compFail[j] = make([]float64, len(m.Procs[j]))
-		r.compTime[j] = make([]float64, len(m.Procs[j]))
-		for i, u := range m.Procs[j] {
-			r.compTime[j][i] = cfg.Platform.ComputeTime(u, w)
-			r.compFail[j][i] = failure.Prob(cfg.Platform.Procs[u].FailRate, r.compTime[j][i])
-		}
-	}
-
-	// Inject data sets at k·Period into every replica of stage 0.
-	for d := 0; d < cfg.DataSets; d++ {
-		d := d
-		r.eng.At(float64(d)*cfg.Period, func() {
-			for i := range m.Procs[0] {
-				r.startCompute(0, i, d)
-			}
-		})
-	}
-	r.eng.Run()
-
-	res := Result{DataSets: cfg.DataSets}
-	var prev float64
-	var interAcc, interN float64
-	seen := 0
-	for d := 0; d < cfg.DataSets; d++ {
-		if !r.done[d] {
-			continue
-		}
-		res.Successes++
-		res.Latencies = append(res.Latencies, r.completion[d]-float64(d)*cfg.Period)
-		res.Completions = append(res.Completions, r.completion[d])
-		if d >= cfg.WarmUp {
-			if seen > 0 {
-				interAcc += r.completion[d] - prev
-				interN++
-			}
-			prev = r.completion[d]
-			seen++
-		}
-	}
-	if interN > 0 {
-		res.SteadyPeriod = interAcc / interN
-	} else {
-		res.SteadyPeriod = math.NaN()
-	}
-	return res, nil
-}
-
-// fails samples one transient failure of probability p (always false when
-// injection is disabled).
-func (r *runner) fails(p float64) bool {
-	return r.cfg.InjectFailures && r.rnd.Bernoulli(p)
-}
-
-// startCompute queues data set d on replica i of stage j.
-func (r *runner) startCompute(j, i, d int) {
-	u := r.cfg.Mapping.Procs[j][i]
-	start := math.Max(r.eng.Now(), r.procFree[u])
-	finish := start + r.compTime[j][i]
-	r.procFree[u] = finish
-	r.eng.At(finish, func() {
-		failed := r.fails(r.compFail[j][i])
-		r.cfg.Trace.add(Op{
-			Kind: OpCompute, Stage: j, Replica: i, Proc: u,
-			DataSet: d, Start: start, End: finish, Failed: failed,
-		})
-		if failed {
-			return // the result of this data set is lost on this replica
-		}
-		r.emit(j, i, d)
-	})
-}
-
-// emit handles a successful computation of data set d by replica i of
-// stage j: completion at the last stage, or transmission of the interval
-// output towards stage j+1.
-func (r *runner) emit(j, i, d int) {
-	nStages := len(r.cfg.Mapping.Parts)
-	if j == nStages-1 {
-		if !r.done[d] {
-			r.done[d] = true
-			r.completion[d] = r.eng.Now()
-		}
-		return
-	}
-	// Send towards the boundary-j router on this replica's own channel.
-	k := linkKey{boundary: j, src: i, dst: -1}
-	start := math.Max(r.eng.Now(), r.linkFree[k])
-	arrive := start + r.commTime[j]
-	r.linkFree[k] = arrive
-	r.eng.At(arrive, func() {
-		failed := r.fails(r.commFail[j])
-		r.cfg.Trace.add(Op{
-			Kind: OpSend, Stage: j, Replica: i, Proc: -1,
-			DataSet: d, Start: start, End: arrive, Failed: failed,
-		})
-		if failed {
-			return // the message was corrupted in transit
-		}
-		r.routerForward(j, d)
-	})
-}
-
-// routerForward delivers data set d across boundary j the first time a
-// replica result reaches the router; later arrivals are ignored.
-func (r *runner) routerForward(j, d int) {
-	if r.routerDone[j][d] {
-		return
-	}
-	r.routerDone[j][d] = true
-	next := j + 1
-	for i := range r.cfg.Mapping.Procs[next] {
-		i := i
-		switch r.cfg.Routing {
-		case OneHop:
-			// The boundary was already charged on the sender side;
-			// delivery is immediate.
-			r.startCompute(next, i, d)
-		case TwoHop:
-			k := linkKey{boundary: j, src: -1, dst: i}
-			start := math.Max(r.eng.Now(), r.linkFree[k])
-			arrive := start + r.commTime[j]
-			r.linkFree[k] = arrive
-			r.eng.At(arrive, func() {
-				failed := r.fails(r.commFail[j])
-				r.cfg.Trace.add(Op{
-					Kind: OpForward, Stage: j, Replica: i, Proc: -1,
-					DataSet: d, Start: start, End: arrive, Failed: failed,
-				})
-				if failed {
-					return
-				}
-				r.startCompute(next, i, d)
-			})
-		default:
-			panic(fmt.Sprintf("sim: unknown routing mode %d", r.cfg.Routing))
-		}
-	}
+	return newSoaEngine(t, nil, cfg.Trace).run(cfg.Seed)
 }
 
 // AnalyticFailProbOneHop returns the per-data-set failure probability the

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -280,5 +281,42 @@ func BenchmarkSimulator(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// ctxAfter implements context.Context and starts reporting cancellation
+// after Err has been called n times, deterministically triggering the
+// mid-replication poll inside the SoA event loop.
+type ctxAfter struct {
+	context.Context
+	calls, n int
+}
+
+func (c *ctxAfter) Err() error {
+	c.calls++
+	if c.calls > c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+func TestSoARunCancelsMidReplication(t *testing.T) {
+	ch, pl, m := mcSetup()
+	cfg := Config{
+		Chain: ch, Platform: pl, Mapping: m,
+		Period: 20, DataSets: 5000, Seed: 3, InjectFailures: true,
+	}
+	tb, err := newSoaTables(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Sanity: the run must be long enough to hit several polls.
+	ctx := &ctxAfter{Context: context.Background(), n: 2}
+	eng := newSoaEngine(tb, ctx, nil)
+	if _, err := eng.run(cfg.Seed); err != context.Canceled {
+		t.Fatalf("run with mid-replication cancellation = %v, want context.Canceled", err)
+	}
+	if ctx.calls <= 2 {
+		t.Fatalf("expected the event loop to poll the context more than twice, got %d calls", ctx.calls)
 	}
 }

@@ -1,33 +1,25 @@
 package sim
 
-// This file is the flat-array (struct-of-arrays) Monte-Carlo core: the
-// default execution engine behind Run and RunBatch. The original
-// closure-based des.Engine loop (sim.go) survives unchanged as the
-// reference oracle behind Config.ScalarReference.
+// This file is the flat-array (struct-of-arrays) Monte-Carlo core, the
+// one engine behind Run and RunBatch. It replaces the closure-based
+// des.Engine loop, which survives verbatim only as the test oracle
+// internal/sim/simref: instead of one closure and one interface boxing
+// per event and two map lookups per scheduling decision, events are
+// fixed-size records in a hand-rolled binary heap, resource release
+// times live in flat slices indexed by precomputed replica offsets,
+// and the per-segment tables are shared by every replication of a
+// batch, so a worker advances its shard through one warm state block.
 //
-// Why a second engine: the scalar loop pays one closure allocation and
-// one interface boxing per event, hashes two maps (procFree, linkFree)
-// per scheduling decision, and rebuilds every per-stage table for every
-// replication. The flat engine keeps all of that in contiguous arrays —
-// a fixed-size event record in a hand-rolled binary heap, resource
-// release times in flat float64 slices indexed by precomputed replica
-// offsets, router/done flags in flat bool slices — and shares the
-// per-segment tables (compute/communication durations and failure
-// probabilities) across every replication of a batch, so a worker
-// advances its whole shard of replications through one warm,
-// cache-resident state block.
-//
-// Determinism contract: the engine replays the scalar loop's event
-// schedule exactly. Events are ordered by (time, scheduling sequence),
-// the same strict total order des.Engine uses, and every RNG draw
-// happens inside an event handler — so equal seeds give bit-identical
-// Results whichever engine runs (the differential suite and FuzzSimSoA
-// enforce per-field equality). Replication-level vectorization stops at
-// that contract deliberately: a failed draw prunes downstream events
-// and shifts later resource-release times, making the event schedule
-// outcome-dependent per replication, so true cross-replication lockstep
-// would change draw order. The batching axis is shared tables plus
-// per-worker state reuse instead.
+// Determinism contract: events are ordered by (time, scheduling
+// sequence), des.Engine's strict total order, and every RNG draw
+// happens inside an event handler, so equal seeds give the oracle's
+// Results and, when traced, its Op sequence bit for bit (the
+// differential suite and FuzzSimSoA enforce this). A traced run keeps
+// each operation's start time on a side slice indexed by sequence
+// number, because finish − duration is not bit-exact; untraced runs
+// leave it nil. Cross-replication lockstep is ruled out on purpose: a
+// failed draw prunes downstream events, so the schedule is
+// outcome-dependent and lockstep would change the draw order.
 
 import (
 	"context"
@@ -39,7 +31,7 @@ import (
 	"relpipe/internal/rng"
 )
 
-// Event kinds of the flat engine, mirroring the scalar loop's closures:
+// Event kinds of the flat engine, mirroring the oracle's closures:
 // data-set injection, compute finish (draw + emit), sender-side link
 // arrival (draw + router), router-side link arrival (TwoHop only: draw
 // + next-stage compute).
@@ -49,6 +41,10 @@ const (
 	soaSend
 	soaFwd
 )
+
+// soaOpKind maps each operation-completing event kind to the traced Op
+// kind.
+var soaOpKind = [...]OpKind{soaCompute: OpCompute, soaSend: OpSend, soaFwd: OpForward}
 
 // soaEvent is one pending event: fixed-size, no closures, no interface
 // boxing. seq is the per-replication scheduling sequence — the same
@@ -84,8 +80,7 @@ type soaTables struct {
 	inject   bool
 }
 
-// newSoaTables validates cfg exactly like the scalar Run and builds the
-// shared tables.
+// newSoaTables validates cfg and builds the shared tables.
 func newSoaTables(cfg Config) (*soaTables, error) {
 	if err := cfg.Chain.Validate(); err != nil {
 		return nil, err
@@ -148,8 +143,10 @@ type soaEngine struct {
 	ctx context.Context // polled inside the event loop; nil = no polling
 	rnd *rng.Rand
 
-	heap []soaEvent
-	seq  int64
+	heap   []soaEvent
+	seq    int64
+	trace  *Trace    // nil unless a single Run is traced
+	starts []float64 // traced runs only: operation start time by event seq
 
 	procFree   []float64 // by processor id: next instant the proc is free
 	sendFree   []float64 // by flat replica index: sender-side channel free
@@ -159,10 +156,11 @@ type soaEngine struct {
 	completion []float64 // per data set
 }
 
-func newSoaEngine(t *soaTables, ctx context.Context) *soaEngine {
+func newSoaEngine(t *soaTables, ctx context.Context, trace *Trace) *soaEngine {
 	return &soaEngine{
 		t:          t,
 		ctx:        ctx,
+		trace:      trace,
 		procFree:   make([]float64, t.procN),
 		sendFree:   make([]float64, t.total),
 		fwdFree:    make([]float64, t.total),
@@ -172,10 +170,13 @@ func newSoaEngine(t *soaTables, ctx context.Context) *soaEngine {
 	}
 }
 
-// push schedules an event, assigning the next sequence number — the
-// insertion-order tie-break that reproduces des.Engine's stable event
-// order.
-func (e *soaEngine) push(t float64, kind uint8, j, i, d int) {
+// push schedules an event ending at t for an operation that started at
+// start, assigning the next sequence number — the insertion-order
+// tie-break that reproduces des.Engine's stable event order.
+func (e *soaEngine) push(start, t float64, kind uint8, j, i, d int) {
+	if e.trace != nil {
+		e.starts = append(e.starts, start)
+	}
 	h := append(e.heap, soaEvent{t: t, seq: e.seq, d: int32(d), j: int32(j), i: int32(i), kind: kind})
 	e.seq++
 	c := len(h) - 1
@@ -223,22 +224,29 @@ func soaLess(a, b soaEvent) bool {
 	return a.seq < b.seq
 }
 
-// fails samples one transient failure of probability p — the same
-// short-circuits as the scalar runner's (no draw when injection is off
-// or p is degenerate), so the RNG streams stay aligned.
-func (e *soaEngine) fails(p float64) bool {
-	return e.t.inject && e.rnd.Bernoulli(p)
+// record appends the operation ev completes to the trace, with the
+// fields the oracle records: compute ops carry their processor,
+// send/forward ops Proc -1 and the boundary as Stage.
+func (e *soaEngine) record(ev soaEvent, failed bool) {
+	proc := -1
+	if ev.kind == soaCompute {
+		proc = e.t.procs[ev.j][ev.i]
+	}
+	e.trace.add(Op{
+		Kind: soaOpKind[ev.kind], Stage: int(ev.j), Replica: int(ev.i), Proc: proc,
+		DataSet: int(ev.d), Start: e.starts[ev.seq], End: ev.t, Failed: failed,
+	})
 }
 
 // startCompute books data set d on replica i of stage j: the processor
-// is reserved at scheduling time (exactly like the scalar loop), the
-// finish event draws the failure.
+// is reserved at scheduling time (exactly like the oracle), the finish
+// event draws the failure.
 func (e *soaEngine) startCompute(now float64, j, i, d int) {
 	u := e.t.procs[j][i]
 	start := math.Max(now, e.procFree[u])
 	finish := start + e.t.compTime[e.t.offset[j]+i]
 	e.procFree[u] = finish
-	e.push(finish, soaCompute, j, i, d)
+	e.push(start, finish, soaCompute, j, i, d)
 }
 
 // routerForward delivers data set d across boundary j on its first
@@ -259,7 +267,7 @@ func (e *soaEngine) routerForward(now float64, j, d int) {
 		return
 	}
 	if e.t.routing != TwoHop {
-		// Lazily, like the scalar loop: a run that never crosses a
+		// Lazily, like the oracle: a run that never crosses a
 		// boundary never observes a bogus mode.
 		panic(fmt.Sprintf("sim: unknown routing mode %d", e.t.routing))
 	}
@@ -268,12 +276,12 @@ func (e *soaEngine) routerForward(now float64, j, d int) {
 		start := math.Max(now, e.fwdFree[fi])
 		arrive := start + e.t.commTime[j]
 		e.fwdFree[fi] = arrive
-		e.push(arrive, soaFwd, j, i, d)
+		e.push(start, arrive, soaFwd, j, i, d)
 	}
 }
 
 // run executes one replication with the given seed and returns its
-// Result, bit-identical to the scalar Run of the same Config and seed.
+// Result, bit-identical to the oracle's run of the same Config and seed.
 // The context (when non-nil) is polled every 1024 events so a
 // cancellation lands mid-replication, not just between replications.
 func (e *soaEngine) run(seed uint64) (Result, error) {
@@ -281,6 +289,7 @@ func (e *soaEngine) run(seed uint64) (Result, error) {
 	e.rnd = rng.New(seed)
 	e.heap = e.heap[:0]
 	e.seq = 0
+	e.starts = e.starts[:0]
 	clear(e.procFree)
 	clear(e.sendFree)
 	clear(e.fwdFree)
@@ -289,7 +298,8 @@ func (e *soaEngine) run(seed uint64) (Result, error) {
 	clear(e.completion)
 
 	for d := 0; d < t.dataSets; d++ {
-		e.push(float64(d)*t.period, soaInject, 0, 0, d)
+		at := float64(d) * t.period
+		e.push(at, at, soaInject, 0, 0, d)
 	}
 	last := t.nStages - 1
 	var steps int64
@@ -302,15 +312,29 @@ func (e *soaEngine) run(seed uint64) (Result, error) {
 		}
 		now := ev.t
 		j, i, d := int(ev.j), int(ev.i), int(ev.d)
-		switch ev.kind {
-		case soaInject:
+		if ev.kind == soaInject {
 			for i := range t.procs[0] {
 				e.startCompute(now, 0, i, d)
 			}
+			continue
+		}
+		// Every other event completes one operation and first samples
+		// its transient failure — with the oracle's short-circuits (no
+		// draw when injection is off or p is degenerate), so the RNG
+		// streams stay aligned.
+		p := t.commFail[j]
+		if ev.kind == soaCompute {
+			p = t.compFail[t.offset[j]+i]
+		}
+		failed := t.inject && e.rnd.Bernoulli(p)
+		if e.trace != nil {
+			e.record(ev, failed)
+		}
+		if failed {
+			continue // the result is lost on this replica, or corrupted in transit
+		}
+		switch ev.kind {
 		case soaCompute:
-			if e.fails(t.compFail[t.offset[j]+i]) {
-				continue // the result is lost on this replica
-			}
 			if j == last {
 				if !e.done[d] {
 					e.done[d] = true
@@ -322,16 +346,10 @@ func (e *soaEngine) run(seed uint64) (Result, error) {
 			start := math.Max(now, e.sendFree[si])
 			arrive := start + t.commTime[j]
 			e.sendFree[si] = arrive
-			e.push(arrive, soaSend, j, i, d)
+			e.push(start, arrive, soaSend, j, i, d)
 		case soaSend:
-			if e.fails(t.commFail[j]) {
-				continue // corrupted in transit
-			}
 			e.routerForward(now, j, d)
 		case soaFwd:
-			if e.fails(t.commFail[j]) {
-				continue
-			}
 			e.startCompute(now, j+1, i, d)
 		}
 	}
@@ -339,7 +357,7 @@ func (e *soaEngine) run(seed uint64) (Result, error) {
 }
 
 // aggregate folds the outcome arrays into a Result with exactly the
-// scalar loop's fold order (latency append order, steady-period
+// oracle's fold order (latency append order, steady-period
 // accumulation), so aggregates match bit for bit.
 func (e *soaEngine) aggregate() Result {
 	t := e.t
@@ -369,23 +387,4 @@ func (e *soaEngine) aggregate() Result {
 		res.SteadyPeriod = math.NaN()
 	}
 	return res
-}
-
-// runSoA is the single-run entry of the flat engine (Run dispatches
-// here unless a trace or the scalar reference was requested).
-func runSoA(cfg Config) (Result, error) {
-	t, err := newSoaTables(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return newSoaEngine(t, nil).run(cfg.Seed)
-}
-
-// copyResult deep-copies a Result so batch replications sharing a
-// deterministic outcome still own their slices.
-func copyResult(r Result) Result {
-	c := r
-	c.Latencies = append([]float64(nil), r.Latencies...)
-	c.Completions = append([]float64(nil), r.Completions...)
-	return c
 }

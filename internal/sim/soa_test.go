@@ -1,11 +1,12 @@
-package sim
+package sim_test
 
 // Differential suite pinning the flat-array engine (soa.go) to the
-// scalar reference event loop (sim.go). The contract is bit-identity:
-// for every Config and seed the two engines draw the same RNG stream in
-// the same order and produce per-field identical Results, so every
-// comparison here is exact (Float64bits, never tolerances). FuzzSimSoA
-// (fuzz_test.go) extends the same check to fuzzer-chosen instances.
+// scalar reference event loop (internal/sim/simref). The contract is
+// bit-identity: for every Config and seed the two engines draw the same
+// RNG stream in the same order and produce per-field identical Results
+// and traces, so every comparison here is exact (Float64bits, never
+// tolerances). FuzzSimSoA (fuzz_test.go) extends the same check to
+// fuzzer-chosen instances.
 
 import (
 	"context"
@@ -16,6 +17,8 @@ import (
 	"relpipe/internal/interval"
 	"relpipe/internal/mapping"
 	"relpipe/internal/platform"
+	"relpipe/internal/sim"
+	"relpipe/internal/sim/simref"
 )
 
 // hetSetup returns a replicated mapping on a heterogeneous platform
@@ -52,7 +55,7 @@ func bitsEq(a, b float64) bool {
 }
 
 // requireSameResult asserts per-field bit-identity of two Results.
-func requireSameResult(t *testing.T, label string, got, want Result) {
+func requireSameResult(t *testing.T, label string, got, want sim.Result) {
 	t.Helper()
 	if got.DataSets != want.DataSets {
 		t.Fatalf("%s: DataSets = %d, want %d", label, got.DataSets, want.DataSets)
@@ -81,45 +84,76 @@ func requireSameResult(t *testing.T, label string, got, want Result) {
 	}
 }
 
+// requireSameTracedRun runs cfg traced on both engines and asserts the
+// Results and the recorded Op sequences are identical: same order, same
+// fields, Start/End compared by Float64bits. The traced Result must
+// also equal the untraced one, want.
+func requireSameTracedRun(t *testing.T, label string, cfg sim.Config, want sim.Result) {
+	t.Helper()
+	gotTr, wantTr := &sim.Trace{}, &sim.Trace{}
+	soa, ref := cfg, cfg
+	soa.Trace, ref.Trace = gotTr, wantTr
+	got, err := sim.Run(soa)
+	if err != nil {
+		t.Fatalf("%s: traced SoA run: %v", label, err)
+	}
+	if _, err := simref.Run(ref); err != nil {
+		t.Fatalf("%s: traced oracle run: %v", label, err)
+	}
+	requireSameResult(t, label+": traced vs untraced", got, want)
+	if len(gotTr.Ops) != len(wantTr.Ops) {
+		t.Fatalf("%s: len(Ops) = %d, want %d", label, len(gotTr.Ops), len(wantTr.Ops))
+	}
+	for k, g := range gotTr.Ops {
+		w := wantTr.Ops[k]
+		if g.Kind != w.Kind || g.Stage != w.Stage || g.Replica != w.Replica || g.Proc != w.Proc ||
+			g.DataSet != w.DataSet || g.Failed != w.Failed ||
+			math.Float64bits(g.Start) != math.Float64bits(w.Start) ||
+			math.Float64bits(g.End) != math.Float64bits(w.End) {
+			t.Fatalf("%s: Ops[%d] = %+v, want %+v", label, k, g, w)
+		}
+	}
+}
+
 // soaCase is one Config the differential tests sweep.
 type soaCase struct {
 	name string
-	cfg  Config
+	cfg  sim.Config
 }
 
 // soaCases builds the Config matrix: homogeneous and heterogeneous
 // platforms, both routing modes, failure injection on and off, warm-up
 // windows, and a period tight enough to queue data sets on processors.
 func soaCases() []soaCase {
-	cs, pls, ms := pipeline3()
-	ch, plh, mh := mcSetup()
+	cs, pls, ms := sim.Pipeline3()
+	ch, plh, mh := sim.MCSetup()
 	ce, ple, me := hetSetup()
 	return []soaCase{
-		{"deterministic/onehop", Config{
+		{"deterministic/onehop", sim.Config{
 			Chain: cs, Platform: pls, Mapping: ms,
 			Period: 12, DataSets: 25, Seed: 1,
 		}},
-		{"deterministic/tight-period", Config{
+		{"deterministic/tight-period", sim.Config{
 			Chain: cs, Platform: pls, Mapping: ms,
 			Period: 3, DataSets: 40, Seed: 1, WarmUp: 5,
 		}},
-		{"lossy/onehop", Config{
+		{"lossy/onehop", sim.Config{
 			Chain: ch, Platform: plh, Mapping: mh,
 			Period: 20, DataSets: 300, Seed: 7, InjectFailures: true,
 		}},
-		{"lossy/twohop", Config{
+		{"lossy/twohop", sim.Config{
 			Chain: ch, Platform: plh, Mapping: mh,
 			Period: 20, DataSets: 300, Seed: 7, InjectFailures: true,
-			Routing: TwoHop, WarmUp: 10,
+			Routing: sim.TwoHop, WarmUp: 10,
 		}},
-		{"het/onehop", Config{
+		{"het/onehop", sim.Config{
 			Chain: ce, Platform: ple, Mapping: me,
 			Period: 15, DataSets: 400, Seed: 99, InjectFailures: true,
 		}},
-		{"het/twohop-tight", Config{
+		{"het/twohop-tight", sim.Config{
 			Chain: ce, Platform: ple, Mapping: me,
 			Period: 6, DataSets: 400, Seed: 99, InjectFailures: true,
-			Routing: TwoHop, WarmUp: 20,
+			Routing: sim.TwoHop, WarmUp: 20,
 		}},
 	}
 }
@@ -127,27 +161,23 @@ func soaCases() []soaCase {
 func TestSoAMatchesScalarRun(t *testing.T) {
 	for _, tc := range soaCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			soa := tc.cfg
-			soa.ScalarReference = false
-			ref := tc.cfg
-			ref.ScalarReference = true
-
-			got, err := Run(soa)
+			got, err := sim.Run(tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := Run(ref)
+			want, err := simref.Run(tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			requireSameResult(t, "SoA vs scalar", got, want)
+			requireSameTracedRun(t, "SoA vs scalar", tc.cfg, want)
 
 			// Distinct seeds on a lossy run must actually diverge, or the
 			// comparison above proves nothing.
 			if tc.cfg.InjectFailures {
-				soa2 := soa
-				soa2.Seed = soa.Seed + 1
-				other, err := Run(soa2)
+				soa2 := tc.cfg
+				soa2.Seed = tc.cfg.Seed + 1
+				other, err := sim.Run(soa2)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -173,14 +203,12 @@ func TestSoABatchMatchesScalarBatch(t *testing.T) {
 	const replications = 12
 	for _, tc := range soaCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			ref := tc.cfg
-			ref.ScalarReference = true
-			want, err := RunBatch(context.Background(), ref, replications, 1)
+			want, err := simref.RunBatch(tc.cfg, replications)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, p := range []int{1, 2, 8} {
-				got, err := RunBatch(context.Background(), tc.cfg, replications, p)
+				got, err := sim.RunBatch(context.Background(), tc.cfg, replications, p)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -215,15 +243,13 @@ func TestSoABatchMatchesScalarBatch(t *testing.T) {
 // replication is the same outcome, delivered as independent slices so a
 // caller mutating one run cannot corrupt its siblings.
 func TestSoABatchNoInjectCopies(t *testing.T) {
-	c, pl, m := pipeline3()
-	cfg := Config{Chain: c, Platform: pl, Mapping: m, Period: 12, DataSets: 10, Seed: 1}
-	b, err := RunBatch(context.Background(), cfg, 3, 1)
+	c, pl, m := sim.Pipeline3()
+	cfg := sim.Config{Chain: c, Platform: pl, Mapping: m, Period: 12, DataSets: 10, Seed: 1}
+	b, err := sim.RunBatch(context.Background(), cfg, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := cfg
-	ref.ScalarReference = true
-	want, err := Run(ref)
+	want, err := simref.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,85 +266,44 @@ func TestSoABatchNoInjectCopies(t *testing.T) {
 	}
 }
 
-// ctxAfter implements context.Context and starts reporting cancellation
-// after Err has been called n times, deterministically triggering the
-// mid-replication poll inside the SoA event loop.
-type ctxAfter struct {
-	context.Context
-	calls, n int
-}
-
-func (c *ctxAfter) Err() error {
-	c.calls++
-	if c.calls > c.n {
-		return context.Canceled
-	}
-	return nil
-}
-
-func TestSoARunCancelsMidReplication(t *testing.T) {
-	ch, pl, m := mcSetup()
-	cfg := Config{
-		Chain: ch, Platform: pl, Mapping: m,
-		Period: 20, DataSets: 5000, Seed: 3, InjectFailures: true,
-	}
-	tb, err := newSoaTables(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sanity: the run must be long enough to hit several polls.
-	ctx := &ctxAfter{Context: context.Background(), n: 2}
-	eng := newSoaEngine(tb, ctx)
-	if _, err := eng.run(cfg.Seed); err != context.Canceled {
-		t.Fatalf("run with mid-replication cancellation = %v, want context.Canceled", err)
-	}
-	if ctx.calls <= 2 {
-		t.Fatalf("expected the event loop to poll the context more than twice, got %d calls", ctx.calls)
-	}
-}
-
 func TestSoABatchCancelledContext(t *testing.T) {
-	ch, pl, m := mcSetup()
-	cfg := Config{
+	ch, pl, m := sim.MCSetup()
+	cfg := sim.Config{
 		Chain: ch, Platform: pl, Mapping: m,
 		Period: 20, DataSets: 50, Seed: 3, InjectFailures: true,
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunBatch(ctx, cfg, 4, 2); err == nil {
+	if _, err := sim.RunBatch(ctx, cfg, 4, 2); err == nil {
 		t.Fatal("RunBatch with a cancelled context succeeded")
 	}
 }
 
 // TestSoAValidationMatchesScalar pins that the flat engine rejects
-// exactly what the scalar path rejects, with an error either way.
+// exactly what the scalar oracle rejects, with an error either way.
 func TestSoAValidationMatchesScalar(t *testing.T) {
-	c, pl, m := pipeline3()
-	bad := []Config{
+	c, pl, m := sim.Pipeline3()
+	bad := []sim.Config{
 		{Chain: c, Platform: pl, Mapping: m, Period: 0, DataSets: 10},
 		{Chain: c, Platform: pl, Mapping: m, Period: 12, DataSets: 0},
 		{Chain: c, Platform: pl, Mapping: mapping.Mapping{}, Period: 12, DataSets: 10},
 		{Chain: chain.Chain{}, Platform: pl, Mapping: m, Period: 12, DataSets: 10},
 	}
 	for i, cfg := range bad {
-		ref := cfg
-		ref.ScalarReference = true
-		if _, err := Run(cfg); err == nil {
+		if _, err := sim.Run(cfg); err == nil {
 			t.Fatalf("case %d: SoA accepted an invalid config", i)
 		}
-		if _, err := Run(ref); err == nil {
+		if _, err := simref.Run(cfg); err == nil {
 			t.Fatalf("case %d: scalar accepted an invalid config", i)
 		}
 	}
 	// Out-of-range WarmUp normalizes to 0 on both paths.
-	cfg := Config{Chain: c, Platform: pl, Mapping: m, Period: 12, DataSets: 10, WarmUp: 99}
-	ref := cfg
-	ref.ScalarReference = true
-	got, err := Run(cfg)
+	cfg := sim.Config{Chain: c, Platform: pl, Mapping: m, Period: 12, DataSets: 10, WarmUp: 99}
+	got, err := sim.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Run(ref)
+	want, err := simref.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,40 +311,38 @@ func TestSoAValidationMatchesScalar(t *testing.T) {
 }
 
 // TestSoAUnknownRoutingPanicsLazily pins the lazy panic contract shared
-// with the scalar loop: a bogus routing mode only panics when a boundary
-// is actually crossed, so a single-stage mapping never observes it.
+// with the scalar oracle: a bogus routing mode only panics when a
+// boundary is actually crossed, so a single-stage mapping never
+// observes it.
 func TestSoAUnknownRoutingPanicsLazily(t *testing.T) {
-	c, pl, m := pipeline3()
-	cfg := Config{
+	c, pl, m := sim.Pipeline3()
+	cfg := sim.Config{
 		Chain: c, Platform: pl, Mapping: m,
-		Period: 12, DataSets: 5, Routing: RoutingMode(42),
+		Period: 12, DataSets: 5, Routing: sim.RoutingMode(42),
 	}
-	for _, scalar := range []bool{false, true} {
-		cfg.ScalarReference = scalar
+	for name, run := range map[string]func(sim.Config) (sim.Result, error){"soa": sim.Run, "scalar": simref.Run} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("scalar=%v: multi-stage run with unknown routing mode did not panic", scalar)
+					t.Errorf("%s: multi-stage run with unknown routing mode did not panic", name)
 				}
 			}()
-			_, _ = Run(cfg)
+			_, _ = run(cfg)
 		}()
 	}
 
 	// Single stage: no boundary, no panic, identical results.
-	single := Config{
+	single := sim.Config{
 		Chain:    chain.Chain{{Work: 10, Out: 0}},
 		Platform: platform.Homogeneous(1, 1, 0, 1, 0, 1),
 		Mapping:  mapping.Mapping{Parts: interval.Finest(1), Procs: [][]int{{0}}},
-		Period:   12, DataSets: 5, Routing: RoutingMode(42),
+		Period:   12, DataSets: 5, Routing: sim.RoutingMode(42),
 	}
-	ref := single
-	ref.ScalarReference = true
-	got, err := Run(single)
+	got, err := sim.Run(single)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Run(ref)
+	want, err := simref.Run(single)
 	if err != nil {
 		t.Fatal(err)
 	}

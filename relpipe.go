@@ -76,7 +76,8 @@ type (
 	SimConfig = sim.Config
 	// SimResult aggregates a simulation run.
 	SimResult = sim.Result
-	// SimTrace records the operations of a simulation run for Gantt
+	// SimTrace records the operations of a simulation run, on the same
+	// engine and with the same result as an untraced run, for Gantt
 	// rendering and utilization analysis (attach to SimConfig.Trace).
 	SimTrace = sim.Trace
 	// AllocConstraint restricts which processor may host which interval.

@@ -1,17 +1,18 @@
 package relpipe_test
 
 // Facade-level pinning of the flat-array Monte-Carlo engine: the public
-// Simulate/SimulateBatch entry points must return bit-identical results
-// whether the default engine or the scalar reference oracle
-// (SimConfig.ScalarReference) runs, at every parallelism degree. The
-// per-field checks live in internal/sim's differential suite; this
-// layer guards the facade wiring (option threading, batch dispatch).
+// Simulate/SimulateBatch entry points must return results bit-identical
+// to the scalar reference oracle (internal/sim/simref), at every
+// parallelism degree. The per-field checks live in internal/sim's
+// differential suite; this layer guards the facade wiring (option
+// threading, batch dispatch).
 
 import (
 	"math"
 	"testing"
 
 	"relpipe"
+	"relpipe/internal/sim/simref"
 )
 
 func simDiffConfig() relpipe.SimConfig {
@@ -37,15 +38,13 @@ func sameFloat(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
 }
 
-func TestSimulateMatchesScalarReference(t *testing.T) {
+func TestSimulateMatchesScalarOracle(t *testing.T) {
 	cfg := simDiffConfig()
 	got, err := relpipe.Simulate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := cfg
-	ref.ScalarReference = true
-	want, err := relpipe.Simulate(ref)
+	want, err := simref.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +55,9 @@ func TestSimulateMatchesScalarReference(t *testing.T) {
 	}
 }
 
-func TestSimulateBatchMatchesScalarReferenceAcrossParallelism(t *testing.T) {
+func TestSimulateBatchMatchesScalarOracleAcrossParallelism(t *testing.T) {
 	cfg := simDiffConfig()
-	ref := cfg
-	ref.ScalarReference = true
-	want, err := relpipe.SimulateBatch(ref, 6, relpipe.Options{Parallelism: 1})
+	want, err := simref.RunBatch(cfg, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -323,7 +323,7 @@ func (p *FleetPolicy) ToPolicy() fleet.Policy {
 // period/latency constraints handed to remap searches (period 0 means
 // the initial mapping's worst case — leave slack if remaps should have
 // room to re-replicate). Search tunes remap searches; remap i runs
-// with seed Seed+i.
+// with seed Seed+i, a missing or zero Seed counting as 1.
 type FleetRegisterRequest struct {
 	ID             string        `json:"id"`
 	Instance       Instance      `json:"instance"`

@@ -250,9 +250,12 @@ type engine struct {
 	crashRnd  *rng.Rand // stream for spare-unit lifetimes
 	policyRnd *rng.Rand // stream for policy randomness (remap seeds)
 
-	cur    mapping.Mapping
-	alive  []bool
-	period float64 // injection period
+	cur   mapping.Mapping
+	alive []bool
+	// period is the injection period: Options.Period when set, else
+	// the initial mapping's worst-case period. Timing checks hold
+	// every mapping to it and to Options.Latency (Eval.MeetsBounds).
+	period float64
 
 	ev       mapping.Eval // evaluation of cur (valid only while !down)
 	down     bool
@@ -446,22 +449,9 @@ func (e *engine) refresh() {
 	}
 }
 
-// meetsTiming reports whether the current mapping delivers on time:
-// its worst-case period must sustain the actual injection period (when
-// Options.Period is set the two coincide; when unconstrained, the
-// initial mapping's worst-case period fixes the injection rate a
-// repaired mapping must still keep up with) and the latency bound must
-// hold.
-func (e *engine) meetsTiming(ev mapping.Eval) bool {
-	if ev.WorstPeriod > e.period {
-		return false
-	}
-	return e.opts.Latency <= 0 || ev.WorstLatency <= e.opts.Latency
-}
-
 // checkViolation records the first time the system is down or late.
 func (e *engine) checkViolation(now float64) {
-	if e.down || !e.meetsTiming(e.ev) {
+	if e.down || !e.ev.MeetsBounds(e.period, e.opts.Latency) {
 		e.noteViolation(now)
 	}
 }
@@ -487,7 +477,7 @@ func (e *engine) closeSegment(now float64) {
 		return
 	}
 	e.upTime += seg
-	if !e.meetsTiming(e.ev) {
+	if !e.ev.MeetsBounds(e.period, e.opts.Latency) {
 		// The pipeline runs but misses its deadlines: the data sets of
 		// this segment are late, which a hard real-time mission counts
 		// as lost. Availability still sees the segment as up.

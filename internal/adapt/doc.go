@@ -29,7 +29,7 @@
 // initial mapping, Options). Crash times are drawn from the replication
 // seed in processor order before the event loop starts; the repair
 // policies draw from a Split stream so policy randomness never perturbs
-// the crash schedule; remap re-optimizations run the search engine
+// the crash schedule; remap re-optimizations run search.Repair
 // sequentially with seeds derived from that stream. RunBatch shards
 // replications over internal/par with seeds drawn up front, so a batch
 // is bit-identical at every parallelism degree (mirroring sim.RunBatch).

@@ -20,7 +20,9 @@ func (e *engine) repair(j, u int) Action {
 			return ActionGreedy
 		}
 	case PolicyRemap:
-		return e.repairRemap(j)
+		if e.repairRemap(j) {
+			return ActionRemap
+		}
 	}
 	if len(e.cur.Procs[j]) == 0 {
 		return ActionDown
@@ -98,15 +100,16 @@ func (e *engine) patchMeetsBounds(j, v int) bool {
 			return true
 		}
 	}
-	return e.meetsTiming(mapping.EvaluateUnchecked(e.c, e.pl, patched))
+	return mapping.EvaluateUnchecked(e.c, e.pl, patched).MeetsBounds(e.period, e.opts.Latency)
 }
 
 // repairRemap re-optimizes the mapping over the surviving processors
-// with the search engine, warm-started from the degraded mapping (made
-// valid, if needed, by the greedy patch). The search runs sequentially
-// — replications already shard across workers — with a seed drawn from
-// the policy stream, so the run stays a pure function of Options.Seed.
-func (e *engine) repairRemap(j int) Action {
+// with search.Repair, warm-started from the degraded mapping (made
+// valid, if needed, by the greedy patch), and reports whether the
+// result was adopted. The search runs sequentially — replications
+// already shard across workers — with a seed drawn from the policy
+// stream, so the run stays a pure function of Options.Seed.
+func (e *engine) repairRemap(j int) bool {
 	seed := e.policyRnd.Uint64()
 	cand := e.cur
 	if len(cand.Procs[j]) == 0 {
@@ -115,48 +118,25 @@ func (e *engine) repairRemap(j int) Action {
 			cand.Procs[j] = append(cand.Procs[j], v)
 		}
 	}
-	// Warm-start only from a *valid* mapping: every interval must still
-	// hold a replica (an earlier unrepaired failure may have emptied
-	// another interval; the cold seeds then carry the search).
-	warm := []mapping.Mapping{cand.Clone()}
-	for _, ps := range cand.Procs {
-		if len(ps) == 0 {
-			warm = nil
-			break
-		}
-	}
-	alive := e.alive
-	// The period bound handed to the search is the *injection* period:
-	// equal to Options.Period when that is set, and the initial
-	// mapping's worst-case period otherwise — either way the rate the
-	// repaired mapping must sustain.
-	res, ok, err := search.Optimize(e.c, e.pl, search.Options{
+	// The period bound handed to the search is the injection period:
+	// the rate the repaired mapping must sustain.
+	res, ok, err := search.Repair(e.c, e.pl, cand, e.alive, search.Options{
 		Period: e.period, Latency: e.opts.Latency,
-		Allowed:  func(_, u int) bool { return alive[u] },
-		Warm:     warm,
 		Restarts: e.opts.Restarts, Budget: e.opts.Budget,
 		Seed: seed, Parallelism: -1,
 	})
 	if err != nil {
 		e.err = err
-		return ActionDown
+		return false
 	}
-	if len(res.M.Parts) == 0 {
-		// Not even a single-interval mapping exists on the survivors.
-		if len(e.cur.Procs[j]) == 0 {
-			return ActionDown
-		}
-		return ActionDegrade
-	}
-	if !ok {
-		// The search found no mapping meeting the bounds. A degraded
-		// mapping never violates the worst-case bounds (removing
-		// replicas only lowers worst costs), so keep it when it is
-		// still whole; adopt the late mapping only over going down.
-		if len(e.cur.Procs[j]) > 0 {
-			return ActionDegrade
-		}
+	// Every remap adopts a whole mapping, so the running one was whole
+	// before this crash and is still whole iff interval j kept a
+	// replica. A degraded mapping never violates the worst-case bounds
+	// (removing replicas only lowers worst costs): it is kept over a
+	// late result, which is adopted only over going down.
+	if !search.Adopt(res.M, ok, len(e.cur.Procs[j]) > 0) {
+		return false
 	}
 	e.cur = res.M
-	return ActionRemap
+	return true
 }

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"relpipe/internal/clock"
 	"relpipe/internal/mapping"
 	"relpipe/internal/mttf"
+	"relpipe/internal/search"
 )
 
 // Options configures a Controller. Zero values select the defaults
@@ -22,8 +24,9 @@ type Options struct {
 	TickInterval time.Duration
 	// MaxDeployments bounds registrations (default 1024).
 	MaxDeployments int
-	// Submitter runs remap requests; nil makes every trigger fail
-	// with a remap-failed decision (useful only in tests).
+	// Submitter runs remap requests; nil fails every trigger like an
+	// admission error (a remap-failed decision, breaker open), which
+	// suits tests and benchmarks of the tick loop alone.
 	Submitter Submitter
 	// DefaultPolicy fills zero Policy fields of registered specs
 	// before the built-in defaults apply — the server's -fleet* flags.
@@ -234,6 +237,9 @@ func (c *Controller) Register(spec Spec) (Status, error) {
 		return Status{}, fmt.Errorf("%w (%d)", ErrFull, c.opts.MaxDeployments)
 	}
 
+	if spec.Seed == 0 {
+		spec.Seed = 1 // the repo-wide alias, so remap i runs with 1+i
+	}
 	now := c.opts.Clock.Now()
 	p := spec.Instance.Platform.P()
 	pol := mergePolicy(c.opts.DefaultPolicy, spec.Policy)
@@ -544,7 +550,7 @@ func (c *Controller) applyEvent(d *deployment, now time.Time, ev Event) {
 // down/degraded/drifting flags. Caller holds mu.
 func (d *deployment) reevaluate() {
 	d.dirty = false
-	masked, whole, degraded := maskMapping(d.cur, d.alive)
+	masked, whole, degraded := d.cur.Mask(d.alive)
 	d.degraded = degraded
 	if !whole {
 		d.down = true
@@ -557,29 +563,6 @@ func (d *deployment) reevaluate() {
 	d.eval = mapping.EvaluateUnchecked(d.spec.Instance.Chain, d.spec.Instance.Platform, masked)
 	d.rel = math.Exp(d.eval.LogRel)
 	d.drifting = d.eval.LogRel < d.logFloor
-}
-
-// maskMapping strips dead replicas. whole reports every interval still
-// holding at least one survivor; degraded reports whether anything was
-// stripped. The returned mapping shares nothing with m.
-func maskMapping(m mapping.Mapping, alive []bool) (masked mapping.Mapping, whole, degraded bool) {
-	masked = mapping.Mapping{Parts: m.Parts.Clone(), Procs: make([][]int, len(m.Procs))}
-	whole = true
-	for j, ps := range m.Procs {
-		keep := make([]int, 0, len(ps))
-		for _, u := range ps {
-			if alive[u] {
-				keep = append(keep, u)
-			} else {
-				degraded = true
-			}
-		}
-		if len(keep) == 0 {
-			whole = false
-		}
-		masked.Procs[j] = keep
-	}
-	return masked, whole, degraded
 }
 
 // suppress logs one suppression decision per episode (the latch resets
@@ -610,6 +593,10 @@ func (d *deployment) recordSubmit(now time.Time) {
 	}
 }
 
+// errNoSubmitter fails every remap of a controller built without a
+// Submitter.
+var errNoSubmitter = errors.New("no submitter configured")
+
 // submitRemap hands a warm-started re-optimization to the Submitter.
 // Caller holds mu.
 func (c *Controller) submitRemap(d *deployment, now time.Time) {
@@ -617,16 +604,11 @@ func (c *Controller) submitRemap(d *deployment, now time.Time) {
 	if d.degraded {
 		reason = "degraded"
 	}
-	masked, whole, _ := maskMapping(d.cur, d.alive)
-	var warm []mapping.Mapping
-	if whole {
-		warm = []mapping.Mapping{masked}
-	}
 	r := Remap{
 		DeploymentID: d.spec.ID,
 		Instance:     d.spec.Instance,
 		Alive:        append([]bool(nil), d.alive...),
-		Warm:         warm,
+		Mapping:      d.cur.Clone(),
 		Period:       d.period,
 		Latency:      d.spec.Latency,
 		Restarts:     d.spec.Restarts,
@@ -634,20 +616,15 @@ func (c *Controller) submitRemap(d *deployment, now time.Time) {
 		Seed:         d.spec.Seed + d.nRemaps,
 		Reason:       reason,
 	}
-	if c.opts.Submitter == nil {
-		d.recordSubmit(now)
-		d.cooldownUntil = now.Add(d.pol.Cooldown)
-		d.breakerOpen = true
-		d.nFailed++
-		c.failed++
-		c.logDecision(d, Decision{Time: now, Kind: DecisionRemapFailed, Proc: -1, Reason: "no submitter configured"})
-		return
+	d.recordSubmit(now)
+	var ch <-chan RemapOutcome
+	err := errNoSubmitter
+	if c.opts.Submitter != nil {
+		ch, err = c.opts.Submitter.SubmitRemap(r)
 	}
-	ch, err := c.opts.Submitter.SubmitRemap(r)
 	if err != nil {
-		// Admission failure (per-client cap, store full, shutdown):
-		// open the breaker and back off a full cooldown.
-		d.recordSubmit(now)
+		// Admission failure (no submitter, per-client cap, store full,
+		// shutdown): open the breaker and back off a full cooldown.
 		d.cooldownUntil = now.Add(d.pol.Cooldown)
 		d.breakerOpen = true
 		d.nFailed++
@@ -656,18 +633,16 @@ func (c *Controller) submitRemap(d *deployment, now time.Time) {
 		return
 	}
 	d.inflight = ch
-	d.recordSubmit(now)
 	d.nRemaps++
 	c.remaps++
 	c.logDecision(d, Decision{Time: now, Kind: DecisionRemap, Proc: -1, Reason: reason, Reliability: d.rel})
 }
 
-// finishRemap folds a completed remap outcome into the deployment.
-// Adoption rule: take the result when it meets the bounds, or when the
-// system is down and the result is at least whole (any mapping beats
-// none). Caller holds mu.
+// finishRemap folds a completed remap outcome into the deployment
+// under search.Adopt: take the result when it meets the bounds, or
+// when the system is down (any mapping beats none). Caller holds mu.
 func (c *Controller) finishRemap(d *deployment, now time.Time, out RemapOutcome) {
-	if out.Err != "" || len(out.Mapping.Procs) == 0 || (!out.OK && !d.down) {
+	if out.Err != "" || !search.Adopt(out.Mapping, out.OK, !d.down) {
 		reason := out.Err
 		if reason == "" {
 			if len(out.Mapping.Procs) == 0 {

@@ -8,8 +8,10 @@
 // each deployment's reliability with dead processors masked out. When
 // reliability drifts below the floor — or a processor is declared dead
 // after K missed heartbeats — the controller autonomously submits a
-// warm-started remap through a Submitter (the service wires this to the
-// jobs engine) and adopts the result on success.
+// remap through a Submitter (the service wires this to the jobs engine
+// and runs search.Repair, the repair search internal/adapt shares) and
+// adopts the result under search.Adopt: when it meets the bounds, or
+// when the running mapping is down.
 //
 // Guard rails are first-class: a cooldown after every remap attempt, a
 // per-deployment circuit breaker capping remap submissions per trailing

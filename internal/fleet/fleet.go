@@ -120,8 +120,9 @@ type Spec struct {
 	// survival probability over this duration in Status.
 	Mission float64
 	// Restarts, Budget and Seed tune remap searches (zero values pick
-	// the search defaults; remap i runs with Seed+i so every
-	// submission is a pure function of the spec and the event script).
+	// the search defaults; Seed 0 aliases 1, and remap i runs with
+	// Seed+i, so every submission is a pure function of the spec and
+	// the event script).
 	Restarts, Budget int
 	Seed             uint64
 	// Policy holds the guard rails; zero fields take the controller's
@@ -251,17 +252,16 @@ type Status struct {
 }
 
 // Remap is one autonomous re-optimization request the controller hands
-// to its Submitter: re-solve the instance over the surviving processors
-// (Alive masks Allowed), warm-started from the still-running mapping.
+// to its Submitter: search.Repair of the running Mapping over the
+// surviving processors.
 type Remap struct {
 	DeploymentID string
 	Instance     core.Instance
-	// Alive is a snapshot: Alive[u] == false masks processor u out of
-	// the search's Allowed constraint.
+	// Alive is a snapshot: Alive[u] == false marks processor u dead.
 	Alive []bool
-	// Warm seeds restart 0 with the masked running mapping when it is
-	// still whole (every interval holds a survivor); empty otherwise.
-	Warm             []mapping.Mapping
+	// Mapping is a snapshot of the running mapping, dead replicas
+	// included; Repair masks them out.
+	Mapping          mapping.Mapping
 	Period, Latency  float64
 	Restarts, Budget int
 	Seed             uint64

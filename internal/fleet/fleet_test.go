@@ -34,10 +34,8 @@ func (s *syncSubmitter) SubmitRemap(r Remap) (<-chan RemapOutcome, error) {
 	}
 	s.submitted = append(s.submitted, r)
 	ch := make(chan RemapOutcome, 1)
-	res, ok, err := search.Optimize(r.Instance.Chain, r.Instance.Platform, search.Options{
+	res, ok, err := search.Repair(r.Instance.Chain, r.Instance.Platform, r.Mapping, r.Alive, search.Options{
 		Period: r.Period, Latency: r.Latency,
-		Allowed:  func(_, u int) bool { return r.Alive[u] },
-		Warm:     r.Warm,
 		Restarts: r.Restarts, Budget: r.Budget,
 		Seed: r.Seed, Parallelism: s.parallelism,
 	})
@@ -210,8 +208,8 @@ func TestCrashTriggersRemapAndAdoption(t *testing.T) {
 	if r.Alive[victim] {
 		t.Fatal("remap request did not mask the dead processor")
 	}
-	if len(r.Warm) != 1 {
-		t.Fatalf("warm seeds = %d, want the masked running mapping", len(r.Warm))
+	if _, whole, degraded := r.Mapping.Mask(r.Alive); !whole || !degraded {
+		t.Fatalf("remap mapping whole=%v degraded=%v, want the running mapping with a dead replica that Repair can warm-start from", whole, degraded)
 	}
 	want := []DecisionKind{DecisionRegistered, DecisionProcDead, DecisionRemap, DecisionAdopt}
 	if got := kinds(st.Decisions); fmt.Sprint(got) != fmt.Sprint(want) {
@@ -447,6 +445,60 @@ func TestSubmitErrorOpensBreaker(t *testing.T) {
 	st, _ = ctl.Status("d")
 	if st.RemapsFailed != 1 {
 		t.Fatalf("failure hot loop: failed = %d", st.RemapsFailed)
+	}
+}
+
+// TestNoSubmitterFailsLikeAdmissionError: a controller built without a
+// Submitter fails every trigger through the admission-error path.
+func TestNoSubmitterFailsLikeAdmissionError(t *testing.T) {
+	in, m := testInstance(t, 8, 8)
+	ctl := New(Options{Clock: clock.NewFake(time.Unix(10_000, 0)), DefaultPolicy: fastPolicy()})
+	mustRegister(t, ctl, Spec{ID: "d", Instance: in, Mapping: m, MinReliability: 1e-9})
+	mustIngest(t, ctl, "d", Event{Type: EventCrash, Proc: m.Procs[0][0]})
+	ctl.Tick()
+	st, _ := ctl.Status("d")
+	if st.Remaps != 0 || st.RemapsFailed != 1 || ctl.Stats().Failed != 1 {
+		t.Fatalf("remaps/failed = %d/%d (fleet failed %d), want 0/1 (1)", st.Remaps, st.RemapsFailed, ctl.Stats().Failed)
+	}
+	if !st.BreakerOpen {
+		t.Fatal("missing submitter did not open the breaker")
+	}
+	last := st.Decisions[len(st.Decisions)-1]
+	if last.Kind != DecisionRemapFailed || last.Reason != "no submitter configured" {
+		t.Fatalf("last decision = %+v, want remap-failed \"no submitter configured\"", last)
+	}
+}
+
+// TestSeedZeroAliasesOne: a deployment registered without a seed takes
+// the repo-wide default seed 1, so its remaps run with seeds 1, 2, …
+// rather than 0 and 1 (which search would both solve as seed 1).
+func TestSeedZeroAliasesOne(t *testing.T) {
+	in, m := testInstance(t, 8, 16)
+	period := 4 * mapping.EvaluateUnchecked(in.Chain, in.Platform, m).WorstPeriod
+	sub := &syncSubmitter{parallelism: -1}
+	ctl, clk := newTestController(sub, fastPolicy())
+	mustRegister(t, ctl, Spec{ID: "d", Instance: in, Mapping: m, Period: period, MinReliability: 1e-9, Restarts: 2, Budget: 800})
+
+	mustIngest(t, ctl, "d", Event{Type: EventCrash, Proc: m.Procs[0][0]})
+	clk.Advance(time.Second)
+	ctl.Tick() // remap 0 submitted
+	clk.Advance(time.Second)
+	ctl.Tick() // adopted
+	st, _ := ctl.Status("d")
+	if st.RemapsAdopted != 1 {
+		t.Fatalf("first remap not adopted: %+v", st)
+	}
+	clk.Advance(fastPolicy().Cooldown)
+	mustIngest(t, ctl, "d", Event{Type: EventCrash, Proc: st.Mapping.Procs[0][0]})
+	clk.Advance(time.Second)
+	ctl.Tick() // remap 1 submitted
+
+	var seeds []uint64
+	for _, r := range sub.submitted {
+		seeds = append(seeds, r.Seed)
+	}
+	if fmt.Sprint(seeds) != "[1 2]" {
+		t.Fatalf("remap seeds = %v, want [1 2]", seeds)
 	}
 }
 

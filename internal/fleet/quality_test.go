@@ -63,7 +63,7 @@ func TestFleetQuality(t *testing.T) {
 	if st.Remaps != 1 {
 		t.Fatalf("remaps after crash = %d, want exactly 1", st.Remaps)
 	}
-	degraded, whole, _ := maskMapping(m, aliveExcept(pl.P(), victim))
+	degraded, whole, _ := m.Mask(aliveExcept(pl.P(), victim))
 	if !whole {
 		t.Fatalf("scenario broken: masking proc %d emptied an interval", victim)
 	}

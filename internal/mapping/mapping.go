@@ -58,6 +58,28 @@ func (m Mapping) Clone() Mapping {
 	return out
 }
 
+// Mask strips the replicas of dead processors (alive[u] == false),
+// keeping each interval's surviving replicas in order. whole reports
+// that every interval still holds a survivor; degraded reports that
+// something was stripped. The masked mapping shares nothing with m.
+func (m Mapping) Mask(alive []bool) (masked Mapping, whole, degraded bool) {
+	masked = Mapping{Parts: m.Parts.Clone(), Procs: make([][]int, len(m.Procs))}
+	whole = true
+	for j, ps := range m.Procs {
+		keep := make([]int, 0, len(ps))
+		for _, u := range ps {
+			if alive[u] {
+				keep = append(keep, u)
+			} else {
+				degraded = true
+			}
+		}
+		whole = whole && len(keep) > 0
+		masked.Procs[j] = keep
+	}
+	return masked, whole, degraded
+}
+
 // AssignSequential builds a mapping from a partition and per-interval
 // replica counts by handing out processors 0, 1, 2, … in order. On a
 // homogeneous platform the identity of processors is irrelevant, so this

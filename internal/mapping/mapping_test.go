@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -53,6 +54,60 @@ func TestValidateRejects(t *testing.T) {
 		cs.mut(&m)
 		if err := m.Validate(c, pl); err == nil {
 			t.Errorf("%s: Validate accepted invalid mapping", cs.name)
+		}
+	}
+}
+
+func TestMask(t *testing.T) {
+	// Three intervals on {3, 0, 4}, {1} and {5, 2}; processor 6 idle.
+	m := Mapping{
+		Parts: interval.Partition{{First: 0, Last: 0}, {First: 1, Last: 1}, {First: 2, Last: 2}},
+		Procs: [][]int{{3, 0, 4}, {1}, {5, 2}},
+	}
+	cases := []struct {
+		name            string
+		dead            []int
+		procs           [][]int
+		whole, degraded bool
+	}{
+		{"all alive", nil, [][]int{{3, 0, 4}, {1}, {5, 2}}, true, false},
+		{"idle dead", []int{6}, [][]int{{3, 0, 4}, {1}, {5, 2}}, true, false},
+		{"middle replica dead", []int{0}, [][]int{{3, 4}, {1}, {5, 2}}, true, true},
+		{"two replicas dead", []int{3, 2}, [][]int{{0, 4}, {1}, {5}}, true, true},
+		{"interval emptied", []int{1}, [][]int{{3, 0, 4}, {}, {5, 2}}, false, true},
+		{"everything dead", []int{0, 1, 2, 3, 4, 5, 6}, [][]int{{}, {}, {}}, false, true},
+	}
+	for _, tc := range cases {
+		alive := []bool{true, true, true, true, true, true, true}
+		for _, u := range tc.dead {
+			alive[u] = false
+		}
+		before := m.Clone()
+		masked, whole, degraded := m.Mask(alive)
+		if whole != tc.whole || degraded != tc.degraded {
+			t.Errorf("%s: whole=%v degraded=%v, want %v %v", tc.name, whole, degraded, tc.whole, tc.degraded)
+		}
+		if len(masked.Procs) != len(tc.procs) {
+			t.Fatalf("%s: %d replica sets, want %d", tc.name, len(masked.Procs), len(tc.procs))
+		}
+		for j, want := range tc.procs {
+			if fmt.Sprint(masked.Procs[j]) != fmt.Sprint(want) {
+				t.Errorf("%s: interval %d replicas %v, want %v (order kept)", tc.name, j, masked.Procs[j], want)
+			}
+		}
+		if fmt.Sprint(masked.Parts) != fmt.Sprint(m.Parts) {
+			t.Errorf("%s: partition %v, want %v", tc.name, masked.Parts, m.Parts)
+		}
+		// Writing through the masked mapping must leave m untouched.
+		masked.Parts[0].Last = 99
+		for j := range masked.Procs {
+			masked.Procs[j] = append(masked.Procs[j][:cap(masked.Procs[j])], 99)
+			for i := range masked.Procs[j] {
+				masked.Procs[j][i] = 99
+			}
+		}
+		if m.String() != before.String() {
+			t.Errorf("%s: Mask shares storage with its input: %v, was %v", tc.name, m, before)
 		}
 	}
 }

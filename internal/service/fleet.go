@@ -45,7 +45,6 @@ type fleetRemapResult struct {
 func (fs *fleetSubmitter) SubmitRemap(r fleet.Remap) (<-chan fleet.RemapOutcome, error) {
 	s := fs.s
 	out := make(chan fleet.RemapOutcome, 1)
-	alive := r.Alive
 	tid := obs.NewTraceID()
 	_, err := s.jobs.SubmitTraced(context.Background(), "fleet-remap", s.opts.FleetClient, tid,
 		func(ctx context.Context, ctl jobs.Control) jobs.Outcome {
@@ -55,11 +54,9 @@ func (fs *fleetSubmitter) SubmitRemap(r fleet.Remap) (<-chan fleet.RemapOutcome,
 			root.SetAttr("reason", r.Reason)
 			res, err := s.pool.DoWait(tctx, func() (any, error) {
 				ctl.Running()
-				result, ok, err := search.Optimize(r.Instance.Chain, r.Instance.Platform, search.Options{
+				result, ok, err := search.Repair(r.Instance.Chain, r.Instance.Platform, r.Mapping, r.Alive, search.Options{
 					Period:      r.Period,
 					Latency:     r.Latency,
-					Allowed:     func(_, u int) bool { return alive[u] },
-					Warm:        r.Warm,
 					Restarts:    r.Restarts,
 					Budget:      r.Budget,
 					Seed:        r.Seed,

@@ -14,8 +14,9 @@ import (
 // over a single-node server. cluster-route is the pure in-memory ring
 // lookup every request pays; cluster-forward is one full intra-cluster
 // hop (cluster.Forward against a live in-process HTTP peer), the cost
-// of a request whose owner is another node. Both are hot-path gated so
-// routing overhead cannot silently grow.
+// of a request whose owner is another node. -check holds both at their
+// baseline allocs/op (cluster-route at 0), so routing cannot silently
+// start allocating.
 
 // routeKeys builds keys shaped like the real routing keys — hex
 // canonical-hash strings — from a fixed seed, so every run measures
@@ -87,7 +88,7 @@ func clusterForwardBench() func(sz sizes) func() {
 
 func init() {
 	benchmarks = append(benchmarks,
-		benchmark{"cluster-route", []string{tagHotPath}, clusterRouteBench()},
-		benchmark{"cluster-forward", []string{tagHotPath}, clusterForwardBench()},
+		benchmark{"cluster-route", clusterRouteBench()},
+		benchmark{"cluster-forward", clusterForwardBench()},
 	)
 }

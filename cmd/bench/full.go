@@ -18,14 +18,14 @@ import (
 // runs with -tags full so this file stays compile-checked.
 func init() {
 	benchmarks = append(benchmarks,
-		benchmark{"figure06-07", nil, func(sz sizes) func() {
+		benchmark{"figure06-07", func(sz sizes) func() {
 			cfg := expfig.Config{Instances: 10, Tasks: 15, Procs: 10, Seed: 1, Step: 5}
 			return func() {
 				f, _ := expfig.Fig6and7(cfg)
 				sink += float64(len(f.Series))
 			}
 		}},
-		benchmark{"exact-het", nil, func(sz sizes) func() {
+		benchmark{"exact-het", func(sz sizes) func() {
 			c := chain.PaperRandom(rng.New(99), 6)
 			pl := platform.PaperHomogeneous(6)
 			return func() {

@@ -1,44 +1,42 @@
 // Command bench is the benchmark-regression harness of the CI pipeline:
-// it measures the tagged hot-path kernels (exact enumeration, Monte-Carlo
+// it measures the solver kernels (exact enumeration, Monte-Carlo
 // simulation, frontier sweep, heuristic search, online adaptation with
-// remap repairs, DP, evaluation) at parallelism 1 and 8,
-// writes the numbers as JSON, and — in -check mode — compares a current
-// run against a committed baseline, failing on >threshold ns/op
-// regressions.
+// remap repairs, DP, evaluation, cluster routing, the idle fleet tick)
+// on fixed-seed instances, writes ns/op, allocs/op and B/op as JSON,
+// and gates only what holds on any machine.
 //
 // Usage:
 //
 //	bench [-quick] [-o BENCH_pr.json] [-minratio kernel=floor ...] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
-//	bench -check -baseline BENCH_baseline.json -current BENCH_pr.json [-threshold 0.20] [-allocthreshold 0.20] [-summary $GITHUB_STEP_SUMMARY]
+//	bench -check -baseline BENCH_baseline.json -current BENCH_pr.json [-summary $GITHUB_STEP_SUMMARY]
 //
-// Every entry also records allocs/op and B/op (ReadMemStats deltas, the
-// -benchmem counterpart); -check gates allocs/op at -allocthreshold.
-// -cpuprofile/-memprofile write pprof profiles of the measurement run —
-// CI uploads them as artifacts so a regression comes with its profile
-// attached. -summary (with -check) appends the comparison as a markdown
-// table to the given file, which CI points at $GITHUB_STEP_SUMMARY so a
-// flagged regression is readable without downloading artifacts.
+// -check compares a run against the committed baseline on allocs/op: a
+// rise of more than 20% fails, so a kernel at 0 must stay at 0, and a
+// baseline kernel missing from the run fails, so the gate cannot be
+// silently emptied. Allocation counts follow from the code and the
+// workload sizes, not from the machine, so the gate enforces on any
+// runner; a -quick run and a full run differ in workload sizes and are
+// refused as a pair. -summary appends the comparison as a markdown table
+// to the given file, which CI points at $GITHUB_STEP_SUMMARY.
 //
 // -minratio kernel=floor (repeatable) fails the run when the named
 // same-process ratio printed as "speedup <kernel>" falls below floor, or
 // is missing from the run. The P=8/P=1 ratios (exact-profiles,
-// monte-carlo, frontier, search-optimize, adapt-remap) are skipped, with
-// a notice, below 4 cores where the speedup cannot appear; this is how
-// CI gates the parallel kernels, whose absolute ns/op is not comparable
-// to a baseline recorded on different core counts. The other two ratios
-// pit a fast path against its reference oracle, both single-threaded in
-// the same run, so their floors hold on any machine class:
-// search-optimize-delta (incremental mapping.Evaluator vs full
-// EvaluateUnchecked over the same pinned neighbor cycle) and
-// monte-carlo-soa (flat-array vs scalar engine over the same
-// replication batch).
+// monte-carlo) are skipped, with a notice, below 4 cores where the
+// speedup cannot appear. The other two pit a fast path against its
+// reference oracle, both single-threaded in the same run, so their
+// floors hold on any machine class: search-optimize-delta (incremental
+// mapping.Evaluator vs full EvaluateUnchecked over the same pinned
+// neighbor cycle) and monte-carlo-soa (flat-array vs scalar engine over
+// the same replication batch).
 //
-// Every instance generator is seeded from a fixed rng seed, so two runs
-// on the same machine measure identical work. To compare across machines
-// of the same class, -check normalizes each ns/op by the run's
-// "calibrate" entry (a fixed arithmetic kernel measured alongside the
-// real benchmarks), cancelling most single-thread speed differences.
-// Regenerate the baseline with:
+// ns/op is recorded and feeds those ratios, but is never compared
+// against the baseline: absolute times do not transfer between
+// machines. Wall-clock numbers of the served request path, end to end
+// and per layer, come from `bash cmd/loadgen/bench.sh`.
+// -cpuprofile/-memprofile write pprof profiles of the measurement run,
+// which CI uploads as artifacts. Regenerate the baseline after an
+// intentional allocation change or a change to the kernel set with:
 //
 //	go run ./cmd/bench -quick -o BENCH_baseline.json
 package main
@@ -74,20 +72,16 @@ import (
 	"relpipe/internal/sim/simref"
 )
 
-// tagHotPath marks the benchmarks the CI regression gate enforces.
-const tagHotPath = "hotpath"
-
 // Entry is one measured benchmark in the JSON file. AllocsPerOp and
 // BytesPerOp are the -benchmem counterpart: heap allocations and bytes
-// per op (absent in files written before the alloc gate existed, which
-// the checker treats as "no alloc baseline — skip").
+// per op. Both are always written, 0 included, because -check gates
+// AllocsPerOp and a kernel at 0 must stay there.
 type Entry struct {
-	Name        string   `json:"name"`
-	Tags        []string `json:"tags,omitempty"`
-	NsPerOp     float64  `json:"nsPerOp"`
-	Iterations  int      `json:"iterations"`
-	AllocsPerOp float64  `json:"allocsPerOp,omitempty"`
-	BytesPerOp  float64  `json:"bytesPerOp,omitempty"`
+	Name        string  `json:"name"`
+	NsPerOp     float64 `json:"nsPerOp"`
+	Iterations  int     `json:"iterations"`
+	AllocsPerOp float64 `json:"allocsPerOp"`
+	BytesPerOp  float64 `json:"bytesPerOp"`
 }
 
 // File is the on-disk result document (BENCH_*.json).
@@ -128,7 +122,6 @@ func fullSizes() sizes {
 // the timer runs.
 type benchmark struct {
 	name  string
-	tags  []string
 	setup func(sz sizes) func()
 }
 
@@ -212,16 +205,16 @@ func monteCarloEngineBench(scalar bool) func(sz sizes) func() {
 
 // searchBench measures the heuristic search engine on a fixed
 // 100-stage heterogeneous instance under tight bounds (the regime the
-// engine exists for); restarts shard across the portfolio at the given
-// degree, and the fixed seed makes every run measure identical work.
-func searchBench(parallelism int) func(sz sizes) func() {
+// engine exists for), single-threaded; the fixed seed makes every run
+// measure identical work.
+func searchBench() func(sz sizes) func() {
 	return func(sz sizes) func() {
 		r := rng.New(42)
 		c := chain.PaperRandom(r, 100)
 		pl := platform.PaperHeterogeneous(r, 30)
 		opts := search.Options{
 			Period: 25, Latency: 600, Seed: 1,
-			Restarts: 4, Budget: sz.searchBudget, Parallelism: parallelism,
+			Restarts: 4, Budget: sz.searchBudget, Parallelism: 1,
 		}
 		return func() {
 			res, ok, err := search.Optimize(c, pl, opts)
@@ -321,7 +314,7 @@ func evalPathSetup() (chain.Chain, platform.Platform, mapping.Mapping, []evalNei
 // incremental path — the "search-optimize-delta" entry in Speedups that
 // -minratio gates, so the delta path cannot silently rot back to
 // full-pass cost. End-to-end Optimize throughput is covered separately
-// by the search-optimize kernels, where the shared seed/propose
+// by the search-optimize/P=1 kernel, where the shared seed/propose
 // machinery dilutes this ratio.
 func searchEvalBench(delta bool) func(sz sizes) func() {
 	return func(sz sizes) func() {
@@ -349,9 +342,9 @@ func searchEvalBench(delta bool) func(sz sizes) func() {
 // adaptBench measures the online-adaptation hot path: a batch of
 // lifetime replications under the remap policy, each replication
 // running several warm-started search re-optimizations on a fixed
-// 40-stage heterogeneous instance. Replications shard across the given
-// degree; the fixed seed makes every run measure identical work.
-func adaptBench(parallelism int) func(sz sizes) func() {
+// 40-stage heterogeneous instance, single-threaded; the fixed seed makes
+// every run measure identical work.
+func adaptBench() func(sz sizes) func() {
 	return func(sz sizes) func() {
 		r := rng.New(42)
 		c := chain.PaperRandom(r, 40)
@@ -370,7 +363,7 @@ func adaptBench(parallelism int) func(sz sizes) func() {
 		}
 		reps := sz.adaptReps
 		return func() {
-			b, err := adapt.RunBatch(context.Background(), c, pl, res.M, opts, reps, parallelism)
+			b, err := adapt.RunBatch(context.Background(), c, pl, res.M, opts, reps, 1)
 			if err != nil {
 				panic(err)
 			}
@@ -379,11 +372,11 @@ func adaptBench(parallelism int) func(sz sizes) func() {
 	}
 }
 
-func frontierBench(parallelism int) func(sz sizes) func() {
+func frontierBench() func(sz sizes) func() {
 	return func(sz sizes) func() {
 		c, pl := paperChainPlatform(sz.frontierTasks)
 		return func() {
-			pts, err := frontier.ComputePar(context.Background(), c, pl, parallelism)
+			pts, err := frontier.ComputePar(context.Background(), c, pl, 1)
 			if err != nil {
 				panic(err)
 			}
@@ -392,37 +385,21 @@ func frontierBench(parallelism int) func(sz sizes) func() {
 	}
 }
 
-// benchmarks is the registry; registerFull (build tag "full") appends the
-// paper-scale extras.
+// benchmarks is the registry; cluster.go and fleet.go append their
+// kernels, and full.go (build tag "full") the paper-scale extras.
 var benchmarks = []benchmark{
-	{"calibrate", nil, func(sizes) func() {
-		// A fixed arithmetic kernel (same flavour of work as the
-		// solvers: PRNG draws + transcendentals) used to normalize
-		// ns/op across machines of the same class.
-		return func() {
-			r := rng.New(1)
-			s := 0.0
-			for i := 0; i < 2_000_000; i++ {
-				s += math.Log1p(r.Float64())
-			}
-			sink += s
-		}
-	}},
-	{"exact-profiles/P=1", []string{tagHotPath}, exactBench(1)},
-	{"exact-profiles/P=8", []string{tagHotPath}, exactBench(8)},
-	{"monte-carlo/P=1", []string{tagHotPath}, monteCarloBench(1)},
-	{"monte-carlo/P=8", []string{tagHotPath}, monteCarloBench(8)},
-	{"monte-carlo-soa", []string{tagHotPath}, monteCarloEngineBench(false)},
-	{"monte-carlo-scalar", []string{tagHotPath}, monteCarloEngineBench(true)},
-	{"frontier/P=1", []string{tagHotPath}, frontierBench(1)},
-	{"frontier/P=8", []string{tagHotPath}, frontierBench(8)},
-	{"search-optimize/P=1", []string{tagHotPath}, searchBench(1)},
-	{"search-optimize/P=8", []string{tagHotPath}, searchBench(8)},
-	{"search-optimize-delta", []string{tagHotPath}, searchEvalBench(true)},
-	{"search-optimize-full", []string{tagHotPath}, searchEvalBench(false)},
-	{"adapt-remap/P=1", []string{tagHotPath}, adaptBench(1)},
-	{"adapt-remap/P=8", []string{tagHotPath}, adaptBench(8)},
-	{"dp-reliability", []string{tagHotPath}, func(sz sizes) func() {
+	{"exact-profiles/P=1", exactBench(1)},
+	{"exact-profiles/P=8", exactBench(8)},
+	{"monte-carlo/P=1", monteCarloBench(1)},
+	{"monte-carlo/P=8", monteCarloBench(8)},
+	{"monte-carlo-soa", monteCarloEngineBench(false)},
+	{"monte-carlo-scalar", monteCarloEngineBench(true)},
+	{"frontier/P=1", frontierBench()},
+	{"search-optimize/P=1", searchBench()},
+	{"search-optimize-delta", searchEvalBench(true)},
+	{"search-optimize-full", searchEvalBench(false)},
+	{"adapt-remap/P=1", adaptBench()},
+	{"dp-reliability", func(sz sizes) func() {
 		c, pl := paperChainPlatform(15)
 		return func() {
 			_, ev, err := dp.OptimizeReliability(c, pl)
@@ -432,7 +409,7 @@ var benchmarks = []benchmark{
 			sink += ev.LogRel
 		}
 	}},
-	{"evaluate-mapping", []string{tagHotPath}, func(sz sizes) func() {
+	{"evaluate-mapping", func(sz sizes) func() {
 		c, pl := paperChainPlatform(15)
 		m, _, err := dp.OptimizeReliability(c, pl)
 		if err != nil {
@@ -507,7 +484,7 @@ func runBenchmarks(quick bool) File {
 		ns, iters := measure(op, sz)
 		allocs, bytes := measureAllocs(op)
 		f.Benchmarks = append(f.Benchmarks, Entry{
-			Name: b.name, Tags: b.tags, NsPerOp: ns, Iterations: iters,
+			Name: b.name, NsPerOp: ns, Iterations: iters,
 			AllocsPerOp: allocs, BytesPerOp: bytes,
 		})
 		byName[b.name] = ns
@@ -558,198 +535,85 @@ func loadFile(path string) (File, error) {
 	return f, nil
 }
 
-// calibration returns the run's calibrate ns/op, or 0 when absent.
-func calibration(f File) float64 {
-	for _, e := range f.Benchmarks {
-		if e.Name == "calibrate" && e.NsPerOp > 0 {
-			return e.NsPerOp
-		}
-	}
-	return 0
-}
+// allocThreshold is the relative allocs/op rise -check tolerates.
+const allocThreshold = 0.20
 
-// calibrationPair resolves the normalization divisors for a comparison.
-// Normalization is only meaningful when *both* runs carry a calibrate
-// entry: with exactly one present, dividing one side by ~3e7 ns and the
-// other by 1 would skew every ratio by orders of magnitude, so the pair
-// degrades to un-normalized (1, 1) with a warning instead.
-func calibrationPair(baseline, current File, out *os.File) (calB, calC float64) {
-	calB, calC = calibration(baseline), calibration(current)
-	if calB > 0 && calC > 0 {
-		return calB, calC
-	}
-	if calB > 0 || calC > 0 {
-		fmt.Fprintln(out, "WARNING: calibrate entry missing from one run; comparing raw ns/op without normalization")
-	}
-	return 1, 1
-}
-
-// isParallel reports whether a benchmark name runs sharded at degree
-// > 1 (a "/P=N" suffix with N > 1): its ns/op scales with the core
-// count, so it is only comparable between machines with equal
-// GOMAXPROCS.
-func isParallel(name string) bool {
-	i := strings.LastIndex(name, "/P=")
-	if i < 0 {
-		return false
-	}
-	n, err := strconv.Atoi(name[i+len("/P="):])
-	return err == nil && n > 1
-}
-
-// check compares current against baseline: every hot-path benchmark of
-// the baseline must be present in the current run (a missing or renamed
-// kernel counts as a failure, so the gate cannot be silently emptied)
-// and must not regress by more than threshold on its
-// calibration-normalized ns/op. The single-threaded calibration kernel
-// cannot cancel core-count differences, so when the two runs'
-// GOMAXPROCS differ — the detectable signal that the baseline is from a
-// different machine class — parallel (P>1) entries are skipped and the
-// remaining findings are reported as advisory only (exit 0): the
-// calibration transfer is only trusted within a machine class, and a
-// hard gate across classes would fail innocent PRs. Regenerate the
-// baseline on the CI runner class to arm the hard gate; the parallel
-// kernels are meanwhile gated directly by -minratio on the runner.
-// allocsPerOp is additionally gated at allocThreshold (relative, like
-// threshold) when both runs carry alloc data; baselines written before
-// the alloc gate existed carry none and are skipped. Alloc findings
-// follow the same advisory downgrade as ns/op findings across machine
-// classes. Returns the number of enforced failures.
-func check(baseline, current File, threshold, allocThreshold float64, out *os.File) int {
-	n, _ := checkRows(baseline, current, threshold, allocThreshold, out)
-	return n
-}
-
-// summaryRow is one kernel's comparison, kept for the -summary
+// summaryRow is one baseline kernel's comparison, kept for the -summary
 // markdown rendering alongside check's plain-text report.
 type summaryRow struct {
 	name                  string
-	status                string // ok / REGRESSION / ALLOC-REG / SKIP / MISSING
-	baseNs, curNs         float64
-	nsRatio               float64 // calibration-normalized; 0 when not compared
+	status                string // ok / ALLOC-REG / MISSING
 	baseAllocs, curAllocs float64
-	allocRatio            float64 // 0 when the alloc gate was skipped
-	advisory              bool
 }
 
-// checkRows is check plus the per-kernel rows the -summary table
-// renders.
-func checkRows(baseline, current File, threshold, allocThreshold float64, out *os.File) (int, []summaryRow) {
-	calB, calC := calibrationPair(baseline, current, out)
+// check compares current against baseline: every baseline kernel must
+// be present in the current run, and its allocs/op must not exceed the
+// baseline's by more than allocThreshold, so a baseline of 0 admits only
+// 0. It returns the number of failures and one row per baseline kernel.
+// A -quick run against a full one is an error, not a comparison:
+// allocs/op scale with the workload sizes.
+func check(baseline, current File, out io.Writer) (int, []summaryRow, error) {
+	if baseline.Quick != current.Quick {
+		return 0, nil, fmt.Errorf("baseline quick=%t but current quick=%t: allocs/op depend on the workload sizes, so both runs must use the same mode",
+			baseline.Quick, current.Quick)
+	}
 	fmt.Fprintf(out, "baseline: %s/%s GOMAXPROCS=%d %s\n",
 		baseline.GoOS, baseline.GoArch, baseline.GoMaxProcs, baseline.GoVersion)
 	fmt.Fprintf(out, "current:  %s/%s GOMAXPROCS=%d %s\n",
 		current.GoOS, current.GoArch, current.GoMaxProcs, current.GoVersion)
-	if baseline.Quick != current.Quick {
-		fmt.Fprintln(out, "WARNING: comparing a -quick run against a full run; numbers are not comparable")
-	}
-	coresDiffer := baseline.GoMaxProcs != current.GoMaxProcs
-	if coresDiffer {
-		fmt.Fprintf(out, "WARNING: GOMAXPROCS differs (%d vs %d) — baseline is from another machine class; parallel (P>1) benchmarks are skipped and sequential findings are ADVISORY (non-failing). Regenerate BENCH_baseline.json on this machine class to arm the hard gate.\n",
-			baseline.GoMaxProcs, current.GoMaxProcs)
-	}
 	cur := map[string]Entry{}
 	for _, e := range current.Benchmarks {
 		cur[e.Name] = e
 	}
 	var rows []summaryRow
-	failures, missing := 0, 0
+	failures := 0
 	for _, base := range baseline.Benchmarks {
-		if !slices.Contains(base.Tags, tagHotPath) {
-			continue
-		}
-		row := summaryRow{name: base.Name, baseNs: base.NsPerOp, baseAllocs: base.AllocsPerOp, advisory: coresDiffer}
-		e, ok := cur[base.Name]
-		if !ok {
-			// Machine-class independent: a renamed or deleted kernel
-			// must fail even in advisory mode, or the gate could be
-			// silently emptied.
-			fmt.Fprintf(out, "MISSING    %-24s baseline kernel absent from current run\n", base.Name)
-			missing++
-			row.status, row.advisory = "MISSING", false
-			rows = append(rows, row)
-			continue
-		}
-		row.curNs, row.curAllocs = e.NsPerOp, e.AllocsPerOp
-		if coresDiffer && isParallel(base.Name) {
-			fmt.Fprintf(out, "SKIP       %-24s parallel benchmark, core counts differ\n", base.Name)
-			row.status = "SKIP"
-			rows = append(rows, row)
-			continue
-		}
-		ratio := (e.NsPerOp / calC) / (base.NsPerOp / calB)
-		row.nsRatio = ratio
-		status := "ok"
-		if ratio > 1+threshold {
-			status = "REGRESSION"
-			failures++
-		}
-		row.status = status
-		fmt.Fprintf(out, "%-10s %-24s %12.0f -> %12.0f ns/op  normalized %.2fx\n",
-			status, base.Name, base.NsPerOp, e.NsPerOp, ratio)
-		if base.AllocsPerOp > 0 && e.AllocsPerOp > 0 {
-			aratio := e.AllocsPerOp / base.AllocsPerOp
-			row.allocRatio = aratio
-			astatus := "ok"
-			if aratio > 1+allocThreshold {
-				astatus = "ALLOC-REG"
-				failures++
-				if row.status == "ok" {
-					row.status = "ALLOC-REG"
-				}
+		row := summaryRow{name: base.Name, status: "ok", baseAllocs: base.AllocsPerOp}
+		if e, ok := cur[base.Name]; !ok {
+			row.status = "MISSING"
+			fmt.Fprintf(out, "%-10s %-24s baseline kernel absent from current run\n", row.status, base.Name)
+		} else {
+			row.curAllocs = e.AllocsPerOp
+			if e.AllocsPerOp > base.AllocsPerOp*(1+allocThreshold) {
+				row.status = "ALLOC-REG"
 			}
-			fmt.Fprintf(out, "%-10s %-24s %12.0f -> %12.0f allocs/op  %.2fx\n",
-				astatus, base.Name, base.AllocsPerOp, e.AllocsPerOp, aratio)
+			fmt.Fprintf(out, "%-10s %-24s %12.1f -> %12.1f allocs/op\n",
+				row.status, base.Name, base.AllocsPerOp, e.AllocsPerOp)
+		}
+		if row.status != "ok" {
+			failures++
 		}
 		rows = append(rows, row)
 	}
-	if coresDiffer && failures > 0 {
-		fmt.Fprintf(out, "ADVISORY: %d regression finding(s) not enforced across machine classes\n", failures)
-		failures = 0
-	}
-	return failures + missing, rows
+	return failures, rows, nil
 }
 
 // writeSummary appends a GitHub-flavored markdown table of the -check
 // comparison to path (typically $GITHUB_STEP_SUMMARY), so a flagged
 // regression is readable from the job page without downloading
-// artifacts. Advisory rows — findings not enforced because the baseline
-// came from another machine class — are marked as such.
+// artifacts.
 func writeSummary(path string, baseline, current File, rows []summaryRow) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "### Benchmark gate: baseline vs PR\n\n")
 	fmt.Fprintf(&b, "Baseline: `%s/%s` GOMAXPROCS=%d %s — PR: `%s/%s` GOMAXPROCS=%d %s\n\n",
 		baseline.GoOS, baseline.GoArch, baseline.GoMaxProcs, baseline.GoVersion,
 		current.GoOS, current.GoArch, current.GoMaxProcs, current.GoVersion)
-	advisory := false
-	b.WriteString("| Kernel | ns/op (base → PR) | Δ ns/op | allocs/op (base → PR) | Δ allocs | Status |\n")
-	b.WriteString("|---|---|---|---|---|---|\n")
+	b.WriteString("| Kernel | allocs/op (base → PR) | Δ allocs | Status |\n")
+	b.WriteString("|---|---|---|---|\n")
 	for _, r := range rows {
-		ns := fmt.Sprintf("%.0f → %.0f", r.baseNs, r.curNs)
-		dNs, dAllocs, allocs := "–", "–", "–"
-		if r.nsRatio > 0 {
-			dNs = fmt.Sprintf("%+.1f%%", (r.nsRatio-1)*100)
-		}
-		if r.baseAllocs > 0 && r.curAllocs > 0 {
-			allocs = fmt.Sprintf("%.0f → %.0f", r.baseAllocs, r.curAllocs)
-		}
-		if r.allocRatio > 0 {
-			dAllocs = fmt.Sprintf("%+.1f%%", (r.allocRatio-1)*100)
+		allocs, dAllocs := "–", "–"
+		if r.status != "MISSING" {
+			allocs = fmt.Sprintf("%.1f → %.1f", r.baseAllocs, r.curAllocs)
+			if r.baseAllocs > 0 {
+				dAllocs = fmt.Sprintf("%+.1f%%", (r.curAllocs/r.baseAllocs-1)*100)
+			}
 		}
 		status := map[string]string{
-			"ok": "✅ ok", "REGRESSION": "❌ regression", "ALLOC-REG": "❌ alloc regression",
-			"SKIP": "⏭️ skipped (machine class)", "MISSING": "❌ missing kernel",
+			"ok": "✅ ok", "ALLOC-REG": "❌ alloc regression", "MISSING": "❌ missing kernel",
 		}[r.status]
-		if r.advisory && (r.status == "REGRESSION" || r.status == "ALLOC-REG") {
-			status += " (advisory)"
-			advisory = true
-		}
-		fmt.Fprintf(&b, "| `%s` | %s | %s | %s | %s | %s |\n", r.name, ns, dNs, allocs, dAllocs, status)
+		fmt.Fprintf(&b, "| `%s` | %s | %s | %s |\n", r.name, allocs, dAllocs, status)
 	}
-	if advisory {
-		b.WriteString("\nAdvisory rows are not enforced: the baseline's machine class (GOMAXPROCS) differs from the runner's, so calibration does not transfer. Regenerate `BENCH_baseline.json` on the runner class to arm the hard gate.\n")
-	}
-	b.WriteString("\nΔ ns/op is calibration-normalized (see `cmd/bench`).\n")
+	b.WriteString("\nns/op is not compared against the baseline: absolute times do not transfer between machines. Speed is gated by the same-process `-minratio` floors; wall-clock numbers come from `bash cmd/loadgen/bench.sh`.\n")
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
@@ -760,8 +624,9 @@ func writeSummary(path string, baseline, current File, rows []summaryRow) error 
 }
 
 // parallelRatios are the kernels whose Speedups entry is the P=8/P=1
-// ratio, which cannot appear on fewer than 4 cores.
-var parallelRatios = []string{"exact-profiles", "monte-carlo", "frontier", "search-optimize", "adapt-remap"}
+// ratio, which cannot appear on fewer than 4 cores. Each backs a CI
+// -minratio floor; a P=8 kernel that feeds no floor is not measured.
+var parallelRatios = []string{"exact-profiles", "monte-carlo"}
 
 // ratioFloors is the repeatable -minratio kernel=floor flag.
 type ratioFloors map[string]float64
@@ -811,6 +676,12 @@ func checkRatios(f File, floors ratioFloors, out io.Writer) int {
 	return failures
 }
 
+// fatal reports err and exits 1.
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "bench:", err)
+	os.Exit(1)
+}
+
 func main() {
 	quick := flag.Bool("quick", false, "reduced workloads (the CI gate's configuration)")
 	out := flag.String("o", "", "write results as JSON to this file")
@@ -819,11 +690,9 @@ func main() {
 		"kernel=floor: fail when that speedup ratio is below floor or missing (repeatable; P=8/P=1 ratios skip below 4 cores)")
 	summaryPath := flag.String("summary", "",
 		"with -check: append a markdown comparison table to this file (e.g. $GITHUB_STEP_SUMMARY)")
-	doCheck := flag.Bool("check", false, "compare -current against -baseline instead of running")
+	doCheck := flag.Bool("check", false, "compare -current against -baseline (allocs/op, missing kernels) instead of running")
 	basePath := flag.String("baseline", "BENCH_baseline.json", "baseline JSON for -check")
 	curPath := flag.String("current", "BENCH_pr.json", "current JSON for -check")
-	threshold := flag.Float64("threshold", 0.20, "allowed relative ns/op regression for -check")
-	allocThreshold := flag.Float64("allocthreshold", 0.20, "allowed relative allocs/op regression for -check")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the benchmark run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken after the benchmark run to this file")
 	flag.Parse()
@@ -831,24 +700,23 @@ func main() {
 	if *doCheck {
 		baseline, err := loadFile(*basePath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		current, err := loadFile(*curPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
+			fatal(err)
 		}
-		n, rows := checkRows(baseline, current, *threshold, *allocThreshold, os.Stdout)
+		n, rows, err := check(baseline, current, os.Stdout)
+		if err != nil {
+			fatal(err)
+		}
 		if *summaryPath != "" {
 			if err := writeSummary(*summaryPath, baseline, current, rows); err != nil {
-				fmt.Fprintln(os.Stderr, "bench:", err)
-				os.Exit(1)
+				fatal(err)
 			}
 		}
 		if n > 0 {
-			fmt.Fprintf(os.Stderr, "bench: %d hot-path regression(s) beyond the thresholds\n", n)
-			os.Exit(1)
+			fatal(fmt.Errorf("%d kernel(s) missing or over the allocs/op bound", n))
 		}
 		return
 	}
@@ -859,12 +727,10 @@ func main() {
 	if *cpuProfile != "" {
 		var err error
 		if cpuFile, err = os.Create(*cpuProfile); err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		if err := pprof.StartCPUProfile(cpuFile); err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 	}
 
@@ -878,12 +744,10 @@ func main() {
 		runtime.GC() // settle the heap so the profile shows retained allocations
 		mf, err := os.Create(*memProfile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		if err := pprof.WriteHeapProfile(mf); err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		mf.Close()
 		fmt.Printf("wrote %s\n", *memProfile)
@@ -892,18 +756,14 @@ func main() {
 	if *out != "" {
 		b, err := json.MarshalIndent(f, "", "  ")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
+			fatal(err)
 		}
-		b = append(b, '\n')
-		if err := os.WriteFile(*out, b, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
+		if err := os.WriteFile(*out, append(b, '\n'), 0o644); err != nil {
+			fatal(err)
 		}
 		fmt.Printf("wrote %s\n", *out)
 	}
 	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "bench: %d ratio(s) below their -minratio floor\n", failures)
-		os.Exit(1)
+		fatal(fmt.Errorf("%d ratio(s) below their -minratio floor", failures))
 	}
 }

@@ -7,117 +7,40 @@ import (
 	"testing"
 )
 
-func benchFile(cal, exact float64) File {
+// allocFile is a -quick run of one kernel with the given allocs/op.
+func allocFile(allocs float64) File {
 	return File{
 		Quick:      true,
 		GoMaxProcs: 1,
 		Benchmarks: []Entry{
-			{Name: "calibrate", NsPerOp: cal, Iterations: 1},
-			{Name: "exact-profiles/P=1", Tags: []string{tagHotPath}, NsPerOp: exact, Iterations: 1},
+			{Name: "exact-profiles/P=1", NsPerOp: 1000, Iterations: 1,
+				AllocsPerOp: allocs, BytesPerOp: allocs * 64},
 		},
 	}
 }
 
-func TestCheckPassesWithinThreshold(t *testing.T) {
-	base := benchFile(100, 1000)
-	cur := benchFile(100, 1100) // 10% slower, threshold 20%
-	if n := check(base, cur, 0.20, 0.20, os.Stdout); n != 0 {
-		t.Fatalf("regressions = %d, want 0", n)
+// runCheck is check for a pair of runs that must be comparable.
+func runCheck(t *testing.T, base, cur File) int {
+	t.Helper()
+	n, _, err := check(base, cur, os.Stdout)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return n
 }
 
-func TestCheckFlagsRegression(t *testing.T) {
-	base := benchFile(100, 1000)
-	cur := benchFile(100, 1500) // 50% slower
-	if n := check(base, cur, 0.20, 0.20, os.Stdout); n != 1 {
-		t.Fatalf("regressions = %d, want 1", n)
-	}
-}
-
-// TestCheckNormalizesByCalibration: a uniformly slower machine (both the
-// calibration kernel and the benchmark 3x slower) is not a regression.
-func TestCheckNormalizesByCalibration(t *testing.T) {
-	base := benchFile(100, 1000)
-	cur := benchFile(300, 3000)
-	if n := check(base, cur, 0.20, 0.20, os.Stdout); n != 0 {
-		t.Fatalf("regressions = %d, want 0 after normalization", n)
-	}
-}
-
-// TestCheckSkipsParallelAcrossCoreCounts: when GOMAXPROCS differs
-// between runs, P>1 entries are neither gated (their ns/op scales with
-// core count) nor silently passed — they are skipped with a notice —
-// while single-threaded entries still gate.
-func TestCheckSkipsParallelAcrossCoreCounts(t *testing.T) {
-	mk := func(cores int, p1, p8 float64) File {
-		return File{
-			Quick:      true,
-			GoMaxProcs: cores,
-			Benchmarks: []Entry{
-				{Name: "calibrate", NsPerOp: 100},
-				{Name: "exact-profiles/P=1", Tags: []string{tagHotPath}, NsPerOp: p1},
-				{Name: "exact-profiles/P=8", Tags: []string{tagHotPath}, NsPerOp: p8},
-			},
-		}
-	}
-	// Same core count: a P=8 regression is caught and enforced.
-	if n := check(mk(4, 1000, 300), mk(4, 1000, 600), 0.20, 0.20, os.Stdout); n != 1 {
-		t.Fatalf("same cores: failures = %d, want 1", n)
-	}
-	// Different core counts: the P=8 entry is skipped (a 4-core run is
-	// "faster" than a 1-core baseline for free), and sequential findings
-	// are advisory — reported but not enforced, because the calibration
-	// transfer is only trusted within a machine class.
-	if n := check(mk(1, 1000, 950), mk(4, 1000, 300), 0.20, 0.20, os.Stdout); n != 0 {
-		t.Fatalf("different cores, clean: failures = %d, want 0", n)
-	}
-	if n := check(mk(1, 1000, 950), mk(4, 1600, 300), 0.20, 0.20, os.Stdout); n != 0 {
-		t.Fatalf("different cores, advisory P=1 regression: failures = %d, want 0", n)
-	}
-}
-
-func TestIsParallel(t *testing.T) {
-	cases := map[string]bool{
-		"exact-profiles/P=8": true,
-		"monte-carlo/P=2":    true,
-		"exact-profiles/P=1": false,
-		"dp-reliability":     false,
-		"calibrate":          false,
-	}
-	for name, want := range cases {
-		if got := isParallel(name); got != want {
-			t.Errorf("isParallel(%q) = %t, want %t", name, got, want)
-		}
-	}
-}
-
-// TestCheckFailsOnMissingBenchmarks: a renamed or deleted gated kernel
-// counts as a failure — even across machine classes — so the gate
-// cannot be silently emptied.
+// TestCheckFailsOnMissingBenchmarks: a renamed or deleted kernel counts
+// as a failure — whatever the core counts — so the gate cannot be
+// silently emptied.
 func TestCheckFailsOnMissingBenchmarks(t *testing.T) {
-	base := benchFile(100, 1000)
-	cur := File{Quick: true, GoMaxProcs: 1, Benchmarks: []Entry{{Name: "calibrate", NsPerOp: 100}}}
-	if n := check(base, cur, 0.20, 0.20, os.Stdout); n != 1 {
+	base := allocFile(1000)
+	cur := File{Quick: true, GoMaxProcs: 1}
+	if n := runCheck(t, base, cur); n != 1 {
 		t.Fatalf("failures = %d, want 1 (missing benchmark)", n)
 	}
-	cur.GoMaxProcs = 8 // different machine class: still enforced
-	if n := check(base, cur, 0.20, 0.20, os.Stdout); n != 1 {
-		t.Fatalf("cross-class failures = %d, want 1 (missing benchmark)", n)
-	}
-}
-
-// TestCheckCalibrationPairing: normalization only applies when both
-// runs carry a calibrate entry; one-sided calibration degrades to raw
-// comparison instead of skewing every ratio by orders of magnitude.
-func TestCheckCalibrationPairing(t *testing.T) {
-	base := benchFile(100, 1000)
-	cur := File{Quick: true, GoMaxProcs: base.GoMaxProcs, Benchmarks: []Entry{
-		{Name: "exact-profiles/P=1", Tags: []string{tagHotPath}, NsPerOp: 1050},
-	}}
-	// Raw 1050 vs 1000 is within 20%; with the old one-sided fallback
-	// the ratio would have been (1050/1)/(1000/100) = 105x.
-	if n := check(base, cur, 0.20, 0.20, os.Stdout); n != 0 {
-		t.Fatalf("failures = %d, want 0 (one-sided calibrate must not skew)", n)
+	cur.GoMaxProcs = 8
+	if n := runCheck(t, base, cur); n != 1 {
+		t.Fatalf("8-core failures = %d, want 1 (missing benchmark)", n)
 	}
 }
 
@@ -235,39 +158,50 @@ func TestRatioFloorsFlag(t *testing.T) {
 	}
 }
 
-// allocFile builds a single-kernel run with alloc data attached.
-func allocFile(ns, allocs float64) File {
-	return File{
-		Quick:      true,
-		GoMaxProcs: 1,
-		Benchmarks: []Entry{
-			{Name: "calibrate", NsPerOp: 100, Iterations: 1},
-			{Name: "exact-profiles/P=1", Tags: []string{tagHotPath},
-				NsPerOp: ns, Iterations: 1, AllocsPerOp: allocs, BytesPerOp: allocs * 64},
-		},
+// TestCheckAllocGate: allocs/op beyond the 20% bound fail, small drifts
+// pass, ns/op is not compared at all, and a kernel at 0 allocs/op must
+// stay at 0.
+func TestCheckAllocGate(t *testing.T) {
+	slower := allocFile(1000)
+	slower.Benchmarks[0].NsPerOp *= 5
+	for _, tc := range []struct {
+		name      string
+		base, cur File
+		want      int
+	}{
+		{"10% drift", allocFile(1000), allocFile(1100), 0},
+		{"50% rise", allocFile(1000), allocFile(1500), 1},
+		{"5x ns/op, same allocs", allocFile(1000), slower, 0},
+		{"zero stays zero", allocFile(0), allocFile(0), 0},
+		{"zero baseline, one alloc", allocFile(0), allocFile(1), 1},
+		{"fewer allocs", allocFile(1000), allocFile(10), 0},
+	} {
+		if n := runCheck(t, tc.base, tc.cur); n != tc.want {
+			t.Errorf("%s: failures = %d, want %d", tc.name, n, tc.want)
+		}
 	}
 }
 
-// TestCheckAllocGate: allocs/op regressions beyond the alloc threshold
-// fail even when ns/op is steady, small drifts pass, and a baseline
-// without alloc data (written before the gate existed) is skipped
-// rather than failed.
-func TestCheckAllocGate(t *testing.T) {
-	base := allocFile(1000, 1000)
-	if n := check(base, allocFile(1000, 1100), 0.20, 0.20, os.Stdout); n != 0 {
-		t.Fatalf("10%% alloc drift: failures = %d, want 0", n)
+// TestCheckAllocGateAcrossCoreCounts: allocation counts do not depend on
+// the machine, so a baseline recorded at GOMAXPROCS=1 still gates a run
+// at GOMAXPROCS=4.
+func TestCheckAllocGateAcrossCoreCounts(t *testing.T) {
+	cur := allocFile(1500)
+	cur.GoMaxProcs = 4
+	if n := runCheck(t, allocFile(1000), cur); n != 1 {
+		t.Fatalf("50%% alloc rise across core counts: failures = %d, want 1", n)
 	}
-	if n := check(base, allocFile(1000, 1500), 0.20, 0.20, os.Stdout); n != 1 {
-		t.Fatalf("50%% alloc regression: failures = %d, want 1", n)
-	}
-	// ns/op and allocs/op can fail independently and both count.
-	if n := check(base, allocFile(2000, 1500), 0.20, 0.20, os.Stdout); n != 2 {
-		t.Fatalf("double regression: failures = %d, want 2", n)
-	}
-	// Baseline without alloc data: the alloc gate is skipped.
-	noAllocs := benchFile(100, 1000)
-	if n := check(noAllocs, allocFile(1000, 99999), 0.20, 0.20, os.Stdout); n != 0 {
-		t.Fatalf("no alloc baseline: failures = %d, want 0 (gate skipped)", n)
+}
+
+// TestCheckRejectsQuickVsFull: allocs/op scale with the workload sizes,
+// so a -quick run and a full run are refused as a pair, either way round.
+func TestCheckRejectsQuickVsFull(t *testing.T) {
+	full := allocFile(1000)
+	full.Quick = false
+	for _, pair := range [][2]File{{allocFile(1000), full}, {full, allocFile(1000)}} {
+		if _, _, err := check(pair[0], pair[1], os.Stdout); err == nil {
+			t.Errorf("quick=%t vs quick=%t accepted", pair[0].Quick, pair[1].Quick)
+		}
 	}
 }
 
@@ -308,12 +242,16 @@ func TestQuickRunSmoke(t *testing.T) {
 
 // TestWriteSummary renders the markdown table the CI bench job appends
 // to $GITHUB_STEP_SUMMARY and checks the load-bearing pieces: one row
-// per kernel, regression marking, and alloc columns degrading to "–"
-// when a kernel has no alloc data.
+// per kernel, regression and missing-kernel marking, and the change
+// column degrading to "–" for a kernel without a nonzero baseline.
 func TestWriteSummary(t *testing.T) {
-	base := benchFile(100, 1000)
-	cur := benchFile(100, 1500)
-	_, rows := checkRows(base, cur, 0.20, 0.20, os.Stdout)
+	base, cur := allocFile(1000), allocFile(1500)
+	base.Benchmarks = append(base.Benchmarks, Entry{Name: "fleet-tick"}, Entry{Name: "cluster-route"})
+	cur.Benchmarks = append(cur.Benchmarks, Entry{Name: "fleet-tick"})
+	_, rows, err := check(base, cur, os.Stdout)
+	if err != nil {
+		t.Fatal(err)
+	}
 	path := t.TempDir() + "/summary.md"
 	if err := writeSummary(path, base, cur, rows); err != nil {
 		t.Fatal(err)
@@ -325,10 +263,9 @@ func TestWriteSummary(t *testing.T) {
 	s := string(got)
 	for _, want := range []string{
 		"### Benchmark gate: baseline vs PR",
-		"| `exact-profiles/P=1` |",
-		"1000 → 1500",
-		"❌", // the 50% regression must be visibly marked
-		"–", // benchFile carries no alloc data
+		"| `exact-profiles/P=1` | 1000.0 → 1500.0 | +50.0% | ❌ alloc regression |",
+		"| `fleet-tick` | 0.0 → 0.0 | – | ✅ ok |",
+		"| `cluster-route` | – | – | ❌ missing kernel |",
 	} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("summary missing %q:\n%s", want, s)

@@ -10,6 +10,7 @@ package relpipe_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"math"
@@ -112,7 +113,7 @@ func BenchmarkAlgorithm1DP(b *testing.B) {
 func BenchmarkAlgorithm2DP(b *testing.B) {
 	c, pl := paperInstance()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := dp.OptimizeReliabilityPeriod(c, pl, 200); err != nil {
+		if _, _, err := dp.OptimizeReliabilityPeriodPar(context.Background(), c, pl, 200, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -121,7 +122,7 @@ func BenchmarkAlgorithm2DP(b *testing.B) {
 func BenchmarkExactSolver(b *testing.B) {
 	c, pl := paperInstance()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := exact.Optimal(c, pl, 250, 900); err != nil {
+		if _, _, err := exact.OptimalPar(context.Background(), c, pl, 250, 900, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -253,7 +254,7 @@ func BenchmarkAblationHeuristicGap(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ratioSum, count = 0, 0
 		for _, in := range insts {
-			_, evOpt, err := exact.Optimal(in.c, in.pl, 150, 750)
+			_, evOpt, err := exact.OptimalPar(context.Background(), in.c, in.pl, 150, 750, 1)
 			if err != nil {
 				continue
 			}
@@ -277,7 +278,7 @@ func BenchmarkAblationILPvsExact(b *testing.B) {
 	pl := platform.PaperHomogeneous(8)
 	b.Run("exact", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := exact.Optimal(c, pl, 250, 800); err != nil {
+			if _, _, err := exact.OptimalPar(context.Background(), c, pl, 250, 800, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -317,7 +318,7 @@ func BenchmarkAblationHetGap(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ratioSum, count = 0, 0
 		for _, in := range insts {
-			_, evOpt, err := exact.OptimalHet(in.c, in.pl, 0, 0)
+			_, evOpt, err := exact.OptimalHetPar(context.Background(), in.c, in.pl, 0, 0, 1)
 			if err != nil {
 				continue
 			}

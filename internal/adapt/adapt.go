@@ -1,13 +1,13 @@
 package adapt
 
 import (
+	"container/heap"
 	"errors"
 	"fmt"
 	"math"
 	"strings"
 
 	"relpipe/internal/chain"
-	"relpipe/internal/des"
 	"relpipe/internal/mapping"
 	"relpipe/internal/platform"
 	"relpipe/internal/progress"
@@ -129,8 +129,13 @@ func (o Options) defaults() Options {
 
 // validate checks the options against the instance.
 func (o Options) validate(pl platform.Platform) error {
-	if !(o.Horizon > 0) {
-		return errors.New("adapt: Horizon must be positive")
+	if !(o.Horizon > 0) || math.IsInf(o.Horizon, 1) {
+		return errors.New("adapt: Horizon must be positive and finite")
+	}
+	for _, x := range []float64{o.Period, o.Latency, o.LifeScale, o.SpareCost, o.RepairLatency} {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return errors.New("adapt: Period, Latency, LifeScale, SpareCost and RepairLatency must be finite")
+		}
 	}
 	if o.Spares < 0 {
 		return errors.New("adapt: Spares must be non-negative")
@@ -142,8 +147,8 @@ func (o Options) validate(pl platform.Platform) error {
 		return fmt.Errorf("adapt: %d costs for %d processors", len(o.Costs), pl.P())
 	}
 	for u, cu := range o.Costs {
-		if cu < 0 {
-			return fmt.Errorf("adapt: negative cost %v for processor %d", cu, u)
+		if !(cu >= 0) || math.IsInf(cu, 1) {
+			return fmt.Errorf("adapt: cost %v for processor %d is not a non-negative finite number", cu, u)
 		}
 	}
 	if _, ok := policyNames[o.Policy]; !ok {
@@ -246,9 +251,11 @@ type engine struct {
 	pl   platform.Platform
 	opts Options
 
-	eng       *des.Engine
-	crashRnd  *rng.Rand // stream for spare-unit lifetimes
-	policyRnd *rng.Rand // stream for policy randomness (remap seeds)
+	now       float64    // time of the crash being handled
+	queue     crashQueue // pending crashes, at most one per processor
+	seq       int        // crashes scheduled so far (the tie-break)
+	crashRnd  *rng.Rand  // stream for spare-unit lifetimes
+	policyRnd *rng.Rand  // stream for policy randomness (remap seeds)
 
 	cur   mapping.Mapping
 	alive []bool
@@ -299,7 +306,7 @@ func Run(c chain.Chain, pl platform.Platform, m0 mapping.Mapping, opts Options) 
 
 	e := &engine{
 		c: c, pl: pl, opts: opts,
-		eng:           des.New(),
+		queue:         make(crashQueue, 0, pl.P()),
 		cur:           m0.Clone(),
 		alive:         make([]bool, pl.P()),
 		sparesLeft:    opts.Spares,
@@ -332,9 +339,13 @@ func Run(c chain.Chain, pl platform.Platform, m0 mapping.Mapping, opts Options) 
 	e.crashRnd = rand
 	e.policyRnd = rand.Split()
 
-	e.eng.RunUntil(opts.Horizon)
-	if e.err != nil {
-		return RunResult{}, e.err
+	for len(e.queue) > 0 {
+		next := heap.Pop(&e.queue).(crash)
+		e.now = next.t
+		e.crash(next.u)
+		if e.err != nil {
+			return RunResult{}, e.err
+		}
 	}
 	e.closeSegment(opts.Horizon)
 	e.finish()
@@ -354,21 +365,47 @@ func (e *engine) crashTime(r *rng.Rand, u int) (float64, bool) {
 	return r.Exp(rate), true
 }
 
+// crash is one pending permanent failure: processor u dies at time t.
+// seq is its scheduling order, so crashes at equal times fire in the
+// order they were drawn.
+type crash struct {
+	t   float64
+	seq int
+	u   int
+}
+
+// crashQueue is a min-heap of pending crashes ordered by (t, seq).
+type crashQueue []crash
+
+func (q crashQueue) Len() int { return len(q) }
+func (q crashQueue) Less(i, j int) bool {
+	if q[i].t != q[j].t {
+		return q[i].t < q[j].t
+	}
+	return q[i].seq < q[j].seq
+}
+func (q crashQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *crashQueue) Push(x any)   { *q = append(*q, x.(crash)) }
+func (q *crashQueue) Pop() any {
+	old := *q
+	x := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return x
+}
+
 // scheduleCrash queues the crash of processor u at absolute time t
 // (dropped when at or beyond the horizon: the mission ends first).
 func (e *engine) scheduleCrash(t float64, u int) {
 	if t >= e.opts.Horizon {
 		return
 	}
-	e.eng.At(t, func() { e.crash(u) })
+	heap.Push(&e.queue, crash{t: t, seq: e.seq, u: u})
+	e.seq++
 }
 
-// crash handles one permanent failure.
+// crash handles one permanent failure of processor u at e.now.
 func (e *engine) crash(u int) {
-	if e.err != nil {
-		return
-	}
-	now := e.eng.Now()
+	now := e.now
 	e.result.Metrics.Crashes++
 	e.alive[u] = false
 

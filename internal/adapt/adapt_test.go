@@ -363,6 +363,15 @@ func TestOptionsValidation(t *testing.T) {
 		"bad costs len":  {Horizon: 10, Costs: []float64{1, 2}},
 		"neg cost":       {Horizon: 10, Costs: []float64{1, 1, 1, -1, 1, 1}},
 		"unknown policy": {Horizon: 10, Policy: Policy(42)},
+		"inf horizon":    {Horizon: math.Inf(1)},
+		"nan life scale": {Horizon: 10, LifeScale: math.NaN()},
+		"inf life scale": {Horizon: 10, LifeScale: math.Inf(1)},
+		"inf period":     {Horizon: 10, Period: math.Inf(1)},
+		"nan latency":    {Horizon: 10, Latency: math.NaN()},
+		"nan spare cost": {Horizon: 10, SpareCost: math.NaN()},
+		"nan repair":     {Horizon: 10, RepairLatency: math.NaN()},
+		"nan cost":       {Horizon: 10, Costs: []float64{1, 1, math.NaN(), 1, 1, 1}},
+		"inf cost":       {Horizon: 10, Costs: []float64{1, 1, 1, 1, math.Inf(1), 1}},
 	} {
 		if _, err := Run(c, pl, m, opts); err == nil {
 			t.Fatalf("%s: no error", name)

@@ -22,8 +22,9 @@
 // the segment at the injection period, yields the mission reliability
 // exactly (no Monte-Carlo sampling of individual data sets is needed).
 // A crash closes the segment, the repair policy patches or rebuilds the
-// mapping, and the next segment opens. The event loop runs on the same
-// deterministic internal/des engine as the data-set simulator.
+// mapping, and the next segment opens. The event loop pops pending
+// crashes from a typed heap ordered by (time, scheduling order), the
+// same stable tie-break as the data-set simulator's event queue.
 //
 // Determinism contract: a run is a pure function of (chain, platform,
 // initial mapping, Options). Crash times are drawn from the replication

@@ -40,7 +40,7 @@ func (e *engine) repairSpare(j, u int) Action {
 	e.alive[u] = true
 	e.cur.Procs[j] = append(e.cur.Procs[j], u)
 	if t, ok := e.crashTime(e.crashRnd, u); ok {
-		e.scheduleCrash(e.eng.Now()+t, u)
+		e.scheduleCrash(e.now+t, u)
 	}
 	return ActionSpare
 }

@@ -318,23 +318,12 @@ func UnroutedFailProb(in Instance, m mapping.Mapping) (float64, error) {
 	return rbd.UnroutedFromMapping(in.Chain, in.Platform, m).FailProb(), nil
 }
 
-// MinPeriod returns the mapping minimizing the period subject to a
-// minimum log-reliability (use math.Inf(-1) for unconstrained), on a
-// homogeneous platform (§5.2, converse problem).
-func MinPeriod(in Instance, minLogRel float64) (Solution, error) {
-	return MinPeriodExec(in, minLogRel, Exec{})
-}
-
-// MinPeriodExec is MinPeriod with explicit execution options, using
-// the Auto method choice.
-func MinPeriodExec(in Instance, minLogRel float64, ex Exec) (Solution, error) {
-	return MinPeriodMethodExec(in, minLogRel, Auto, ex)
-}
-
-// MinPeriodMethodExec is MinPeriod with an explicit method: DP (the
-// exact §5.2 binary search, homogeneous only), Heuristic (the search
-// engine, any platform), or Auto (DP when the platform is homogeneous,
-// the search otherwise).
+// MinPeriodMethodExec returns the mapping minimizing the period subject
+// to a minimum log-reliability (use math.Inf(-1) for unconstrained), the
+// converse problem of §5.2. The method picks the solver: DP (the exact
+// §5.2 binary search, homogeneous only), Heuristic (the search engine,
+// any platform), or Auto (DP when the platform is homogeneous, the
+// search otherwise).
 func MinPeriodMethodExec(in Instance, minLogRel float64, m Method, ex Exec) (Solution, error) {
 	if err := in.Validate(); err != nil {
 		return Solution{}, err

@@ -166,7 +166,7 @@ func TestEvaluateRoundTrip(t *testing.T) {
 
 func TestMinPeriod(t *testing.T) {
 	in := homInstance(6, 5)
-	sol, err := MinPeriod(in, math.Inf(-1))
+	sol, err := MinPeriodMethodExec(in, math.Inf(-1), Auto, Exec{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestMinPeriod(t *testing.T) {
 		t.Fatalf("method = %q", sol.Method)
 	}
 	// Heterogeneous: auto falls back to the search engine.
-	het, err := MinPeriod(hetInstance(5, 4), math.Inf(-1))
+	het, err := MinPeriodMethodExec(hetInstance(5, 4), math.Inf(-1), Auto, Exec{Parallelism: 1})
 	if err != nil {
 		t.Fatalf("MinPeriod on heterogeneous platform: %v", err)
 	}

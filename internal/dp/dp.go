@@ -28,29 +28,26 @@ var ErrInfeasible = errors.New("dp: no feasible mapping")
 // onto the homogeneous platform pl that maximizes reliability, with no
 // performance constraint.
 func OptimizeReliability(c chain.Chain, pl platform.Platform) (mapping.Mapping, mapping.Eval, error) {
-	return OptimizeReliabilityPeriod(c, pl, 0)
+	return OptimizeReliabilityPeriodPar(context.Background(), c, pl, 0, 1)
 }
 
-// OptimizeReliabilityPeriod implements Algorithm 2: reliability-optimal
-// mapping under the period bound P (P <= 0 disables the bound, reducing
-// to Algorithm 1).
+// OptimizeReliabilityPeriodPar implements Algorithm 2: reliability-
+// optimal mapping under the period bound P (P <= 0 disables the bound,
+// reducing to Algorithm 1).
 //
 // F(i,k) is the best log-reliability of a mapping of the first i tasks
 // onto exactly k processors; the recurrence tries every last interval
 // (tasks j+1..i, 1-based) and every replication degree q ≤ K, keeping
 // only intervals whose compute and boundary communication times respect
 // the period bound.
-func OptimizeReliabilityPeriod(c chain.Chain, pl platform.Platform, period float64) (mapping.Mapping, mapping.Eval, error) {
-	return OptimizeReliabilityPeriodPar(context.Background(), c, pl, period, 1)
-}
-
-// OptimizeReliabilityPeriodPar is Algorithm 2 with the per-interval
-// candidate table — the log-reliability of every (first task, last task,
-// replication degree) triple, the transcendental-math hot spot of the
-// recurrence — evaluated on up to par.Degree(parallelism) goroutines.
-// Each table entry is an independent pure computation collected under
-// its own index and the recurrence itself stays sequential, so the
-// result is bit-identical to the sequential algorithm for every degree.
+//
+// The per-interval candidate table — the log-reliability of every
+// (first task, last task, replication degree) triple, the
+// transcendental-math hot spot of the recurrence — is evaluated on up
+// to par.Degree(parallelism) goroutines. Each table entry is an
+// independent pure computation collected under its own index and the
+// recurrence itself stays sequential, so the result is bit-identical
+// for every degree.
 func OptimizeReliabilityPeriodPar(ctx context.Context, c chain.Chain, pl platform.Platform, period float64, parallelism int) (mapping.Mapping, mapping.Eval, error) {
 	if err := c.Validate(); err != nil {
 		return mapping.Mapping{}, mapping.Eval{}, err
@@ -208,7 +205,7 @@ func PeriodCandidates(c chain.Chain, pl platform.Platform) []float64 {
 		// A zero candidate (the last task's empty output) is never an
 		// achievable period — every interval has positive work — and
 		// would collide with the "unconstrained" sentinel of
-		// OptimizeReliabilityPeriod.
+		// OptimizeReliabilityPeriodPar.
 		if v > 0 {
 			out = append(out, v)
 		}
@@ -217,20 +214,16 @@ func PeriodCandidates(c chain.Chain, pl platform.Platform) []float64 {
 	return out
 }
 
-// MinPeriodForReliability solves the converse problem of §5.2: the
+// MinPeriodForReliabilityPar solves the converse problem of §5.2: the
 // smallest achievable period such that some mapping has log-reliability
 // at least minLogRel, found by binary search over PeriodCandidates with
 // Algorithm 2 as the oracle. It returns the optimal mapping.
 // Use minLogRel = -Inf for pure period minimization.
-func MinPeriodForReliability(c chain.Chain, pl platform.Platform, minLogRel float64) (mapping.Mapping, mapping.Eval, error) {
-	return MinPeriodForReliabilityPar(context.Background(), c, pl, minLogRel, 1)
-}
-
-// MinPeriodForReliabilityPar is MinPeriodForReliability with each
-// Algorithm 2 oracle call running its candidate table on up to
+//
+// Each Algorithm 2 oracle call runs its candidate table on up to
 // par.Degree(parallelism) goroutines. The binary search itself is
-// inherently sequential; its probes and result are bit-identical to the
-// sequential solver for every degree.
+// inherently sequential; its probes and result are bit-identical for
+// every degree.
 func MinPeriodForReliabilityPar(ctx context.Context, c chain.Chain, pl platform.Platform, minLogRel float64, parallelism int) (mapping.Mapping, mapping.Eval, error) {
 	if !pl.Homogeneous() {
 		return mapping.Mapping{}, mapping.Eval{}, ErrHeterogeneous

@@ -1,6 +1,7 @@
 package dp
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -88,7 +89,7 @@ func TestOptimizeReliabilityPeriodMatchesBruteForce(t *testing.T) {
 		p := 1 + r.IntN(6)
 		pl := platform.Homogeneous(p, 1, 1e-2, 1, 1e-3, 1+r.IntN(3))
 		period := r.Uniform(20, 300)
-		m, ev, err := OptimizeReliabilityPeriod(c, pl, period)
+		m, ev, err := OptimizeReliabilityPeriodPar(context.Background(), c, pl, period, 1)
 		want, feasible := bruteOptimal(c, pl, period)
 		if err != nil {
 			return !feasible
@@ -132,7 +133,7 @@ func TestOptimizeRejectsHeterogeneous(t *testing.T) {
 func TestOptimizePeriodInfeasible(t *testing.T) {
 	// Period bound below every possible interval compute time.
 	c := chain.Chain{{Work: 100, Out: 0}}
-	_, _, err := OptimizeReliabilityPeriod(c, homPl(3), 1)
+	_, _, err := OptimizeReliabilityPeriodPar(context.Background(), c, homPl(3), 1, 1)
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
@@ -143,7 +144,7 @@ func TestOptimizePeriodCommBound(t *testing.T) {
 	// though every compute interval fits.
 	c := chain.Chain{{Work: 1, Out: 50}, {Work: 1, Out: 0}}
 	// P = 10: single interval has W=2 <= 10 and internalizes the comm.
-	m, ev, err := OptimizeReliabilityPeriod(c, homPl(4), 10)
+	m, ev, err := OptimizeReliabilityPeriodPar(context.Background(), c, homPl(4), 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestTighterPeriodNeverImprovesReliability(t *testing.T) {
 	prev := math.Inf(-1)
 	// Increasing period bounds: reliability must be non-decreasing.
 	for _, P := range []float64{60, 80, 120, 200, 400, 0} {
-		_, ev, err := OptimizeReliabilityPeriod(c, pl, P)
+		_, ev, err := OptimizeReliabilityPeriodPar(context.Background(), c, pl, P, 1)
 		if err != nil {
 			continue
 		}
@@ -205,7 +206,7 @@ func TestPeriodCandidatesContainOptimum(t *testing.T) {
 			t.Fatal("candidates not strictly sorted")
 		}
 	}
-	m, ev, err := MinPeriodForReliability(c, pl, math.Inf(-1))
+	m, ev, err := MinPeriodForReliabilityPar(context.Background(), c, pl, math.Inf(-1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +236,7 @@ func TestMinPeriodForReliabilityIsMinimal(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := best.LogRel * 1.5 // a weaker bound (logRel < 0): 1.5x further from 0
-	_, ev, err := MinPeriodForReliability(c, pl, target)
+	_, ev, err := MinPeriodForReliabilityPar(context.Background(), c, pl, target, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestMinPeriodForReliabilityIsMinimal(t *testing.T) {
 		if cd >= ev.WorstPeriod-1e-9 {
 			break
 		}
-		_, e2, err := OptimizeReliabilityPeriod(c, pl, cd)
+		_, e2, err := OptimizeReliabilityPeriodPar(context.Background(), c, pl, cd, 1)
 		if err == nil && e2.LogRel >= target {
 			t.Fatalf("period %v < %v also achieves the reliability bound", cd, ev.WorstPeriod)
 		}
@@ -252,7 +253,7 @@ func TestMinPeriodForReliabilityIsMinimal(t *testing.T) {
 
 func TestMinPeriodInfeasibleReliability(t *testing.T) {
 	c := chain.Chain{{Work: 10, Out: 0}}
-	_, _, err := MinPeriodForReliability(c, homPl(2), 0.1) // logRel > 0 impossible
+	_, _, err := MinPeriodForReliabilityPar(context.Background(), c, homPl(2), 0.1, 1) // logRel > 0 impossible
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}

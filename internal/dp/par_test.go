@@ -22,7 +22,7 @@ func TestOptimizeReliabilityPeriodParMatchesSequential(t *testing.T) {
 		c := chain.PaperRandom(rng.New(seed), 15)
 		pl := platform.PaperHomogeneous(10)
 		for _, period := range []float64{0, 200, 60} {
-			wantM, wantEv, wantErr := OptimizeReliabilityPeriod(c, pl, period)
+			wantM, wantEv, wantErr := OptimizeReliabilityPeriodPar(context.Background(), c, pl, period, 1)
 			for _, p := range degrees {
 				gotM, gotEv, gotErr := OptimizeReliabilityPeriodPar(context.Background(), c, pl, period, p)
 				if (gotErr == nil) != (wantErr == nil) {
@@ -43,7 +43,7 @@ func TestMinPeriodForReliabilityParMatchesSequential(t *testing.T) {
 	for seed := uint64(7); seed <= 9; seed++ {
 		c := chain.PaperRandom(rng.New(seed), 12)
 		pl := platform.PaperHomogeneous(8)
-		wantM, wantEv, wantErr := MinPeriodForReliability(c, pl, math.Inf(-1))
+		wantM, wantEv, wantErr := MinPeriodForReliabilityPar(context.Background(), c, pl, math.Inf(-1), 1)
 		for _, p := range degrees {
 			gotM, gotEv, gotErr := MinPeriodForReliabilityPar(context.Background(), c, pl, math.Inf(-1), p)
 			if (gotErr == nil) != (wantErr == nil) {

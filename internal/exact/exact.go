@@ -166,18 +166,14 @@ func Materialize(p Profile) mapping.Mapping {
 	return mapping.AssignSequential(interval.FromEnds(p.Ends), p.Counts)
 }
 
-// Optimal returns the reliability-maximal mapping of c on the homogeneous
-// platform pl subject to the period and latency bounds (<= 0 for
-// unconstrained). It is a global optimum (see the package comment).
-func Optimal(c chain.Chain, pl platform.Platform, period, latency float64) (mapping.Mapping, mapping.Eval, error) {
-	return OptimalPar(context.Background(), c, pl, period, latency, 1)
-}
-
-// OptimalPar is Optimal with the partition enumeration sharded on up to
-// par.Degree(parallelism) goroutines. BestUnder keeps the first profile
+// OptimalPar returns the reliability-maximal mapping of c on the
+// homogeneous platform pl subject to the period and latency bounds
+// (<= 0 for unconstrained). It is a global optimum (see the package
+// comment). The partition enumeration is sharded on up to
+// par.Degree(parallelism) goroutines; BestUnder keeps the first profile
 // under strict improvement and the shard-ordered enumeration preserves
 // the sequential profile order, so the winning mapping is bit-identical
-// to Optimal's for every degree.
+// for every degree.
 func OptimalPar(ctx context.Context, c chain.Chain, pl platform.Platform, period, latency float64, parallelism int) (mapping.Mapping, mapping.Eval, error) {
 	ps, err := ProfilesPar(ctx, c, pl, parallelism)
 	if err != nil {

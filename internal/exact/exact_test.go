@@ -1,6 +1,7 @@
 package exact
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -61,7 +62,7 @@ func TestOptimalUnconstrainedMatchesAlgorithm1(t *testing.T) {
 		n := 1 + r.IntN(7)
 		c := chain.PaperRandom(r, n)
 		pl := platform.Homogeneous(1+r.IntN(7), 1, 1e-2, 1, 1e-3, 1+r.IntN(3))
-		_, evE, errE := Optimal(c, pl, 0, 0)
+		_, evE, errE := OptimalPar(context.Background(), c, pl, 0, 0, 1)
 		_, evD, errD := dp.OptimizeReliability(c, pl)
 		if (errE == nil) != (errD == nil) {
 			return false
@@ -83,8 +84,8 @@ func TestOptimalPeriodMatchesAlgorithm2(t *testing.T) {
 		c := chain.PaperRandom(r, n)
 		pl := platform.Homogeneous(1+r.IntN(7), 1, 1e-2, 1, 1e-3, 1+r.IntN(3))
 		period := r.Uniform(30, 400)
-		_, evE, errE := Optimal(c, pl, period, 0)
-		_, evD, errD := dp.OptimizeReliabilityPeriod(c, pl, period)
+		_, evE, errE := OptimalPar(context.Background(), c, pl, period, 0, 1)
+		_, evD, errD := dp.OptimizeReliabilityPeriodPar(context.Background(), c, pl, period, 1)
 		if (errE == nil) != (errD == nil) {
 			return false
 		}
@@ -102,7 +103,7 @@ func TestOptimalRespectsBothBounds(t *testing.T) {
 	r := rng.New(5)
 	c := chain.PaperRandom(r, 8)
 	pl := homPl(6)
-	m, ev, err := Optimal(c, pl, 150, 700)
+	m, ev, err := OptimalPar(context.Background(), c, pl, 150, 700, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestOptimalRespectsBothBounds(t *testing.T) {
 
 func TestOptimalInfeasible(t *testing.T) {
 	c := chain.Chain{{Work: 100, Out: 0}}
-	_, _, err := Optimal(c, homPl(3), 1, 0)
+	_, _, err := OptimalPar(context.Background(), c, homPl(3), 1, 0, 1)
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
@@ -128,12 +129,12 @@ func TestLatencyBoundForcesFewerIntervals(t *testing.T) {
 	pl := homPl(9)
 	// Unconstrained: the optimum splits (reliability prefers short
 	// intervals when comm reliability is cheap relative to compute).
-	mLoose, _, err := Optimal(c, pl, 0, 0)
+	mLoose, _, err := OptimalPar(context.Background(), c, pl, 0, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Tight latency: only the single interval fits (30 vs 30+40+...).
-	mTight, evTight, err := Optimal(c, pl, 0, 35)
+	mTight, evTight, err := OptimalPar(context.Background(), c, pl, 0, 35, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,20 +12,6 @@ import (
 	"relpipe/internal/platform"
 )
 
-// OptimalHet exhaustively solves the tri-criteria problem on arbitrary
-// (heterogeneous) platforms: it enumerates every partition and every
-// assignment of processors to intervals. The problem is NP-complete even
-// without bounds (Theorem 5), and this search is exponential in both n
-// and p — it exists as the ground-truth oracle for validating the §7
-// heuristics and the §6 hardness gadget on small instances, and is
-// guarded accordingly (n ≤ 12, p ≤ 8).
-//
-// Feasibility uses worst-case period and latency; bounds ≤ 0 are
-// unconstrained.
-func OptimalHet(c chain.Chain, pl platform.Platform, period, latency float64) (mapping.Mapping, mapping.Eval, error) {
-	return OptimalHetPar(context.Background(), c, pl, period, latency, 1)
-}
-
 // hetBest is one shard's incumbent of the heterogeneous search.
 type hetBest struct {
 	logRel float64
@@ -33,12 +19,23 @@ type hetBest struct {
 	ev     mapping.Eval
 }
 
-// OptimalHetPar is OptimalHet with the partition space sharded on up to
-// par.Degree(parallelism) goroutines. Each shard keeps the first
-// strictly-best mapping of its own contiguous partition range; merging
-// the shard incumbents in shard order under the same strict comparison
-// reproduces exactly the mapping the sequential scan keeps, so the
-// result is bit-identical for every degree.
+// OptimalHetPar exhaustively solves the tri-criteria problem on
+// arbitrary (heterogeneous) platforms: it enumerates every partition and
+// every assignment of processors to intervals. The problem is
+// NP-complete even without bounds (Theorem 5), and this search is
+// exponential in both n and p — it exists as the ground-truth oracle for
+// validating the §7 heuristics and the §6 hardness gadget on small
+// instances, and is guarded accordingly (n ≤ 12, p ≤ 8).
+//
+// Feasibility uses worst-case period and latency; bounds ≤ 0 are
+// unconstrained.
+//
+// The partition space is sharded on up to par.Degree(parallelism)
+// goroutines. Each shard keeps the first strictly-best mapping of its
+// own contiguous partition range; merging the shard incumbents in shard
+// order under the same strict comparison reproduces exactly the mapping
+// a sequential scan keeps, so the result is bit-identical for every
+// degree.
 func OptimalHetPar(ctx context.Context, c chain.Chain, pl platform.Platform, period, latency float64, parallelism int) (mapping.Mapping, mapping.Eval, error) {
 	if err := c.Validate(); err != nil {
 		return mapping.Mapping{}, mapping.Eval{}, err
@@ -49,7 +46,7 @@ func OptimalHetPar(ctx context.Context, c chain.Chain, pl platform.Platform, per
 	n := len(c)
 	p := pl.P()
 	if n > 12 || p > 8 {
-		return mapping.Mapping{}, mapping.Eval{}, errors.New("exact: OptimalHet limited to n ≤ 12 tasks and p ≤ 8 processors; use the heuristics")
+		return mapping.Mapping{}, mapping.Eval{}, errors.New("exact: OptimalHetPar limited to n ≤ 12 tasks and p ≤ 8 processors; use the heuristics")
 	}
 	bests, err := par.MapShards(ctx, parallelism, interval.Count(n),
 		func(ctx context.Context, s par.Shard) (hetBest, error) {

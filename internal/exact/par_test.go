@@ -62,7 +62,7 @@ func TestOptimalParMatchesSequential(t *testing.T) {
 	for seed := uint64(11); seed <= 14; seed++ {
 		c := chain.PaperRandom(rng.New(seed), 10)
 		pl := platform.PaperHomogeneous(7)
-		wantM, wantEv, wantErr := Optimal(c, pl, 250, 900)
+		wantM, wantEv, wantErr := OptimalPar(context.Background(), c, pl, 250, 900, 1)
 		for _, p := range degrees {
 			gotM, gotEv, gotErr := OptimalPar(context.Background(), c, pl, 250, 900, p)
 			if (gotErr == nil) != (wantErr == nil) {
@@ -84,7 +84,7 @@ func TestOptimalHetParMatchesSequential(t *testing.T) {
 		r := rng.New(seed)
 		c := chain.PaperRandom(r, 6)
 		pl := platform.RandomHeterogeneous(r, 5, 1, 10, 1e-3, 1e-1, 1, 1e-3, 3)
-		wantM, wantEv, wantErr := OptimalHet(c, pl, 0, 0)
+		wantM, wantEv, wantErr := OptimalHetPar(context.Background(), c, pl, 0, 0, 1)
 		for _, p := range degrees {
 			gotM, gotEv, gotErr := OptimalHetPar(context.Background(), c, pl, 0, 0, p)
 			if (gotErr == nil) != (wantErr == nil) {

@@ -1,6 +1,7 @@
 package frontier
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -92,7 +93,7 @@ func TestFrontierAnswersMatchExact(t *testing.T) {
 					best = p.LogRel
 				}
 			}
-			_, ev, errE := exact.Optimal(c, pl, P, L)
+			_, ev, errE := exact.OptimalPar(context.Background(), c, pl, P, L, 1)
 			if errE != nil {
 				if !math.IsInf(best, -1) {
 					return false

@@ -1,6 +1,7 @@
 package heur
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -76,7 +77,7 @@ func TestHeuristicsNeverBeatExactOnHomogeneous(t *testing.T) {
 		c := chain.PaperRandom(r, n)
 		pl := homPl(2 + r.IntN(7))
 		opts := Options{Period: r.Uniform(30, 400), Latency: r.Uniform(100, 1200)}
-		_, evOpt, errOpt := exact.Optimal(c, pl, opts.Period, opts.Latency)
+		_, evOpt, errOpt := exact.OptimalPar(context.Background(), c, pl, opts.Period, opts.Latency, 1)
 		for _, fn := range []func(chain.Chain, platform.Platform, Options) (Result, bool, error){HeurP, HeurL} {
 			res, ok, err := fn(c, pl, opts)
 			if err != nil {

@@ -1,6 +1,7 @@
 package ilp
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -65,14 +66,14 @@ func TestILPMatchesExact(t *testing.T) {
 		}
 		model, err := BuildPaper(c, pl, period, latency)
 		if errors.Is(err, ErrInfeasible) {
-			_, _, errE := exact.Optimal(c, pl, period, latency)
+			_, _, errE := exact.OptimalPar(context.Background(), c, pl, period, latency, 1)
 			return errE != nil
 		}
 		if err != nil {
 			return false
 		}
 		mi, evI, errI := model.Solve(Options{})
-		_, evE, errE := exact.Optimal(c, pl, period, latency)
+		_, evE, errE := exact.OptimalPar(context.Background(), c, pl, period, latency, 1)
 		if (errI == nil) != (errE == nil) {
 			return false
 		}
@@ -113,7 +114,7 @@ func TestILPPaperScaleInstance(t *testing.T) {
 	if err := m.Validate(c, pl); err != nil {
 		t.Fatal(err)
 	}
-	_, evE, err := exact.Optimal(c, pl, 150, 700)
+	_, evE, err := exact.OptimalPar(context.Background(), c, pl, 150, 700, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestILPUsesPaperRates(t *testing.T) {
 	if err := m.Validate(c, pl); err != nil {
 		t.Fatal(err)
 	}
-	_, evE, err := exact.Optimal(c, pl, 200, 600)
+	_, evE, err := exact.OptimalPar(context.Background(), c, pl, 200, 600, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package multichain
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -24,7 +25,7 @@ func TestMapSingleAppMatchesExact(t *testing.T) {
 		pl := homPl(2 + r.IntN(6))
 		app := App{Chain: c, Period: r.Uniform(50, 400), Latency: r.Uniform(100, 1200)}
 		res, errM := Map([]App{app}, pl)
-		_, evE, errE := exact.Optimal(c, pl, app.Period, app.Latency)
+		_, evE, errE := exact.OptimalPar(context.Background(), c, pl, app.Period, app.Latency, 1)
 		if (errM == nil) != (errE == nil) {
 			return false
 		}
@@ -55,8 +56,8 @@ func TestMapTwoAppsMatchesBruteForceSplit(t *testing.T) {
 		for k1 := 1; k1 < p; k1++ {
 			pl1 := homPl(k1)
 			pl2 := homPl(p - k1)
-			_, ev1, err1 := exact.Optimal(c1, pl1, a1.Period, a1.Latency)
-			_, ev2, err2 := exact.Optimal(c2, pl2, a2.Period, a2.Latency)
+			_, ev1, err1 := exact.OptimalPar(context.Background(), c1, pl1, a1.Period, a1.Latency, 1)
+			_, ev2, err2 := exact.OptimalPar(context.Background(), c2, pl2, a2.Period, a2.Latency, 1)
 			if err1 != nil || err2 != nil {
 				continue
 			}

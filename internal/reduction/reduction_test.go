@@ -1,6 +1,7 @@
 package reduction
 
 import (
+	"context"
 	"testing"
 
 	"relpipe/internal/exact"
@@ -96,7 +97,7 @@ func TestTheorem3GadgetForward(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, ev, err := exact.Optimal(g.Chain, g.Platform, 0, g.Latency)
+		_, ev, err := exact.OptimalPar(context.Background(), g.Chain, g.Platform, 0, g.Latency, 1)
 		if err != nil {
 			t.Fatalf("%v: exact solver failed: %v", as, err)
 		}
@@ -152,7 +153,7 @@ func TestTheorem5GadgetForward(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, ev, err := exact.OptimalHet(g.Chain, g.Platform, 0, 0)
+		_, ev, err := exact.OptimalHetPar(context.Background(), g.Chain, g.Platform, 0, 0, 1)
 		if err != nil {
 			t.Fatalf("%v: OptimalHet failed: %v", as, err)
 		}

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -48,11 +49,11 @@ func testQualityExhaustiveGap(t *testing.T) {
 		var errE error
 		if tc.het {
 			pl = platform.PaperHeterogeneous(r, tc.p)
-			_, ev, err := exact.OptimalHet(c, pl, tc.per, tc.lat)
+			_, ev, err := exact.OptimalHetPar(context.Background(), c, pl, tc.per, tc.lat, 1)
 			evE.LogRel, errE = ev.LogRel, err
 		} else {
 			pl = platform.PaperHomogeneous(tc.p)
-			_, ev, err := exact.Optimal(c, pl, tc.per, tc.lat)
+			_, ev, err := exact.OptimalPar(context.Background(), c, pl, tc.per, tc.lat, 1)
 			evE.LogRel, errE = ev.LogRel, err
 		}
 		res, ok, err := Optimize(c, pl, Options{Period: tc.per, Latency: tc.lat, Seed: 1})

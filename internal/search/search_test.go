@@ -43,7 +43,7 @@ func TestOptimizeWithinGapOfExactHomogeneous(t *testing.T) {
 		c := chain.PaperRandom(r, n)
 		pl := platform.PaperHomogeneous(8)
 		per, lat := r.Uniform(40, 200), r.Uniform(150, 800)
-		_, evE, errE := exact.Optimal(c, pl, per, lat)
+		_, evE, errE := exact.OptimalPar(context.Background(), c, pl, per, lat, 1)
 		res, ok, err := Optimize(c, pl, Options{Period: per, Latency: lat, Seed: 1})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -71,7 +71,7 @@ func TestOptimizeWithinGapOfExactHeterogeneous(t *testing.T) {
 		c := chain.PaperRandom(r, n)
 		pl := platform.PaperHeterogeneous(r, 6)
 		per, lat := r.Uniform(5, 60), r.Uniform(30, 300)
-		_, evE, errE := exact.OptimalHet(c, pl, per, lat)
+		_, evE, errE := exact.OptimalHetPar(context.Background(), c, pl, per, lat, 1)
 		res, ok, err := Optimize(c, pl, Options{Period: per, Latency: lat, Seed: 1})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -129,7 +129,7 @@ func TestMinimizePeriodWithinGapOfDP(t *testing.T) {
 		c := chain.PaperRandom(r, n)
 		pl := platform.PaperHomogeneous(8)
 		floor := math.Log(0.999999)
-		_, evD, errD := dp.MinPeriodForReliability(c, pl, floor)
+		_, evD, errD := dp.MinPeriodForReliabilityPar(context.Background(), c, pl, floor, 1)
 		res, ok, err := MinimizePeriod(c, pl, Options{MinLogRel: floor, Seed: 1})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

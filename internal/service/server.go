@@ -602,7 +602,7 @@ func (s *Server) solveToBytes(key string, solve solveFunc, sc solveCtx) ([]byte,
 	b, err := json.Marshal(v)
 	obs.RecordSpan(sc.ctx, "marshal", t0, time.Now(), nil)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", errEncodeResponse, err)
+		return nil, fmt.Errorf("%w: %w", errEncodeResponse, err)
 	}
 	s.cache.Put(key, b)
 	return b, nil
@@ -1009,6 +1009,11 @@ func statusFor(err error) int {
 		return http.StatusTooManyRequests
 	case errors.Is(err, ErrPoolClosed):
 		return http.StatusServiceUnavailable
+	case errors.As(err, new(*json.UnsupportedValueError)):
+		// A finite request whose answer overflows to ±Inf or NaN,
+		// which JSON cannot carry: the request is at fault, not the
+		// server.
+		return http.StatusUnprocessableEntity
 	case errors.Is(err, ErrSolvePanic), errors.Is(err, errEncodeResponse):
 		return http.StatusInternalServerError
 	case errors.Is(err, context.DeadlineExceeded):

@@ -85,19 +85,30 @@ func TestOptimizeInfeasibleIs422(t *testing.T) {
 
 func TestMalformedRequestsAre400(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	for name, body := range map[string]string{
-		"syntax":        `{"instance":`,
-		"unknown-field": `{"instance":{"chain":[{"work":1,"out":0}],"platform":{"procs":[{"speed":1,"failRate":0}],"bandwidth":1,"linkFailRate":0,"maxReplicas":1}},"typo":1}`,
-		"bad-method":    `{"instance":{"chain":[{"work":1,"out":0}],"platform":{"procs":[{"speed":1,"failRate":0}],"bandwidth":1,"linkFailRate":0,"maxReplicas":1}},"method":"nope"}`,
-		"invalid-chain": `{"instance":{"chain":[{"work":-1,"out":0}],"platform":{"procs":[{"speed":1,"failRate":0}],"bandwidth":1,"linkFailRate":0,"maxReplicas":1}}}`,
+	const plat = `"platform":{"procs":[{"speed":1,"failRate":0}],"bandwidth":1,"linkFailRate":0,"maxReplicas":1}`
+	// 61 tasks: beyond the exact frontier's enumeration ceiling.
+	longChain := `{"instance":{"chain":[` + strings.Repeat(`{"work":1,"out":1},`, 60) + `{"work":1,"out":0}],` + plat + `}}`
+	for _, tc := range []struct {
+		name, path, body string
+		status           int
+	}{
+		{"syntax", "/v1/optimize", `{"instance":`, http.StatusBadRequest},
+		{"unknown-field", "/v1/optimize", `{"instance":{"chain":[{"work":1,"out":0}],` + plat + `},"typo":1}`, http.StatusBadRequest},
+		{"bad-method", "/v1/optimize", `{"instance":{"chain":[{"work":1,"out":0}],` + plat + `},"method":"nope"}`, http.StatusBadRequest},
+		{"invalid-chain", "/v1/optimize", `{"instance":{"chain":[{"work":-1,"out":0}],` + plat + `}}`, http.StatusBadRequest},
+		{"frontier-beyond-exact", "/v1/frontier", longChain, http.StatusBadRequest},
+		{"evaluate-overflows-json", "/v1/evaluate",
+			`{"instance":{"chain":[{"work":1e308,"out":0}],"platform":{"procs":[{"speed":1e-308,"failRate":0}],"bandwidth":1,"linkFailRate":0,"maxReplicas":1}},` +
+				`"mapping":{"parts":[{"first":0,"last":0}],"procs":[[0]]}}`, http.StatusUnprocessableEntity},
 	} {
-		resp, err := http.Post(ts.URL+"/v1/optimize", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		b, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status = %d, want 400", name, resp.StatusCode)
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s: status = %d, want %d (%s)", tc.name, resp.StatusCode, tc.status, b)
 		}
 	}
 }

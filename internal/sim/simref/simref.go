@@ -1,5 +1,5 @@
 // Package simref is the reference oracle of internal/sim: the original
-// closure-based des.Engine event loop, kept verbatim so tests can pin
+// closure-per-event loop (engine.go), kept verbatim so tests can pin
 // the flat-array engine of sim.Run and sim.RunBatch to it bit for bit
 // (Results and traced Ops). Only tests and cmd/bench import it; CI
 // checks that the library and the shipped binaries never link it.
@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 
-	"relpipe/internal/des"
 	"relpipe/internal/failure"
 	"relpipe/internal/rng"
 	"relpipe/internal/sim"
@@ -25,7 +24,7 @@ type linkKey struct {
 
 type runner struct {
 	cfg      sim.Config
-	eng      *des.Engine
+	eng      *engine
 	rnd      *rng.Rand
 	procFree map[int]float64
 	linkFree map[linkKey]float64
@@ -97,7 +96,7 @@ func run(cfg sim.Config) (sim.Result, error) {
 
 	r := &runner{
 		cfg:      cfg,
-		eng:      des.New(),
+		eng:      newEngine(),
 		rnd:      rng.New(cfg.Seed),
 		procFree: make(map[int]float64),
 		linkFree: make(map[linkKey]float64),

@@ -1,8 +1,8 @@
 package sim
 
 // This file is the flat-array (struct-of-arrays) Monte-Carlo core, the
-// one engine behind Run and RunBatch. It replaces the closure-based
-// des.Engine loop, which survives verbatim only as the test oracle
+// one engine behind Run and RunBatch. It replaces the closure-per-event
+// loop, which survives verbatim only as the test oracle
 // internal/sim/simref: instead of one closure and one interface boxing
 // per event and two map lookups per scheduling decision, events are
 // fixed-size records in a hand-rolled binary heap, resource release
@@ -11,7 +11,7 @@ package sim
 // batch, so a worker advances its shard through one warm state block.
 //
 // Determinism contract: events are ordered by (time, scheduling
-// sequence), des.Engine's strict total order, and every RNG draw
+// sequence), the oracle's strict total order, and every RNG draw
 // happens inside an event handler, so equal seeds give the oracle's
 // Results and, when traced, its Op sequence bit for bit (the
 // differential suite and FuzzSimSoA enforce this). A traced run keeps
@@ -48,7 +48,7 @@ var soaOpKind = [...]OpKind{soaCompute: OpCompute, soaSend: OpSend, soaFwd: OpFo
 
 // soaEvent is one pending event: fixed-size, no closures, no interface
 // boxing. seq is the per-replication scheduling sequence — the same
-// stable tie-break des.Engine applies — reset to 0 for every
+// stable tie-break the oracle's engine applies — reset to 0 for every
 // replication.
 type soaEvent struct {
 	t    float64
@@ -172,7 +172,7 @@ func newSoaEngine(t *soaTables, ctx context.Context, trace *Trace) *soaEngine {
 
 // push schedules an event ending at t for an operation that started at
 // start, assigning the next sequence number — the insertion-order
-// tie-break that reproduces des.Engine's stable event order.
+// tie-break that reproduces the oracle's stable event order.
 func (e *soaEngine) push(start, t float64, kind uint8, j, i, d int) {
 	if e.trace != nil {
 		e.starts = append(e.starts, start)

@@ -22,6 +22,7 @@ package relpipe
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"time"
 
@@ -292,10 +293,15 @@ func Frontier(in Instance) ([]FrontierPoint, error) {
 
 // FrontierWith is Frontier with execution options: the enumeration,
 // dominance filter and point evaluation shard across o.Parallelism
-// workers, returning a bit-identical frontier for every degree.
+// workers, returning a bit-identical frontier for every degree. Like
+// the Exact method of Optimize it enumerates 2^{n-1} partitions, so it
+// stops at core.MaxExactTasks tasks.
 func FrontierWith(in Instance, o Options) ([]FrontierPoint, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
+	}
+	if len(in.Chain) > core.MaxExactTasks {
+		return nil, fmt.Errorf("relpipe: exact frontier limited to %d tasks (2^{n-1} partitions); use FrontierHeuristic", core.MaxExactTasks)
 	}
 	return frontier.ComputeParProgress(o.Context, in.Chain, in.Platform, o.Parallelism, progress.Func(o.Progress))
 }

@@ -12,19 +12,18 @@ import (
 	"relpipe/internal/progress"
 )
 
-// This file is the dispatch seam of the service: every request kind —
-// synchronous solves, batch items, async jobs — executes through one
-// Backend, so "where does this solve run" is decided in exactly one
-// place. localBackend is the single-node path (result cache → flight
-// group → worker pool) the service has always had; clusterBackend
-// layers consistent-hash routing on top, forwarding each request to the
-// node that owns its instance and falling back to a local solve when
-// that owner is unreachable. Both paths marshal through the same
-// solveToBytes, which is what keeps cluster responses byte-identical to
-// single-node ones.
+// This file is the dispatch path of the service: every request kind —
+// synchronous solves, batch items, async jobs, forwarded hops — is
+// built by newRequest and executes through execute (the synchronous
+// contract) or executeWait (the async-job contract), so "where does
+// this solve run" is decided in exactly one place, remoteOwner. Both
+// contracts read the result cache once (lookup); a request another
+// node owns is then forwarded to that owner, with a local solve as the
+// fallback when the owner is unreachable, and anything else is solved
+// here. Every solve marshals through the same solveToBytes, which is
+// what keeps cluster responses byte-identical to single-node ones.
 
-// Request is one parsed unit of solver work flowing through the
-// Backend seam.
+// Request is one parsed unit of solver work.
 type Request struct {
 	// Kind is the endpoint name ("optimize", "simulate", ...) — also the
 	// /v1 path segment a forwarded request replays against.
@@ -41,18 +40,26 @@ type Request struct {
 	Body []byte
 
 	solve solveFunc
+	// forwarded marks a hop another cluster node routed here: it always
+	// executes on this node, so a request is forwarded at most once.
+	forwarded bool
 }
 
-// Backend executes parsed requests. Execute is the synchronous
-// contract: fail-fast 429 when the queue is full, the service request
-// timeout bounds the wait, the solve itself is detached from the
-// caller. ExecuteWait is the async-job contract: block for a worker
-// slot, no request timeout, ctx (the job's context) cancels the solve,
-// and the hooks — both optional — observe the queued→running transition
-// and solver progress.
-type Backend interface {
-	Execute(ctx context.Context, req Request) outcome
-	ExecuteWait(ctx context.Context, req Request, running func(), report progress.Func) outcome
+// newRequest counts one logical request of kind, parses body and keys
+// the result: the one place a Request is built.
+func (s *Server) newRequest(kind string, parse parser, body []byte) (Request, error) {
+	s.metrics.Request(kind)
+	key, solve, err := parse(body, s.exec)
+	if err != nil {
+		return Request{}, err
+	}
+	return Request{
+		Kind:  kind,
+		Key:   kind + "|" + key,
+		Route: routeKey(key),
+		Body:  body,
+		solve: solve,
+	}, nil
 }
 
 // routeKey extracts the routing key from a cache key: the leading
@@ -65,27 +72,80 @@ func routeKey(key string) string {
 	return key
 }
 
-// localBackend runs requests on this node: result cache → flight group
-// (in-flight dedup) → bounded worker pool.
-type localBackend struct {
-	s *Server
+// lookup is the per-request result-cache read, recorded as the
+// request's cache span and counted as a hit or a miss.
+func (s *Server) lookup(ctx context.Context, key string) (outcome, bool) {
+	t0 := time.Now()
+	b, ok := s.cache.Get(key)
+	obs.RecordSpan(ctx, "cache", t0, time.Now(), map[string]string{"hit": strconv.FormatBool(ok)})
+	if !ok {
+		s.metrics.CacheMiss()
+		return outcome{}, false
+	}
+	s.metrics.CacheHit()
+	return outcome{status: http.StatusOK, body: b}, true
 }
 
-// Execute is the synchronous path (previously inlined in
-// Server.process). ctx is the request context, used only for
-// observability; cancellation deliberately does not flow into the solve
-// — see the detachment comment below.
-func (b localBackend) Execute(ctx context.Context, req Request) outcome {
-	s := b.s
-	t0 := time.Now()
-	cached, ok := s.cache.Get(req.Key)
-	obs.RecordSpan(ctx, "cache", t0, time.Now(), map[string]string{"hit": strconv.FormatBool(ok)})
-	if ok {
-		s.metrics.CacheHit()
-		return outcome{status: http.StatusOK, body: cached}
+// remoteOwner names the cluster node that should execute req, or ""
+// when this node executes it: a single-node server, a route this node
+// owns, or a forwarded hop.
+func (s *Server) remoteOwner(req Request) string {
+	cl := s.Cluster()
+	if cl == nil || req.forwarded {
+		return ""
 	}
-	s.metrics.CacheMiss()
+	if owner := cl.Owner(req.Route); owner != cl.Self() {
+		return owner
+	}
+	return ""
+}
 
+// execute is the synchronous contract: fail-fast 429 when the queue is
+// full, the service request timeout bounds the wait, and the solve
+// itself is detached from the caller. ctx is the request context, used
+// only for observability and the forward hop. A remote-owned request
+// forwards to its owner — after the local cache read, so the path is
+// local LRU → owner node → solve — and falls back to a local solve when
+// that owner is unreachable.
+func (s *Server) execute(ctx context.Context, req Request) outcome {
+	if out, ok := s.lookup(ctx, req.Key); ok {
+		return out
+	}
+	owner := s.remoteOwner(req)
+	if owner == "" {
+		return s.solve(ctx, req)
+	}
+	cl := s.Cluster()
+	// Collapse concurrent identical forwards into one hop — the
+	// entry-node half of the cluster-wide singleflight (the owner's own
+	// flight group is the other half). A separate group from s.flights:
+	// the local-solve fallback below runs inside this flight and enters
+	// s.flights itself, which must not be a self-join.
+	flightStart := time.Now()
+	v, _, shared := s.forwards.Do(req.Key, func() (any, error) {
+		hctx, cancel := context.WithTimeout(ctx, cl.HopTimeout())
+		defer cancel()
+		if out, answered := s.forward(hctx, cl, owner, req, false); answered {
+			return out, nil
+		}
+		if ctx.Err() != nil {
+			// The client itself is gone (not the hop bound): nothing
+			// to fall back for.
+			return errorOutcome(statusForJob(ctx.Err()), ctx.Err()), nil
+		}
+		s.metrics.ClusterFallback(owner)
+		return s.solve(ctx, req), nil
+	})
+	if shared {
+		s.metrics.DedupJoin()
+		obs.RecordSpan(ctx, "dedup.wait", flightStart, time.Now(), nil)
+	}
+	return v.(outcome)
+}
+
+// solve runs req on this node under the synchronous contract: solve
+// batch → flight group (in-flight dedup) → bounded worker pool.
+func (s *Server) solve(ctx context.Context, req Request) outcome {
 	// Join the instance's solve batch for the whole flight — queue wait
 	// included, so concurrent same-instance requests coalesce even when
 	// one worker serializes their solves (see batcher.go). A nil entry
@@ -135,24 +195,34 @@ func (b localBackend) Execute(ctx context.Context, req Request) outcome {
 	return out
 }
 
-// ExecuteWait is the async path (previously runAsyncSolve): re-check
-// the cache (the flight for this key may have landed while the job
-// queued), block for a pool slot under the job's context — no request
-// timeout and no 429 shedding, that is the async contract — and run
-// through the shared solveToBytes (marshal + cache). running, when
-// non-nil, marks the queued→running transition once a worker picks the
-// solve up.
-func (b localBackend) ExecuteWait(ctx context.Context, req Request, running func(), report progress.Func) outcome {
-	s := b.s
+// executeWait is the async-job contract: block for a worker slot
+// instead of shedding 429, no request timeout, and ctx (the job's
+// context) cancels the solve. running and report — both optional —
+// observe the queued→running transition and solver progress. A
+// remote-owned request forwards to its owner with the forward hop as
+// the running phase, and falls back to a local solve when that owner is
+// unreachable.
+func (s *Server) executeWait(ctx context.Context, req Request, running func(), report progress.Func) outcome {
 	ctx = obs.WithStageObserver(ctx, s.metrics.StageObserver())
-	t0 := time.Now()
-	cached, hit := s.cache.Get(req.Key)
-	obs.RecordSpan(ctx, "cache", t0, time.Now(), map[string]string{"hit": strconv.FormatBool(hit)})
-	if hit {
-		s.metrics.CacheHit()
-		return outcome{status: http.StatusOK, body: cached}
+	if out, ok := s.lookup(ctx, req.Key); ok {
+		return out
 	}
-	s.metrics.CacheMiss()
+	if owner := s.remoteOwner(req); owner != "" {
+		if running != nil {
+			running()
+			running = nil
+		}
+		// No hop timeout on async forwards: the job's own context is the
+		// cancellation bound (cancelling the job severs the hop, and the
+		// owner's solve observes the disconnect).
+		if out, answered := s.forward(ctx, s.Cluster(), owner, req, true); answered {
+			return out
+		}
+		if ctx.Err() != nil {
+			return errorOutcome(statusForJob(ctx.Err()), ctx.Err())
+		}
+		s.metrics.ClusterFallback(owner)
+	}
 	entry := s.batcher.join(req.Route)
 	defer entry.leave()
 	enqueued := time.Now()
@@ -169,95 +239,6 @@ func (b localBackend) ExecuteWait(ctx context.Context, req Request, running func
 	return outcome{status: http.StatusOK, body: val.([]byte)}
 }
 
-// clusterBackend routes requests across the cluster: the consistent-
-// hash owner of the instance executes, everyone else forwards to it —
-// after checking the local cache (peer-aware read-through: local LRU →
-// owner node → solve) — and falls back to a local solve when the owner
-// is unreachable. Forwarded executions happen on the owner's
-// localBackend inside its own flight group, so concurrent identical
-// requests from every node collapse onto one solve cluster-wide.
-type clusterBackend struct {
-	s     *Server
-	local localBackend
-	cl    *cluster.Cluster
-}
-
-func (b *clusterBackend) Execute(ctx context.Context, req Request) outcome {
-	owner := b.cl.Owner(req.Route)
-	if owner == "" || owner == b.cl.Self() {
-		return b.local.Execute(ctx, req)
-	}
-	s := b.s
-	t0 := time.Now()
-	cached, ok := s.cache.Get(req.Key)
-	obs.RecordSpan(ctx, "cache", t0, time.Now(), map[string]string{"hit": strconv.FormatBool(ok)})
-	if ok {
-		s.metrics.CacheHit()
-		return outcome{status: http.StatusOK, body: cached}
-	}
-	s.metrics.CacheMiss()
-
-	// Collapse concurrent identical forwards into one hop — the
-	// entry-node half of the cluster-wide singleflight (the owner's own
-	// flight group is the other half). A separate group from s.flights:
-	// the local-solve fallback below runs inside this flight and enters
-	// s.flights itself, which must not be a self-join.
-	flightStart := time.Now()
-	v, _, shared := s.forwards.Do(req.Key, func() (any, error) {
-		hctx, cancel := context.WithTimeout(ctx, b.cl.HopTimeout())
-		defer cancel()
-		out, answered := b.forward(hctx, owner, req, false)
-		if !answered {
-			if ctx.Err() != nil {
-				// The client itself is gone (not the hop bound): nothing
-				// to fall back for.
-				return errorOutcome(statusForJob(ctx.Err()), ctx.Err()), nil
-			}
-			s.metrics.ClusterFallback(owner)
-			return b.local.Execute(ctx, req), nil
-		}
-		return out, nil
-	})
-	if shared {
-		s.metrics.DedupJoin()
-		obs.RecordSpan(ctx, "dedup.wait", flightStart, time.Now(), nil)
-	}
-	return v.(outcome)
-}
-
-func (b *clusterBackend) ExecuteWait(ctx context.Context, req Request, running func(), report progress.Func) outcome {
-	owner := b.cl.Owner(req.Route)
-	if owner == "" || owner == b.cl.Self() {
-		return b.local.ExecuteWait(ctx, req, running, report)
-	}
-	s := b.s
-	t0 := time.Now()
-	cached, ok := s.cache.Get(req.Key)
-	obs.RecordSpan(ctx, "cache", t0, time.Now(), map[string]string{"hit": strconv.FormatBool(ok)})
-	if ok {
-		s.metrics.CacheHit()
-		return outcome{status: http.StatusOK, body: cached}
-	}
-	s.metrics.CacheMiss()
-	if running != nil {
-		// The owner is doing the work; from this job's perspective the
-		// forward hop is the running phase.
-		running()
-	}
-	// No hop timeout on async forwards: the job's own context is the
-	// cancellation bound (cancelling the job severs the hop, and the
-	// owner's solve observes the disconnect).
-	out, answered := b.forward(ctx, owner, req, true)
-	if !answered {
-		if ctx.Err() != nil {
-			return errorOutcome(statusForJob(ctx.Err()), ctx.Err())
-		}
-		s.metrics.ClusterFallback(owner)
-		return b.local.ExecuteWait(ctx, req, nil, report)
-	}
-	return out
-}
-
 // forward replays the request against the owner's own endpoint and
 // classifies the result: answered=false means the owner is unreachable
 // (transport error or 502/503) and the caller should fall back to a
@@ -265,9 +246,9 @@ func (b *clusterBackend) ExecuteWait(ctx context.Context, req Request, running f
 // the request's own 4xx — is relayed verbatim. Successful bodies are
 // cached locally so the next identical request on this node skips the
 // hop entirely.
-func (b *clusterBackend) forward(ctx context.Context, owner string, req Request, async bool) (outcome, bool) {
+func (s *Server) forward(ctx context.Context, cl *cluster.Cluster, owner string, req Request, async bool) (outcome, bool) {
 	t0 := time.Now()
-	status, body, err := b.cl.Forward(ctx, owner, http.MethodPost, "/v1/"+req.Kind, req.Body, async)
+	status, body, err := cl.Forward(ctx, owner, http.MethodPost, "/v1/"+req.Kind, req.Body, async)
 	attrs := map[string]string{"peer": owner}
 	if err != nil {
 		attrs["error"] = err.Error()
@@ -275,13 +256,13 @@ func (b *clusterBackend) forward(ctx context.Context, owner string, req Request,
 		attrs["status"] = strconv.Itoa(status)
 	}
 	obs.RecordSpan(ctx, "cluster.forward", t0, time.Now(), attrs)
-	b.s.metrics.ClusterForward(owner, time.Since(t0).Seconds())
+	s.metrics.ClusterForward(owner, time.Since(t0).Seconds())
 	if cluster.Unavailable(status, err) {
-		b.s.metrics.ClusterForwardError(owner)
+		s.metrics.ClusterForwardError(owner)
 		return outcome{}, false
 	}
 	if status == http.StatusOK {
-		b.s.cache.Put(req.Key, body)
+		s.cache.Put(req.Key, body)
 	}
 	return outcome{status: status, body: body, node: owner}, true
 }

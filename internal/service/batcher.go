@@ -8,7 +8,7 @@ package service
 // segment of their keys (Request.Route), and every heuristic search
 // over one instance starts by building the same §7 partition tables.
 // The tableBatcher coalesces those builds: members join their route's
-// refcounted entry for the duration of their Execute/ExecuteWait (queue
+// refcounted entry for the duration of their solve or executeWait (queue
 // wait included, so riders coalesce even on a one-worker pool), and the
 // first member whose solve actually needs the tables builds them once
 // for everyone. Tables never depend on bounds or knobs and are
@@ -93,7 +93,7 @@ func (e *batchEntry) leave() {
 //
 // provider stays valid after leave: the synchronous path detaches
 // solves from their request, so a solve can outlive its member's
-// Execute (the waiter got 504, the solve still lands in the cache). The
+// wait (the waiter got 504, the solve still lands in the cache). The
 // entry it captured is immutable apart from the once-built tables.
 func (e *batchEntry) provider(in relpipe.Instance) *relpipe.HeuristicTables {
 	if e == nil || in.Canonical() != e.route {

@@ -156,7 +156,7 @@ func TestBatcherRiderLeavingKeepsBatchAlive(t *testing.T) {
 
 // TestBatcherDisabledIsInert: a request without a route takes no part
 // in batching — its nil entry is a no-op on every code path the
-// backends touch.
+// dispatch path touches.
 func TestBatcherDisabledIsInert(t *testing.T) {
 	b := newTableBatcher(NewMetrics())
 	e := b.join("")
@@ -209,7 +209,7 @@ func TestSolveBatchEndToEnd(t *testing.T) {
 	started := make(chan struct{})
 	plugDone := make(chan outcome, 1)
 	go func() {
-		plugDone <- localBackend{s}.Execute(context.Background(), Request{
+		plugDone <- s.execute(context.Background(), Request{
 			Kind: "optimize", Key: "plug", Route: "plug-route",
 			solve: func(solveCtx) (any, error) {
 				close(started)
@@ -287,7 +287,7 @@ func TestSolveBatchRiderCancellationEndToEnd(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{})
 	go func() {
-		localBackend{s}.Execute(context.Background(), Request{
+		s.execute(context.Background(), Request{
 			Kind: "optimize", Key: "plug", Route: "plug-route",
 			solve: func(solveCtx) (any, error) {
 				close(started)
@@ -305,11 +305,11 @@ func TestSolveBatchRiderCancellationEndToEnd(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		req, err := s.parseRequest("optimize", parseOptimize, optimizeBody(t, in, 7))
+		req, err := s.newRequest("optimize", parseOptimize, optimizeBody(t, in, 7))
 		if err != nil {
 			panic(err)
 		}
-		riderOut = localBackend{s}.ExecuteWait(riderCtx, req, nil, nil)
+		riderOut = s.executeWait(riderCtx, req, nil, nil)
 	}()
 	wg.Add(1)
 	go func() {

@@ -16,6 +16,7 @@ import (
 
 	"relpipe"
 	"relpipe/internal/cluster"
+	"relpipe/internal/obs"
 )
 
 // startCluster builds an n-node in-process cluster: n Servers, each
@@ -311,32 +312,41 @@ func instanceOwnedBy(t *testing.T, cl *cluster.Cluster, want string) relpipe.Ins
 	return relpipe.Instance{}
 }
 
+// startClusterWithDeadMember builds two live nodes whose shared
+// membership list also names a dead member (a closed port), and returns
+// the live servers, their URLs and the dead member's URL.
+func startClusterWithDeadMember(t *testing.T, opts Options) ([]*Server, []string, string) {
+	t.Helper()
+	dead := deadNodeURL(t)
+	servers := make([]*Server, 2)
+	urls := make([]string, 2)
+	for i := range servers {
+		s := NewServer(opts)
+		ts := httptest.NewServer(s)
+		t.Cleanup(func() { ts.Close(); s.Close() })
+		servers[i] = s
+		urls[i] = ts.URL
+	}
+	members := append([]string{dead}, urls...)
+	for i, s := range servers {
+		if err := s.JoinCluster(cluster.Config{Self: urls[i], Peers: members}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return servers, urls, dead
+}
+
 // TestClusterOwnerUnreachableFallsBack: a request owned by a dead node
 // must degrade to a local solve on the entry node — same bytes as a
 // single-node server, never an error — and count a routing fallback.
-// Run at solver parallelism 1 and 8 like the differential test.
+// The fallback solves without a second cache read: the entry node
+// records one miss and one cache span for the request. Run at solver
+// parallelism 1 and 8 like the differential test.
 func TestClusterOwnerUnreachableFallsBack(t *testing.T) {
 	for _, par := range []int{1, 8} {
 		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
 			opts := Options{Workers: 2, SolverParallelism: par}
-			dead := deadNodeURL(t)
-
-			// Two live nodes plus one dead member in the shared list.
-			liveServers := make([]*Server, 2)
-			liveURLs := make([]string, 2)
-			for i := range liveServers {
-				s := NewServer(opts)
-				ts := httptest.NewServer(s)
-				t.Cleanup(func() { ts.Close(); s.Close() })
-				liveServers[i] = s
-				liveURLs[i] = ts.URL
-			}
-			members := append([]string{dead}, liveURLs...)
-			for i, s := range liveServers {
-				if err := s.JoinCluster(cluster.Config{Self: liveURLs[i], Peers: members}); err != nil {
-					t.Fatal(err)
-				}
-			}
+			liveServers, liveURLs, dead := startClusterWithDeadMember(t, opts)
 
 			in := instanceOwnedBy(t, liveServers[0].Cluster(), dead)
 			body := mustMarshal(t, relpipe.OptimizeRequest{Instance: in, Method: "dp"})
@@ -362,8 +372,76 @@ func TestClusterOwnerUnreachableFallsBack(t *testing.T) {
 			if n := seriesSum(t, liveServers[0].Metrics(), `relpipe_cluster_fallbacks_total{peer="`+dead+`"}`); n < 1 {
 				t.Errorf("fallbacks to %s = %d, want >= 1", dead, n)
 			}
+			if n := seriesSum(t, liveServers[0].Metrics(), "relpipe_cache_misses_total"); n != 1 {
+				t.Errorf("entry-node cache misses = %d, want 1", n)
+			}
+			// The root span ends after the response is written, so wait
+			// for the trace to land before counting its cache spans.
+			tid := hdr.Get(relpipe.TraceHeader)
+			var spans []obs.Span
+			waitFor(t, func() bool {
+				tr, ok := liveServers[0].recorder.Find(tid)
+				spans = tr.Spans
+				return ok
+			})
+			cacheSpans := 0
+			for _, sp := range spans {
+				if sp.Name == "cache" {
+					cacheSpans++
+				}
+			}
+			if cacheSpans != 1 {
+				t.Errorf("entry-node trace has %d cache spans, want 1", cacheSpans)
+			}
 		})
 	}
+}
+
+// TestClusterJobOnRemoteOwner pins the async contract across a hop: a
+// job submitted to a node that does not own its instance is solved by
+// the owner, and its result is byte-identical to the single-node
+// synchronous body. With the owner dead, the entry node falls back to a
+// local solve and counts exactly one fallback.
+func TestClusterJobOnRemoteOwner(t *testing.T) {
+	opts := Options{Workers: 2, SolverParallelism: 1}
+	_, single := newTestServer(t, opts)
+	run := func(t *testing.T, entryURL string, in relpipe.Instance) {
+		t.Helper()
+		body := mustMarshal(t, relpipe.OptimizeRequest{Instance: in, Method: "dp"})
+		status, want, _ := postRaw(t, single.URL+"/v1/optimize", body)
+		if status != http.StatusOK {
+			t.Fatalf("single-node reference: status %d", status)
+		}
+		st := submitJobHTTP(t, entryURL, "optimize", json.RawMessage(body), "remote")
+		final := waitJob(t, entryURL, st.ID)
+		if final.State != relpipe.JobSucceeded {
+			t.Fatalf("job state = %s: %s", final.State, final.Result)
+		}
+		if !bytes.Equal(final.Result, want) {
+			t.Errorf("job result differs from single-node sync body\n got: %s\nwant: %s", final.Result, want)
+		}
+	}
+
+	t.Run("live-owner", func(t *testing.T) {
+		servers, urls := startCluster(t, 3, opts)
+		run(t, urls[0], instanceOwnedBy(t, servers[0].Cluster(), urls[1]))
+		if n := seriesSum(t, servers[1].Metrics(), "relpipe_solves_total"); n < 1 {
+			t.Errorf("owner solves = %d, want >= 1", n)
+		}
+		if n := seriesSum(t, servers[0].Metrics(), "relpipe_solves_total"); n != 0 {
+			t.Errorf("entry-node solves = %d, want 0 (the owner solves)", n)
+		}
+	})
+	t.Run("dead-owner", func(t *testing.T) {
+		servers, urls, dead := startClusterWithDeadMember(t, opts)
+		run(t, urls[0], instanceOwnedBy(t, servers[0].Cluster(), dead))
+		if n := seriesSum(t, servers[0].Metrics(), "relpipe_cluster_fallbacks_total"); n != 1 {
+			t.Errorf("fallbacks = %d, want 1", n)
+		}
+		if n := seriesSum(t, servers[0].Metrics(), "relpipe_solves_total"); n < 1 {
+			t.Errorf("entry-node solves = %d, want >= 1 (local fallback)", n)
+		}
+	})
 }
 
 // TestClusterSlowPeerHopTimeout: an owner that accepts the connection
@@ -560,34 +638,45 @@ func TestClusterJobFanIn(t *testing.T) {
 // TestForwardedRequestNeverReforwards pins the loop-prevention
 // contract at the service level: a request carrying the forwarded
 // marker executes locally even when the ring says another node owns
-// it.
+// it, under the synchronous contract and, with relpipe.AsyncHeader,
+// under the async one.
 func TestForwardedRequestNeverReforwards(t *testing.T) {
-	servers, urls := startCluster(t, 3, Options{Workers: 2})
+	for _, tc := range []struct {
+		name  string
+		async bool
+	}{{"forwarded", false}, {"forwarded+async", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			servers, urls := startCluster(t, 3, Options{Workers: 2})
 
-	// An instance owned by node 1, posted to node 0 with the forwarded
-	// marker already set: node 0 must answer from its own backend.
-	in := instanceOwnedBy(t, servers[0].Cluster(), urls[1])
-	body := mustMarshal(t, relpipe.OptimizeRequest{Instance: in, Method: "dp"})
-	req, err := http.NewRequest(http.MethodPost, urls[0]+"/v1/optimize", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(relpipe.ForwardedHeader, "http://test-origin.invalid")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	b, _ := io.ReadAll(bufio.NewReader(resp.Body))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("forwarded request = %d: %s", resp.StatusCode, b)
-	}
-	// Executed locally: node 0 solved it despite not owning the route.
-	if seriesSum(t, servers[0].Metrics(), "relpipe_solves_total") < 1 {
-		t.Error("forwarded request did not solve on the receiving node")
-	}
-	if seriesSum(t, servers[1].Metrics(), "relpipe_solves_total") != 0 {
-		t.Error("forwarded request leaked to the ring owner")
+			// An instance owned by node 1, posted to node 0 with the
+			// forwarded marker already set: node 0 must answer itself.
+			in := instanceOwnedBy(t, servers[0].Cluster(), urls[1])
+			body := mustMarshal(t, relpipe.OptimizeRequest{Instance: in, Method: "dp"})
+			req, err := http.NewRequest(http.MethodPost, urls[0]+"/v1/optimize", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("Content-Type", "application/json")
+			req.Header.Set(relpipe.ForwardedHeader, "http://test-origin.invalid")
+			if tc.async {
+				req.Header.Set(relpipe.AsyncHeader, "1")
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			b, _ := io.ReadAll(bufio.NewReader(resp.Body))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("forwarded request = %d: %s", resp.StatusCode, b)
+			}
+			// Executed locally: node 0 solved it despite not owning the route.
+			if seriesSum(t, servers[0].Metrics(), "relpipe_solves_total") < 1 {
+				t.Error("forwarded request did not solve on the receiving node")
+			}
+			if seriesSum(t, servers[1].Metrics(), "relpipe_solves_total") != 0 {
+				t.Error("forwarded request leaked to the ring owner")
+			}
+		})
 	}
 }

@@ -55,31 +55,24 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 // submitJob validates, dedups against the result cache, and admits a
 // job. It returns the accepted job's status snapshot (already terminal
 // for a cache hit).
-func (s *Server) submitJob(req relpipe.JobSubmitRequest) (relpipe.JobStatus, error) {
+func (s *Server) submitJob(sub relpipe.JobSubmitRequest) (relpipe.JobStatus, error) {
 	var zero relpipe.JobStatus
-	if req.Kind == "batch" {
-		return s.submitBatchJob(req)
+	if sub.Kind == "batch" {
+		return s.submitBatchJob(sub)
 	}
-	parse, ok := batchParsers[req.Kind]
+	parse, ok := batchParsers[sub.Kind]
 	if !ok {
-		return zero, fmt.Errorf("jobs: unknown kind %q", req.Kind)
+		return zero, fmt.Errorf("jobs: unknown kind %q", sub.Kind)
 	}
-	key, solve, err := parse(req.Request, s.exec)
+	req, err := s.newRequest(sub.Kind, parse, sub.Request)
 	if err != nil {
 		return zero, err
 	}
-	breq := Request{
-		Kind:  req.Kind,
-		Key:   req.Kind + "|" + key,
-		Route: routeKey(key),
-		Body:  req.Request,
-		solve: solve,
-	}
 	// Dedup against the result cache: an async job for a cached key
 	// completes instantly (no worker, no queue wait).
-	if b, ok := s.cache.Get(breq.Key); ok {
+	if b, ok := s.cache.Get(req.Key); ok {
 		s.metrics.CacheHit()
-		j, err := s.jobs.SubmitCompleted(req.Kind, req.Client, jobs.Outcome{Status: http.StatusOK, Body: b})
+		j, err := s.jobs.SubmitCompleted(sub.Kind, sub.Client, jobs.Outcome{Status: http.StatusOK, Body: b})
 		if err != nil {
 			return zero, err
 		}
@@ -87,15 +80,15 @@ func (s *Server) submitJob(req relpipe.JobSubmitRequest) (relpipe.JobStatus, err
 	}
 	// The trace ID is allocated at submit time so the 202 status already
 	// carries it; the trace itself is recorded when the runner executes.
-	// The solve goes through the active backend under the async contract
-	// (ExecuteWait): in cluster mode a remote-owned instance forwards to
-	// its owner — cancelling the job severs the hop — and an unreachable
-	// owner falls back to a local solve, exactly like the sync path.
+	// The solve runs under the async contract (executeWait): in cluster
+	// mode a remote-owned instance forwards to its owner — cancelling
+	// the job severs the hop — and an unreachable owner falls back to a
+	// local solve, exactly like the sync path.
 	tid := obs.NewTraceID()
-	j, err := s.jobs.SubmitTraced(context.Background(), req.Kind, req.Client, tid,
+	j, err := s.jobs.SubmitTraced(context.Background(), sub.Kind, sub.Client, tid,
 		func(ctx context.Context, ctl jobs.Control) jobs.Outcome {
-			tctx, root := s.recorder.StartTraceID(ctx, tid, "job "+req.Kind)
-			out := s.backend().ExecuteWait(tctx, breq, ctl.Running, ctl.Progress)
+			tctx, root := s.recorder.StartTraceID(ctx, tid, "job "+sub.Kind)
+			out := s.executeWait(tctx, req, ctl.Running, ctl.Progress)
 			root.SetAttr("status", strconv.Itoa(out.status))
 			root.End()
 			return jobs.Outcome{Status: out.status, Body: out.body}
@@ -115,20 +108,14 @@ func (s *Server) submitJob(req relpipe.JobSubmitRequest) (relpipe.JobStatus, err
 // fan-out itself runs on the job's goroutine, never inside a pool
 // slot: its items occupy the slots, and a fan-out holding a slot while
 // waiting for them would deadlock a single-worker pool.
-func (s *Server) submitBatchJob(req relpipe.JobSubmitRequest) (relpipe.JobStatus, error) {
+func (s *Server) submitBatchJob(sub relpipe.JobSubmitRequest) (relpipe.JobStatus, error) {
 	var zero relpipe.JobStatus
-	var batch relpipe.BatchRequest
-	if err := unmarshalStrict(req.Request, &batch); err != nil {
+	batch, err := s.parseBatch(sub.Request)
+	if err != nil {
 		return zero, err
 	}
-	if len(batch.Jobs) == 0 {
-		return zero, errors.New("batch: no jobs")
-	}
-	if len(batch.Jobs) > s.opts.MaxBatchJobs {
-		return zero, fmt.Errorf("batch: %d jobs exceeds limit %d", len(batch.Jobs), s.opts.MaxBatchJobs)
-	}
 	tid := obs.NewTraceID()
-	j, err := s.jobs.SubmitTraced(context.Background(), req.Kind, req.Client, tid,
+	j, err := s.jobs.SubmitTraced(context.Background(), sub.Kind, sub.Client, tid,
 		func(jctx context.Context, ctl jobs.Control) jobs.Outcome {
 			ctx, root := s.recorder.StartTraceID(jctx, tid, "job batch")
 			defer root.End()
@@ -136,22 +123,11 @@ func (s *Server) submitBatchJob(req relpipe.JobSubmitRequest) (relpipe.JobStatus
 			total := int64(len(batch.Jobs))
 			ctl.Progress(0, total) // the item count is known up front
 			root.SetAttr("items", strconv.FormatInt(total, 10))
-			results := s.runBatchItems(batch.Jobs, func(kind string, parse parser, body []byte) outcome {
-				s.metrics.Request(kind)
+			results := s.runBatchItems(batch.Jobs, func(req Request) outcome {
 				if err := ctx.Err(); err != nil {
 					return errorOutcome(statusForJob(err), err)
 				}
-				itemKey, solve, err := parse(body, s.exec)
-				if err != nil {
-					return errorOutcome(http.StatusBadRequest, err)
-				}
-				return s.backend().ExecuteWait(ctx, Request{
-					Kind:  kind,
-					Key:   kind + "|" + itemKey,
-					Route: routeKey(itemKey),
-					Body:  body,
-					solve: solve,
-				}, nil, nil)
+				return s.executeWait(ctx, req, nil, nil)
 			}, func(done int64) { ctl.Progress(done, total) })
 			if err := ctx.Err(); err != nil {
 				return errorOutcomeJob(err)

@@ -117,7 +117,7 @@ func TestJobDifferentialAgainstSync(t *testing.T) {
 				// Independent servers so the job cannot reuse the sync
 				// server's cache or flight.
 				_, tsSync := newTestServer(t, Options{Workers: 2, CacheSize: -1, SolverParallelism: par})
-				_, tsJobs := newTestServer(t, Options{Workers: 2, CacheSize: -1, SolverParallelism: par})
+				srvJobs, tsJobs := newTestServer(t, Options{Workers: 2, CacheSize: -1, SolverParallelism: par})
 
 				code, want := syncBody(t, tsSync.URL+tc.path, tc.req)
 				if code != http.StatusOK {
@@ -133,6 +133,10 @@ func TestJobDifferentialAgainstSync(t *testing.T) {
 				}
 				if st.Progress.Done != st.Progress.Total || st.Progress.Total == 0 {
 					t.Fatalf("terminal progress = %+v, want done == total > 0", st.Progress)
+				}
+				// A job is one logical solve request of its kind.
+				if n := seriesSum(t, srvJobs.Metrics(), `relpipe_requests_total{endpoint="`+tc.kind+`"}`); n != 1 {
+					t.Fatalf("requests_total{endpoint=%q} = %d, want 1", tc.kind, n)
 				}
 			})
 		}

@@ -43,8 +43,8 @@ type poolResult struct {
 }
 
 // NewPool starts a pool of workers (< 1 defaults to GOMAXPROCS) with a
-// queue of queueSize pending tasks (< 1 defaults to 4× workers). metrics
-// may be nil.
+// queue of queueSize pending tasks (< 1 defaults to 4× workers),
+// reporting queue depth and solve latency to metrics.
 func NewPool(workers, queueSize int, metrics *Metrics) *Pool {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
@@ -63,14 +63,10 @@ func NewPool(workers, queueSize int, metrics *Metrics) *Pool {
 func (p *Pool) worker() {
 	defer p.wg.Done()
 	for t := range p.queue {
-		if p.metrics != nil {
-			p.metrics.QueueLeave()
-		}
+		p.metrics.QueueLeave()
 		start := time.Now()
 		val, err := runTask(t.fn)
-		if p.metrics != nil {
-			p.metrics.ObserveSolve(time.Since(start).Seconds())
-		}
+		p.metrics.ObserveSolve(time.Since(start).Seconds())
 		t.res <- poolResult{val, err}
 	}
 }
@@ -90,17 +86,13 @@ func (p *Pool) Do(ctx context.Context, fn func() (any, error)) (any, error) {
 	// The gauge is raised before the enqueue attempt: a worker may pick
 	// the task up (and call QueueLeave) the instant the send succeeds, and
 	// raising it afterwards would let the gauge dip below zero.
-	if p.metrics != nil {
-		p.metrics.QueueEnter()
-	}
+	p.metrics.QueueEnter()
 	select {
 	case p.queue <- t:
 		p.mu.Unlock()
 	default:
 		p.mu.Unlock()
-		if p.metrics != nil {
-			p.metrics.QueueLeave()
-		}
+		p.metrics.QueueLeave()
 		return nil, ErrQueueFull
 	}
 	select {
@@ -129,16 +121,12 @@ func (p *Pool) DoWait(ctx context.Context, fn func() (any, error)) (any, error) 
 		p.mu.Unlock()
 		return nil, ErrPoolClosed
 	}
-	if p.metrics != nil {
-		p.metrics.QueueEnter()
-	}
+	p.metrics.QueueEnter()
 	p.mu.Unlock()
 	select {
 	case p.queue <- t:
 	case <-ctx.Done():
-		if p.metrics != nil {
-			p.metrics.QueueLeave()
-		}
+		p.metrics.QueueLeave()
 		return nil, ctx.Err()
 	}
 	select {

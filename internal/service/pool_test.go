@@ -9,7 +9,7 @@ import (
 )
 
 func TestPoolRunsTasks(t *testing.T) {
-	p := NewPool(2, 4, nil)
+	p := NewPool(2, 4, NewMetrics())
 	defer p.Close()
 	v, err := p.Do(context.Background(), func() (any, error) { return 7, nil })
 	if err != nil || v.(int) != 7 {
@@ -42,7 +42,7 @@ func TestPoolQueueBackpressure(t *testing.T) {
 }
 
 func TestPoolContextTimeout(t *testing.T) {
-	p := NewPool(1, 4, nil)
+	p := NewPool(1, 4, NewMetrics())
 	defer p.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
@@ -64,7 +64,7 @@ func TestPoolContextTimeout(t *testing.T) {
 }
 
 func TestPoolCloseDrainsAndRejects(t *testing.T) {
-	p := NewPool(2, 8, nil)
+	p := NewPool(2, 8, NewMetrics())
 	var ran atomic.Int64
 	results := make(chan error, 8)
 	for i := 0; i < 8; i++ {
@@ -118,7 +118,7 @@ func TestPoolQueueDepthGauge(t *testing.T) {
 }
 
 func TestPoolRecoversPanickingTask(t *testing.T) {
-	p := NewPool(1, 4, nil)
+	p := NewPool(1, 4, NewMetrics())
 	defer p.Close()
 	_, err := p.Do(context.Background(), func() (any, error) { panic("solver bug") })
 	if !errors.Is(err, ErrSolvePanic) {
@@ -132,7 +132,7 @@ func TestPoolRecoversPanickingTask(t *testing.T) {
 }
 
 func TestDoWaitBlocksInsteadOfShedding(t *testing.T) {
-	p := NewPool(1, 1, nil)
+	p := NewPool(1, 1, NewMetrics())
 	defer p.Close()
 	block := make(chan struct{})
 	running := make(chan struct{})
@@ -166,7 +166,7 @@ func TestDoWaitBlocksInsteadOfShedding(t *testing.T) {
 }
 
 func TestDoWaitCancelledWhileQueued(t *testing.T) {
-	p := NewPool(1, 1, nil)
+	p := NewPool(1, 1, NewMetrics())
 	defer p.Close()
 	block := make(chan struct{})
 	defer close(block)

@@ -158,10 +158,9 @@ type Server struct {
 	workers  int
 	exec     execOpts
 
-	// clusterB is set by JoinCluster (atomically — tests join after the
-	// server is already serving); nil means single-node, and backend()
-	// falls through to the local path.
-	clusterB atomic.Pointer[clusterBackend]
+	// cluster is set by JoinCluster (atomically — tests join after the
+	// server is already serving); nil means single-node.
+	cluster atomic.Pointer[cluster.Cluster]
 
 	shutdownOnce sync.Once
 	shutdownC    chan struct{} // closed by BeginShutdown; ends SSE streams
@@ -466,11 +465,12 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// solveHandler wraps a parser with the shared parse → backend path. A
-// forwarded request (another cluster node routed it here) always
+// solveHandler wraps a parser with the shared request → execute path.
+// A forwarded request (another cluster node routed it here) always
 // executes locally — one hop, never a loop — under the contract the
 // hop's headers select: the synchronous one, or the async-job one for
-// forwards that originate from a job on the entry node.
+// forwards that originate from a job on the entry node, where ctx (the
+// hop's connection) is the cancellation bound.
 func (s *Server) solveHandler(endpoint string, parse parser) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		body, status, err := readBody(w, r, s.opts.MaxBodyBytes)
@@ -479,14 +479,17 @@ func (s *Server) solveHandler(endpoint string, parse parser) http.HandlerFunc {
 			s.writeError(w, status, err)
 			return
 		}
-		var out outcome
-		if isForwarded(r) {
-			out = s.processForwarded(r.Context(), endpoint, parse, body,
-				r.Header.Get(relpipe.AsyncHeader) != "")
-		} else {
-			out = s.process(r.Context(), endpoint, parse, body)
+		req, err := s.newRequest(endpoint, parse, body)
+		if err != nil {
+			s.writeError(w, http.StatusBadRequest, err)
+			return
 		}
-		s.writeOutcome(w, out)
+		req.forwarded = isForwarded(r)
+		if req.forwarded && r.Header.Get(relpipe.AsyncHeader) != "" {
+			s.writeOutcome(w, s.executeWait(r.Context(), req, nil, nil))
+			return
+		}
+		s.writeOutcome(w, s.execute(r.Context(), req))
 	}
 }
 
@@ -494,61 +497,6 @@ func (s *Server) solveHandler(endpoint string, parse parser) http.HandlerFunc {
 // here (relpipe.ForwardedHeader carries the sender's base URL).
 func isForwarded(r *http.Request) bool {
 	return r.Header.Get(relpipe.ForwardedHeader) != ""
-}
-
-// parseRequest turns a request body into the Backend's unit of work:
-// metrics, parsing, key construction, route extraction.
-func (s *Server) parseRequest(endpoint string, parse parser, body []byte) (Request, error) {
-	s.metrics.Request(endpoint)
-	key, solve, err := parse(body, s.exec)
-	if err != nil {
-		return Request{}, err
-	}
-	return Request{
-		Kind:  endpoint,
-		Key:   endpoint + "|" + key,
-		Route: routeKey(key),
-		Body:  body,
-		solve: solve,
-	}, nil
-}
-
-// process runs one request (from a direct request or a batch item)
-// through the active backend under the synchronous contract. ctx is the
-// request context, used only for observability (the trace the
-// middleware opened); cancellation deliberately does not flow into the
-// solve — see localBackend.Execute.
-func (s *Server) process(ctx context.Context, endpoint string, parse parser, body []byte) outcome {
-	req, err := s.parseRequest(endpoint, parse, body)
-	if err != nil {
-		return errorOutcome(http.StatusBadRequest, err)
-	}
-	return s.backend().Execute(ctx, req)
-}
-
-// processForwarded runs a request another node routed here: always on
-// the local backend (never re-forwarded), under the synchronous
-// contract or — when the hop carries relpipe.AsyncHeader — the async
-// one, where ctx (the hop's connection) is the cancellation bound: the
-// origin job cancelling severs the connection and aborts the solve.
-func (s *Server) processForwarded(ctx context.Context, endpoint string, parse parser, body []byte, wait bool) outcome {
-	req, err := s.parseRequest(endpoint, parse, body)
-	if err != nil {
-		return errorOutcome(http.StatusBadRequest, err)
-	}
-	if wait {
-		return localBackend{s}.ExecuteWait(ctx, req, nil, nil)
-	}
-	return localBackend{s}.Execute(ctx, req)
-}
-
-// backend returns the active dispatch seam: the cluster backend once
-// JoinCluster has run, the local pool otherwise.
-func (s *Server) backend() Backend {
-	if cb := s.clusterB.Load(); cb != nil {
-		return cb
-	}
-	return localBackend{s}
 }
 
 // JoinCluster switches the server into cluster mode: requests whose
@@ -568,18 +516,13 @@ func (s *Server) JoinCluster(cfg cluster.Config) error {
 	}
 	s.metrics.RegisterClusterStats(cl)
 	s.jobs.SetNode(cl.Self())
-	s.clusterB.Store(&clusterBackend{s: s, local: localBackend{s}, cl: cl})
+	s.cluster.Store(cl)
 	return nil
 }
 
 // Cluster exposes the cluster membership (nil on single-node servers) —
 // peer-set changes via SetPeers, and tests.
-func (s *Server) Cluster() *cluster.Cluster {
-	if cb := s.clusterB.Load(); cb != nil {
-		return cb.cl
-	}
-	return nil
-}
+func (s *Server) Cluster() *cluster.Cluster { return s.cluster.Load() }
 
 // solveToBytes executes one solve closure under sc, marshals the
 // response DTO and caches the bytes. It is the single execution path
@@ -618,34 +561,41 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, status, err)
 		return
 	}
-	var req relpipe.BatchRequest
-	if err := unmarshalStrict(body, &req); err != nil {
+	batch, err := s.parseBatch(body)
+	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if len(req.Jobs) == 0 {
-		s.writeError(w, http.StatusBadRequest, errors.New("batch: no jobs"))
-		return
-	}
-	if len(req.Jobs) > s.opts.MaxBatchJobs {
-		s.writeError(w, http.StatusBadRequest,
-			fmt.Errorf("batch: %d jobs exceeds limit %d", len(req.Jobs), s.opts.MaxBatchJobs))
-		return
-	}
-
 	ctx := r.Context()
-	results := s.runBatchItems(req.Jobs, func(kind string, parse parser, body []byte) outcome {
-		return s.process(ctx, kind, parse, body)
+	results := s.runBatchItems(batch.Jobs, func(req Request) outcome {
+		return s.execute(ctx, req)
 	}, nil)
 	s.writeJSON(w, http.StatusOK, relpipe.BatchResponse{Results: results})
 }
 
+// parseBatch decodes a /v1/batch document strictly and checks its item
+// count; the synchronous endpoint and batch-kind jobs share it.
+func (s *Server) parseBatch(body []byte) (relpipe.BatchRequest, error) {
+	var batch relpipe.BatchRequest
+	if err := unmarshalStrict(body, &batch); err != nil {
+		return batch, err
+	}
+	if len(batch.Jobs) == 0 {
+		return batch, errors.New("batch: no jobs")
+	}
+	if len(batch.Jobs) > s.opts.MaxBatchJobs {
+		return batch, fmt.Errorf("batch: %d jobs exceeds limit %d", len(batch.Jobs), s.opts.MaxBatchJobs)
+	}
+	return batch, nil
+}
+
 // runBatchItems is the batch fan-out shared by the synchronous endpoint
 // and batch-kind async jobs: items run concurrently under the shared
-// per-batch semaphore, each through the caller-supplied execution path,
-// and results land in request order. progress (when non-nil) receives
-// the completed-item count.
-func (s *Server) runBatchItems(items []relpipe.BatchJob, run func(kind string, parse parser, body []byte) outcome, progress func(done int64)) []relpipe.BatchJobResult {
+// per-batch semaphore, each built by newRequest and executed through
+// the caller-supplied contract, and results land in request order. An
+// item of unknown kind or with a malformed document answers 400.
+// progress (when non-nil) receives the completed-item count.
+func (s *Server) runBatchItems(items []relpipe.BatchJob, run func(Request) outcome, progress func(done int64)) []relpipe.BatchJobResult {
 	results := make([]relpipe.BatchJobResult, len(items))
 	var done atomic.Int64
 	sem := make(chan struct{}, max(1, s.workers))
@@ -656,12 +606,13 @@ func (s *Server) runBatchItems(items []relpipe.BatchJob, run func(kind string, p
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			parse, ok := batchParsers[job.Kind]
 			var out outcome
-			if !ok {
+			if parse, ok := batchParsers[job.Kind]; !ok {
 				out = errorOutcome(http.StatusBadRequest, fmt.Errorf("batch: unknown kind %q", job.Kind))
+			} else if req, err := s.newRequest(job.Kind, parse, job.Request); err != nil {
+				out = errorOutcome(http.StatusBadRequest, err)
 			} else {
-				out = run(job.Kind, parse, job.Request)
+				out = run(req)
 			}
 			results[i] = relpipe.BatchJobResult{Status: out.status, Body: out.body}
 			if progress != nil {
@@ -1049,7 +1000,7 @@ func (s *Server) writeOutcome(w http.ResponseWriter, out outcome) {
 	if out.status == http.StatusTooManyRequests {
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
 	}
-	// In cluster mode every answer names the node whose backend produced
+	// In cluster mode every answer names the node that produced
 	// it — the owner for routed requests, this node for local work and
 	// fallbacks. The e2e suite asserts stable ownership through it.
 	if node := out.node; node != "" {

@@ -32,6 +32,17 @@ func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 	return s, ts
 }
 
+// process runs one body through the synchronous contract, the way a
+// /v1 endpoint does, without the HTTP layer: tests drive parsers and
+// solve closures of their own through it.
+func (s *Server) process(ctx context.Context, kind string, parse parser, body []byte) outcome {
+	req, err := s.newRequest(kind, parse, body)
+	if err != nil {
+		return errorOutcome(http.StatusBadRequest, err)
+	}
+	return s.execute(ctx, req)
+}
+
 // postJSON posts v and decodes the response body into out (if non-nil),
 // returning the status code.
 func postJSON(t *testing.T, url string, v any, out any) int {

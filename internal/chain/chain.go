@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"relpipe/internal/jsonscan"
 	"relpipe/internal/rng"
 )
 
@@ -126,13 +127,42 @@ func (c Chain) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON implements json.Unmarshaler and validates the result.
+// The common document — an array of {"work","out"} objects with plain
+// number values — is scanned in one pass; any other document goes to
+// the strict encoding/json reference, which rejects unknown fields.
 func (c *Chain) UnmarshalJSON(b []byte) error {
-	var ts []Task
-	if err := json.Unmarshal(b, &ts); err != nil {
-		return err
+	ts, ok := scan(b)
+	if !ok {
+		var ref []Task
+		if err := jsonscan.Strict(b, &ref); err != nil {
+			return err
+		}
+		ts = ref
 	}
 	*c = Chain(ts)
 	return c.Validate()
+}
+
+// scan is the one-pass decode of the common document; ok is false when
+// the document is outside the scanner's grammar.
+func scan(b []byte) (ts []Task, ok bool) {
+	s := jsonscan.New(b)
+	ts = make([]Task, 0, jsonscan.CapHint(b, len(`{"work":1}`)))
+	s.Array(func() {
+		var t Task
+		s.Object(func(key []byte) {
+			switch string(key) {
+			case "work":
+				t.Work = s.Float()
+			case "out":
+				t.Out = s.Float()
+			default:
+				s.Decline()
+			}
+		})
+		ts = append(ts, t)
+	})
+	return ts, s.Done()
 }
 
 // String renders the chain compactly: (w1|o1) -> (w2|o2) -> ...

@@ -2,39 +2,44 @@ package core
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
-	"hash"
-	"io"
-	"strconv"
+	"math"
 )
 
 // Canonical returns a stable SHA-256 hex digest of the instance. Two
 // instances have equal digests iff their chains and platforms are
-// bit-for-bit identical: floats are encoded in exact hexadecimal form,
-// so the digest is independent of JSON formatting, field order in the
-// source document, or decimal rounding. The solver service keys its
-// result cache and in-flight deduplication on this digest.
+// bit-for-bit identical: the digest hashes the IEEE-754 bits of every
+// float (so it is independent of JSON formatting, field order in the
+// source document or decimal rounding, and tells -0 from +0), and the
+// task and processor arrays are length-prefixed so no value can shift
+// across the boundary between them. The solver service keys its result
+// cache, in-flight deduplication and cluster routing on this digest.
 func (in Instance) Canonical() string {
-	h := sha256.New()
-	io.WriteString(h, "chain/")
+	pl := in.Platform
+	// Every field is one 8-byte word: two length prefixes, two per
+	// task, two per processor and three platform scalars. Instances up
+	// to the stack buffer hash without a heap allocation.
+	var stack [1024]byte
+	b := stack[:0]
+	if n := 8 * (5 + 2*len(in.Chain) + 2*len(pl.Procs)); n > len(stack) {
+		b = make([]byte, 0, n)
+	}
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(in.Chain)))
 	for _, t := range in.Chain {
-		writeFloat(h, t.Work)
-		writeFloat(h, t.Out)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(t.Work))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(t.Out))
 	}
-	io.WriteString(h, "platform/")
-	for _, p := range in.Platform.Procs {
-		writeFloat(h, p.Speed)
-		writeFloat(h, p.FailRate)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(pl.Procs)))
+	for _, p := range pl.Procs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.Speed))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.FailRate))
 	}
-	writeFloat(h, in.Platform.Bandwidth)
-	writeFloat(h, in.Platform.LinkFailRate)
-	io.WriteString(h, strconv.Itoa(in.Platform.MaxReplicas))
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// writeFloat writes one exact float ('x' format round-trips every
-// float64 losslessly) plus a separator so adjacent values cannot alias.
-func writeFloat(h hash.Hash, f float64) {
-	io.WriteString(h, strconv.FormatFloat(f, 'x', -1, 64))
-	io.WriteString(h, ";")
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(pl.Bandwidth))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(pl.LinkFailRate))
+	b = binary.LittleEndian.AppendUint64(b, uint64(pl.MaxReplicas))
+	sum := sha256.Sum256(b)
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
 }

@@ -9,6 +9,7 @@
 // Exec execution budget (parallelism, cancellation, search knobs,
 // progress hook). Determinism contract: an answer depends only on
 // (instance, bounds, method, search knobs) — never on Exec.Parallelism,
-// Ctx or Progress — and Instance.Canonical is the stable digest the
-// service keys its cache on.
+// Ctx or Progress — and Instance.Canonical, a length-prefixed
+// Float64bits SHA-256 of the chain and platform, is the stable digest
+// the service keys its cache on.
 package core

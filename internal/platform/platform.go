@@ -1,10 +1,10 @@
 package platform
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 
+	"relpipe/internal/jsonscan"
 	"relpipe/internal/rng"
 )
 
@@ -131,16 +131,65 @@ func RandomHeterogeneous(r *rng.Rand, p int, sMin, sMax, lMin, lMax, bandwidth, 
 	return Platform{Procs: procs, Bandwidth: bandwidth, LinkFailRate: linkFailRate, MaxReplicas: maxReplicas}
 }
 
-// MarshalJSON and UnmarshalJSON use the natural struct encoding; the
-// unmarshaler additionally validates.
+// UnmarshalJSON implements json.Unmarshaler over the natural struct
+// encoding and validates the result. The common document — the four
+// known members with plain number values and a procs array of
+// {"speed","failRate"} objects — is scanned in one pass; any other
+// document goes to the strict encoding/json reference, which rejects
+// unknown fields.
 func (pl *Platform) UnmarshalJSON(b []byte) error {
-	type raw Platform
-	var v raw
-	if err := json.Unmarshal(b, &v); err != nil {
-		return err
+	v, ok := scan(b)
+	if !ok {
+		type raw Platform
+		var r raw
+		if err := jsonscan.Strict(b, &r); err != nil {
+			return err
+		}
+		v = Platform(r)
 	}
-	*pl = Platform(v)
+	*pl = v
 	return pl.Validate()
+}
+
+// scan is the one-pass decode of the common document; ok is false when
+// the document is outside the scanner's grammar.
+func scan(b []byte) (pl Platform, ok bool) {
+	s := jsonscan.New(b)
+	s.Object(func(key []byte) {
+		switch string(key) {
+		case "procs":
+			if pl.Procs != nil {
+				// encoding/json merges a repeated array into the first
+				// one element by element; leave that to the reference.
+				s.Decline()
+				return
+			}
+			pl.Procs = make([]Processor, 0, jsonscan.CapHint(b, len(`{"speed":1}`)))
+			s.Array(func() {
+				var p Processor
+				s.Object(func(key []byte) {
+					switch string(key) {
+					case "speed":
+						p.Speed = s.Float()
+					case "failRate":
+						p.FailRate = s.Float()
+					default:
+						s.Decline()
+					}
+				})
+				pl.Procs = append(pl.Procs, p)
+			})
+		case "bandwidth":
+			pl.Bandwidth = s.Float()
+		case "linkFailRate":
+			pl.LinkFailRate = s.Float()
+		case "maxReplicas":
+			pl.MaxReplicas = s.Int()
+		default:
+			s.Decline()
+		}
+	})
+	return pl, s.Done()
 }
 
 // String renders the platform compactly.

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"relpipe"
+	"relpipe/internal/jsonscan"
 )
 
 // This file is the cross-node half of the async-jobs surface in cluster
@@ -96,7 +97,7 @@ func (s *Server) clusterJobListMerge(r *http.Request, local []relpipe.JobStatus)
 				return
 			}
 			var resp relpipe.JobListResponse
-			if err := unmarshalStrict(body, &resp); err != nil {
+			if err := jsonscan.Strict(body, &resp); err != nil {
 				ch <- nil
 				return
 			}

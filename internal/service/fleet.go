@@ -11,6 +11,7 @@ import (
 	"relpipe"
 	"relpipe/internal/fleet"
 	"relpipe/internal/jobs"
+	"relpipe/internal/jsonscan"
 	"relpipe/internal/mapping"
 	"relpipe/internal/obs"
 	"relpipe/internal/search"
@@ -101,7 +102,7 @@ func (s *Server) handleFleetRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req relpipe.FleetRegisterRequest
-	if err := unmarshalStrict(body, &req); err != nil {
+	if err := jsonscan.Strict(body, &req); err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -186,7 +187,7 @@ func (s *Server) handleFleetIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req relpipe.FleetEventsRequest
-	if err := unmarshalStrict(body, &req); err != nil {
+	if err := jsonscan.Strict(body, &req); err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}

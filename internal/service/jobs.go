@@ -11,6 +11,7 @@ import (
 
 	"relpipe"
 	"relpipe/internal/jobs"
+	"relpipe/internal/jsonscan"
 	"relpipe/internal/obs"
 )
 
@@ -40,7 +41,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req relpipe.JobSubmitRequest
-	if err := unmarshalStrict(body, &req); err != nil {
+	if err := jsonscan.Strict(body, &req); err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}

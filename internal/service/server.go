@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -22,6 +21,7 @@ import (
 	"relpipe/internal/cost"
 	"relpipe/internal/fleet"
 	"relpipe/internal/jobs"
+	"relpipe/internal/jsonscan"
 	"relpipe/internal/obs"
 	"relpipe/internal/progress"
 	"relpipe/internal/sim"
@@ -577,7 +577,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // count; the synchronous endpoint and batch-kind jobs share it.
 func (s *Server) parseBatch(body []byte) (relpipe.BatchRequest, error) {
 	var batch relpipe.BatchRequest
-	if err := unmarshalStrict(body, &batch); err != nil {
+	if err := jsonscan.Strict(body, &batch); err != nil {
 		return batch, err
 	}
 	if len(batch.Jobs) == 0 {
@@ -649,7 +649,7 @@ func withCtx(opts relpipe.Options, sc solveCtx) relpipe.Options {
 
 func parseOptimize(body []byte, ex execOpts) (string, solveFunc, error) {
 	var req relpipe.OptimizeRequest
-	if err := unmarshalStrict(body, &req); err != nil {
+	if err := jsonscan.Strict(body, &req); err != nil {
 		return "", nil, err
 	}
 	method, opts, methodKey, err := parseSolveMethod(req.Method, req.Search, ex)
@@ -668,7 +668,7 @@ func parseOptimize(body []byte, ex execOpts) (string, solveFunc, error) {
 
 func parseEvaluate(body []byte, _ execOpts) (string, solveFunc, error) {
 	var req relpipe.EvaluateRequest
-	if err := unmarshalStrict(body, &req); err != nil {
+	if err := jsonscan.Strict(body, &req); err != nil {
 		return "", nil, err
 	}
 	key := req.Instance.Canonical() + "|" + mappingKey(req.Mapping)
@@ -683,7 +683,7 @@ func parseEvaluate(body []byte, _ execOpts) (string, solveFunc, error) {
 
 func parseMinPeriod(body []byte, ex execOpts) (string, solveFunc, error) {
 	var req relpipe.MinPeriodRequest
-	if err := unmarshalStrict(body, &req); err != nil {
+	if err := jsonscan.Strict(body, &req); err != nil {
 		return "", nil, err
 	}
 	method, opts, methodKey, err := parseSolveMethod(req.Method, req.Search, ex)
@@ -702,7 +702,7 @@ func parseMinPeriod(body []byte, ex execOpts) (string, solveFunc, error) {
 
 func parseFrontier(body []byte, ex execOpts) (string, solveFunc, error) {
 	var req relpipe.FrontierRequest
-	if err := unmarshalStrict(body, &req); err != nil {
+	if err := jsonscan.Strict(body, &req); err != nil {
 		return "", nil, err
 	}
 	return req.Instance.Canonical(), func(sc solveCtx) (any, error) {
@@ -716,7 +716,7 @@ func parseFrontier(body []byte, ex execOpts) (string, solveFunc, error) {
 
 func parseMinCost(body []byte, ex execOpts) (string, solveFunc, error) {
 	var req relpipe.MinCostRequest
-	if err := unmarshalStrict(body, &req); err != nil {
+	if err := jsonscan.Strict(body, &req); err != nil {
 		return "", nil, err
 	}
 	method, opts, methodKey, err := parseSolveMethod(req.Method, req.Search, ex)
@@ -736,7 +736,7 @@ func parseMinCost(body []byte, ex execOpts) (string, solveFunc, error) {
 
 func parseSimulate(body []byte, ex execOpts) (string, solveFunc, error) {
 	var req relpipe.SimulateRequest
-	if err := unmarshalStrict(body, &req); err != nil {
+	if err := jsonscan.Strict(body, &req); err != nil {
 		return "", nil, err
 	}
 	var routing sim.RoutingMode
@@ -805,7 +805,7 @@ func parseSimulate(body []byte, ex execOpts) (string, solveFunc, error) {
 // mirroring how exact methods omit them.
 func parseAdapt(body []byte, ex execOpts) (string, solveFunc, error) {
 	var req relpipe.AdaptRequest
-	if err := unmarshalStrict(body, &req); err != nil {
+	if err := jsonscan.Strict(body, &req); err != nil {
 		return "", nil, err
 	}
 	policyStr := req.Policy
@@ -918,35 +918,40 @@ func finiteOrZero(f float64) float64 {
 
 // readBody reads a bounded request body. On failure the returned status
 // is 413 for a body over the limit and 400 for anything else (e.g. a
-// truncated upload).
+// truncated upload). The buffer is presized from the declared
+// Content-Length — clamped to the limit and to readPresize, so a lying
+// header cannot reserve more — with one spare byte to read EOF into
+// without growing; a chunked body starts from io.ReadAll's 512 bytes.
 func readBody(w http.ResponseWriter, r *http.Request, limit int64) (body []byte, status int, err error) {
 	defer r.Body.Close()
-	b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return nil, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", mbe.Limit)
-		}
-		return nil, http.StatusBadRequest, err
+	size := int64(512)
+	if r.ContentLength >= 0 {
+		size = min(r.ContentLength, limit, readPresize) + 1
 	}
-	return b, http.StatusOK, nil
+	src := http.MaxBytesReader(w, r.Body, limit)
+	b := make([]byte, 0, size)
+	for {
+		n, err := src.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, http.StatusOK, nil
+		}
+		if err != nil {
+			var mbe *http.MaxBytesError
+			if errors.As(err, &mbe) {
+				return nil, http.StatusRequestEntityTooLarge,
+					fmt.Errorf("request body exceeds %d bytes", mbe.Limit)
+			}
+			return nil, http.StatusBadRequest, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
-// unmarshalStrict decodes JSON rejecting unknown fields and trailing
-// data, so typos and concatenated documents fail loudly instead of
-// silently solving the wrong problem.
-func unmarshalStrict(b []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return errors.New("request body contains trailing data after the JSON document")
-	}
-	return nil
-}
+// readPresize caps the buffer readBody reserves up front.
+const readPresize = 64 << 10
 
 // errEncodeResponse marks a response DTO that json.Marshal rejected.
 var errEncodeResponse = errors.New("service: encode response")
@@ -1025,20 +1030,43 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	s.writeOutcome(w, outcome{status: status, body: b})
 }
 
-// floatKey renders floats exactly (hex mantissa) for cache keys.
+// floatKey renders floats exactly (hex mantissa, comma-separated) for
+// cache keys.
 func floatKey(fs ...float64) string {
-	s := ""
+	b := make([]byte, 0, 24*len(fs))
 	for i, f := range fs {
 		if i > 0 {
-			s += ","
+			b = append(b, ',')
 		}
-		s += strconv.FormatFloat(f, 'x', -1, 64)
+		b = strconv.AppendFloat(b, f, 'x', -1, 64)
 	}
-	return s
+	return string(b)
 }
 
-// mappingKey renders a mapping canonically (integers only, so %v is
-// exact and deterministic).
+// mappingKey renders a mapping canonically for cache keys, as
+// "parts=[0..1][2..2] procs=[[0 1] [2]]".
 func mappingKey(m relpipe.Mapping) string {
-	return fmt.Sprintf("parts=%v procs=%v", m.Parts, m.Procs)
+	b := append(make([]byte, 0, 64), "parts="...)
+	for _, iv := range m.Parts {
+		b = append(b, '[')
+		b = strconv.AppendInt(b, int64(iv.First), 10)
+		b = append(b, ".."...)
+		b = strconv.AppendInt(b, int64(iv.Last), 10)
+		b = append(b, ']')
+	}
+	b = append(b, " procs=["...)
+	for i, ps := range m.Procs {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = append(b, '[')
+		for j, p := range ps {
+			if j > 0 {
+				b = append(b, ' ')
+			}
+			b = strconv.AppendInt(b, int64(p), 10)
+		}
+		b = append(b, ']')
+	}
+	return string(append(b, ']'))
 }

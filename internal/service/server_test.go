@@ -99,6 +99,7 @@ func TestMalformedRequestsAre400(t *testing.T) {
 	const plat = `"platform":{"procs":[{"speed":1,"failRate":0}],"bandwidth":1,"linkFailRate":0,"maxReplicas":1}`
 	// 61 tasks: beyond the exact frontier's enumeration ceiling.
 	longChain := `{"instance":{"chain":[` + strings.Repeat(`{"work":1,"out":1},`, 60) + `{"work":1,"out":0}],` + plat + `}}`
+	const mapping = `"mapping":{"parts":[{"first":0,"last":0}],"procs":[[0]]}`
 	for _, tc := range []struct {
 		name, path, body string
 		status           int
@@ -108,9 +109,14 @@ func TestMalformedRequestsAre400(t *testing.T) {
 		{"bad-method", "/v1/optimize", `{"instance":{"chain":[{"work":1,"out":0}],` + plat + `},"method":"nope"}`, http.StatusBadRequest},
 		{"invalid-chain", "/v1/optimize", `{"instance":{"chain":[{"work":-1,"out":0}],` + plat + `}}`, http.StatusBadRequest},
 		{"frontier-beyond-exact", "/v1/frontier", longChain, http.StatusBadRequest},
+		// Unknown members inside the instance arrays are rejected at
+		// every depth, not only at the top of the document.
+		{"unknown-task-field", "/v1/evaluate", `{"instance":{"chain":[{"work":1,"out":0,"typo":5}],` + plat + `},` + mapping + `}`, http.StatusBadRequest},
+		{"unknown-processor-field", "/v1/evaluate", `{"instance":{"chain":[{"work":1,"out":0}],"platform":{"procs":[{"speed":1,"failRate":0,"typo":5}],"bandwidth":1,"linkFailRate":0,"maxReplicas":1}},` + mapping + `}`, http.StatusBadRequest},
+		{"misspelled-platform-field", "/v1/evaluate", `{"instance":{"chain":[{"work":1,"out":0}],"platform":{"procs":[{"speed":1,"failRate":0}],"bandwidth":1,"bandwith":1,"linkFailRate":0,"maxReplicas":1}},` + mapping + `}`, http.StatusBadRequest},
 		{"evaluate-overflows-json", "/v1/evaluate",
 			`{"instance":{"chain":[{"work":1e308,"out":0}],"platform":{"procs":[{"speed":1e-308,"failRate":0}],"bandwidth":1,"linkFailRate":0,"maxReplicas":1}},` +
-				`"mapping":{"parts":[{"first":0,"last":0}],"procs":[[0]]}}`, http.StatusUnprocessableEntity},
+				mapping + `}`, http.StatusUnprocessableEntity},
 	} {
 		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
 		if err != nil {
@@ -407,13 +413,60 @@ func TestQueueFullIs429WithRetryAfter(t *testing.T) {
 func TestOversizedBodyRejected(t *testing.T) {
 	_, ts := newTestServer(t, Options{MaxBodyBytes: 64})
 	body := fmt.Sprintf(`{"instance":%s}`, strings.Repeat("x", 128))
-	resp, err := http.Post(ts.URL+"/v1/optimize", "application/json", strings.NewReader(body))
+	// A strings.Reader declares its length; a MultiReader makes the
+	// client send the body chunked, with no Content-Length at all.
+	for name, r := range map[string]io.Reader{
+		"declared": strings.NewReader(body),
+		"chunked":  io.MultiReader(strings.NewReader(body)),
+	} {
+		resp, err := http.Post(ts.URL+"/v1/optimize", "application/json", r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status = %d, want 413", name, resp.StatusCode)
+		}
+	}
+}
+
+// TestReadBodyPresize: readBody reserves the declared Content-Length up
+// front (plus the byte EOF lands in, so an honest body never regrows
+// the buffer), but never more than readPresize, whatever the header
+// claims; a chunked body, which declares nothing, still reads in full.
+func TestReadBodyPresize(t *testing.T) {
+	body, err := json.Marshal(relpipe.OptimizeRequest{Instance: testInstance(8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		length  int64 // declared Content-Length; -1 is chunked
+		wantCap int   // 0: only check the body
+	}{
+		{"declared", int64(len(body)), len(body) + 1},
+		{"lying-header", 1 << 40, readPresize + 1},
+		{"chunked", -1, 0},
+	} {
+		r := httptest.NewRequest(http.MethodPost, "/v1/optimize", bytes.NewReader(body))
+		r.ContentLength = tc.length
+		got, status, err := readBody(httptest.NewRecorder(), r, 8<<20)
+		if err != nil || status != http.StatusOK || !bytes.Equal(got, body) {
+			t.Fatalf("%s: status %d, err %v, body intact %v", tc.name, status, err, bytes.Equal(got, body))
+		}
+		if tc.wantCap != 0 && cap(got) != tc.wantCap {
+			t.Errorf("%s: buffer capacity %d, want %d", tc.name, cap(got), tc.wantCap)
+		}
+	}
+	// The same chunked body end to end: no Content-Length, still solved.
+	_, ts := newTestServer(t, Options{})
+	resp, err := http.Post(ts.URL+"/v1/optimize", "application/json", io.MultiReader(bytes.NewReader(body)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status = %d, want 413", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("chunked optimize: status = %d, want 200", resp.StatusCode)
 	}
 }
 

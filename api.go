@@ -267,9 +267,9 @@ type JobListResponse struct {
 }
 
 // FleetPolicy is the wire form of a deployment's guard-rail policy
-// ("POST /v1/fleet/deployments"), durations expressed in seconds. Zero
-// or omitted fields take the server's -fleet* defaults, then the
-// built-in ones (see internal/fleet.Policy).
+// ("POST /v1/fleet/deployments"), durations expressed in seconds. It
+// is the only place a deployment's guard rails are set: zero or omitted
+// fields take the built-in defaults (see internal/fleet.Policy).
 type FleetPolicy struct {
 	// HeartbeatSeconds is the expected telemetry cadence; a processor
 	// that has reported at least once and then stays silent for

@@ -9,6 +9,7 @@
 //	serve [-addr :8080] [-workers 0] [-queue 0] [-cache 1024] [-timeout 30s] [-grace 10s]
 //	      [-solver-parallel 0] [-search-restarts 32] [-search-budget 200000]
 //	      [-jobs 1024] [-jobs-per-client 16] [-jobs-ttl 10m] [-jobs-dump path]
+//	      [-fleet=true] [-fleet-tick 1s] [-fleet-deployments 1024]
 //	      [-traces 256] [-log-format text|json] [-pprof]
 //	      [-peers url,url,... -self url] [-peer-timeout 0]
 //
@@ -19,6 +20,11 @@
 // are byte-identical to single-node mode. -peer-timeout bounds one
 // synchronous forward hop (0 derives it from -timeout plus headroom).
 // See DESIGN.md "Cluster mode" and the README 3-node quick-start.
+//
+// Fleet: -fleet-tick and -fleet-deployments size the fleet controller;
+// a deployment's guard rails (cooldown, breaker window, remap cap) are
+// set only in its own register request, and its remaps run as jobs of
+// client "fleet".
 //
 // Observability: every /v1 response carries an X-Trace-Id header and the
 // recorder keeps the -traces most recent request traces queryable at
@@ -80,10 +86,6 @@ func main() {
 	fleetOn := fs.Bool("fleet", true, "enable the fleet controller and its /v1/fleet routes")
 	fleetTick := fs.Duration("fleet-tick", 0, "fleet control-loop period (0 = default 1s)")
 	fleetMax := fs.Int("fleet-deployments", 0, "fleet deployment cap (0 = default 1024)")
-	fleetClient := fs.String("fleet-client", "", "jobs client id fleet remaps run under (empty = default \"fleet\")")
-	fleetCooldown := fs.Duration("fleet-cooldown", 0, "default quiet period after each fleet remap (0 = default 1m)")
-	fleetBreaker := fs.Duration("fleet-breaker-window", 0, "default fleet circuit-breaker window (0 = default 10m)")
-	fleetRemaps := fs.Int("fleet-max-remaps", 0, "default fleet remaps allowed per breaker window (0 = default 3)")
 	traces := fs.Int("traces", 0,
 		"in-memory trace recorder capacity for /debug/traces (0 = default 256, negative disables)")
 	logFormat := fs.String("log-format", "text", "request log format: text or json")
@@ -111,26 +113,22 @@ func main() {
 		log.Fatalf("serve: %v", err)
 	}
 	if err := run(ctx, ln, service.Options{
-		Workers:            *workers,
-		QueueSize:          *queue,
-		CacheSize:          *cacheSize,
-		RequestTimeout:     *timeout,
-		SolverParallelism:  *solverParallel,
-		MaxSearchRestarts:  *searchRestarts,
-		MaxSearchBudget:    *searchBudget,
-		MaxJobs:            *maxJobs,
-		MaxJobsPerClient:   *jobsPerClient,
-		JobTTL:             *jobsTTL,
-		DisableFleet:       !*fleetOn,
-		FleetTick:          *fleetTick,
-		MaxDeployments:     *fleetMax,
-		FleetClient:        *fleetClient,
-		FleetCooldown:      *fleetCooldown,
-		FleetBreakerWindow: *fleetBreaker,
-		FleetMaxRemaps:     *fleetRemaps,
-		TraceCapacity:      *traces,
-		EnablePprof:        *pprofOn,
-		Logger:             reqLogger,
+		Workers:           *workers,
+		QueueSize:         *queue,
+		CacheSize:         *cacheSize,
+		RequestTimeout:    *timeout,
+		SolverParallelism: *solverParallel,
+		MaxSearchRestarts: *searchRestarts,
+		MaxSearchBudget:   *searchBudget,
+		MaxJobs:           *maxJobs,
+		MaxJobsPerClient:  *jobsPerClient,
+		JobTTL:            *jobsTTL,
+		DisableFleet:      !*fleetOn,
+		FleetTick:         *fleetTick,
+		MaxDeployments:    *fleetMax,
+		TraceCapacity:     *traces,
+		EnablePprof:       *pprofOn,
+		Logger:            reqLogger,
 	}, clusterCfg, *grace, *jobsDump, log.Default()); err != nil {
 		log.Fatalf("serve: %v", err)
 	}

@@ -1,17 +1,12 @@
 package relpipe
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strconv"
-	"strings"
 )
 
 // FleetClient is a minimal Go client for the service's fleet API
@@ -29,87 +24,33 @@ type FleetClient struct {
 	HTTPClient *http.Client
 }
 
-func (c *FleetClient) http() *http.Client {
-	if c.HTTPClient != nil {
-		return c.HTTPClient
-	}
-	return http.DefaultClient
-}
+func (c *FleetClient) api() transport { return newTransport(c.BaseURL, c.HTTPClient, "fleet") }
 
-func (c *FleetClient) url(path string) string {
-	return strings.TrimRight(c.BaseURL, "/") + path
-}
-
-// deployURL builds a /v1/fleet/deployments/{id}[/suffix] URL with the
+// deployPath builds a /v1/fleet/deployments/{id}[/suffix] path with the
 // id path-escaped (ids are caller-chosen strings).
-func (c *FleetClient) deployURL(id, suffix string) string {
-	return c.url("/v1/fleet/deployments/" + url.PathEscape(id) + suffix)
-}
-
-// fleetError converts a non-2xx answer into an error.
-func fleetError(status int, body []byte) error {
-	var e ErrorResponse
-	if json.Unmarshal(body, &e) == nil && e.Error != "" {
-		return fmt.Errorf("fleet: %s (HTTP %d)", e.Error, status)
-	}
-	return fmt.Errorf("fleet: HTTP %d", status)
-}
-
-// do runs one request and decodes the JSON answer into out (when
-// non-nil) if the status matches want.
-func (c *FleetClient) do(ctx context.Context, method, u string, in, out any, want int) error {
-	var body io.Reader
-	if in != nil {
-		b, err := json.Marshal(in)
-		if err != nil {
-			return err
-		}
-		body = bytes.NewReader(b)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, u, body)
-	if err != nil {
-		return err
-	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != want {
-		return fleetError(resp.StatusCode, b)
-	}
-	if out != nil {
-		return json.Unmarshal(b, out)
-	}
-	return nil
+func deployPath(id, suffix string) string {
+	return "/v1/fleet/deployments/" + url.PathEscape(id) + suffix
 }
 
 // Register registers a deployment for continuous adaptation and
 // returns its initial status.
 func (c *FleetClient) Register(ctx context.Context, req FleetRegisterRequest) (FleetDeployment, error) {
 	var st FleetDeployment
-	err := c.do(ctx, http.MethodPost, c.url("/v1/fleet/deployments"), req, &st, http.StatusCreated)
+	err := c.api().call(ctx, http.MethodPost, "/v1/fleet/deployments", req, &st, http.StatusCreated)
 	return st, err
 }
 
 // Status fetches one deployment snapshot.
 func (c *FleetClient) Status(ctx context.Context, id string) (FleetDeployment, error) {
 	var st FleetDeployment
-	err := c.do(ctx, http.MethodGet, c.deployURL(id, ""), nil, &st, http.StatusOK)
+	err := c.api().call(ctx, http.MethodGet, deployPath(id, ""), nil, &st, http.StatusOK)
 	return st, err
 }
 
 // List fetches every deployment in registration order.
 func (c *FleetClient) List(ctx context.Context) ([]FleetDeployment, error) {
 	var lr FleetListResponse
-	if err := c.do(ctx, http.MethodGet, c.url("/v1/fleet/deployments"), nil, &lr, http.StatusOK); err != nil {
+	if err := c.api().call(ctx, http.MethodGet, "/v1/fleet/deployments", nil, &lr, http.StatusOK); err != nil {
 		return nil, err
 	}
 	return lr.Deployments, nil
@@ -119,7 +60,7 @@ func (c *FleetClient) List(ctx context.Context) ([]FleetDeployment, error) {
 // next tick. It returns how many events were accepted.
 func (c *FleetClient) Feed(ctx context.Context, id string, events []FleetEvent) (int, error) {
 	var ack FleetEventsResponse
-	err := c.do(ctx, http.MethodPost, c.deployURL(id, "/events"),
+	err := c.api().call(ctx, http.MethodPost, deployPath(id, "/events"),
 		FleetEventsRequest{Events: events}, &ack, http.StatusAccepted)
 	return ack.Accepted, err
 }
@@ -127,7 +68,7 @@ func (c *FleetClient) Feed(ctx context.Context, id string, events []FleetEvent) 
 // Deregister removes a deployment and returns its final snapshot.
 func (c *FleetClient) Deregister(ctx context.Context, id string) (FleetDeployment, error) {
 	var st FleetDeployment
-	err := c.do(ctx, http.MethodDelete, c.deployURL(id, ""), nil, &st, http.StatusOK)
+	err := c.api().call(ctx, http.MethodDelete, deployPath(id, ""), nil, &st, http.StatusOK)
 	return st, err
 }
 
@@ -149,70 +90,34 @@ var (
 // is cancelled.
 func (c *FleetClient) Watch(ctx context.Context, id string, after uint64,
 	status func(FleetDeployment), fn func(FleetDecision)) error {
-	u := c.deployURL(id, "/events")
+	path := deployPath(id, "/events")
 	if after > 0 {
-		u += "?after=" + strconv.FormatUint(after, 10)
+		path += "?after=" + strconv.FormatUint(after, 10)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(resp.Body)
-		return fleetError(resp.StatusCode, b)
-	}
-
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 8<<20)
-	event, data := "", ""
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "event:"):
-			event = strings.TrimSpace(strings.TrimPrefix(line, "event:"))
-		case strings.HasPrefix(line, "data:"):
-			data = strings.TrimSpace(strings.TrimPrefix(line, "data:"))
-		case line == "":
-			if data == "" {
-				continue
+	return c.api().stream(ctx, path, func(event string, data []byte) (bool, error) {
+		switch event {
+		case "status", "shutdown":
+			var st FleetDeployment
+			if err := json.Unmarshal(data, &st); err != nil {
+				return true, err
 			}
-			switch event {
-			case "status", "shutdown":
-				var st FleetDeployment
-				if err := json.Unmarshal([]byte(data), &st); err != nil {
-					return err
-				}
-				if status != nil {
-					status(st)
-				}
-				if event == "shutdown" {
-					return ErrFleetShutdown
-				}
-			case "decision":
-				var d FleetDecision
-				if err := json.Unmarshal([]byte(data), &d); err != nil {
-					return err
-				}
-				if fn != nil {
-					fn(d)
-				}
-			case "deregistered":
-				return ErrFleetDeregistered
+			if status != nil {
+				status(st)
 			}
-			event, data = "", ""
+			if event == "shutdown" {
+				return true, ErrFleetShutdown
+			}
+		case "decision":
+			var d FleetDecision
+			if err := json.Unmarshal(data, &d); err != nil {
+				return true, err
+			}
+			if fn != nil {
+				fn(d)
+			}
+		case "deregistered":
+			return true, ErrFleetDeregistered
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	if ctx.Err() != nil {
-		return ctx.Err()
-	}
-	return io.ErrUnexpectedEOF
+		return false, nil
+	})
 }

@@ -67,8 +67,3 @@ func Replicated(f float64, q int) float64 {
 	}
 	return p
 }
-
-// Rel returns the reliability 1-f. Only use the result for display or for
-// moderate probabilities; chains of arithmetic should stay in failure
-// space.
-func Rel(f float64) float64 { return 1 - f }

@@ -28,9 +28,6 @@ type Options struct {
 	// admission error (a remap-failed decision, breaker open), which
 	// suits tests and benchmarks of the tick loop alone.
 	Submitter Submitter
-	// DefaultPolicy fills zero Policy fields of registered specs
-	// before the built-in defaults apply — the server's -fleet* flags.
-	DefaultPolicy Policy
 	// OnDecision observes every decision as it is logged, for metrics
 	// and tracing. Called with the controller's lock held: keep it
 	// cheap and do not call back into the Controller.
@@ -52,43 +49,6 @@ func (o Options) withDefaults() Options {
 		o.MaxDeployments = 1024
 	}
 	return o
-}
-
-// mergePolicy overlays spec-level fields onto the controller default:
-// any field the spec leaves zero takes the default's value; remaining
-// zeros take the built-in defaults.
-func mergePolicy(def, p Policy) Policy {
-	if p.HeartbeatInterval <= 0 {
-		p.HeartbeatInterval = def.HeartbeatInterval
-	}
-	if p.MissedHeartbeats <= 0 {
-		p.MissedHeartbeats = def.MissedHeartbeats
-	}
-	if p.RecoverHeartbeats <= 0 {
-		p.RecoverHeartbeats = def.RecoverHeartbeats
-	}
-	if p.WindowSize <= 0 {
-		p.WindowSize = def.WindowSize
-	}
-	if p.MinSamples <= 0 {
-		p.MinSamples = def.MinSamples
-	}
-	if p.AnomalySigma <= 0 {
-		p.AnomalySigma = def.AnomalySigma
-	}
-	if p.Cooldown <= 0 {
-		p.Cooldown = def.Cooldown
-	}
-	if p.BreakerWindow <= 0 {
-		p.BreakerWindow = def.BreakerWindow
-	}
-	if p.MaxRemaps <= 0 {
-		p.MaxRemaps = def.MaxRemaps
-	}
-	if p.MaxDecisions <= 0 {
-		p.MaxDecisions = def.MaxDecisions
-	}
-	return p.withDefaults()
 }
 
 // deployment is the controller-private state of one registered system.
@@ -242,7 +202,7 @@ func (c *Controller) Register(spec Spec) (Status, error) {
 	}
 	now := c.opts.Clock.Now()
 	p := spec.Instance.Platform.P()
-	pol := mergePolicy(c.opts.DefaultPolicy, spec.Policy)
+	pol := spec.Policy.withDefaults()
 	d := &deployment{
 		spec:       spec,
 		pol:        pol,

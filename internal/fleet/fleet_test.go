@@ -62,10 +62,11 @@ func testInstance(t testing.TB, n, p int) (core.Instance, mapping.Mapping) {
 }
 
 // newTestController wires a controller to a fake clock and a
-// synchronous submitter; tests drive Tick directly.
-func newTestController(sub Submitter, pol Policy) (*Controller, *clock.Fake) {
+// synchronous submitter; tests drive Tick directly and set each
+// deployment's guard rails on its Spec.
+func newTestController(sub Submitter) (*Controller, *clock.Fake) {
 	clk := clock.NewFake(time.Unix(10_000, 0))
-	ctl := New(Options{Clock: clk, Submitter: sub, DefaultPolicy: pol})
+	ctl := New(Options{Clock: clk, Submitter: sub})
 	return ctl, clk
 }
 
@@ -109,7 +110,7 @@ func kinds(decs []Decision) []DecisionKind {
 
 func TestRegisterValidation(t *testing.T) {
 	in, m := testInstance(t, 8, 8)
-	ctl, _ := newTestController(&syncSubmitter{parallelism: -1}, Policy{})
+	ctl, _ := newTestController(&syncSubmitter{parallelism: -1})
 
 	if _, err := ctl.Register(Spec{ID: "", Instance: in, Mapping: m, MinReliability: 0.5}); err == nil {
 		t.Fatal("empty id admitted")
@@ -165,8 +166,8 @@ func TestCrashTriggersRemapAndAdoption(t *testing.T) {
 	in, m := testInstance(t, 8, 16)
 	period := 4 * mapping.EvaluateUnchecked(in.Chain, in.Platform, m).WorstPeriod
 	sub := &syncSubmitter{parallelism: -1}
-	ctl, clk := newTestController(sub, fastPolicy())
-	st0 := mustRegister(t, ctl, Spec{ID: "d", Instance: in, Mapping: m, Period: period, MinReliability: 1e-9, Restarts: 2, Budget: 800})
+	ctl, clk := newTestController(sub)
+	st0 := mustRegister(t, ctl, Spec{ID: "d", Instance: in, Mapping: m, Period: period, MinReliability: 1e-9, Restarts: 2, Budget: 800, Policy: fastPolicy()})
 
 	victim := m.Procs[0][0]
 	mustIngest(t, ctl, "d", Event{Type: EventCrash, Proc: victim})
@@ -237,8 +238,8 @@ func TestDriftBelowFloorTriggersRemap(t *testing.T) {
 		t.Skip("weak mapping already at reliability 1")
 	}
 	sub := &syncSubmitter{parallelism: -1}
-	ctl, clk := newTestController(sub, fastPolicy())
-	mustRegister(t, ctl, Spec{ID: "d", Instance: in, Mapping: weak, MinReliability: floor, Restarts: 2, Budget: 800})
+	ctl, clk := newTestController(sub)
+	mustRegister(t, ctl, Spec{ID: "d", Instance: in, Mapping: weak, MinReliability: floor, Restarts: 2, Budget: 800, Policy: fastPolicy()})
 	st, _ := ctl.Status("d")
 	if !st.Drifting {
 		t.Fatalf("not drifting at registration: rel=%g floor=%g", st.Reliability, floor)
@@ -262,8 +263,8 @@ func TestDriftBelowFloorTriggersRemap(t *testing.T) {
 func TestHeartbeatTimeoutAndRecovery(t *testing.T) {
 	in, m := testInstance(t, 8, 8)
 	pol := fastPolicy()
-	ctl, clk := newTestController(&syncSubmitter{parallelism: -1}, pol)
-	mustRegister(t, ctl, Spec{ID: "d", Instance: in, Mapping: m, MinReliability: 1e-9})
+	ctl, clk := newTestController(&syncSubmitter{parallelism: -1})
+	mustRegister(t, ctl, Spec{ID: "d", Instance: in, Mapping: m, MinReliability: 1e-9, Policy: pol})
 
 	u := m.Procs[0][0]
 	mustIngest(t, ctl, "d", Event{Type: EventHeartbeat, Proc: u})
@@ -326,8 +327,8 @@ func TestFlappingSuppression(t *testing.T) {
 	period := 4 * mapping.EvaluateUnchecked(in.Chain, in.Platform, m).WorstPeriod
 	pol := fastPolicy() // cooldown 30s, breaker: max 2 per 5m
 	sub := &syncSubmitter{parallelism: -1}
-	ctl, clk := newTestController(sub, pol)
-	mustRegister(t, ctl, Spec{ID: "d", Instance: in, Mapping: m, Period: period, MinReliability: 1e-9, Restarts: 2, Budget: 800})
+	ctl, clk := newTestController(sub)
+	mustRegister(t, ctl, Spec{ID: "d", Instance: in, Mapping: m, Period: period, MinReliability: 1e-9, Restarts: 2, Budget: 800, Policy: pol})
 
 	// crashMapped kills a processor currently holding a replica, so
 	// the deployment degrades and wants a remap.
@@ -426,8 +427,8 @@ func TestFlappingSuppression(t *testing.T) {
 func TestSubmitErrorOpensBreaker(t *testing.T) {
 	in, m := testInstance(t, 8, 8)
 	sub := &syncSubmitter{parallelism: -1, err: errors.New("jobs: per-client live job cap reached")}
-	ctl, clk := newTestController(sub, fastPolicy())
-	mustRegister(t, ctl, Spec{ID: "d", Instance: in, Mapping: m, MinReliability: 1e-9})
+	ctl, clk := newTestController(sub)
+	mustRegister(t, ctl, Spec{ID: "d", Instance: in, Mapping: m, MinReliability: 1e-9, Policy: fastPolicy()})
 	mustIngest(t, ctl, "d", Event{Type: EventCrash, Proc: m.Procs[0][0]})
 	clk.Advance(time.Second)
 	ctl.Tick()
@@ -452,8 +453,8 @@ func TestSubmitErrorOpensBreaker(t *testing.T) {
 // Submitter fails every trigger through the admission-error path.
 func TestNoSubmitterFailsLikeAdmissionError(t *testing.T) {
 	in, m := testInstance(t, 8, 8)
-	ctl := New(Options{Clock: clock.NewFake(time.Unix(10_000, 0)), DefaultPolicy: fastPolicy()})
-	mustRegister(t, ctl, Spec{ID: "d", Instance: in, Mapping: m, MinReliability: 1e-9})
+	ctl := New(Options{Clock: clock.NewFake(time.Unix(10_000, 0))})
+	mustRegister(t, ctl, Spec{ID: "d", Instance: in, Mapping: m, MinReliability: 1e-9, Policy: fastPolicy()})
 	mustIngest(t, ctl, "d", Event{Type: EventCrash, Proc: m.Procs[0][0]})
 	ctl.Tick()
 	st, _ := ctl.Status("d")
@@ -476,8 +477,8 @@ func TestSeedZeroAliasesOne(t *testing.T) {
 	in, m := testInstance(t, 8, 16)
 	period := 4 * mapping.EvaluateUnchecked(in.Chain, in.Platform, m).WorstPeriod
 	sub := &syncSubmitter{parallelism: -1}
-	ctl, clk := newTestController(sub, fastPolicy())
-	mustRegister(t, ctl, Spec{ID: "d", Instance: in, Mapping: m, Period: period, MinReliability: 1e-9, Restarts: 2, Budget: 800})
+	ctl, clk := newTestController(sub)
+	mustRegister(t, ctl, Spec{ID: "d", Instance: in, Mapping: m, Period: period, MinReliability: 1e-9, Restarts: 2, Budget: 800, Policy: fastPolicy()})
 
 	mustIngest(t, ctl, "d", Event{Type: EventCrash, Proc: m.Procs[0][0]})
 	clk.Advance(time.Second)
@@ -507,8 +508,8 @@ func TestSeedZeroAliasesOne(t *testing.T) {
 // flags the status.
 func TestAnomalyDetection(t *testing.T) {
 	in, m := testInstance(t, 8, 8)
-	ctl, clk := newTestController(&syncSubmitter{parallelism: -1}, fastPolicy())
-	mustRegister(t, ctl, Spec{ID: "d", Instance: in, Mapping: m, MinReliability: 1e-9})
+	ctl, clk := newTestController(&syncSubmitter{parallelism: -1})
+	mustRegister(t, ctl, Spec{ID: "d", Instance: in, Mapping: m, MinReliability: 1e-9, Policy: fastPolicy()})
 	// Alternating 1/2 keeps the stddev positive.
 	for i := 0; i < 6; i++ {
 		mustIngest(t, ctl, "d", Event{Type: EventFailures, Value: float64(1 + i%2)})
@@ -552,9 +553,9 @@ func runScriptedScenario(t *testing.T, parallelism int) []byte {
 	t.Helper()
 	in, m := testInstance(t, 12, 10)
 	sub := &syncSubmitter{parallelism: parallelism}
-	ctl, clk := newTestController(sub, fastPolicy())
-	mustRegister(t, ctl, Spec{ID: "alpha", Instance: in, Mapping: m, MinReliability: 1e-9, Restarts: 4, Budget: 800, Seed: 3, Mission: 1e6})
-	mustRegister(t, ctl, Spec{ID: "beta", Instance: in, Mapping: m, MinReliability: 1e-9, Restarts: 4, Budget: 800, Seed: 4})
+	ctl, clk := newTestController(sub)
+	mustRegister(t, ctl, Spec{ID: "alpha", Instance: in, Mapping: m, MinReliability: 1e-9, Restarts: 4, Budget: 800, Seed: 3, Mission: 1e6, Policy: fastPolicy()})
+	mustRegister(t, ctl, Spec{ID: "beta", Instance: in, Mapping: m, MinReliability: 1e-9, Restarts: 4, Budget: 800, Seed: 4, Policy: fastPolicy()})
 
 	script := []struct {
 		id  string
@@ -620,8 +621,8 @@ func TestDeterminism(t *testing.T) {
 // wakes them too so streams can end.
 func TestSubscribeNotifies(t *testing.T) {
 	in, m := testInstance(t, 8, 8)
-	ctl, clk := newTestController(&syncSubmitter{parallelism: -1}, fastPolicy())
-	mustRegister(t, ctl, Spec{ID: "d", Instance: in, Mapping: m, MinReliability: 1e-9})
+	ctl, clk := newTestController(&syncSubmitter{parallelism: -1})
+	mustRegister(t, ctl, Spec{ID: "d", Instance: in, Mapping: m, MinReliability: 1e-9, Policy: fastPolicy()})
 	ch, ok := ctl.Subscribe("d")
 	if !ok {
 		t.Fatal("subscribe failed")
@@ -650,8 +651,8 @@ func TestStartStopLoop(t *testing.T) {
 	in, m := testInstance(t, 8, 8)
 	sub := &syncSubmitter{parallelism: -1}
 	clk := clock.NewFake(time.Unix(0, 0))
-	ctl := New(Options{Clock: clk, Submitter: sub, TickInterval: time.Second, DefaultPolicy: fastPolicy()})
-	mustRegister(t, ctl, Spec{ID: "d", Instance: in, Mapping: m, MinReliability: 1e-9, Restarts: 2, Budget: 800})
+	ctl := New(Options{Clock: clk, Submitter: sub, TickInterval: time.Second})
+	mustRegister(t, ctl, Spec{ID: "d", Instance: in, Mapping: m, MinReliability: 1e-9, Restarts: 2, Budget: 800, Policy: fastPolicy()})
 	ctl.Start()
 	mustIngest(t, ctl, "d", Event{Type: EventCrash, Proc: m.Procs[0][0]})
 	clk.Advance(time.Second)
@@ -680,7 +681,7 @@ func TestStartStopLoop(t *testing.T) {
 // idle fleet costs a GC-free scan regardless of deployment count.
 func TestIdleTickAllocationFree(t *testing.T) {
 	in, m := testInstance(t, 8, 6)
-	ctl, _ := newTestController(&syncSubmitter{parallelism: 1}, Policy{})
+	ctl, _ := newTestController(&syncSubmitter{parallelism: 1})
 	for i := 0; i < 16; i++ {
 		mustRegister(t, ctl, Spec{
 			ID: fmt.Sprintf("d%02d", i), Instance: in, Mapping: m,

@@ -47,11 +47,12 @@ func TestFleetQuality(t *testing.T) {
 		MaxRemaps:         3,
 	}
 	sub := &syncSubmitter{parallelism: -1}
-	ctl, clk := newTestController(sub, pol)
+	ctl, clk := newTestController(sub)
 	mustRegister(t, ctl, Spec{
 		ID: "fleetq", Instance: in, Mapping: m,
 		Period: period, MinReliability: 1e-12, Mission: mission,
 		Restarts: 4, Budget: 2000, Seed: 1,
+		Policy: pol,
 	})
 
 	// Scripted crash: kill a replica-holding processor.

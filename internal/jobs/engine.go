@@ -199,16 +199,12 @@ func (e *Engine) newJobLocked(kind, client, traceID string, cancel context.Cance
 
 // Submit admits a job and starts run on its own goroutine. ctx is the
 // engine-wide base context for the job (usually context.Background());
-// the job's own cancellation is layered on top of it.
-func (e *Engine) Submit(ctx context.Context, kind, client string, run Runner) (*Job, error) {
-	return e.SubmitTraced(ctx, kind, client, "", run)
-}
-
-// SubmitTraced is Submit with a caller-allocated trace ID carried in
-// the job's status, so clients can correlate an async job with the
-// trace its runner records (the service allocates the ID at submit time
-// and starts the trace when the runner executes).
-func (e *Engine) SubmitTraced(ctx context.Context, kind, client, traceID string, run Runner) (*Job, error) {
+// the job's own cancellation is layered on top of it. traceID is
+// carried in the job's status (empty for none), so clients can
+// correlate an async job with the trace its runner records (the service
+// allocates the ID at submit time and starts the trace when the runner
+// executes).
+func (e *Engine) Submit(ctx context.Context, kind, client, traceID string, run Runner) (*Job, error) {
 	jobCtx, cancel := context.WithCancel(ctx)
 	e.mu.Lock()
 	if err := e.admitLocked(client); err != nil {

@@ -54,14 +54,14 @@ func waitTerminal(t *testing.T, j *Job) Status {
 
 func TestLifecycleStates(t *testing.T) {
 	e, _ := newTestEngine(t, Options{})
-	j, err := e.Submit(context.Background(), "k", "c", instant(200))
+	j, err := e.Submit(context.Background(), "k", "c", "", instant(200))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := waitTerminal(t, j); st.State != StateSucceeded || st.HTTPStatus != 200 {
 		t.Fatalf("status = %+v", st)
 	}
-	j, err = e.Submit(context.Background(), "k", "c", instant(422))
+	j, err = e.Submit(context.Background(), "k", "c", "", instant(422))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestCancelFlipsStateAndUnblocksRunner(t *testing.T) {
 	e, _ := newTestEngine(t, Options{})
 	release := make(chan struct{})
 	defer close(release)
-	j, err := e.Submit(context.Background(), "k", "c", gated(release))
+	j, err := e.Submit(context.Background(), "k", "c", "", gated(release))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,28 +95,28 @@ func TestPerClientCap(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	for i := 0; i < 2; i++ {
-		if _, err := e.Submit(context.Background(), "k", "alice", gated(release)); err != nil {
+		if _, err := e.Submit(context.Background(), "k", "alice", "", gated(release)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := e.Submit(context.Background(), "k", "alice", gated(release)); !errors.Is(err, ErrClientCap) {
+	if _, err := e.Submit(context.Background(), "k", "alice", "", gated(release)); !errors.Is(err, ErrClientCap) {
 		t.Fatalf("err = %v, want ErrClientCap", err)
 	}
 	// Another client is unaffected.
-	if _, err := e.Submit(context.Background(), "k", "bob", gated(release)); err != nil {
+	if _, err := e.Submit(context.Background(), "k", "bob", "", gated(release)); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestStoreCapEvictsTerminalOldestFirst(t *testing.T) {
 	e, clk := newTestEngine(t, Options{MaxJobs: 2})
-	j1, err := e.Submit(context.Background(), "k", "c", instant(200))
+	j1, err := e.Submit(context.Background(), "k", "c", "", instant(200))
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitTerminal(t, j1)
 	clk.Advance(time.Second)
-	j2, err := e.Submit(context.Background(), "k", "c", instant(200))
+	j2, err := e.Submit(context.Background(), "k", "c", "", instant(200))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestStoreCapEvictsTerminalOldestFirst(t *testing.T) {
 	clk.Advance(time.Second)
 	// Store full (2 terminal jobs): the next submit evicts j1 (oldest
 	// finished), keeps j2.
-	j3, err := e.Submit(context.Background(), "k", "c", instant(200))
+	j3, err := e.Submit(context.Background(), "k", "c", "", instant(200))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,18 +142,18 @@ func TestStoreFullOfLiveJobsRejects(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	for i := 0; i < 2; i++ {
-		if _, err := e.Submit(context.Background(), "k", "c", gated(release)); err != nil {
+		if _, err := e.Submit(context.Background(), "k", "c", "", gated(release)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := e.Submit(context.Background(), "k", "c", gated(release)); !errors.Is(err, ErrStoreFull) {
+	if _, err := e.Submit(context.Background(), "k", "c", "", gated(release)); !errors.Is(err, ErrStoreFull) {
 		t.Fatalf("err = %v, want ErrStoreFull", err)
 	}
 }
 
 func TestTTLCollect(t *testing.T) {
 	e, clk := newTestEngine(t, Options{TTL: time.Minute})
-	j, err := e.Submit(context.Background(), "k", "c", instant(200))
+	j, err := e.Submit(context.Background(), "k", "c", "", instant(200))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestTTLCollect(t *testing.T) {
 // synchronously by Advance; the janitor drains it on its own schedule).
 func TestJanitorFakeClock(t *testing.T) {
 	e, clk := newTestEngine(t, Options{TTL: time.Minute, GCInterval: 30 * time.Second})
-	j, err := e.Submit(context.Background(), "k", "c", instant(200))
+	j, err := e.Submit(context.Background(), "k", "c", "", instant(200))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestProgressMonotoneClamp(t *testing.T) {
 	e, _ := newTestEngine(t, Options{})
 	started := make(chan *Job, 1)
 	release := make(chan struct{})
-	j, err := e.Submit(context.Background(), "k", "c", func(ctx context.Context, ctl Control) Outcome {
+	j, err := e.Submit(context.Background(), "k", "c", "", func(ctx context.Context, ctl Control) Outcome {
 		ctl.Running()
 		ctl.Progress(3, 8)
 		ctl.Progress(1, 8) // late out-of-order report from a parallel worker
@@ -222,7 +222,7 @@ func TestProgressMonotoneClamp(t *testing.T) {
 func TestSubscribeCoalesces(t *testing.T) {
 	e, _ := newTestEngine(t, Options{})
 	release := make(chan struct{})
-	j, err := e.Submit(context.Background(), "k", "c", gated(release))
+	j, err := e.Submit(context.Background(), "k", "c", "", gated(release))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestSubscribeCoalesces(t *testing.T) {
 
 func TestRunnerPanicFailsJob(t *testing.T) {
 	e, _ := newTestEngine(t, Options{})
-	j, err := e.Submit(context.Background(), "k", "c", func(ctx context.Context, ctl Control) Outcome {
+	j, err := e.Submit(context.Background(), "k", "c", "", func(ctx context.Context, ctl Control) Outcome {
 		panic("solver bug")
 	})
 	if err != nil {
@@ -272,7 +272,7 @@ func TestSubmitCompleted(t *testing.T) {
 func TestCloseDrainsAndRejects(t *testing.T) {
 	e, _ := newTestEngine(t, Options{})
 	release := make(chan struct{})
-	j, err := e.Submit(context.Background(), "k", "c", gated(release))
+	j, err := e.Submit(context.Background(), "k", "c", "", gated(release))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 	if st := j.Status(); st.State != StateSucceeded {
 		t.Fatalf("state after Close = %s, want drained to succeeded", st.State)
 	}
-	if _, err := e.Submit(context.Background(), "k", "c", instant(200)); !errors.Is(err, ErrClosed) {
+	if _, err := e.Submit(context.Background(), "k", "c", "", instant(200)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after Close = %v, want ErrClosed", err)
 	}
 }
@@ -295,7 +295,7 @@ func TestCloseWithinCancelsStragglers(t *testing.T) {
 	defer close(release)
 	// gated() honours ctx, standing in for a solver that polls
 	// cancellation; release is never closed before CloseWithin fires.
-	j, err := e.Submit(context.Background(), "k", "c", gated(release))
+	j, err := e.Submit(context.Background(), "k", "c", "", gated(release))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,10 +311,10 @@ func TestCloseWithinCancelsStragglers(t *testing.T) {
 
 func TestSnapshotNewestFirstAndClientFilter(t *testing.T) {
 	e, clk := newTestEngine(t, Options{})
-	a, _ := e.Submit(context.Background(), "k", "alice", instant(200))
+	a, _ := e.Submit(context.Background(), "k", "alice", "", instant(200))
 	waitTerminal(t, a)
 	clk.Advance(time.Second)
-	b, _ := e.Submit(context.Background(), "k", "bob", instant(200))
+	b, _ := e.Submit(context.Background(), "k", "bob", "", instant(200))
 	waitTerminal(t, b)
 	all := e.Snapshot("")
 	if len(all) != 2 || all[0].ID != b.ID() || all[1].ID != a.ID() {

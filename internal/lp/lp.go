@@ -101,9 +101,6 @@ func (p *Problem) AddSparseRow(coefs map[int]float64, sense Sense, rhs float64) 
 	return nil
 }
 
-// NumRows returns the number of constraints added so far.
-func (p *Problem) NumRows() int { return len(p.rows) }
-
 const eps = 1e-9
 
 // Solve runs the two-phase simplex method and returns the outcome.

@@ -188,13 +188,6 @@ func (v *CounterVec) With(labelValues ...string) Counter {
 	return Counter{v.f.getChild(labelValues)}
 }
 
-// Each visits every child's label values and current value.
-func (v *CounterVec) Each(fn func(labelValues []string, value float64)) {
-	for _, c := range v.f.snapshotChildren() {
-		fn(c.labelValues, c.value())
-	}
-}
-
 // NewCounterFunc registers a callback-backed counter series under the
 // given label values (labelNames may be empty): the callback is read at
 // collect time, so a component can export its own internal counter

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"errors"
 	"io"
 	"net/http"
 	"net/url"
@@ -43,27 +42,24 @@ func (s *Server) clusterJobFanIn(r *http.Request, method, path string) (outcome,
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), faninHop)
 	defer cancel()
-	type hit struct {
+	// One answer per peer on one channel: a peer's 200 can never be
+	// counted as a miss.
+	type answer struct {
 		body []byte
 		node string
+		ok   bool
 	}
-	ch := make(chan hit, len(others))
-	done := make(chan struct{}, len(others))
+	ch := make(chan answer, len(others))
 	for _, peer := range others {
 		go func(peer string) {
-			defer func() { done <- struct{}{} }()
 			status, body, err := cl.Forward(ctx, peer, method, path, nil, false)
-			if err == nil && status == http.StatusOK {
-				ch <- hit{body, peer}
-			}
+			ch <- answer{body, peer, err == nil && status == http.StatusOK}
 		}(peer)
 	}
 	for range others {
-		select {
-		case h := <-ch:
+		if a := <-ch; a.ok {
 			cancel() // the rest of the fan-out is moot
-			return outcome{status: http.StatusOK, body: h.body, node: h.node}, true
-		case <-done:
+			return outcome{status: http.StatusOK, body: a.body, node: a.node}, true
 		}
 	}
 	return outcome{}, false
@@ -134,11 +130,6 @@ func (s *Server) clusterJobEventsProxy(w http.ResponseWriter, r *http.Request) b
 	if !ok {
 		return false
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		s.writeError(w, http.StatusInternalServerError, errors.New("jobs: response writer cannot stream"))
-		return true
-	}
 	// BeginShutdown must end proxied streams like local ones, so the
 	// upstream request lives under a context this node's shutdown
 	// cancels.
@@ -162,10 +153,11 @@ func (s *Server) clusterJobEventsProxy(w http.ResponseWriter, r *http.Request) b
 		s.writeOutcome(w, outcome{status: resp.StatusCode, body: b, node: node})
 		return true
 	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set(relpipe.NodeHeader, node)
-	w.WriteHeader(http.StatusOK)
+	fl := s.openSSE(w, "jobs")
+	if fl == nil {
+		return true
+	}
 	buf := make([]byte, 4096)
 	for {
 		n, err := resp.Body.Read(buf)

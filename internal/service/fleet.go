@@ -23,14 +23,18 @@ import (
 // as ordinary async jobs (fleetSubmitter below), so they show up in
 // /v1/jobs, stream progress, and obey the engine's capacity caps.
 
+// fleetClient is the jobs-engine client id autonomous remaps are
+// submitted under (visible in GET /v1/jobs?client=fleet).
+const fleetClient = "fleet"
+
 // fleetSubmitter runs the controller's remap requests as async jobs on
 // the shared engine and worker pool. Every submission counts against
-// the dedicated fleet client id (Options.FleetClient), so a
-// misconfigured controller storms into its *own* per-client cap — 429
-// at the engine, breaker-open at the controller — and can never evict
-// or starve interactive users' jobs. SubmitRemap is called with the
-// controller's lock held, so it only admits the job; the solve runs on
-// the job's goroutine inside a pool slot.
+// the dedicated fleetClient id, so a misconfigured controller storms
+// into its *own* per-client cap — 429 at the engine, breaker-open at
+// the controller — and can never evict or starve interactive users'
+// jobs. SubmitRemap is called with the controller's lock held, so it
+// only admits the job; the solve runs on the job's goroutine inside a
+// pool slot.
 type fleetSubmitter struct{ s *Server }
 
 // fleetRemapResult is the job outcome body of one autonomous remap —
@@ -46,14 +50,11 @@ type fleetRemapResult struct {
 func (fs *fleetSubmitter) SubmitRemap(r fleet.Remap) (<-chan fleet.RemapOutcome, error) {
 	s := fs.s
 	out := make(chan fleet.RemapOutcome, 1)
-	tid := obs.NewTraceID()
-	_, err := s.jobs.SubmitTraced(context.Background(), "fleet-remap", s.opts.FleetClient, tid,
-		func(ctx context.Context, ctl jobs.Control) jobs.Outcome {
-			tctx, root := s.recorder.StartTraceID(ctx, tid, "fleet remap "+r.DeploymentID)
-			defer root.End()
+	_, err := s.admitJob("fleet-remap", fleetClient, "fleet remap "+r.DeploymentID,
+		func(ctx context.Context, ctl jobs.Control, root *obs.SpanHandle) jobs.Outcome {
 			root.SetAttr("deployment", r.DeploymentID)
 			root.SetAttr("reason", r.Reason)
-			res, err := s.pool.DoWait(tctx, func() (any, error) {
+			res, err := s.pool.DoWait(ctx, func() (any, error) {
 				ctl.Running()
 				result, ok, err := search.Repair(r.Instance.Chain, r.Instance.Platform, r.Mapping, r.Alive, search.Options{
 					Period:      r.Period,
@@ -116,21 +117,14 @@ func (s *Server) handleFleetRegister(w http.ResponseWriter, r *http.Request) {
 		Mission:        req.Mission,
 		Policy:         req.Policy.ToPolicy(),
 	}
-	if sp := req.Search; sp != nil {
-		// Same caps as the synchronous search endpoints: a deployment
-		// must not be a standing grant of unbounded solver work.
-		if sp.Restarts < 0 || sp.Budget < 0 {
-			s.writeError(w, http.StatusBadRequest, errors.New("fleet: negative restarts or budget"))
-			return
-		}
-		if sp.Restarts > s.exec.maxSearchRestarts || sp.Budget > s.exec.maxSearchBudget {
-			s.writeError(w, http.StatusBadRequest,
-				fmt.Errorf("fleet: search restarts/budget exceed server caps (%d, %d)",
-					s.exec.maxSearchRestarts, s.exec.maxSearchBudget))
-			return
-		}
-		spec.Restarts, spec.Budget, spec.Seed = sp.Restarts, sp.Budget, sp.Seed
+	// Same caps as the synchronous search endpoints: a deployment must
+	// not be a standing grant of unbounded solver work.
+	o, _, err := s.exec.searchOptions(req.Search)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, err)
+		return
 	}
+	spec.Restarts, spec.Budget, spec.Seed = o.Restarts, o.Budget, o.Seed
 	st, err := s.fleet.Register(spec)
 	if err != nil {
 		s.writeError(w, fleetErrStatus(err), err)
@@ -227,29 +221,25 @@ func (s *Server) handleFleetEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.fleet.Unsubscribe(id, ch)
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		s.writeError(w, http.StatusInternalServerError, errors.New("fleet: response writer cannot stream"))
+	fl := s.openSSE(w, "fleet")
+	if fl == nil {
 		return
 	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
 
 	st, ok := s.fleet.Status(id)
 	if !ok {
-		writeSSEJSON(w, fl, "deregistered", relpipe.FleetDeregisteredEvent{ID: id})
+		writeSSE(w, fl, "deregistered", relpipe.FleetDeregisteredEvent{ID: id})
 		return
 	}
-	writeSSEJSON(w, fl, "status", st)
+	writeSSE(w, fl, "status", st)
 	for {
 		decs, ok := s.fleet.DecisionsSince(id, after)
 		if !ok {
-			writeSSEJSON(w, fl, "deregistered", relpipe.FleetDeregisteredEvent{ID: id})
+			writeSSE(w, fl, "deregistered", relpipe.FleetDeregisteredEvent{ID: id})
 			return
 		}
 		for _, d := range decs {
-			writeSSEJSON(w, fl, "decision", d)
+			writeSSE(w, fl, "decision", d)
 			after = d.Seq
 		}
 		select {
@@ -258,22 +248,11 @@ func (s *Server) handleFleetEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		case <-s.shutdownC:
 			if st, ok := s.fleet.Status(id); ok {
-				writeSSEJSON(w, fl, "shutdown", st)
+				writeSSE(w, fl, "shutdown", st)
 			}
 			return
 		}
 	}
-}
-
-// writeSSEJSON emits one Server-Sent Event with an arbitrary JSON
-// payload (the jobs stream has its own status-typed twin).
-func writeSSEJSON(w http.ResponseWriter, fl http.Flusher, event string, v any) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return
-	}
-	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, b)
-	fl.Flush()
 }
 
 // fleetErrStatus maps controller errors to HTTP statuses.

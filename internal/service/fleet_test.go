@@ -270,12 +270,15 @@ func TestFleetValidation(t *testing.T) {
 		relpipe.FleetRegisterRequest{ID: "x"}, nil); code != http.StatusBadRequest {
 		t.Fatalf("invalid register = %d, want 400", code)
 	}
-	req := fleetTestSetup(t, "caps")
-	req.Search = &relpipe.SearchParams{Restarts: 1 << 20}
-	if code := postJSON(t, ts.URL+"/v1/fleet/deployments", req, nil); code != http.StatusBadRequest {
-		t.Fatalf("over-cap search register = %d, want 400", code)
+	// The search knobs pass the same cap check as the sync endpoints.
+	for _, sp := range []relpipe.SearchParams{{Restarts: 1 << 20}, {Budget: -1}} {
+		req := fleetTestSetup(t, "caps")
+		req.Search = &sp
+		if code := postJSON(t, ts.URL+"/v1/fleet/deployments", req, nil); code != http.StatusBadRequest {
+			t.Fatalf("search %+v register = %d, want 400", sp, code)
+		}
 	}
-	req = fleetTestSetup(t, "events")
+	req := fleetTestSetup(t, "events")
 	if code := postJSON(t, ts.URL+"/v1/fleet/deployments", req, nil); code != http.StatusCreated {
 		t.Fatal("register failed")
 	}

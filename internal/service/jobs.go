@@ -79,25 +79,35 @@ func (s *Server) submitJob(sub relpipe.JobSubmitRequest) (relpipe.JobStatus, err
 		}
 		return relpipe.JobStatus(j.Status()), nil
 	}
-	// The trace ID is allocated at submit time so the 202 status already
-	// carries it; the trace itself is recorded when the runner executes.
 	// The solve runs under the async contract (executeWait): in cluster
 	// mode a remote-owned instance forwards to its owner — cancelling
 	// the job severs the hop — and an unreachable owner falls back to a
 	// local solve, exactly like the sync path.
-	tid := obs.NewTraceID()
-	j, err := s.jobs.SubmitTraced(context.Background(), sub.Kind, sub.Client, tid,
-		func(ctx context.Context, ctl jobs.Control) jobs.Outcome {
-			tctx, root := s.recorder.StartTraceID(ctx, tid, "job "+sub.Kind)
-			out := s.executeWait(tctx, req, ctl.Running, ctl.Progress)
-			root.SetAttr("status", strconv.Itoa(out.status))
-			root.End()
-			return jobs.Outcome{Status: out.status, Body: out.body}
-		})
+	j, err := s.admitJob(sub.Kind, sub.Client, "job "+sub.Kind, func(ctx context.Context, ctl jobs.Control, _ *obs.SpanHandle) jobs.Outcome {
+		out := s.executeWait(ctx, req, ctl.Running, ctl.Progress)
+		return jobs.Outcome{Status: out.status, Body: out.body}
+	})
 	if err != nil {
 		return zero, err
 	}
 	return relpipe.JobStatus(j.Status()), nil
+}
+
+// admitJob is the one job-admission path: single-kind jobs, batch jobs
+// and fleet remaps all enter here. It allocates the trace ID up front,
+// so the returned job's status already carries it next to the job ID,
+// admits the job under client, and runs run inside the job's root span
+// (named span). The root span's "status" attribute records the
+// outcome's HTTP status; run may add attributes of its own.
+func (s *Server) admitJob(kind, client, span string, run func(context.Context, jobs.Control, *obs.SpanHandle) jobs.Outcome) (*jobs.Job, error) {
+	tid := obs.NewTraceID()
+	return s.jobs.Submit(context.Background(), kind, client, tid, func(ctx context.Context, ctl jobs.Control) jobs.Outcome {
+		ctx, root := s.recorder.StartTraceID(ctx, tid, span)
+		defer root.End()
+		out := run(ctx, ctl, root)
+		root.SetAttr("status", strconv.Itoa(out.Status))
+		return out
+	})
 }
 
 // submitBatchJob admits a whole /v1/batch document as one job: the
@@ -115,30 +125,26 @@ func (s *Server) submitBatchJob(sub relpipe.JobSubmitRequest) (relpipe.JobStatus
 	if err != nil {
 		return zero, err
 	}
-	tid := obs.NewTraceID()
-	j, err := s.jobs.SubmitTraced(context.Background(), sub.Kind, sub.Client, tid,
-		func(jctx context.Context, ctl jobs.Control) jobs.Outcome {
-			ctx, root := s.recorder.StartTraceID(jctx, tid, "job batch")
-			defer root.End()
-			ctl.Running()
-			total := int64(len(batch.Jobs))
-			ctl.Progress(0, total) // the item count is known up front
-			root.SetAttr("items", strconv.FormatInt(total, 10))
-			results := s.runBatchItems(batch.Jobs, func(req Request) outcome {
-				if err := ctx.Err(); err != nil {
-					return errorOutcome(statusForJob(err), err)
-				}
-				return s.executeWait(ctx, req, nil, nil)
-			}, func(done int64) { ctl.Progress(done, total) })
+	j, err := s.admitJob(sub.Kind, sub.Client, "job batch", func(ctx context.Context, ctl jobs.Control, root *obs.SpanHandle) jobs.Outcome {
+		ctl.Running()
+		total := int64(len(batch.Jobs))
+		ctl.Progress(0, total) // the item count is known up front
+		root.SetAttr("items", strconv.FormatInt(total, 10))
+		results := s.runBatchItems(batch.Jobs, func(req Request) outcome {
 			if err := ctx.Err(); err != nil {
-				return errorOutcomeJob(err)
+				return errorOutcome(statusForJob(err), err)
 			}
-			b, err := json.Marshal(relpipe.BatchResponse{Results: results})
-			if err != nil {
-				return errorOutcomeJob(fmt.Errorf("%w: %v", errEncodeResponse, err))
-			}
-			return jobs.Outcome{Status: http.StatusOK, Body: b}
-		})
+			return s.executeWait(ctx, req, nil, nil)
+		}, func(done int64) { ctl.Progress(done, total) })
+		if err := ctx.Err(); err != nil {
+			return errorOutcomeJob(err)
+		}
+		b, err := json.Marshal(relpipe.BatchResponse{Results: results})
+		if err != nil {
+			return errorOutcomeJob(fmt.Errorf("%w: %v", errEncodeResponse, err))
+		}
+		return jobs.Outcome{Status: http.StatusOK, Body: b}
+	})
 	if err != nil {
 		return zero, err
 	}
@@ -213,15 +219,10 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, errors.New("jobs: no such job"))
 		return
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		s.writeError(w, http.StatusInternalServerError, errors.New("jobs: response writer cannot stream"))
+	fl := s.openSSE(w, "jobs")
+	if fl == nil {
 		return
 	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
 	ch := j.Subscribe()
 	defer j.Unsubscribe(ch)
 	for {
@@ -241,16 +242,6 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-}
-
-// writeSSE emits one Server-Sent Event with a JSON payload.
-func writeSSE(w http.ResponseWriter, fl http.Flusher, event string, st jobs.Status) {
-	b, err := json.Marshal(st)
-	if err != nil {
-		return
-	}
-	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, b)
-	fl.Flush()
 }
 
 // errorOutcomeJob renders an error as a job outcome.

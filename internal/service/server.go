@@ -71,19 +71,6 @@ type Options struct {
 	// MaxDeployments its registration cap (default 1024).
 	FleetTick      time.Duration
 	MaxDeployments int
-	// FleetClient is the jobs-engine client id autonomous remaps are
-	// submitted under (default "fleet"). The fleet shares the job store
-	// and worker pool with interactive users but is capped as one
-	// client of its own: a remap storm 429s against MaxJobsPerClient —
-	// opening the deployment's breaker — instead of evicting or
-	// starving user jobs.
-	FleetClient string
-	// FleetCooldown, FleetBreakerWindow and FleetMaxRemaps set the
-	// default guard rails of registered deployments (defaults 1m, 10m,
-	// 3); a deployment's own policy overrides them field by field.
-	FleetCooldown      time.Duration
-	FleetBreakerWindow time.Duration
-	FleetMaxRemaps     int
 	// TraceCapacity bounds the in-memory trace recorder queryable at
 	// /debug/traces (default 256 most-recent traces; negative disables
 	// recording — spans become no-ops, X-Trace-Id still issued).
@@ -133,9 +120,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.TraceCapacity == 0 {
 		o.TraceCapacity = 256
-	}
-	if o.FleetClient == "" {
-		o.FleetClient = "fleet"
 	}
 	return o
 }
@@ -212,11 +196,6 @@ func NewServer(opts Options) *Server {
 			TickInterval:   opts.FleetTick,
 			MaxDeployments: opts.MaxDeployments,
 			Submitter:      &fleetSubmitter{s: s},
-			DefaultPolicy: fleet.Policy{
-				Cooldown:      opts.FleetCooldown,
-				BreakerWindow: opts.FleetBreakerWindow,
-				MaxRemaps:     opts.FleetMaxRemaps,
-			},
 			OnDecision: func(id string, d fleet.Decision) {
 				m.FleetDecision(d)
 			},
@@ -1028,6 +1007,32 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 		return
 	}
 	s.writeOutcome(w, outcome{status: status, body: b})
+}
+
+// openSSE starts a Server-Sent Events answer: event-stream headers and
+// a 200. It returns nil, after answering 500, when w cannot stream;
+// area prefixes that error.
+func (s *Server) openSSE(w http.ResponseWriter, area string) http.Flusher {
+	fl, ok := w.(http.Flusher)
+	if !ok {
+		s.writeError(w, http.StatusInternalServerError, fmt.Errorf("%s: response writer cannot stream", area))
+		return nil
+	}
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	w.WriteHeader(http.StatusOK)
+	return fl
+}
+
+// writeSSE emits one Server-Sent Event with a JSON payload and flushes
+// it.
+func writeSSE(w http.ResponseWriter, fl http.Flusher, event string, v any) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return
+	}
+	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, b)
+	fl.Flush()
 }
 
 // floatKey renders floats exactly (hex mantissa, comma-separated) for

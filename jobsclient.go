@@ -1,16 +1,11 @@
 package relpipe
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"net/http"
 	"net/url"
-	"strings"
 )
 
 // JobsClient is a minimal Go client for the service's async job API
@@ -33,43 +28,12 @@ type JobsClient struct {
 	HTTPClient *http.Client
 }
 
-func (c *JobsClient) http() *http.Client {
-	if c.HTTPClient != nil {
-		return c.HTTPClient
-	}
-	return http.DefaultClient
-}
+func (c *JobsClient) api() transport { return newTransport(c.BaseURL, c.HTTPClient, "jobs") }
 
-func (c *JobsClient) url(path string) string {
-	return strings.TrimRight(c.BaseURL, "/") + path
-}
-
-// jobURL builds a /v1/jobs/{id}[/suffix] URL with the id path-escaped
+// jobPath builds a /v1/jobs/{id}[/suffix] path with the id path-escaped
 // (ids are hex today, but the server owns that format, not us).
-func (c *JobsClient) jobURL(id, suffix string) string {
-	return c.url("/v1/jobs/" + url.PathEscape(id) + suffix)
-}
-
-// decodeJobResponse parses a JobStatus answer, converting error
-// documents into errors.
-func decodeJobResponse(resp *http.Response) (JobStatus, error) {
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-		var e ErrorResponse
-		if json.Unmarshal(body, &e) == nil && e.Error != "" {
-			return JobStatus{}, fmt.Errorf("jobs: %s (HTTP %d)", e.Error, resp.StatusCode)
-		}
-		return JobStatus{}, fmt.Errorf("jobs: HTTP %d", resp.StatusCode)
-	}
-	var st JobStatus
-	if err := json.Unmarshal(body, &st); err != nil {
-		return JobStatus{}, err
-	}
-	return st, nil
+func jobPath(id, suffix string) string {
+	return "/v1/jobs/" + url.PathEscape(id) + suffix
 }
 
 // Submit submits one async job: kind names the endpoint and request is
@@ -90,74 +54,36 @@ func (c *JobsClient) Submit(ctx context.Context, kind string, request any, clien
 		}
 		raw = b
 	}
-	body, err := json.Marshal(JobSubmitRequest{Kind: kind, Request: raw, Client: client})
-	if err != nil {
-		return JobStatus{}, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url("/v1/jobs"), bytes.NewReader(body))
-	if err != nil {
-		return JobStatus{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	return decodeJobResponse(resp)
+	var st JobStatus
+	err := c.api().call(ctx, http.MethodPost, "/v1/jobs",
+		JobSubmitRequest{Kind: kind, Request: raw, Client: client}, &st, http.StatusAccepted)
+	return st, err
 }
 
 // Status fetches one job snapshot.
 func (c *JobsClient) Status(ctx context.Context, id string) (JobStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.jobURL(id, ""), nil)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	return decodeJobResponse(resp)
+	var st JobStatus
+	err := c.api().call(ctx, http.MethodGet, jobPath(id, ""), nil, &st, http.StatusOK)
+	return st, err
 }
 
 // Cancel requests cancellation and returns the job's current snapshot
 // (the state flips to cancelled once the solver observes its context).
 func (c *JobsClient) Cancel(ctx context.Context, id string) (JobStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, c.jobURL(id, ""), nil)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	return decodeJobResponse(resp)
+	var st JobStatus
+	err := c.api().call(ctx, http.MethodDelete, jobPath(id, ""), nil, &st, http.StatusOK)
+	return st, err
 }
 
 // List fetches every stored job, newest first; client filters when
 // non-empty.
 func (c *JobsClient) List(ctx context.Context, client string) ([]JobStatus, error) {
-	u := c.url("/v1/jobs")
+	path := "/v1/jobs"
 	if client != "" {
-		u += "?client=" + url.QueryEscape(client)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("jobs: HTTP %d", resp.StatusCode)
+		path += "?client=" + url.QueryEscape(client)
 	}
 	var lr JobListResponse
-	if err := json.Unmarshal(body, &lr); err != nil {
+	if err := c.api().call(ctx, http.MethodGet, path, nil, &lr, http.StatusOK); err != nil {
 		return nil, err
 	}
 	return lr.Jobs, nil
@@ -174,54 +100,23 @@ var ErrJobShutdown = errors.New("relpipe: server shutting down")
 // from its parallel workers. Cancel ctx to stop watching (the job keeps
 // running; use Cancel to stop it).
 func (c *JobsClient) Watch(ctx context.Context, id string, fn func(JobStatus)) (JobStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.jobURL(id, "/events"), nil)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return decodeJobResponse(resp)
-	}
-
 	var last JobStatus
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 8<<20)
-	event, data := "", ""
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "event:"):
-			event = strings.TrimSpace(strings.TrimPrefix(line, "event:"))
-		case strings.HasPrefix(line, "data:"):
-			data = strings.TrimSpace(strings.TrimPrefix(line, "data:"))
-		case line == "":
-			if data == "" {
-				continue
-			}
-			var st JobStatus
-			if err := json.Unmarshal([]byte(data), &st); err != nil {
-				return last, err
-			}
-			last = st
-			if fn != nil {
-				fn(st)
-			}
-			switch event {
-			case "done":
-				return last, nil
-			case "shutdown":
-				return last, ErrJobShutdown
-			}
-			event, data = "", ""
+	err := c.api().stream(ctx, jobPath(id, "/events"), func(event string, data []byte) (bool, error) {
+		var st JobStatus
+		if err := json.Unmarshal(data, &st); err != nil {
+			return true, err
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return last, err
-	}
-	return last, io.ErrUnexpectedEOF
+		last = st
+		if fn != nil {
+			fn(st)
+		}
+		switch event {
+		case "done":
+			return true, nil
+		case "shutdown":
+			return true, ErrJobShutdown
+		}
+		return false, nil
+	})
+	return last, err
 }

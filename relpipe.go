@@ -22,6 +22,7 @@ package relpipe
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -132,7 +133,9 @@ const (
 	SimTwoHop = sim.TwoHop
 )
 
-// ErrInfeasible is returned by Optimize when no mapping fits the bounds.
+// ErrInfeasible is returned (wrapped; test with errors.Is) by the
+// solvers when no mapping fits the bounds: Optimize and its variants,
+// MinPeriod, MinimizeCost and OptimizeShared.
 var ErrInfeasible = core.ErrInfeasible
 
 // Options tunes how solvers execute. Parallelism never changes a
@@ -367,9 +370,14 @@ func MinimizeCostWith(in Instance, costs []float64, minReliability float64, b Bo
 // homogeneous platform (the Autosar situation of the paper's §1:
 // multiple vehicle functions sharing the ECUs), partitioning the
 // processors to maximize the joint reliability while every application
-// meets its own period and latency bounds.
+// meets its own period and latency bounds. It returns ErrInfeasible
+// when the applications cannot all fit.
 func OptimizeShared(apps []SharedApp, pl Platform) (SharedResult, error) {
-	return multichain.Map(apps, pl)
+	res, err := multichain.Map(apps, pl)
+	if errors.Is(err, multichain.ErrInfeasible) {
+		return res, fmt.Errorf("%w: %v", ErrInfeasible, err)
+	}
+	return res, err
 }
 
 // MTTF returns the mean time to the first failed data set of a mapping

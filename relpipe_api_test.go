@@ -42,6 +42,21 @@ func TestPublicInfeasible(t *testing.T) {
 	if !errors.Is(err, relpipe.ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
+	// The shared-platform solver reports infeasibility through the same
+	// sentinel, both when one application cannot meet its own bounds and
+	// when the applications together need more processors than exist.
+	app := relpipe.SharedApp{Chain: relpipe.Chain{{Work: 10, Out: 1}, {Work: 10, Out: 0}}, Period: 100}
+	tight := app
+	tight.Period = 1
+	pl := relpipe.HomogeneousPlatform(2, 1, 1e-8, 1, 1e-5, 2)
+	for name, apps := range map[string][]relpipe.SharedApp{
+		"bounds":     {tight},
+		"processors": {app, app, app},
+	} {
+		if _, err := relpipe.OptimizeShared(apps, pl); !errors.Is(err, relpipe.ErrInfeasible) {
+			t.Errorf("OptimizeShared %s: err = %v, want ErrInfeasible", name, err)
+		}
+	}
 }
 
 func TestPublicMinPeriod(t *testing.T) {

@@ -21,11 +21,11 @@ import (
 	"testing"
 
 	"relpipe"
-	"relpipe/internal/alloc"
 	"relpipe/internal/chain"
 	"relpipe/internal/cost"
 	"relpipe/internal/dp"
 	"relpipe/internal/exact"
+	"relpipe/internal/exact/exactref"
 	"relpipe/internal/expfig"
 	"relpipe/internal/frontier"
 	"relpipe/internal/heur"
@@ -199,7 +199,7 @@ func BenchmarkAblationRouting(b *testing.B) {
 	c := chain.PaperRandom(rng.New(3), 9)
 	pl := platform.Homogeneous(9, 1, 1e-4, 1, 1e-3, 3)
 	parts := interval.Partition{{First: 0, Last: 2}, {First: 3, Last: 5}, {First: 6, Last: 8}}
-	m, err := alloc.Greedy(c, pl, parts)
+	m, err := exactref.Greedy(c, pl, parts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -220,11 +220,11 @@ func BenchmarkAblationAlloc(b *testing.B) {
 	parts := interval.Partition{{First: 0, Last: 1}, {First: 2, Last: 3}, {First: 4, Last: 5}}
 	var gap float64
 	for i := 0; i < b.N; i++ {
-		g, err := alloc.Greedy(c, pl, parts)
+		g, err := exactref.Greedy(c, pl, parts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		bf, err := alloc.BruteForce(c, pl, parts)
+		bf, err := exactref.BruteForce(c, pl, parts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -23,12 +23,14 @@
 // same-process ratio printed as "speedup <kernel>" falls below floor, or
 // is missing from the run. The P=8/P=1 ratios (exact-profiles,
 // monte-carlo) are skipped, with a notice, below 4 cores where the
-// speedup cannot appear. The other two pit a fast path against its
+// speedup cannot appear. The others pit a fast path against its
 // reference oracle, both single-threaded in the same run, so their
 // floors hold on any machine class: search-optimize-delta (incremental
 // mapping.Evaluator vs full EvaluateUnchecked over the same pinned
-// neighbor cycle) and monte-carlo-soa (flat-array vs scalar engine over
-// the same replication batch).
+// neighbor cycle), monte-carlo-soa (flat-array vs scalar engine over
+// the same replication batch) and exact-profiles-table (the exact
+// solver's term-table enumeration vs the per-partition exactref oracle
+// on the same chain).
 //
 // ns/op is recorded and feeds those ratios, but is never compared
 // against the baseline: absolute times do not transfer between
@@ -61,6 +63,7 @@ import (
 	"relpipe/internal/chain"
 	"relpipe/internal/dp"
 	"relpipe/internal/exact"
+	"relpipe/internal/exact/exactref"
 	"relpipe/internal/frontier"
 	"relpipe/internal/heur"
 	"relpipe/internal/interval"
@@ -156,6 +159,25 @@ func exactBench(parallelism int) func(sz sizes) func() {
 		c, pl := paperChainPlatform(sz.exactTasks)
 		return func() {
 			ps, err := exact.ProfilesPar(context.Background(), c, pl, parallelism)
+			if err != nil {
+				panic(err)
+			}
+			sink += float64(len(ps))
+		}
+	}
+}
+
+// exactRefBench runs exactBench's enumeration through the reference
+// oracle internal/exact/exactref, single-threaded: Algo-Alloc and a full
+// mapping.Evaluate per partition, which the table-driven kernel
+// replaced. Both produce the same profiles bit for bit, so the ratio of
+// the two is the kernel's speedup, the "exact-profiles-table" entry in
+// Speedups that -minratio gates.
+func exactRefBench() func(sz sizes) func() {
+	return func(sz sizes) func() {
+		c, pl := paperChainPlatform(sz.exactTasks)
+		return func() {
+			ps, err := exactref.Profiles(c, pl)
 			if err != nil {
 				panic(err)
 			}
@@ -390,6 +412,7 @@ func frontierBench() func(sz sizes) func() {
 var benchmarks = []benchmark{
 	{"exact-profiles/P=1", exactBench(1)},
 	{"exact-profiles/P=8", exactBench(8)},
+	{"exact-profiles-ref", exactRefBench()},
 	{"monte-carlo/P=1", monteCarloBench(1)},
 	{"monte-carlo/P=8", monteCarloBench(8)},
 	{"monte-carlo-soa", monteCarloEngineBench(false)},
@@ -499,25 +522,12 @@ func runBenchmarks(quick bool) File {
 			fmt.Printf("speedup %-16s %.2fx (P=8 vs P=1, GOMAXPROCS=%d)\n", base, p1/p8, f.GoMaxProcs)
 		}
 	}
-	// The incremental evaluator's advantage over the full-eval oracle:
-	// same run, same single-threaded pinned instance, so the ratio is
-	// machine-class independent and -minratio can gate it hard.
-	if d, okD := byName["search-optimize-delta"]; okD && d > 0 {
-		if fl, okF := byName["search-optimize-full"]; okF {
-			f.Speedups["search-optimize-delta"] = fl / d
-			fmt.Printf("speedup %-16s %.2fx (incremental vs full evaluation)\n",
-				"search-optimize-delta", fl/d)
-		}
-	}
-	// The flat-array Monte-Carlo engine's advantage over the scalar
-	// reference oracle: same batch, single-threaded, same run, so this
-	// ratio too is machine-class independent and -minratio can gate it
-	// hard.
-	if soa, okS := byName["monte-carlo-soa"]; okS && soa > 0 {
-		if sc, okC := byName["monte-carlo-scalar"]; okC {
-			f.Speedups["monte-carlo-soa"] = sc / soa
-			fmt.Printf("speedup %-16s %.2fx (flat-array vs scalar engine)\n",
-				"monte-carlo-soa", sc/soa)
+	for _, r := range oracleRatios {
+		fast, okF := byName[r.fast]
+		ref, okR := byName[r.ref]
+		if okF && okR && fast > 0 {
+			f.Speedups[r.name] = ref / fast
+			fmt.Printf("speedup %-16s %.2fx (%s)\n", r.name, ref/fast, r.what)
 		}
 	}
 	return f
@@ -621,6 +631,16 @@ func writeSummary(path string, baseline, current File, rows []summaryRow) error 
 	defer f.Close()
 	_, err = f.WriteString(b.String())
 	return err
+}
+
+// oracleRatios are the Speedups entries that pit a fast kernel against
+// its reference oracle: same workload, single-threaded, same run, so the
+// ratio (ref ns/op over fast ns/op) is machine-class independent and
+// -minratio can gate it hard on any runner.
+var oracleRatios = []struct{ name, fast, ref, what string }{
+	{"search-optimize-delta", "search-optimize-delta", "search-optimize-full", "incremental vs full evaluation"},
+	{"monte-carlo-soa", "monte-carlo-soa", "monte-carlo-scalar", "flat-array vs scalar engine"},
+	{"exact-profiles-table", "exact-profiles/P=1", "exact-profiles-ref", "term table vs per-partition evaluation"},
 }
 
 // parallelRatios are the kernels whose Speedups entry is the P=8/P=1

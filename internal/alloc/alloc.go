@@ -23,59 +23,6 @@ var ErrInfeasible = errors.New("alloc: no feasible allocation")
 // tasks need a hardware driver present only on some processors.
 type Constraint func(j, u int) bool
 
-// Greedy implements Algo-Alloc on a homogeneous platform: first one
-// processor per interval, then repeatedly grant one more replica to the
-// interval with the largest reliability ratio
-//
-//	(reliability with one more replica) / (current reliability),
-//
-// equivalently the largest log-reliability gain. By Theorem 4 the result
-// maximizes the mapping's reliability for the given partition.
-// It returns ErrInfeasible if there are fewer processors than intervals.
-func Greedy(c chain.Chain, pl platform.Platform, parts interval.Partition) (mapping.Mapping, error) {
-	if !pl.Homogeneous() {
-		return mapping.Mapping{}, errors.New("alloc: Greedy requires a homogeneous platform; use GreedyHet")
-	}
-	m := len(parts)
-	p := pl.P()
-	if p < m {
-		return mapping.Mapping{}, fmt.Errorf("%w: %d intervals, %d processors", ErrInfeasible, m, p)
-	}
-	// Per-interval single-replica failure probability; processor identity
-	// is irrelevant on a homogeneous platform.
-	repFail := make([]float64, m)
-	for j := range parts {
-		repFail[j] = mapping.ReplicaFailProb(pl, 0, parts.Work(c, j), parts.In(c, j), parts.Out(c, j))
-	}
-	counts := make([]int, m)
-	stageFail := make([]float64, m) // current Π of replica failures
-	for j := range counts {
-		counts[j] = 1
-		stageFail[j] = repFail[j]
-	}
-	remaining := p - m
-	k := pl.MaxReplicas
-	for remaining > 0 {
-		best, bestGain := -1, math.Inf(-1)
-		for j := 0; j < m; j++ {
-			if counts[j] >= k {
-				continue
-			}
-			gain := failure.LogRel(stageFail[j]*repFail[j]) - failure.LogRel(stageFail[j])
-			if gain > bestGain {
-				best, bestGain = j, gain
-			}
-		}
-		if best < 0 {
-			break // every interval is already at K replicas
-		}
-		counts[best]++
-		stageFail[best] *= repFail[best]
-		remaining--
-	}
-	return mapping.AssignSequential(parts, counts), nil
-}
-
 // GreedyHet implements the §7.2 allocation heuristic for general
 // platforms under an optional period bound (periodBound <= 0 means
 // unconstrained) and optional compatibility constraints:
@@ -214,67 +161,4 @@ func GreedyHet(c chain.Chain, pl platform.Platform, parts interval.Partition, pe
 	}
 
 	return mapping.Mapping{Parts: parts.Clone(), Procs: procsOf}, nil
-}
-
-// BruteForce exhaustively searches the reliability-optimal allocation for
-// a fixed partition by trying every assignment of processors to intervals
-// (each interval gets 1..K processors, a processor serves at most one
-// interval). Exponential; only used to validate the greedy algorithms on
-// small instances.
-func BruteForce(c chain.Chain, pl platform.Platform, parts interval.Partition) (mapping.Mapping, error) {
-	m := len(parts)
-	p := pl.P()
-	if p < m {
-		return mapping.Mapping{}, ErrInfeasible
-	}
-	if p > 10 {
-		return mapping.Mapping{}, errors.New("alloc: BruteForce limited to p <= 10")
-	}
-	bestLog := math.Inf(-1)
-	var best mapping.Mapping
-	assign := make([]int, p) // assign[u] = interval of processor u, or -1
-	var rec func(u int)
-	rec = func(u int) {
-		if u == p {
-			counts := make([]int, m)
-			for _, j := range assign {
-				if j >= 0 {
-					counts[j]++
-				}
-			}
-			for _, q := range counts {
-				if q == 0 {
-					return
-				}
-			}
-			mp := mapping.Mapping{Parts: parts, Procs: make([][]int, m)}
-			for v, j := range assign {
-				if j >= 0 {
-					mp.Procs[j] = append(mp.Procs[j], v)
-				}
-			}
-			ev, err := mapping.Evaluate(c, pl, mp)
-			if err != nil {
-				return
-			}
-			if ev.LogRel > bestLog {
-				bestLog = ev.LogRel
-				best = mp.Clone()
-				best.Parts = parts.Clone()
-			}
-			return
-		}
-		assign[u] = -1
-		rec(u + 1)
-		for j := 0; j < m; j++ {
-			assign[u] = j
-			rec(u + 1)
-		}
-		assign[u] = -1
-	}
-	rec(0)
-	if math.IsInf(bestLog, -1) {
-		return mapping.Mapping{}, ErrInfeasible
-	}
-	return best, nil
 }

@@ -2,8 +2,10 @@
 // problem: given a fixed partition of the chain into intervals, choose
 // which processors replicate each interval.
 //
-// Greedy is the paper's Algo-Alloc (§5.5), optimal on homogeneous
-// platforms (Theorem 4). GreedyHet is the §7.2 generalization used by the
-// heuristics on heterogeneous platforms: it honours a period bound and
-// optional task↔processor compatibility constraints.
+// GreedyHet is the §7.2 allocation heuristic the heuristics use on
+// heterogeneous platforms: it honours a period bound and optional
+// task↔processor compatibility constraints. The paper's Algo-Alloc
+// (§5.5, optimal on homogeneous platforms by Theorem 4) runs inside the
+// exact solver's term table (internal/exact); its stand-alone form,
+// exactref.Greedy, is the test oracle beside the brute-force allocator.
 package alloc

@@ -11,4 +11,15 @@
 // enumeration + optimal allocation is a *global* optimum. This solver
 // plays the role of the paper's CPLEX ILP (§5.4) in the experiments, and
 // cross-checks our own branch-and-bound ILP in tests.
+//
+// The enumeration is table-driven. Every criterion is a sum or a max of
+// per-interval terms that depend only on (first task, last task, replica
+// count), so each solve fills one table of them: worst cost, output
+// time, and per replica count the stage log-reliability and Algo-Alloc's
+// gain for one more replica. The greedy and the fold over a partition's
+// intervals then read only the table. The entries come from the same
+// mapping and failure functions, in the same order, as a per-partition
+// Algo-Alloc plus mapping.Evaluate, so every Profile float is
+// bit-identical to that path's, which survives as the test oracle
+// internal/exact/exactref.
 package exact

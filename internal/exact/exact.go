@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math"
 
-	"relpipe/internal/alloc"
 	"relpipe/internal/chain"
 	"relpipe/internal/interval"
 	"relpipe/internal/mapping"
@@ -21,6 +20,12 @@ var ErrInfeasible = errors.New("exact: no feasible mapping")
 // and the best achievable log-reliability with its optimal replica
 // counts. Profiles make bound sweeps cheap: the experiment harness
 // filters the same profile set against hundreds of (P, L) bounds.
+//
+// Every float equals the one mapping.Evaluate returns for the mapping
+// Algo-Alloc builds on the partition, bit for bit: the enumeration
+// reads per-interval terms from one table filled through the same
+// functions in the same order, and folds them in ascending interval
+// order as the evaluator does (see table).
 type Profile struct {
 	Ends    []int   // last task of each interval
 	Period  float64 // worst-case period of any mapping with this partition
@@ -35,67 +40,60 @@ func Profiles(c chain.Chain, pl platform.Platform) ([]Profile, error) {
 	return ProfilesPar(context.Background(), c, pl, 1)
 }
 
-// ProfilesPar is Profiles with the enumeration sharded over the
-// 2^{n-1} partition indices on up to par.Degree(parallelism) goroutines
-// (see internal/par; 1 = sequential, 0 = GOMAXPROCS). Shard outputs are
-// concatenated in shard order, so the result is bit-identical to the
-// sequential enumeration for every degree. ctx cancels the enumeration
-// mid-shard (nil = background).
-func ProfilesPar(ctx context.Context, c chain.Chain, pl platform.Platform, parallelism int) ([]Profile, error) {
+// validate checks an instance for the homogeneous exact solver.
+func validate(c chain.Chain, pl platform.Platform) error {
 	if err := c.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if err := pl.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if !pl.Homogeneous() {
-		return nil, errors.New("exact: heterogeneous platform; the exact solver covers the homogeneous case")
+		return errors.New("exact: heterogeneous platform; the exact solver covers the homogeneous case")
 	}
-	n := len(c)
-	chunks, err := par.MapShards(ctx, parallelism, interval.Count(n),
-		func(ctx context.Context, s par.Shard) ([]Profile, error) {
-			var local []Profile
-			var tick int
-			var stop error
-			interval.VisitRange(n, s.Lo, s.Hi, func(parts interval.Partition) bool {
-				if tick++; tick&511 == 0 {
-					if err := ctx.Err(); err != nil {
-						stop = err
-						return false
-					}
-				}
-				if len(parts) > pl.P() {
-					return true // not enough processors for one per interval
-				}
-				m, err := alloc.Greedy(c, pl, parts)
-				if err != nil {
-					return true
-				}
-				ev, err := mapping.Evaluate(c, pl, m)
-				if err != nil {
-					return true
-				}
-				counts := make([]int, len(parts))
-				for j := range m.Procs {
-					counts[j] = len(m.Procs[j])
-				}
-				local = append(local, Profile{
-					Ends:    parts.Clone().Ends(),
-					Period:  ev.WorstPeriod,
-					Latency: ev.WorstLatency,
-					LogRel:  ev.LogRel,
-					Counts:  counts,
-				})
-				return true
-			})
-			return local, stop
-		})
-	if err != nil {
+	return nil
+}
+
+// ProfilesPar is Profiles with the enumeration sharded over the
+// 2^{n-1} partition indices on up to par.Degree(parallelism) goroutines
+// (see internal/par; 1 = sequential, 0 = GOMAXPROCS). Every shard writes
+// its profiles straight into its own range of the result, which
+// t.below locates by counting, so the result is bit-identical to the
+// sequential enumeration for every degree and nothing is copied after
+// the fan-out. ctx cancels the enumeration mid-shard (nil = background).
+//
+// Each shard carves its profiles' Ends and Counts from one arena sized
+// exactly for the shard, each slice capacity-clipped so an append by a
+// caller cannot run into its neighbour.
+func ProfilesPar(ctx context.Context, c chain.Chain, pl platform.Platform, parallelism int) ([]Profile, error) {
+	if err := validate(c, pl); err != nil {
 		return nil, err
 	}
-	var out []Profile
-	for _, ch := range chunks {
-		out = append(out, ch...)
+	t := newTable(c, pl)
+	total, _ := t.below(interval.Count(t.n))
+	out := make([]Profile, total)
+	err := par.Run(ctx, parallelism, interval.Count(t.n), func(ctx context.Context, s par.Shard) error {
+		lo, loInts := t.below(s.Lo)
+		hi, hiInts := t.below(s.Hi)
+		dst := out[lo:hi]
+		arena := make([]int, 2*(hiInts-loInts))
+		sc := t.newScratch()
+		return t.enumerate(ctx, s, sc, func(parts interval.Partition, period, latency float64) {
+			logRel := t.allocate(sc)
+			m := len(parts)
+			ends := arena[:m:m]
+			counts := arena[m : 2*m : 2*m]
+			arena = arena[2*m:]
+			for j, iv := range parts {
+				ends[j] = iv.Last
+			}
+			copy(counts, sc.counts)
+			dst[0] = Profile{Ends: ends, Period: period, Latency: latency, LogRel: logRel, Counts: counts}
+			dst = dst[1:]
+		})
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -166,24 +164,60 @@ func Materialize(p Profile) mapping.Mapping {
 	return mapping.AssignSequential(interval.FromEnds(p.Ends), p.Counts)
 }
 
+// incumbent is one shard's first strictly most reliable partition
+// under the bounds.
+type incumbent struct {
+	logRel       float64
+	ends, counts []int
+}
+
 // OptimalPar returns the reliability-maximal mapping of c on the
 // homogeneous platform pl subject to the period and latency bounds
 // (<= 0 for unconstrained). It is a global optimum (see the package
 // comment). The partition enumeration is sharded on up to
-// par.Degree(parallelism) goroutines; BestUnder keeps the first profile
-// under strict improvement and the shard-ordered enumeration preserves
-// the sequential profile order, so the winning mapping is bit-identical
-// for every degree.
+// par.Degree(parallelism) goroutines. Each shard keeps the first
+// strictly most reliable partition of its contiguous index range that
+// meets the bounds, running Algo-Alloc only on those; merging the
+// incumbents in shard order under the same strict comparison picks the
+// profile BestUnder would pick from ProfilesPar, so the winning mapping
+// is bit-identical for every degree.
 func OptimalPar(ctx context.Context, c chain.Chain, pl platform.Platform, period, latency float64, parallelism int) (mapping.Mapping, mapping.Eval, error) {
-	ps, err := ProfilesPar(ctx, c, pl, parallelism)
+	if err := validate(c, pl); err != nil {
+		return mapping.Mapping{}, mapping.Eval{}, err
+	}
+	t := newTable(c, pl)
+	bests, err := par.MapShards(ctx, parallelism, interval.Count(t.n),
+		func(ctx context.Context, s par.Shard) (incumbent, error) {
+			best := incumbent{logRel: math.Inf(-1), ends: make([]int, 0, t.n), counts: make([]int, 0, t.n)}
+			sc := t.newScratch()
+			err := t.enumerate(ctx, s, sc, func(parts interval.Partition, p, l float64) {
+				if (period > 0 && p > period) || (latency > 0 && l > latency) {
+					return
+				}
+				if logRel := t.allocate(sc); logRel > best.logRel {
+					best.logRel = logRel
+					best.ends = best.ends[:0]
+					for _, iv := range parts {
+						best.ends = append(best.ends, iv.Last)
+					}
+					best.counts = append(best.counts[:0], sc.counts...)
+				}
+			})
+			return best, err
+		})
 	if err != nil {
 		return mapping.Mapping{}, mapping.Eval{}, err
 	}
-	i := BestUnder(ps, period, latency)
-	if i < 0 {
+	winner := incumbent{logRel: math.Inf(-1)}
+	for _, b := range bests {
+		if b.logRel > winner.logRel {
+			winner = b
+		}
+	}
+	if math.IsInf(winner.logRel, -1) {
 		return mapping.Mapping{}, mapping.Eval{}, ErrInfeasible
 	}
-	m := Materialize(ps[i])
+	m := Materialize(Profile{Ends: winner.ends, Counts: winner.counts})
 	ev, err := mapping.Evaluate(c, pl, m)
 	if err != nil {
 		return mapping.Mapping{}, mapping.Eval{}, err

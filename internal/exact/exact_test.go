@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -16,6 +17,24 @@ import (
 
 func homPl(p int) platform.Platform {
 	return platform.Homogeneous(p, 1, 1e-2, 1, 1e-3, 3)
+}
+
+// TestBelowCountsCutMasks checks the closed-form partition count that
+// places each ProfilesPar shard against a popcount over every index.
+func TestBelowCountsCutMasks(t *testing.T) {
+	for _, procs := range []int{1, 2, 3, 5, 13} {
+		tb := &table{procs: procs}
+		count, intervals := 0, 0
+		for x := 0; x <= 1<<12; x++ {
+			if gc, gi := tb.below(x); gc != count || gi != intervals {
+				t.Fatalf("procs=%d below(%d) = (%d, %d), want (%d, %d)", procs, x, gc, gi, count, intervals)
+			}
+			if m := bits.OnesCount(uint(x)) + 1; m <= procs {
+				count++
+				intervals += m
+			}
+		}
+	}
 }
 
 func TestProfilesCount(t *testing.T) {

@@ -1,7 +1,8 @@
 // Command bench is the benchmark-regression harness of the CI pipeline:
-// it measures the solver kernels (exact enumeration, Monte-Carlo
-// simulation, frontier sweep, heuristic search, online adaptation with
-// remap repairs, DP, evaluation, cluster routing, the idle fleet tick)
+// it measures the solver kernels (exact enumeration and min-cost,
+// Monte-Carlo simulation, frontier sweep, heuristic search, online
+// adaptation with remap repairs, DP, evaluation, cluster routing, the
+// idle fleet tick)
 // on fixed-seed instances, writes ns/op, allocs/op and B/op as JSON,
 // and gates only what holds on any machine.
 //
@@ -61,6 +62,7 @@ import (
 
 	"relpipe/internal/adapt"
 	"relpipe/internal/chain"
+	"relpipe/internal/cost"
 	"relpipe/internal/dp"
 	"relpipe/internal/exact"
 	"relpipe/internal/exact/exactref"
@@ -182,6 +184,28 @@ func exactRefBench() func(sz sizes) func() {
 				panic(err)
 			}
 			sink += float64(len(ps))
+		}
+	}
+}
+
+// minCostExactBench runs the exact min-cost solver, one sequential
+// exact.Sweep, on exactBench's 15-task chain (at every size: the
+// kernel guards allocations, not scaling) with uneven prices and a
+// floor that needs replicas. Its allocs/op are per solve, not per
+// partition, and -check keeps them there.
+func minCostExactBench() func(sz sizes) func() {
+	return func(sz sizes) func() {
+		c, pl := paperChainPlatform(15)
+		costs := make([]float64, pl.P())
+		for u := range costs {
+			costs[u] = float64(1 + u%3)
+		}
+		return func() {
+			sol, err := cost.Minimize(c, pl, costs, math.Log(1-1e-8), 0, 0)
+			if err != nil {
+				panic(err)
+			}
+			sink += sol.TotalCost
 		}
 	}
 }
@@ -413,6 +437,7 @@ var benchmarks = []benchmark{
 	{"exact-profiles/P=1", exactBench(1)},
 	{"exact-profiles/P=8", exactBench(8)},
 	{"exact-profiles-ref", exactRefBench()},
+	{"mincost-exact/P=1", minCostExactBench()},
 	{"monte-carlo/P=1", monteCarloBench(1)},
 	{"monte-carlo/P=8", monteCarloBench(8)},
 	{"monte-carlo-soa", monteCarloEngineBench(false)},

@@ -32,9 +32,9 @@ type Exec struct {
 	// Ctx cancels long solves mid-shard; nil means background.
 	Ctx context.Context
 	// Parallelism caps the solver's worker goroutines: 0 = GOMAXPROCS,
-	// 1 = sequential. The exact, DP, frontier and search solvers honour
-	// it; the raw heuristics and ILP are already sub-millisecond and run
-	// sequentially.
+	// 1 = sequential. The exact (optimize and min-cost), DP, frontier
+	// and search solvers honour it; the raw heuristics and ILP are
+	// already sub-millisecond and run sequentially.
 	Parallelism int
 	// Restarts, Budget and Seed tune the Heuristic search method
 	// (portfolio size, per-restart iteration budget, rng seed); zero
@@ -386,7 +386,7 @@ func MinimizeCostExec(in Instance, costs []float64, minLogRel float64, b Bounds,
 		if len(in.Chain) > MaxExactTasks {
 			return cost.Solution{}, fmt.Errorf("core: exact min-cost limited to %d tasks (2^{n-1} partitions); use the heuristic", MaxExactTasks)
 		}
-		sol, err := cost.Minimize(in.Chain, in.Platform, costs, minLogRel, b.Period, b.Latency)
+		sol, err := cost.MinimizePar(ex.ctx(), in.Chain, in.Platform, costs, minLogRel, b.Period, b.Latency, ex.Parallelism)
 		if err != nil {
 			if errors.Is(err, cost.ErrInfeasible) {
 				return cost.Solution{}, fmt.Errorf("%w: %v", ErrInfeasible, err)

@@ -1,13 +1,14 @@
 package cost
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
 	"sort"
 
 	"relpipe/internal/chain"
-	"relpipe/internal/failure"
+	"relpipe/internal/exact"
 	"relpipe/internal/interval"
 	"relpipe/internal/mapping"
 	"relpipe/internal/platform"
@@ -29,6 +30,15 @@ type Solution struct {
 // -Inf). costs[u] is the price of enrolling processor u; processors must
 // share one speed and one failure rate (prices may differ freely).
 func Minimize(c chain.Chain, pl platform.Platform, costs []float64, minLogRel, period, latency float64) (Solution, error) {
+	return MinimizePar(context.Background(), c, pl, costs, minLogRel, period, latency, 1)
+}
+
+// MinimizePar is Minimize with the partition enumeration an exact.Sweep
+// on up to par.Degree(parallelism) goroutines, cancelled by ctx. Each
+// shard keeps the first strictly cheapest partition of its range;
+// merging in shard order under the same strict comparison makes the
+// answer identical at every degree.
+func MinimizePar(ctx context.Context, c chain.Chain, pl platform.Platform, costs []float64, minLogRel, period, latency float64, parallelism int) (Solution, error) {
 	if err := c.Validate(); err != nil {
 		return Solution{}, err
 	}
@@ -64,52 +74,49 @@ func Minimize(c chain.Chain, pl platform.Platform, costs []float64, minLogRel, p
 		prefix[i+1] = prefix[i] + costs[u]
 	}
 
-	n := len(c)
-	bestCost := math.Inf(1)
-	var bestParts interval.Partition
-	var bestCounts []int
-	interval.Visit(n, func(parts interval.Partition) bool {
-		m := len(parts)
-		if m > pl.P() {
-			return true
+	// Per partition, Algo-Alloc's gain sequence from one replica per
+	// interval reaches the floor with the fewest processors: the running
+	// log-reliability is the one-replica sum plus each step's gain. A
+	// best gain ≤ 0 cannot raise it, so the floor is out of reach.
+	picks, err := exact.Sweep(ctx, c, pl, parallelism,
+		func() exact.Pick { return exact.Pick{Value: math.Inf(1)} },
+		func(best *exact.Pick, g *exact.Greedy, parts interval.Partition, per, lat float64) {
+			if (period > 0 && per > period) || (latency > 0 && lat > latency) {
+				return
+			}
+			q, logRel := len(parts), g.LogRel()
+			for ; logRel < minLogRel; q++ {
+				if q >= pl.P() {
+					return
+				}
+				_, gain := g.Step()
+				if gain <= 0 {
+					return
+				}
+				logRel += gain
+			}
+			if prefix[q] < best.Value {
+				best.Set(prefix[q], parts, g)
+			}
+		})
+	if err != nil {
+		return Solution{}, err
+	}
+	best := exact.Pick{Value: math.Inf(1)}
+	for _, p := range picks {
+		if p.Value < best.Value {
+			best = p
 		}
-		// Period and latency are allocation-independent here.
-		per, lat := 0.0, 0.0
-		for j := range parts {
-			w := pl.ComputeTime(0, parts.Work(c, j))
-			o := pl.CommTime(parts.Out(c, j))
-			per = math.Max(per, math.Max(w, o))
-			lat += w + o
-		}
-		if period > 0 && per > period {
-			return true
-		}
-		if latency > 0 && lat > latency {
-			return true
-		}
-		counts, ok := minimalCounts(c, pl, parts, minLogRel)
-		if !ok {
-			return true
-		}
-		q := 0
-		for _, k := range counts {
-			q += k
-		}
-		if prefix[q] < bestCost {
-			bestCost = prefix[q]
-			bestParts = parts.Clone()
-			bestCounts = append([]int(nil), counts...)
-		}
-		return true
-	})
-	if math.IsInf(bestCost, 1) {
+	}
+	if math.IsInf(best.Value, 1) {
 		return Solution{}, ErrInfeasible
 	}
 
 	// Materialize with the cheapest processors.
-	mp := mapping.Mapping{Parts: bestParts, Procs: make([][]int, len(bestParts))}
+	parts := interval.FromEnds(best.Ends)
+	mp := mapping.Mapping{Parts: parts, Procs: make([][]int, len(parts))}
 	next := 0
-	for j, k := range bestCounts {
+	for j, k := range best.Counts {
 		for i := 0; i < k; i++ {
 			mp.Procs[j] = append(mp.Procs[j], order[next])
 			next++
@@ -119,46 +126,5 @@ func Minimize(c chain.Chain, pl platform.Platform, costs []float64, minLogRel, p
 	if err != nil {
 		return Solution{}, err
 	}
-	return Solution{Mapping: mp, Eval: ev, TotalCost: bestCost}, nil
-}
-
-// minimalCounts computes, for a fixed partition, the replica counts
-// reaching minLogRel with the fewest processors: start with one replica
-// per stage and repeatedly reinforce the stage with the best marginal
-// log-reliability gain.
-func minimalCounts(c chain.Chain, pl platform.Platform, parts interval.Partition, minLogRel float64) ([]int, bool) {
-	m := len(parts)
-	repFail := make([]float64, m)
-	for j := range parts {
-		repFail[j] = mapping.ReplicaFailProb(pl, 0, parts.Work(c, j), parts.In(c, j), parts.Out(c, j))
-	}
-	counts := make([]int, m)
-	stageFail := make([]float64, m)
-	logRel := 0.0
-	for j := range counts {
-		counts[j] = 1
-		stageFail[j] = repFail[j]
-		logRel += failure.LogRel(stageFail[j])
-	}
-	used := m
-	for logRel < minLogRel {
-		best, bestGain := -1, 0.0
-		for j := 0; j < m; j++ {
-			if counts[j] >= pl.MaxReplicas {
-				continue
-			}
-			gain := failure.LogRel(stageFail[j]*repFail[j]) - failure.LogRel(stageFail[j])
-			if gain > bestGain {
-				best, bestGain = j, gain
-			}
-		}
-		if best < 0 || used >= pl.P() {
-			return nil, false // cannot reach the reliability floor
-		}
-		logRel += bestGain
-		stageFail[best] *= repFail[best]
-		counts[best]++
-		used++
-	}
-	return counts, true
+	return Solution{Mapping: mp, Eval: ev, TotalCost: best.Value}, nil
 }

@@ -14,4 +14,10 @@
 // minimum number of processors (the same exchange argument as
 // Theorem 4); and with identical processors the cheapest q of them are
 // the optimal q to enroll.
+//
+// The partition enumeration and that greedy are internal/exact's
+// Sweep and Greedy.Step, on the solve's per-interval term table; this
+// package folds the gains into the running log-reliability and keeps
+// the cheapest partition. The per-partition loop it replaced is the
+// test oracle exactref.MinCost.
 package cost

@@ -22,4 +22,9 @@
 // Algo-Alloc plus mapping.Evaluate, so every Profile float is
 // bit-identical to that path's, which survives as the test oracle
 // internal/exact/exactref.
+//
+// Sweep is the enumeration every homogeneous enumerative solver runs
+// on: OptimalPar here, the min-cost solver of internal/cost and the
+// shared-platform curves of internal/multichain. Each takes Greedy
+// steps and folds them itself.
 package exact

@@ -77,9 +77,9 @@ func ProfilesPar(ctx context.Context, c chain.Chain, pl platform.Platform, paral
 		hi, hiInts := t.below(s.Hi)
 		dst := out[lo:hi]
 		arena := make([]int, 2*(hiInts-loInts))
-		sc := t.newScratch()
-		return t.enumerate(ctx, s, sc, func(parts interval.Partition, period, latency float64) {
-			logRel := t.allocate(sc)
+		g := t.newGreedy()
+		return t.enumerate(ctx, s, g, func(parts interval.Partition, period, latency float64) {
+			logRel := g.allocate()
 			m := len(parts)
 			ends := arena[:m:m]
 			counts := arena[m : 2*m : 2*m]
@@ -87,7 +87,7 @@ func ProfilesPar(ctx context.Context, c chain.Chain, pl platform.Platform, paral
 			for j, iv := range parts {
 				ends[j] = iv.Last
 			}
-			copy(counts, sc.counts)
+			copy(counts, g.counts)
 			dst[0] = Profile{Ends: ends, Period: period, Latency: latency, LogRel: logRel, Counts: counts}
 			dst = dst[1:]
 		})
@@ -164,60 +164,58 @@ func Materialize(p Profile) mapping.Mapping {
 	return mapping.AssignSequential(interval.FromEnds(p.Ends), p.Counts)
 }
 
-// incumbent is one shard's first strictly most reliable partition
-// under the bounds.
-type incumbent struct {
-	logRel       float64
-	ends, counts []int
+// Pick is a partition a Sweep caller keeps past its visit: a value of
+// the caller's choosing, the partition's ends and the greedy's replica
+// counts at the time.
+type Pick struct {
+	Value        float64
+	Ends, Counts []int
+}
+
+// Set overwrites p with the visited partition and g's current counts,
+// reusing p's slices.
+func (p *Pick) Set(value float64, parts interval.Partition, g *Greedy) {
+	p.Value, p.Ends = value, p.Ends[:0]
+	for _, iv := range parts {
+		p.Ends = append(p.Ends, iv.Last)
+	}
+	p.Counts = append(p.Counts[:0], g.counts...)
 }
 
 // OptimalPar returns the reliability-maximal mapping of c on the
 // homogeneous platform pl subject to the period and latency bounds
 // (<= 0 for unconstrained). It is a global optimum (see the package
-// comment). The partition enumeration is sharded on up to
+// comment). The partition enumeration is a Sweep on up to
 // par.Degree(parallelism) goroutines. Each shard keeps the first
 // strictly most reliable partition of its contiguous index range that
 // meets the bounds, running Algo-Alloc only on those; merging the
-// incumbents in shard order under the same strict comparison picks the
+// shard picks in shard order under the same strict comparison picks the
 // profile BestUnder would pick from ProfilesPar, so the winning mapping
 // is bit-identical for every degree.
 func OptimalPar(ctx context.Context, c chain.Chain, pl platform.Platform, period, latency float64, parallelism int) (mapping.Mapping, mapping.Eval, error) {
-	if err := validate(c, pl); err != nil {
-		return mapping.Mapping{}, mapping.Eval{}, err
-	}
-	t := newTable(c, pl)
-	bests, err := par.MapShards(ctx, parallelism, interval.Count(t.n),
-		func(ctx context.Context, s par.Shard) (incumbent, error) {
-			best := incumbent{logRel: math.Inf(-1), ends: make([]int, 0, t.n), counts: make([]int, 0, t.n)}
-			sc := t.newScratch()
-			err := t.enumerate(ctx, s, sc, func(parts interval.Partition, p, l float64) {
-				if (period > 0 && p > period) || (latency > 0 && l > latency) {
-					return
-				}
-				if logRel := t.allocate(sc); logRel > best.logRel {
-					best.logRel = logRel
-					best.ends = best.ends[:0]
-					for _, iv := range parts {
-						best.ends = append(best.ends, iv.Last)
-					}
-					best.counts = append(best.counts[:0], sc.counts...)
-				}
-			})
-			return best, err
+	bests, err := Sweep(ctx, c, pl, parallelism,
+		func() Pick { return Pick{Value: math.Inf(-1)} },
+		func(best *Pick, g *Greedy, parts interval.Partition, p, l float64) {
+			if (period > 0 && p > period) || (latency > 0 && l > latency) {
+				return
+			}
+			if logRel := g.allocate(); logRel > best.Value {
+				best.Set(logRel, parts, g)
+			}
 		})
 	if err != nil {
 		return mapping.Mapping{}, mapping.Eval{}, err
 	}
-	winner := incumbent{logRel: math.Inf(-1)}
+	winner := Pick{Value: math.Inf(-1)}
 	for _, b := range bests {
-		if b.logRel > winner.logRel {
+		if b.Value > winner.Value {
 			winner = b
 		}
 	}
-	if math.IsInf(winner.logRel, -1) {
+	if math.IsInf(winner.Value, -1) {
 		return mapping.Mapping{}, mapping.Eval{}, ErrInfeasible
 	}
-	m := Materialize(Profile{Ends: winner.ends, Counts: winner.counts})
+	m := Materialize(Profile{Ends: winner.Ends, Counts: winner.Counts})
 	ev, err := mapping.Evaluate(c, pl, m)
 	if err != nil {
 		return mapping.Mapping{}, mapping.Eval{}, err

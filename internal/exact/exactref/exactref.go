@@ -9,7 +9,10 @@
 //
 // Greedy is the paper's Algo-Alloc (§5.5), optimal on homogeneous
 // platforms (Theorem 4); BruteForce tries every allocation and
-// validates Greedy on small instances.
+// validates Greedy on small instances. MinCost and Curve are the
+// per-partition loops of the two other exact.Sweep callers, the
+// min-cost solver of internal/cost and the shared-platform curves of
+// internal/multichain, each with its own greedy.
 package exactref
 
 import (

@@ -10,9 +10,11 @@ import (
 	"testing"
 
 	"relpipe/internal/chain"
+	"relpipe/internal/cost"
 	"relpipe/internal/exact"
 	"relpipe/internal/exact/exactref"
 	"relpipe/internal/mapping"
+	"relpipe/internal/multichain"
 	"relpipe/internal/platform"
 	"relpipe/internal/rng"
 )
@@ -159,10 +161,11 @@ func TestOptimalStreamingMatchesBestUnder(t *testing.T) {
 	}
 }
 
-// FuzzProfiles cross-checks ProfilesPar against the reference on
-// fuzzer-chosen chains and homogeneous platforms, every float by its
-// bits. The committed corpus in testdata/fuzz/FuzzProfiles replays in
-// every plain `go test` run.
+// FuzzProfiles cross-checks ProfilesPar, cost.MinimizePar and
+// multichain.Map against their per-partition references on
+// fuzzer-chosen chains, homogeneous platforms, prices, floors and
+// bounds, every float by its bits. The committed corpus in
+// testdata/fuzz/FuzzProfiles replays in every plain `go test` run.
 func FuzzProfiles(f *testing.F) {
 	f.Add(uint64(1), uint8(10), uint8(10), uint8(3), int8(-8), int8(-5), uint8(1))
 	f.Add(uint64(2), uint8(12), uint8(3), uint8(2), int8(-2), int8(-3), uint8(2))
@@ -179,12 +182,152 @@ func FuzzProfiles(f *testing.F) {
 		if err != nil {
 			t.Skip(err)
 		}
-		got, err := exact.ProfilesPar(context.Background(), c, pl, 1+int(degree)%8)
+		par := 1 + int(degree)%8
+		got, err := exact.ProfilesPar(context.Background(), c, pl, par)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if d := sameBits(got, want); d != "" {
 			t.Fatal(d)
 		}
+		if len(want) == 0 {
+			return
+		}
+		total := c.Work(0, tasks-1)
+		period, latency := r.Uniform(0.05, 1.2)*total, r.Uniform(0.3, 2)*total
+		if r.IntN(3) == 0 {
+			period, latency = 0, 0
+		}
+		floor := want[r.IntN(len(want))].LogRel
+		if d := minCostDiff(c, pl, floor, period, latency, par, r.Uint64()); d != "" {
+			t.Fatal(d)
+		}
+		if d := sharedDiff(c, pl, period, latency); d != "" {
+			t.Fatal(d)
+		}
 	})
+}
+
+// sameEvalBits reports whether two evaluations agree on every float by
+// its bits.
+func sameEvalBits(a, b mapping.Eval) bool {
+	eq := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	if !eq(a.LogRel, b.LogRel) || !eq(a.FailProb, b.FailProb) ||
+		!eq(a.ExpLatency, b.ExpLatency) || !eq(a.WorstLatency, b.WorstLatency) ||
+		!eq(a.ExpPeriod, b.ExpPeriod) || !eq(a.WorstPeriod, b.WorstPeriod) ||
+		len(a.Stages) != len(b.Stages) {
+		return false
+	}
+	for j, sa := range a.Stages {
+		sb := b.Stages[j]
+		if !eq(sa.Work, sb.Work) || !eq(sa.In, sb.In) || !eq(sa.Out, sb.Out) ||
+			!eq(sa.FailProb, sb.FailProb) || !eq(sa.ExpCost, sb.ExpCost) || !eq(sa.WorstCost, sb.WorstCost) {
+			return false
+		}
+	}
+	return true
+}
+
+// minCostDiff runs cost.MinimizePar at degree par and the reference
+// exactref.MinCost on one instance, with processor prices drawn from
+// priceSeed, and reports the first difference, or "": the same error
+// class, and else the same mapping (partition ends, replica counts and
+// processors) with every float of TotalCost and Eval bit-identical.
+func minCostDiff(c chain.Chain, pl platform.Platform, minLogRel, period, latency float64, par int, priceSeed uint64) string {
+	r := rng.New(priceSeed)
+	costs := make([]float64, pl.P())
+	for u := range costs {
+		costs[u] = float64(r.IntN(4)) + r.Uniform(0, 1)
+	}
+	want, wantErr := exactref.MinCost(c, pl, costs, minLogRel, period, latency)
+	got, err := cost.MinimizePar(context.Background(), c, pl, costs, minLogRel, period, latency, par)
+	switch {
+	case wantErr != nil || err != nil:
+		if !errors.Is(wantErr, cost.ErrInfeasible) || !errors.Is(err, cost.ErrInfeasible) {
+			return fmt.Sprintf("min-cost floor %v bounds (%v, %v) P=%d: err = %v, want %v", minLogRel, period, latency, par, err, wantErr)
+		}
+	case !reflect.DeepEqual(got.Mapping, want.Mapping) ||
+		math.Float64bits(got.TotalCost) != math.Float64bits(want.TotalCost) || !sameEvalBits(got.Eval, want.Eval):
+		return fmt.Sprintf("min-cost floor %v bounds (%v, %v) P=%d: got %+v, want %+v", minLogRel, period, latency, par, got, want)
+	}
+	return ""
+}
+
+// sharedDiff runs multichain.Map on the single application (c, period,
+// latency) and reports the first difference from the reference curve
+// exactref.Curve, or "". With one application Map's knapsack takes the
+// smallest budget at which the curve, plus the empty prefix's 0, is
+// strictly best; the mapping there must have the curve's partition
+// ends and replica counts, and the joint log-reliability its bits.
+func sharedDiff(c chain.Chain, pl platform.Platform, period, latency float64) string {
+	res, err := multichain.Map([]multichain.App{{Chain: c, Period: period, Latency: latency}}, pl)
+	cv, cvErr := exactref.Curve(c, period, latency, pl, pl.P())
+	budget, best := -1, math.Inf(-1)
+	if cvErr == nil {
+		for k := cv.MinProcs; k <= pl.P(); k++ {
+			if v := 0 + cv.LogRel[k]; !math.IsInf(cv.LogRel[k], -1) && v > best {
+				budget, best = k, v
+			}
+		}
+	}
+	if budget < 0 {
+		if !errors.Is(err, multichain.ErrInfeasible) {
+			return fmt.Sprintf("shared bounds (%v, %v): err = %v, want ErrInfeasible", period, latency, err)
+		}
+		return ""
+	}
+	if err != nil {
+		return fmt.Sprintf("shared bounds (%v, %v): %v", period, latency, err)
+	}
+	m := res.Mappings[0]
+	counts := make([]int, len(m.Procs))
+	for j, procs := range m.Procs {
+		counts[j] = len(procs)
+	}
+	if !slices.Equal(m.Parts.Ends(), cv.Ends[budget]) || !slices.Equal(counts, cv.Counts[budget]) ||
+		math.Float64bits(res.LogRel) != math.Float64bits(best) {
+		return fmt.Sprintf("shared bounds (%v, %v): got ends %v counts %v logRel %v, want %v %v %v",
+			period, latency, m.Parts.Ends(), counts, res.LogRel, cv.Ends[budget], cv.Counts[budget], best)
+	}
+	return ""
+}
+
+// TestMinCostAndSharedMatchReference pins the two other Sweep callers,
+// the min-cost solver at every parallelism degree and the
+// shared-platform solver, to their per-partition references on the
+// term-table corner platforms: floors from unconstrained through
+// reachable to out of reach, with and without bounds.
+func TestMinCostAndSharedMatchReference(t *testing.T) {
+	for _, tp := range refPlatforms {
+		for seed := uint64(1); seed <= 4; seed++ {
+			n := 2 + int(seed*5+uint64(len(tp.name)))%11
+			if tp.name == "deep" {
+				n = min(n, 8)
+			}
+			c := chain.PaperRandom(rng.New(seed+200), n)
+			ps, err := exactref.Profiles(c, tp.pl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			floors := []float64{math.Inf(-1), 0}
+			for _, i := range []int{0, len(ps) / 2, len(ps) - 1} {
+				if i >= 0 && i < len(ps) {
+					floors = append(floors, ps[i].LogRel)
+				}
+			}
+			total := c.Work(0, n-1)
+			for _, b := range [][2]float64{{0, 0}, {0.4 * total, 1.5 * total}, {1e-3, 0}} {
+				for _, floor := range floors {
+					for _, p := range refDegrees {
+						if d := minCostDiff(c, tp.pl, floor, b[0], b[1], p, seed); d != "" {
+							t.Fatalf("%s seed %d n=%d: %s", tp.name, seed, n, d)
+						}
+					}
+				}
+				if d := sharedDiff(c, tp.pl, b[0], b[1]); d != "" {
+					t.Fatalf("%s seed %d n=%d: %s", tp.name, seed, n, d)
+				}
+			}
+		}
+	}
 }

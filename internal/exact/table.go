@@ -130,22 +130,98 @@ func (t *table) below(x int) (count, intervals int) {
 	return count, intervals
 }
 
-// scratch is one shard's per-partition working memory.
-type scratch struct {
+// Greedy is one shard's Algo-Alloc state over the partition the
+// enumeration is visiting: its intervals' table rows and replica
+// counts. Every visit starts from one replica per interval; Step grants
+// the next replica and LogRel folds the current counts.
+type Greedy struct {
+	t            *table
 	rows, counts []int
 	sf           []float64 // running stage products of the deep path
 }
 
-// newScratch returns scratch sized for any partition of the chain.
-func (t *table) newScratch() *scratch {
-	return &scratch{rows: make([]int, t.n), counts: make([]int, t.n), sf: make([]float64, t.n)}
+// newGreedy returns a Greedy sized for any partition of the chain.
+func (t *table) newGreedy() *Greedy {
+	return &Greedy{t: t, rows: make([]int, t.n), counts: make([]int, t.n), sf: make([]float64, t.n)}
+}
+
+// Step is one move of Theorem 4's greedy: it grants one more replica to
+// the interval with the largest log-reliability gain, the lowest index
+// winning ties (strict >), and returns that interval and its gain. It
+// returns −1 and −Inf when no interval takes one: every interval holds
+// min(K, P) replicas, or no gain compares above −Inf (NaN gains of
+// certain-failure stages never win).
+//
+// Up to maxTableDepth replicas the gains come from the table; beyond
+// it Step keeps running stage products and computes each gain as the
+// table would have stored it.
+func (g *Greedy) Step() (int, float64) {
+	t := g.t
+	best, bestGain := -1, math.Inf(-1)
+	if t.gain != nil {
+		for j, q := range g.counts {
+			if q >= t.k {
+				continue
+			}
+			if gain := t.gain[g.rows[j]*t.k+q-1]; gain > bestGain {
+				best, bestGain = j, gain
+			}
+		}
+	} else {
+		for j, q := range g.counts {
+			if q >= t.k {
+				continue
+			}
+			sf := g.sf[j]
+			if gain := failure.LogRel(sf*t.rep[g.rows[j]]) - failure.LogRel(sf); gain > bestGain {
+				best, bestGain = j, gain
+			}
+		}
+		if best >= 0 {
+			g.sf[best] *= t.rep[g.rows[best]]
+		}
+	}
+	if best >= 0 {
+		g.counts[best]++
+	}
+	return best, bestGain
+}
+
+// LogRel returns the visited partition's log-reliability at the
+// current counts: the stage log-reliabilities summed in ascending
+// interval order, as mapping.Evaluate sums them.
+func (g *Greedy) LogRel() float64 {
+	t := g.t
+	logRel := 0.0
+	if t.logRel == nil {
+		for _, sf := range g.sf[:len(g.counts)] {
+			logRel += failure.LogRel(sf)
+		}
+		return logRel
+	}
+	for j, q := range g.counts {
+		logRel += t.logRel[g.rows[j]*t.k+q-1]
+	}
+	return logRel
+}
+
+// allocate runs Algo-Alloc to the end: each of the P−m spare processors
+// goes to the interval Step picks, until every interval is saturated.
+// It returns the mapping's log-reliability.
+func (g *Greedy) allocate() float64 {
+	for spare := g.t.procs - len(g.counts); spare > 0; spare-- {
+		if j, _ := g.Step(); j < 0 {
+			break
+		}
+	}
+	return g.LogRel()
 }
 
 // enumerate visits the partitions of shard s with at most P intervals,
 // in index order, polling ctx every 512 partitions. visit receives the
-// partition with its period and latency; scratch.rows is set for
-// t.allocate.
-func (t *table) enumerate(ctx context.Context, s par.Shard, sc *scratch, visit func(parts interval.Partition, period, latency float64)) error {
+// partition with its period and latency; g is reset to it, one replica
+// per interval.
+func (t *table) enumerate(ctx context.Context, s par.Shard, g *Greedy, visit func(parts interval.Partition, period, latency float64)) error {
 	var tick int
 	var stop error
 	interval.VisitRange(t.n, s.Lo, s.Hi, func(parts interval.Partition) bool {
@@ -158,7 +234,7 @@ func (t *table) enumerate(ctx context.Context, s par.Shard, sc *scratch, visit f
 		if len(parts) > t.procs {
 			return true // not enough processors for one per interval
 		}
-		period, latency := t.shape(parts, sc)
+		period, latency := t.shape(parts, g)
 		visit(parts, period, latency)
 		return true
 	})
@@ -167,14 +243,17 @@ func (t *table) enumerate(ctx context.Context, s par.Shard, sc *scratch, visit f
 
 // shape folds the allocation-independent criteria of a partition, the
 // worst-case period and latency, in ascending interval order exactly as
-// mapping.Evaluate's aggregation does. It records each interval's row
-// in s for allocate.
-func (t *table) shape(parts interval.Partition, s *scratch) (period, latency float64) {
-	s.rows = s.rows[:len(parts)]
+// mapping.Evaluate's aggregation does. It resets g to the partition:
+// each interval's row and one replica (and, on the deep path, its
+// one-replica stage product).
+func (t *table) shape(parts interval.Partition, g *Greedy) (period, latency float64) {
+	m := len(parts)
+	g.rows, g.counts = g.rows[:m], g.counts[:m]
 	commMax := 0.0
 	for j, iv := range parts {
 		i := iv.First*t.n + iv.Last
-		s.rows[j] = i
+		g.rows[j] = i
+		g.counts[j] = 1
 		cost, out := t.cost[i], t.outTime[iv.Last]
 		latency += cost + out
 		if out > commMax {
@@ -187,75 +266,39 @@ func (t *table) shape(parts interval.Partition, s *scratch) (period, latency flo
 	if commMax > period {
 		period = commMax
 	}
+	if t.logRel == nil {
+		for j, i := range g.rows {
+			g.sf[j] = t.rep[i]
+		}
+	}
 	return period, latency
 }
 
-// allocate runs Algo-Alloc over the intervals shape recorded, leaves the
-// replica counts in s.counts and returns the mapping's log-reliability.
-// As in Theorem 4's greedy, each of the P−m spare processors goes to the
-// interval with the largest gain, the lowest index winning ties, until
-// every interval holds K replicas; the log-reliabilities then sum in
-// ascending interval order.
-func (t *table) allocate(s *scratch) float64 {
-	counts := s.counts[:len(s.rows)]
-	s.counts = counts
-	for j := range counts {
-		counts[j] = 1
+// Sweep is the partition engine of every homogeneous enumerative
+// solver: OptimalPar, the min-cost solver of internal/cost and the
+// shared-platform curves of internal/multichain. It enumerates the
+// partitions of c with at most P intervals on the homogeneous platform
+// pl, sharded over contiguous index ranges on up to
+// par.Degree(parallelism) goroutines, and polls ctx (nil = background).
+//
+// Each shard starts from start() and calls visit, in index order, with
+// its state, the partition, its worst-case period and latency, and a
+// Greedy at one replica per interval. The shard states come back in
+// shard order, so a caller that merges them under the strict comparison
+// its visit uses picks what a sequential run would, at every degree.
+// Each caller folds the greedy's steps itself, so its floats stay those
+// of its own per-partition loop.
+func Sweep[S any](ctx context.Context, c chain.Chain, pl platform.Platform, parallelism int,
+	start func() S, visit func(s *S, g *Greedy, parts interval.Partition, period, latency float64)) ([]S, error) {
+	if err := validate(c, pl); err != nil {
+		return nil, err
 	}
-	if t.logRel == nil {
-		return t.allocateDeep(s)
-	}
-	for remaining := t.procs - len(counts); remaining > 0; remaining-- {
-		best, bestGain := -1, math.Inf(-1)
-		for j, q := range counts {
-			if q >= t.k {
-				continue
-			}
-			if g := t.gain[s.rows[j]*t.k+q-1]; g > bestGain {
-				best, bestGain = j, g
-			}
-		}
-		if best < 0 {
-			break // every interval is already at K replicas
-		}
-		counts[best]++
-	}
-	logRel := 0.0
-	for j, q := range counts {
-		logRel += t.logRel[s.rows[j]*t.k+q-1]
-	}
-	return logRel
-}
-
-// allocateDeep is allocate for replica bounds beyond maxTableDepth: the
-// same greedy over running stage products, computing each gain as the
-// table would have stored it.
-func (t *table) allocateDeep(s *scratch) float64 {
-	counts := s.counts
-	sf := s.sf[:len(counts)]
-	for j := range counts {
-		sf[j] = t.rep[s.rows[j]]
-	}
-	for remaining := t.procs - len(counts); remaining > 0; remaining-- {
-		best, bestGain := -1, math.Inf(-1)
-		for j, q := range counts {
-			if q >= t.k {
-				continue
-			}
-			r := t.rep[s.rows[j]]
-			if g := failure.LogRel(sf[j]*r) - failure.LogRel(sf[j]); g > bestGain {
-				best, bestGain = j, g
-			}
-		}
-		if best < 0 {
-			break
-		}
-		counts[best]++
-		sf[best] *= t.rep[s.rows[best]]
-	}
-	logRel := 0.0
-	for j := range counts {
-		logRel += failure.LogRel(sf[j])
-	}
-	return logRel
+	t := newTable(c, pl)
+	return par.MapShards(ctx, parallelism, interval.Count(t.n), func(ctx context.Context, sh par.Shard) (S, error) {
+		s, g := start(), t.newGreedy()
+		err := t.enumerate(ctx, sh, g, func(parts interval.Partition, period, latency float64) {
+			visit(&s, g, parts, period, latency)
+		})
+		return s, err
+	})
 }

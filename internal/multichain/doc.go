@@ -14,4 +14,8 @@
 // Chains then compete for processors through a knapsack-style dynamic
 // program over Σ_c R_c(k_c), which is exact because the per-chain curves
 // are themselves exact.
+//
+// The enumeration and the greedy steps are internal/exact's Sweep and
+// Greedy.Step; the per-partition loop they replaced is the test oracle
+// exactref.Curve.
 package multichain

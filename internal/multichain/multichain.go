@@ -1,12 +1,14 @@
 package multichain
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
 	"sort"
 
 	"relpipe/internal/chain"
+	"relpipe/internal/exact"
 	"relpipe/internal/failure"
 	"relpipe/internal/interval"
 	"relpipe/internal/mapping"
@@ -36,99 +38,60 @@ type Result struct {
 }
 
 // curve holds, for one app, the best log-reliability per processor
-// budget plus the argmax structure for reconstruction.
+// budget (Value −Inf if infeasible) with its partition and replica
+// counts for reconstruction.
 type curve struct {
 	minProcs int
-	logRel   []float64 // indexed by processor count, -Inf if infeasible
-	ends     [][]int   // winning partition per count
-	counts   [][]int   // winning replica counts per count
+	best     []exact.Pick // indexed by processor count
 }
 
-// buildCurve enumerates the app's partitions and computes the exact
-// R(k) curve for k = 0..p.
+// newCurve returns the empty curve over budgets 0..p.
+func newCurve(p int) curve {
+	cv := curve{minProcs: math.MaxInt32, best: make([]exact.Pick, p+1)}
+	for k := range cv.best {
+		cv.best[k].Value = math.Inf(-1)
+	}
+	return cv
+}
+
+// buildCurve computes the app's exact R(k) curve for k = 0..p, one
+// sequential exact.Sweep over its partitions. Each feasible partition
+// of m intervals offers, at every budget k ≥ m, Algo-Alloc's value
+// after k−m greedy steps: the one-replica sum plus the gains so far,
+// flat once every interval is saturated.
 func buildCurve(app App, pl platform.Platform, p int) (curve, error) {
-	if err := app.Chain.Validate(); err != nil {
+	shards, err := exact.Sweep(context.Background(), app.Chain, pl, 1,
+		func() curve { return newCurve(p) },
+		func(cv *curve, g *exact.Greedy, parts interval.Partition, per, lat float64) {
+			if (app.Period > 0 && per > app.Period) || (app.Latency > 0 && lat > app.Latency) {
+				return
+			}
+			m := len(parts)
+			cv.minProcs = min(cv.minProcs, m)
+			val := g.LogRel()
+			for k := m; k <= p; k++ {
+				if k > m {
+					if j, gain := g.Step(); j >= 0 {
+						val += gain
+					}
+				}
+				if val > cv.best[k].Value {
+					cv.best[k].Set(val, parts, g)
+				}
+			}
+		})
+	if err != nil {
 		return curve{}, err
 	}
-	n := len(app.Chain)
-	cv := curve{
-		minProcs: math.MaxInt32,
-		logRel:   make([]float64, p+1),
-		ends:     make([][]int, p+1),
-		counts:   make([][]int, p+1),
+	cv := newCurve(p)
+	for _, s := range shards {
+		cv.minProcs = min(cv.minProcs, s.minProcs)
+		for k, b := range s.best {
+			if b.Value > cv.best[k].Value {
+				cv.best[k] = b
+			}
+		}
 	}
-	for k := range cv.logRel {
-		cv.logRel[k] = math.Inf(-1)
-	}
-	kMax := pl.MaxReplicas
-
-	interval.Visit(n, func(parts interval.Partition) bool {
-		m := len(parts)
-		if m > p {
-			return true
-		}
-		// Allocation-independent feasibility of the partition.
-		per, lat := 0.0, 0.0
-		for j := range parts {
-			w := pl.ComputeTime(0, parts.Work(c0(app), j))
-			o := pl.CommTime(parts.Out(c0(app), j))
-			per = math.Max(per, math.Max(w, o))
-			lat += w + o
-		}
-		if app.Period > 0 && per > app.Period {
-			return true
-		}
-		if app.Latency > 0 && lat > app.Latency {
-			return true
-		}
-		// Greedy gain sequence: value(k) for every k >= m at once.
-		repFail := make([]float64, m)
-		stageFail := make([]float64, m)
-		counts := make([]int, m)
-		val := 0.0
-		for j := range parts {
-			repFail[j] = mapping.ReplicaFailProb(pl, 0, parts.Work(c0(app), j), parts.In(c0(app), j), parts.Out(c0(app), j))
-			stageFail[j] = repFail[j]
-			counts[j] = 1
-			val += failure.LogRel(stageFail[j])
-		}
-		record := func(k int) {
-			if val > cv.logRel[k] {
-				cv.logRel[k] = val
-				cv.ends[k] = parts.Clone().Ends()
-				cv.counts[k] = append([]int(nil), counts...)
-			}
-		}
-		if m < cv.minProcs {
-			cv.minProcs = m
-		}
-		record(m)
-		for k := m + 1; k <= p; k++ {
-			best, bestGain := -1, math.Inf(-1)
-			for j := 0; j < m; j++ {
-				if counts[j] >= kMax {
-					continue
-				}
-				gain := failure.LogRel(stageFail[j]*repFail[j]) - failure.LogRel(stageFail[j])
-				if gain > bestGain {
-					best, bestGain = j, gain
-				}
-			}
-			if best < 0 {
-				// Saturated at K replicas everywhere: the value stays
-				// flat for all larger budgets.
-				for kk := k; kk <= p; kk++ {
-					record(kk)
-				}
-				break
-			}
-			counts[best]++
-			stageFail[best] *= repFail[best]
-			val += bestGain
-			record(k)
-		}
-		return true
-	})
 	if cv.minProcs == math.MaxInt32 {
 		return curve{}, fmt.Errorf("%w: one application has no feasible partition", ErrInfeasible)
 	}
@@ -137,17 +100,12 @@ func buildCurve(app App, pl platform.Platform, p int) (curve, error) {
 	// still dip where a partition becomes newly feasible — it cannot,
 	// but enforce it for safety.)
 	for k := 1; k <= p; k++ {
-		if cv.logRel[k] < cv.logRel[k-1] {
-			cv.logRel[k] = cv.logRel[k-1]
-			cv.ends[k] = cv.ends[k-1]
-			cv.counts[k] = cv.counts[k-1]
+		if cv.best[k].Value < cv.best[k-1].Value {
+			cv.best[k] = cv.best[k-1]
 		}
 	}
 	return cv, nil
 }
-
-// c0 unwraps the chain (helper keeping call sites short).
-func c0(a App) chain.Chain { return a.Chain }
 
 // Map computes the joint mapping of the applications on the shared
 // homogeneous platform maximizing Σ_c log r_c subject to every
@@ -190,10 +148,10 @@ func Map(apps []App, pl platform.Platform) (Result, error) {
 	for i, cv := range curves {
 		for k := 0; k <= p; k++ {
 			for ki := cv.minProcs; ki <= k; ki++ {
-				if math.IsInf(cv.logRel[ki], -1) || math.IsInf(F[i][k-ki], -1) {
+				if math.IsInf(cv.best[ki].Value, -1) || math.IsInf(F[i][k-ki], -1) {
 					continue
 				}
-				if v := F[i][k-ki] + cv.logRel[ki]; v > F[i+1][k] {
+				if v := F[i][k-ki] + cv.best[ki].Value; v > F[i+1][k] {
 					F[i+1][k] = v
 					choice[i+1][k] = ki
 				}
@@ -214,10 +172,10 @@ func Map(apps []App, pl platform.Platform) (Result, error) {
 	res := Result{LogRel: F[len(apps)][p]}
 	next := 0
 	for i, cv := range curves {
-		ki := budgets[i]
-		parts := interval.FromEnds(cv.ends[ki])
+		pick := cv.best[budgets[i]]
+		parts := interval.FromEnds(pick.Ends)
 		mp := mapping.Mapping{Parts: parts, Procs: make([][]int, len(parts))}
-		for j, q := range cv.counts[ki] {
+		for j, q := range pick.Counts {
 			for r := 0; r < q; r++ {
 				mp.Procs[j] = append(mp.Procs[j], next)
 				next++

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"relpipe/internal/chain"
 	"relpipe/internal/exact"
+	"relpipe/internal/exact/exactref"
 	"relpipe/internal/platform"
 	"relpipe/internal/rng"
 )
@@ -185,5 +187,61 @@ func TestMoreProcessorsNeverHurtJointly(t *testing.T) {
 	}
 	if math.IsInf(prev, -1) {
 		t.Fatal("no platform size was feasible")
+	}
+}
+
+// TestCurveMatchesReference pins buildCurve to the per-partition
+// reference exactref.Curve at every processor budget: the same
+// minimum, every log-reliability by its bits, the same partition ends
+// and replica counts. The platforms are the term-table corners of
+// internal/exact's reference tests: the paper's, K > P, K = 1, fewer
+// processors than tasks, certain failure (NaN gains), and a replica
+// bound past the table depth. Seed 0 is a chain of identical tasks,
+// whose mirror-image partitions tie exactly.
+func TestCurveMatchesReference(t *testing.T) {
+	platforms := []platform.Platform{
+		platform.PaperHomogeneous(10),
+		platform.Homogeneous(4, 1, 1e-3, 1, 1e-4, 6),
+		platform.Homogeneous(9, 1, 1e-2, 2, 1e-3, 1),
+		platform.Homogeneous(3, 2, 1e-2, 1, 1e-3, 2),
+		platform.Homogeneous(7, 1, 50, 1, 1e-3, 3),
+		platform.Homogeneous(70, 1, 1e-1, 1, 1e-2, 66),
+	}
+	for i, pl := range platforms {
+		for seed := uint64(0); seed <= 4; seed++ {
+			n := 2 + int(seed*3+uint64(i))%10
+			if pl.P() == 70 {
+				n = min(n, 7)
+			}
+			c := chain.PaperRandom(rng.New(seed+300), n)
+			if seed == 0 {
+				for j := range c {
+					c[j] = chain.Task{Work: 20, Out: 2}
+				}
+				c[n-1].Out = 0
+			}
+			total := c.Work(0, n-1)
+			for _, b := range [][2]float64{{0, 0}, {0.5 * total, 1.5 * total}, {1e-3, 0}} {
+				app := App{Chain: c, Period: b[0], Latency: b[1]}
+				got, err := buildCurve(app, pl, pl.P())
+				want, wantErr := exactref.Curve(c, app.Period, app.Latency, pl, pl.P())
+				if (err == nil) != (wantErr == nil) {
+					t.Fatalf("platform %d seed %d bounds %v: err = %v, want %v", i, seed, b, err, wantErr)
+				}
+				if err != nil {
+					continue
+				}
+				if got.minProcs != want.MinProcs {
+					t.Fatalf("platform %d seed %d bounds %v: minProcs %d, want %d", i, seed, b, got.minProcs, want.MinProcs)
+				}
+				for k, g := range got.best {
+					if math.Float64bits(g.Value) != math.Float64bits(want.LogRel[k]) ||
+						!slices.Equal(g.Ends, want.Ends[k]) || !slices.Equal(g.Counts, want.Counts[k]) {
+						t.Fatalf("platform %d seed %d bounds %v budget %d: got %+v, want %v %v %v", i, seed, b, k,
+							g, want.LogRel[k], want.Ends[k], want.Counts[k])
+					}
+				}
+			}
+		}
 	}
 }

@@ -48,16 +48,7 @@ func waitJob(t *testing.T, url, id string) relpipe.JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		resp, err := http.Get(url + "/v1/jobs/" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st relpipe.JobStatus
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := jobStatusHTTP(t, url, id)
 		if st.State.Terminal() {
 			return st
 		}
@@ -313,6 +304,71 @@ func TestJobCancelThenResubmitDeterminism(t *testing.T) {
 	if !bytes.Equal(want, st2.Result) {
 		t.Fatalf("resubmitted result differs from sync:\nsync: %s\nasync: %s", want, st2.Result)
 	}
+}
+
+// TestJobCancelStopsExactMinCost: DELETE on a running method-exact
+// /v1/mincost job stops the partition enumeration itself. The job ends
+// cancelled, nothing is cached, and the single worker is free again
+// long before the 22-task enumeration could have finished.
+func TestJobCancelStopsExactMinCost(t *testing.T) {
+	srv, ts := newTestServer(t, Options{Workers: 1, SolverParallelism: 1})
+	// Uncancelled, this solve takes seconds even on a fast machine.
+	pl := relpipe.HomogeneousPlatform(40, 1, 1e-4, 1, 1e-5, 3)
+	costs := make([]float64, pl.P())
+	for u := range costs {
+		costs[u] = float64(1 + u%3)
+	}
+	req := relpipe.MinCostRequest{
+		Instance: relpipe.Instance{Chain: relpipe.RandomChain(11, 22, 1, 10, 1, 5), Platform: pl},
+		Costs:    costs, MinReliability: 1 - 1e-8, Method: "exact",
+	}
+	st := submitJobHTTP(t, ts.URL, "mincost", req, "")
+	for st.State != relpipe.JobRunning {
+		if st.State.Terminal() {
+			t.Fatalf("job ended before it could be cancelled: %+v", st)
+		}
+		time.Sleep(time.Millisecond)
+		st = jobStatusHTTP(t, ts.URL, st.ID)
+	}
+	creq, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+st.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	resp, err := http.DefaultClient.Do(creq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if st = waitJob(t, ts.URL, st.ID); st.State != relpipe.JobCancelled {
+		t.Fatalf("state after cancel = %s: %s", st.State, st.Result)
+	}
+	if srv.cache.Len() != 0 {
+		t.Fatalf("cancelled job polluted the cache (%d entries)", srv.cache.Len())
+	}
+	// The job's state flips on DELETE, but only a solver that observes
+	// the cancellation hands the worker back to this quick solve.
+	if code, body := syncBody(t, ts.URL+"/v1/optimize", relpipe.OptimizeRequest{Instance: testInstance(5), Method: "dp"}); code != http.StatusOK {
+		t.Fatalf("follow-up solve = %d: %s", code, body)
+	}
+	if lag := time.Since(start); lag > 2*time.Second {
+		t.Fatalf("worker busy for %v after the cancel, want prompt", lag)
+	}
+}
+
+// jobStatusHTTP fetches a job's current status.
+func jobStatusHTTP(t *testing.T, url, id string) relpipe.JobStatus {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/jobs/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st relpipe.JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 // TestJobCacheDedupInstantCompletion: a job for a key already in the

@@ -89,3 +89,86 @@ func TestSolveWireGolden(t *testing.T) {
 		})
 	}
 }
+
+// minCostGoldenRequests builds the pinned exact /v1/mincost bodies: a
+// reliability floor with bounds, a floor alone, bounds alone, and a
+// floor no mapping reaches (422). Prices differ per processor so the
+// cheapest-prefix choice matters, and failure rates are high enough
+// that the floors need replicas.
+func minCostGoldenRequests(t *testing.T) map[string][]byte {
+	t.Helper()
+	cases := []struct {
+		name  string
+		n     int
+		pl    relpipe.Platform
+		floor float64
+		tight bool // bound period and latency
+	}{
+		{"floor-bounds", 12, relpipe.HomogeneousPlatform(10, 1, 1e-4, 1, 1e-5, 3), 0.995, true},
+		{"floor", 11, relpipe.HomogeneousPlatform(8, 1, 1e-3, 2, 1e-4, 4), 0.9, false},
+		{"bounds", 10, relpipe.HomogeneousPlatform(12, 1, 1e-5, 1, 1e-5, 2), 0, true},
+		{"infeasible", 12, relpipe.HomogeneousPlatform(6, 1, 1e-3, 1, 1e-4, 2), 0.999999, false},
+	}
+	reqs := map[string][]byte{}
+	for i, tc := range cases {
+		c := relpipe.RandomChain(uint64(300+i), tc.n, 1, 100, 1, 10)
+		costs := make([]float64, tc.pl.P())
+		for u := range costs {
+			costs[u] = float64(1 + (u*7+i)%5)
+		}
+		var b relpipe.Bounds
+		if tc.tight {
+			total, most := 0.0, 0.0
+			for _, task := range c {
+				total += task.Work
+				most = max(most, task.Work)
+			}
+			b = relpipe.Bounds{Period: max(1.5*most, total/3), Latency: 1.1*total + 20}
+		}
+		reqs[fmt.Sprintf("mincost-%02d-%s-n%d", i, tc.name, tc.n)] = mustMarshal(t, relpipe.MinCostRequest{
+			Instance:       relpipe.Instance{Chain: c, Platform: tc.pl},
+			Costs:          costs,
+			MinReliability: tc.floor,
+			Bounds:         b,
+			Method:         "exact",
+		})
+	}
+	return reqs
+}
+
+// TestMinCostWireGolden is TestSolveWireGolden for the exact min-cost
+// solver: every pinned /v1/mincost body must come back byte for byte,
+// the infeasible case as its 422 error document.
+func TestMinCostWireGolden(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	reqs := minCostGoldenRequests(t)
+	if len(reqs) != 4 {
+		t.Fatalf("%d golden requests, want 4", len(reqs))
+	}
+	for name, body := range reqs {
+		t.Run(name, func(t *testing.T) {
+			committed, err := os.ReadFile(filepath.Join(solveGoldenDir, name+".req.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(body, committed) {
+				t.Fatalf("generated request differs from %s.req.json", name)
+			}
+			want, err := os.ReadFile(filepath.Join(solveGoldenDir, name+".resp.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantCode := http.StatusOK
+			if strings.Contains(name, "infeasible") {
+				wantCode = http.StatusUnprocessableEntity
+			}
+			code, got, _ := postRaw(t, ts.URL+"/v1/mincost", body)
+			if code != wantCode {
+				t.Fatalf("status %d, want %d: %s", code, wantCode, got)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("response bytes differ from %s.resp.json\n got %s\nwant %s", name, got, want)
+			}
+		})
+	}
+}

@@ -371,8 +371,15 @@ func MinimizeCostWith(in Instance, costs []float64, minReliability float64, b Bo
 // multiple vehicle functions sharing the ECUs), partitioning the
 // processors to maximize the joint reliability while every application
 // meets its own period and latency bounds. It returns ErrInfeasible
-// when the applications cannot all fit.
+// when the applications cannot all fit. Each application's curve
+// enumerates its 2^{n-1} partitions, so an application stops at
+// core.MaxExactTasks tasks.
 func OptimizeShared(apps []SharedApp, pl Platform) (SharedResult, error) {
+	for i, app := range apps {
+		if len(app.Chain) > core.MaxExactTasks {
+			return SharedResult{}, fmt.Errorf("relpipe: shared application %d has %d tasks; the exact shared-platform solver is limited to %d (2^{n-1} partitions)", i, len(app.Chain), core.MaxExactTasks)
+		}
+	}
 	res, err := multichain.Map(apps, pl)
 	if errors.Is(err, multichain.ErrInfeasible) {
 		return res, fmt.Errorf("%w: %v", ErrInfeasible, err)

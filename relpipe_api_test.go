@@ -59,6 +59,25 @@ func TestPublicInfeasible(t *testing.T) {
 	}
 }
 
+// TestOptimizeSharedRejectsLongChains checks that an application past
+// the enumeration ceiling is an error, not a panic or a 2^{n-1}
+// enumeration, and that the ceiling itself is still accepted.
+func TestOptimizeSharedRejectsLongChains(t *testing.T) {
+	pl := relpipe.HomogeneousPlatform(4, 1, 1e-8, 1, 1e-5, 2)
+	short := relpipe.SharedApp{Chain: relpipe.Chain{{Work: 10, Out: 1}, {Work: 10, Out: 0}}}
+	for _, n := range []int{23, 31} {
+		long := relpipe.SharedApp{Chain: relpipe.RandomChain(1, n, 1, 10, 1, 5)}
+		_, err := relpipe.OptimizeShared([]relpipe.SharedApp{short, long}, pl)
+		if err == nil || errors.Is(err, relpipe.ErrInfeasible) {
+			t.Fatalf("%d tasks: err = %v, want a size error", n, err)
+		}
+	}
+	atCeiling := relpipe.SharedApp{Chain: relpipe.RandomChain(1, 22, 1, 10, 1, 5)}
+	if _, err := relpipe.OptimizeShared([]relpipe.SharedApp{atCeiling}, relpipe.HomogeneousPlatform(1, 1, 1e-8, 1, 1e-5, 1)); err != nil {
+		t.Fatalf("22 tasks: %v", err)
+	}
+}
+
 func TestPublicMinPeriod(t *testing.T) {
 	inst := demoInstance()
 	unconstrained, err := relpipe.MinPeriod(inst, 0)

@@ -1,8 +1,11 @@
 package relpipe_test
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"testing"
+	"time"
 
 	"relpipe"
 )
@@ -32,6 +35,64 @@ func TestOptimizeWithParallelismInvariance(t *testing.T) {
 					t.Fatalf("seed %d, %v, P=%d: solution differs from sequential", seed, method, p)
 				}
 			}
+		}
+	}
+}
+
+// TestMinimizeCostExactParallelismInvariance extends the contract to
+// the exact min-cost solver, whose partition sweep shards across
+// Options.Parallelism: floors with and without bounds, and a floor no
+// mapping reaches.
+func TestMinimizeCostExactParallelismInvariance(t *testing.T) {
+	inst := relpipe.Instance{
+		Chain:    relpipe.RandomChain(5, 13, 1, 100, 1, 10),
+		Platform: relpipe.HomogeneousPlatform(9, 1, 1e-4, 1, 1e-5, 3),
+	}
+	costs := make([]float64, inst.Platform.P())
+	for u := range costs {
+		costs[u] = float64(1 + u%4)
+	}
+	for _, tc := range []struct {
+		floor float64
+		b     relpipe.Bounds
+	}{
+		{0.99, relpipe.Bounds{Period: 300, Latency: 900}},
+		{0.995, relpipe.Bounds{}},
+		{1 - 1e-12, relpipe.Bounds{}},
+	} {
+		want, wantErr := relpipe.MinimizeCostWith(inst, costs, tc.floor, tc.b, relpipe.Exact, relpipe.Options{Parallelism: 1})
+		for _, p := range []int{2, 8} {
+			got, gotErr := relpipe.MinimizeCostWith(inst, costs, tc.floor, tc.b, relpipe.Exact, relpipe.Options{Parallelism: p})
+			if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("floor %v, P=%d: got %v, %v; want %v, %v", tc.floor, p, got, gotErr, want, wantErr)
+			}
+		}
+	}
+}
+
+// TestMinimizeCostExactCancels checks that a cancelled context stops
+// the exact min-cost enumeration at 20 tasks (2^19 partitions) with
+// context.Canceled instead of running it to the end.
+func TestMinimizeCostExactCancels(t *testing.T) {
+	inst := relpipe.Instance{
+		Chain:    relpipe.RandomChain(7, 20, 1, 10, 1, 5),
+		Platform: relpipe.HomogeneousPlatform(10, 1, 1e-4, 1, 1e-5, 3),
+	}
+	costs := make([]float64, inst.Platform.P())
+	for u := range costs {
+		costs[u] = 1
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, p := range []int{1, 4} {
+		start := time.Now()
+		_, err := relpipe.MinimizeCostWith(inst, costs, 1-1e-6, relpipe.Bounds{}, relpipe.Exact,
+			relpipe.Options{Context: ctx, Parallelism: p})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("P=%d: err = %v, want context.Canceled", p, err)
+		}
+		if lag := time.Since(start); lag > time.Second {
+			t.Fatalf("P=%d: cancelled solve took %v, want prompt", p, lag)
 		}
 	}
 }

@@ -341,7 +341,7 @@ func BenchmarkFrontier(b *testing.B) {
 	c, pl := paperInstance()
 	var n int
 	for i := 0; i < b.N; i++ {
-		pts, err := frontier.Compute(c, pl)
+		pts, err := frontier.Compute(context.Background(), c, pl, 1, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

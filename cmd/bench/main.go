@@ -29,9 +29,11 @@
 // floors hold on any machine class: search-optimize-delta (incremental
 // mapping.Evaluator vs full EvaluateUnchecked over the same pinned
 // neighbor cycle), monte-carlo-soa (flat-array vs scalar engine over
-// the same replication batch) and exact-profiles-table (the exact
+// the same replication batch), exact-profiles-table (the exact
 // solver's term-table enumeration vs the per-partition exactref oracle
-// on the same chain).
+// on the same chain) and pareto-filter (the frontier's archive
+// dominance filter vs the all-pairs exactref oracle on the same
+// profiles).
 //
 // ns/op is recorded and feeds those ratios, but is never compared
 // against the baseline: absolute times do not transfer between
@@ -422,11 +424,34 @@ func frontierBench() func(sz sizes) func() {
 	return func(sz sizes) func() {
 		c, pl := paperChainPlatform(sz.frontierTasks)
 		return func() {
-			pts, err := frontier.ComputePar(context.Background(), c, pl, 1)
+			pts, err := frontier.Compute(context.Background(), c, pl, 1, nil)
 			if err != nil {
 				panic(err)
 			}
 			sink += float64(len(pts))
+		}
+	}
+}
+
+// paretoBench filters the profile set of frontierBench's chain, built
+// once at setup, through the archive filter frontier.Front or, with
+// ref, the all-pairs reference exactref.Pareto, single-threaded. Both
+// keep the same profiles in the same order, so the ratio of the two is
+// the filter's speedup, the "pareto-filter" entry in Speedups that
+// -minratio gates.
+func paretoBench(ref bool) func(sz sizes) func() {
+	return func(sz sizes) func() {
+		c, pl := paperChainPlatform(sz.frontierTasks)
+		ps, err := exact.Profiles(c, pl)
+		if err != nil {
+			panic(err)
+		}
+		return func() {
+			if ref {
+				sink += float64(len(exactref.Pareto(ps)))
+			} else {
+				sink += float64(len(frontier.Front(ps, exact.Profile.Criteria)))
+			}
 		}
 	}
 }
@@ -443,6 +468,8 @@ var benchmarks = []benchmark{
 	{"monte-carlo-soa", monteCarloEngineBench(false)},
 	{"monte-carlo-scalar", monteCarloEngineBench(true)},
 	{"frontier/P=1", frontierBench()},
+	{"pareto-filter", paretoBench(false)},
+	{"pareto-filter-ref", paretoBench(true)},
 	{"search-optimize/P=1", searchBench()},
 	{"search-optimize-delta", searchEvalBench(true)},
 	{"search-optimize-full", searchEvalBench(false)},
@@ -666,6 +693,7 @@ var oracleRatios = []struct{ name, fast, ref, what string }{
 	{"search-optimize-delta", "search-optimize-delta", "search-optimize-full", "incremental vs full evaluation"},
 	{"monte-carlo-soa", "monte-carlo-soa", "monte-carlo-scalar", "flat-array vs scalar engine"},
 	{"exact-profiles-table", "exact-profiles/P=1", "exact-profiles-ref", "term table vs per-partition evaluation"},
+	{"pareto-filter", "pareto-filter", "pareto-filter-ref", "archive vs all-pairs dominance filter"},
 }
 
 // parallelRatios are the kernels whose Speedups entry is the P=8/P=1

@@ -48,14 +48,14 @@ func TestCheckFailsOnMissingBenchmarks(t *testing.T) {
 var ciFloors = ratioFloors{
 	"exact-profiles": 2.0, "monte-carlo": 2.0,
 	"search-optimize-delta": 3.0, "monte-carlo-soa": 2.0,
-	"exact-profiles-table": 5.0,
+	"exact-profiles-table": 5.0, "pareto-filter": 10.0,
 }
 
 // healthyRatios is a run in which every gated ratio clears its CI floor.
 var healthyRatios = map[string]float64{
 	"exact-profiles": 3.1, "monte-carlo": 2.4,
 	"search-optimize-delta": 8.5, "monte-carlo-soa": 2.4,
-	"exact-profiles-table": 19.0,
+	"exact-profiles-table": 19.0, "pareto-filter": 170.0,
 }
 
 // withRatio is healthyRatios with one kernel's ratio replaced.
@@ -99,8 +99,8 @@ func TestCheckRatios(t *testing.T) {
 	runRatioCases(t, []ratioCase{
 		{"no floors", 8, withRatio("exact-profiles", 0.5), ratioFloors{}, 0, ""},
 		{"healthy", 8, healthyRatios, ciFloors, 0, ""},
-		{"missing on 8 cores", 8, map[string]float64{}, ciFloors, 5, "exact-profiles missing from this run"},
-		{"missing on 1 core", 1, map[string]float64{}, ciFloors, 3, "exact-profiles-table missing from this run"},
+		{"missing on 8 cores", 8, map[string]float64{}, ciFloors, 6, "exact-profiles missing from this run"},
+		{"missing on 1 core", 1, map[string]float64{}, ciFloors, 4, "exact-profiles-table missing from this run"},
 	})
 }
 
@@ -149,6 +149,17 @@ func TestCheckTableSpeedup(t *testing.T) {
 		{"healthy", 1, healthyRatios, table, 0, ""},
 		{"table enforced on 1 core", 1, withRatio("exact-profiles-table", 3.2), table, 1, "exact-profiles-table speedup 3.20x below floor 5.00x"},
 		{"missing", 1, map[string]float64{}, table, 1, "exact-profiles-table missing from this run"},
+	})
+}
+
+// TestCheckParetoSpeedup: the archive-vs-all-pairs dominance filter
+// ratio is single-threaded as well, so it is enforced on any machine.
+func TestCheckParetoSpeedup(t *testing.T) {
+	pareto := ratioFloors{"pareto-filter": 10.0}
+	runRatioCases(t, []ratioCase{
+		{"healthy", 1, healthyRatios, pareto, 0, ""},
+		{"filter enforced on 1 core", 1, withRatio("pareto-filter", 4.5), pareto, 1, "pareto-filter speedup 4.50x below floor 10.00x"},
+		{"missing", 1, map[string]float64{}, pareto, 1, "pareto-filter missing from this run"},
 	})
 }
 

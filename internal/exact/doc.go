@@ -26,5 +26,6 @@
 // Sweep is the enumeration every homogeneous enumerative solver runs
 // on: OptimalPar here, the min-cost solver of internal/cost and the
 // shared-platform curves of internal/multichain. Each takes Greedy
-// steps and folds them itself.
+// steps and folds them itself. The Pareto filter over profiles is
+// frontier.Front; the all-pairs loop it replaced is exactref.Pareto.
 package exact

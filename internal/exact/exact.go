@@ -34,6 +34,11 @@ type Profile struct {
 	Counts  []int   // optimal replica count per interval
 }
 
+// Criteria returns the profile's frontier.Front criteria.
+func (p Profile) Criteria() (period, latency, logRel float64) {
+	return p.Period, p.Latency, p.LogRel
+}
+
 // Profiles enumerates every partition of c with at most p intervals and
 // returns its profile. The platform must be homogeneous.
 func Profiles(c chain.Chain, pl platform.Platform) ([]Profile, error) {
@@ -94,49 +99,6 @@ func ProfilesPar(ctx context.Context, c chain.Chain, pl platform.Platform, paral
 	})
 	if err != nil {
 		return nil, err
-	}
-	return out, nil
-}
-
-// Pareto removes profiles that are dominated on all three criteria: a
-// profile is dominated if another has period ≤, latency ≤ and logRel ≥
-// (with at least one strict). Sweeping bounds over the Pareto set gives
-// the same answers as sweeping the full set, orders of magnitude faster.
-func Pareto(ps []Profile) []Profile {
-	out, err := ParetoPar(context.Background(), ps, 1)
-	if err != nil {
-		// Unreachable: the sequential dominance filter cannot fail.
-		panic(err)
-	}
-	return out
-}
-
-// ParetoPar is Pareto with the O(n²) dominance checks sharded over the
-// profiles (each profile's dominated-test is independent); the surviving
-// profiles keep their input order, so the result is bit-identical to
-// Pareto for every degree.
-func ParetoPar(ctx context.Context, ps []Profile, parallelism int) ([]Profile, error) {
-	dominated, err := par.Map(ctx, parallelism, len(ps), func(i int) (bool, error) {
-		a := ps[i]
-		for j, b := range ps {
-			if i == j {
-				continue
-			}
-			if b.Period <= a.Period && b.Latency <= a.Latency && b.LogRel >= a.LogRel &&
-				(b.Period < a.Period || b.Latency < a.Latency || b.LogRel > a.LogRel) {
-				return true, nil
-			}
-		}
-		return false, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out []Profile
-	for i, d := range dominated {
-		if !d {
-			out = append(out, ps[i])
-		}
 	}
 	return out, nil
 }

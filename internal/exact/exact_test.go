@@ -166,39 +166,6 @@ func TestLatencyBoundForcesFewerIntervals(t *testing.T) {
 	_ = mLoose
 }
 
-func TestParetoPreservesSweepAnswers(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rng.New(seed)
-		n := 1 + r.IntN(8)
-		c := chain.PaperRandom(r, n)
-		pl := homPl(1 + r.IntN(8))
-		ps, err := Profiles(c, pl)
-		if err != nil || len(ps) == 0 {
-			return err == nil
-		}
-		pareto := Pareto(ps)
-		if len(pareto) > len(ps) {
-			return false
-		}
-		for trial := 0; trial < 10; trial++ {
-			P := r.Uniform(10, 600)
-			L := r.Uniform(50, 1500)
-			iFull := BestUnder(ps, P, L)
-			iPar := BestUnder(pareto, P, L)
-			if (iFull < 0) != (iPar < 0) {
-				return false
-			}
-			if iFull >= 0 && math.Abs(ps[iFull].LogRel-pareto[iPar].LogRel) > 1e-12 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMaterializeRoundTrip(t *testing.T) {
 	r := rng.New(9)
 	c := chain.PaperRandom(r, 6)

@@ -12,7 +12,8 @@
 // validates Greedy on small instances. MinCost and Curve are the
 // per-partition loops of the two other exact.Sweep callers, the
 // min-cost solver of internal/cost and the shared-platform curves of
-// internal/multichain, each with its own greedy.
+// internal/multichain, each with its own greedy. Pareto is the
+// all-pairs dominance filter that frontier.Front replaced.
 package exactref
 
 import (
@@ -188,4 +189,29 @@ func BruteForce(c chain.Chain, pl platform.Platform, parts interval.Partition) (
 		return mapping.Mapping{}, ErrInfeasible
 	}
 	return best, nil
+}
+
+// Pareto is the all-pairs dominance filter frontier.Front replaced: it
+// keeps every profile no other profile dominates (period ≤, latency ≤
+// and logRel ≥, with at least one strict), in input order, comparing
+// each profile against all the others.
+func Pareto(ps []exact.Profile) []exact.Profile {
+	var out []exact.Profile
+	for i, a := range ps {
+		dominated := false
+		for j, b := range ps {
+			if i == j {
+				continue
+			}
+			if b.Period <= a.Period && b.Latency <= a.Latency && b.LogRel >= a.LogRel &&
+				(b.Period < a.Period || b.Latency < a.Latency || b.LogRel > a.LogRel) {
+				dominated = true
+				break
+			}
+		}
+		if !dominated {
+			out = append(out, a)
+		}
+	}
+	return out
 }

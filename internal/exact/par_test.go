@@ -39,25 +39,6 @@ func TestProfilesParMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestParetoParMatchesSequential(t *testing.T) {
-	c := chain.PaperRandom(rng.New(3), 11)
-	pl := platform.PaperHomogeneous(8)
-	ps, err := Profiles(c, pl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Pareto(ps)
-	for _, p := range degrees {
-		got, err := ParetoPar(context.Background(), ps, p)
-		if err != nil {
-			t.Fatalf("P=%d: %v", p, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("P=%d: parallel Pareto filter differs from sequential", p)
-		}
-	}
-}
-
 func TestOptimalParMatchesSequential(t *testing.T) {
 	for seed := uint64(11); seed <= 14; seed++ {
 		c := chain.PaperRandom(rng.New(seed), 10)

@@ -9,6 +9,7 @@ import (
 	"relpipe/internal/chain"
 	"relpipe/internal/exact"
 	"relpipe/internal/failure"
+	"relpipe/internal/frontier"
 	"relpipe/internal/heur"
 	"relpipe/internal/par"
 	"relpipe/internal/platform"
@@ -111,7 +112,7 @@ func buildHom(cfg Config) []homInstance {
 			panic(fmt.Sprintf("expfig: %v", err)) // impossible with valid generators
 		}
 		return homInstance{
-			optimal: exact.Pareto(profiles),
+			optimal: frontier.Front(profiles, exact.Profile.Criteria),
 			heurL:   heurCandidates(c, pl, true),
 			heurP:   heurCandidates(c, pl, false),
 		}, nil

@@ -6,8 +6,9 @@
 // every (period, latency, failure) triple such that no mapping improves
 // one criterion without degrading another.
 //
-// Key entry points: Compute/ComputePar/ComputeParProgress (the sweep;
-// sharded over internal/par, bit-identical at every parallelism degree,
-// with optional coarse progress reporting), the PeriodReliability /
-// LatencyReliability / PeriodLatency projections, and WriteCSV.
+// Key entry points: Compute (the sweep, sharded over internal/par and
+// bit-identical at every parallelism degree, with optional progress);
+// Front, the repository's one Pareto dominance filter; Distinct, its
+// form for the search engine's candidates; the PeriodReliability /
+// LatencyReliability / PeriodLatency projections; and WriteCSV.
 package frontier

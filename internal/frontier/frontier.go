@@ -26,46 +26,37 @@ type Point struct {
 	Counts   []int   `json:"counts"`
 }
 
+// Criteria returns the point's Front criteria.
+func (p Point) Criteria() (period, latency, logRel float64) {
+	return p.Period, p.Latency, p.LogRel
+}
+
 // Mapping reconstructs the concrete mapping of the point.
 func (p Point) Mapping() mapping.Mapping {
 	return mapping.AssignSequential(interval.FromEnds(p.Ends), p.Counts)
 }
 
 // Compute returns the full tri-criteria Pareto frontier of the instance,
-// sorted by period, then latency. The platform must be homogeneous (the
-// underlying solver enumerates partitions with optimal allocation, which
-// is exact there).
-func Compute(c chain.Chain, pl platform.Platform) ([]Point, error) {
-	return ComputePar(context.Background(), c, pl, 1)
-}
-
-// ComputePar is Compute with the two heavy sweep stages — partition
-// enumeration and Pareto dominance filtering — sharded on up to
-// par.Degree(parallelism) goroutines. Both stages collect their results
-// in input order and the final sort sees an identical slice, so the
-// frontier is bit-identical to Compute's for every degree. The
-// profile-to-point conversion is a field copy per survivor, far below
-// goroutine overhead, and stays a plain loop.
-func ComputePar(ctx context.Context, c chain.Chain, pl platform.Platform, parallelism int) ([]Point, error) {
-	return ComputeParProgress(ctx, c, pl, parallelism, nil)
-}
-
-// ComputeParProgress is ComputePar reporting coarse progress: one unit
-// per pipeline stage (profiles enumerated, dominance filter done,
-// points sorted — 3 total; see internal/progress). The stages are the
-// unit because the frontier's point count is unknown until the
-// dominance filter lands. Reporting never influences the result.
-func ComputeParProgress(ctx context.Context, c chain.Chain, pl platform.Platform, parallelism int, report progress.Func) ([]Point, error) {
+// sorted by period, then latency, then decreasing log-reliability. The
+// platform must be homogeneous (the underlying solver enumerates
+// partitions with optimal allocation, which is exact there).
+//
+// The partition enumeration is sharded on up to par.Degree(parallelism)
+// goroutines and keeps the sequential profile order, and so does Front,
+// so the frontier is bit-identical for every degree. ctx cancels the
+// enumeration (nil = background). report, when non-nil, receives one
+// progress unit per stage (profiles enumerated, dominance filter done,
+// points sorted — 3 total; see internal/progress), since the point
+// count is unknown until the filter lands. Reporting never influences
+// the result.
+func Compute(ctx context.Context, c chain.Chain, pl platform.Platform, parallelism int, report progress.Func) ([]Point, error) {
 	stages := progress.NewCounter(3, report)
 	profiles, err := exact.ProfilesPar(ctx, c, pl, parallelism)
 	if err != nil {
 		return nil, err
 	}
 	stages.Add(1)
-	pareto, err := exact.ParetoPar(ctx, profiles, parallelism)
-	if err != nil {
-		return nil, err
-	}
+	pareto := Front(profiles, exact.Profile.Criteria)
 	stages.Add(1)
 	pts := make([]Point, len(pareto))
 	for i, pr := range pareto {
@@ -78,6 +69,33 @@ func ComputeParProgress(ctx context.Context, c chain.Chain, pl platform.Platform
 			Counts:   pr.Counts,
 		}
 	}
+	sortPoints(pts)
+	stages.Add(1)
+	return pts, nil
+}
+
+// Distinct returns the frontier of a candidate list: the points no
+// other candidate dominates, keeping only the first of those sharing
+// one (period, latency, log-reliability) triple, sorted as Compute
+// sorts. search.Frontier builds its approximate frontier with it.
+func Distinct(cands []Point) []Point {
+	var pts []Point
+next:
+	for _, p := range Front(cands, Point.Criteria) {
+		for _, q := range pts {
+			if q.Period == p.Period && q.Latency == p.Latency && q.LogRel == p.LogRel {
+				continue next
+			}
+		}
+		pts = append(pts, p)
+	}
+	sortPoints(pts)
+	return pts
+}
+
+// sortPoints orders a frontier by period, then latency, then
+// decreasing log-reliability.
+func sortPoints(pts []Point) {
 	sort.Slice(pts, func(a, b int) bool {
 		if pts[a].Period != pts[b].Period {
 			return pts[a].Period < pts[b].Period
@@ -87,8 +105,6 @@ func ComputeParProgress(ctx context.Context, c chain.Chain, pl platform.Platform
 		}
 		return pts[a].LogRel > pts[b].LogRel
 	})
-	stages.Add(1)
-	return pts, nil
 }
 
 // PeriodReliability projects the frontier onto the (period, failure)

@@ -23,7 +23,7 @@ func TestComputeSortedAndNonDominated(t *testing.T) {
 		r := rng.New(seed)
 		c := chain.PaperRandom(r, 2+r.IntN(8))
 		pl := homPl(2 + r.IntN(7))
-		pts, err := Compute(c, pl)
+		pts, err := Compute(context.Background(), c, pl, 1, nil)
 		if err != nil || len(pts) == 0 {
 			return false
 		}
@@ -56,7 +56,7 @@ func TestPointsMaterialize(t *testing.T) {
 	r := rng.New(3)
 	c := chain.PaperRandom(r, 7)
 	pl := homPl(6)
-	pts, err := Compute(c, pl)
+	pts, err := Compute(context.Background(), c, pl, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestFrontierAnswersMatchExact(t *testing.T) {
 		r := rng.New(seed)
 		c := chain.PaperRandom(r, 2+r.IntN(7))
 		pl := homPl(2 + r.IntN(6))
-		pts, err := Compute(c, pl)
+		pts, err := Compute(context.Background(), c, pl, 1, nil)
 		if err != nil {
 			return false
 		}
@@ -115,7 +115,7 @@ func TestPeriodReliabilityStrictlyImproving(t *testing.T) {
 	r := rng.New(5)
 	c := chain.PaperRandom(r, 8)
 	pl := homPl(8)
-	pts, err := Compute(c, pl)
+	pts, err := Compute(context.Background(), c, pl, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestLatencyReliabilityStrictlyImproving(t *testing.T) {
 	r := rng.New(7)
 	c := chain.PaperRandom(r, 8)
 	pl := homPl(8)
-	pts, err := Compute(c, pl)
+	pts, err := Compute(context.Background(), c, pl, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestPeriodLatencyFloor(t *testing.T) {
 	r := rng.New(9)
 	c := chain.PaperRandom(r, 8)
 	pl := homPl(8)
-	pts, err := Compute(c, pl)
+	pts, err := Compute(context.Background(), c, pl, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestWriteCSV(t *testing.T) {
 func TestHeterogeneousRejected(t *testing.T) {
 	pl := homPl(3)
 	pl.Procs[0].Speed = 2
-	if _, err := Compute(chain.Chain{{Work: 1, Out: 0}}, pl); err == nil {
+	if _, err := Compute(context.Background(), chain.Chain{{Work: 1, Out: 0}}, pl, 1, nil); err == nil {
 		t.Fatal("Compute accepted heterogeneous platform")
 	}
 }

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -114,7 +115,7 @@ func Generate(in core.Instance, opts Options, w io.Writer) error {
 	}
 
 	if in.Platform.Homogeneous() && len(in.Chain) <= 22 {
-		if pts, err := frontier.Compute(in.Chain, in.Platform); err == nil {
+		if pts, err := frontier.Compute(context.TODO(), in.Chain, in.Platform, 1, nil); err == nil {
 			proj := frontier.PeriodReliability(pts)
 			if len(proj) > opts.FrontierPoints {
 				proj = proj[:opts.FrontierPoints]

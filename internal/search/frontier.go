@@ -14,7 +14,8 @@ import (
 // heterogeneous) for the exact enumeration: it gathers the heuristic
 // seed pool plus search-refined optima under a ladder of period bounds
 // drawn from the pool's own period range, evaluates every candidate,
-// and keeps the non-dominated ones. Points carry the real metrics of
+// and keeps the non-dominated ones, one per distinct triple
+// (frontier.Distinct). Points carry the real metrics of
 // their mappings; unlike the exact frontier they are a lower bound on
 // the true surface, not the surface itself. Deterministic under the
 // same contract as Optimize.
@@ -33,14 +34,10 @@ func Frontier(c chain.Chain, pl platform.Platform, opts Options) ([]frontier.Poi
 	if len(seeds) == 0 {
 		return nil, nil
 	}
-	type cand struct {
-		m  mapping.Mapping
-		ev mapping.Eval
-	}
-	var cands []cand
+	var cands []frontier.Point
 	for _, sc := range seeds {
 		m := sc.st.mapping()
-		cands = append(cands, cand{m: m, ev: mapping.EvaluateUnchecked(c, pl, m)})
+		cands = append(cands, point(m, mapping.EvaluateUnchecked(c, pl, m)))
 	}
 
 	// Refine under a ladder of period bounds spanning the seeds' period
@@ -48,7 +45,7 @@ func Frontier(c chain.Chain, pl platform.Platform, opts Options) ([]frontier.Poi
 	// ladder is deliberately short.
 	periods := map[float64]bool{}
 	for _, cd := range cands {
-		periods[cd.ev.WorstPeriod] = true
+		periods[cd.Period] = true
 	}
 	rungs := make([]float64, 0, len(periods))
 	for pv := range periods {
@@ -71,68 +68,27 @@ func Frontier(c chain.Chain, pl platform.Platform, opts Options) ([]frontier.Poi
 			return nil, err
 		}
 		if ok {
-			cands = append(cands, cand{m: res.M, ev: res.Ev})
+			cands = append(cands, point(res.M, res.Ev))
 		}
 	}
-
-	// Dominance filter on (period, latency, log-reliability).
-	pts := make([]frontier.Point, 0, len(cands))
-	for i, a := range cands {
-		dominated := false
-		for k, b := range cands {
-			if k == i {
-				continue
-			}
-			if dominates(b.ev, a.ev) || (k < i && equalEval(b.ev, a.ev)) {
-				dominated = true
-				break
-			}
-		}
-		if dominated {
-			continue
-		}
-		pts = append(pts, frontier.Point{
-			Period:   a.ev.WorstPeriod,
-			Latency:  a.ev.WorstLatency,
-			FailProb: a.ev.FailProb,
-			LogRel:   a.ev.LogRel,
-			Ends:     a.m.Parts.Ends(),
-			Counts:   replicaCounts(a.m),
-		})
-	}
-	sort.Slice(pts, func(a, b int) bool {
-		if pts[a].Period != pts[b].Period {
-			return pts[a].Period < pts[b].Period
-		}
-		if pts[a].Latency != pts[b].Latency {
-			return pts[a].Latency < pts[b].Latency
-		}
-		return pts[a].LogRel > pts[b].LogRel
-	})
-	return pts, nil
+	return frontier.Distinct(cands), nil
 }
 
-// dominates reports b strictly better-or-equal on all three criteria
-// and strictly better on at least one.
-func dominates(b, a mapping.Eval) bool {
-	if b.WorstPeriod > a.WorstPeriod || b.WorstLatency > a.WorstLatency || b.LogRel < a.LogRel {
-		return false
-	}
-	return b.WorstPeriod < a.WorstPeriod || b.WorstLatency < a.WorstLatency || b.LogRel > a.LogRel
-}
-
-func equalEval(b, a mapping.Eval) bool {
-	return b.WorstPeriod == a.WorstPeriod && b.WorstLatency == a.WorstLatency && b.LogRel == a.LogRel
-}
-
-// replicaCounts extracts the per-interval replica counts; note that on
-// heterogeneous platforms Point.Mapping()'s sequential re-assignment is
-// only representative — the recorded metrics come from the actual
-// mapping.
-func replicaCounts(m mapping.Mapping) []int {
+// point records a candidate mapping with its metrics. Its replica
+// counts are per interval; note that on heterogeneous platforms
+// Point.Mapping()'s sequential re-assignment is only representative —
+// the recorded metrics come from the actual mapping.
+func point(m mapping.Mapping, ev mapping.Eval) frontier.Point {
 	counts := make([]int, len(m.Procs))
 	for j, ps := range m.Procs {
 		counts[j] = len(ps)
 	}
-	return counts
+	return frontier.Point{
+		Period:   ev.WorstPeriod,
+		Latency:  ev.WorstLatency,
+		FailProb: ev.FailProb,
+		LogRel:   ev.LogRel,
+		Ends:     m.Parts.Ends(),
+		Counts:   counts,
+	}
 }

@@ -294,9 +294,10 @@ func Frontier(in Instance) ([]FrontierPoint, error) {
 	return FrontierWith(in, Options{})
 }
 
-// FrontierWith is Frontier with execution options: the enumeration,
-// dominance filter and point evaluation shard across o.Parallelism
-// workers, returning a bit-identical frontier for every degree. Like
+// FrontierWith is Frontier with execution options: the partition
+// enumeration shards across o.Parallelism workers and the dominance
+// filter (frontier.Front) runs on one, returning a bit-identical
+// frontier for every degree. Like
 // the Exact method of Optimize it enumerates 2^{n-1} partitions, so it
 // stops at core.MaxExactTasks tasks.
 func FrontierWith(in Instance, o Options) ([]FrontierPoint, error) {
@@ -306,7 +307,7 @@ func FrontierWith(in Instance, o Options) ([]FrontierPoint, error) {
 	if len(in.Chain) > core.MaxExactTasks {
 		return nil, fmt.Errorf("relpipe: exact frontier limited to %d tasks (2^{n-1} partitions); use FrontierHeuristic", core.MaxExactTasks)
 	}
-	return frontier.ComputeParProgress(o.Context, in.Chain, in.Platform, o.Parallelism, progress.Func(o.Progress))
+	return frontier.Compute(o.Context, in.Chain, in.Platform, o.Parallelism, progress.Func(o.Progress))
 }
 
 // FrontierAuto routes between the exact frontier sweep and its search

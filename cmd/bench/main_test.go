@@ -47,14 +47,14 @@ func TestCheckFailsOnMissingBenchmarks(t *testing.T) {
 // ciFloors are the ratio floors the CI bench job passes as -minratio.
 var ciFloors = ratioFloors{
 	"exact-profiles": 2.0, "monte-carlo": 2.0,
-	"search-optimize-delta": 3.0, "monte-carlo-soa": 2.0,
+	"search-optimize-delta": 3.0, "monte-carlo-soa": 3.7,
 	"exact-profiles-table": 5.0, "pareto-filter": 10.0,
 }
 
 // healthyRatios is a run in which every gated ratio clears its CI floor.
 var healthyRatios = map[string]float64{
 	"exact-profiles": 3.1, "monte-carlo": 2.4,
-	"search-optimize-delta": 8.5, "monte-carlo-soa": 2.4,
+	"search-optimize-delta": 8.5, "monte-carlo-soa": 7.5,
 	"exact-profiles-table": 19.0, "pareto-filter": 170.0,
 }
 
@@ -133,9 +133,10 @@ func TestCheckDeltaSpeedup(t *testing.T) {
 // follows the same contract as the delta ratio — enforced on any
 // machine, and a missing ratio fails rather than silently passing.
 func TestCheckSoASpeedup(t *testing.T) {
-	soa := ratioFloors{"monte-carlo-soa": 2.0}
+	soa := ratioFloors{"monte-carlo-soa": ciFloors["monte-carlo-soa"]}
 	runRatioCases(t, []ratioCase{
 		{"healthy", 1, healthyRatios, soa, 0, ""},
+		{"eager-injection ratio below floor", 1, withRatio("monte-carlo-soa", 2.1), soa, 1, "monte-carlo-soa speedup 2.10x below floor 3.70x"},
 		{"soa enforced on 1 core", 1, withRatio("monte-carlo-soa", 1.3), soa, 1, "monte-carlo-soa speedup 1.30x"},
 		{"missing", 1, map[string]float64{}, soa, 1, "monte-carlo-soa missing from this run"},
 	})

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 
 	"relpipe/internal/jsonscan"
 	"relpipe/internal/rng"
@@ -28,6 +29,12 @@ func (c Chain) Validate() error {
 		return errors.New("chain: empty chain")
 	}
 	for i, t := range c {
+		if math.IsNaN(t.Work) {
+			return fmt.Errorf("chain: task %d has NaN work", i)
+		}
+		if math.IsNaN(t.Out) {
+			return fmt.Errorf("chain: task %d has NaN output size", i)
+		}
 		if t.Work <= 0 {
 			return fmt.Errorf("chain: task %d has non-positive work %v", i, t.Work)
 		}

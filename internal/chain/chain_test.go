@@ -30,6 +30,8 @@ func TestValidateRejects(t *testing.T) {
 		{"negative work", Chain{{Work: -1, Out: 0}}},
 		{"negative out", Chain{{Work: 1, Out: -2}, {Work: 1, Out: 0}}},
 		{"last out nonzero", Chain{{Work: 1, Out: 1}, {Work: 1, Out: 5}}},
+		{"NaN work", Chain{{Work: math.NaN(), Out: 2}, {Work: 1, Out: 0}}},
+		{"NaN out", Chain{{Work: 1, Out: math.NaN()}, {Work: 1, Out: 0}}},
 	}
 	for _, c := range cases {
 		if err := c.c.Validate(); err == nil {

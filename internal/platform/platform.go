@@ -3,6 +3,7 @@ package platform
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"relpipe/internal/jsonscan"
 	"relpipe/internal/rng"
@@ -39,12 +40,24 @@ func (pl Platform) Validate() error {
 		return errors.New("platform: no processors")
 	}
 	for i, p := range pl.Procs {
+		if math.IsNaN(p.Speed) {
+			return fmt.Errorf("platform: processor %d has NaN speed", i)
+		}
+		if math.IsNaN(p.FailRate) {
+			return fmt.Errorf("platform: processor %d has NaN failure rate", i)
+		}
 		if p.Speed <= 0 {
 			return fmt.Errorf("platform: processor %d has non-positive speed %v", i, p.Speed)
 		}
 		if p.FailRate < 0 {
 			return fmt.Errorf("platform: processor %d has negative failure rate %v", i, p.FailRate)
 		}
+	}
+	if math.IsNaN(pl.Bandwidth) {
+		return errors.New("platform: NaN bandwidth")
+	}
+	if math.IsNaN(pl.LinkFailRate) {
+		return errors.New("platform: NaN link failure rate")
 	}
 	if pl.Bandwidth <= 0 {
 		return fmt.Errorf("platform: non-positive bandwidth %v", pl.Bandwidth)

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -52,6 +53,10 @@ func TestValidateRejects(t *testing.T) {
 		{"zero bandwidth", func(p *Platform) { p.Bandwidth = 0 }},
 		{"negative link rate", func(p *Platform) { p.LinkFailRate = -1 }},
 		{"zero K", func(p *Platform) { p.MaxReplicas = 0 }},
+		{"NaN speed", func(p *Platform) { p.Procs[1].Speed = math.NaN() }},
+		{"NaN rate", func(p *Platform) { p.Procs[1].FailRate = math.NaN() }},
+		{"NaN bandwidth", func(p *Platform) { p.Bandwidth = math.NaN() }},
+		{"NaN link rate", func(p *Platform) { p.LinkFailRate = math.NaN() }},
 	}
 	for _, c := range cases {
 		pl := base()
@@ -59,6 +64,17 @@ func TestValidateRejects(t *testing.T) {
 		if err := pl.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted invalid platform", c.name)
 		}
+	}
+}
+
+// TestValidateAcceptsInfFailRates pins that +Inf failure rates stay
+// legal: they model certain failure.
+func TestValidateAcceptsInfFailRates(t *testing.T) {
+	pl := Homogeneous(2, 1, 1e-8, 1, 1e-5, 3)
+	pl.Procs[0].FailRate = math.Inf(1)
+	pl.LinkFailRate = math.Inf(1)
+	if err := pl.Validate(); err != nil {
+		t.Fatalf("Validate rejected +Inf failure rates: %v", err)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"relpipe/internal/chain"
-	"relpipe/internal/failure"
 	"relpipe/internal/mapping"
 	"relpipe/internal/platform"
 	"relpipe/internal/progress"
@@ -110,23 +109,4 @@ func Run(cfg Config) (Result, error) {
 		cfg.Seed = 1
 	}
 	return newSoaEngine(t, nil, cfg.Trace).run(cfg.Seed)
-}
-
-// AnalyticFailProbOneHop returns the per-data-set failure probability the
-// OneHop simulator converges to: like Eq. (9) but with a single
-// communication factor per boundary (sender side only).
-func AnalyticFailProbOneHop(c chain.Chain, pl platform.Platform, m mapping.Mapping) float64 {
-	logRel := 0.0
-	for j := range m.Parts {
-		w := m.Parts.Work(c, j)
-		out := m.Parts.Out(c, j)
-		fOut := failure.Prob(pl.LinkFailRate, pl.CommTime(out))
-		stage := 1.0
-		for _, u := range m.Procs[j] {
-			fComp := failure.Prob(pl.Procs[u].FailRate, pl.ComputeTime(u, w))
-			stage *= failure.Serial(fComp, fOut)
-		}
-		logRel += failure.LogRel(stage)
-	}
-	return failure.FromLogRel(logRel)
 }

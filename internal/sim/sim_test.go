@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"relpipe/internal/chain"
+	"relpipe/internal/failure"
 	"relpipe/internal/interval"
 	"relpipe/internal/mapping"
 	"relpipe/internal/platform"
@@ -172,9 +173,28 @@ func TestSimMatchesAnalyticReliability(t *testing.T) {
 	}
 }
 
+// analyticFailProbOneHop returns the per-data-set failure probability the
+// OneHop simulator converges to: like Eq. (9) but with a single
+// communication factor per boundary (sender side only).
+func analyticFailProbOneHop(c chain.Chain, pl platform.Platform, m mapping.Mapping) float64 {
+	logRel := 0.0
+	for j := range m.Parts {
+		w := m.Parts.Work(c, j)
+		out := m.Parts.Out(c, j)
+		fOut := failure.Prob(pl.LinkFailRate, pl.CommTime(out))
+		stage := 1.0
+		for _, u := range m.Procs[j] {
+			fComp := failure.Prob(pl.Procs[u].FailRate, pl.ComputeTime(u, w))
+			stage *= failure.Serial(fComp, fOut)
+		}
+		logRel += failure.LogRel(stage)
+	}
+	return failure.FromLogRel(logRel)
+}
+
 func TestSimMatchesAnalyticReliabilityOneHop(t *testing.T) {
 	c, pl, m := mcSetup()
-	want := AnalyticFailProbOneHop(c, pl, m)
+	want := analyticFailProbOneHop(c, pl, m)
 	const n = 40000
 	res, err := Run(Config{
 		Chain: c, Platform: pl, Mapping: m,
@@ -318,5 +338,44 @@ func TestSoARunCancelsMidReplication(t *testing.T) {
 	}
 	if ctx.calls <= 2 {
 		t.Fatalf("expected the event loop to poll the context more than twice, got %d calls", ctx.calls)
+	}
+}
+
+// TestHeapHoldsOnlyInFlightEvents pins the injection cursor: at a
+// stable period the number of pending events is bounded by the
+// mapping, not by DataSets, so the engine's heap must not grow when the
+// run is ten times longer. Pushing every injection up front would make
+// its capacity at least DataSets.
+func TestHeapHoldsOnlyInFlightEvents(t *testing.T) {
+	c, pl, m := mcSetup()
+	ev, err := mapping.Evaluate(c, pl, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heapCap := func(dataSets int) int {
+		tab, err := newSoaTables(Config{
+			Chain: c, Platform: pl, Mapping: m,
+			Period: ev.WorstPeriod, DataSets: dataSets, Routing: TwoHop,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := newSoaEngine(tab, nil, nil)
+		res, err := e.run(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Successes != dataSets {
+			t.Fatalf("DataSets %d: %d successes on a failure-free run", dataSets, res.Successes)
+		}
+		return cap(e.heap)
+	}
+	short, long := heapCap(150), heapCap(1500)
+	t.Logf("cap(heap): %d at 150 data sets, %d at 1500", short, long)
+	if long > short {
+		t.Fatalf("cap(heap) grew from %d to %d with ten times the data sets", short, long)
+	}
+	if short > 150/4 {
+		t.Fatalf("cap(heap) = %d at 150 data sets; in-flight events should need far fewer slots", short)
 	}
 }

@@ -87,6 +87,9 @@ func run(cfg sim.Config) (sim.Result, error) {
 	if cfg.Period <= 0 {
 		return sim.Result{}, errors.New("sim: Period must be positive")
 	}
+	if math.IsNaN(cfg.Period) || math.IsInf(cfg.Period, 0) {
+		return sim.Result{}, errors.New("sim: Period must be finite")
+	}
 	if cfg.DataSets <= 0 {
 		return sim.Result{}, errors.New("sim: DataSets must be positive")
 	}

@@ -10,16 +10,25 @@ package sim
 // and the per-segment tables are shared by every replication of a
 // batch, so a worker advances its shard through one warm state block.
 //
+// The heap holds only in-flight events. Data set d enters at d·Period
+// (§2.2), so the injection stream is known in advance and already
+// sorted: a cursor merges it in instead of pushing all DataSets
+// injections up front, which would keep the heap several times larger
+// than the handful of operations actually pending.
+//
 // Determinism contract: events are ordered by (time, scheduling
 // sequence), the oracle's strict total order, and every RNG draw
 // happens inside an event handler, so equal seeds give the oracle's
 // Results and, when traced, its Op sequence bit for bit (the
-// differential suite and FuzzSimSoA enforce this). A traced run keeps
-// each operation's start time on a side slice indexed by sequence
-// number, because finish − duration is not bit-exact; untraced runs
-// leave it nil. Cross-replication lockstep is ruled out on purpose: a
-// failed draw prunes downstream events, so the schedule is
-// outcome-dependent and lockstep would change the draw order.
+// differential suite and FuzzSimSoA enforce this). Injections keep the
+// oracle's sequence numbers 0..DataSets−1 and pushed events continue
+// from DataSets, so on a time tie the cursor's injection goes first
+// (`<=`, never `<`). A traced run keeps each operation's start time on
+// a side slice indexed by sequence number, because finish − duration is
+// not bit-exact; untraced runs leave it nil. Cross-replication lockstep
+// is ruled out on purpose: a failed draw prunes downstream events, so
+// the schedule is outcome-dependent and lockstep would change the draw
+// order.
 
 import (
 	"context"
@@ -32,12 +41,11 @@ import (
 )
 
 // Event kinds of the flat engine, mirroring the oracle's closures:
-// data-set injection, compute finish (draw + emit), sender-side link
-// arrival (draw + router), router-side link arrival (TwoHop only: draw
-// + next-stage compute).
+// compute finish (draw + emit), sender-side link arrival (draw +
+// router), router-side link arrival (TwoHop only: draw + next-stage
+// compute). Injections never enter the heap; run merges them in.
 const (
-	soaInject uint8 = iota
-	soaCompute
+	soaCompute uint8 = iota
 	soaSend
 	soaFwd
 )
@@ -48,8 +56,8 @@ var soaOpKind = [...]OpKind{soaCompute: OpCompute, soaSend: OpSend, soaFwd: OpFo
 
 // soaEvent is one pending event: fixed-size, no closures, no interface
 // boxing. seq is the per-replication scheduling sequence — the same
-// stable tie-break the oracle's engine applies — reset to 0 for every
-// replication.
+// stable tie-break the oracle's engine applies — reset to DataSets for
+// every replication (0..DataSets−1 belong to the injections).
 type soaEvent struct {
 	t    float64
 	seq  int64
@@ -93,6 +101,9 @@ func newSoaTables(cfg Config) (*soaTables, error) {
 	}
 	if cfg.Period <= 0 {
 		return nil, errors.New("sim: Period must be positive")
+	}
+	if math.IsNaN(cfg.Period) || math.IsInf(cfg.Period, 0) {
+		return nil, errors.New("sim: Period must be finite")
 	}
 	if cfg.DataSets <= 0 {
 		return nil, errors.New("sim: DataSets must be positive")
@@ -143,7 +154,7 @@ type soaEngine struct {
 	ctx context.Context // polled inside the event loop; nil = no polling
 	rnd *rng.Rand
 
-	heap   []soaEvent
+	heap   []soaEvent // in-flight events only
 	seq    int64
 	trace  *Trace    // nil unless a single Run is traced
 	starts []float64 // traced runs only: operation start time by event seq
@@ -288,8 +299,15 @@ func (e *soaEngine) run(seed uint64) (Result, error) {
 	t := e.t
 	e.rnd = rng.New(seed)
 	e.heap = e.heap[:0]
-	e.seq = 0
+	e.seq = int64(t.dataSets)
 	e.starts = e.starts[:0]
+	if e.trace != nil {
+		// Injections own sequence numbers 0..DataSets−1, so starts
+		// stays indexed by seq.
+		for d := 0; d < t.dataSets; d++ {
+			e.starts = append(e.starts, float64(d)*t.period)
+		}
+	}
 	clear(e.procFree)
 	clear(e.sendFree)
 	clear(e.fwdFree)
@@ -297,28 +315,27 @@ func (e *soaEngine) run(seed uint64) (Result, error) {
 	clear(e.done)
 	clear(e.completion)
 
-	for d := 0; d < t.dataSets; d++ {
-		at := float64(d) * t.period
-		e.push(at, at, soaInject, 0, 0, d)
-	}
 	last := t.nStages - 1
 	var steps int64
-	for len(e.heap) > 0 {
-		ev := e.pop()
+	for next := 0; next < t.dataSets || len(e.heap) > 0; {
 		if steps++; steps&1023 == 0 && e.ctx != nil {
 			if err := e.ctx.Err(); err != nil {
 				return Result{}, err
 			}
 		}
-		now := ev.t
-		j, i, d := int(ev.j), int(ev.i), int(ev.d)
-		if ev.kind == soaInject {
+		// Injection next has sequence number next, below every pushed
+		// event's, so it wins a time tie.
+		if at := float64(next) * t.period; next < t.dataSets && (len(e.heap) == 0 || at <= e.heap[0].t) {
 			for i := range t.procs[0] {
-				e.startCompute(now, 0, i, d)
+				e.startCompute(at, 0, i, next)
 			}
+			next++
 			continue
 		}
-		// Every other event completes one operation and first samples
+		ev := e.pop()
+		now := ev.t
+		j, i, d := int(ev.j), int(ev.i), int(ev.d)
+		// Every heap event completes one operation and first samples
 		// its transient failure — with the oracle's short-circuits (no
 		// draw when injection is off or p is degenerate), so the RNG
 		// streams stay aligned.

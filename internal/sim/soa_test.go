@@ -121,14 +121,48 @@ type soaCase struct {
 	cfg  sim.Config
 }
 
+// tieSetup returns a two-stage mapping with integer times: each stage
+// computes for 4 on its own processor and ships zero bytes, so at
+// Period 4 every injection lands at the same instant as a compute
+// finish and the (time, seq) tie-break decides which runs first.
+func tieSetup() (chain.Chain, platform.Platform, mapping.Mapping) {
+	c := chain.Chain{{Work: 4, Out: 0}, {Work: 4, Out: 0}}
+	pl := platform.Platform{
+		Procs:        []platform.Processor{{Speed: 1, FailRate: 0.01}, {Speed: 1, FailRate: 0.2}},
+		Bandwidth:    1,
+		LinkFailRate: 0.05,
+		MaxReplicas:  1,
+	}
+	m := mapping.Mapping{Parts: interval.Finest(2), Procs: [][]int{{0}, {1}}}
+	return c, pl, m
+}
+
 // soaCases builds the Config matrix: homogeneous and heterogeneous
 // platforms, both routing modes, failure injection on and off, warm-up
-// windows, and a period tight enough to queue data sets on processors.
+// windows, a period tight enough to queue data sets on processors, and
+// injections that tie with compute finishes.
 func soaCases() []soaCase {
 	cs, pls, ms := sim.Pipeline3()
 	ch, plh, mh := sim.MCSetup()
 	ce, ple, me := hetSetup()
+	ct, plt, mt := tieSetup()
 	return []soaCase{
+		{"tie/onehop", sim.Config{
+			Chain: ct, Platform: plt, Mapping: mt,
+			Period: 4, DataSets: 30, Seed: 5,
+		}},
+		{"tie/twohop", sim.Config{
+			Chain: ct, Platform: plt, Mapping: mt,
+			Period: 4, DataSets: 30, Seed: 5, Routing: sim.TwoHop,
+		}},
+		{"tie/onehop-lossy", sim.Config{
+			Chain: ct, Platform: plt, Mapping: mt,
+			Period: 4, DataSets: 30, Seed: 5, InjectFailures: true,
+		}},
+		{"tie/twohop-lossy", sim.Config{
+			Chain: ct, Platform: plt, Mapping: mt,
+			Period: 4, DataSets: 30, Seed: 5, InjectFailures: true, Routing: sim.TwoHop,
+		}},
 		{"deterministic/onehop", sim.Config{
 			Chain: cs, Platform: pls, Mapping: ms,
 			Period: 12, DataSets: 25, Seed: 1,
@@ -285,6 +319,8 @@ func TestSoAValidationMatchesScalar(t *testing.T) {
 	c, pl, m := sim.Pipeline3()
 	bad := []sim.Config{
 		{Chain: c, Platform: pl, Mapping: m, Period: 0, DataSets: 10},
+		{Chain: c, Platform: pl, Mapping: m, Period: math.NaN(), DataSets: 10},
+		{Chain: c, Platform: pl, Mapping: m, Period: math.Inf(1), DataSets: 10},
 		{Chain: c, Platform: pl, Mapping: m, Period: 12, DataSets: 0},
 		{Chain: c, Platform: pl, Mapping: mapping.Mapping{}, Period: 12, DataSets: 10},
 		{Chain: chain.Chain{}, Platform: pl, Mapping: m, Period: 12, DataSets: 10},

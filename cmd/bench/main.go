@@ -368,7 +368,7 @@ func searchEvalBench(delta bool) func(sz sizes) func() {
 	return func(sz sizes) func() {
 		c, pl, base, nbs := evalPathSetup()
 		if delta {
-			ev := mapping.NewEvaluator(c, pl)
+			ev := mapping.NewEvaluator(c, pl, mapping.NewLinks(c, pl))
 			ev.Init(base)
 			return func() {
 				for i := range nbs {

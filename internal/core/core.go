@@ -57,8 +57,8 @@ type Exec struct {
 	// built in vain. The provider may return nil to decline (the
 	// search then builds its own tables); when it does return tables
 	// they must match the instance it was called with. This is the
-	// seam the service-side solve batcher uses to share one table
-	// build across concurrent same-platform requests.
+	// seam the service's table tier uses to share one table build
+	// across the requests of one instance.
 	Tables func(Instance) *heur.Tables
 }
 

@@ -308,6 +308,9 @@ func NewHeurLTable(c chain.Chain) *HeurLTable {
 	return t
 }
 
+// Bytes returns the heap footprint of the table's ordering.
+func (t *HeurLTable) Bytes() int64 { return int64(cap(t.byCost)) * 8 }
+
 // Partition returns the Algorithm 3 partition into m intervals.
 func (t *HeurLTable) Partition(m int) (interval.Partition, error) {
 	if m < 1 || m > t.n {
@@ -413,6 +416,16 @@ func NewHeurPTable(c chain.Chain, maxM int, speed, bandwidth float64) (*HeurPTab
 		}
 	}
 	return &HeurPTable{n: n, maxM: maxM, g: g, cut: cut}, nil
+}
+
+// Bytes returns the heap footprint of the table: its row headers and
+// the float64 and int cells of every row.
+func (t *HeurPTable) Bytes() int64 {
+	b := int64(cap(t.g)+cap(t.cut)) * 24
+	for j := range t.g {
+		b += int64(cap(t.g[j])+cap(t.cut[j])) * 8
+	}
+	return b
 }
 
 // Partition materializes the optimal m-interval partition from the

@@ -43,17 +43,6 @@ func Parallel(fs ...float64) float64 {
 	return p
 }
 
-// SerialLogRel returns the log-reliability of a series composition,
-// Σ log(1-f_i). This is the natural accumulator for mapping-wide
-// reliability objectives.
-func SerialLogRel(fs ...float64) float64 {
-	s := 0.0
-	for _, f := range fs {
-		s += math.Log1p(-f)
-	}
-	return s
-}
-
 // Replicated returns the failure probability of q identical replicas in
 // parallel, f^q, guarding the q = 0 edge case (no replicas: certain
 // failure).

@@ -102,6 +102,16 @@ func TestLogRelTiny(t *testing.T) {
 	}
 }
 
+// SerialLogRel returns the log-reliability of a series composition,
+// Σ log(1-f_i): the oracle that Serial and FromLogRel must agree with.
+func SerialLogRel(fs ...float64) float64 {
+	s := 0.0
+	for _, f := range fs {
+		s += math.Log1p(-f)
+	}
+	return s
+}
+
 func TestSerialLogRelConsistent(t *testing.T) {
 	fs := []float64{0.1, 0.05, 0.2}
 	viaLog := FromLogRel(SerialLogRel(fs...))

@@ -84,8 +84,8 @@ func finishCandidate(c chain.Chain, pl platform.Platform, parts interval.Partiti
 // never on period/latency bounds or allocation constraints — so one
 // Tables value can serve every request against the same instance
 // concurrently: it is immutable after BuildTables and safe for
-// unsynchronized sharing. This is the unit the service-side solve
-// batcher amortizes across coalesced same-platform requests.
+// unsynchronized sharing. This is the unit the service's table tier
+// keeps per instance across requests.
 type Tables struct {
 	pTable *dp.HeurPTable
 	pErr   bool
@@ -97,6 +97,16 @@ type Tables struct {
 // MaxIntervals returns the largest interval count the tables support,
 // min(len(chain), P) at build time.
 func (t *Tables) MaxIntervals() int { return t.maxM }
+
+// Bytes returns the heap footprint of the tables, the quantity the
+// service's table tier budgets.
+func (t *Tables) Bytes() int64 {
+	b := t.lTable.Bytes()
+	if t.pTable != nil {
+		b += t.pTable.Bytes()
+	}
+	return b
+}
 
 // BuildTables eagerly builds both partition tables for the instance,
 // for interval counts 1..min(len(c), P). A failed Heur-P build is

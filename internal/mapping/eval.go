@@ -23,6 +23,9 @@ package mapping
 // enforce the bit-identity.
 
 import (
+	"math"
+	"slices"
+
 	"relpipe/internal/chain"
 	"relpipe/internal/failure"
 	"relpipe/internal/platform"
@@ -37,20 +40,69 @@ type stageTerm struct {
 	outTime float64 // CommTime(Out), charged to latency and the period
 }
 
-// computeTerm fills t for interval j of m. order is a scratch slice for
-// the expected-cost sort; the (possibly grown) slice is returned so
-// callers can reuse it allocation-free.
-func computeTerm(t *stageTerm, c chain.Chain, pl platform.Platform, m Mapping, j int, order []int) []int {
+// replica is one entry of computeTerm's scratch: a processor of the
+// interval and the failure probability of its compute leg, reordered in
+// place for the expected-cost sum.
+type replica struct {
+	u     int
+	fComp float64
+}
+
+// Links is the link-leg table of one instance: entry b is the
+// log-reliability of the communication into task b,
+// LogRel(Prob(LinkFailRate, CommTime(Out(b-1)))), for b = 0..n, so
+// interval [First, Last] reads its incoming leg at First and its
+// outgoing leg at Last+1. The legs depend only on the chain and the
+// platform, so one table serves every mapping of the instance; it is
+// read-only once built and safe to share between Evaluators.
+type Links []float64
+
+// NewLinks builds the link-leg table of (c, pl).
+func NewLinks(c chain.Chain, pl platform.Platform) Links {
+	l := make(Links, len(c)+1)
+	for b := range l {
+		l[b] = linkLeg(pl, c.Out(b-1))
+	}
+	return l
+}
+
+// linkLeg is the log-reliability of one communication of size data.
+func linkLeg(pl platform.Platform, data float64) float64 {
+	return failure.LogRel(failure.Prob(pl.LinkFailRate, pl.CommTime(data)))
+}
+
+// computeTerm fills t for interval j of m, whose incoming and outgoing
+// link legs are lIn and lOut. reps is the scratch for the replicas'
+// compute legs; the (possibly grown) slice is returned so callers can
+// reuse it allocation-free.
+//
+// Each replica's failure probability folds its three legs in
+// failure.Serial's order, starting from 0.0 (so a zero-rate replica
+// gives Serial's −0, not +0), and the stage multiplies them as the
+// parallel composition does: the floats are exactly those of
+// ReplicaFailProb's product. The compute leg is computed once and
+// reused by the Eq. (3) expected cost.
+func computeTerm(t *stageTerm, c chain.Chain, pl platform.Platform, m Mapping, j int, lIn, lOut float64, reps []replica) []replica {
 	t.Work = m.Parts.Work(c, j)
 	t.In = m.Parts.In(c, j)
 	t.Out = m.Parts.Out(c, j)
-	t.FailProb = StageFailProb(pl, m.Procs[j], t.Work, t.In, t.Out)
-	order = append(order[:0], m.Procs[j]...)
-	t.ExpCost = expectedCostOrdered(pl, order, t.Work)
+	reps = slices.Grow(reps[:0], len(m.Procs[j]))
+	f := 1.0
+	for _, u := range m.Procs[j] {
+		fComp := failure.Prob(pl.Procs[u].FailRate, pl.ComputeTime(u, t.Work))
+		s := 0.0
+		s += lIn
+		s += failure.LogRel(fComp)
+		s += lOut
+		f *= -math.Expm1(s)
+		reps = append(reps, replica{u: u, fComp: fComp})
+	}
+	t.FailProb = f
+	t.ExpCost = expectedCost(pl, reps, t.Work)
 	t.WorstCost = WorstCost(pl, m.Procs[j], t.Work)
 	t.logRel = failure.LogRel(t.FailProb)
 	t.outTime = pl.CommTime(t.Out)
-	return order
+	return reps
 }
 
 // aggregate folds per-interval terms into an Eval in ascending interval
@@ -132,15 +184,24 @@ func TouchSplit(j int) Touched { return Touched{A: j, B: j + 1, ShiftFrom: j + 2
 type Evaluator struct {
 	c         chain.Chain
 	pl        platform.Platform
+	links     Links
 	cur, next []stageTerm
-	order     []int
+	reps      []replica
 	pending   bool
 }
 
-// NewEvaluator returns an evaluator for one instance. Call Init before
-// the first Apply.
-func NewEvaluator(c chain.Chain, pl platform.Platform) *Evaluator {
-	return &Evaluator{c: c, pl: pl}
+// NewEvaluator returns an evaluator for one instance; links must be
+// NewLinks(c, pl), built once per instance and shared by its
+// evaluators. Call Init before the first Apply.
+func NewEvaluator(c chain.Chain, pl platform.Platform, links Links) *Evaluator {
+	return &Evaluator{c: c, pl: pl, links: links}
+}
+
+// term recomputes interval j of m into t, reading its link legs from
+// the table.
+func (e *Evaluator) term(t *stageTerm, m Mapping, j int) {
+	iv := m.Parts[j]
+	e.reps = computeTerm(t, e.c, e.pl, m, j, e.links[iv.First], e.links[iv.Last+1], e.reps)
 }
 
 // Init fully evaluates m, commits its terms as the base state, and
@@ -151,7 +212,7 @@ func (e *Evaluator) Init(m Mapping) Eval {
 	e.pending = false
 	e.cur = resizeTerms(e.cur, len(m.Parts))
 	for j := range e.cur {
-		e.order = computeTerm(&e.cur[j], e.c, e.pl, m, j, e.order)
+		e.term(&e.cur[j], m, j)
 	}
 	return aggregate(e.cur)
 }
@@ -170,7 +231,7 @@ func (e *Evaluator) Apply(m Mapping, t Touched) Eval {
 	e.next = resizeTerms(e.next, len(m.Parts))
 	for j := range e.next {
 		if j == t.A || j == t.B {
-			e.order = computeTerm(&e.next[j], e.c, e.pl, m, j, e.order)
+			e.term(&e.next[j], m, j)
 			continue
 		}
 		src := j

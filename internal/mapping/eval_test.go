@@ -166,7 +166,7 @@ func TestEvaluatorInitMatchesFull(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		c, pl, m := randomSetup(r)
-		ev := NewEvaluator(c, pl)
+		ev := NewEvaluator(c, pl, NewLinks(c, pl))
 		return evalBits(ev.Init(m)) == evalBits(EvaluateUnchecked(c, pl, m))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -181,7 +181,7 @@ func TestEvaluatorRandomWalkMatchesFull(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		c, pl, m := randomSetup(r)
-		ev := NewEvaluator(c, pl)
+		ev := NewEvaluator(c, pl, NewLinks(c, pl))
 		if evalBits(ev.Init(m)) != evalBits(EvaluateUnchecked(c, pl, m)) {
 			return false
 		}
@@ -224,20 +224,20 @@ func TestEvaluatorStateMachinePanics(t *testing.T) {
 		f()
 	}
 	mustPanic("Apply before Init", func() {
-		NewEvaluator(c, pl).Apply(m, TouchOne(0))
+		NewEvaluator(c, pl, NewLinks(c, pl)).Apply(m, TouchOne(0))
 	})
 	mustPanic("Commit without Apply", func() {
-		ev := NewEvaluator(c, pl)
+		ev := NewEvaluator(c, pl, NewLinks(c, pl))
 		ev.Init(m)
 		ev.Commit()
 	})
 	mustPanic("Revert without Apply", func() {
-		ev := NewEvaluator(c, pl)
+		ev := NewEvaluator(c, pl, NewLinks(c, pl))
 		ev.Init(m)
 		ev.Revert()
 	})
 	mustPanic("Apply twice without Commit/Revert", func() {
-		ev := NewEvaluator(c, pl)
+		ev := NewEvaluator(c, pl, NewLinks(c, pl))
 		ev.Init(m)
 		ev.Apply(m, TouchOne(0))
 		ev.Apply(m, TouchOne(0))
@@ -257,7 +257,7 @@ func TestEvaluatorApplyAllocates(t *testing.T) {
 	if !ok {
 		t.Skip("no feasible move on this instance")
 	}
-	ev := NewEvaluator(c, pl)
+	ev := NewEvaluator(c, pl, NewLinks(c, pl))
 	ev.Init(m)
 	ev.Apply(nm, touched) // warm the scratch buffers
 	ev.Revert()

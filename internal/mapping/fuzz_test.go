@@ -24,7 +24,7 @@ func FuzzEvalDelta(f *testing.F) {
 		}
 		r := rng.New(seed)
 		c, pl, m := randomSetup(r)
-		ev := NewEvaluator(c, pl)
+		ev := NewEvaluator(c, pl, NewLinks(c, pl))
 		if evalBits(ev.Init(m)) != evalBits(EvaluateUnchecked(c, pl, m)) {
 			t.Fatalf("Init diverges from full evaluation on seed %d", seed)
 		}

@@ -28,7 +28,13 @@ func (m Mapping) Validate(c chain.Chain, pl platform.Platform) error {
 	if len(m.Procs) != len(m.Parts) {
 		return fmt.Errorf("mapping: %d processor sets for %d intervals", len(m.Procs), len(m.Parts))
 	}
-	used := make(map[int]bool)
+	var buf [64]bool // no heap allocation on platforms of up to 64 processors
+	var used []bool
+	if p := pl.P(); p <= len(buf) {
+		used = buf[:p]
+	} else {
+		used = make([]bool, p)
+	}
 	for j, procs := range m.Procs {
 		if len(procs) == 0 {
 			return fmt.Errorf("mapping: interval %d has no processor", j)
@@ -108,56 +114,41 @@ func ReplicaFailProb(pl platform.Platform, u int, work, in, out float64) float64
 	return failure.Serial(fIn, fComp, fOut)
 }
 
-// StageFailProb returns the failure probability of a replicated interval:
-// the parallel composition of its replicas' failure probabilities.
-func StageFailProb(pl platform.Platform, procs []int, work, in, out float64) float64 {
-	f := 1.0
-	for _, u := range procs {
-		f *= ReplicaFailProb(pl, u, work, in, out)
-	}
-	return f
-}
-
-// ExpectedCost computes ec(I, P_I) of Eq. (3): the expected computation
-// time of an interval of the given work on the processor set procs,
-// conditioned on at least one replica succeeding. Replicas are ordered by
-// decreasing speed; the term for replica u covers the event "the u-1
-// fastest replicas fail and replica u succeeds". If every replica fails
-// with probability 1 the expectation is undefined and +Inf is returned.
+// expectedCost computes ec(I, P_I) of Eq. (3): the expected
+// computation time of an interval of the given work on the replicas
+// reps, conditioned on at least one replica succeeding. Replicas are
+// ordered by decreasing speed; the term for replica u covers the event
+// "the u-1 fastest replicas fail and replica u succeeds". If every
+// replica fails with probability 1 the expectation is undefined and
+// +Inf is returned. Following Eq. (3), only computation failures enter
+// the expectation (the communications appear in the reliability, Eq. 9,
+// not in the timing), so each replica carries its compute leg's failure
+// probability.
 //
-// Following Eq. (3), only computation failures enter the expectation (the
-// communications appear in the reliability, Eq. 9, not in the timing).
-func ExpectedCost(pl platform.Platform, procs []int, work float64) float64 {
-	return expectedCostOrdered(pl, append([]int(nil), procs...), work)
-}
-
-// expectedCostOrdered is ExpectedCost's core on a caller-owned scratch
-// copy of the processor set, reordered in place — the incremental
-// evaluator's zero-allocation path. The sort is an insertion sort:
-// replica sets are tiny (≤ K) and (speed desc, index asc) is a strict
-// total order, so the permutation — and every floating-point operation
-// downstream — matches the sort.Slice it replaced exactly.
-func expectedCostOrdered(pl platform.Platform, order []int, work float64) float64 {
-	for i := 1; i < len(order); i++ {
-		u := order[i]
-		su := pl.Procs[u].Speed
+// reps is reordered in place by an insertion sort: replica sets are tiny
+// (≤ K) and (speed desc, index asc) is a strict total order, so the
+// permutation — and every floating-point operation downstream — is that
+// of a sort.Slice over the same order.
+func expectedCost(pl platform.Platform, reps []replica, work float64) float64 {
+	for i := 1; i < len(reps); i++ {
+		r := reps[i]
+		su := pl.Procs[r.u].Speed
 		j := i - 1
 		for j >= 0 {
-			v := order[j]
-			if sv := pl.Procs[v].Speed; sv > su || (sv == su && v < u) {
+			v := reps[j].u
+			if sv := pl.Procs[v].Speed; sv > su || (sv == su && v < r.u) {
 				break // v sorts before u
 			}
-			order[j+1] = v
+			reps[j+1] = reps[j]
 			j--
 		}
-		order[j+1] = u
+		reps[j+1] = r
 	}
 	num := 0.0
 	prefixFail := 1.0 // Π_{v<u} (1 - r_v)
-	for _, u := range order {
-		fu := failure.Prob(pl.Procs[u].FailRate, pl.ComputeTime(u, work))
-		num += pl.ComputeTime(u, work) * (1 - fu) * prefixFail
-		prefixFail *= fu
+	for _, r := range reps {
+		num += pl.ComputeTime(r.u, work) * (1 - r.fComp) * prefixFail
+		prefixFail *= r.fComp
 	}
 	denom := 1 - prefixFail // 1 - Π (1 - r_u)
 	if denom <= 0 {
@@ -220,9 +211,11 @@ func Evaluate(c chain.Chain, pl platform.Platform, m Mapping) (Eval, error) {
 // reference oracle the delta path is checked against.
 func EvaluateUnchecked(c chain.Chain, pl platform.Platform, m Mapping) Eval {
 	terms := make([]stageTerm, len(m.Parts))
-	var order []int
+	var reps []replica
 	for j := range terms {
-		order = computeTerm(&terms[j], c, pl, m, j, order)
+		lIn := linkLeg(pl, m.Parts.In(c, j))
+		lOut := linkLeg(pl, m.Parts.Out(c, j))
+		reps = computeTerm(&terms[j], c, pl, m, j, lIn, lOut, reps)
 	}
 	ev := aggregate(terms)
 	ev.Stages = make([]StageEval, len(terms))

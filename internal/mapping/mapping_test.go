@@ -45,6 +45,7 @@ func TestValidateRejects(t *testing.T) {
 		{"no procs", func(m *Mapping) { m.Procs[1] = nil }},
 		{"too many replicas", func(m *Mapping) { m.Procs[0] = []int{0, 1, 3, 4} }},
 		{"proc out of range", func(m *Mapping) { m.Procs[1] = []int{17} }},
+		{"negative proc", func(m *Mapping) { m.Procs[1] = []int{-1} }},
 		{"proc reused", func(m *Mapping) { m.Procs[1] = []int{0} }},
 		{"procs/parts mismatch", func(m *Mapping) { m.Procs = m.Procs[:1] }},
 		{"bad partition", func(m *Mapping) { m.Parts = interval.Partition{{First: 0, Last: 0}} }},
@@ -55,6 +56,16 @@ func TestValidateRejects(t *testing.T) {
 		if err := m.Validate(c, pl); err == nil {
 			t.Errorf("%s: Validate accepted invalid mapping", cs.name)
 		}
+	}
+	// Past 64 processors the used-processor marks live on the heap.
+	big := platform.Homogeneous(70, 1, 1e-3, 1, 1e-4, 3)
+	m := Mapping{Parts: twoStageMapping().Parts, Procs: [][]int{{65, 69}, {66}}}
+	if err := m.Validate(c, big); err != nil {
+		t.Errorf("70 processors: %v", err)
+	}
+	m.Procs[1] = []int{69}
+	if err := m.Validate(c, big); err == nil {
+		t.Error("70 processors: Validate accepted a reused processor")
 	}
 }
 

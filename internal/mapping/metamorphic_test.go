@@ -16,12 +16,55 @@ import (
 	"relpipe/internal/rng"
 )
 
-// randomSetup builds a random chain, platform and valid mapping.
+// Rate regimes of the random platforms. Beside the paper's ranges they
+// cover the edges where the evaluator's folds must stay bit-identical
+// to the per-replica formulas (oracle_test.go).
+const (
+	paperRates      = iota // §8-like rates, K = 3
+	zeroRates              // LinkFailRate = 0 and every FailRate = 0: every leg is −0
+	infRates               // about half the processors fail with certainty (FailRate = +Inf)
+	fullReplication        // K = P, an interval may hold every processor
+	numRegimes
+)
+
+// randomSetup builds a random chain, platform and valid mapping, its
+// platform drawn from any rate regime.
 func randomSetup(r *rng.Rand) (chain.Chain, platform.Platform, Mapping) {
+	return setupIn(r, r.IntN(numRegimes))
+}
+
+// finiteSetup is randomSetup without the infRates regime, for the
+// metamorphic properties, which compare finite timing objectives
+// (Eq. 3 is +Inf on a stage whose replicas all fail with certainty).
+func finiteSetup(r *rng.Rand) (chain.Chain, platform.Platform, Mapping) {
+	regimes := [...]int{paperRates, zeroRates, fullReplication}
+	return setupIn(r, regimes[r.IntN(len(regimes))])
+}
+
+// setupIn builds a random chain, platform and valid mapping in one rate
+// regime.
+func setupIn(r *rng.Rand, regime int) (chain.Chain, platform.Platform, Mapping) {
 	n := 2 + r.IntN(6)
 	c := chain.PaperRandom(r, n)
 	p := n + r.IntN(4)
 	pl := platform.RandomHeterogeneous(r, p, 1, 10, 1e-4, 1e-2, 2, 1e-3, 3)
+	rounds := 1 // rounds of optional extra replicas
+	switch regime {
+	case zeroRates:
+		pl.LinkFailRate = 0
+		for u := range pl.Procs {
+			pl.Procs[u].FailRate = 0
+		}
+	case infRates:
+		for u := range pl.Procs {
+			if r.Bernoulli(0.5) {
+				pl.Procs[u].FailRate = math.Inf(1)
+			}
+		}
+	case fullReplication:
+		pl.MaxReplicas = p
+		rounds = p
+	}
 	m := 1 + r.IntN(minInt(n, p/1))
 	var parts interval.Partition
 	interval.VisitM(n, m, func(pp interval.Partition) bool {
@@ -34,10 +77,12 @@ func randomSetup(r *rng.Rand) (chain.Chain, platform.Platform, Mapping) {
 		counts[j] = 1
 		used++
 	}
-	for j := range counts {
-		if used < p && counts[j] < pl.MaxReplicas && r.Bernoulli(0.5) {
-			counts[j]++
-			used++
+	for k := 0; k < rounds; k++ {
+		for j := range counts {
+			if used < p && counts[j] < pl.MaxReplicas && r.Bernoulli(0.5) {
+				counts[j]++
+				used++
+			}
 		}
 	}
 	return c, pl, AssignSequential(parts, counts)
@@ -60,7 +105,7 @@ func TestMetamorphicSpeedScaling(t *testing.T) {
 	// exposure).
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
-		c, pl, m := randomSetup(r)
+		c, pl, m := finiteSetup(r)
 		for i := range c {
 			c[i].Out = 0 // communication-free
 		}
@@ -98,7 +143,7 @@ func TestMetamorphicRateSpeedInvariance(t *testing.T) {
 	// (timing shrinks). Same for links via bandwidth.
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
-		c, pl, m := randomSetup(r)
+		c, pl, m := finiteSetup(r)
 		alpha := r.Uniform(1.5, 5)
 		pl2 := pl
 		pl2.Procs = append([]platform.Processor(nil), pl.Procs...)
@@ -126,7 +171,7 @@ func TestMetamorphicBandwidthDataInvariance(t *testing.T) {
 	// unchanged.
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
-		c, pl, m := randomSetup(r)
+		c, pl, m := finiteSetup(r)
 		alpha := r.Uniform(1.5, 5)
 		c2 := append(chain.Chain(nil), c...)
 		for i := range c2 {
@@ -153,7 +198,7 @@ func TestMetamorphicReplicaOrderInvariance(t *testing.T) {
 	// The order of the processor list of an interval is irrelevant.
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
-		c, pl, m := randomSetup(r)
+		c, pl, m := finiteSetup(r)
 		m2 := m.Clone()
 		for j := range m2.Procs {
 			r.Shuffle(m2.Procs[j])
@@ -177,7 +222,7 @@ func TestMetamorphicTaskSplitInvariance(t *testing.T) {
 	// inside the same interval leaves every objective unchanged.
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
-		c, pl, m := randomSetup(r)
+		c, pl, m := finiteSetup(r)
 		// Split task t into (w/2, 0) + (w/2, o_t).
 		t0 := r.IntN(len(c))
 		c2 := make(chain.Chain, 0, len(c)+1)
@@ -217,7 +262,7 @@ func TestMetamorphicHigherRatesNeverHelp(t *testing.T) {
 	// leaves all timing untouched.
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
-		c, pl, m := randomSetup(r)
+		c, pl, m := finiteSetup(r)
 		alpha := r.Uniform(1.5, 10)
 		pl2 := pl
 		pl2.Procs = append([]platform.Processor(nil), pl.Procs...)

@@ -28,7 +28,7 @@ func Frontier(c chain.Chain, pl platform.Platform, opts Options) ([]frontier.Poi
 	}
 	opts.Period, opts.Latency = 0, 0
 	opts = opts.defaults(len(c))
-	prob := problem{c: c, pl: pl, opts: opts, obj: maxReliability}
+	prob := newProblem(c, pl, opts, maxReliability)
 
 	seeds := prob.seedPool()
 	if len(seeds) == 0 {

@@ -80,8 +80,8 @@ type Options struct {
 	// Tables optionally injects pre-built heuristic partition tables
 	// (heur.BuildTables) into the seed-pool sweep, skipping the
 	// per-search table construction. The tables must have been built
-	// for this exact instance — the service-side solve batcher shares
-	// them across requests whose cache keys carry the same canonical
+	// for this exact instance — the service's table tier shares them
+	// across requests whose cache keys carry the same canonical
 	// instance — and are consulted read-only, so one value may serve
 	// any number of concurrent searches. Candidates are bit-identical
 	// with or without them; nil keeps the self-built path.
@@ -230,7 +230,7 @@ func run(c chain.Chain, pl platform.Platform, opts Options, obj objective) (Resu
 		}
 	}
 	opts = opts.defaults(len(c))
-	prob := problem{c: c, pl: pl, opts: opts, obj: obj}
+	prob := newProblem(c, pl, opts, obj)
 
 	seedStart := time.Now()
 	seeds := prob.seedPool()
@@ -301,10 +301,17 @@ func run(c chain.Chain, pl platform.Platform, opts Options, obj objective) (Resu
 
 // problem bundles the immutable inputs of one run.
 type problem struct {
-	c    chain.Chain
-	pl   platform.Platform
-	opts Options
-	obj  objective
+	c     chain.Chain
+	pl    platform.Platform
+	links mapping.Links // shared read-only by every restart's evaluator
+	opts  Options
+	obj   objective
+}
+
+// newProblem builds the search problem of one solve, with its link-leg
+// table.
+func newProblem(c chain.Chain, pl platform.Platform, opts Options, obj objective) problem {
+	return problem{c: c, pl: pl, links: mapping.NewLinks(c, pl), opts: opts, obj: obj}
 }
 
 // minLogRel returns the effective reliability floor (-Inf when
@@ -432,7 +439,7 @@ func (p problem) seedPool() []seedCandidate {
 		// Scoring goes through the incremental evaluator's full pass —
 		// bit-identical to EvaluateUnchecked, and it keeps the seed
 		// path on the same code the anneal loop trusts.
-		ev := mapping.NewEvaluator(p.c, p.pl)
+		ev := mapping.NewEvaluator(p.c, p.pl, p.links)
 		warm := make([]seedCandidate, 0, len(p.opts.Warm)+len(pool))
 		for _, w := range p.opts.Warm {
 			st := newState(p.pl, w)
@@ -506,7 +513,7 @@ func (p problem) restart(r int, seeds []seedCandidate, deadline time.Time) (rest
 		curScore = p.score(mapping.EvaluateUnchecked(p.c, p.pl, cur.mapping()), curCost)
 		out.fullEvals++
 	} else {
-		eval = mapping.NewEvaluator(p.c, p.pl)
+		eval = mapping.NewEvaluator(p.c, p.pl, p.links)
 		curScore = p.score(eval.Init(cur.mapping()), curCost)
 		out.fullEvals++
 	}

@@ -143,16 +143,9 @@ func (s *Server) execute(ctx context.Context, req Request) outcome {
 	return v.(outcome)
 }
 
-// solve runs req on this node under the synchronous contract: solve
-// batch → flight group (in-flight dedup) → bounded worker pool.
+// solve runs req on this node under the synchronous contract: flight
+// group (in-flight dedup) → bounded worker pool.
 func (s *Server) solve(ctx context.Context, req Request) outcome {
-	// Join the instance's solve batch for the whole flight — queue wait
-	// included, so concurrent same-instance requests coalesce even when
-	// one worker serializes their solves (see batcher.go). A nil entry
-	// (no route) is inert.
-	entry := s.batcher.join(req.Route)
-	defer entry.leave()
-
 	flightStart := time.Now()
 	v, _, shared := s.flights.Do(req.Key, func() (any, error) {
 		// The flight for this key may have landed between our cache miss
@@ -177,7 +170,7 @@ func (s *Server) solve(ctx context.Context, req Request) outcome {
 		enqueued := time.Now()
 		val, err := s.pool.Do(waitCtx, func() (any, error) {
 			obs.RecordSpan(execCtx, "queue.wait", enqueued, time.Now(), nil)
-			return s.solveToBytes(req.Key, req.solve, solveCtx{ctx: execCtx, tables: entry.provider})
+			return s.solveToBytes(req.Key, req.solve, solveCtx{ctx: execCtx, tables: s.tables.provider(req.Route)})
 		})
 		if err != nil {
 			return errorOutcome(statusFor(err), err), nil
@@ -223,15 +216,13 @@ func (s *Server) executeWait(ctx context.Context, req Request, running func(), r
 		}
 		s.metrics.ClusterFallback(owner)
 	}
-	entry := s.batcher.join(req.Route)
-	defer entry.leave()
 	enqueued := time.Now()
 	val, err := s.pool.DoWait(ctx, func() (any, error) {
 		obs.RecordSpan(ctx, "queue.wait", enqueued, time.Now(), nil)
 		if running != nil {
 			running()
 		}
-		return s.solveToBytes(req.Key, req.solve, solveCtx{ctx: ctx, progress: report, tables: entry.provider})
+		return s.solveToBytes(req.Key, req.solve, solveCtx{ctx: ctx, progress: report, tables: s.tables.provider(req.Route)})
 	})
 	if err != nil {
 		return errorOutcome(statusForJob(err), err)

@@ -1,107 +1,123 @@
 package service
 
-// Solve batching: the singleflight seam (dedup.go) collapses requests
-// with *identical* cache keys onto one solve; this file extends the
-// idea one level up the key. Concurrent requests that differ in bounds,
-// method or search knobs — distinct cache keys, distinct solves — but
-// target the same instance share the leading Instance.Canonical()
-// segment of their keys (Request.Route), and every heuristic search
-// over one instance starts by building the same §7 partition tables.
-// The tableBatcher coalesces those builds: members join their route's
-// refcounted entry for the duration of their solve or executeWait (queue
-// wait included, so riders coalesce even on a one-worker pool), and the
-// first member whose solve actually needs the tables builds them once
-// for everyone. Tables never depend on bounds or knobs and are
-// immutable after construction (see heur.Tables), so sharing them never
-// changes an answer — responses stay byte-identical to unbatched ones.
+// Heuristic-table tier: every heuristic search over one instance starts
+// by building the same §7 partition tables (Heur-P's Algorithm 4 table
+// and Heur-L's cut ordering). They depend only on the chain and the
+// platform, never on bounds, method or search knobs, so the tier keeps
+// them per instance route (Request.Route, the leading
+// Instance.Canonical() segment of every cache key) across requests:
+// concurrent requests on one instance share one build, and later ones
+// build nothing. Tables are immutable after construction (see
+// heur.Tables), so sharing them never changes an answer — responses
+// stay byte-identical to a per-request build.
 
 import (
+	"container/list"
 	"sync"
 
 	"relpipe"
 )
 
-// tableBatcher coalesces heuristic-table construction across the
-// concurrent requests of one canonical instance. Every Server has one;
-// a request without a route gets a nil entry, which is inert.
-type tableBatcher struct {
+// tableBudget bounds the bytes of tables the tier retains. The tables of
+// one §8.2 heterogeneous instance of 100 tasks on 30 processors take
+// about 56 KB (Heur-P's 101×31 cells of a float64 and an int), so the
+// budget keeps about 300 such instances, or the tables of one 2000-task
+// chain on 500 processors. An instance whose tables alone exceed it is
+// served but not retained.
+const tableBudget = 16 << 20
+
+// tableTier is a byte-budgeted LRU of heuristic tables keyed by
+// instance route, with one single-flight build per route. Every Server
+// has one.
+type tableTier struct {
 	metrics *Metrics
+	budget  int64
+
 	mu      sync.Mutex
-	entries map[string]*batchEntry
+	entries map[string]*list.Element // route → element holding a *tierEntry
+	lru     *list.List               // front = most recently used
+	bytes   int64                    // footprint of the retained entries
 }
 
-func newTableBatcher(m *Metrics) *tableBatcher {
-	return &tableBatcher{metrics: m, entries: make(map[string]*batchEntry)}
-}
-
-// batchEntry is the shared state of one in-flight batch: every request
-// on one instance route between the first join and the last leave.
-type batchEntry struct {
-	b     *tableBatcher
-	route string
-	refs  int // current members; entry drains at 0
-	size  int // members ever joined; the batch-size observation
-
+// tierEntry is one route's tables: built once, by the first solve that
+// asks, while later askers wait on once.
+type tierEntry struct {
+	route  string
 	once   sync.Once
 	tables *relpipe.HeuristicTables
+	bytes  int64 // counted in tableTier.bytes; 0 until built and retained
 }
 
-// join registers a request for the instance route and returns its
-// entry; the caller must leave() exactly once. An empty route yields a
-// nil entry, which leave and provider treat as inert.
-func (b *tableBatcher) join(route string) *batchEntry {
+func newTableTier(m *Metrics, budget int64) *tableTier {
+	return &tableTier{metrics: m, budget: budget, entries: make(map[string]*list.Element), lru: list.New()}
+}
+
+// provider returns the relpipe.Options.Tables hook of a request on
+// route; a request without a route gets nil, so its search builds its
+// own tables. Only a solve that actually seeds a heuristic search calls
+// the hook, so exact and DP requests never create an entry.
+func (t *tableTier) provider(route string) func(relpipe.Instance) *relpipe.HeuristicTables {
 	if route == "" {
 		return nil
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	e := b.entries[route]
-	if e == nil {
-		e = &batchEntry{b: b, route: route}
-		b.entries[route] = e
-	} else {
-		b.metrics.BatchCoalesce()
-	}
-	e.refs++
-	e.size++
-	return e
+	return func(in relpipe.Instance) *relpipe.HeuristicTables { return t.get(route, in) }
 }
 
-// leave removes one member. The last one out drains the entry and
-// records the batch size; a later identical request starts a new batch.
-func (e *batchEntry) leave() {
-	if e == nil {
-		return
-	}
-	e.b.mu.Lock()
-	defer e.b.mu.Unlock()
-	e.refs--
-	if e.refs == 0 {
-		delete(e.b.entries, e.route)
-		e.b.metrics.BatchSize(float64(e.size))
-	}
-}
-
-// provider is the relpipe.Options.Tables hook handed to a member's
-// solve. It builds the shared tables on first use — only a solve that
-// actually seeds a heuristic search invokes it, so exact/DP routes
-// never build in vain — and guards the sharing contract by canonical
-// hash: a solve may re-optimize a *different* instance than the one it
-// was keyed under (the adapt policies re-map degraded platforms
-// mid-solve), and those must not receive this route's tables. Declining
-// (nil) just means the search builds its own.
-//
-// provider stays valid after leave: the synchronous path detaches
-// solves from their request, so a solve can outlive its member's
-// wait (the waiter got 504, the solve still lands in the cache). The
-// entry it captured is immutable apart from the once-built tables.
-func (e *batchEntry) provider(in relpipe.Instance) *relpipe.HeuristicTables {
-	if e == nil || in.Canonical() != e.route {
+// get returns the tables of in, building them on the route's first use.
+// It declines (nil) when in is not the route's instance: a solve may
+// re-optimize a *different* instance than the one it was keyed under
+// (the adapt policies re-map degraded platforms mid-solve), and those
+// must not receive this route's tables. Declining just means the search
+// builds its own.
+func (t *tableTier) get(route string, in relpipe.Instance) *relpipe.HeuristicTables {
+	if in.Canonical() != route {
 		return nil
 	}
+	t.mu.Lock()
+	var e *tierEntry
+	if el, ok := t.entries[route]; ok {
+		t.lru.MoveToFront(el)
+		e = el.Value.(*tierEntry)
+		t.metrics.BatchCoalesce()
+	} else {
+		e = &tierEntry{route: route}
+		t.entries[route] = t.lru.PushFront(e)
+	}
+	t.mu.Unlock()
 	e.once.Do(func() {
 		e.tables = relpipe.BuildHeuristicTables(in)
-		e.b.metrics.TableBuilt()
+		t.metrics.TableBuilt()
+		t.retain(e, e.tables.Bytes())
 	})
 	return e.tables
+}
+
+// retain charges a freshly built entry's footprint to the budget and
+// evicts least recently used entries until the tier fits. An entry
+// evicted while it was building is not charged: it is no longer held.
+func (t *tableTier) retain(e *tierEntry, bytes int64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	el, ok := t.entries[e.route]
+	if !ok || el.Value.(*tierEntry) != e {
+		return
+	}
+	if bytes > t.budget {
+		t.remove(el)
+		return
+	}
+	e.bytes = bytes
+	t.bytes += bytes
+	for t.bytes > t.budget {
+		t.remove(t.lru.Back())
+	}
+}
+
+// remove drops one entry from the tier; t.mu must be held. Solves
+// already holding its tables keep using them.
+func (t *tableTier) remove(el *list.Element) {
+	e := el.Value.(*tierEntry)
+	t.lru.Remove(el)
+	delete(t.entries, e.route)
+	t.bytes -= e.bytes
 }

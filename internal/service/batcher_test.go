@@ -1,9 +1,9 @@
 package service
 
-// Tests of the solve batcher (batcher.go): the one-build-per-batch
-// contract, the mixed-instance and degraded-instance guards, rider
-// cancellation, and byte-identity of batched responses to a server with
-// batching disabled.
+// Tests of the heuristic-table tier (batcher.go): one build per route
+// across concurrent and later requests, the mixed-instance and
+// degraded-instance guards, the byte budget, rider cancellation, and
+// byte-identity of tiered responses to per-request table builds.
 
 import (
 	"bytes"
@@ -28,33 +28,28 @@ func batcherInstances() (a, b relpipe.Instance) {
 
 func TestBatcherOneBuildPerBatch(t *testing.T) {
 	m := NewMetrics()
-	b := newTableBatcher(m)
+	tier := newTableTier(m, tableBudget)
 	in, _ := batcherInstances()
-	route := in.Canonical()
+	get := tier.provider(in.Canonical())
 
-	const members = 6
-	entries := make([]*batchEntry, members)
-	for i := range entries {
-		entries[i] = b.join(route)
-	}
-	if got := seriesSum(t, m, "relpipe_solve_batch_coalesced_total"); got != members-1 {
-		t.Fatalf("coalesced = %d, want %d", got, members-1)
-	}
-
-	// Every member resolves tables concurrently; exactly one build, one
+	// The first concurrent use builds once; every caller gets the one
 	// shared value.
+	const members = 6
 	tables := make([]*relpipe.HeuristicTables, members)
 	var wg sync.WaitGroup
-	for i, e := range entries {
+	for i := range tables {
 		wg.Add(1)
-		go func(i int, e *batchEntry) {
+		go func(i int) {
 			defer wg.Done()
-			tables[i] = e.provider(in)
-		}(i, e)
+			tables[i] = get(in)
+		}(i)
 	}
 	wg.Wait()
 	if got := seriesSum(t, m, "relpipe_solve_batch_tables_built_total"); got != 1 {
 		t.Fatalf("tables built = %d, want 1", got)
+	}
+	if got := seriesSum(t, m, "relpipe_solve_batch_coalesced_total"); got != members-1 {
+		t.Fatalf("coalesced = %d, want %d", got, members-1)
 	}
 	for i, tb := range tables {
 		if tb == nil || tb != tables[0] {
@@ -65,117 +60,162 @@ func TestBatcherOneBuildPerBatch(t *testing.T) {
 		t.Fatalf("MaxIntervals = %d", tables[0].MaxIntervals())
 	}
 
-	for _, e := range entries {
-		e.leave()
+	// A later request on the same route, through a fresh provider,
+	// reuses the retained tables.
+	if tb := tier.provider(in.Canonical())(in); tb != tables[0] {
+		t.Fatalf("later request got tables %p, want the retained %p", tb, tables[0])
 	}
-	if size := m.batchSize.Snapshot(); size.Count != 1 || size.Sum != members {
-		t.Fatalf("batch size snapshot = count %d sum %v, want one observation of %d", size.Count, size.Sum, members)
+	if got := seriesSum(t, m, "relpipe_solve_batch_tables_built_total"); got != 1 {
+		t.Fatalf("tables built after a later request = %d, want 1", got)
 	}
-	// The batch drained: a fresh request starts a new batch with its
-	// own build.
-	e := b.join(route)
-	if e.provider(in) == tables[0] {
-		t.Fatal("drained batch's tables were reused")
+	if got := seriesSum(t, m, "relpipe_solve_batch_coalesced_total"); got != members {
+		t.Fatalf("coalesced after a later request = %d, want %d", got, members)
 	}
-	if got := seriesSum(t, m, "relpipe_solve_batch_tables_built_total"); got != 2 {
-		t.Fatalf("tables built after new batch = %d, want 2", got)
+	if tier.bytes != tables[0].Bytes() || tier.lru.Len() != 1 {
+		t.Fatalf("tier holds %d entries, %d bytes; want 1 entry of %d bytes", tier.lru.Len(), tier.bytes, tables[0].Bytes())
 	}
-	e.leave()
 }
 
 func TestBatcherMixedInstancesDoNotCoalesce(t *testing.T) {
 	m := NewMetrics()
-	b := newTableBatcher(m)
+	tier := newTableTier(m, tableBudget)
 	inA, inB := batcherInstances()
-	ea, eb := b.join(inA.Canonical()), b.join(inB.Canonical())
-	if got := seriesSum(t, m, "relpipe_solve_batch_coalesced_total"); got != 0 {
-		t.Fatalf("coalesced = %d, want 0 (different instances)", got)
-	}
-	ta, tb := ea.provider(inA), eb.provider(inB)
+	ta, tb := tier.provider(inA.Canonical())(inA), tier.provider(inB.Canonical())(inB)
 	if ta == nil || tb == nil || ta == tb {
 		t.Fatalf("tables %p / %p: want two distinct builds", ta, tb)
+	}
+	if got := seriesSum(t, m, "relpipe_solve_batch_coalesced_total"); got != 0 {
+		t.Fatalf("coalesced = %d, want 0 (different instances)", got)
 	}
 	if got := seriesSum(t, m, "relpipe_solve_batch_tables_built_total"); got != 2 {
 		t.Fatalf("tables built = %d, want 2", got)
 	}
-	ea.leave()
-	eb.leave()
 }
 
 // TestBatcherRejectsForeignInstance pins the degraded-platform guard: a
-// solve joined under one instance may re-optimize another (the adapt
+// solve keyed under one instance may re-optimize another (the adapt
 // policies re-map platforms with dead processors), and the provider
-// must decline rather than hand it the wrong tables.
+// must decline rather than hand it the wrong tables — or retain tables
+// for an instance no request was keyed under.
 func TestBatcherRejectsForeignInstance(t *testing.T) {
 	m := NewMetrics()
-	b := newTableBatcher(m)
+	tier := newTableTier(m, tableBudget)
 	inA, inB := batcherInstances()
-	e := b.join(inA.Canonical())
-	defer e.leave()
-	if tb := e.provider(inB); tb != nil {
-		t.Fatalf("provider handed instance A's batch tables to instance B: %p", tb)
+	get := tier.provider(inA.Canonical())
+	if tb := get(inB); tb != nil {
+		t.Fatalf("provider handed instance A's tables to instance B: %p", tb)
 	}
 	if got := seriesSum(t, m, "relpipe_solve_batch_tables_built_total"); got != 0 {
 		t.Fatalf("tables built = %d, want 0 (declined provider must not build)", got)
 	}
-	if tb := e.provider(inA); tb == nil {
+	if tier.lru.Len() != 0 {
+		t.Fatalf("declined provider created %d entries", tier.lru.Len())
+	}
+	if tb := get(inA); tb == nil {
 		t.Fatal("provider declined the matching instance")
 	}
 }
 
-// TestBatcherRiderLeavingKeepsBatchAlive pins cancellation behavior: a
-// rider that gives up (cancelled request) leaves without disturbing the
-// members still solving — the shared tables stay valid and the batch
-// drains only with the last member.
+// TestBatcherRiderLeavingKeepsBatchAlive pins that eviction never
+// disturbs a solve already holding tables: an evicted route's tables
+// stay valid for their holder, and the route's next use builds afresh.
 func TestBatcherRiderLeavingKeepsBatchAlive(t *testing.T) {
+	inA, inB := batcherInstances()
 	m := NewMetrics()
-	b := newTableBatcher(m)
-	in, _ := batcherInstances()
-	route := in.Canonical()
-
-	worker, rider := b.join(route), b.join(route)
-	tb := worker.provider(in)
-	if tb == nil {
+	// The budget holds one instance's tables, not two.
+	tier := newTableTier(m, relpipe.BuildHeuristicTables(inA).Bytes()+1)
+	held := tier.provider(inA.Canonical())(inA)
+	if held == nil {
 		t.Fatal("no tables")
 	}
-	rider.leave() // cancelled before its solve ran
-	if got := worker.provider(in); got != tb {
-		t.Fatalf("tables changed after a rider left: %p -> %p", tb, got)
+	maxM := held.MaxIntervals()
+	tier.provider(inB.Canonical())(inB) // evicts A
+	if _, ok := tier.entries[inA.Canonical()]; ok {
+		t.Fatal("A's tables were not evicted")
 	}
-	if size := m.batchSize.Snapshot(); size.Count != 0 {
-		t.Fatal("batch drained while a member was still in it")
+	if held.MaxIntervals() != maxM {
+		t.Fatal("the holder's tables changed after eviction")
 	}
-	worker.leave()
-	if size := m.batchSize.Snapshot(); size.Count != 1 || size.Sum != 2 {
-		t.Fatalf("batch size = count %d sum %v, want one observation of 2 (rider counted)", size.Count, size.Sum)
+	if tb := tier.provider(inA.Canonical())(inA); tb == nil || tb == held {
+		t.Fatalf("evicted route got tables %p, want a fresh build (held %p)", tb, held)
 	}
-	if got := seriesSum(t, m, "relpipe_solve_batch_tables_built_total"); got != 1 {
-		t.Fatalf("tables built = %d, want 1", got)
+	if got := seriesSum(t, m, "relpipe_solve_batch_tables_built_total"); got != 3 {
+		t.Fatalf("tables built = %d, want 3", got)
+	}
+}
+
+// TestTableTierEvictsUnderBudget fills the tier past its byte budget:
+// the least recently used route goes first, a route used since stays,
+// and the retained bytes never exceed the budget.
+func TestTableTierEvictsUnderBudget(t *testing.T) {
+	ins := []relpipe.Instance{testInstance(1), testInstance(2), testInstance(3)}
+	size := relpipe.BuildHeuristicTables(ins[0]).Bytes()
+	for _, in := range ins[1:] {
+		if b := relpipe.BuildHeuristicTables(in).Bytes(); b != size {
+			t.Fatalf("test instances differ in table size: %d vs %d", b, size)
+		}
+	}
+	m := NewMetrics()
+	tier := newTableTier(m, 2*size) // room for two instances
+	get := func(in relpipe.Instance) *relpipe.HeuristicTables { return tier.provider(in.Canonical())(in) }
+	a := get(ins[0])
+	get(ins[1])
+	if got := get(ins[0]); got != a { // A is now the most recently used
+		t.Fatalf("A rebuilt below the budget: %p vs %p", got, a)
+	}
+	get(ins[2]) // over budget: B, the least recently used, goes
+	if _, ok := tier.entries[ins[1].Canonical()]; ok {
+		t.Fatal("B was kept over the budget")
+	}
+	for _, in := range []relpipe.Instance{ins[0], ins[2]} {
+		if _, ok := tier.entries[in.Canonical()]; !ok {
+			t.Fatalf("a recently used route was evicted")
+		}
+	}
+	if tier.bytes != 2*size || tier.bytes > tier.budget {
+		t.Fatalf("tier holds %d bytes, want %d within the budget %d", tier.bytes, 2*size, tier.budget)
+	}
+	if got := seriesSum(t, m, "relpipe_solve_batch_tables_built_total"); got != 3 {
+		t.Fatalf("tables built = %d, want 3", got)
+	}
+}
+
+// TestTableTierOversizeNotRetained: an instance whose tables alone
+// exceed the budget is served its tables but leaves nothing behind, so
+// its next request builds again.
+func TestTableTierOversizeNotRetained(t *testing.T) {
+	in, _ := batcherInstances()
+	m := NewMetrics()
+	tier := newTableTier(m, relpipe.BuildHeuristicTables(in).Bytes()-1)
+	for i := 1; i <= 2; i++ {
+		if tb := tier.provider(in.Canonical())(in); tb == nil {
+			t.Fatal("oversize instance was not served tables")
+		}
+		if tier.lru.Len() != 0 || len(tier.entries) != 0 || tier.bytes != 0 {
+			t.Fatalf("oversize instance retained: %d entries, %d bytes", tier.lru.Len(), tier.bytes)
+		}
+		if got := seriesSum(t, m, "relpipe_solve_batch_tables_built_total"); got != int64(i) {
+			t.Fatalf("tables built = %d, want %d", got, i)
+		}
 	}
 }
 
 // TestBatcherDisabledIsInert: a request without a route takes no part
-// in batching — its nil entry is a no-op on every code path the
-// dispatch path touches.
+// in the tier — it gets no provider, so its search builds its own
+// tables.
 func TestBatcherDisabledIsInert(t *testing.T) {
-	b := newTableBatcher(NewMetrics())
-	e := b.join("")
-	if e != nil {
-		t.Fatalf("empty route joined: %v", e)
+	tier := newTableTier(NewMetrics(), tableBudget)
+	if p := tier.provider(""); p != nil {
+		t.Fatal("empty route got a provider")
 	}
-	e.leave() // must not panic
-	in, _ := batcherInstances()
-	if tb := e.provider(in); tb != nil {
-		t.Fatalf("nil entry provided tables: %p", tb)
-	}
-	if len(b.entries) != 0 {
-		t.Fatalf("empty route left %d entries", len(b.entries))
+	if len(tier.entries) != 0 {
+		t.Fatalf("empty route left %d entries", len(tier.entries))
 	}
 }
 
 // optimizeBody builds a heuristic optimize request body with a
-// per-caller search seed, so concurrent requests share an instance (and
-// a batch route) but have distinct cache keys and distinct solves.
+// per-caller search seed, so requests share an instance (and a route)
+// but have distinct cache keys and distinct solves.
 func optimizeBody(t *testing.T, in relpipe.Instance, seed uint64) []byte {
 	t.Helper()
 	body, err := json.Marshal(relpipe.OptimizeRequest{
@@ -190,156 +230,197 @@ func optimizeBody(t *testing.T, in relpipe.Instance, seed uint64) []byte {
 	return body
 }
 
+// processUntiered answers body on s with the request's route cleared,
+// so no table tier serves it and its search builds its own tables: the
+// per-request reference the tier must match byte for byte.
+func processUntiered(t *testing.T, s *Server, kind string, parse parser, body []byte) outcome {
+	t.Helper()
+	req, err := s.newRequest(kind, parse, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Route = ""
+	return s.execute(context.Background(), req)
+}
+
+// plugWorker occupies the only worker of s with a hand-built request
+// whose solve blocks until release is closed; it returns once the plug
+// runs, and the plug's outcome arrives on the returned channel.
+func plugWorker(s *Server, release <-chan struct{}) <-chan outcome {
+	started := make(chan struct{})
+	done := make(chan outcome, 1)
+	go func() {
+		done <- s.execute(context.Background(), Request{
+			Kind: "optimize", Key: "plug", Route: "plug-route",
+			solve: func(solveCtx) (any, error) {
+				close(started)
+				<-release
+				return relpipe.OptimizeResponse{}, nil
+			},
+		})
+	}()
+	<-started
+	return done
+}
+
 // TestSolveBatchEndToEnd drives the full path: with the single worker
 // plugged by an unrelated solve, N same-instance heuristic requests
-// with distinct cache keys stack up in the queue, coalesce into one
-// batch, and their solves share exactly one table build — while
-// producing responses byte-identical to the same server answering the
-// bodies one at a time, where every request is a one-member batch that
-// builds its own tables.
+// with distinct cache keys queue up and their solves share exactly one
+// table build, and a later request on the instance builds nothing.
+// Every response is byte-identical to the same body answered without
+// the tier, where each search builds its own tables.
 func TestSolveBatchEndToEnd(t *testing.T) {
 	s := NewServer(Options{Workers: 1, CacheSize: -1})
 	defer s.Close()
 	in, _ := batcherInstances()
 	const members = 4
 
-	// Plug the only worker with a hand-built request whose solve blocks
-	// until every member has joined the batch.
 	release := make(chan struct{})
-	started := make(chan struct{})
-	plugDone := make(chan outcome, 1)
-	go func() {
-		plugDone <- s.execute(context.Background(), Request{
-			Kind: "optimize", Key: "plug", Route: "plug-route",
-			solve: func(solveCtx) (any, error) {
-				close(started)
-				<-release
-				return relpipe.OptimizeResponse{}, nil
-			},
-		})
-	}()
-	<-started
-
-	// The members queue behind the plug; the batch join precedes the
-	// queue wait, so all of them coalesce before any solve runs.
-	bodies := make([][]byte, members)
-	var wg sync.WaitGroup
-	outs := make([]outcome, members)
-	for i := range outs {
+	plugDone := plugWorker(s, release)
+	bodies := make([][]byte, members+1)
+	for i := range bodies {
 		bodies[i] = optimizeBody(t, in, uint64(i+1))
+	}
+	var wg sync.WaitGroup
+	outs := make([]outcome, members+1)
+	for i := 0; i < members; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			outs[i] = s.process(context.Background(), "optimize", parseOptimize, bodies[i])
 		}(i)
 	}
-	route := in.Canonical()
-	waitFor(t, func() bool {
-		s.batcher.mu.Lock()
-		defer s.batcher.mu.Unlock()
-		e := s.batcher.entries[route]
-		return e != nil && e.refs == members
-	})
+	waitFor(t, func() bool { return seriesSum(t, s.metrics, "relpipe_queue_depth") == members })
 	close(release)
 	if out := <-plugDone; out.status != http.StatusOK {
 		t.Fatalf("plug status = %d", out.status)
 	}
 	wg.Wait()
-
 	if got := seriesSum(t, s.metrics, "relpipe_solve_batch_tables_built_total"); got != 1 {
-		t.Fatalf("tables built = %d, want 1 (one build for %d member solves)", got, members)
+		t.Fatalf("tables built = %d, want 1 (one build for %d queued solves)", got, members)
 	}
 	if got := seriesSum(t, s.metrics, "relpipe_solve_batch_coalesced_total"); got != members-1 {
 		t.Fatalf("coalesced = %d, want %d", got, members-1)
 	}
 
-	// Byte-identity: answered one at a time, each request forms a
-	// one-member batch and builds its own tables, with the exact same
-	// bodies.
+	// One at a time, later: the tables are still in the tier.
+	outs[members] = s.process(context.Background(), "optimize", parseOptimize, bodies[members])
+	if got := seriesSum(t, s.metrics, "relpipe_solve_batch_tables_built_total"); got != 1 {
+		t.Fatalf("tables built after a later request = %d, want 1", got)
+	}
+
 	ref := NewServer(Options{Workers: 1, CacheSize: -1})
 	defer ref.Close()
 	for i, out := range outs {
 		if out.status != http.StatusOK {
-			t.Fatalf("member %d status = %d", i, out.status)
+			t.Fatalf("request %d status = %d", i, out.status)
 		}
-		want := ref.process(context.Background(), "optimize", parseOptimize, bodies[i])
+		want := processUntiered(t, ref, "optimize", parseOptimize, bodies[i])
 		if want.status != http.StatusOK {
-			t.Fatalf("one-at-a-time member %d status = %d", i, want.status)
+			t.Fatalf("untiered request %d status = %d", i, want.status)
 		}
 		if !bytes.Equal(out.body, want.body) {
-			t.Fatalf("member %d: batched body %s != one-at-a-time %s", i, out.body, want.body)
+			t.Fatalf("request %d: tiered body %s != untiered %s", i, out.body, want.body)
 		}
 	}
-	if got := seriesSum(t, ref.metrics, "relpipe_solve_batch_tables_built_total"); got != members {
-		t.Fatalf("one-at-a-time tables built = %d, want %d (one per request)", got, members)
+	if got := seriesSum(t, ref.metrics, "relpipe_solve_batch_tables_built_total"); got != 0 {
+		t.Fatalf("untiered tables built = %d, want 0 (each search builds its own)", got)
 	}
 }
 
-// TestSolveBatchRiderCancellationEndToEnd: one member of an in-flight
-// batch is cancelled while queued (the async contract, where ctx
-// reaches the pool wait); the remaining members still solve and share
-// one build.
+// TestSolveBatchRiderCancellationEndToEnd: one of two queued
+// same-instance requests is cancelled while queued (the async contract,
+// where ctx reaches the pool wait); the other still solves, the
+// instance's tables are built once, and they stay in the tier for the
+// next request.
 func TestSolveBatchRiderCancellationEndToEnd(t *testing.T) {
 	s := NewServer(Options{Workers: 1, CacheSize: -1})
 	defer s.Close()
 	in, _ := batcherInstances()
 
 	release := make(chan struct{})
-	started := make(chan struct{})
-	go func() {
-		s.execute(context.Background(), Request{
-			Kind: "optimize", Key: "plug", Route: "plug-route",
-			solve: func(solveCtx) (any, error) {
-				close(started)
-				<-release
-				return relpipe.OptimizeResponse{}, nil
-			},
-		})
-	}()
-	<-started
-
-	route := in.Canonical()
+	plugDone := plugWorker(s, release)
 	riderCtx, cancelRider := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	var riderOut, memberOut outcome
-	wg.Add(1)
+	riderDone := make(chan outcome, 1)
 	go func() {
-		defer wg.Done()
 		req, err := s.newRequest("optimize", parseOptimize, optimizeBody(t, in, 7))
 		if err != nil {
 			panic(err)
 		}
-		riderOut = s.executeWait(riderCtx, req, nil, nil)
+		riderDone <- s.executeWait(riderCtx, req, nil, nil)
 	}()
-	wg.Add(1)
+	memberDone := make(chan outcome, 1)
 	go func() {
-		defer wg.Done()
-		memberOut = s.process(context.Background(), "optimize", parseOptimize, optimizeBody(t, in, 8))
+		memberDone <- s.process(context.Background(), "optimize", parseOptimize, optimizeBody(t, in, 8))
 	}()
-	waitFor(t, func() bool {
-		s.batcher.mu.Lock()
-		defer s.batcher.mu.Unlock()
-		e := s.batcher.entries[route]
-		return e != nil && e.refs == 2
-	})
+	waitFor(t, func() bool { return seriesSum(t, s.metrics, "relpipe_queue_depth") == 2 })
 	cancelRider()
-	// The rider must abandon the batch without draining it.
-	waitFor(t, func() bool {
-		s.batcher.mu.Lock()
-		defer s.batcher.mu.Unlock()
-		e := s.batcher.entries[route]
-		return e != nil && e.refs == 1
-	})
-	close(release)
-	wg.Wait()
-
-	if riderOut.status == http.StatusOK {
-		t.Fatalf("cancelled rider got %d, want an error status", riderOut.status)
+	if out := <-riderDone; out.status == http.StatusOK {
+		t.Fatalf("cancelled rider got %d, want an error status", out.status)
 	}
-	if memberOut.status != http.StatusOK {
-		t.Fatalf("surviving member got %d, want 200", memberOut.status)
+	close(release)
+	<-plugDone
+	if out := <-memberDone; out.status != http.StatusOK {
+		t.Fatalf("surviving member got %d, want 200", out.status)
+	}
+	if out := s.process(context.Background(), "optimize", parseOptimize, optimizeBody(t, in, 9)); out.status != http.StatusOK {
+		t.Fatalf("later request got %d, want 200", out.status)
 	}
 	if got := seriesSum(t, s.metrics, "relpipe_solve_batch_tables_built_total"); got != 1 {
 		t.Fatalf("tables built = %d, want 1", got)
+	}
+}
+
+// TestTableTierMatchesPerRequestBuild is the tier's differential test:
+// heuristic optimize, minperiod and mincost requests over two instances
+// and several search seeds, answered in turn by one server (whose tier
+// builds each instance's tables once and serves every later request
+// from it) and by the same requests without the tier, must give the
+// same status and the same bytes.
+func TestTableTierMatchesPerRequestBuild(t *testing.T) {
+	s := NewServer(Options{Workers: 1, CacheSize: -1})
+	defer s.Close()
+	ref := NewServer(Options{Workers: 1, CacheSize: -1})
+	defer ref.Close()
+	inA, inB := batcherInstances()
+	type job struct {
+		kind  string
+		parse parser
+		body  any
+	}
+	var jobs []job
+	for _, in := range []relpipe.Instance{inA, inB} {
+		costs := make([]float64, in.Platform.P())
+		for u := range costs {
+			costs[u] = float64(1 + u%3)
+		}
+		for seed := uint64(1); seed <= 3; seed++ {
+			search := &relpipe.SearchParams{Restarts: 2, Budget: 300, Seed: seed}
+			jobs = append(jobs,
+				job{"optimize", parseOptimize, relpipe.OptimizeRequest{
+					Instance: in, Bounds: relpipe.Bounds{Period: 200, Latency: 700}, Method: "heuristic", Search: search}},
+				job{"minperiod", parseMinPeriod, relpipe.MinPeriodRequest{
+					Instance: in, MinReliability: 0.5, Method: "heuristic", Search: search}},
+				job{"mincost", parseMinCost, relpipe.MinCostRequest{
+					Instance: in, Costs: costs, Bounds: relpipe.Bounds{Period: 200, Latency: 700}, Method: "heuristic", Search: search}},
+			)
+		}
+	}
+	for i, j := range jobs {
+		body, err := json.Marshal(j.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := s.process(context.Background(), j.kind, j.parse, body)
+		want := processUntiered(t, ref, j.kind, j.parse, body)
+		if got.status != http.StatusOK || got.status != want.status || !bytes.Equal(got.body, want.body) {
+			t.Fatalf("job %d (%s): tiered %d %s, untiered %d %s", i, j.kind, got.status, got.body, want.status, want.body)
+		}
+	}
+	if got := seriesSum(t, s.metrics, "relpipe_solve_batch_tables_built_total"); got != 2 {
+		t.Fatalf("tables built = %d, want 2 (one per instance)", got)
+	}
+	if got := seriesSum(t, s.metrics, "relpipe_solve_batch_coalesced_total"); got != int64(len(jobs)-2) {
+		t.Fatalf("coalesced = %d, want %d", got, len(jobs)-2)
 	}
 }

@@ -8,11 +8,6 @@ import (
 	"relpipe/internal/obs"
 )
 
-// batchSizeBuckets span plausible solve-batch populations: most
-// batches are a handful of coalesced requests, but a thundering herd
-// against one instance can reach the queue bound.
-var batchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128}
-
 // fleetDriftBuckets span the reliability-gap scale: near-1
 // reliabilities make drifts tiny, so the buckets are log-spaced from
 // 1e-12 to 1 (an implicit +Inf bucket catches a full outage's gap).
@@ -42,9 +37,8 @@ type Metrics struct {
 	stageLatency *obs.HistogramVec // relpipe_solver_stage_duration_seconds{stage}
 	stageUnits   *obs.CounterVec   // relpipe_solver_stage_units_total{stage}
 
-	batchTablesBuilt obs.Counter   // relpipe_solve_batch_tables_built_total
-	batchCoalesced   obs.Counter   // relpipe_solve_batch_coalesced_total
-	batchSize        obs.Histogram // relpipe_solve_batch_size
+	batchTablesBuilt obs.Counter // relpipe_solve_batch_tables_built_total
+	batchCoalesced   obs.Counter // relpipe_solve_batch_coalesced_total
 
 	fleetDecisions *obs.CounterVec // relpipe_fleet_decisions_total{kind}
 	fleetDrift     obs.Histogram   // relpipe_fleet_drift
@@ -87,11 +81,9 @@ func NewMetrics() *Metrics {
 		stageUnits: reg.NewCounterVec("relpipe_solver_stage_units_total",
 			"Work units completed per solver stage (restarts, replications, table cells).", "stage"),
 		batchTablesBuilt: reg.NewCounter("relpipe_solve_batch_tables_built_total",
-			"Heuristic partition-table builds shared through the solve batcher."),
+			"Heuristic partition-table builds by the per-instance table tier."),
 		batchCoalesced: reg.NewCounter("relpipe_solve_batch_coalesced_total",
-			"Requests that joined an existing same-instance solve batch."),
-		batchSize: reg.NewHistogram("relpipe_solve_batch_size",
-			"Members per drained solve batch (1 = nothing coalesced).", batchSizeBuckets),
+			"Heuristic solves that reused tables from the per-instance table tier instead of building them."),
 		// The fleet decision counter is labelled by decision kind — a
 		// small fixed vocabulary (internal/fleet's DecisionKind consts),
 		// never request content.
@@ -162,16 +154,12 @@ func (m *Metrics) StageObserver() obs.StageObserver {
 	}
 }
 
-// TableBuilt counts one shared heuristic-table construction performed
-// inside a solve batch.
+// TableBuilt counts one heuristic-table build by the table tier.
 func (m *Metrics) TableBuilt() { m.batchTablesBuilt.Inc() }
 
-// BatchCoalesce counts a request that joined an existing same-instance
-// solve batch instead of opening one.
+// BatchCoalesce counts a heuristic solve served tables that the table
+// tier holds or another solve is building.
 func (m *Metrics) BatchCoalesce() { m.batchCoalesced.Inc() }
-
-// BatchSize records the member count of one drained solve batch.
-func (m *Metrics) BatchSize(members float64) { m.batchSize.Observe(members) }
 
 // ClusterForward records one forward hop to a peer (however it ended)
 // with its round-trip latency.

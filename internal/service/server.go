@@ -132,7 +132,7 @@ type Server struct {
 	cache    *Cache
 	flights  *flightGroup
 	forwards *flightGroup // collapses concurrent identical cluster forwards
-	batcher  *tableBatcher
+	tables   *tableTier
 	metrics  *Metrics
 	recorder *obs.Recorder
 	logger   *slog.Logger
@@ -162,7 +162,7 @@ func NewServer(opts Options) *Server {
 		metrics:   m,
 		logger:    opts.Logger,
 		shutdownC: make(chan struct{}),
-		batcher:   newTableBatcher(m),
+		tables:    newTableTier(m, tableBudget),
 	}
 	if opts.TraceCapacity > 0 {
 		// A nil recorder is inert (spans no-op), so a negative capacity
@@ -390,8 +390,8 @@ func parseSolveMethod(methodStr string, sp *relpipe.SearchParams, ex execOpts) (
 type solveCtx struct {
 	ctx      context.Context
 	progress progress.Func
-	// tables is the solve batch's shared heuristic-table provider (see
-	// batcher.go; it declines for a request without a route). Like the
+	// tables is the table tier's heuristic-table provider (see
+	// batcher.go; nil for a request without a route). Like the
 	// other fields it never influences an answer: provided tables are
 	// bit-identical to the ones a search builds itself.
 	tables func(relpipe.Instance) *relpipe.HeuristicTables

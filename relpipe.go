@@ -179,9 +179,9 @@ type Options struct {
 	// Only the Heuristic search method consults the provider, and only
 	// when it actually seeds a search; returning nil declines and the
 	// search builds its own. Tables are immutable and safe to share
-	// across concurrent solves of the same instance — the solve
-	// batcher in internal/service amortizes one build across coalesced
-	// same-platform requests through this hook. Candidates, and hence
+	// across concurrent solves of the same instance — the table
+	// tier in internal/service amortizes one build across the
+	// requests of one instance through this hook. Candidates, and hence
 	// solutions, are bit-identical with or without it.
 	Tables func(Instance) *HeuristicTables
 }

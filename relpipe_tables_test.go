@@ -1,8 +1,8 @@
 package relpipe_test
 
 // Facade-level pinning of the shared heuristic-tables seam: a solve
-// fed pre-built tables through Options.Tables (the solve batcher's
-// injection point) must return exactly the solution of a self-building
+// fed pre-built tables through Options.Tables (the service table
+// tier's injection point) must return exactly the solution of a self-building
 // solve. The per-candidate checks live in internal/heur and
 // internal/search; this layer guards the facade wiring
 // (BuildHeuristicTables, the provider call through core.Exec).

@@ -267,7 +267,7 @@ func TestGreedyPatchesWithIdleProcessor(t *testing.T) {
 	c := chain.Chain{{Work: 10, Out: 1}, {Work: 10, Out: 0}}
 	pl := platform.Homogeneous(3, 1, 1e-3, 1, 0, 2)
 	m := mapping.Mapping{
-		Parts: interval.Finest(2),
+		Parts: interval.FromEnds([]int{0, 1}),
 		Procs: [][]int{{0}, {1}},
 	}
 	res, err := Run(c, pl, m, Options{Policy: PolicyGreedy, Horizon: 200, LifeScale: 100, Seed: 2})

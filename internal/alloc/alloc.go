@@ -18,6 +18,18 @@ import (
 // period bound or the compatibility constraints).
 var ErrInfeasible = errors.New("alloc: no feasible allocation")
 
+// Cell is the half-open interval [Lo, Hi) of positive period bounds on
+// which one GreedyHet run replays exactly: the same mapping or error,
+// and the same Cell. Lo > 0 always, so no bound in a Cell is the
+// unconstrained bound <= 0.
+type Cell struct{ Lo, Hi float64 }
+
+// Contains reports whether bound b lies in c.
+func (c Cell) Contains(b float64) bool { return c.Lo <= b && b < c.Hi }
+
+// AllBounds is the Cell of a run that no period bound can change.
+var AllBounds = Cell{Lo: math.SmallestNonzeroFloat64, Hi: math.Inf(1)}
+
 // Constraint reports whether interval j may run on processor u. A nil
 // Constraint allows everything. This models the §7.2 remark that some
 // tasks need a hardware driver present only on some processors.
@@ -36,11 +48,21 @@ type Constraint func(j, u int) bool
 //     bound K.
 //
 // It returns ErrInfeasible if some interval ends up with no processor.
-func GreedyHet(c chain.Chain, pl platform.Platform, parts interval.Partition, periodBound float64, allowed Constraint) (mapping.Mapping, error) {
+//
+// The run sees the period bound only through the tests
+// ComputeTime(u, W_j) > periodBound, so the returned Cell certifies
+// the bounds that replay it: Lo is the largest compute time that passed
+// a test (SmallestNonzeroFloat64 if none did) and Hi the smallest that
+// failed one (+Inf if none did). Any positive bound in [Lo, Hi) passes
+// and fails the same tests, so it takes the same branches, evaluates
+// the same tests next, and ends in the same mapping or error. An
+// unconstrained run (periodBound <= 0) passes every test it makes and
+// so reports [largest tested compute time, +Inf).
+func GreedyHet(c chain.Chain, pl platform.Platform, parts interval.Partition, periodBound float64, allowed Constraint) (mapping.Mapping, Cell, error) {
 	m := len(parts)
 	p := pl.P()
 	if p < m {
-		return mapping.Mapping{}, fmt.Errorf("%w: %d intervals, %d processors", ErrInfeasible, m, p)
+		return mapping.Mapping{}, AllBounds, fmt.Errorf("%w: %d intervals, %d processors", ErrInfeasible, m, p)
 	}
 	work := make([]float64, m)
 	in := make([]float64, m)
@@ -68,9 +90,15 @@ func GreedyHet(c chain.Chain, pl platform.Platform, parts interval.Partition, pe
 		fComp := failure.Prob(pl.Procs[u].FailRate, pl.ComputeTime(u, work[j]))
 		return -math.Expm1(lIn[j] + failure.LogRel(fComp) + lOut[j])
 	}
+	cell := AllBounds
 	feasible := func(j, u int) bool {
-		if periodBound > 0 && pl.ComputeTime(u, work[j]) > periodBound {
+		if t := pl.ComputeTime(u, work[j]); periodBound > 0 && t > periodBound {
+			if t < cell.Hi {
+				cell.Hi = t
+			}
 			return false
+		} else if t > cell.Lo {
+			cell.Lo = t
 		}
 		if allowed != nil && !allowed(j, u) {
 			return false
@@ -125,7 +153,7 @@ func GreedyHet(c chain.Chain, pl platform.Platform, parts interval.Partition, pe
 		seeded++
 	}
 	if seeded < m {
-		return mapping.Mapping{}, fmt.Errorf("%w: %d of %d intervals could not be seeded", ErrInfeasible, m-seeded, m)
+		return mapping.Mapping{}, cell, fmt.Errorf("%w: %d of %d intervals could not be seeded", ErrInfeasible, m-seeded, m)
 	}
 
 	// Phase 2: hand out the remaining processors by reliability ratio.
@@ -160,5 +188,5 @@ func GreedyHet(c chain.Chain, pl platform.Platform, parts interval.Partition, pe
 		used[u] = true
 	}
 
-	return mapping.Mapping{Parts: parts.Clone(), Procs: procsOf}, nil
+	return mapping.Mapping{Parts: parts.Clone(), Procs: procsOf}, cell, nil
 }

@@ -38,7 +38,7 @@ func TestGreedyHetSeedsFastProcessorsOnLongIntervals(t *testing.T) {
 		Bandwidth: 1, LinkFailRate: 1e-6, MaxReplicas: 3,
 	}
 	parts := interval.Partition{{First: 0, Last: 0}, {First: 1, Last: 1}}
-	m, err := GreedyHet(c, pl, parts, 0, nil)
+	m, _, err := GreedyHet(c, pl, parts, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestGreedyHetHonorsPeriodBound(t *testing.T) {
 		Bandwidth: 1, LinkFailRate: 1e-6, MaxReplicas: 3,
 	}
 	parts := interval.Partition{{First: 0, Last: 0}, {First: 1, Last: 1}}
-	m, err := GreedyHet(c, pl, parts, 50, nil)
+	m, _, err := GreedyHet(c, pl, parts, 50, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestGreedyHetHonorsPeriodBound(t *testing.T) {
 func TestGreedyHetInfeasiblePeriod(t *testing.T) {
 	c := chain.Chain{{Work: 100, Out: 0}}
 	pl := platform.Homogeneous(2, 1, 1e-6, 1, 1e-6, 2)
-	_, err := GreedyHet(c, pl, interval.Single(1), 10, nil)
+	_, _, err := GreedyHet(c, pl, interval.Single(1), 10, nil)
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
@@ -94,7 +94,7 @@ func TestGreedyHetConstraints(t *testing.T) {
 		}
 		return u != 3
 	}
-	m, err := GreedyHet(c, pl, parts, 0, constraint)
+	m, _, err := GreedyHet(c, pl, parts, 0, constraint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestGreedyHetConstraints(t *testing.T) {
 func TestGreedyHetConstraintInfeasible(t *testing.T) {
 	c := chain.Chain{{Work: 10, Out: 0}}
 	pl := homPl(2)
-	_, err := GreedyHet(c, pl, interval.Single(1), 0, func(j, u int) bool { return false })
+	_, _, err := GreedyHet(c, pl, interval.Single(1), 0, func(j, u int) bool { return false })
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
@@ -131,7 +131,7 @@ func TestGreedyHetMatchesGreedyOnHomogeneous(t *testing.T) {
 			return r.Bernoulli(0.5)
 		})
 		g, errG := exactref.Greedy(c, pl, parts)
-		h, errH := GreedyHet(c, pl, parts, 0, nil)
+		h, _, errH := GreedyHet(c, pl, parts, 0, nil)
 		if (errG == nil) != (errH == nil) {
 			return false
 		}
@@ -161,7 +161,7 @@ func TestGreedyHetProducesValidMappings(t *testing.T) {
 			parts = pp.Clone()
 			return r.Bernoulli(0.7)
 		})
-		mp, err := GreedyHet(c, pl, parts, 0, nil)
+		mp, _, err := GreedyHet(c, pl, parts, 0, nil)
 		if err != nil {
 			return true
 		}

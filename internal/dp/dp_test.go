@@ -324,8 +324,10 @@ func TestHeurPPartitionBalances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parts.MaxWork(c) != 20 {
-		t.Fatalf("MaxWork = %v, want perfectly balanced 20", parts.MaxWork(c))
+	for j := range parts {
+		if w := parts.Work(c, j); w != 20 {
+			t.Fatalf("interval %d work = %v, want perfectly balanced 20", j, w)
+		}
 	}
 }
 

@@ -29,7 +29,7 @@ func TestGreedyRejectsHeterogeneous(t *testing.T) {
 
 func TestGreedyInfeasible(t *testing.T) {
 	c := chain.Chain{{Work: 1, Out: 1}, {Work: 1, Out: 1}, {Work: 1, Out: 0}}
-	_, err := Greedy(c, homPl(2), interval.Finest(3))
+	_, err := Greedy(c, homPl(2), interval.FromEnds([]int{0, 1, 2}))
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}

@@ -5,10 +5,16 @@ import "math"
 // Prob computes the probability that a component with failure rate lambda
 // (per time unit) fails at least once during duration d, i.e. 1 - e^{-λd},
 // evaluated as -expm1(-λd) to preserve accuracy for small λd.
-// It panics on negative lambda or d.
+// A zero-duration exposure never fails, even at an infinite rate, where
+// λd itself would be the NaN of +Inf·0 (a chain's end legs carry
+// zero-size messages, so every mapping on a platform whose links fail
+// at rate +Inf meets this case). It panics on negative lambda or d.
 func Prob(lambda, d float64) float64 {
 	if lambda < 0 || d < 0 {
 		panic("failure: negative rate or duration")
+	}
+	if d == 0 && math.IsInf(lambda, 1) {
+		return 0
 	}
 	return -math.Expm1(-lambda * d)
 }

@@ -21,6 +21,23 @@ func TestProbBasics(t *testing.T) {
 	}
 }
 
+// TestProbInfiniteRateZeroDuration pins the +Inf·0 rule: a leg of zero
+// duration fails with probability +0 at any rate, the same bits a
+// finite rate gives it, while a positive duration at rate +Inf is a
+// certain failure.
+func TestProbInfiniteRateZeroDuration(t *testing.T) {
+	inf := math.Inf(1)
+	if got := Prob(inf, 0); math.Float64bits(got) != math.Float64bits(0) {
+		t.Fatalf("Prob(+Inf, 0) = %v (bits %#x), want +0", got, math.Float64bits(got))
+	}
+	if got, want := Prob(inf, 0), Prob(1e-3, 0); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("Prob(+Inf, 0) bits %#x differ from a finite rate's %#x", math.Float64bits(got), math.Float64bits(want))
+	}
+	if got := Prob(inf, 1e-300); got != 1 {
+		t.Fatalf("Prob(+Inf, 1e-300) = %v, want 1", got)
+	}
+}
+
 func TestProbSmallRateAccuracy(t *testing.T) {
 	// For tiny λd, f ≈ λd - (λd)²/2; naive 1-exp loses all precision.
 	lambda, d := 1e-8, 3.0

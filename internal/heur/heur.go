@@ -61,47 +61,48 @@ func Candidate(c chain.Chain, pl platform.Platform, m int, latencyOriented bool,
 	if err != nil {
 		return Result{}, false
 	}
-	return finishCandidate(c, pl, parts, m, opts)
+	res, _, ok := finishCandidate(c, pl, parts, m, opts)
+	return res, ok
 }
 
-// finishCandidate is the shared tail of Candidate and Gen.Candidate:
-// the §7.2 allocation plus the evaluation of the partitioned chain.
-func finishCandidate(c chain.Chain, pl platform.Platform, parts interval.Partition, m int, opts Options) (Result, bool) {
-	mp, err := alloc.GreedyHet(c, pl, parts, opts.Period, opts.Allowed)
+// finishCandidate is the shared tail of Candidate, Gen.Candidate and
+// Gen.Build: the §7.2 allocation plus the evaluation of the partitioned
+// chain, with the allocation's period-bound cell (alloc.GreedyHet).
+func finishCandidate(c chain.Chain, pl platform.Platform, parts interval.Partition, m int, opts Options) (Result, alloc.Cell, bool) {
+	mp, cell, err := alloc.GreedyHet(c, pl, parts, opts.Period, opts.Allowed)
 	if err != nil {
-		return Result{}, false
+		return Result{}, cell, false
 	}
 	ev, err := mapping.Evaluate(c, pl, mp)
 	if err != nil {
-		return Result{}, false
+		return Result{}, cell, false
 	}
-	return Result{M: mp, Ev: ev, Intervals: m}, true
+	return Result{M: mp, Ev: ev, Intervals: m}, cell, true
 }
 
 // Tables bundles the two partition DP tables (Heur-P's Algorithm 4
 // table and Heur-L's communication ordering) pre-built for one
-// instance. The tables depend only on the chain and the platform —
-// never on period/latency bounds or allocation constraints — so one
-// Tables value can serve every request against the same instance
-// concurrently: it is immutable after BuildTables and safe for
-// unsynchronized sharing. This is the unit the service's table tier
-// keeps per instance across requests.
+// instance, plus a memo of the seeds generators built over them (see
+// Gen.Lookup). The tables depend only on the chain and the platform —
+// never on period/latency bounds or allocation constraints — and are
+// immutable after BuildTables; the memo is internally synchronized. So
+// one Tables value can serve every request against the same instance
+// concurrently. This is the unit the service's table tier keeps per
+// instance across requests.
 type Tables struct {
 	pTable *dp.HeurPTable
 	pErr   bool
 	lTable *dp.HeurLTable
 	n      int // chain length the tables were built for
 	maxM   int // largest interval count the Heur-P table supports
+	memo   seedMemo
 }
 
-// MaxIntervals returns the largest interval count the tables support,
-// min(len(chain), P) at build time.
-func (t *Tables) MaxIntervals() int { return t.maxM }
-
-// Bytes returns the heap footprint of the tables, the quantity the
-// service's table tier budgets.
+// Bytes returns the heap footprint of the tables and their seed memo,
+// the quantity the service's table tier budgets. It grows as the memo
+// fills.
 func (t *Tables) Bytes() int64 {
-	b := t.lTable.Bytes()
+	b := t.lTable.Bytes() + t.memo.bytes.Load()
 	if t.pTable != nil {
 		b += t.pTable.Bytes()
 	}
@@ -135,7 +136,7 @@ func (g *Gen) WithTables(t *Tables) *Gen {
 	if t == nil || t.n != len(g.c) || t.maxM < g.maxM {
 		return g
 	}
-	g.pTable, g.pErr, g.lTable = t.pTable, t.pErr, t.lTable
+	g.pTable, g.pErr, g.lTable, g.memo = t.pTable, t.pErr, t.lTable, &t.memo
 	return g
 }
 
@@ -155,6 +156,7 @@ type Gen struct {
 	pTable *dp.HeurPTable
 	pErr   bool // the table build itself failed; every Heur-P count is out
 	lTable *dp.HeurLTable
+	memo   *seedMemo // the shared tables' seed memo; nil without them
 }
 
 // NewGen returns a generator for interval counts 1..maxM; maxM must be
@@ -166,7 +168,18 @@ func NewGen(c chain.Chain, pl platform.Platform, maxM int, opts Options) *Gen {
 // Candidate is the table-sharing equivalent of the package-level
 // Candidate for interval count m ≤ maxM.
 func (g *Gen) Candidate(m int, latencyOriented bool) (Result, bool) {
-	var parts interval.Partition
+	parts, ok := g.Partition(m, latencyOriented)
+	if !ok {
+		return Result{}, false
+	}
+	res, _, ok := finishCandidate(g.c, g.pl, parts, m, g.opts)
+	return res, ok
+}
+
+// Partition returns the partition of candidate m: Heur-L's when
+// latencyOriented, Heur-P's otherwise. ok is false when the heuristic
+// has no m-interval partition.
+func (g *Gen) Partition(m int, latencyOriented bool) (parts interval.Partition, ok bool) {
 	var err error
 	if latencyOriented {
 		if g.lTable == nil {
@@ -179,14 +192,11 @@ func (g *Gen) Candidate(m int, latencyOriented bool) (Result, bool) {
 			g.pErr = err != nil
 		}
 		if g.pErr {
-			return Result{}, false
+			return nil, false
 		}
 		parts, err = g.pTable.Partition(m)
 	}
-	if err != nil {
-		return Result{}, false
-	}
-	return finishCandidate(g.c, g.pl, parts, m, g.opts)
+	return parts, err == nil
 }
 
 // run drives the two-step scheme shared by both heuristics.

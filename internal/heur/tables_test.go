@@ -120,3 +120,7 @@ func TestWithTablesRejectsMismatches(t *testing.T) {
 		t.Fatal("nil tables adopted")
 	}
 }
+
+// MaxIntervals returns the largest interval count the tables support,
+// min(len(chain), P) at build time.
+func (t *Tables) MaxIntervals() int { return t.maxM }

@@ -134,10 +134,6 @@ func BuildPaper(c chain.Chain, pl platform.Platform, period, latency float64) (*
 	return &PaperModel{prob: prob, vars: vars, chain: c, plat: pl}, nil
 }
 
-// NumVars returns the number of a_{i,j,k} variables after period
-// filtering.
-func (m *PaperModel) NumVars() int { return len(m.vars) }
-
 // Solve runs branch and bound and decodes the winner into a mapping.
 func (m *PaperModel) Solve(opts Options) (mapping.Mapping, mapping.Eval, error) {
 	sol := m.prob.Solve(opts)

@@ -149,3 +149,7 @@ func TestILPUsesPaperRates(t *testing.T) {
 		t.Fatalf("ILP logRel %v != exact %v", ev.LogRel, evE.LogRel)
 	}
 }
+
+// NumVars returns the number of a_{i,j,k} variables after period
+// filtering.
+func (m *PaperModel) NumVars() int { return len(m.vars) }

@@ -63,15 +63,6 @@ func (p Partition) Ends() []int {
 // Single returns the one-interval partition of a chain of n tasks.
 func Single(n int) Partition { return Partition{{First: 0, Last: n - 1}} }
 
-// Finest returns the n-interval partition (one task per interval).
-func Finest(n int) Partition {
-	p := make(Partition, n)
-	for i := range p {
-		p[i] = Interval{First: i, Last: i}
-	}
-	return p
-}
-
 // Size returns the number of tasks in the interval.
 func (iv Interval) Size() int { return iv.Last - iv.First + 1 }
 
@@ -90,29 +81,6 @@ func (p Partition) Out(c chain.Chain, j int) float64 {
 // preceding its first task (0 for the first interval).
 func (p Partition) In(c chain.Chain, j int) float64 {
 	return c.Out(p[j].First - 1)
-}
-
-// MaxWork returns the largest interval work, the computation part of the
-// worst-case period on a unit-speed processor.
-func (p Partition) MaxWork(c chain.Chain) float64 {
-	m := 0.0
-	for j := range p {
-		if w := p.Work(c, j); w > m {
-			m = w
-		}
-	}
-	return m
-}
-
-// SumComm returns the total boundary communication Σ_j o_{l_j}, the
-// communication part of the latency (each boundary is charged once,
-// Eq. (5)).
-func (p Partition) SumComm(c chain.Chain) float64 {
-	s := 0.0
-	for j := range p {
-		s += p.Out(c, j)
-	}
-	return s
 }
 
 // Visit enumerates every partition of a chain of n tasks (2^{n-1} of

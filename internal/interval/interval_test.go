@@ -240,3 +240,35 @@ func TestPartitionWorkTilesTotal(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Finest returns the n-interval partition (one task per interval).
+func Finest(n int) Partition {
+	p := make(Partition, n)
+	for i := range p {
+		p[i] = Interval{First: i, Last: i}
+	}
+	return p
+}
+
+// MaxWork returns the largest interval work, the computation part of the
+// worst-case period on a unit-speed processor.
+func (p Partition) MaxWork(c chain.Chain) float64 {
+	m := 0.0
+	for j := range p {
+		if w := p.Work(c, j); w > m {
+			m = w
+		}
+	}
+	return m
+}
+
+// SumComm returns the total boundary communication Σ_j o_{l_j}, the
+// communication part of the latency (each boundary is charged once,
+// Eq. (5)).
+func (p Partition) SumComm(c chain.Chain) float64 {
+	s := 0.0
+	for j := range p {
+		s += p.Out(c, j)
+	}
+	return s
+}

@@ -377,3 +377,33 @@ func TestStrings(t *testing.T) {
 		t.Fatalf("Reliability = %v", ev.Reliability())
 	}
 }
+
+// TestInfiniteLinkRateFinite pins the zero-duration rule of
+// failure.Prob on a whole evaluation: on a platform whose links fail at
+// rate +Inf, a one-interval mapping's end legs carry zero-size messages
+// and never fail, so its failure probability is the finite one of its
+// compute legs, and a mapping with an interior link fails for certain.
+func TestInfiniteLinkRateFinite(t *testing.T) {
+	c := testChain()
+	pl := platform.Homogeneous(2, 1, 1e-3, 1, math.Inf(1), 2)
+	if err := pl.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	single := Mapping{Parts: interval.Single(len(c)), Procs: [][]int{{0, 1}}}
+	ev, err := Evaluate(c, pl, single)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := failure.Parallel(failure.Prob(1e-3, 22), failure.Prob(1e-3, 22))
+	if math.IsNaN(ev.FailProb) || math.Abs(ev.FailProb-want) > 1e-15 {
+		t.Fatalf("one-interval FailProb = %v, want %v", ev.FailProb, want)
+	}
+	split := Mapping{Parts: interval.FromEnds([]int{0, 2}), Procs: [][]int{{0}, {1}}}
+	ev, err = Evaluate(c, pl, split)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev.FailProb != 1 || !math.IsInf(ev.LogRel, -1) {
+		t.Fatalf("split FailProb = %v, LogRel = %v; want 1, -Inf", ev.FailProb, ev.LogRel)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -117,10 +118,28 @@ func (r *Recorder) Stats() (stored int, recorded uint64) {
 type activeTrace struct {
 	rec     *Recorder
 	traceID string
+	// lastSpan numbers the trace's spans: span ids only need to be
+	// unique within their trace (parent links never leave it), so a
+	// counter replaces an entropy read per span, and a fixed trace gets
+	// the same ids in the same order every time.
+	lastSpan atomic.Uint64
 
 	mu      sync.Mutex
 	spans   []Span
 	flushed bool
+}
+
+// newSpanID returns the trace's next span id, the counter rendered as
+// 16 hex digits.
+func (at *activeTrace) newSpanID() string {
+	const digits = "0123456789abcdef"
+	var b [16]byte
+	n := at.lastSpan.Add(1)
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = digits[n&15]
+		n >>= 4
+	}
+	return string(b[:])
 }
 
 func (at *activeTrace) addSpan(sp Span) {
@@ -219,7 +238,7 @@ func (r *Recorder) StartTraceID(ctx context.Context, traceID, name string) (cont
 	at := &activeTrace{rec: r, traceID: traceID}
 	h := &SpanHandle{
 		at:   at,
-		span: Span{TraceID: traceID, SpanID: newSpanID(), Name: name, Start: time.Now()},
+		span: Span{TraceID: traceID, SpanID: at.newSpanID(), Name: name, Start: time.Now()},
 		root: true,
 	}
 	return context.WithValue(ctx, spanRefKey{}, spanRef{at: at, spanID: h.span.SpanID}), h
@@ -235,7 +254,7 @@ func StartSpan(ctx context.Context, name string) (context.Context, *SpanHandle) 
 	h := &SpanHandle{
 		at: ref.at,
 		span: Span{
-			TraceID: ref.at.traceID, SpanID: newSpanID(), ParentID: ref.spanID,
+			TraceID: ref.at.traceID, SpanID: ref.at.newSpanID(), ParentID: ref.spanID,
 			Name: name, Start: time.Now(),
 		},
 	}
@@ -252,7 +271,7 @@ func RecordSpan(ctx context.Context, name string, start, end time.Time, attrs ma
 		return
 	}
 	ref.at.addSpan(Span{
-		TraceID: ref.at.traceID, SpanID: newSpanID(), ParentID: ref.spanID,
+		TraceID: ref.at.traceID, SpanID: ref.at.newSpanID(), ParentID: ref.spanID,
 		Name: name, Start: start, End: end, Attrs: attrs,
 	})
 }
@@ -285,8 +304,6 @@ func CopyTrace(dst, src context.Context) context.Context {
 
 // NewTraceID returns a fresh 128-bit hex trace ID.
 func NewTraceID() string { return randomHex(16) }
-
-func newSpanID() string { return randomHex(8) }
 
 func randomHex(n int) string {
 	b := make([]byte, n)

@@ -212,3 +212,65 @@ func TestWithStageObserverNilFn(t *testing.T) {
 		t.Error("nil observer should return ctx unchanged")
 	}
 }
+
+// TestSpanIDsUniqueAndDeterministic pins the per-trace span counter:
+// every span of a trace — the root, nested spans, recorded spans and
+// spans recorded from other goroutines through CopyTrace — gets a
+// distinct 16-hex-digit id, and replaying the same sequential trace
+// gives the same ids, names and parent links.
+func TestSpanIDsUniqueAndDeterministic(t *testing.T) {
+	rec := NewRecorder(8)
+	sequential := func() []Span {
+		ctx, root := rec.StartTrace(context.Background(), "root")
+		cctx, child := StartSpan(ctx, "solve")
+		RecordSpan(cctx, "queue.wait", time.Now(), time.Now(), nil)
+		Stage(cctx, "search.seed", time.Now(), 1, nil)
+		child.End()
+		_, marshal := StartSpan(ctx, "marshal")
+		marshal.End()
+		root.End()
+		tr, _ := rec.Find(TraceIDFrom(ctx))
+		return tr.Spans
+	}
+	a, b := sequential(), sequential()
+	if len(a) != 5 || len(a) != len(b) {
+		t.Fatalf("got %d and %d spans, want 5", len(a), len(b))
+	}
+	for i := range a {
+		if a[i].SpanID != b[i].SpanID || a[i].ParentID != b[i].ParentID || a[i].Name != b[i].Name {
+			t.Fatalf("span %d differs between replays: %+v vs %+v", i, a[i], b[i])
+		}
+	}
+
+	ctx, root := rec.StartTrace(context.Background(), "root")
+	const workers, perWorker = 4, 50
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			wctx := CopyTrace(context.Background(), ctx)
+			for i := 0; i < perWorker; i++ {
+				sctx, sp := StartSpan(wctx, "work")
+				RecordSpan(sctx, "step", time.Now(), time.Now(), nil)
+				sp.End()
+			}
+		}()
+	}
+	wg.Wait()
+	root.End()
+	tr, _ := rec.Find(TraceIDFrom(ctx))
+	if want := 1 + 2*workers*perWorker; len(tr.Spans) != want {
+		t.Fatalf("got %d spans, want %d", len(tr.Spans), want)
+	}
+	seen := map[string]bool{}
+	for _, sp := range tr.Spans {
+		if len(sp.SpanID) != 16 {
+			t.Fatalf("span id %q is not 16 hex digits", sp.SpanID)
+		}
+		if seen[sp.SpanID] {
+			t.Fatalf("span id %q repeats within the trace", sp.SpanID)
+		}
+		seen[sp.SpanID] = true
+	}
+}

@@ -291,7 +291,7 @@ func BenchmarkStageSystemK3(b *testing.B) {
 	r := rng.New(1)
 	c := chain.PaperRandom(r, 15)
 	pl := platform.PaperHomogeneous(15)
-	parts := interval.Finest(15)[:5]
+	parts := interval.FromEnds([]int{0, 1, 2, 3, 4})
 	parts[4].Last = 14
 	counts := []int{3, 3, 3, 3, 3}
 	m := mapping.AssignSequential(parts, counts)

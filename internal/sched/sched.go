@@ -87,17 +87,6 @@ func Build(c chain.Chain, pl platform.Platform, m mapping.Mapping, period float6
 	return t, nil
 }
 
-// StartOf returns the compute start of data set d on replica i of stage
-// j.
-func (t *Table) StartOf(j, i, d int) float64 {
-	return t.Compute[j][i].Shift(d, t.Period).Start
-}
-
-// CompletionOf returns the completion time of data set d.
-func (t *Table) CompletionOf(d int) float64 {
-	return t.Latency + float64(d)*t.Period
-}
-
 // Utilization returns the busy fraction of every enrolled processor.
 func (t *Table) Utilization() map[int]float64 {
 	out := map[int]float64{}

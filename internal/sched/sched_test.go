@@ -18,7 +18,7 @@ import (
 func pipeline() (chain.Chain, platform.Platform, mapping.Mapping) {
 	c := chain.Chain{{Work: 10, Out: 2}, {Work: 6, Out: 4}, {Work: 8, Out: 0}}
 	pl := platform.Homogeneous(3, 1, 0, 1, 0, 3)
-	m := mapping.Mapping{Parts: interval.Finest(3), Procs: [][]int{{0}, {1}, {2}}}
+	m := mapping.Mapping{Parts: interval.FromEnds([]int{0, 1, 2}), Procs: [][]int{{0}, {1}, {2}}}
 	return c, pl, m
 }
 
@@ -74,7 +74,7 @@ func TestLatencyMatchesEvaluate(t *testing.T) {
 			parts = pp.Clone()
 			return r.Bernoulli(0.5)
 		})
-		mp, err := alloc.GreedyHet(c, pl, parts, 0, nil)
+		mp, _, err := alloc.GreedyHet(c, pl, parts, 0, nil)
 		if err != nil {
 			return true
 		}
@@ -107,7 +107,7 @@ func TestTableMatchesSimulator(t *testing.T) {
 			parts = pp.Clone()
 			return r.Bernoulli(0.5)
 		})
-		mp, err := alloc.GreedyHet(c, pl, parts, 0, nil)
+		mp, _, err := alloc.GreedyHet(c, pl, parts, 0, nil)
 		if err != nil {
 			return true
 		}
@@ -172,4 +172,15 @@ func minInt(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// StartOf returns the compute start of data set d on replica i of stage
+// j.
+func (t *Table) StartOf(j, i, d int) float64 {
+	return t.Compute[j][i].Shift(d, t.Period).Start
+}
+
+// CompletionOf returns the completion time of data set d.
+func (t *Table) CompletionOf(d int) float64 {
+	return t.Latency + float64(d)*t.Period
 }

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"math"
 	"sort"
 
 	"relpipe/internal/chain"
@@ -30,7 +31,7 @@ func Frontier(c chain.Chain, pl platform.Platform, opts Options) ([]frontier.Poi
 	opts = opts.defaults(len(c))
 	prob := newProblem(c, pl, opts, maxReliability)
 
-	seeds := prob.seedPool()
+	seeds, _ := prob.seedPool(math.MaxInt)
 	if len(seeds) == 0 {
 		return nil, nil
 	}

@@ -233,8 +233,11 @@ func run(c chain.Chain, pl platform.Platform, opts Options, obj objective) (Resu
 	prob := newProblem(c, pl, opts, obj)
 
 	seedStart := time.Now()
-	seeds := prob.seedPool()
-	obs.Stage(opts.Context, "search.seed", seedStart, int64(len(seeds)), nil)
+	seeds, cells := prob.seedPool(opts.Restarts)
+	obs.Stage(opts.Context, "search.seed", seedStart, int64(cells.hits+cells.misses), map[string]string{
+		"cellHits":   strconv.Itoa(cells.hits),
+		"cellMisses": strconv.Itoa(cells.misses),
+	})
 	if len(seeds) == 0 {
 		// Not even an unconstrained single-interval allocation exists
 		// (e.g. Allowed forbids every processor): no mapping at all.
@@ -384,11 +387,21 @@ func (p problem) cost(procs [][]int) float64 {
 	return s
 }
 
-// seedCandidate is one heuristic candidate with its score.
+// seedCandidate is one seed-pool entry with its score. A heuristic
+// candidate (m > 0) is scored from its heur.Seed and becomes a state
+// only when a restart will copy it; a warm mapping (m == 0) carries its
+// state from the start.
 type seedCandidate struct {
-	st    state
-	score float64
+	st              state
+	score           float64
+	m               int
+	latencyOriented bool
+	seed            heur.Seed
 }
+
+// cellTally counts the seed-memo lookups of one seed pool: hits were
+// served from the heuristic tables' memo, misses were built.
+type cellTally struct{ hits, misses int }
 
 // sampledM picks the interval counts the seed pool tries: every count
 // up to 24, then a ×1.25 geometric ladder to maxM, so the Heur-P
@@ -413,12 +426,16 @@ func sampledM(maxM int) []int {
 }
 
 // seedPool generates the Heur-L / Heur-P candidates over the sampled
-// interval counts, scores them, and returns them best first. The
-// allocation honours the period bound when the objective keeps it as a
-// constraint; if no bounded allocation exists anywhere, unbounded
-// allocations are admitted so the annealer can start from an
-// infeasible state and repair it.
-func (p problem) seedPool() []seedCandidate {
+// interval counts, scores them, and returns the best keep of them best
+// first, each with its state. The allocation honours the period bound
+// when the objective keeps it as a constraint; if no bounded allocation
+// exists anywhere, unbounded allocations are admitted so the annealer
+// can start from an infeasible state and repair it.
+//
+// Restart r copies entry r mod len(pool), so a portfolio of R restarts
+// reads only the first R entries, and cutting the pool there changes no
+// restart; a caller that reads every entry passes math.MaxInt.
+func (p problem) seedPool(keep int) ([]seedCandidate, cellTally) {
 	maxM := len(p.c)
 	if p.pl.P() < maxM {
 		maxM = p.pl.P()
@@ -427,9 +444,12 @@ func (p problem) seedPool() []seedCandidate {
 	if p.obj == minPeriod {
 		heurPeriod = 0
 	}
-	pool := p.candidates(maxM, heurPeriod)
+	gen, pool, cells := p.candidates(maxM, heurPeriod)
 	if len(pool) == 0 && heurPeriod > 0 {
-		pool = p.candidates(maxM, 0)
+		var more cellTally
+		gen, pool, more = p.candidates(maxM, 0)
+		cells.hits += more.hits
+		cells.misses += more.misses
 	}
 	sort.SliceStable(pool, func(a, b int) bool { return pool[a].score > pool[b].score })
 	if len(p.opts.Warm) > 0 {
@@ -442,7 +462,7 @@ func (p problem) seedPool() []seedCandidate {
 		ev := mapping.NewEvaluator(p.c, p.pl, p.links)
 		warm := make([]seedCandidate, 0, len(p.opts.Warm)+len(pool))
 		for _, w := range p.opts.Warm {
-			st := newState(p.pl, w)
+			st := newState(p.pl, w.Parts.Clone(), cloneProcs(w.Procs))
 			warm = append(warm, seedCandidate{
 				st:    st,
 				score: p.score(ev.Init(w), p.cost(w.Procs)),
@@ -450,27 +470,70 @@ func (p problem) seedPool() []seedCandidate {
 		}
 		pool = append(warm, pool...)
 	}
-	return pool
+	if len(pool) > keep {
+		pool = pool[:keep]
+	}
+	for i := range pool {
+		if sc := &pool[i]; sc.m > 0 {
+			parts, _ := gen.Partition(sc.m, sc.latencyOriented)
+			sc.st = newState(p.pl, parts, sc.seed.Procs())
+		}
+	}
+	return pool, cells
 }
 
-func (p problem) candidates(maxM int, heurPeriod float64) []seedCandidate {
+// candidates scores the heuristic candidates of one sweep in sweep
+// order (interval count, then Heur-P before Heur-L), with the generator
+// that partitions them. It first looks every candidate up in the seed
+// memo of the shared tables, then builds the misses — the
+// search.seed.build stage — so a hit costs no partition, allocation or
+// evaluation.
+func (p problem) candidates(maxM int, heurPeriod float64) (*heur.Gen, []seedCandidate, cellTally) {
 	// One generator per sweep: the Heur-P partition DP is built once for
 	// maxM and shared across every sampled interval count — or not even
 	// once, when the caller supplied batch-shared tables.
 	gen := heur.NewGen(p.c, p.pl, maxM, heur.Options{Period: heurPeriod, Allowed: p.opts.Allowed}).
 		WithTables(p.opts.Tables)
-	var pool []seedCandidate
-	for _, m := range sampledM(maxM) {
+	type slot struct {
+		seedCandidate
+		ok, found bool
+	}
+	ms := sampledM(maxM)
+	slots := make([]slot, 0, 2*len(ms))
+	var cells cellTally
+	for _, m := range ms {
 		for _, latencyOriented := range []bool{false, true} {
-			res, ok := gen.Candidate(m, latencyOriented)
-			if !ok {
-				continue
+			sl := slot{seedCandidate: seedCandidate{m: m, latencyOriented: latencyOriented}}
+			sl.seed, sl.ok, sl.found = gen.Lookup(m, latencyOriented)
+			if sl.found {
+				cells.hits++
 			}
-			st := newState(p.pl, res.M)
-			pool = append(pool, seedCandidate{st: st, score: p.score(res.Ev, p.cost(res.M.Procs))})
+			slots = append(slots, sl)
 		}
 	}
-	return pool
+	if cells.misses = len(slots) - cells.hits; cells.misses > 0 {
+		buildStart := time.Now()
+		for i := range slots {
+			if sl := &slots[i]; !sl.found {
+				sl.seed, sl.ok = gen.Build(sl.m, sl.latencyOriented)
+			}
+		}
+		obs.Stage(p.opts.Context, "search.seed.build", buildStart, int64(cells.misses), nil)
+	}
+	var pool []seedCandidate
+	for _, sl := range slots {
+		if !sl.ok {
+			continue
+		}
+		cost := 0.0
+		if p.obj == minCost {
+			cost = sl.seed.Cost(p.opts.Costs)
+		}
+		ev := mapping.Eval{WorstPeriod: sl.seed.WorstPeriod, WorstLatency: sl.seed.WorstLatency, LogRel: sl.seed.LogRel}
+		sl.score = p.score(ev, cost)
+		pool = append(pool, sl.seedCandidate)
+	}
+	return gen, pool, cells
 }
 
 // restartRng returns the deterministic generator of restart r: a fixed
@@ -599,9 +662,11 @@ type state struct {
 	unused []int
 }
 
-func newState(pl platform.Platform, m mapping.Mapping) state {
+// newState builds the state of a mapping, taking ownership of parts and
+// procs.
+func newState(pl platform.Platform, parts interval.Partition, procs [][]int) state {
 	used := make([]bool, pl.P())
-	for _, ps := range m.Procs {
+	for _, ps := range procs {
 		for _, u := range ps {
 			used[u] = true
 		}
@@ -612,7 +677,7 @@ func newState(pl platform.Platform, m mapping.Mapping) state {
 			unused = append(unused, u)
 		}
 	}
-	return state{parts: m.Parts.Clone(), procs: cloneProcs(m.Procs), unused: unused}
+	return state{parts: parts, procs: procs, unused: unused}
 }
 
 func cloneProcs(procs [][]int) [][]int {

@@ -170,6 +170,7 @@ func (s *Server) solve(ctx context.Context, req Request) outcome {
 		enqueued := time.Now()
 		val, err := s.pool.Do(waitCtx, func() (any, error) {
 			obs.RecordSpan(execCtx, "queue.wait", enqueued, time.Now(), nil)
+			defer s.tables.settle(req.Route)
 			return s.solveToBytes(req.Key, req.solve, solveCtx{ctx: execCtx, tables: s.tables.provider(req.Route)})
 		})
 		if err != nil {
@@ -222,6 +223,7 @@ func (s *Server) executeWait(ctx context.Context, req Request, running func(), r
 		if running != nil {
 			running()
 		}
+		defer s.tables.settle(req.Route)
 		return s.solveToBytes(req.Key, req.solve, solveCtx{ctx: ctx, progress: report, tables: s.tables.provider(req.Route)})
 	})
 	if err != nil {

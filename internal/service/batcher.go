@@ -9,7 +9,10 @@ package service
 // concurrent requests on one instance share one build, and later ones
 // build nothing. Tables are immutable after construction (see
 // heur.Tables), so sharing them never changes an answer — responses
-// stay byte-identical to a per-request build.
+// stay byte-identical to a per-request build. Each Tables value also
+// carries a seed memo that searches fill as they run (one §7 seed per
+// interval count, orientation and period-bound cell); its bytes count
+// against the same budget, charged when the solve that grew it ends.
 
 import (
 	"container/list"
@@ -18,12 +21,13 @@ import (
 	"relpipe"
 )
 
-// tableBudget bounds the bytes of tables the tier retains. The tables of
-// one §8.2 heterogeneous instance of 100 tasks on 30 processors take
-// about 56 KB (Heur-P's 101×31 cells of a float64 and an int), so the
-// budget keeps about 300 such instances, or the tables of one 2000-task
-// chain on 500 processors. An instance whose tables alone exceed it is
-// served but not retained.
+// tableBudget bounds the bytes of tables and seed memos the tier
+// retains. The tables of one §8.2 heterogeneous instance of 100 tasks
+// on 30 processors take about 56 KB (Heur-P's 101×31 cells of a float64
+// and an int), and a seed-memo cell of it about 250 bytes, so the
+// budget keeps about 300 such instances with a few dozen cells per
+// seed, or the tables of one 2000-task chain on 500 processors. An
+// instance whose tables alone exceed it is served but not retained.
 const tableBudget = 16 << 20
 
 // tableTier is a byte-budgeted LRU of heuristic tables keyed by
@@ -108,6 +112,41 @@ func (t *tableTier) retain(e *tierEntry, bytes int64) {
 	}
 	e.bytes = bytes
 	t.bytes += bytes
+	for t.bytes > t.budget {
+		t.remove(t.lru.Back())
+	}
+}
+
+// settle charges the growth of route's seed memo since its last charge,
+// once a solve that may have grown it has ended, and evicts least
+// recently used entries until the tier fits its budget again — the
+// route's own entry when it alone no longer fits. Between a solve's
+// table lookup and its settle, the tier holds at most the cells that
+// in-flight solves add.
+func (t *tableTier) settle(route string) {
+	if route == "" {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	el, ok := t.entries[route]
+	if !ok {
+		return
+	}
+	e := el.Value.(*tierEntry)
+	if e.bytes == 0 {
+		return // still building: retain charges it
+	}
+	grown := e.tables.Bytes() - e.bytes
+	if grown <= 0 {
+		return
+	}
+	if e.bytes+grown > t.budget {
+		t.remove(el)
+		return
+	}
+	e.bytes += grown
+	t.bytes += grown
 	for t.bytes > t.budget {
 		t.remove(t.lru.Back())
 	}

@@ -56,9 +56,6 @@ func TestBatcherOneBuildPerBatch(t *testing.T) {
 			t.Fatalf("member %d got tables %p, want shared %p", i, tb, tables[0])
 		}
 	}
-	if tables[0].MaxIntervals() != min(len(in.Chain), in.Platform.P()) {
-		t.Fatalf("MaxIntervals = %d", tables[0].MaxIntervals())
-	}
 
 	// A later request on the same route, through a fresh provider,
 	// reuses the retained tables.
@@ -128,12 +125,12 @@ func TestBatcherRiderLeavingKeepsBatchAlive(t *testing.T) {
 	if held == nil {
 		t.Fatal("no tables")
 	}
-	maxM := held.MaxIntervals()
+	size := held.Bytes()
 	tier.provider(inB.Canonical())(inB) // evicts A
 	if _, ok := tier.entries[inA.Canonical()]; ok {
 		t.Fatal("A's tables were not evicted")
 	}
-	if held.MaxIntervals() != maxM {
+	if held.Bytes() != size {
 		t.Fatal("the holder's tables changed after eviction")
 	}
 	if tb := tier.provider(inA.Canonical())(inA); tb == nil || tb == held {
@@ -373,10 +370,13 @@ func TestSolveBatchRiderCancellationEndToEnd(t *testing.T) {
 
 // TestTableTierMatchesPerRequestBuild is the tier's differential test:
 // heuristic optimize, minperiod and mincost requests over two instances
-// and several search seeds, answered in turn by one server (whose tier
+// and several search seeds and period bounds — bounds close enough to
+// share the allocation's cells, bounds across cells, and minperiod's
+// unbounded allocation — answered in turn by one server (whose tier
 // builds each instance's tables once and serves every later request
-// from it) and by the same requests without the tier, must give the
-// same status and the same bytes.
+// from it and its seed memo) and by the same requests without the
+// tier, must give the same status and the same bytes. Every instance
+// must be served some seeds from the memo.
 func TestTableTierMatchesPerRequestBuild(t *testing.T) {
 	s := NewServer(Options{Workers: 1, CacheSize: -1})
 	defer s.Close()
@@ -388,15 +388,16 @@ func TestTableTierMatchesPerRequestBuild(t *testing.T) {
 		parse parser
 		body  any
 	}
-	var jobs []job
+	jobs := 0
 	for _, in := range []relpipe.Instance{inA, inB} {
 		costs := make([]float64, in.Platform.P())
 		for u := range costs {
 			costs[u] = float64(1 + u%3)
 		}
+		var group []job
 		for seed := uint64(1); seed <= 3; seed++ {
 			search := &relpipe.SearchParams{Restarts: 2, Budget: 300, Seed: seed}
-			jobs = append(jobs,
+			group = append(group,
 				job{"optimize", parseOptimize, relpipe.OptimizeRequest{
 					Instance: in, Bounds: relpipe.Bounds{Period: 200, Latency: 700}, Method: "heuristic", Search: search}},
 				job{"minperiod", parseMinPeriod, relpipe.MinPeriodRequest{
@@ -405,22 +406,117 @@ func TestTableTierMatchesPerRequestBuild(t *testing.T) {
 					Instance: in, Costs: costs, Bounds: relpipe.Bounds{Period: 200, Latency: 700}, Method: "heuristic", Search: search}},
 			)
 		}
-	}
-	for i, j := range jobs {
-		body, err := json.Marshal(j.body)
-		if err != nil {
-			t.Fatal(err)
+		for _, period := range []float64{200.25, 200.5, 90, 130, 260, 1000} {
+			search := &relpipe.SearchParams{Restarts: 2, Budget: 300, Seed: 4}
+			group = append(group,
+				job{"optimize", parseOptimize, relpipe.OptimizeRequest{
+					Instance: in, Bounds: relpipe.Bounds{Period: period, Latency: 700}, Method: "heuristic", Search: search}},
+				job{"mincost", parseMinCost, relpipe.MinCostRequest{
+					Instance: in, Costs: costs, Bounds: relpipe.Bounds{Period: period}, Method: "heuristic", Search: search}},
+			)
 		}
-		got := s.process(context.Background(), j.kind, j.parse, body)
-		want := processUntiered(t, ref, j.kind, j.parse, body)
-		if got.status != http.StatusOK || got.status != want.status || !bytes.Equal(got.body, want.body) {
-			t.Fatalf("job %d (%s): tiered %d %s, untiered %d %s", i, j.kind, got.status, got.body, want.status, want.body)
+		hitsBefore := memoHits(t, s.metrics)
+		for i, j := range group {
+			body, err := json.Marshal(j.body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := s.process(context.Background(), j.kind, j.parse, body)
+			want := processUntiered(t, ref, j.kind, j.parse, body)
+			if got.status != want.status || !bytes.Equal(got.body, want.body) {
+				t.Fatalf("job %d (%s): tiered %d %s, untiered %d %s", i, j.kind, got.status, got.body, want.status, want.body)
+			}
+			if i < 9 && got.status != http.StatusOK {
+				t.Fatalf("job %d (%s): status %d, want 200", i, j.kind, got.status)
+			}
 		}
+		if hits := memoHits(t, s.metrics) - hitsBefore; hits < 1 {
+			t.Fatalf("instance %d: %d seed-memo hits, want at least 1", jobs/len(group), hits)
+		}
+		jobs += len(group)
 	}
 	if got := seriesSum(t, s.metrics, "relpipe_solve_batch_tables_built_total"); got != 2 {
 		t.Fatalf("tables built = %d, want 2 (one per instance)", got)
 	}
-	if got := seriesSum(t, s.metrics, "relpipe_solve_batch_coalesced_total"); got != int64(len(jobs)-2) {
-		t.Fatalf("coalesced = %d, want %d", got, len(jobs)-2)
+	if got := seriesSum(t, s.metrics, "relpipe_solve_batch_coalesced_total"); got != int64(jobs-2) {
+		t.Fatalf("coalesced = %d, want %d", got, jobs-2)
+	}
+	if got := memoHits(t, ref.metrics); got != 0 {
+		t.Fatalf("untiered server: %d seed-memo hits, want 0", got)
+	}
+}
+
+// memoHits reads the seed-memo hits from /metrics: the search.seed
+// stage counts every seed lookup and search.seed.build every miss.
+func memoHits(t *testing.T, m *Metrics) int64 {
+	t.Helper()
+	return seriesSum(t, m, `relpipe_solver_stage_units_total{stage="search.seed"}`) -
+		seriesSum(t, m, `relpipe_solver_stage_units_total{stage="search.seed.build"}`)
+}
+
+// TestTableTierChargesSeedMemo drives many distinct period bounds
+// through one route under a budget with little room beyond the bare
+// tables: the seed memo's growth is charged to the tier, the retained
+// bytes — memo included — never exceed the budget after a solve, and
+// once the memo no longer fits the route is evicted, so its next
+// request starts from fresh tables with an empty memo.
+func TestTableTierChargesSeedMemo(t *testing.T) {
+	s := NewServer(Options{Workers: 1, CacheSize: -1})
+	defer s.Close()
+	in, _ := batcherInstances()
+	bare := relpipe.BuildHeuristicTables(in).Bytes()
+	s.tables = newTableTier(s.metrics, bare+4096)
+	retained := func() int64 {
+		s.tables.mu.Lock()
+		defer s.tables.mu.Unlock()
+		var sum int64
+		for _, el := range s.tables.entries {
+			sum += el.Value.(*tierEntry).tables.Bytes()
+		}
+		if sum != s.tables.bytes {
+			t.Fatalf("tier charges %d bytes, its entries hold %d", s.tables.bytes, sum)
+		}
+		return sum
+	}
+	var peak int64
+	evicted := false
+	for i := 0; i < 120; i++ {
+		builds := seriesSum(t, s.metrics, "relpipe_solve_batch_tables_built_total")
+		body, err := json.Marshal(relpipe.OptimizeRequest{
+			Instance: in, Bounds: relpipe.Bounds{Period: 40 + 3*float64(i)},
+			Method: "heuristic", Search: &relpipe.SearchParams{Restarts: 1, Budget: 50, Seed: 1},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.process(context.Background(), "optimize", parseOptimize, body)
+		got := retained()
+		if got > s.tables.budget {
+			t.Fatalf("request %d: tier retains %d bytes over its budget %d", i, got, s.tables.budget)
+		}
+		peak = max(peak, got)
+		if seriesSum(t, s.metrics, "relpipe_solve_batch_tables_built_total") > builds && builds > 0 {
+			// This request rebuilt the route: the evicted memo went with
+			// its tables, and only this request's cells are charged.
+			evicted = true
+			if got >= peak {
+				t.Fatalf("request %d: a rebuilt route holds %d bytes, as much as the evicted one's %d", i, got, peak)
+			}
+		}
+	}
+	if peak <= bare {
+		t.Fatalf("the seed memo was never charged: peak %d bytes, bare tables %d", peak, bare)
+	}
+	if !evicted {
+		t.Fatal("the memo never outgrew the budget; widen the bound sweep")
+	}
+	get := s.tables.provider(in.Canonical())
+	s.tables.mu.Lock()
+	for _, el := range s.tables.entries {
+		s.tables.remove(el)
+	}
+	s.tables.mu.Unlock()
+	if tb := get(in); tb.Bytes() != bare {
+		t.Fatalf("tables after eviction hold %d bytes, want the bare %d", tb.Bytes(), bare)
 	}
 }

@@ -18,7 +18,7 @@ func pipeline3() (chain.Chain, platform.Platform, mapping.Mapping) {
 	c := chain.Chain{{Work: 10, Out: 2}, {Work: 6, Out: 4}, {Work: 8, Out: 0}}
 	pl := platform.Homogeneous(3, 1, 0, 1, 0, 3)
 	m := mapping.Mapping{
-		Parts: interval.Finest(3),
+		Parts: interval.FromEnds([]int{0, 1, 2}),
 		Procs: [][]int{{0}, {1}, {2}},
 	}
 	return c, pl, m
@@ -83,7 +83,7 @@ func TestSimCommBoundThroughput(t *testing.T) {
 	// the saturated output period must equal it.
 	c := chain.Chain{{Work: 5, Out: 12}, {Work: 5, Out: 0}}
 	pl := platform.Homogeneous(2, 1, 0, 1, 0, 3)
-	m := mapping.Mapping{Parts: interval.Finest(2), Procs: [][]int{{0}, {1}}}
+	m := mapping.Mapping{Parts: interval.FromEnds([]int{0, 1}), Procs: [][]int{{0}, {1}}}
 	ev, _ := mapping.Evaluate(c, pl, m)
 	if ev.WorstPeriod != 12 {
 		t.Fatalf("WP = %v, want comm-bound 12", ev.WorstPeriod)
@@ -144,7 +144,7 @@ func mcSetup() (chain.Chain, platform.Platform, mapping.Mapping) {
 	c := chain.Chain{{Work: 10, Out: 5}, {Work: 14, Out: 3}, {Work: 8, Out: 0}}
 	pl := platform.Homogeneous(6, 1, 2e-2, 1, 1e-2, 2)
 	m := mapping.Mapping{
-		Parts: interval.Finest(3),
+		Parts: interval.FromEnds([]int{0, 1, 2}),
 		Procs: [][]int{{0, 1}, {2, 3}, {4, 5}},
 	}
 	return c, pl, m

@@ -133,7 +133,7 @@ func tieSetup() (chain.Chain, platform.Platform, mapping.Mapping) {
 		LinkFailRate: 0.05,
 		MaxReplicas:  1,
 	}
-	m := mapping.Mapping{Parts: interval.Finest(2), Procs: [][]int{{0}, {1}}}
+	m := mapping.Mapping{Parts: interval.FromEnds([]int{0, 1}), Procs: [][]int{{0}, {1}}}
 	return c, pl, m
 }
 
@@ -371,7 +371,7 @@ func TestSoAUnknownRoutingPanicsLazily(t *testing.T) {
 	single := sim.Config{
 		Chain:    chain.Chain{{Work: 10, Out: 0}},
 		Platform: platform.Homogeneous(1, 1, 0, 1, 0, 1),
-		Mapping:  mapping.Mapping{Parts: interval.Finest(1), Procs: [][]int{{0}}},
+		Mapping:  mapping.Mapping{Parts: interval.FromEnds([]int{0}), Procs: [][]int{{0}}},
 		Period:   12, DataSets: 5, Routing: sim.RoutingMode(42),
 	}
 	got, err := sim.Run(single)

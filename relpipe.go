@@ -178,11 +178,13 @@ type Options struct {
 	// tables for the instance being solved (BuildHeuristicTables).
 	// Only the Heuristic search method consults the provider, and only
 	// when it actually seeds a search; returning nil declines and the
-	// search builds its own. Tables are immutable and safe to share
-	// across concurrent solves of the same instance — the table
-	// tier in internal/service amortizes one build across the
-	// requests of one instance through this hook. Candidates, and hence
-	// solutions, are bit-identical with or without it.
+	// search builds its own. The tables are immutable and their seed
+	// memo is internally synchronized, so one value is safe to share
+	// across concurrent solves of the same instance — the table tier in
+	// internal/service amortizes one build across the requests of one
+	// instance through this hook, and searches on it build each §7
+	// seed once per period-bound cell. Candidates, and hence solutions,
+	// are bit-identical with or without it.
 	Tables func(Instance) *HeuristicTables
 }
 
@@ -196,8 +198,12 @@ func (o Options) exec() core.Exec {
 }
 
 // HeuristicTables holds the pre-built partition tables of the §7
-// heuristics for one instance: immutable after construction and safe
-// for unsynchronized sharing across concurrent solves.
+// heuristics for one instance, plus a memo of the search seeds built
+// over them (one per interval count, orientation and period-bound cell
+// on which the §7.2 allocation cannot change). The tables are immutable
+// after construction and the memo is internally synchronized, so one
+// value is safe to share across concurrent solves of that instance;
+// Bytes grows as the memo fills.
 type HeuristicTables = heur.Tables
 
 // BuildHeuristicTables eagerly builds the heuristic partition tables

@@ -33,7 +33,6 @@ import (
 	"relpipe/internal/interval"
 	"relpipe/internal/mapping"
 	"relpipe/internal/platform"
-	"relpipe/internal/rbd"
 	"relpipe/internal/rng"
 	"relpipe/internal/sched"
 	"relpipe/internal/service"
@@ -205,8 +204,15 @@ func BenchmarkAblationRouting(b *testing.B) {
 	}
 	var routed, unrouted float64
 	for i := 0; i < b.N; i++ {
-		routed = rbd.Routed(c, pl, m).FailProb()
-		unrouted = rbd.UnroutedFromMapping(c, pl, m).FailProb()
+		ev, err := mapping.Evaluate(c, pl, m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sys, err := mapping.UnroutedFromMapping(c, pl, m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		routed, unrouted = ev.FailProb, sys.FailProb()
 	}
 	b.ReportMetric(routed/unrouted, "fail-ratio")
 }

@@ -19,7 +19,6 @@ import (
 	"relpipe/internal/obs"
 	"relpipe/internal/platform"
 	"relpipe/internal/progress"
-	"relpipe/internal/rbd"
 	"relpipe/internal/search"
 )
 
@@ -307,7 +306,8 @@ func Evaluate(in Instance, m mapping.Mapping) (mapping.Eval, error) {
 // the RBD serial-parallel and asks, as future work, whether they can be
 // removed; for chains the answer is yes — a dynamic program over
 // delivering replica subsets evaluates the general diagram exactly in
-// O(m·4^K) (see internal/rbd).
+// O(m·4^K) (mapping.StageSystem), for at most mapping.MaxUnroutedReplicas
+// replicas per interval.
 func UnroutedFailProb(in Instance, m mapping.Mapping) (float64, error) {
 	if err := in.Validate(); err != nil {
 		return 0, err
@@ -315,7 +315,11 @@ func UnroutedFailProb(in Instance, m mapping.Mapping) (float64, error) {
 	if err := m.Validate(in.Chain, in.Platform); err != nil {
 		return 0, err
 	}
-	return rbd.UnroutedFromMapping(in.Chain, in.Platform, m).FailProb(), nil
+	sys, err := mapping.UnroutedFromMapping(in.Chain, in.Platform, m)
+	if err != nil {
+		return 0, err
+	}
+	return sys.FailProb(), nil
 }
 
 // MinPeriodMethodExec returns the mapping minimizing the period subject

@@ -124,19 +124,20 @@ func buildHom(cfg Config) []homInstance {
 }
 
 // heurCandidates runs one heuristic's partition step for every interval
-// count and allocates with unconstrained Algo-Alloc; on a homogeneous
-// platform the allocation does not depend on the bounds, so the
-// candidates can be filtered per bound afterwards. This mirrors
+// count and allocates with unconstrained Algo-Alloc, through one
+// heur.Gen so that the partition table is built once per instance; on a
+// homogeneous platform the allocation does not depend on the bounds, so
+// the candidates can be filtered per bound afterwards. This mirrors
 // heur.HeurL/HeurP exactly (verified by TestCandidatesMatchHeur).
 func heurCandidates(c chain.Chain, pl platform.Platform, latencyOriented bool) []candidate {
-	opts := heur.Options{}
 	var out []candidate
 	maxM := len(c)
 	if pl.P() < maxM {
 		maxM = pl.P()
 	}
+	g := heur.NewGen(c, pl, maxM, heur.Options{})
 	for m := 1; m <= maxM; m++ {
-		res, ok := heur.Candidate(c, pl, m, latencyOriented, opts)
+		res, ok := g.Candidate(m, latencyOriented)
 		if !ok {
 			continue
 		}

@@ -9,7 +9,6 @@ import (
 	"relpipe/internal/exact"
 	"relpipe/internal/mapping"
 	"relpipe/internal/platform"
-	"relpipe/internal/rbd"
 	"relpipe/internal/rng"
 )
 
@@ -126,8 +125,15 @@ func RoutingOverhead(cfg Config) Figure {
 					counts[j] = st.replicas
 				}
 				m := mapping.AssignSequential(parts, counts)
-				routed := rbd.Routed(c, pl, m).FailProb()
-				unrouted := rbd.UnroutedFromMapping(c, pl, m).FailProb()
+				ev, err := mapping.Evaluate(c, pl, m)
+				if err != nil {
+					continue
+				}
+				sys, err := mapping.UnroutedFromMapping(c, pl, m)
+				if err != nil {
+					continue
+				}
+				routed, unrouted := ev.FailProb, sys.FailProb()
 				if unrouted <= 0 {
 					continue
 				}

@@ -43,31 +43,9 @@ func (o Options) meets(ev mapping.Eval) bool {
 	return true
 }
 
-// Candidate builds the single candidate mapping of one heuristic for a
-// given interval count m: the partition (Heur-L when latencyOriented,
-// Heur-P otherwise), the §7.2 allocation, and its evaluation — without
-// applying the feasibility filter. The experiment harness generates
-// candidates once per instance and filters them against many bound pairs
-// (valid on homogeneous platforms, where the allocation does not depend
-// on the bounds).
-func Candidate(c chain.Chain, pl platform.Platform, m int, latencyOriented bool, opts Options) (Result, bool) {
-	var parts interval.Partition
-	var err error
-	if latencyOriented {
-		parts, err = dp.HeurLPartition(c, m)
-	} else {
-		parts, err = dp.HeurPPartition(c, m, meanSpeed(pl), pl.Bandwidth)
-	}
-	if err != nil {
-		return Result{}, false
-	}
-	res, _, ok := finishCandidate(c, pl, parts, m, opts)
-	return res, ok
-}
-
-// finishCandidate is the shared tail of Candidate, Gen.Candidate and
-// Gen.Build: the §7.2 allocation plus the evaluation of the partitioned
-// chain, with the allocation's period-bound cell (alloc.GreedyHet).
+// finishCandidate is the shared tail of Gen.Candidate and Gen.Build: the
+// §7.2 allocation plus the evaluation of the partitioned chain, with the
+// allocation's period-bound cell (alloc.GreedyHet).
 func finishCandidate(c chain.Chain, pl platform.Platform, parts interval.Partition, m int, opts Options) (Result, alloc.Cell, bool) {
 	mp, cell, err := alloc.GreedyHet(c, pl, parts, opts.Period, opts.Allowed)
 	if err != nil {
@@ -144,10 +122,9 @@ func (g *Gen) WithTables(t *Tables) *Gen {
 // instance. Heur-P's partition DP (Algorithm 4) only depends on the
 // largest count requested, and Heur-L's communication ordering is
 // count-independent, so Gen builds each table once — lazily, on the
-// first candidate of that orientation — and reuses it, where repeated
-// Candidate calls redo the per-count work from scratch. Candidates are
-// bit-identical to Candidate's; both the heuristic sweep (HeurP/HeurL)
-// and the search seed pool generate through Gen.
+// first candidate of that orientation — and reuses it. The heuristic
+// sweep (HeurP/HeurL), the search seed pool and the experiment harness
+// all generate through Gen.
 type Gen struct {
 	c      chain.Chain
 	pl     platform.Platform
@@ -165,8 +142,10 @@ func NewGen(c chain.Chain, pl platform.Platform, maxM int, opts Options) *Gen {
 	return &Gen{c: c, pl: pl, opts: opts, maxM: maxM}
 }
 
-// Candidate is the table-sharing equivalent of the package-level
-// Candidate for interval count m ≤ maxM.
+// Candidate builds the single candidate mapping of one heuristic for
+// interval count m ≤ maxM: the partition (Heur-L when latencyOriented,
+// Heur-P otherwise), the §7.2 allocation, and its evaluation — without
+// applying the feasibility filter.
 func (g *Gen) Candidate(m int, latencyOriented bool) (Result, bool) {
 	parts, ok := g.Partition(m, latencyOriented)
 	if !ok {

@@ -19,9 +19,10 @@ func largeInstance(seed uint64, n, p int) (chain.Chain, platform.Platform) {
 
 func TestCandidateGenerationAt500Stages(t *testing.T) {
 	c, pl := largeInstance(1, 500, 60)
+	g := NewGen(c, pl, 60, Options{})
 	for _, m := range []int{1, 2, 10, 37, 60} {
 		for _, latencyOriented := range []bool{false, true} {
-			res, ok := Candidate(c, pl, m, latencyOriented, Options{})
+			res, ok := g.Candidate(m, latencyOriented)
 			if !ok {
 				t.Fatalf("m=%d latencyOriented=%v: no candidate", m, latencyOriented)
 			}
@@ -43,13 +44,14 @@ func TestCandidateGenerationAt500Stages(t *testing.T) {
 
 func TestCandidateRejectsOutOfRangeM(t *testing.T) {
 	c, pl := largeInstance(2, 500, 60)
+	g := NewGen(c, pl, 60, Options{})
 	for _, m := range []int{0, -1, 501} {
-		if _, ok := Candidate(c, pl, m, true, Options{}); ok {
+		if _, ok := g.Candidate(m, true); ok {
 			t.Fatalf("m=%d accepted", m)
 		}
 	}
 	// m beyond the processor count cannot be allocated.
-	if _, ok := Candidate(c, pl, 61, true, Options{}); ok {
+	if _, ok := g.Candidate(61, true); ok {
 		t.Fatal("m=61 on 60 processors accepted")
 	}
 }
@@ -139,8 +141,9 @@ func TestInfeasibleBoundsLargeN(t *testing.T) {
 func TestCandidatePeriodBoundRestrictsAllocation(t *testing.T) {
 	c, pl := largeInstance(7, 100, 20)
 	const bound = 50.0
+	g := NewGen(c, pl, 20, Options{Period: bound})
 	for m := 1; m <= 20; m++ {
-		res, ok := Candidate(c, pl, m, false, Options{Period: bound})
+		res, ok := g.Candidate(m, false)
 		if !ok {
 			continue
 		}

@@ -1,20 +1,20 @@
-// Package rbd implements Reliability Block Diagrams (§4). A RBD is
-// operational iff some source→destination path has every block
-// operational; blocks fail independently.
+// Package rbd is a test-only oracle: it implements Reliability Block
+// Diagrams (§4) to cross-check the evaluators of internal/mapping, and
+// no shipped package imports it (CI checks). A RBD is operational iff
+// some source→destination path has every block operational; blocks fail
+// independently.
 //
-// Three representations are provided, mirroring the paper's discussion:
+// Two representations are provided, mirroring the paper's discussion:
 //
 //   - SP trees (series-parallel diagrams), whose reliability is computed
 //     in linear time. The mapping-with-routing-operations of Fig. 5
-//     always yields an SP tree (Routed), which is exactly Eq. (9).
-//   - StageSystem, the *unrouted* diagram of Fig. 4 (full bipartite links
-//     between consecutive replica sets). Its reliability has no closed
-//     product form, but for chains it is computed exactly by a dynamic
-//     program over delivering replica subsets (polynomial in the number
-//     of stages, exponential only in the replication bound K ≤ 3-4).
+//     always yields an SP tree (Routed), which is exactly Eq. (9): its
+//     failure probability equals mapping.Evaluate's bit for bit.
 //   - System, a generic coherent system over independent blocks with
-//     exhaustive 2^B evaluation, minimal-cut enumeration, and the
-//     Esary–Proschan cut-set lower bound the paper cites [24]; used to
-//     cross-validate the other two and to quantify the cost of routing
-//     operations (the paper's future-work question).
+//     exhaustive 2^B evaluation, minimal-cut and minimal-path
+//     enumeration, and the Esary–Proschan bounds the paper cites [24].
+//     SPSystem flattens an SP tree into one, and StageSystem flattens
+//     the unrouted Fig. 4 diagram of mapping.StageSystem, so both the
+//     closed form and the subset DP are checked against exhaustive
+//     evaluation on small instances.
 package rbd

@@ -86,7 +86,7 @@ func TestRoutedMatchesEq9(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !almostEq(tree.FailProb(), ev.FailProb, 1e-12) {
+	if math.Float64bits(tree.FailProb()) != math.Float64bits(ev.FailProb) {
 		t.Fatalf("Routed RBD fail %v != Eq.(9) %v", tree.FailProb(), ev.FailProb)
 	}
 }
@@ -121,7 +121,7 @@ func TestRoutedMatchesEq9Random(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return almostEq(Routed(c, pl, mp).FailProb(), ev.FailProb, 1e-9)
+		return math.Float64bits(Routed(c, pl, mp).FailProb()) == math.Float64bits(ev.FailProb)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -147,7 +147,7 @@ func TestStageSystemMatchesExhaustive(t *testing.T) {
 		// Small random stage systems: 2-3 stages, 1-2 replicas each so
 		// block counts stay within the exhaustive evaluator's reach.
 		nStages := 2 + r.IntN(2)
-		sys := StageSystem{
+		sys := mapping.StageSystem{
 			CompFail: make([][]float64, nStages),
 			LinkFail: make([][][]float64, nStages-1),
 		}
@@ -168,7 +168,7 @@ func TestStageSystemMatchesExhaustive(t *testing.T) {
 				}
 			}
 		}
-		exact, err := sys.System().ExactFail()
+		exact, err := StageSystem(sys).ExactFail()
 		if err != nil {
 			return false
 		}
@@ -181,8 +181,11 @@ func TestStageSystemMatchesExhaustive(t *testing.T) {
 
 func TestUnroutedFromMappingExhaustive(t *testing.T) {
 	c, pl, m := testMapping()
-	sys := UnroutedFromMapping(c, pl, m)
-	exact, err := sys.System().ExactFail()
+	sys, err := mapping.UnroutedFromMapping(c, pl, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, err := StageSystem(sys).ExactFail()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,8 +200,15 @@ func TestUnroutedSingleHopBeatsRoutedDoubleHop(t *testing.T) {
 	// per-boundary parallelism the routed model cannot be more reliable
 	// when replication is symmetric.
 	c, pl, m := testMapping()
-	routed := Routed(c, pl, m).FailProb()
-	unrouted := UnroutedFromMapping(c, pl, m).FailProb()
+	ev, err := mapping.Evaluate(c, pl, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := mapping.UnroutedFromMapping(c, pl, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	routed, unrouted := ev.FailProb, sys.FailProb()
 	if unrouted > routed {
 		t.Fatalf("unrouted fail %v > routed fail %v; expected routing overhead", unrouted, routed)
 	}
@@ -283,22 +293,6 @@ func BenchmarkRoutedEval(b *testing.B) {
 	var sink float64
 	for i := 0; i < b.N; i++ {
 		sink += tree.FailProb()
-	}
-	_ = sink
-}
-
-func BenchmarkStageSystemK3(b *testing.B) {
-	r := rng.New(1)
-	c := chain.PaperRandom(r, 15)
-	pl := platform.PaperHomogeneous(15)
-	parts := interval.FromEnds([]int{0, 1, 2, 3, 4})
-	parts[4].Last = 14
-	counts := []int{3, 3, 3, 3, 3}
-	m := mapping.AssignSequential(parts, counts)
-	sys := UnroutedFromMapping(c, pl, m)
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		sink += sys.FailProb()
 	}
 	_ = sink
 }

@@ -8,11 +8,12 @@
 //     mono-criterion reliability optimization on heterogeneous platforms
 //     encodes 3-PARTITION.
 //
-// Beyond documentation value, the gadgets are verified end to end in the
-// tests: on small inputs, the exact solvers find a mapping meeting the
-// gadget's reliability threshold exactly when the source partition
-// problem is solvable. This exercises the solvers in the adversarial
-// corner of the instance space (astronomically small failure rates,
-// reliability gaps of order λ², λ³) where the failure-space arithmetic
-// of internal/failure is indispensable.
+// The package is test-only: no shipped package imports it (CI checks).
+// The gadgets are verified end to end in its tests: on small inputs,
+// the exact solvers find a mapping meeting the gadget's reliability
+// threshold exactly when the source partition problem is solvable. This
+// exercises the solvers in the adversarial corner of the instance space
+// (astronomically small failure rates, reliability gaps of order λ², λ³)
+// where the failure-space arithmetic of internal/failure is
+// indispensable.
 package reduction

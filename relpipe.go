@@ -231,7 +231,9 @@ func Evaluate(in Instance, m Mapping) (Eval, error) {
 // UnroutedFailProb computes the exact failure probability of a mapping
 // without routing operations (the paper's future-work question): every
 // replica sends directly to every replica of the next interval, crossing
-// each boundary once instead of twice.
+// each boundary once instead of twice. The evaluation is exponential in
+// the replica count, so a mapping with an interval of more than 8
+// replicas is an error.
 func UnroutedFailProb(in Instance, m Mapping) (float64, error) {
 	return core.UnroutedFailProb(in, m)
 }

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"relpipe"
+	"relpipe/internal/mapping"
 )
 
 func demoInstance() relpipe.Instance {
@@ -135,6 +137,31 @@ func TestPublicUnroutedFailProb(t *testing.T) {
 	if unrouted > sol.Eval.FailProb {
 		t.Fatalf("unrouted %v > routed %v; removing router hops cannot hurt symmetric replication",
 			unrouted, sol.Eval.FailProb)
+	}
+}
+
+// TestUnroutedFailProbReplicaLimit: the unrouted evaluation is
+// exponential in the replica count, so an interval above
+// mapping.MaxUnroutedReplicas is an error, not a panic (64 replicas used
+// to overflow the subset mask) and not a 2^K-float table per stage.
+func TestUnroutedFailProbReplicaLimit(t *testing.T) {
+	for _, k := range []int{64, mapping.MaxUnroutedReplicas + 1} {
+		procs := make([]int, k)
+		for i := range procs {
+			procs[i] = i
+		}
+		inst := relpipe.Instance{
+			Chain:    relpipe.Chain{{Work: 10, Out: 2}, {Work: 5, Out: 3}, {Work: 7, Out: 0}},
+			Platform: relpipe.HomogeneousPlatform(k, 1, 1e-8, 1, 1e-5, k),
+		}
+		m := relpipe.Mapping{Parts: relpipe.Partition{{First: 0, Last: 2}}, Procs: [][]int{procs}}
+		_, err := relpipe.UnroutedFailProb(inst, m)
+		if err == nil {
+			t.Fatalf("K=%d accepted", k)
+		}
+		if want := fmt.Sprintf("at most %d", mapping.MaxUnroutedReplicas); !strings.Contains(err.Error(), want) {
+			t.Fatalf("K=%d: error %q does not name the limit (%q)", k, err, want)
+		}
 	}
 }
 

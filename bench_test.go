@@ -324,7 +324,7 @@ func BenchmarkAblationHetGap(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ratioSum, count = 0, 0
 		for _, in := range insts {
-			_, evOpt, err := exact.OptimalHetPar(context.Background(), in.c, in.pl, 0, 0, 1)
+			_, evOpt, err := exactref.OptimalHetPar(context.Background(), in.c, in.pl, 0, 0, 1)
 			if err != nil {
 				continue
 			}

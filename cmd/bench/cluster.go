@@ -38,7 +38,7 @@ func clusterRouteBench() func(sz sizes) func() {
 		for i := range nodes {
 			nodes[i] = fmt.Sprintf("http://node-%d:8080", i)
 		}
-		ring := cluster.NewRing(nodes, 0)
+		ring := cluster.NewRing(nodes)
 		keys := routeKeys(64)
 		return func() {
 			for _, k := range keys {

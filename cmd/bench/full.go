@@ -6,7 +6,7 @@ import (
 	"context"
 
 	"relpipe/internal/chain"
-	"relpipe/internal/exact"
+	"relpipe/internal/exact/exactref"
 	"relpipe/internal/expfig"
 	"relpipe/internal/platform"
 	"relpipe/internal/rng"
@@ -29,7 +29,7 @@ func init() {
 			c := chain.PaperRandom(rng.New(99), 6)
 			pl := platform.PaperHomogeneous(6)
 			return func() {
-				_, ev, err := exact.OptimalHetPar(context.Background(), c, pl, 0, 0, 0)
+				_, ev, err := exactref.OptimalHetPar(context.Background(), c, pl, 0, 0, 0)
 				if err != nil {
 					panic(err)
 				}

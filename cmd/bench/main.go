@@ -356,8 +356,8 @@ func evalPathSetup() (chain.Chain, platform.Platform, mapping.Mapping, []evalNei
 // isolation: one op scores the same pinned seven-neighbor cycle either
 // through the incremental evaluator (Apply + Revert against a committed
 // base mapping, exactly the hot loop's reject path) or through the
-// full-evaluation reference oracle the engine uses under
-// Options.ReferenceEval. Both kernels score identical (mapping, move)
+// full-evaluation reference oracle the engine's delta suite compares
+// against. Both kernels score identical (mapping, move)
 // pairs, so their ns/op ratio is the per-evaluation speedup of the
 // incremental path — the "search-optimize-delta" entry in Speedups that
 // -minratio gates, so the delta path cannot silently rot back to

@@ -1,8 +1,9 @@
 // Command docscheck is the CI documentation gate (wired into the lint
 // stage): it walks every markdown file in the repository and verifies
-// that relative links resolve to existing files, and it asserts that
-// every internal/* package carries a package comment (the doc.go
-// overviews), so `go doc` stays useful across the tree.
+// that relative links resolve to existing files, it verifies that every
+// markdown document a Go comment cites by name exists, and it asserts that every
+// internal/* package carries a package comment (the doc.go overviews),
+// so `go doc` stays useful across the tree.
 //
 // Usage:
 //
@@ -45,7 +46,7 @@ func main() {
 	fmt.Println("docscheck: ok")
 }
 
-// run executes both checks and returns one line per finding.
+// run executes every check and returns one line per finding.
 func run(root string) ([]string, error) {
 	var findings []string
 	links, err := checkMarkdownLinks(root)
@@ -53,6 +54,11 @@ func run(root string) ([]string, error) {
 		return nil, err
 	}
 	findings = append(findings, links...)
+	cited, err := checkCommentDocs(root)
+	if err != nil {
+		return nil, err
+	}
+	findings = append(findings, cited...)
 	comments, err := checkPackageComments(root)
 	if err != nil {
 		return nil, err
@@ -110,6 +116,57 @@ func checkMarkdownLinks(root string) ([]string, error) {
 		return nil
 	})
 	return findings, err
+}
+
+// docName matches a cited document: an upper-case name with the .md
+// suffix, the repository's convention for its documents, optionally
+// behind a relative path. Lower-case names, such as an output file
+// report.md, are not citations.
+var docName = regexp.MustCompile(`(?:[\w.-]+/)*[A-Z][A-Z0-9_-]*\.md\b`)
+
+// checkCommentDocs verifies that every document cited in a Go comment
+// resolves from the repository root or from the citing file's
+// directory.
+func checkCommentDocs(root string) ([]string, error) {
+	var findings []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			switch d.Name() {
+			case ".git", "results", "testdata":
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(d.Name(), ".go") {
+			return nil
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return fmt.Errorf("parse %s: %w", path, err)
+		}
+		for _, group := range f.Comments {
+			for _, c := range group.List {
+				for _, name := range docName.FindAllString(c.Text, -1) {
+					if exists(filepath.Join(root, name)) || exists(filepath.Join(filepath.Dir(path), name)) {
+						continue
+					}
+					findings = append(findings, fmt.Sprintf("%s:%d: comment cites %s, which exists neither at the repository root nor beside the file",
+						path, fset.Position(c.Pos()).Line, name))
+				}
+			}
+		}
+		return nil
+	})
+	return findings, err
+}
+
+func exists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }
 
 func isExternal(target string) bool {

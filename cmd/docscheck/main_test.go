@@ -45,6 +45,23 @@ func TestBrokenLinkReported(t *testing.T) {
 	}
 }
 
+// TestCommentCitationReported: a Go comment citing a document that
+// exists neither at the root nor beside the file is a finding; one
+// resolving from either place, and a lower-case file name, are not.
+func TestCommentCitationReported(t *testing.T) {
+	root := t.TempDir()
+	write(t, root, "DESIGN.md", "design\n")
+	write(t, root, "cmd/x/NOTES.md", "notes\n")
+	write(t, root, "cmd/x/main.go", "// Command x: see DESIGN.md, NOTES.md and\n// EXPERIMENTS.md; it writes report.md.\npackage main\n")
+	findings, err := run(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) != 1 || !strings.Contains(findings[0], "EXPERIMENTS.md") || !strings.Contains(findings[0], "main.go:2") {
+		t.Fatalf("findings = %v", findings)
+	}
+}
+
 func TestUndocumentedPackageReported(t *testing.T) {
 	root := t.TempDir()
 	write(t, root, "internal/y/y.go", "package y\n")

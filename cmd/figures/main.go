@@ -7,8 +7,8 @@
 //	figures [-out results] [-instances 100] [-seed 1] [-step 1] [-figs 6,7,12] [-parallel 0]
 //
 // With the default flags this reproduces the paper's experimental setup
-// exactly (100 instances, 15 tasks, 10 processors); see EXPERIMENTS.md
-// for the recorded outcomes.
+// exactly (100 instances, 15 tasks, 10 processors); DESIGN.md maps each
+// figure to the package that computes it.
 package main
 
 import (

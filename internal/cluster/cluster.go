@@ -9,7 +9,6 @@ import (
 	"net/url"
 	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"relpipe"
@@ -23,8 +22,6 @@ type Config struct {
 	Self string
 	// Peers lists every cluster member's base URL, self included.
 	Peers []string
-	// Replicas is the virtual-node count per peer (0 = DefaultReplicas).
-	Replicas int
 	// HopTimeout bounds one synchronous forward hop. The service
 	// defaults it to its request timeout plus headroom, so a healthy
 	// owner finishing a slow solve is never misread as dead; operators
@@ -33,18 +30,15 @@ type Config struct {
 	HopTimeout time.Duration
 }
 
-// Cluster is one node's membership state and forwarding client. All
-// methods are safe for concurrent use; SetPeers rebuilds the ring for
-// membership changes.
+// Cluster is one node's membership state and forwarding client.
+// Membership is fixed at New, so the ring and peer list are immutable
+// and every method is safe for concurrent use without a lock.
 type Cluster struct {
 	self       string
-	replicas   int
 	hopTimeout time.Duration
 	client     *http.Client
-
-	mu    sync.RWMutex
-	ring  *Ring
-	peers []string
+	ring       *Ring
+	peers      []string
 }
 
 // New validates and normalizes the config and builds the ring.
@@ -66,13 +60,12 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	return &Cluster{
 		self:       self,
-		replicas:   cfg.Replicas,
 		hopTimeout: hop,
 		// No client-level timeout: sync hops are bounded per-call by the
 		// caller's context (HopTimeout), async hops only by the job's
 		// context — a blanket timeout here would kill long job forwards.
 		client: &http.Client{},
-		ring:   NewRing(peers, cfg.Replicas),
+		ring:   NewRing(peers),
 		peers:  peers,
 	}, nil
 }
@@ -119,24 +112,15 @@ func (c *Cluster) Self() string { return c.self }
 func (c *Cluster) HopTimeout() time.Duration { return c.hopTimeout }
 
 // Owner returns the node owning the routing key.
-func (c *Cluster) Owner(key string) string {
-	c.mu.RLock()
-	r := c.ring
-	c.mu.RUnlock()
-	return r.Owner(key)
-}
+func (c *Cluster) Owner(key string) string { return c.ring.Owner(key) }
 
-// Peers returns the current member set, sorted.
+// Peers returns the member set, sorted.
 func (c *Cluster) Peers() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	return append([]string(nil), c.peers...)
 }
 
 // Others returns every member except self.
 func (c *Cluster) Others() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	out := make([]string, 0, len(c.peers)-1)
 	for _, p := range c.peers {
 		if p != c.self {
@@ -144,26 +128,6 @@ func (c *Cluster) Others() []string {
 		}
 	}
 	return out
-}
-
-// SetPeers replaces the member set and rebuilds the ring. Self must
-// remain a member. Requests in flight keep the ring they looked up —
-// a rebuild changes routing, never correctness, because every node
-// accepts forwarded work regardless of ownership.
-func (c *Cluster) SetPeers(peers []string) error {
-	ps, err := normalizePeers(peers)
-	if err != nil {
-		return err
-	}
-	if !slices.Contains(ps, c.self) {
-		return fmt.Errorf("cluster: self %q is not in the new peer list %v", c.self, ps)
-	}
-	ring := NewRing(ps, c.replicas)
-	c.mu.Lock()
-	c.peers = ps
-	c.ring = ring
-	c.mu.Unlock()
-	return nil
 }
 
 // Forward sends one intra-cluster request to a node and reads the whole

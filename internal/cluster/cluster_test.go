@@ -58,33 +58,6 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestSetPeers(t *testing.T) {
-	c, err := New(Config{Self: "http://a:1", Peers: []string{"http://a:1", "http://b:1"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Ownership before and after adding a node: only-moves-to-new-node,
-	// now through the live SetPeers path.
-	keys := testKeys(500)
-	before := make([]string, len(keys))
-	for i, k := range keys {
-		before[i] = c.Owner(k)
-	}
-	if err := c.SetPeers([]string{"http://a:1", "http://b:1", "http://c:1"}); err != nil {
-		t.Fatal(err)
-	}
-	for i, k := range keys {
-		if now := c.Owner(k); now != before[i] && now != "http://c:1" {
-			t.Fatalf("SetPeers moved key %s from %q to %q (not the new node)", k, before[i], now)
-		}
-	}
-	// Dropping self from the membership is a config error, not a silent
-	// self-eviction.
-	if err := c.SetPeers([]string{"http://b:1", "http://c:1"}); err == nil {
-		t.Error("SetPeers without self must be rejected")
-	}
-}
-
 // TestForward exercises the one intra-cluster hop against a live peer:
 // header contract (forwarded marker, async marker, content type), body
 // round-trip, verbatim status relay, and the context bound.

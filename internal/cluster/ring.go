@@ -12,11 +12,10 @@ import (
 // (a 16-node cluster is 1024 points, one binary search per lookup).
 const DefaultReplicas = 64
 
-// Ring is an immutable consistent-hash ring: each node contributes a
-// fixed number of virtual points, and a key is owned by the first point
+// Ring is an immutable consistent-hash ring: each node contributes
+// DefaultReplicas virtual points, and a key is owned by the first point
 // clockwise from the key's hash. Immutability makes Owner lock-free and
-// allocation-free; membership changes build a new ring (Cluster.SetPeers
-// swaps it under the cluster's lock).
+// allocation-free; a different member set is a different ring.
 type Ring struct {
 	points []ringPoint // sorted by hash, ties broken by node name
 	nodes  []string    // member set, sorted
@@ -41,19 +40,15 @@ func hashKey(key string) uint64 {
 // (nodes are sorted first) and every tie is broken deterministically,
 // so all cluster members derive bit-identical ownership from the same
 // peer list — the property the whole routing scheme rests on.
-// replicas <= 0 selects DefaultReplicas.
-func NewRing(nodes []string, replicas int) *Ring {
-	if replicas <= 0 {
-		replicas = DefaultReplicas
-	}
+func NewRing(nodes []string) *Ring {
 	ns := append([]string(nil), nodes...)
 	sort.Strings(ns)
 	r := &Ring{
-		points: make([]ringPoint, 0, len(ns)*replicas),
+		points: make([]ringPoint, 0, len(ns)*DefaultReplicas),
 		nodes:  ns,
 	}
 	for _, n := range ns {
-		for i := 0; i < replicas; i++ {
+		for i := 0; i < DefaultReplicas; i++ {
 			r.points = append(r.points, ringPoint{hashKey(n + "#" + strconv.Itoa(i)), n})
 		}
 	}

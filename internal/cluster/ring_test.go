@@ -33,8 +33,8 @@ func TestRingDeterministic(t *testing.T) {
 	for i, n := range nodes {
 		reversed[len(nodes)-1-i] = n
 	}
-	a := NewRing(nodes, 0)
-	b := NewRing(reversed, 0)
+	a := NewRing(nodes)
+	b := NewRing(reversed)
 	for _, k := range testKeys(500) {
 		if ao, bo := a.Owner(k), b.Owner(k); ao != bo {
 			t.Fatalf("owner(%s) differs by input order: %q vs %q", k, ao, bo)
@@ -50,8 +50,8 @@ func TestRingDeterministic(t *testing.T) {
 func TestRingConsistency(t *testing.T) {
 	base := testNodes(3)
 	grown := append(testNodes(3), "http://node-99:8080")
-	before := NewRing(base, 0)
-	after := NewRing(grown, 0)
+	before := NewRing(base)
+	after := NewRing(grown)
 	moved := 0
 	keys := testKeys(2000)
 	for _, k := range keys {
@@ -77,7 +77,7 @@ func TestRingConsistency(t *testing.T) {
 // property of the hash, not a statistical flake.
 func TestRingDistribution(t *testing.T) {
 	nodes := testNodes(3)
-	r := NewRing(nodes, 0)
+	r := NewRing(nodes)
 	counts := map[string]int{}
 	keys := testKeys(3000)
 	for _, k := range keys {
@@ -95,13 +95,13 @@ func TestRingDistribution(t *testing.T) {
 // TestRingSingleAndEmpty covers the degenerate rings: one node owns
 // everything, zero nodes own nothing.
 func TestRingSingleAndEmpty(t *testing.T) {
-	one := NewRing([]string{"http://only:1"}, 0)
+	one := NewRing([]string{"http://only:1"})
 	for _, k := range testKeys(50) {
 		if o := one.Owner(k); o != "http://only:1" {
 			t.Fatalf("single-node ring returned %q", o)
 		}
 	}
-	empty := NewRing(nil, 0)
+	empty := NewRing(nil)
 	if o := empty.Owner("anything"); o != "" {
 		t.Fatalf("empty ring returned %q", o)
 	}

@@ -13,41 +13,51 @@ import (
 	"relpipe/internal/cost"
 	"relpipe/internal/dp"
 	"relpipe/internal/exact"
+	"relpipe/internal/frontier"
 	"relpipe/internal/heur"
 	"relpipe/internal/ilp"
 	"relpipe/internal/mapping"
 	"relpipe/internal/obs"
 	"relpipe/internal/platform"
-	"relpipe/internal/progress"
 	"relpipe/internal/search"
 )
 
-// Exec controls how a solver executes: the parallelism degree of its
-// sharded hot paths and an optional cancellation context. The zero value
-// runs at GOMAXPROCS with no cancellation. Parallelism never changes a
-// solver's answer — every parallel path reduces deterministically to the
-// sequential result (see internal/par).
-type Exec struct {
-	// Ctx cancels long solves mid-shard; nil means background.
-	Ctx context.Context
-	// Parallelism caps the solver's worker goroutines: 0 = GOMAXPROCS,
-	// 1 = sequential. The exact (optimize and min-cost), DP, frontier
-	// and search solvers honour it; the raw heuristics and ILP are
-	// already sub-millisecond and run sequentially.
+// Options tunes how a solver executes. The zero value runs at
+// GOMAXPROCS with no cancellation and the search defaults. Parallelism
+// never changes a solver's answer: every parallel path shards its index
+// space and reduces in deterministic order, so results are bit-identical
+// to the sequential run for any degree (see internal/par). The search
+// knobs (Restarts, Budget, Seed) select how much work the Heuristic
+// method spends; for a fixed Seed its answer too is identical at every
+// parallelism degree.
+type Options struct {
+	// Parallelism caps the worker goroutines of one solve: 0 means
+	// GOMAXPROCS, 1 (or any negative value) forces sequential
+	// execution. The exact (optimize and min-cost), DP, frontier and
+	// search solvers honour it; the raw heuristics and ILP are already
+	// sub-millisecond and run sequentially. Servers running many solves
+	// concurrently should budget this so that workers × Parallelism ≈
+	// GOMAXPROCS (internal/service does).
 	Parallelism int
-	// Restarts, Budget and Seed tune the Heuristic search method
-	// (portfolio size, per-restart iteration budget, rng seed); zero
-	// values pick the search defaults. TimeBudget is its optional
-	// wall-clock safety cap. The other methods ignore all four.
-	Restarts   int
-	Budget     int
-	Seed       uint64
-	TimeBudget time.Duration
-	// Progress, when non-nil, receives completion counts from the
-	// engines that report them — search restarts here (the other
-	// Optimize methods finish in one unit of work and report nothing).
-	// Reporting never influences a result (see internal/progress).
-	Progress progress.Func
+	// Context cancels a long solve mid-shard; nil means no cancellation.
+	Context context.Context
+	// Restarts is the Heuristic method's portfolio size (0 = default 8).
+	Restarts int
+	// Budget is the Heuristic method's per-restart iteration budget
+	// (0 = default, scaled with the chain length).
+	Budget int
+	// Seed drives the Heuristic method's random choices; equal seeds
+	// give bit-identical results at any parallelism.
+	Seed uint64
+	// Progress, when non-nil, receives (done, total) completion counts
+	// from the long-running engines: heuristic-search restarts,
+	// Monte-Carlo replications (relpipe.SimulateBatch, AdaptBatch) and
+	// frontier sweep stages (relpipe.FrontierWith); the other Optimize
+	// methods finish in one unit of work and report nothing. Reports
+	// may come from parallel workers; the hook must be concurrency-safe
+	// and never influences a result (see internal/progress). This is
+	// the observability hook the async job service streams over SSE.
+	Progress func(done, total int64)
 	// Tables, when non-nil, supplies pre-built heuristic partition
 	// tables (heur.BuildTables) for the instance about to be solved.
 	// Only the Heuristic search method consults it, and only at the
@@ -55,23 +65,26 @@ type Exec struct {
 	// exact or DP solvers never invoke the provider, so nothing is
 	// built in vain. The provider may return nil to decline (the
 	// search then builds its own tables); when it does return tables
-	// they must match the instance it was called with. This is the
-	// seam the service's table tier uses to share one table build
-	// across the requests of one instance.
+	// they must match the instance it was called with. The tables are
+	// immutable and their seed memo is internally synchronized, so one
+	// value is safe to share across concurrent solves of the same
+	// instance: the service's table tier amortizes one build across the
+	// requests of one instance through this hook. Candidates, and hence
+	// solutions, are bit-identical with or without it.
 	Tables func(Instance) *heur.Tables
 }
 
 // tables consults the optional Tables provider.
-func (e Exec) tables(in Instance) *heur.Tables {
-	if e.Tables == nil {
+func (o Options) tables(in Instance) *heur.Tables {
+	if o.Tables == nil {
 		return nil
 	}
-	return e.Tables(in)
+	return o.Tables(in)
 }
 
-func (e Exec) ctx() context.Context {
-	if e.Ctx != nil {
-		return e.Ctx
+func (o Options) ctx() context.Context {
+	if o.Context != nil {
+		return o.Context
 	}
 	return context.Background()
 }
@@ -173,14 +186,9 @@ const MaxExactTasks = 22
 
 // Optimize computes a mapping of the instance maximizing reliability
 // under the bounds, with the requested method. It returns ErrInfeasible
-// (possibly wrapped) when no mapping fits.
-func Optimize(in Instance, b Bounds, m Method) (Solution, error) {
-	return OptimizeExec(in, b, m, Exec{})
-}
-
-// OptimizeExec is Optimize with explicit execution options (parallelism
-// degree, cancellation). The answer is identical for every Exec.
-func OptimizeExec(in Instance, b Bounds, m Method, ex Exec) (Solution, error) {
+// (possibly wrapped) when no mapping fits. The answer is identical for
+// every Options value with the same search knobs.
+func Optimize(in Instance, b Bounds, m Method, o Options) (Solution, error) {
 	if err := in.Validate(); err != nil {
 		return Solution{}, err
 	}
@@ -199,12 +207,12 @@ func OptimizeExec(in Instance, b Bounds, m Method, ex Exec) (Solution, error) {
 	}
 	// Stage-time the resolved method (observation only — the solver's
 	// answer never depends on whether anyone is watching).
-	defer obs.Stage(ex.ctx(), "solve."+m.String(), time.Now(), 0, nil)
-	return optimizeResolved(in, b, m, ex)
+	defer obs.Stage(o.ctx(), "solve."+m.String(), time.Now(), 0, nil)
+	return optimizeResolved(in, b, m, o)
 }
 
 // optimizeResolved dispatches an already-resolved (non-Auto) method.
-func optimizeResolved(in Instance, b Bounds, m Method, ex Exec) (Solution, error) {
+func optimizeResolved(in Instance, b Bounds, m Method, o Options) (Solution, error) {
 	wrap := func(mp mapping.Mapping, ev mapping.Eval, err error) (Solution, error) {
 		if err != nil {
 			if errors.Is(err, exact.ErrInfeasible) || errors.Is(err, dp.ErrInfeasible) ||
@@ -235,12 +243,12 @@ func optimizeResolved(in Instance, b Bounds, m Method, ex Exec) (Solution, error
 		if b.Latency > 0 {
 			return Solution{}, errors.New("core: DP ignores latency bounds (NP-complete, Theorem 3); use Exact or the heuristics")
 		}
-		return wrap(dp.OptimizeReliabilityPeriodPar(ex.ctx(), in.Chain, in.Platform, b.Period, ex.Parallelism))
+		return wrap(dp.OptimizeReliabilityPeriodPar(o.ctx(), in.Chain, in.Platform, b.Period, o.Parallelism))
 	case Exact:
 		if len(in.Chain) > MaxExactTasks {
 			return Solution{}, fmt.Errorf("core: Exact limited to %d tasks (2^{n-1} partitions); use the heuristics", MaxExactTasks)
 		}
-		return wrap(exact.OptimalPar(ex.ctx(), in.Chain, in.Platform, b.Period, b.Latency, ex.Parallelism))
+		return wrap(exact.OptimalPar(o.ctx(), in.Chain, in.Platform, b.Period, b.Latency, o.Parallelism))
 	case ILP:
 		model, err := ilp.BuildPaper(in.Chain, in.Platform, b.Period, b.Latency)
 		if err != nil {
@@ -251,8 +259,8 @@ func optimizeResolved(in Instance, b Bounds, m Method, ex Exec) (Solution, error
 		}
 		return wrap(model.Solve(ilp.Options{}))
 	case Heuristic:
-		sopts := ex.SearchOptions()
-		sopts.Tables = ex.tables(in)
+		sopts := o.searchOptions()
+		sopts.Tables = o.tables(in)
 		sopts.Period, sopts.Latency = b.Period, b.Latency
 		res, ok, err := search.Optimize(in.Chain, in.Platform, sopts)
 		if err != nil {
@@ -267,14 +275,23 @@ func optimizeResolved(in Instance, b Bounds, m Method, ex Exec) (Solution, error
 	}
 }
 
-// SearchOptions translates the execution budget into search knobs
+// searchOptions translates the execution budget into search knobs
 // (bounds and objective parameters are filled in by each caller).
-func (e Exec) SearchOptions() search.Options {
+func (o Options) searchOptions() search.Options {
 	return search.Options{
-		Restarts: e.Restarts, Budget: e.Budget, Seed: e.Seed,
-		TimeBudget: e.TimeBudget, Parallelism: e.Parallelism, Context: e.Ctx,
-		Progress: e.Progress,
+		Restarts: o.Restarts, Budget: o.Budget, Seed: o.Seed,
+		Parallelism: o.Parallelism, Context: o.Context, Progress: o.Progress,
 	}
+}
+
+// FrontierHeuristic approximates the Pareto frontier with the search
+// engine (search.Frontier), for instances beyond the exact enumeration
+// ceiling.
+func FrontierHeuristic(in Instance, o Options) ([]frontier.Point, error) {
+	if err := in.Validate(); err != nil {
+		return nil, err
+	}
+	return search.Frontier(in.Chain, in.Platform, o.searchOptions())
 }
 
 // searchFloor maps a log-reliability floor into the search convention
@@ -283,12 +300,18 @@ func (e Exec) SearchOptions() search.Options {
 // reachable on zero-failure-rate platforms — becomes the smallest
 // negative float, which accepts exactly LogRel == 0: no float64
 // log-reliability lies strictly between them, so the semantics are
-// preserved bit for bit.
-func searchFloor(minLogRel float64) float64 {
-	if minLogRel == 0 {
-		return -math.SmallestNonzeroFloat64
+// preserved bit for bit. A floor above 0 (reliability above 1) admits
+// no mapping, as the DP and exact solvers answer too, so it is
+// ErrInfeasible rather than a value the search would read as "no
+// floor".
+func searchFloor(minLogRel float64) (float64, error) {
+	switch {
+	case minLogRel > 0:
+		return 0, fmt.Errorf("%w: reliability floor above 1", ErrInfeasible)
+	case minLogRel == 0:
+		return -math.SmallestNonzeroFloat64, nil
 	}
-	return minLogRel
+	return minLogRel, nil
 }
 
 // Evaluate computes every §4 objective of a mapping on an instance.
@@ -322,13 +345,13 @@ func UnroutedFailProb(in Instance, m mapping.Mapping) (float64, error) {
 	return sys.FailProb(), nil
 }
 
-// MinPeriodMethodExec returns the mapping minimizing the period subject
+// MinPeriodMethod returns the mapping minimizing the period subject
 // to a minimum log-reliability (use math.Inf(-1) for unconstrained), the
 // converse problem of §5.2. The method picks the solver: DP (the exact
 // §5.2 binary search, homogeneous only), Heuristic (the search engine,
 // any platform), or Auto (DP when the platform is homogeneous, the
 // search otherwise).
-func MinPeriodMethodExec(in Instance, minLogRel float64, m Method, ex Exec) (Solution, error) {
+func MinPeriodMethod(in Instance, minLogRel float64, m Method, o Options) (Solution, error) {
 	if err := in.Validate(); err != nil {
 		return Solution{}, err
 	}
@@ -339,10 +362,10 @@ func MinPeriodMethodExec(in Instance, minLogRel float64, m Method, ex Exec) (Sol
 			m = Heuristic
 		}
 	}
-	defer obs.Stage(ex.ctx(), "minperiod."+m.String(), time.Now(), 0, nil)
+	defer obs.Stage(o.ctx(), "minperiod."+m.String(), time.Now(), 0, nil)
 	switch m {
 	case DP:
-		mp, ev, err := dp.MinPeriodForReliabilityPar(ex.ctx(), in.Chain, in.Platform, minLogRel, ex.Parallelism)
+		mp, ev, err := dp.MinPeriodForReliabilityPar(o.ctx(), in.Chain, in.Platform, minLogRel, o.Parallelism)
 		if err != nil {
 			if errors.Is(err, dp.ErrInfeasible) {
 				return Solution{}, fmt.Errorf("%w: %v", ErrInfeasible, err)
@@ -351,9 +374,13 @@ func MinPeriodMethodExec(in Instance, minLogRel float64, m Method, ex Exec) (Sol
 		}
 		return Solution{Method: "min-period", Mapping: mp, Eval: ev}, nil
 	case Heuristic:
-		sopts := ex.SearchOptions()
-		sopts.Tables = ex.tables(in)
-		sopts.MinLogRel = searchFloor(minLogRel)
+		floor, err := searchFloor(minLogRel)
+		if err != nil {
+			return Solution{}, err
+		}
+		sopts := o.searchOptions()
+		sopts.Tables = o.tables(in)
+		sopts.MinLogRel = floor
 		res, ok, err := search.MinimizePeriod(in.Chain, in.Platform, sopts)
 		if err != nil {
 			return Solution{}, err
@@ -367,13 +394,13 @@ func MinPeriodMethodExec(in Instance, minLogRel float64, m Method, ex Exec) (Sol
 	}
 }
 
-// MinimizeCostExec returns the cheapest mapping meeting a
+// MinimizeCost returns the cheapest mapping meeting a
 // log-reliability floor and the bounds. Method Exact runs the
 // enumerative solver of internal/cost (homogeneous platforms within
 // the partition-enumeration ceiling); Heuristic runs the search engine
 // (any platform, any size); Auto picks Exact when it applies and the
 // search otherwise.
-func MinimizeCostExec(in Instance, costs []float64, minLogRel float64, b Bounds, m Method, ex Exec) (cost.Solution, error) {
+func MinimizeCost(in Instance, costs []float64, minLogRel float64, b Bounds, m Method, o Options) (cost.Solution, error) {
 	if err := in.Validate(); err != nil {
 		return cost.Solution{}, err
 	}
@@ -384,13 +411,13 @@ func MinimizeCostExec(in Instance, costs []float64, minLogRel float64, b Bounds,
 			m = Heuristic
 		}
 	}
-	defer obs.Stage(ex.ctx(), "mincost."+m.String(), time.Now(), 0, nil)
+	defer obs.Stage(o.ctx(), "mincost."+m.String(), time.Now(), 0, nil)
 	switch m {
 	case Exact:
 		if len(in.Chain) > MaxExactTasks {
 			return cost.Solution{}, fmt.Errorf("core: exact min-cost limited to %d tasks (2^{n-1} partitions); use the heuristic", MaxExactTasks)
 		}
-		sol, err := cost.MinimizePar(ex.ctx(), in.Chain, in.Platform, costs, minLogRel, b.Period, b.Latency, ex.Parallelism)
+		sol, err := cost.MinimizePar(o.ctx(), in.Chain, in.Platform, costs, minLogRel, b.Period, b.Latency, o.Parallelism)
 		if err != nil {
 			if errors.Is(err, cost.ErrInfeasible) {
 				return cost.Solution{}, fmt.Errorf("%w: %v", ErrInfeasible, err)
@@ -399,10 +426,14 @@ func MinimizeCostExec(in Instance, costs []float64, minLogRel float64, b Bounds,
 		}
 		return sol, nil
 	case Heuristic:
-		sopts := ex.SearchOptions()
-		sopts.Tables = ex.tables(in)
+		floor, err := searchFloor(minLogRel)
+		if err != nil {
+			return cost.Solution{}, err
+		}
+		sopts := o.searchOptions()
+		sopts.Tables = o.tables(in)
 		sopts.Period, sopts.Latency = b.Period, b.Latency
-		sopts.MinLogRel = searchFloor(minLogRel)
+		sopts.MinLogRel = floor
 		sopts.Costs = costs
 		res, ok, err := search.MinimizeCost(in.Chain, in.Platform, sopts)
 		if err != nil {

@@ -29,11 +29,11 @@ func hetInstance(n, p int) Instance {
 func TestOptimizeAllMethodsAgreeOnHomogeneous(t *testing.T) {
 	in := homInstance(6, 5)
 	b := Bounds{Period: 200, Latency: 600}
-	solE, err := Optimize(in, b, Exact)
+	solE, err := Optimize(in, b, Exact, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	solI, err := Optimize(in, b, ILP)
+	solI, err := Optimize(in, b, ILP, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestOptimizeAllMethodsAgreeOnHomogeneous(t *testing.T) {
 	}
 	// Heuristics are feasible and no better than the optimum.
 	for _, m := range []Method{HeurP, HeurL, BestHeuristic} {
-		sol, err := Optimize(in, b, m)
+		sol, err := Optimize(in, b, m, Options{})
 		if err != nil {
 			if errors.Is(err, ErrInfeasible) {
 				continue
@@ -60,21 +60,21 @@ func TestOptimizeAllMethodsAgreeOnHomogeneous(t *testing.T) {
 
 func TestOptimizeDPNoLatency(t *testing.T) {
 	in := homInstance(6, 5)
-	sol, err := Optimize(in, Bounds{Period: 200}, DP)
+	sol, err := Optimize(in, Bounds{Period: 200}, DP, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sol.Eval.WorstPeriod > 200 {
 		t.Fatalf("DP violated period bound: %v", sol.Eval.WorstPeriod)
 	}
-	if _, err := Optimize(in, Bounds{Latency: 500}, DP); err == nil {
+	if _, err := Optimize(in, Bounds{Latency: 500}, DP, Options{}); err == nil {
 		t.Fatal("DP accepted a latency bound")
 	}
 }
 
 func TestOptimizeAutoSelection(t *testing.T) {
 	// Homogeneous small: exact.
-	sol, err := Optimize(homInstance(6, 5), Bounds{}, Auto)
+	sol, err := Optimize(homInstance(6, 5), Bounds{}, Auto, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestOptimizeAutoSelection(t *testing.T) {
 		t.Fatalf("auto picked %q, want exact", sol.Method)
 	}
 	// Heterogeneous: the search engine.
-	sol, err = Optimize(hetInstance(6, 5), Bounds{}, Auto)
+	sol, err = Optimize(hetInstance(6, 5), Bounds{}, Auto, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +94,11 @@ func TestOptimizeAutoSelection(t *testing.T) {
 func TestOptimizeHeuristicMethod(t *testing.T) {
 	in := homInstance(6, 5)
 	b := Bounds{Period: 200, Latency: 600}
-	solE, err := Optimize(in, b, Exact)
+	solE, err := Optimize(in, b, Exact, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := Optimize(in, b, Heuristic)
+	sol, err := Optimize(in, b, Heuristic, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestOptimizeInfeasible(t *testing.T) {
 		if m == DP {
 			b = Bounds{Period: 1e-6}
 		}
-		_, err := Optimize(in, b, m)
+		_, err := Optimize(in, b, m, Options{})
 		if !errors.Is(err, ErrInfeasible) {
 			t.Fatalf("%v: err = %v, want ErrInfeasible", m, err)
 		}
@@ -130,7 +130,7 @@ func TestOptimizeInfeasible(t *testing.T) {
 func TestOptimizeRejectsInvalidInstance(t *testing.T) {
 	in := homInstance(4, 4)
 	in.Chain = chain.Chain{}
-	if _, err := Optimize(in, Bounds{}, Auto); err == nil {
+	if _, err := Optimize(in, Bounds{}, Auto, Options{}); err == nil {
 		t.Fatal("accepted empty chain")
 	}
 }
@@ -140,18 +140,18 @@ func TestOptimizeExactTaskLimit(t *testing.T) {
 		Chain:    chain.PaperRandom(rng.New(1), 23),
 		Platform: platform.PaperHomogeneous(4),
 	}
-	if _, err := Optimize(in, Bounds{}, Exact); err == nil {
+	if _, err := Optimize(in, Bounds{}, Exact, Options{}); err == nil {
 		t.Fatal("Exact accepted 23 tasks")
 	}
 	// Auto must fall back (DP without latency) rather than fail.
-	if _, err := Optimize(in, Bounds{Period: 2000}, Auto); err != nil {
+	if _, err := Optimize(in, Bounds{Period: 2000}, Auto, Options{}); err != nil {
 		t.Fatalf("auto on 23 tasks: %v", err)
 	}
 }
 
 func TestEvaluateRoundTrip(t *testing.T) {
 	in := homInstance(6, 5)
-	sol, err := Optimize(in, Bounds{}, Exact)
+	sol, err := Optimize(in, Bounds{}, Exact, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestEvaluateRoundTrip(t *testing.T) {
 
 func TestMinPeriod(t *testing.T) {
 	in := homInstance(6, 5)
-	sol, err := MinPeriodMethodExec(in, math.Inf(-1), Auto, Exec{Parallelism: 1})
+	sol, err := MinPeriodMethod(in, math.Inf(-1), Auto, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestMinPeriod(t *testing.T) {
 		t.Fatalf("method = %q", sol.Method)
 	}
 	// Heterogeneous: auto falls back to the search engine.
-	het, err := MinPeriodMethodExec(hetInstance(5, 4), math.Inf(-1), Auto, Exec{Parallelism: 1})
+	het, err := MinPeriodMethod(hetInstance(5, 4), math.Inf(-1), Auto, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatalf("MinPeriod on heterogeneous platform: %v", err)
 	}
@@ -188,11 +188,11 @@ func TestMinPeriod(t *testing.T) {
 		t.Fatalf("het period = %v", het.Eval.WorstPeriod)
 	}
 	// Explicit DP on a heterogeneous platform still refuses.
-	if _, err := MinPeriodMethodExec(hetInstance(5, 4), math.Inf(-1), DP, Exec{}); err == nil {
+	if _, err := MinPeriodMethod(hetInstance(5, 4), math.Inf(-1), DP, Options{}); err == nil {
 		t.Fatal("explicit DP accepted a heterogeneous platform")
 	}
 	// Unsupported method names fail loudly.
-	if _, err := MinPeriodMethodExec(homInstance(5, 4), math.Inf(-1), ILP, Exec{}); err == nil {
+	if _, err := MinPeriodMethod(homInstance(5, 4), math.Inf(-1), ILP, Options{}); err == nil {
 		t.Fatal("min-period accepted ILP")
 	}
 }
@@ -204,11 +204,11 @@ func TestMinimizeCostMethods(t *testing.T) {
 	}
 	costs := []float64{5, 1, 4, 2, 3, 6}
 	floor := math.Log(0.999)
-	exactSol, err := MinimizeCostExec(in, costs, floor, Bounds{}, Exact, Exec{})
+	exactSol, err := MinimizeCost(in, costs, floor, Bounds{}, Exact, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	heurSol, err := MinimizeCostExec(in, costs, floor, Bounds{}, Heuristic, Exec{})
+	heurSol, err := MinimizeCost(in, costs, floor, Bounds{}, Heuristic, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestMinimizeCostMethods(t *testing.T) {
 		t.Fatal("heuristic violates the reliability floor")
 	}
 	// Auto on a small homogeneous instance picks the exact solver.
-	autoSol, err := MinimizeCostExec(in, costs, floor, Bounds{}, Auto, Exec{})
+	autoSol, err := MinimizeCost(in, costs, floor, Bounds{}, Auto, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,10 +229,10 @@ func TestMinimizeCostMethods(t *testing.T) {
 	// Heterogeneous platforms route to the search engine.
 	hin := hetInstance(6, 6)
 	hcosts := []float64{1, 2, 3, 4, 5, 6}
-	if _, err := MinimizeCostExec(hin, hcosts, floor, Bounds{}, Auto, Exec{}); err != nil {
+	if _, err := MinimizeCost(hin, hcosts, floor, Bounds{}, Auto, Options{}); err != nil {
 		t.Fatalf("auto min-cost on heterogeneous platform: %v", err)
 	}
-	if _, err := MinimizeCostExec(in, costs, floor, Bounds{}, DP, Exec{}); err == nil {
+	if _, err := MinimizeCost(in, costs, floor, Bounds{}, DP, Options{}); err == nil {
 		t.Fatal("min-cost accepted DP")
 	}
 	// Explicit Exact beyond the enumeration ceiling is refused up front
@@ -242,7 +242,7 @@ func TestMinimizeCostMethods(t *testing.T) {
 		Platform: platform.PaperHomogeneous(6),
 	}
 	bigCosts := make([]float64, 6)
-	if _, err := MinimizeCostExec(big, bigCosts, floor, Bounds{}, Exact, Exec{}); err == nil {
+	if _, err := MinimizeCost(big, bigCosts, floor, Bounds{}, Exact, Options{}); err == nil {
 		t.Fatalf("exact min-cost accepted %d tasks", MaxExactTasks+1)
 	}
 }
@@ -254,14 +254,14 @@ func TestMinimizeCostMethods(t *testing.T) {
 // platform it is met exactly.
 func TestHeuristicReliabilityFloorOfOne(t *testing.T) {
 	in := hetInstance(5, 4)
-	if _, err := MinPeriodMethodExec(in, 0, Heuristic, Exec{Budget: 300, Restarts: 2}); !errors.Is(err, ErrInfeasible) {
+	if _, err := MinPeriodMethod(in, 0, Heuristic, Options{Budget: 300, Restarts: 2}); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("floor=1 on a failing platform: err = %v, want ErrInfeasible", err)
 	}
 	perfect := Instance{
 		Chain:    chain.PaperRandom(rng.New(3), 6),
 		Platform: platform.Homogeneous(4, 1, 0, 1, 0, 2),
 	}
-	sol, err := MinPeriodMethodExec(perfect, 0, Heuristic, Exec{Budget: 300, Restarts: 2})
+	sol, err := MinPeriodMethod(perfect, 0, Heuristic, Options{Budget: 300, Restarts: 2})
 	if err != nil {
 		t.Fatalf("floor=1 on a zero-failure platform: %v", err)
 	}
@@ -305,7 +305,7 @@ func TestInstanceJSONRoundTrip(t *testing.T) {
 
 func TestSolutionJSONRoundTrip(t *testing.T) {
 	in := homInstance(5, 4)
-	sol, err := Optimize(in, Bounds{}, Exact)
+	sol, err := Optimize(in, Bounds{}, Exact, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

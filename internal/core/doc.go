@@ -3,13 +3,14 @@
 // and ILP, and the §7 heuristics into a single Optimize entry point. The
 // module root package relpipe re-exports this API for downstream users.
 //
-// Key entry points: Optimize/OptimizeExec (method Auto routes to the
-// strongest applicable solver; MaxExactTasks is the enumeration
-// ceiling), MinPeriodMethodExec, MinimizeCostExec, Evaluate, and the
-// Exec execution budget (parallelism, cancellation, search knobs,
-// progress hook). Determinism contract: an answer depends only on
-// (instance, bounds, method, search knobs) — never on Exec.Parallelism,
-// Ctx or Progress — and Instance.Canonical, a length-prefixed
+// Key entry points: Optimize (method Auto routes to the strongest
+// applicable solver; MaxExactTasks is the enumeration ceiling),
+// MinPeriodMethod, MinimizeCost, FrontierHeuristic, Evaluate, and the
+// Options execution budget (parallelism, cancellation, search knobs,
+// progress hook, shared heuristic tables). Determinism contract: an
+// answer depends only on (instance, bounds, method, search knobs) —
+// never on Options.Parallelism, Context, Progress or Tables — and
+// Instance.Canonical, a length-prefixed
 // Float64bits SHA-256 of the chain and platform, is the stable digest
 // the service keys its cache on.
 package core

@@ -27,7 +27,7 @@ func TestInstrumentationBitIdentical(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for _, par := range []int{1, 8} {
-			plain, plainErr := OptimizeExec(tc.in, tc.b, tc.m, Exec{Parallelism: par})
+			plain, plainErr := Optimize(tc.in, tc.b, tc.m, Options{Parallelism: par})
 
 			rec := obs.NewRecorder(16)
 			ctx, root := rec.StartTrace(context.Background(), "differential")
@@ -38,7 +38,7 @@ func TestInstrumentationBitIdentical(t *testing.T) {
 				events = append(events, e)
 				mu.Unlock()
 			})
-			observed, obsErr := OptimizeExec(tc.in, tc.b, tc.m, Exec{Ctx: ctx, Parallelism: par})
+			observed, obsErr := Optimize(tc.in, tc.b, tc.m, Options{Context: ctx, Parallelism: par})
 			root.End()
 
 			if (plainErr == nil) != (obsErr == nil) {

@@ -13,7 +13,10 @@
 // per-partition loops of the two other exact.Sweep callers, the
 // min-cost solver of internal/cost and the shared-platform curves of
 // internal/multichain, each with its own greedy. Pareto is the
-// all-pairs dominance filter that frontier.Front replaced.
+// all-pairs dominance filter that frontier.Front replaced. OptimalHetPar
+// is the exhaustive heterogeneous optimum (every partition, every
+// processor assignment) that the search engine, the §7 heuristics and
+// the §6 hardness gadget are checked against on small instances.
 package exactref
 
 import (

@@ -1,4 +1,4 @@
-package exact
+package exactref
 
 import (
 	"context"
@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"relpipe/internal/chain"
+	"relpipe/internal/exact"
 	"relpipe/internal/interval"
 	"relpipe/internal/mapping"
 	"relpipe/internal/par"
@@ -28,7 +29,8 @@ type hetBest struct {
 // instances, and is guarded accordingly (n ≤ 12, p ≤ 8).
 //
 // Feasibility uses worst-case period and latency; bounds ≤ 0 are
-// unconstrained.
+// unconstrained. No mapping meeting them is exact.ErrInfeasible, as in
+// the homogeneous solver.
 //
 // The partition space is sharded on up to par.Degree(parallelism)
 // goroutines. Each shard keeps the first strictly-best mapping of its
@@ -46,7 +48,7 @@ func OptimalHetPar(ctx context.Context, c chain.Chain, pl platform.Platform, per
 	n := len(c)
 	p := pl.P()
 	if n > 12 || p > 8 {
-		return mapping.Mapping{}, mapping.Eval{}, errors.New("exact: OptimalHetPar limited to n ≤ 12 tasks and p ≤ 8 processors; use the heuristics")
+		return mapping.Mapping{}, mapping.Eval{}, errors.New("exactref: OptimalHetPar limited to n ≤ 12 tasks and p ≤ 8 processors; use the heuristics")
 	}
 	bests, err := par.MapShards(ctx, parallelism, interval.Count(n),
 		func(ctx context.Context, s par.Shard) (hetBest, error) {
@@ -140,7 +142,7 @@ func OptimalHetPar(ctx context.Context, c chain.Chain, pl platform.Platform, per
 		}
 	}
 	if math.IsInf(winner.logRel, -1) {
-		return mapping.Mapping{}, mapping.Eval{}, ErrInfeasible
+		return mapping.Mapping{}, mapping.Eval{}, exact.ErrInfeasible
 	}
 	return winner.m, winner.ev, nil
 }

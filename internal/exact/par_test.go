@@ -60,27 +60,6 @@ func TestOptimalParMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestOptimalHetParMatchesSequential(t *testing.T) {
-	for seed := uint64(21); seed <= 23; seed++ {
-		r := rng.New(seed)
-		c := chain.PaperRandom(r, 6)
-		pl := platform.RandomHeterogeneous(r, 5, 1, 10, 1e-3, 1e-1, 1, 1e-3, 3)
-		wantM, wantEv, wantErr := OptimalHetPar(context.Background(), c, pl, 0, 0, 1)
-		for _, p := range degrees {
-			gotM, gotEv, gotErr := OptimalHetPar(context.Background(), c, pl, 0, 0, p)
-			if (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("seed %d, P=%d: err = %v, want %v", seed, p, gotErr, wantErr)
-			}
-			if gotErr != nil {
-				continue
-			}
-			if !reflect.DeepEqual(gotM, wantM) || !reflect.DeepEqual(gotEv, wantEv) {
-				t.Fatalf("seed %d, P=%d: parallel het optimum differs from sequential", seed, p)
-			}
-		}
-	}
-}
-
 func TestProfilesParCancellation(t *testing.T) {
 	c := chain.PaperRandom(rng.New(1), 14)
 	pl := platform.PaperHomogeneous(10)

@@ -30,8 +30,8 @@ type Config struct {
 	// (default 100, the paper's stated value). The paper's Fig. 12
 	// shows the het curves ramping up at small periods, which is only
 	// consistent with a narrower range; HetSpeedMax = 10 (mean ≈ the
-	// speed-5 comparison platform) reproduces that ramp. See
-	// EXPERIMENTS.md.
+	// speed-5 comparison platform) reproduces that ramp (cmd/figures
+	// -hetspeedmax 10).
 	HetSpeedMax float64
 	// Parallelism caps the goroutines used to build instances and sweep
 	// bounds (0 = GOMAXPROCS, 1 = sequential). Instance seeds are drawn
@@ -397,16 +397,6 @@ func Fig14and15(cfg Config) (Figure, Figure) {
 		"Number of solutions for P=50 (het vs hom)",
 		"Average failure probability for P=50 (het vs hom)",
 		"latency", xs, per, xs, insts, cfg.Parallelism)
-}
-
-// All runs every figure in order 6..15.
-func All(cfg Config) []Figure {
-	f6, f7 := Fig6and7(cfg)
-	f8, f9 := Fig8and9(cfg)
-	f10, f11 := Fig10and11(cfg)
-	f12, f13 := Fig12and13(cfg)
-	f14, f15 := Fig14and15(cfg)
-	return []Figure{f6, f7, f8, f9, f10, f11, f12, f13, f14, f15}
 }
 
 // WriteCSV emits the figure as "x,series1,series2,…" rows.

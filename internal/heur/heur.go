@@ -12,10 +12,9 @@ import (
 // Options configures a heuristic run.
 type Options struct {
 	// Period and Latency bound the mapping; values <= 0 are
-	// unconstrained. Feasibility uses worst-case metrics unless
-	// UseExpected is set (on homogeneous platforms they coincide).
+	// unconstrained. Feasibility uses the worst-case metrics of §7 (on
+	// homogeneous platforms expected and worst-case coincide).
 	Period, Latency float64
-	UseExpected     bool
 	// Allowed optionally restricts which processor may serve which
 	// interval (§7.2); nil allows everything.
 	Allowed alloc.Constraint
@@ -28,16 +27,12 @@ type Result struct {
 	Intervals int // the interval count m that produced the winner
 }
 
-// meets applies the Options feasibility test.
+// meets applies the Options feasibility test on worst-case metrics.
 func (o Options) meets(ev mapping.Eval) bool {
-	p, l := ev.WorstPeriod, ev.WorstLatency
-	if o.UseExpected {
-		p, l = ev.ExpPeriod, ev.ExpLatency
-	}
-	if o.Period > 0 && p > o.Period {
+	if o.Period > 0 && ev.WorstPeriod > o.Period {
 		return false
 	}
-	if o.Latency > 0 && l > o.Latency {
+	if o.Latency > 0 && ev.WorstLatency > o.Latency {
 		return false
 	}
 	return true

@@ -218,27 +218,3 @@ func TestHeterogeneousOutperformsSlowHomogeneous(t *testing.T) {
 		t.Fatalf("het solved %d <= hom solved %d; expected het advantage", solvedHet, solvedHom)
 	}
 }
-
-func TestUseExpectedRelaxesHet(t *testing.T) {
-	// Expected metrics are <= worst-case, so switching to expected can
-	// only keep or add solutions.
-	f := func(seed uint64) bool {
-		r := rng.New(seed)
-		c := chain.PaperRandom(r, 8)
-		pl := platform.PaperHeterogeneous(r, 8)
-		opts := Options{Period: r.Uniform(5, 60), Latency: r.Uniform(20, 200)}
-		_, okWorst, err := HeurP(c, pl, opts)
-		if err != nil {
-			return false
-		}
-		opts.UseExpected = true
-		_, okExp, err := HeurP(c, pl, opts)
-		if err != nil {
-			return false
-		}
-		return !okWorst || okExp
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"relpipe/internal/exact"
+	"relpipe/internal/exact/exactref"
 )
 
 func TestTwoPartitionExistsBruteForce(t *testing.T) {
@@ -153,7 +154,7 @@ func TestTheorem5GadgetForward(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, ev, err := exact.OptimalHetPar(context.Background(), g.Chain, g.Platform, 0, 0, 1)
+		_, ev, err := exactref.OptimalHetPar(context.Background(), g.Chain, g.Platform, 0, 0, 1)
 		if err != nil {
 			t.Fatalf("%v: OptimalHet failed: %v", as, err)
 		}

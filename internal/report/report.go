@@ -58,7 +58,7 @@ func Generate(in core.Instance, opts Options, w io.Writer) error {
 	if err := in.Validate(); err != nil {
 		return err
 	}
-	sol, err := core.Optimize(in, opts.Bounds, opts.Method)
+	sol, err := core.Optimize(in, opts.Bounds, opts.Method, core.Options{})
 	if err != nil {
 		return fmt.Errorf("report: optimization failed: %w", err)
 	}

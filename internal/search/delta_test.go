@@ -3,7 +3,7 @@ package search
 // The delta-evaluation metamorphic suite: the engine run on its
 // incremental evaluator must be indistinguishable — bit for bit — from
 // the same run on the full-evaluation reference oracle
-// (Options.ReferenceEval). Identical best mapping, identical Eval bit
+// (Options.referenceEval). Identical best mapping, identical Eval bit
 // patterns, identical Stats (iterations, acceptances, scores), at any
 // parallelism, across homogeneous and heterogeneous instances from
 // small to paper-scale chains and for every objective. Together with
@@ -77,9 +77,9 @@ func runBoth(t *testing.T, name string, c chain.Chain, pl platform.Platform, opt
 	f func(chain.Chain, platform.Platform, Options) (Result, bool, error)) {
 	t.Helper()
 	delta := opts
-	delta.ReferenceEval = false
+	delta.referenceEval = false
 	full := opts
-	full.ReferenceEval = true
+	full.referenceEval = true
 	resD, okD, errD := f(c, pl, delta)
 	resF, okF, errF := f(c, pl, full)
 	if (errD == nil) != (errF == nil) || okD != okF {

@@ -19,9 +19,8 @@
 //     processors under a reliability floor and bounds (the §9
 //     resource-cost extension, beyond internal/cost's enumeration).
 //
-// Determinism contract: with the default iteration/plateau budgets the
-// result depends only on (instance, Options minus Parallelism/Context).
-// A wall-clock TimeBudget is a safety cap: when it fires mid-run the
-// result is still valid and feasible but may differ across machines and
-// degrees (Stats.Truncated reports it).
+// Determinism contract: the result depends only on (instance, Options
+// minus Parallelism/Context/Progress/Tables). The work is bounded by
+// iteration counts, never by wall clock, so a run gives the same answer
+// on every machine and at every degree.
 package search

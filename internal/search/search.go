@@ -52,30 +52,23 @@ type Options struct {
 	// pool and add deterministic random perturbations.
 	Restarts int
 	// Budget is the per-restart iteration budget (default
-	// clamp(40·n, 2000, 20000)).
+	// clamp(40·n, 2000, 20000)). A restart stops early after
+	// max(500, Budget/4) iterations without improving its best.
 	Budget int
-	// Plateau stops a restart early after this many iterations
-	// without improving its best (default max(500, Budget/4)).
-	Plateau int
 	// Seed drives every random choice; equal seeds give equal
 	// results at any parallelism. 0 selects the default seed 1, so
 	// the zero Options value and the CLIs' `-search-seed 1` default
 	// solve identically across every layer.
 	Seed uint64
-	// TimeBudget caps the wall-clock time of the whole portfolio
-	// (0 = none). Restarts poll it and return their best-so-far; a
-	// truncated run is valid but no longer parallelism-independent.
-	TimeBudget time.Duration
 
-	// ReferenceEval scores every proposal with a full O(n)
+	// referenceEval scores every proposal with a full O(n)
 	// mapping.EvaluateUnchecked pass instead of the incremental
 	// evaluator. The two paths are bit-identical by contract — same
 	// mapping, same Eval bits, same Stats (FuzzEvalDelta and the
-	// delta_test metamorphic suite enforce it) — so the knob never
+	// delta_test metamorphic suite enforce it) — so the switch never
 	// changes a result; it exists as the reference oracle for those
-	// checks and for the bench kernel that measures the delta path's
-	// speedup.
-	ReferenceEval bool
+	// checks.
+	referenceEval bool
 
 	// Tables optionally injects pre-built heuristic partition tables
 	// (heur.BuildTables) into the seed-pool sweep, skipping the
@@ -117,9 +110,6 @@ type Stats struct {
 	SeedScore float64 `json:"seedScore"`
 	// BestScore is the returned mapping's score.
 	BestScore float64 `json:"bestScore"`
-	// Truncated reports that TimeBudget fired before the iteration
-	// budgets were exhausted.
-	Truncated bool `json:"truncated"`
 }
 
 // Result is the outcome of a search run.
@@ -153,12 +143,6 @@ func (o Options) defaults(n int) Options {
 		}
 		if o.Budget > 20000 {
 			o.Budget = 20000
-		}
-	}
-	if o.Plateau <= 0 {
-		o.Plateau = o.Budget / 4
-		if o.Plateau < 500 {
-			o.Plateau = 500
 		}
 	}
 	if o.Seed == 0 {
@@ -195,12 +179,11 @@ func MinimizeCost(c chain.Chain, pl platform.Platform, opts Options) (Result, bo
 
 // restartOut is one restart's best state, reduced deterministically.
 type restartOut struct {
-	score     float64
-	m         mapping.Mapping
-	cost      float64
-	iters     int
-	accepted  int
-	truncated bool
+	score    float64
+	m        mapping.Mapping
+	cost     float64
+	iters    int
+	accepted int
 	// deltaEvals/fullEvals count incremental vs full evaluations; they
 	// feed the search.anneal stage attributes, never the result.
 	deltaEvals int
@@ -245,15 +228,10 @@ func run(c chain.Chain, pl platform.Platform, opts Options, obj objective) (Resu
 	}
 	seedScore := seeds[0].score
 
-	var deadline time.Time
-	if opts.TimeBudget > 0 {
-		deadline = time.Now().Add(opts.TimeBudget)
-	}
-
 	annealStart := time.Now()
 	restarts := progress.NewCounter(int64(opts.Restarts), opts.Progress)
 	outs, err := par.Map(opts.Context, opts.Parallelism, opts.Restarts, func(r int) (restartOut, error) {
-		out, err := prob.restart(r, seeds, deadline)
+		out, err := prob.restart(r, seeds)
 		if err == nil {
 			restarts.Add(1)
 		}
@@ -267,13 +245,11 @@ func run(c chain.Chain, pl platform.Platform, opts Options, obj objective) (Resu
 	// lowest restart index (par.Map returns results in index order).
 	best := outs[0]
 	var iters, accepted, deltaEvals, fullEvals int64
-	truncated := false
 	for i, o := range outs {
 		iters += int64(o.iters)
 		accepted += int64(o.accepted)
 		deltaEvals += int64(o.deltaEvals)
 		fullEvals += int64(o.fullEvals)
-		truncated = truncated || o.truncated
 		if i > 0 && o.score > best.score {
 			best = o
 		}
@@ -296,7 +272,7 @@ func run(c chain.Chain, pl platform.Platform, opts Options, obj objective) (Resu
 		M: best.m, Ev: ev, TotalCost: best.cost,
 		Stats: Stats{
 			Restarts: opts.Restarts, Iterations: iters, Accepted: accepted,
-			SeedScore: seedScore, BestScore: best.score, Truncated: truncated,
+			SeedScore: seedScore, BestScore: best.score,
 		},
 	}
 	return res, prob.feasible(ev), nil
@@ -550,8 +526,8 @@ func restartRng(seed uint64, r int) *rng.Rand {
 // the intervals the move touched and recombines memoized terms for the
 // rest — bit-identical to the full pass by the Evaluator's contract, so
 // the annealing trajectory (accept/reject decisions, Stats, the best
-// mapping) is exactly the ReferenceEval trajectory.
-func (p problem) restart(r int, seeds []seedCandidate, deadline time.Time) (restartOut, error) {
+// mapping) is exactly the referenceEval trajectory.
+func (p problem) restart(r int, seeds []seedCandidate) (restartOut, error) {
 	rand := restartRng(p.opts.Seed, r)
 	var bufA, bufB state
 	cur, next := &bufA, &bufB
@@ -572,7 +548,7 @@ func (p problem) restart(r int, seeds []seedCandidate, deadline time.Time) (rest
 	curCost := p.cost(cur.procs)
 	var eval *mapping.Evaluator
 	var curScore float64
-	if p.opts.ReferenceEval {
+	if p.opts.referenceEval {
 		curScore = p.score(mapping.EvaluateUnchecked(p.c, p.pl, cur.mapping()), curCost)
 		out.fullEvals++
 	} else {
@@ -587,7 +563,8 @@ func (p problem) restart(r int, seeds []seedCandidate, deadline time.Time) (rest
 	// geometrically to 1e-3 of itself over the budget.
 	t0 := 0.05 * math.Max(1e-9, scoreMagnitude(curScore))
 	budget := p.opts.Budget
-	plateau := 0
+	patience := max(500, budget/4) // non-improving iterations before the restart stops
+	stall := 0
 	for it := 0; it < budget; it++ {
 		out.iters++
 		if it&255 == 0 {
@@ -595,10 +572,6 @@ func (p problem) restart(r int, seeds []seedCandidate, deadline time.Time) (rest
 				if err := ctx.Err(); err != nil {
 					return restartOut{}, err
 				}
-			}
-			if !deadline.IsZero() && time.Now().After(deadline) {
-				out.truncated = true
-				break
 			}
 		}
 		touched, ok := p.propose(cur, next, rand)
@@ -627,8 +600,8 @@ func (p problem) restart(r int, seeds []seedCandidate, deadline time.Time) (rest
 		}
 		if curScore > bestScore {
 			best, bestCost, bestScore = cur.clone(), curCost, curScore
-			plateau = 0
-		} else if plateau++; plateau > p.opts.Plateau {
+			stall = 0
+		} else if stall++; stall > patience {
 			break
 		}
 	}

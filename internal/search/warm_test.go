@@ -23,7 +23,7 @@ func TestWarmSeedLeadsPool(t *testing.T) {
 	// first processor.
 	warm := mapping.Mapping{Parts: interval.Single(len(c)), Procs: [][]int{{0}}}
 	warmScore := mapping.EvaluateUnchecked(c, pl, warm).LogRel
-	cold, okC, err := Optimize(c, pl, Options{Restarts: 1, Budget: 1, Plateau: 1, Seed: 1})
+	cold, okC, err := Optimize(c, pl, Options{Restarts: 1, Budget: 1, Seed: 1})
 	if err != nil || !okC {
 		t.Fatalf("cold: ok=%v err=%v", okC, err)
 	}
@@ -32,7 +32,7 @@ func TestWarmSeedLeadsPool(t *testing.T) {
 	}
 	res, ok, err := Optimize(c, pl, Options{
 		Warm:     []mapping.Mapping{warm},
-		Restarts: 1, Budget: 1, Plateau: 1, Seed: 1,
+		Restarts: 1, Budget: 1, Seed: 1,
 	})
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)

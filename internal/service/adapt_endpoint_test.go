@@ -58,11 +58,11 @@ func TestAdaptEndpointExplicitMapping(t *testing.T) {
 }
 
 func TestAdaptEndpointRejectsBadInput(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1, MaxReplications: 8})
+	_, ts := newTestServer(t, Options{Workers: 1})
 	for name, mutate := range map[string]func(*relpipe.AdaptRequest){
 		"bad policy":         func(r *relpipe.AdaptRequest) { r.Policy = "bogus" },
 		"neg replications":   func(r *relpipe.AdaptRequest) { r.Replications = -1 },
-		"reps over cap":      func(r *relpipe.AdaptRequest) { r.Replications = 9 },
+		"reps over cap":      func(r *relpipe.AdaptRequest) { r.Replications = 1025 },
 		"zero horizon":       func(r *relpipe.AdaptRequest) { r.Horizon = 0 },
 		"search over budget": func(r *relpipe.AdaptRequest) { r.Search = &relpipe.SearchParams{Budget: 1 << 30} },
 	} {

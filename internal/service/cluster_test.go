@@ -497,41 +497,6 @@ func TestClusterSlowPeerHopTimeout(t *testing.T) {
 	}
 }
 
-// TestClusterRingRebuild: SetPeers rebuilds the ring live. After the
-// remaining nodes drop a member, they agree on new ownership, requests
-// keep succeeding, and nothing routes to the removed node.
-func TestClusterRingRebuild(t *testing.T) {
-	servers, urls := startCluster(t, 3, Options{Workers: 2})
-
-	in := instanceOwnedBy(t, servers[0].Cluster(), urls[2])
-	route := in.Canonical()
-
-	// Nodes 0 and 1 drop node 2 from their membership.
-	remaining := []string{urls[0], urls[1]}
-	for _, s := range servers[:2] {
-		if err := s.Cluster().SetPeers(remaining); err != nil {
-			t.Fatal(err)
-		}
-	}
-	owner0 := servers[0].Cluster().Owner(route)
-	owner1 := servers[1].Cluster().Owner(route)
-	if owner0 != owner1 {
-		t.Fatalf("rebuilt rings disagree: %q vs %q", owner0, owner1)
-	}
-	if owner0 == urls[2] {
-		t.Fatalf("removed node still owns the key")
-	}
-
-	body := mustMarshal(t, relpipe.OptimizeRequest{Instance: in, Method: "dp"})
-	status, b, hdr := postRaw(t, urls[0]+"/v1/optimize", body)
-	if status != http.StatusOK {
-		t.Fatalf("post-rebuild request: status %d: %s", status, b)
-	}
-	if node := hdr.Get(relpipe.NodeHeader); node != owner0 {
-		t.Errorf("post-rebuild node = %q, want %q", node, owner0)
-	}
-}
-
 // TestClusterJobFanIn covers the read-side job surface across nodes:
 // a job submitted on its home node is visible — status, listing, SSE
 // stream, cancellation — from every other node.

@@ -97,7 +97,7 @@ func (fs *fleetSubmitter) SubmitRemap(r fleet.Remap) (<-chan fleet.RemapOutcome,
 // handleFleetRegister admits a deployment ("POST /v1/fleet/deployments").
 func (s *Server) handleFleetRegister(w http.ResponseWriter, r *http.Request) {
 	s.metrics.Request("fleet")
-	body, status, err := readBody(w, r, s.opts.MaxBodyBytes)
+	body, status, err := readBody(w, r)
 	if err != nil {
 		s.writeError(w, status, err)
 		return
@@ -175,7 +175,7 @@ func (s *Server) handleFleetDeregister(w http.ResponseWriter, r *http.Request) {
 // next controller tick.
 func (s *Server) handleFleetIngest(w http.ResponseWriter, r *http.Request) {
 	s.metrics.Request("fleet")
-	body, status, err := readBody(w, r, s.opts.MaxBodyBytes)
+	body, status, err := readBody(w, r)
 	if err != nil {
 		s.writeError(w, status, err)
 		return

@@ -35,7 +35,7 @@ const jobStatusCode = http.StatusAccepted
 // handleJobSubmit admits one async job ("POST /v1/jobs").
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	s.metrics.Request("jobs")
-	body, status, err := readBody(w, r, s.opts.MaxBodyBytes)
+	body, status, err := readBody(w, r)
 	if err != nil {
 		s.writeError(w, status, err)
 		return

@@ -95,6 +95,9 @@ func TestSimulateReplicationsBounds(t *testing.T) {
 	if code := req(2_000_000_000); code != http.StatusBadRequest {
 		t.Fatalf("oversized replications: status = %d, want 400", code)
 	}
+	if code := req(1025); code != http.StatusBadRequest {
+		t.Fatalf("one over the limit: status = %d, want 400", code)
+	}
 	if code := req(1024); code != http.StatusOK {
 		t.Fatalf("limit replications: status = %d, want 200", code)
 	}

@@ -80,7 +80,7 @@ func TestMinCostHeuristicEndpoint(t *testing.T) {
 	}
 }
 
-// TestSearchBudgetCaps mirrors the MaxReplications guard: requests
+// TestSearchBudgetCaps mirrors the replication cap: requests
 // beyond the configured search caps are rejected up front with 400.
 func TestSearchBudgetCaps(t *testing.T) {
 	_, ts := newTestServer(t, Options{MaxSearchRestarts: 4, MaxSearchBudget: 1000})
@@ -163,5 +163,42 @@ func TestHeuristicDeterministicAcrossServerParallelism(t *testing.T) {
 	if got[0].Solution.Eval.LogRel != got[1].Solution.Eval.LogRel {
 		t.Fatalf("solver parallelism changed the search answer: %.17g vs %.17g",
 			got[0].Solution.Eval.LogRel, got[1].Solution.Eval.LogRel)
+	}
+}
+
+// TestReliabilityFloorAboveOneInfeasible: no mapping succeeds with
+// probability 1.5, so every min-period and min-cost method answers 422
+// on both platform kinds. The search reads a non-negative
+// log-reliability floor as "no floor", so the facade must reject the
+// floor before it gets there.
+func TestReliabilityFloorAboveOneInfeasible(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	for _, tc := range []struct {
+		name      string
+		in        relpipe.Instance
+		minPeriod []string
+		minCost   []string
+	}{
+		{"homogeneous", testInstance(3), []string{"auto", "dp", "heuristic"}, []string{"auto", "exact", "heuristic"}},
+		{"heterogeneous", hetInstance(3, 8, 6), []string{"auto", "heuristic"}, []string{"auto", "heuristic"}},
+	} {
+		for _, m := range tc.minPeriod {
+			code := postJSON(t, ts.URL+"/v1/minperiod", relpipe.MinPeriodRequest{
+				Instance: tc.in, MinReliability: 1.5, Method: m, Search: searchParams}, nil)
+			if code != http.StatusUnprocessableEntity {
+				t.Errorf("%s minperiod %s: status = %d, want 422", tc.name, m, code)
+			}
+		}
+		costs := make([]float64, tc.in.Platform.P())
+		for u := range costs {
+			costs[u] = float64(1 + u%3)
+		}
+		for _, m := range tc.minCost {
+			code := postJSON(t, ts.URL+"/v1/mincost", relpipe.MinCostRequest{
+				Instance: tc.in, Costs: costs, MinReliability: 1.5, Method: m, Search: searchParams}, nil)
+			if code != http.StatusUnprocessableEntity {
+				t.Errorf("%s mincost %s: status = %d, want 422", tc.name, m, code)
+			}
+		}
 	}
 }

@@ -39,18 +39,9 @@ type Options struct {
 	CacheSize int
 	// RequestTimeout bounds the wait for one solve (default 30s).
 	RequestTimeout time.Duration
-	// MaxBodyBytes bounds request bodies (default 8 MiB).
-	MaxBodyBytes int64
-	// MaxBatchJobs bounds jobs per /v1/batch request (default 256).
-	MaxBatchJobs int
-	// MaxReplications bounds the Monte-Carlo replications one
-	// /v1/simulate request may ask for (default 1024): the batch
-	// allocates per-replication state up front, so an unbounded value
-	// would let one small request exhaust memory.
-	MaxReplications int
 	// MaxSearchRestarts and MaxSearchBudget cap the heuristic-search
 	// knobs one request may ask for (defaults 32 restarts, 200000
-	// iterations per restart); like MaxReplications they keep a single
+	// iterations per restart); like maxReplications they keep a single
 	// request from monopolizing a worker slot. Requests above the caps
 	// get 400.
 	MaxSearchRestarts int
@@ -103,15 +94,6 @@ func (o Options) withDefaults() Options {
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 30 * time.Second
 	}
-	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = 8 << 20
-	}
-	if o.MaxBatchJobs <= 0 {
-		o.MaxBatchJobs = 256
-	}
-	if o.MaxReplications <= 0 {
-		o.MaxReplications = 1024
-	}
 	if o.MaxSearchRestarts <= 0 {
 		o.MaxSearchRestarts = 32
 	}
@@ -123,6 +105,19 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
+
+// Fixed per-request limits, checked before any solver work starts.
+const (
+	// maxBodyBytes bounds request bodies (413 above).
+	maxBodyBytes = 8 << 20
+	// maxBatchJobs bounds the jobs of one /v1/batch request (400 above).
+	maxBatchJobs = 256
+	// maxReplications bounds the Monte-Carlo replications one
+	// /v1/simulate or /v1/adapt request may ask for (400 above): the
+	// batch allocates per-replication state up front, so an unbounded
+	// value would let one small request exhaust memory.
+	maxReplications = 1024
+)
 
 // Server is the HTTP solver service. Create with NewServer, serve it as
 // an http.Handler, and Close it on shutdown to drain the worker pool.
@@ -187,7 +182,6 @@ func NewServer(opts Options) *Server {
 	default:
 		s.exec.parallelism = max(1, runtime.GOMAXPROCS(0)/s.workers)
 	}
-	s.exec.maxReplications = opts.MaxReplications
 	s.exec.maxSearchRestarts = opts.MaxSearchRestarts
 	s.exec.maxSearchBudget = opts.MaxSearchBudget
 	s.pool = NewPool(s.workers, opts.QueueSize, m)
@@ -305,10 +299,9 @@ func (s *Server) Fleet() *fleet.Controller { return s.fleet }
 // execOpts is the execution budget handed to every solve closure: the
 // solver-level parallelism one request may use inside its worker slot
 // (never part of cache keys because parallelism never changes a
-// solver's answer) and the per-request replication and search caps.
+// solver's answer) and the per-request search caps.
 type execOpts struct {
 	parallelism       int
-	maxReplications   int
 	maxSearchRestarts int
 	maxSearchBudget   int
 }
@@ -322,11 +315,11 @@ func (e execOpts) options() relpipe.Options {
 // key fragment enters the cache key: search results depend on the
 // knobs (but never on parallelism).
 //
-// No TimeBudget is imposed: a wall-clock cap would make the result
-// depend on machine load, and a truncated answer cached under the
-// deterministic seed-keyed entry would poison the cache (two replicas
-// would serve different mappings for the same request forever). The
-// caps instead bound the worst case by iteration count — at the
+// The caps bound a search by iteration count, never by wall clock: a
+// time cap would make the result depend on machine load, and a
+// truncated answer cached under the deterministic seed-keyed entry
+// would poison the cache (two replicas would serve different mappings
+// for the same request forever). They bound the worst case — at the
 // defaults, restarts × budget is the same order of work as a
 // worst-case exact solve, the occupancy the service has always
 // accepted; operators can lower -search-restarts/-search-budget.
@@ -452,7 +445,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // hop's connection) is the cancellation bound.
 func (s *Server) solveHandler(endpoint string, parse parser) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		body, status, err := readBody(w, r, s.opts.MaxBodyBytes)
+		body, status, err := readBody(w, r)
 		if err != nil {
 			s.metrics.Request(endpoint)
 			s.writeError(w, status, err)
@@ -499,8 +492,8 @@ func (s *Server) JoinCluster(cfg cluster.Config) error {
 	return nil
 }
 
-// Cluster exposes the cluster membership (nil on single-node servers) —
-// peer-set changes via SetPeers, and tests.
+// Cluster exposes the cluster membership (nil on single-node servers)
+// for tests and embedders.
 func (s *Server) Cluster() *cluster.Cluster { return s.cluster.Load() }
 
 // solveToBytes executes one solve closure under sc, marshals the
@@ -535,7 +528,7 @@ func (s *Server) solveToBytes(key string, solve solveFunc, sc solveCtx) ([]byte,
 // job in request order. Jobs shed with 429 can be retried individually.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.metrics.Request("batch")
-	body, status, err := readBody(w, r, s.opts.MaxBodyBytes)
+	body, status, err := readBody(w, r)
 	if err != nil {
 		s.writeError(w, status, err)
 		return
@@ -562,8 +555,8 @@ func (s *Server) parseBatch(body []byte) (relpipe.BatchRequest, error) {
 	if len(batch.Jobs) == 0 {
 		return batch, errors.New("batch: no jobs")
 	}
-	if len(batch.Jobs) > s.opts.MaxBatchJobs {
-		return batch, fmt.Errorf("batch: %d jobs exceeds limit %d", len(batch.Jobs), s.opts.MaxBatchJobs)
+	if len(batch.Jobs) > maxBatchJobs {
+		return batch, fmt.Errorf("batch: %d jobs exceeds limit %d", len(batch.Jobs), maxBatchJobs)
 	}
 	return batch, nil
 }
@@ -730,8 +723,8 @@ func parseSimulate(body []byte, ex execOpts) (string, solveFunc, error) {
 	if req.Replications < 0 {
 		return "", nil, fmt.Errorf("simulate: negative replications %d", req.Replications)
 	}
-	if req.Replications > ex.maxReplications {
-		return "", nil, fmt.Errorf("simulate: %d replications exceeds limit %d", req.Replications, ex.maxReplications)
+	if req.Replications > maxReplications {
+		return "", nil, fmt.Errorf("simulate: %d replications exceeds limit %d", req.Replications, maxReplications)
 	}
 	reps := req.Replications
 	if reps == 0 {
@@ -798,8 +791,8 @@ func parseAdapt(body []byte, ex execOpts) (string, solveFunc, error) {
 	if req.Replications < 0 {
 		return "", nil, fmt.Errorf("adapt: negative replications %d", req.Replications)
 	}
-	if req.Replications > ex.maxReplications {
-		return "", nil, fmt.Errorf("adapt: %d replications exceeds limit %d", req.Replications, ex.maxReplications)
+	if req.Replications > maxReplications {
+		return "", nil, fmt.Errorf("adapt: %d replications exceeds limit %d", req.Replications, maxReplications)
 	}
 	reps := req.Replications
 	if reps == 0 {
@@ -901,13 +894,13 @@ func finiteOrZero(f float64) float64 {
 // Content-Length — clamped to the limit and to readPresize, so a lying
 // header cannot reserve more — with one spare byte to read EOF into
 // without growing; a chunked body starts from io.ReadAll's 512 bytes.
-func readBody(w http.ResponseWriter, r *http.Request, limit int64) (body []byte, status int, err error) {
+func readBody(w http.ResponseWriter, r *http.Request) (body []byte, status int, err error) {
 	defer r.Body.Close()
 	size := int64(512)
 	if r.ContentLength >= 0 {
-		size = min(r.ContentLength, limit, readPresize) + 1
+		size = min(r.ContentLength, maxBodyBytes, readPresize) + 1
 	}
-	src := http.MaxBytesReader(w, r.Body, limit)
+	src := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	b := make([]byte, 0, size)
 	for {
 		n, err := src.Read(b[len(b):cap(b)])

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -278,14 +277,23 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 }
 
+// TestBatchLimits: a batch holds at most 256 jobs. The items are of an
+// unknown kind, so each answers 400 inside a 200 batch without any
+// solver work, and only the item count decides the batch status.
 func TestBatchLimits(t *testing.T) {
-	_, ts := newTestServer(t, Options{MaxBatchJobs: 2})
-	jobs := make([]relpipe.BatchJob, 3)
-	for i := range jobs {
-		jobs[i] = relpipe.BatchJob{Kind: "frontier", Request: json.RawMessage(`{}`)}
+	_, ts := newTestServer(t, Options{})
+	batch := func(n int) relpipe.BatchRequest {
+		jobs := make([]relpipe.BatchJob, n)
+		for i := range jobs {
+			jobs[i] = relpipe.BatchJob{Kind: "nope", Request: json.RawMessage(`{}`)}
+		}
+		return relpipe.BatchRequest{Jobs: jobs}
 	}
-	if code := postJSON(t, ts.URL+"/v1/batch", relpipe.BatchRequest{Jobs: jobs}, nil); code != http.StatusBadRequest {
-		t.Fatalf("oversized batch status = %d, want 400", code)
+	if code := postJSON(t, ts.URL+"/v1/batch", batch(257), nil); code != http.StatusBadRequest {
+		t.Fatalf("257-job batch status = %d, want 400", code)
+	}
+	if code := postJSON(t, ts.URL+"/v1/batch", batch(256), nil); code != http.StatusOK {
+		t.Fatalf("256-job batch status = %d, want 200", code)
 	}
 	if code := postJSON(t, ts.URL+"/v1/batch", relpipe.BatchRequest{}, nil); code != http.StatusBadRequest {
 		t.Fatalf("empty batch status = %d, want 400", code)
@@ -410,22 +418,31 @@ func TestQueueFullIs429WithRetryAfter(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyRejected: a body of 8 MiB + 1 bytes answers 413; one
+// of exactly 8 MiB passes the size check and fails only as a document
+// (400).
 func TestOversizedBodyRejected(t *testing.T) {
-	_, ts := newTestServer(t, Options{MaxBodyBytes: 64})
-	body := fmt.Sprintf(`{"instance":%s}`, strings.Repeat("x", 128))
-	// A strings.Reader declares its length; a MultiReader makes the
-	// client send the body chunked, with no Content-Length at all.
-	for name, r := range map[string]io.Reader{
-		"declared": strings.NewReader(body),
-		"chunked":  io.MultiReader(strings.NewReader(body)),
+	_, ts := newTestServer(t, Options{})
+	for _, tc := range []struct{ size, want int }{
+		{8<<20 + 1, http.StatusRequestEntityTooLarge},
+		{8 << 20, http.StatusBadRequest},
 	} {
-		resp, err := http.Post(ts.URL+"/v1/optimize", "application/json", r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusRequestEntityTooLarge {
-			t.Errorf("%s: status = %d, want 413", name, resp.StatusCode)
+		const frame = `{"instance":""}`
+		body := frame[:len(frame)-2] + strings.Repeat("x", tc.size-len(frame)) + frame[len(frame)-2:]
+		// A strings.Reader declares its length; a MultiReader makes the
+		// client send the body chunked, with no Content-Length at all.
+		for name, r := range map[string]io.Reader{
+			"declared": strings.NewReader(body),
+			"chunked":  io.MultiReader(strings.NewReader(body)),
+		} {
+			resp, err := http.Post(ts.URL+"/v1/optimize", "application/json", r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Errorf("%s %d bytes: status = %d, want %d", name, len(body), resp.StatusCode, tc.want)
+			}
 		}
 	}
 }
@@ -450,7 +467,7 @@ func TestReadBodyPresize(t *testing.T) {
 	} {
 		r := httptest.NewRequest(http.MethodPost, "/v1/optimize", bytes.NewReader(body))
 		r.ContentLength = tc.length
-		got, status, err := readBody(httptest.NewRecorder(), r, 8<<20)
+		got, status, err := readBody(httptest.NewRecorder(), r)
 		if err != nil || status != http.StatusOK || !bytes.Equal(got, body) {
 			t.Fatalf("%s: status %d, err %v, body intact %v", tc.name, status, err, bytes.Equal(got, body))
 		}

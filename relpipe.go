@@ -21,11 +21,9 @@
 package relpipe
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"relpipe/internal/alloc"
 	"relpipe/internal/chain"
@@ -41,7 +39,6 @@ import (
 	"relpipe/internal/progress"
 	"relpipe/internal/rng"
 	"relpipe/internal/sched"
-	"relpipe/internal/search"
 	"relpipe/internal/sim"
 )
 
@@ -89,7 +86,7 @@ type (
 	FrontierPoint = frontier.Point
 	// Schedule is the closed-form periodic timetable of a mapping.
 	Schedule = sched.Table
-	// CostSolution is a cost-minimal mapping (see MinimizeCost).
+	// CostSolution is a cost-minimal mapping (see MinimizeCostWith).
 	CostSolution = cost.Solution
 	// SharedApp is one application competing for a shared platform
 	// (see OptimizeShared).
@@ -135,67 +132,16 @@ const (
 
 // ErrInfeasible is returned (wrapped; test with errors.Is) by the
 // solvers when no mapping fits the bounds: Optimize and its variants,
-// MinPeriod, MinimizeCost and OptimizeShared.
+// MinPeriod, MinimizeCostWith and OptimizeShared.
 var ErrInfeasible = core.ErrInfeasible
 
-// Options tunes how solvers execute. Parallelism never changes a
-// solver's answer: every parallel path shards its index space and
-// reduces in deterministic order, so results are bit-identical to the
-// sequential run for any degree (enforced by differential tests).
-// The search knobs (Restarts, Budget, Seed) select how much work the
-// Heuristic method spends — for a fixed Seed its answer too is
-// identical at every parallelism degree.
-type Options struct {
-	// Parallelism caps the worker goroutines of one solve: 0 means
-	// GOMAXPROCS, 1 (or any negative value) forces sequential
-	// execution. Servers running many solves concurrently should budget
-	// this so that workers × Parallelism ≈ GOMAXPROCS
-	// (internal/service does).
-	Parallelism int
-	// Context cancels a long solve mid-shard; nil means no cancellation.
-	Context context.Context
-	// Restarts is the Heuristic method's portfolio size (0 = default 8).
-	Restarts int
-	// Budget is the Heuristic method's per-restart iteration budget
-	// (0 = default, scaled with the chain length).
-	Budget int
-	// Seed drives the Heuristic method's random choices; equal seeds
-	// give bit-identical results at any parallelism.
-	Seed uint64
-	// TimeBudget optionally caps the Heuristic method's wall-clock time
-	// (0 = none). A truncated run is still valid but no longer
-	// machine-independent.
-	TimeBudget time.Duration
-	// Progress, when non-nil, receives (done, total) completion counts
-	// from the long-running engines: heuristic-search restarts
-	// (OptimizeWith and friends with the Heuristic method), Monte-Carlo
-	// replications (SimulateBatch, AdaptBatch), frontier sweep stages
-	// (FrontierWith). Reports may come from parallel workers; the hook
-	// must be concurrency-safe and never influences a result. This is
-	// the observability hook the async job service streams over SSE.
-	Progress func(done, total int64)
-	// Tables, when non-nil, supplies pre-built heuristic partition
-	// tables for the instance being solved (BuildHeuristicTables).
-	// Only the Heuristic search method consults the provider, and only
-	// when it actually seeds a search; returning nil declines and the
-	// search builds its own. The tables are immutable and their seed
-	// memo is internally synchronized, so one value is safe to share
-	// across concurrent solves of the same instance — the table tier in
-	// internal/service amortizes one build across the requests of one
-	// instance through this hook, and searches on it build each §7
-	// seed once per period-bound cell. Candidates, and hence solutions,
-	// are bit-identical with or without it.
-	Tables func(Instance) *HeuristicTables
-}
-
-func (o Options) exec() core.Exec {
-	return core.Exec{
-		Ctx: o.Context, Parallelism: o.Parallelism,
-		Restarts: o.Restarts, Budget: o.Budget, Seed: o.Seed, TimeBudget: o.TimeBudget,
-		Progress: progress.Func(o.Progress),
-		Tables:   o.Tables,
-	}
-}
+// Options tunes how solvers execute: parallelism degree, cancellation,
+// the Heuristic method's search knobs (Restarts, Budget, Seed), a
+// progress hook and shared heuristic tables (core.Options documents each
+// field). Only the search knobs can change an answer: every parallel
+// path reduces in deterministic order, so results are bit-identical to
+// the sequential run for any degree (enforced by differential tests).
+type Options = core.Options
 
 // HeuristicTables holds the pre-built partition tables of the §7
 // heuristics for one instance, plus a memo of the search seeds built
@@ -207,20 +153,24 @@ func (o Options) exec() core.Exec {
 type HeuristicTables = heur.Tables
 
 // BuildHeuristicTables eagerly builds the heuristic partition tables
-// for an instance, for sharing across solves via Options.Tables.
+// for an instance, for sharing across solves via Options.Tables: only
+// the Heuristic search method consults the provider, and only when it
+// actually seeds a search; returning nil declines and the search builds
+// its own. Candidates, and hence solutions, are bit-identical with or
+// without it.
 func BuildHeuristicTables(in Instance) *HeuristicTables {
 	return heur.BuildTables(in.Chain, in.Platform)
 }
 
 // Optimize computes a reliability-maximal mapping under the bounds.
 func Optimize(in Instance, b Bounds, m Method) (Solution, error) {
-	return core.Optimize(in, b, m)
+	return core.Optimize(in, b, m, Options{})
 }
 
 // OptimizeWith is Optimize with execution options (parallelism degree,
 // cancellation). The solution is identical for every Options value.
 func OptimizeWith(in Instance, b Bounds, m Method, o Options) (Solution, error) {
-	return core.OptimizeExec(in, b, m, o.exec())
+	return core.Optimize(in, b, m, o)
 }
 
 // Evaluate computes reliability, latency and period of a mapping (§4).
@@ -242,14 +192,10 @@ func UnroutedFailProb(in Instance, m Mapping) (float64, error) {
 // converse problem): the exact DP binary search on homogeneous
 // platforms, the heuristic search engine on heterogeneous ones.
 // minReliability is the required success probability per data set;
-// pass 0 for unconstrained.
+// pass 0 for unconstrained. A floor above 1 admits no mapping: every
+// method answers ErrInfeasible.
 func MinPeriod(in Instance, minReliability float64) (Solution, error) {
-	return MinPeriodWith(in, minReliability, Options{})
-}
-
-// MinPeriodWith is MinPeriod with execution options.
-func MinPeriodWith(in Instance, minReliability float64, o Options) (Solution, error) {
-	return MinPeriodMethod(in, minReliability, Auto, o)
+	return MinPeriodMethod(in, minReliability, Auto, Options{})
 }
 
 // MinPeriodMethod is MinPeriod with an explicit method: DP (exact,
@@ -260,7 +206,7 @@ func MinPeriodMethod(in Instance, minReliability float64, m Method, o Options) (
 	if minReliability > 0 {
 		minLogRel = math.Log(minReliability)
 	}
-	return core.MinPeriodMethodExec(in, minLogRel, m, o.exec())
+	return core.MinPeriodMethod(in, minLogRel, m, o)
 }
 
 // Simulate runs the discrete-event pipeline simulator.
@@ -296,18 +242,13 @@ func RandomChain(seed uint64, n int, wMin, wMax, oMin, oMax float64) Chain {
 	return chain.Random(rng.New(seed), n, wMin, wMax, oMin, oMax)
 }
 
-// Frontier enumerates the Pareto-optimal (period, latency, reliability)
-// trade-offs of the instance (homogeneous platforms).
-func Frontier(in Instance) ([]FrontierPoint, error) {
-	return FrontierWith(in, Options{})
-}
-
-// FrontierWith is Frontier with execution options: the partition
-// enumeration shards across o.Parallelism workers and the dominance
-// filter (frontier.Front) runs on one, returning a bit-identical
-// frontier for every degree. Like
-// the Exact method of Optimize it enumerates 2^{n-1} partitions, so it
-// stops at core.MaxExactTasks tasks.
+// FrontierWith enumerates the Pareto-optimal (period, latency,
+// reliability) trade-offs of the instance (homogeneous platforms). The
+// partition enumeration shards across o.Parallelism workers and the
+// dominance filter (frontier.Front) runs on one, returning a
+// bit-identical frontier for every degree. Like the Exact method of
+// Optimize it enumerates 2^{n-1} partitions, so it stops at
+// core.MaxExactTasks tasks.
 func FrontierWith(in Instance, o Options) ([]FrontierPoint, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -335,13 +276,7 @@ func FrontierAuto(in Instance, o Options) ([]FrontierPoint, error) {
 // surface built from the §7 seed pool plus search-refined optima under
 // a ladder of period bounds. Deterministic for a fixed o.Seed.
 func FrontierHeuristic(in Instance, o Options) ([]FrontierPoint, error) {
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	// One Options→search translation point for the whole stack:
-	// core.Exec.SearchOptions (new knobs added there reach the frontier
-	// automatically).
-	return search.Frontier(in.Chain, in.Platform, o.exec().SearchOptions())
+	return core.FrontierHeuristic(in, o)
 }
 
 // BuildSchedule constructs the closed-form periodic timetable of a
@@ -355,24 +290,20 @@ func BuildSchedule(in Instance, m Mapping, period float64) (*Schedule, error) {
 	return sched.Build(in.Chain, in.Platform, m, period)
 }
 
-// MinimizeCost returns the cheapest mapping meeting a reliability floor
-// (success probability per data set; 0 for unconstrained) and the
-// bounds — the resource-cost extension of §9. The Auto method runs the
-// enumerative exact solver on small homogeneous instances and the
-// heuristic search engine beyond that ceiling (including heterogeneous
-// platforms).
-func MinimizeCost(in Instance, costs []float64, minReliability float64, b Bounds) (CostSolution, error) {
-	return MinimizeCostWith(in, costs, minReliability, b, Auto, Options{})
-}
-
-// MinimizeCostWith is MinimizeCost with an explicit method (Auto,
-// Exact or Heuristic) and execution options.
+// MinimizeCostWith returns the cheapest mapping meeting a reliability
+// floor (success probability per data set; 0 for unconstrained, above 1
+// ErrInfeasible on every method) and the bounds — the resource-cost
+// extension of §9 — with an explicit method and execution options.
+// Exact runs the enumerative solver on homogeneous instances within the
+// partition-enumeration ceiling, Heuristic the search engine on any
+// instance, and Auto picks Exact when it applies and the search
+// otherwise.
 func MinimizeCostWith(in Instance, costs []float64, minReliability float64, b Bounds, m Method, o Options) (CostSolution, error) {
 	minLogRel := math.Inf(-1)
 	if minReliability > 0 {
 		minLogRel = math.Log(minReliability)
 	}
-	return core.MinimizeCostExec(in, costs, minLogRel, b, m, o.exec())
+	return core.MinimizeCost(in, costs, minLogRel, b, m, o)
 }
 
 // OptimizeShared maps several independent applications onto one shared

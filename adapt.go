@@ -2,7 +2,6 @@ package relpipe
 
 import (
 	"relpipe/internal/adapt"
-	"relpipe/internal/progress"
 )
 
 // This file re-exports the online-adaptation engine (internal/adapt):
@@ -72,8 +71,5 @@ func AdaptBatch(in Instance, m Mapping, ao AdaptOptions, replications int, o Opt
 	if err := in.Validate(); err != nil {
 		return AdaptBatchResult{}, err
 	}
-	if ao.Progress == nil {
-		ao.Progress = progress.Func(o.Progress)
-	}
-	return adapt.RunBatch(o.Context, in.Chain, in.Platform, m, ao, replications, o.Parallelism)
+	return adapt.RunBatch(o.Context, in.Chain, in.Platform, m, ao, replications, o.Parallelism, o.Progress)
 }

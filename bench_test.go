@@ -135,7 +135,7 @@ func BenchmarkILPSolver(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := model.Solve(ilp.Options{}); err != nil {
+		if _, _, err := model.Solve(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -295,7 +295,7 @@ func BenchmarkAblationILPvsExact(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, _, err := model.Solve(ilp.Options{}); err != nil {
+			if _, _, err := model.Solve(); err != nil {
 				b.Fatal(err)
 			}
 		}

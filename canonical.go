@@ -1,4 +1,4 @@
-package core
+package relpipe
 
 import (
 	"crypto/sha256"

@@ -1,4 +1,4 @@
-package core
+package relpipe
 
 import (
 	"encoding/json"

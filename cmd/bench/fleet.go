@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"relpipe/internal/clock"
-	"relpipe/internal/core"
 	"relpipe/internal/dp"
 	"relpipe/internal/fleet"
 	"relpipe/internal/rng"
@@ -32,12 +31,12 @@ func fleetTickBench() func(sz sizes) func() {
 			Clock:          clock.NewFake(time.Unix(0, 0)),
 			MaxDeployments: 1000,
 		})
-		in := core.Instance{Chain: c, Platform: pl}
 		r := rng.New(3)
 		for i := 0; i < 1000; i++ {
 			if _, err := ctl.Register(fleet.Spec{
 				ID:             fmt.Sprintf("d%04d", i),
-				Instance:       in,
+				Chain:          c,
+				Platform:       pl,
 				Mapping:        m,
 				MinReliability: 1e-12,
 				Seed:           r.Uint64(),

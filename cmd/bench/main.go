@@ -216,7 +216,7 @@ func monteCarloBench(parallelism int) func(sz sizes) func() {
 	return func(sz sizes) func() {
 		cfg := mcConfig(sz)
 		return func() {
-			b, err := sim.RunBatch(context.Background(), cfg, sz.mcReps, parallelism)
+			b, err := sim.RunBatch(context.Background(), cfg, sz.mcReps, parallelism, nil)
 			if err != nil {
 				panic(err)
 			}
@@ -411,7 +411,7 @@ func adaptBench() func(sz sizes) func() {
 		}
 		reps := sz.adaptReps
 		return func() {
-			b, err := adapt.RunBatch(context.Background(), c, pl, res.M, opts, reps, 1)
+			b, err := adapt.RunBatch(context.Background(), c, pl, res.M, opts, reps, 1, nil)
 			if err != nil {
 				panic(err)
 			}

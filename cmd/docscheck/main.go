@@ -1,9 +1,12 @@
 // Command docscheck is the CI documentation gate (wired into the lint
 // stage): it walks every markdown file in the repository and verifies
 // that relative links resolve to existing files, it verifies that every
-// markdown document a Go comment cites by name exists, and it asserts that every
+// markdown document a Go comment cites by name exists, it asserts that every
 // internal/* package carries a package comment (the doc.go overviews),
-// so `go doc` stays useful across the tree.
+// so `go doc` stays useful across the tree, and it reports every
+// exported top-level function of a shipped internal/* package that no
+// non-test Go file references: such a function is dead code or a test
+// helper, and belongs in a test file.
 //
 // Usage:
 //
@@ -16,14 +19,17 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 )
 
@@ -63,7 +69,12 @@ func run(root string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	return append(findings, comments...), nil
+	findings = append(findings, comments...)
+	unused, err := checkUnusedExports(root)
+	if err != nil {
+		return nil, err
+	}
+	return append(findings, unused...), nil
 }
 
 // mdLink matches inline markdown links and images: [text](target).
@@ -210,4 +221,154 @@ func checkPackageComments(root string) ([]string, error) {
 		}
 	}
 	return findings, nil
+}
+
+// oracleDirs are the test-only reference packages (the CI oracle guard
+// keeps them out of shipped binaries): their exports serve tests alone.
+var oracleDirs = []string{"internal/sim/simref", "internal/exact/exactref", "internal/rbd", "internal/reduction"}
+
+// shipped reports whether the package in dir (slash-separated, relative
+// to the root) is an internal package that ships in binaries.
+func shipped(dir string) bool {
+	if !strings.HasPrefix(dir+"/", "internal/") {
+		return false
+	}
+	for _, o := range oracleDirs {
+		if dir == o || strings.HasPrefix(dir, o+"/") {
+			return false
+		}
+	}
+	return true
+}
+
+// sharedTestHelpers are exported functions, keyed dir.Name, that only
+// tests call, but the tests of several packages, so that no one test
+// file can hold them.
+var sharedTestHelpers = map[string]bool{
+	// Enumerates the partitions of one interval count for the tests of
+	// alloc, dp, exactref, interval, mapping, rbd and sched.
+	"internal/interval.VisitM": true,
+}
+
+// funcRef names a top-level function by its package import path.
+type funcRef struct{ pkg, name string }
+
+// checkUnusedExports reports every exported top-level function (methods
+// are not checked) of a shipped internal/* package that no non-test .go
+// file under root references outside its own declaration. The check is
+// syntactic: a pkg.Name selector through an import counts, and so does
+// any bare Name inside the declaring package, which may over-count but
+// never reports a function in use.
+func checkUnusedExports(root string) ([]string, error) {
+	module, err := modulePath(root)
+	if err != nil {
+		return nil, err
+	}
+	type decl struct {
+		ref funcRef
+		pos string
+	}
+	var decls []decl
+	used := map[funcRef]bool{}
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			switch d.Name() {
+			case ".git", "results", "testdata":
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(d.Name(), ".go") || strings.HasSuffix(d.Name(), "_test.go") {
+			return nil
+		}
+		rel, err := filepath.Rel(root, filepath.Dir(path))
+		if err != nil {
+			return err
+		}
+		rel = filepath.ToSlash(rel)
+		pkg := module + "/" + rel
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return fmt.Errorf("parse %s: %w", path, err)
+		}
+		imports := map[string]string{} // local name -> import path
+		for _, im := range f.Imports {
+			p, _ := strconv.Unquote(im.Path.Value)
+			name := p[strings.LastIndexByte(p, '/')+1:]
+			if im.Name != nil {
+				name = im.Name.Name
+			}
+			imports[name] = p
+		}
+		for _, dl := range f.Decls {
+			// Neither a declared name nor a recursive call inside the
+			// function's own body is a reference.
+			var name *ast.Ident
+			self := ""
+			if fd, ok := dl.(*ast.FuncDecl); ok {
+				name = fd.Name
+				if fd.Recv == nil {
+					self = fd.Name.Name
+					if fd.Name.IsExported() && shipped(rel) && !sharedTestHelpers[rel+"."+self] {
+						decls = append(decls, decl{funcRef{pkg, self}, fmt.Sprintf("%s:%d", path, fset.Position(fd.Pos()).Line)})
+					}
+				}
+			}
+			var visit func(n ast.Node) bool
+			visit = func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					if x, ok := n.X.(*ast.Ident); ok {
+						if p, ok := imports[x.Name]; ok {
+							used[funcRef{p, n.Sel.Name}] = true
+							return false
+						}
+					}
+					// A field or method name is no function reference.
+					ast.Inspect(n.X, visit)
+					return false
+				case *ast.Ident:
+					if n != name && n.Name != self {
+						used[funcRef{pkg, n.Name}] = true
+					}
+				}
+				return true
+			}
+			ast.Inspect(dl, visit)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var findings []string
+	for _, d := range decls {
+		if !used[d.ref] {
+			findings = append(findings, fmt.Sprintf("%s: exported function %s.%s is referenced by no non-test file (move it into a test file or delete it)",
+				d.pos, d.ref.pkg[strings.LastIndexByte(d.ref.pkg, '/')+1:], d.ref.name))
+		}
+	}
+	return findings, nil
+}
+
+// modulePath reads the module path from root's go.mod. A tree without
+// one has no importable packages, only in-package references.
+func modulePath(root string) (string, error) {
+	b, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if errors.Is(err, fs.ErrNotExist) {
+		return "", nil
+	}
+	if err != nil {
+		return "", err
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
+			return strings.TrimSpace(rest), nil
+		}
+	}
+	return "", fmt.Errorf("%s/go.mod declares no module", root)
 }

@@ -74,6 +74,58 @@ func TestUndocumentedPackageReported(t *testing.T) {
 	}
 }
 
+// TestUnusedExportReported: an exported function of a shipped internal
+// package is a finding when only its own declaration, a test file, a
+// recursive call in its body or a method of the same name mention it. A
+// call through an import, a bare call in the package, a method, an
+// unexported function and the oracle packages are not.
+func TestUnusedExportReported(t *testing.T) {
+	root := t.TempDir()
+	write(t, root, "go.mod", "module m\n\ngo 1.24\n")
+	write(t, root, "internal/a/doc.go", "// Package a does a.\npackage a\n")
+	write(t, root, "internal/a/a.go", `package a
+
+type T struct{}
+
+func (T) Method() {}
+
+func (T) Shadowed() {}
+
+func helper() int { T{}.Shadowed(); return Local() }
+
+func Local() int { return 1 }
+
+func Imported() int { return 2 }
+
+func Dead() int { return 3 }
+
+func Recursive(n int) int {
+	if n == 0 {
+		return 0
+	}
+	return Recursive(n - 1)
+}
+
+func TestOnly() int { return 4 }
+
+func Shadowed() int { return 5 }
+`)
+	write(t, root, "internal/a/a_test.go", "package a\n\nvar _ = TestOnly()\n")
+	write(t, root, "cmd/x/main.go", "package main\n\nimport \"m/internal/a\"\n\nfunc main() { _ = a.Imported(); _ = a.T{} }\n")
+	write(t, root, "internal/rbd/doc.go", "// Package rbd is an oracle.\npackage rbd\n\nfunc Oracle() {}\n")
+	findings, err := run(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range findings {
+		got = append(got, f[strings.Index(f, "function ")+len("function "):strings.Index(f, " is referenced")])
+	}
+	if strings.Join(got, " ") != "a.Dead a.Recursive a.TestOnly a.Shadowed" {
+		t.Fatalf("findings = %v, want a.Dead, a.Recursive, a.TestOnly and a.Shadowed", findings)
+	}
+}
+
 // TestRepositoryIsClean runs the gate against the real repository (two
 // levels up), so `go test ./...` catches a broken link or an
 // undocumented package before CI does.

@@ -16,7 +16,6 @@ import (
 	"os"
 
 	"relpipe"
-	"relpipe/internal/core"
 	"relpipe/internal/report"
 )
 
@@ -56,7 +55,7 @@ func run(instPath string, period, latency float64, methodStr string, unit, missi
 		return err
 	}
 	opts := report.Options{
-		Bounds:         core.Bounds{Period: period, Latency: latency},
+		Bounds:         relpipe.Bounds{Period: period, Latency: latency},
 		Method:         method,
 		SecondsPerUnit: unit,
 		MissionHours:   mission,

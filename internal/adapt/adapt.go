@@ -10,7 +10,6 @@ import (
 	"relpipe/internal/chain"
 	"relpipe/internal/mapping"
 	"relpipe/internal/platform"
-	"relpipe/internal/progress"
 	"relpipe/internal/rng"
 )
 
@@ -104,10 +103,6 @@ type Options struct {
 	// (defaults 2 restarts, 500 iterations: warm-started searches need
 	// far less than cold solves).
 	Restarts, Budget int
-	// Progress, when non-nil, receives (replicationsDone, replications)
-	// from RunBatch as replications complete (see internal/progress).
-	// Single Run ignores it. Reporting never influences the result.
-	Progress progress.Func
 }
 
 // defaults resolves the option defaults.

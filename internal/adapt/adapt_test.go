@@ -103,7 +103,7 @@ func TestBatchBitIdenticalAcrossParallelism(t *testing.T) {
 	for _, policy := range Policies() {
 		opts := lifeOpts(policy)
 		opts.Restarts, opts.Budget = 1, 200
-		base, err := RunBatch(context.Background(), c, pl, m, opts, 6, 1)
+		base, err := RunBatch(context.Background(), c, pl, m, opts, 6, 1, nil)
 		if err != nil {
 			t.Fatalf("%v: %v", policy, err)
 		}
@@ -111,7 +111,7 @@ func TestBatchBitIdenticalAcrossParallelism(t *testing.T) {
 			t.Fatalf("%v: test instance produced no crashes; raise LifeScale", policy)
 		}
 		for _, degree := range []int{2, 8} {
-			got, err := RunBatch(context.Background(), c, pl, m, opts, 6, degree)
+			got, err := RunBatch(context.Background(), c, pl, m, opts, 6, degree, nil)
 			if err != nil {
 				t.Fatalf("%v P=%d: %v", policy, degree, err)
 			}
@@ -128,11 +128,11 @@ func TestSeedZeroAliasesDefaultSeed(t *testing.T) {
 	opts0.Seed = 0
 	opts1 := lifeOpts(PolicyGreedy)
 	opts1.Seed = 1
-	b0, err := RunBatch(context.Background(), c, pl, m, opts0, 4, 1)
+	b0, err := RunBatch(context.Background(), c, pl, m, opts0, 4, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1, err := RunBatch(context.Background(), c, pl, m, opts1, 4, 1)
+	b1, err := RunBatch(context.Background(), c, pl, m, opts1, 4, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestOptionsValidation(t *testing.T) {
 			t.Fatalf("%s: no error", name)
 		}
 	}
-	if _, err := RunBatch(context.Background(), c, pl, m, Options{Horizon: 10}, 0, 1); err == nil {
+	if _, err := RunBatch(context.Background(), c, pl, m, Options{Horizon: 10}, 0, 1, nil); err == nil {
 		t.Fatal("RunBatch accepted zero replications")
 	}
 }

@@ -30,8 +30,10 @@ type BatchResult struct {
 // Replication seeds are drawn from the master generator before any run
 // starts and each replication is a pure function of its seed, so the
 // batch is bit-identical for every degree — the same contract as
-// sim.RunBatch.
-func RunBatch(ctx context.Context, c chain.Chain, pl platform.Platform, m0 mapping.Mapping, opts Options, replications, parallelism int) (BatchResult, error) {
+// sim.RunBatch. report, when non-nil, receives (replicationsDone,
+// replications) as replications complete (see internal/progress); it
+// never influences the result.
+func RunBatch(ctx context.Context, c chain.Chain, pl platform.Platform, m0 mapping.Mapping, opts Options, replications, parallelism int, report progress.Func) (BatchResult, error) {
 	if replications <= 0 {
 		return BatchResult{}, errors.New("adapt: replications must be positive")
 	}
@@ -41,12 +43,11 @@ func RunBatch(ctx context.Context, c chain.Chain, pl platform.Platform, m0 mappi
 	for r := range seeds {
 		seeds[r] = master.Uint64()
 	}
-	reps := progress.NewCounter(int64(replications), opts.Progress)
+	reps := progress.NewCounter(int64(replications), report)
 	batchStart := time.Now()
 	runs, err := par.Map(ctx, parallelism, replications, func(r int) (RunResult, error) {
 		o := opts
 		o.Seed = seeds[r]
-		o.Progress = nil // per-replication runs report nothing themselves
 		res, err := Run(c, pl, m0, o)
 		if err == nil {
 			reps.Add(1)

@@ -51,7 +51,7 @@ func TestAdaptQuality(t *testing.T) {
 	for _, policy := range Policies() {
 		opts := base
 		opts.Policy = policy
-		batch, err := RunBatch(context.Background(), c, pl, res.M, opts, reps, 0)
+		batch, err := RunBatch(context.Background(), c, pl, res.M, opts, reps, 0, nil)
 		if err != nil {
 			t.Fatalf("%v: %v", policy, err)
 		}

@@ -28,7 +28,7 @@ type ringPoint struct {
 
 // hashKey is the ring's hash: 64-bit FNV-1a. Routing needs dispersion,
 // not collision resistance — the keys are already canonical SHA-256
-// hashes of instances (core.Instance.Canonical), and FNV keeps the
+// hashes of instances (relpipe.Instance.Canonical), and FNV keeps the
 // lookup allocation-free on the request hot path.
 func hashKey(key string) uint64 {
 	h := fnv.New64a()

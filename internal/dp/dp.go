@@ -267,21 +267,14 @@ func MinPeriodForReliabilityPar(ctx context.Context, c chain.Chain, pl platform.
 	return m, ev, nil
 }
 
-// HeurLPartition implements Algorithm 3: the partition of c into m
-// intervals that cuts the chain after the m-1 tasks with the smallest
-// output communication costs (ties broken towards earlier tasks),
-// minimizing the total communication charged to the latency. Callers
-// that need partitions for several interval counts of one chain should
-// build a HeurLTable once instead.
-func HeurLPartition(c chain.Chain, m int) (interval.Partition, error) {
-	return NewHeurLTable(c).Partition(m)
-}
-
-// HeurLTable caches Algorithm 3's communication ordering — the only
-// m-independent work of HeurLPartition — so partitions for every
-// interval count of one chain reuse a single O(n log n) sort. The
-// (cost, index) comparator is a strict total order, so the ordering is
-// unique and every Partition(m) is bit-identical to HeurLPartition's.
+// HeurLTable implements Algorithm 3: the partition of a chain into m
+// intervals that cuts it after the m-1 tasks with the smallest output
+// communication costs (ties broken towards earlier tasks), minimizing
+// the total communication charged to the latency. It caches the
+// communication ordering — the only m-independent work — so partitions
+// for every interval count of one chain reuse a single O(n log n)
+// sort. The (cost, index) comparator is a strict total order, so the
+// ordering is unique and every Partition(m) is deterministic.
 type HeurLTable struct {
 	n      int
 	byCost []int // task indices 0..n-2, cheapest output first

@@ -421,3 +421,9 @@ func TestPartitionsAlwaysValid(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// HeurLPartition is Algorithm 3 for one interval count: a table built
+// for a single Partition call.
+func HeurLPartition(c chain.Chain, m int) (interval.Partition, error) {
+	return NewHeurLTable(c).Partition(m)
+}

@@ -71,7 +71,7 @@ func AdaptPolicySweep(cfg Config) Figure {
 					Seed:      uint64(i + 1),
 					Restarts:  1,
 					Budget:    200,
-				}, reps, 1)
+				}, reps, 1, nil)
 				if err != nil {
 					panic(fmt.Sprintf("expfig: adapt instance %d: %v", i, err))
 				}

@@ -37,18 +37,6 @@ func Serial(fs ...float64) float64 {
 	return -math.Expm1(s)
 }
 
-// Parallel returns the failure probability of a parallel composition: the
-// system fails only if every component fails. Products of small failure
-// probabilities are exactly representable down to ~1e-300, so a plain
-// product is accurate.
-func Parallel(fs ...float64) float64 {
-	p := 1.0
-	for _, f := range fs {
-		p *= f
-	}
-	return p
-}
-
 // Replicated returns the failure probability of q identical replicas in
 // parallel, f^q, guarding the q = 0 edge case (no replicas: certain
 // failure).

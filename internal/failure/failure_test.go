@@ -215,3 +215,15 @@ func BenchmarkSerial(b *testing.B) {
 	}
 	_ = sink
 }
+
+// Parallel returns the failure probability of a parallel composition: the
+// system fails only if every component fails. Products of small failure
+// probabilities are exactly representable down to ~1e-300, so a plain
+// product is accurate.
+func Parallel(fs ...float64) float64 {
+	p := 1.0
+	for _, f := range fs {
+		p *= f
+	}
+	return p
+}

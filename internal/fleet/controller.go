@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -175,10 +176,10 @@ func (c *Controller) Register(spec Spec) (Status, error) {
 	if spec.ID == "" {
 		return Status{}, fmt.Errorf("fleet: deployment id required")
 	}
-	if err := spec.Instance.Validate(); err != nil {
+	if err := cmp.Or(spec.Chain.Validate(), spec.Platform.Validate()); err != nil {
 		return Status{}, fmt.Errorf("fleet: invalid instance: %w", err)
 	}
-	if err := spec.Mapping.Validate(spec.Instance.Chain, spec.Instance.Platform); err != nil {
+	if err := spec.Mapping.Validate(spec.Chain, spec.Platform); err != nil {
 		return Status{}, fmt.Errorf("fleet: invalid mapping: %w", err)
 	}
 	if spec.MinReliability <= 0 || spec.MinReliability >= 1 {
@@ -201,7 +202,7 @@ func (c *Controller) Register(spec Spec) (Status, error) {
 		spec.Seed = 1 // the repo-wide alias, so remap i runs with 1+i
 	}
 	now := c.opts.Clock.Now()
-	p := spec.Instance.Platform.P()
+	p := spec.Platform.P()
 	pol := spec.Policy.withDefaults()
 	d := &deployment{
 		spec:       spec,
@@ -265,7 +266,7 @@ func (c *Controller) Ingest(id string, events []Event) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
-	p := d.spec.Instance.Platform.P()
+	p := d.spec.Platform.P()
 	for i, ev := range events {
 		switch ev.Type {
 		case EventHeartbeat, EventCrash:
@@ -520,7 +521,7 @@ func (d *deployment) reevaluate() {
 		return
 	}
 	d.down = false
-	d.eval = mapping.EvaluateUnchecked(d.spec.Instance.Chain, d.spec.Instance.Platform, masked)
+	d.eval = mapping.EvaluateUnchecked(d.spec.Chain, d.spec.Platform, masked)
 	d.rel = math.Exp(d.eval.LogRel)
 	d.drifting = d.eval.LogRel < d.logFloor
 }
@@ -566,7 +567,8 @@ func (c *Controller) submitRemap(d *deployment, now time.Time) {
 	}
 	r := Remap{
 		DeploymentID: d.spec.ID,
-		Instance:     d.spec.Instance,
+		Chain:        d.spec.Chain,
+		Platform:     d.spec.Platform,
 		Alive:        append([]bool(nil), d.alive...),
 		Mapping:      d.cur.Clone(),
 		Period:       d.period,

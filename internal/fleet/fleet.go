@@ -6,8 +6,9 @@ import (
 	"fmt"
 	"time"
 
-	"relpipe/internal/core"
+	"relpipe/internal/chain"
 	"relpipe/internal/mapping"
+	"relpipe/internal/platform"
 )
 
 // Errors the service maps to HTTP statuses (404 / 409 / 429); every
@@ -104,9 +105,10 @@ func (p Policy) withDefaults() Policy {
 type Spec struct {
 	// ID is the caller-chosen deployment name, unique per controller.
 	ID string
-	// Instance and Mapping are the running system: the mapping must be
-	// valid for the instance.
-	Instance core.Instance
+	// Chain, Platform and Mapping are the running system: the mapping
+	// must be valid for the chain and the platform.
+	Chain    chain.Chain
+	Platform platform.Platform
 	Mapping  mapping.Mapping
 	// Period and Latency are the real-time bounds handed to remap
 	// searches; Period <= 0 means the initial mapping's worst-case
@@ -256,7 +258,8 @@ type Status struct {
 // surviving processors.
 type Remap struct {
 	DeploymentID string
-	Instance     core.Instance
+	Chain        chain.Chain
+	Platform     platform.Platform
 	// Alive is a snapshot: Alive[u] == false marks processor u dead.
 	Alive []bool
 	// Mapping is a snapshot of the running mapping, dead replicas

@@ -11,7 +11,6 @@ import (
 
 	"relpipe/internal/chain"
 	"relpipe/internal/clock"
-	"relpipe/internal/core"
 	"relpipe/internal/mapping"
 	"relpipe/internal/platform"
 	"relpipe/internal/rng"
@@ -34,7 +33,7 @@ func (s *syncSubmitter) SubmitRemap(r Remap) (<-chan RemapOutcome, error) {
 	}
 	s.submitted = append(s.submitted, r)
 	ch := make(chan RemapOutcome, 1)
-	res, ok, err := search.Repair(r.Instance.Chain, r.Instance.Platform, r.Mapping, r.Alive, search.Options{
+	res, ok, err := search.Repair(r.Chain, r.Platform, r.Mapping, r.Alive, search.Options{
 		Period: r.Period, Latency: r.Latency,
 		Restarts: r.Restarts, Budget: r.Budget,
 		Seed: r.Seed, Parallelism: s.parallelism,
@@ -49,7 +48,7 @@ func (s *syncSubmitter) SubmitRemap(r Remap) (<-chan RemapOutcome, error) {
 
 // testInstance builds a deterministic heterogeneous instance and an
 // optimized initial mapping for it.
-func testInstance(t testing.TB, n, p int) (core.Instance, mapping.Mapping) {
+func testInstance(t testing.TB, n, p int) (chain.Chain, platform.Platform, mapping.Mapping) {
 	t.Helper()
 	r := rng.New(7)
 	c := chain.PaperRandom(r, n)
@@ -58,7 +57,7 @@ func testInstance(t testing.TB, n, p int) (core.Instance, mapping.Mapping) {
 	if err != nil {
 		t.Fatalf("seed optimize: %v", err)
 	}
-	return core.Instance{Chain: c, Platform: pl}, res.M
+	return c, pl, res.M
 }
 
 // newTestController wires a controller to a fake clock and a
@@ -109,24 +108,24 @@ func kinds(decs []Decision) []DecisionKind {
 }
 
 func TestRegisterValidation(t *testing.T) {
-	in, m := testInstance(t, 8, 8)
+	c, pl, m := testInstance(t, 8, 8)
 	ctl, _ := newTestController(&syncSubmitter{parallelism: -1})
 
-	if _, err := ctl.Register(Spec{ID: "", Instance: in, Mapping: m, MinReliability: 0.5}); err == nil {
+	if _, err := ctl.Register(Spec{ID: "", Chain: c, Platform: pl, Mapping: m, MinReliability: 0.5}); err == nil {
 		t.Fatal("empty id admitted")
 	}
-	if _, err := ctl.Register(Spec{ID: "x", Instance: in, Mapping: m, MinReliability: 1.5}); err == nil {
+	if _, err := ctl.Register(Spec{ID: "x", Chain: c, Platform: pl, Mapping: m, MinReliability: 1.5}); err == nil {
 		t.Fatal("floor >= 1 admitted")
 	}
 	bad := m.Clone()
 	bad.Procs[0] = nil
-	if _, err := ctl.Register(Spec{ID: "x", Instance: in, Mapping: bad, MinReliability: 0.5}); err == nil {
+	if _, err := ctl.Register(Spec{ID: "x", Chain: c, Platform: pl, Mapping: bad, MinReliability: 0.5}); err == nil {
 		t.Fatal("invalid mapping admitted")
 	}
-	if _, err := ctl.Register(Spec{ID: "x", Instance: in, Mapping: m, MinReliability: 0.5}); err != nil {
+	if _, err := ctl.Register(Spec{ID: "x", Chain: c, Platform: pl, Mapping: m, MinReliability: 0.5}); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
-	if _, err := ctl.Register(Spec{ID: "x", Instance: in, Mapping: m, MinReliability: 0.5}); !errors.Is(err, ErrExists) {
+	if _, err := ctl.Register(Spec{ID: "x", Chain: c, Platform: pl, Mapping: m, MinReliability: 0.5}); !errors.Is(err, ErrExists) {
 		t.Fatalf("duplicate id: err = %v, want ErrExists", err)
 	}
 	if _, err := ctl.Ingest("nope", []Event{{Type: EventHeartbeat}}); !errors.Is(err, ErrNotFound) {
@@ -144,11 +143,11 @@ func TestRegisterValidation(t *testing.T) {
 }
 
 func TestDeploymentCap(t *testing.T) {
-	in, m := testInstance(t, 8, 8)
+	c, pl, m := testInstance(t, 8, 8)
 	clk := clock.NewFake(time.Unix(0, 0))
 	ctl := New(Options{Clock: clk, MaxDeployments: 1})
-	mustRegister(t, ctl, Spec{ID: "a", Instance: in, Mapping: m, MinReliability: 0.5})
-	if _, err := ctl.Register(Spec{ID: "b", Instance: in, Mapping: m, MinReliability: 0.5}); !errors.Is(err, ErrFull) {
+	mustRegister(t, ctl, Spec{ID: "a", Chain: c, Platform: pl, Mapping: m, MinReliability: 0.5})
+	if _, err := ctl.Register(Spec{ID: "b", Chain: c, Platform: pl, Mapping: m, MinReliability: 0.5}); !errors.Is(err, ErrFull) {
 		t.Fatalf("err = %v, want ErrFull", err)
 	}
 }
@@ -163,11 +162,11 @@ func TestCrashTriggersRemapAndAdoption(t *testing.T) {
 	// mapping. The registered Period models an injection rate with
 	// slack over the initial mapping's worst case — without slack a
 	// replacement replica on a slower spare would be infeasible.
-	in, m := testInstance(t, 8, 16)
-	period := 4 * mapping.EvaluateUnchecked(in.Chain, in.Platform, m).WorstPeriod
+	c, pl, m := testInstance(t, 8, 16)
+	period := 4 * mapping.EvaluateUnchecked(c, pl, m).WorstPeriod
 	sub := &syncSubmitter{parallelism: -1}
 	ctl, clk := newTestController(sub)
-	st0 := mustRegister(t, ctl, Spec{ID: "d", Instance: in, Mapping: m, Period: period, MinReliability: 1e-9, Restarts: 2, Budget: 800, Policy: fastPolicy()})
+	st0 := mustRegister(t, ctl, Spec{ID: "d", Chain: c, Platform: pl, Mapping: m, Period: period, MinReliability: 1e-9, Restarts: 2, Budget: 800, Policy: fastPolicy()})
 
 	victim := m.Procs[0][0]
 	mustIngest(t, ctl, "d", Event{Type: EventCrash, Proc: victim})
@@ -225,21 +224,21 @@ func TestCrashTriggersRemapAndAdoption(t *testing.T) {
 // set above the current reliability at registration, so the very first
 // evaluation drifts and triggers exactly one remap.
 func TestDriftBelowFloorTriggersRemap(t *testing.T) {
-	in, m := testInstance(t, 8, 8)
+	c, pl, m := testInstance(t, 8, 8)
 	// Degrade the seed mapping to a single replica everywhere it has
 	// more, so the floor sits between the degraded and optimal levels.
 	weak := m.Clone()
 	for j := range weak.Procs {
 		weak.Procs[j] = weak.Procs[j][:1]
 	}
-	ev := mapping.EvaluateUnchecked(in.Chain, in.Platform, weak)
+	ev := mapping.EvaluateUnchecked(c, pl, weak)
 	floor := math.Exp(ev.LogRel) * 1.0000001 // just above the weak mapping
 	if floor >= 1 {
 		t.Skip("weak mapping already at reliability 1")
 	}
 	sub := &syncSubmitter{parallelism: -1}
 	ctl, clk := newTestController(sub)
-	mustRegister(t, ctl, Spec{ID: "d", Instance: in, Mapping: weak, MinReliability: floor, Restarts: 2, Budget: 800, Policy: fastPolicy()})
+	mustRegister(t, ctl, Spec{ID: "d", Chain: c, Platform: pl, Mapping: weak, MinReliability: floor, Restarts: 2, Budget: 800, Policy: fastPolicy()})
 	st, _ := ctl.Status("d")
 	if !st.Drifting {
 		t.Fatalf("not drifting at registration: rel=%g floor=%g", st.Reliability, floor)
@@ -261,10 +260,10 @@ func TestDriftBelowFloorTriggersRemap(t *testing.T) {
 // machine: K silent intervals kill a reporting processor, R beats
 // readmit it, and the death/recovery both mark the record dirty.
 func TestHeartbeatTimeoutAndRecovery(t *testing.T) {
-	in, m := testInstance(t, 8, 8)
+	c, pl, m := testInstance(t, 8, 8)
 	pol := fastPolicy()
 	ctl, clk := newTestController(&syncSubmitter{parallelism: -1})
-	mustRegister(t, ctl, Spec{ID: "d", Instance: in, Mapping: m, MinReliability: 1e-9, Policy: pol})
+	mustRegister(t, ctl, Spec{ID: "d", Chain: c, Platform: pl, Mapping: m, MinReliability: 1e-9, Policy: pol})
 
 	u := m.Procs[0][0]
 	mustIngest(t, ctl, "d", Event{Type: EventHeartbeat, Proc: u})
@@ -323,12 +322,12 @@ func TestHeartbeatTimeoutAndRecovery(t *testing.T) {
 // cooldown suppresses the immediate retrigger (suppressed counter
 // asserted) and the breaker caps submissions per window.
 func TestFlappingSuppression(t *testing.T) {
-	in, m := testInstance(t, 8, 16)
-	period := 4 * mapping.EvaluateUnchecked(in.Chain, in.Platform, m).WorstPeriod
+	c, pl, m := testInstance(t, 8, 16)
+	period := 4 * mapping.EvaluateUnchecked(c, pl, m).WorstPeriod
 	pol := fastPolicy() // cooldown 30s, breaker: max 2 per 5m
 	sub := &syncSubmitter{parallelism: -1}
 	ctl, clk := newTestController(sub)
-	mustRegister(t, ctl, Spec{ID: "d", Instance: in, Mapping: m, Period: period, MinReliability: 1e-9, Restarts: 2, Budget: 800, Policy: pol})
+	mustRegister(t, ctl, Spec{ID: "d", Chain: c, Platform: pl, Mapping: m, Period: period, MinReliability: 1e-9, Restarts: 2, Budget: 800, Policy: pol})
 
 	// crashMapped kills a processor currently holding a replica, so
 	// the deployment degrades and wants a remap.
@@ -425,10 +424,10 @@ func TestFlappingSuppression(t *testing.T) {
 // per-client cap, in production) opens the breaker instead of
 // hot-looping submissions.
 func TestSubmitErrorOpensBreaker(t *testing.T) {
-	in, m := testInstance(t, 8, 8)
+	c, pl, m := testInstance(t, 8, 8)
 	sub := &syncSubmitter{parallelism: -1, err: errors.New("jobs: per-client live job cap reached")}
 	ctl, clk := newTestController(sub)
-	mustRegister(t, ctl, Spec{ID: "d", Instance: in, Mapping: m, MinReliability: 1e-9, Policy: fastPolicy()})
+	mustRegister(t, ctl, Spec{ID: "d", Chain: c, Platform: pl, Mapping: m, MinReliability: 1e-9, Policy: fastPolicy()})
 	mustIngest(t, ctl, "d", Event{Type: EventCrash, Proc: m.Procs[0][0]})
 	clk.Advance(time.Second)
 	ctl.Tick()
@@ -452,9 +451,9 @@ func TestSubmitErrorOpensBreaker(t *testing.T) {
 // TestNoSubmitterFailsLikeAdmissionError: a controller built without a
 // Submitter fails every trigger through the admission-error path.
 func TestNoSubmitterFailsLikeAdmissionError(t *testing.T) {
-	in, m := testInstance(t, 8, 8)
+	c, pl, m := testInstance(t, 8, 8)
 	ctl := New(Options{Clock: clock.NewFake(time.Unix(10_000, 0))})
-	mustRegister(t, ctl, Spec{ID: "d", Instance: in, Mapping: m, MinReliability: 1e-9, Policy: fastPolicy()})
+	mustRegister(t, ctl, Spec{ID: "d", Chain: c, Platform: pl, Mapping: m, MinReliability: 1e-9, Policy: fastPolicy()})
 	mustIngest(t, ctl, "d", Event{Type: EventCrash, Proc: m.Procs[0][0]})
 	ctl.Tick()
 	st, _ := ctl.Status("d")
@@ -474,11 +473,11 @@ func TestNoSubmitterFailsLikeAdmissionError(t *testing.T) {
 // the repo-wide default seed 1, so its remaps run with seeds 1, 2, …
 // rather than 0 and 1 (which search would both solve as seed 1).
 func TestSeedZeroAliasesOne(t *testing.T) {
-	in, m := testInstance(t, 8, 16)
-	period := 4 * mapping.EvaluateUnchecked(in.Chain, in.Platform, m).WorstPeriod
+	c, pl, m := testInstance(t, 8, 16)
+	period := 4 * mapping.EvaluateUnchecked(c, pl, m).WorstPeriod
 	sub := &syncSubmitter{parallelism: -1}
 	ctl, clk := newTestController(sub)
-	mustRegister(t, ctl, Spec{ID: "d", Instance: in, Mapping: m, Period: period, MinReliability: 1e-9, Restarts: 2, Budget: 800, Policy: fastPolicy()})
+	mustRegister(t, ctl, Spec{ID: "d", Chain: c, Platform: pl, Mapping: m, Period: period, MinReliability: 1e-9, Restarts: 2, Budget: 800, Policy: fastPolicy()})
 
 	mustIngest(t, ctl, "d", Event{Type: EventCrash, Proc: m.Procs[0][0]})
 	clk.Advance(time.Second)
@@ -507,9 +506,9 @@ func TestSeedZeroAliasesOne(t *testing.T) {
 // a deviating sample past MinSamples logs an anomaly decision and
 // flags the status.
 func TestAnomalyDetection(t *testing.T) {
-	in, m := testInstance(t, 8, 8)
+	c, pl, m := testInstance(t, 8, 8)
 	ctl, clk := newTestController(&syncSubmitter{parallelism: -1})
-	mustRegister(t, ctl, Spec{ID: "d", Instance: in, Mapping: m, MinReliability: 1e-9, Policy: fastPolicy()})
+	mustRegister(t, ctl, Spec{ID: "d", Chain: c, Platform: pl, Mapping: m, MinReliability: 1e-9, Policy: fastPolicy()})
 	// Alternating 1/2 keeps the stddev positive.
 	for i := 0; i < 6; i++ {
 		mustIngest(t, ctl, "d", Event{Type: EventFailures, Value: float64(1 + i%2)})
@@ -551,11 +550,11 @@ func TestAnomalyDetection(t *testing.T) {
 // run-to-run at any search parallelism.
 func runScriptedScenario(t *testing.T, parallelism int) []byte {
 	t.Helper()
-	in, m := testInstance(t, 12, 10)
+	c, pl, m := testInstance(t, 12, 10)
 	sub := &syncSubmitter{parallelism: parallelism}
 	ctl, clk := newTestController(sub)
-	mustRegister(t, ctl, Spec{ID: "alpha", Instance: in, Mapping: m, MinReliability: 1e-9, Restarts: 4, Budget: 800, Seed: 3, Mission: 1e6, Policy: fastPolicy()})
-	mustRegister(t, ctl, Spec{ID: "beta", Instance: in, Mapping: m, MinReliability: 1e-9, Restarts: 4, Budget: 800, Seed: 4, Policy: fastPolicy()})
+	mustRegister(t, ctl, Spec{ID: "alpha", Chain: c, Platform: pl, Mapping: m, MinReliability: 1e-9, Restarts: 4, Budget: 800, Seed: 3, Mission: 1e6, Policy: fastPolicy()})
+	mustRegister(t, ctl, Spec{ID: "beta", Chain: c, Platform: pl, Mapping: m, MinReliability: 1e-9, Restarts: 4, Budget: 800, Seed: 4, Policy: fastPolicy()})
 
 	script := []struct {
 		id  string
@@ -620,9 +619,9 @@ func TestDeterminism(t *testing.T) {
 // TestSubscribeNotifies: decisions wake subscribers; deregistration
 // wakes them too so streams can end.
 func TestSubscribeNotifies(t *testing.T) {
-	in, m := testInstance(t, 8, 8)
+	c, pl, m := testInstance(t, 8, 8)
 	ctl, clk := newTestController(&syncSubmitter{parallelism: -1})
-	mustRegister(t, ctl, Spec{ID: "d", Instance: in, Mapping: m, MinReliability: 1e-9, Policy: fastPolicy()})
+	mustRegister(t, ctl, Spec{ID: "d", Chain: c, Platform: pl, Mapping: m, MinReliability: 1e-9, Policy: fastPolicy()})
 	ch, ok := ctl.Subscribe("d")
 	if !ok {
 		t.Fatal("subscribe failed")
@@ -648,11 +647,11 @@ func TestSubscribeNotifies(t *testing.T) {
 // TestStartStopLoop: the background loop ticks on the fake clock's
 // ticker and Stop halts it.
 func TestStartStopLoop(t *testing.T) {
-	in, m := testInstance(t, 8, 8)
+	c, pl, m := testInstance(t, 8, 8)
 	sub := &syncSubmitter{parallelism: -1}
 	clk := clock.NewFake(time.Unix(0, 0))
 	ctl := New(Options{Clock: clk, Submitter: sub, TickInterval: time.Second})
-	mustRegister(t, ctl, Spec{ID: "d", Instance: in, Mapping: m, MinReliability: 1e-9, Restarts: 2, Budget: 800, Policy: fastPolicy()})
+	mustRegister(t, ctl, Spec{ID: "d", Chain: c, Platform: pl, Mapping: m, MinReliability: 1e-9, Restarts: 2, Budget: 800, Policy: fastPolicy()})
 	ctl.Start()
 	mustIngest(t, ctl, "d", Event{Type: EventCrash, Proc: m.Procs[0][0]})
 	clk.Advance(time.Second)
@@ -670,7 +669,7 @@ func TestStartStopLoop(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	ctl.Stop()
-	if _, err := ctl.Register(Spec{ID: "late", Instance: in, Mapping: m, MinReliability: 0.5}); !errors.Is(err, ErrClosed) {
+	if _, err := ctl.Register(Spec{ID: "late", Chain: c, Platform: pl, Mapping: m, MinReliability: 0.5}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("register after Stop = %v, want ErrClosed", err)
 	}
 }
@@ -680,11 +679,11 @@ func TestStartStopLoop(t *testing.T) {
 // no deadline crossings and nothing in flight allocates nothing, so an
 // idle fleet costs a GC-free scan regardless of deployment count.
 func TestIdleTickAllocationFree(t *testing.T) {
-	in, m := testInstance(t, 8, 6)
+	c, pl, m := testInstance(t, 8, 6)
 	ctl, _ := newTestController(&syncSubmitter{parallelism: 1})
 	for i := 0; i < 16; i++ {
 		mustRegister(t, ctl, Spec{
-			ID: fmt.Sprintf("d%02d", i), Instance: in, Mapping: m,
+			ID: fmt.Sprintf("d%02d", i), Chain: c, Platform: pl, Mapping: m,
 			MinReliability: 1e-12,
 		})
 	}

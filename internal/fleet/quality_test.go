@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"relpipe/internal/chain"
-	"relpipe/internal/core"
 	"relpipe/internal/mapping"
 	"relpipe/internal/mttf"
 	"relpipe/internal/platform"
@@ -32,7 +31,6 @@ func TestFleetQuality(t *testing.T) {
 	if err != nil {
 		t.Fatalf("seed optimize: %v", err)
 	}
-	in := core.Instance{Chain: c, Platform: pl}
 	m := res.M
 	ev0 := mapping.EvaluateUnchecked(c, pl, m)
 	// Injection rate with 3x slack over the optimized worst case —
@@ -49,7 +47,7 @@ func TestFleetQuality(t *testing.T) {
 	sub := &syncSubmitter{parallelism: -1}
 	ctl, clk := newTestController(sub)
 	mustRegister(t, ctl, Spec{
-		ID: "fleetq", Instance: in, Mapping: m,
+		ID: "fleetq", Chain: c, Platform: pl, Mapping: m,
 		Period: period, MinReliability: 1e-12, Mission: mission,
 		Restarts: 4, Budget: 2000, Seed: 1,
 		Policy: pol,

@@ -112,13 +112,10 @@ func (p *Problem) AddSparseRow(coefs map[int]float64, sense lp.Sense, rhs float6
 	return nil
 }
 
-// Options tunes the search.
-type Options struct {
-	// MaxNodes bounds the branch-and-bound tree (default 200000).
-	MaxNodes int
-}
-
 const intTol = 1e-6
+
+// maxNodes bounds the branch-and-bound tree.
+const maxNodes = 200000
 
 // branch is one extra bound imposed on a variable along a tree path.
 type branch struct {
@@ -184,12 +181,11 @@ func (p *Problem) mostFractional(x []float64) int {
 	return best
 }
 
-// Solve runs best-first branch and bound.
-func (p *Problem) Solve(opts Options) Solution {
-	maxNodes := opts.MaxNodes
-	if maxNodes <= 0 {
-		maxNodes = 200000
-	}
+// Solve runs best-first branch and bound over at most maxNodes nodes.
+func (p *Problem) Solve() Solution { return p.solve(maxNodes) }
+
+// solve runs best-first branch and bound over at most limit nodes.
+func (p *Problem) solve(limit int) Solution {
 	root := p.relax(nil)
 	switch root.Status {
 	case lp.Infeasible:
@@ -214,7 +210,7 @@ func (p *Problem) Solve(opts Options) Solution {
 	}
 
 	for h.Len() > 0 {
-		if nodes >= maxNodes {
+		if nodes >= limit {
 			st := NodeLimit
 			return Solution{Status: st, X: best, Obj: bestObj, Nodes: nodes}
 		}

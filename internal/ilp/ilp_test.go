@@ -22,7 +22,7 @@ func TestKnapsackSmall(t *testing.T) {
 		row[i] = 1
 		mustRow(t, p, row, lp.LE, 1)
 	}
-	s := p.Solve(Options{})
+	s := p.Solve()
 	if s.Status != Optimal {
 		t.Fatalf("status = %v", s.Status)
 	}
@@ -85,7 +85,7 @@ func TestKnapsackMatchesBruteForce(t *testing.T) {
 				return false
 			}
 		}
-		s := p.Solve(Options{})
+		s := p.Solve()
 		if s.Status != Optimal {
 			return false
 		}
@@ -102,7 +102,7 @@ func TestInfeasibleInteger(t *testing.T) {
 	// x also bounded below 1.
 	p, _ := NewProblem(1, []float64{1}, nil)
 	mustRow(t, p, []float64{2}, lp.EQ, 1)
-	s := p.Solve(Options{})
+	s := p.Solve()
 	if s.Status != Infeasible {
 		t.Fatalf("status = %v, want infeasible", s.Status)
 	}
@@ -114,7 +114,7 @@ func TestMixedInteger(t *testing.T) {
 	p, _ := NewProblem(2, []float64{1, 1}, []bool{true, false})
 	mustRow(t, p, []float64{1, 1}, lp.LE, 2.5)
 	mustRow(t, p, []float64{1, 0}, lp.LE, 1.7)
-	s := p.Solve(Options{})
+	s := p.Solve()
 	if s.Status != Optimal {
 		t.Fatalf("status = %v", s.Status)
 	}
@@ -125,7 +125,7 @@ func TestMixedInteger(t *testing.T) {
 
 func TestUnboundedRelaxation(t *testing.T) {
 	p, _ := NewProblem(1, []float64{1}, nil)
-	s := p.Solve(Options{})
+	s := p.Solve()
 	if s.Status != Unbounded {
 		t.Fatalf("status = %v, want unbounded", s.Status)
 	}
@@ -149,7 +149,7 @@ func TestNodeLimit(t *testing.T) {
 		row[i] = 1
 		mustRow(t, p, row, lp.LE, 1)
 	}
-	s := p.Solve(Options{MaxNodes: 1})
+	s := p.solve(1)
 	if s.Status != NodeLimit && s.Status != Optimal {
 		t.Fatalf("status = %v, want node-limit (or optimal if solved at the root)", s.Status)
 	}

@@ -135,8 +135,8 @@ func BuildPaper(c chain.Chain, pl platform.Platform, period, latency float64) (*
 }
 
 // Solve runs branch and bound and decodes the winner into a mapping.
-func (m *PaperModel) Solve(opts Options) (mapping.Mapping, mapping.Eval, error) {
-	sol := m.prob.Solve(opts)
+func (m *PaperModel) Solve() (mapping.Mapping, mapping.Eval, error) {
+	sol := m.prob.Solve()
 	switch sol.Status {
 	case Infeasible:
 		return mapping.Mapping{}, mapping.Eval{}, ErrInfeasible

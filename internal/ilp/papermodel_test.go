@@ -72,7 +72,7 @@ func TestILPMatchesExact(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		mi, evI, errI := model.Solve(Options{})
+		mi, evI, errI := model.Solve()
 		_, evE, errE := exact.OptimalPar(context.Background(), c, pl, period, latency, 1)
 		if (errI == nil) != (errE == nil) {
 			return false
@@ -107,7 +107,7 @@ func TestILPPaperScaleInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, ev, err := model.Solve(Options{})
+	m, ev, err := model.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestILPUsesPaperRates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, ev, err := model.Solve(Options{})
+	m, ev, err := model.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -394,7 +394,7 @@ func TestInfiniteLinkRateFinite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := failure.Parallel(failure.Prob(1e-3, 22), failure.Prob(1e-3, 22))
+	want := failure.Replicated(failure.Prob(1e-3, 22), 2)
 	if math.IsNaN(ev.FailProb) || math.Abs(ev.FailProb-want) > 1e-15 {
 		t.Fatalf("one-interval FailProb = %v, want %v", ev.FailProb, want)
 	}

@@ -200,8 +200,11 @@ func TestMetamorphicReplicaOrderInvariance(t *testing.T) {
 		r := rng.New(seed)
 		c, pl, m := finiteSetup(r)
 		m2 := m.Clone()
-		for j := range m2.Procs {
-			r.Shuffle(m2.Procs[j])
+		for _, procs := range m2.Procs {
+			for i := len(procs) - 1; i > 0; i-- {
+				k := r.IntN(i + 1)
+				procs[i], procs[k] = procs[k], procs[i]
+			}
 		}
 		e1, err1 := Evaluate(c, pl, m)
 		e2, err2 := Evaluate(c, pl, m2)

@@ -60,18 +60,6 @@ func MissionSurvival(failProb, period, mission float64) (float64, error) {
 	return math.Exp(n * math.Log1p(-failProb)), nil
 }
 
-// ExpectedFailures returns the expected number of failed data sets over
-// a mission of the given duration.
-func ExpectedFailures(failProb, period, mission float64) (float64, error) {
-	if period <= 0 || mission < 0 {
-		return 0, errors.New("mttf: period must be positive and mission non-negative")
-	}
-	if err := validate(failProb); err != nil {
-		return 0, err
-	}
-	return failProb * mission / period, nil
-}
-
 // FailureRatePerHour converts a per-data-set failure probability into
 // the per-hour failure rate figure hardware datasheets quote, given the
 // period expressed in seconds. For small probabilities this is ≈

@@ -1,6 +1,7 @@
 package mttf
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -144,4 +145,16 @@ func TestSurvivalMonotone(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// ExpectedFailures returns the expected number of failed data sets over
+// a mission of the given duration.
+func ExpectedFailures(failProb, period, mission float64) (float64, error) {
+	if period <= 0 || mission < 0 {
+		return 0, errors.New("mttf: period must be positive and mission non-negative")
+	}
+	if err := validate(failProb); err != nil {
+		return 0, err
+	}
+	return failProb * mission / period, nil
 }

@@ -7,7 +7,7 @@ import (
 	"math"
 	"sort"
 
-	"relpipe/internal/core"
+	"relpipe"
 	"relpipe/internal/frontier"
 	"relpipe/internal/mttf"
 	"relpipe/internal/sched"
@@ -16,9 +16,9 @@ import (
 
 // Options configures the report.
 type Options struct {
-	// Bounds and Method drive the optimization (see core.Optimize).
-	Bounds core.Bounds
-	Method core.Method
+	// Bounds and Method drive the optimization (see relpipe.Optimize).
+	Bounds relpipe.Bounds
+	Method relpipe.Method
 	// SecondsPerUnit calibrates time units to wall-clock time (the
 	// paper's §8 calibration is 36 s per unit; default 1).
 	SecondsPerUnit float64
@@ -32,9 +32,10 @@ type Options struct {
 	SimRateScale float64
 	// Seed drives the simulation.
 	Seed uint64
-	// FrontierPoints caps the frontier table (default 12).
-	FrontierPoints int
 }
+
+// frontierPoints caps the frontier table.
+const frontierPoints = 12
 
 func (o Options) withDefaults() Options {
 	if o.SecondsPerUnit <= 0 {
@@ -46,19 +47,16 @@ func (o Options) withDefaults() Options {
 	if o.SimRateScale <= 0 {
 		o.SimRateScale = 1
 	}
-	if o.FrontierPoints <= 0 {
-		o.FrontierPoints = 12
-	}
 	return o
 }
 
 // Generate writes the report for the instance to w.
-func Generate(in core.Instance, opts Options, w io.Writer) error {
+func Generate(in relpipe.Instance, opts Options, w io.Writer) error {
 	opts = opts.withDefaults()
 	if err := in.Validate(); err != nil {
 		return err
 	}
-	sol, err := core.Optimize(in, opts.Bounds, opts.Method, core.Options{})
+	sol, err := relpipe.Optimize(in, opts.Bounds, opts.Method)
 	if err != nil {
 		return fmt.Errorf("report: optimization failed: %w", err)
 	}
@@ -117,8 +115,8 @@ func Generate(in core.Instance, opts Options, w io.Writer) error {
 	if in.Platform.Homogeneous() && len(in.Chain) <= 22 {
 		if pts, err := frontier.Compute(context.TODO(), in.Chain, in.Platform, 1, nil); err == nil {
 			proj := frontier.PeriodReliability(pts)
-			if len(proj) > opts.FrontierPoints {
-				proj = proj[:opts.FrontierPoints]
+			if len(proj) > frontierPoints {
+				proj = proj[:frontierPoints]
 			}
 			p("## Reliability/period frontier (latency unconstrained)\n\n")
 			p("| period ≥ | best failure probability | intervals |\n|---|---|---|\n")
@@ -161,7 +159,7 @@ func Generate(in core.Instance, opts Options, w io.Writer) error {
 			simIn.Platform.Procs = append(simIn.Platform.Procs, pr)
 		}
 		simIn.Platform.LinkFailRate *= opts.SimRateScale
-		ev, err := core.Evaluate(simIn, sol.Mapping)
+		ev, err := relpipe.Evaluate(simIn, sol.Mapping)
 		if err != nil {
 			return err
 		}

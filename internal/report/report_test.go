@@ -4,14 +4,14 @@ import (
 	"strings"
 	"testing"
 
+	"relpipe"
 	"relpipe/internal/chain"
-	"relpipe/internal/core"
 	"relpipe/internal/platform"
 	"relpipe/internal/rng"
 )
 
-func homInstance() core.Instance {
-	return core.Instance{
+func homInstance() relpipe.Instance {
+	return relpipe.Instance{
 		Chain:    chain.PaperRandom(rng.New(3), 8),
 		Platform: platform.PaperHomogeneous(6),
 	}
@@ -20,8 +20,8 @@ func homInstance() core.Instance {
 func TestGenerateFullReport(t *testing.T) {
 	var sb strings.Builder
 	opts := Options{
-		Bounds:         core.Bounds{Period: 250, Latency: 800},
-		Method:         core.Exact,
+		Bounds:         relpipe.Bounds{Period: 250, Latency: 800},
+		Method:         relpipe.Exact,
 		SecondsPerUnit: 36,
 		MissionHours:   8760,
 		SimDataSets:    3000,
@@ -51,7 +51,7 @@ func TestGenerateFullReport(t *testing.T) {
 
 func TestGenerateWithoutSimulation(t *testing.T) {
 	var sb strings.Builder
-	if err := Generate(homInstance(), Options{Method: core.DP, Bounds: core.Bounds{Period: 300}}, &sb); err != nil {
+	if err := Generate(homInstance(), Options{Method: relpipe.DP, Bounds: relpipe.Bounds{Period: 300}}, &sb); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(sb.String(), "Monte-Carlo") {
@@ -61,12 +61,12 @@ func TestGenerateWithoutSimulation(t *testing.T) {
 
 func TestGenerateHeterogeneous(t *testing.T) {
 	r := rng.New(5)
-	in := core.Instance{
+	in := relpipe.Instance{
 		Chain:    chain.PaperRandom(r, 8),
 		Platform: platform.PaperHeterogeneous(r, 6),
 	}
 	var sb strings.Builder
-	if err := Generate(in, Options{Method: core.BestHeuristic}, &sb); err != nil {
+	if err := Generate(in, Options{Method: relpipe.BestHeuristic}, &sb); err != nil {
 		t.Fatal(err)
 	}
 	// No frontier section on heterogeneous platforms.
@@ -80,7 +80,7 @@ func TestGenerateHeterogeneous(t *testing.T) {
 
 func TestGenerateInfeasible(t *testing.T) {
 	var sb strings.Builder
-	err := Generate(homInstance(), Options{Bounds: core.Bounds{Period: 1e-9}}, &sb)
+	err := Generate(homInstance(), Options{Bounds: relpipe.Bounds{Period: 1e-9}}, &sb)
 	if err == nil {
 		t.Fatal("infeasible bounds produced a report")
 	}

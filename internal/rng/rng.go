@@ -124,24 +124,3 @@ func (r *Rand) Bernoulli(p float64) bool {
 	}
 	return r.Float64() < p
 }
-
-// Perm returns a uniformly random permutation of [0,n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.IntN(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle randomly permutes a slice of ints in place.
-func (r *Rand) Shuffle(s []int) {
-	for i := len(s) - 1; i > 0; i-- {
-		j := r.IntN(i + 1)
-		s[i], s[j] = s[j], s[i]
-	}
-}

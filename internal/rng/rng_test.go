@@ -238,3 +238,21 @@ func BenchmarkFloat64(b *testing.B) {
 	}
 	_ = sink
 }
+
+// Perm returns a uniformly random permutation of [0,n).
+func (r *Rand) Perm(n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	r.Shuffle(p)
+	return p
+}
+
+// Shuffle randomly permutes a slice of ints in place (Fisher–Yates).
+func (r *Rand) Shuffle(s []int) {
+	for i := len(s) - 1; i > 0; i-- {
+		j := r.IntN(i + 1)
+		s[i], s[j] = s[j], s[i]
+	}
+}

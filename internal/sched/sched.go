@@ -16,11 +16,6 @@ type Window struct {
 	Start, End float64
 }
 
-// Shift returns the window of data set d.
-func (w Window) Shift(d int, period float64) Window {
-	return Window{Start: w.Start + float64(d)*period, End: w.End + float64(d)*period}
-}
-
 // Table is the steady-state timetable of a mapping run at a fixed
 // injection period (one-hop boundary accounting, matching Eqs. 5–8).
 type Table struct {

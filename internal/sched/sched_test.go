@@ -174,6 +174,11 @@ func minInt(a, b int) int {
 	return b
 }
 
+// Shift returns the window of data set d.
+func (w Window) Shift(d int, period float64) Window {
+	return Window{Start: w.Start + float64(d)*period, End: w.End + float64(d)*period}
+}
+
 // StartOf returns the compute start of data set d on replica i of stage
 // j.
 func (t *Table) StartOf(j, i, d int) float64 {

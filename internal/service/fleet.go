@@ -56,13 +56,18 @@ func (fs *fleetSubmitter) SubmitRemap(r fleet.Remap) (<-chan fleet.RemapOutcome,
 			root.SetAttr("reason", r.Reason)
 			res, err := s.pool.DoWait(ctx, func() (any, error) {
 				ctl.Running()
-				result, ok, err := search.Repair(r.Instance.Chain, r.Instance.Platform, r.Mapping, r.Alive, search.Options{
+				// The job's context cancels the search (DELETE, shutdown)
+				// and carries its trace and the stage observer; restarts
+				// report as the job's progress.
+				result, ok, err := search.Repair(r.Chain, r.Platform, r.Mapping, r.Alive, search.Options{
 					Period:      r.Period,
 					Latency:     r.Latency,
 					Restarts:    r.Restarts,
 					Budget:      r.Budget,
 					Seed:        r.Seed,
 					Parallelism: s.exec.parallelism,
+					Context:     obs.WithStageObserver(ctx, s.metrics.StageObserver()),
+					Progress:    ctl.Progress,
 				})
 				if err != nil {
 					return nil, err
@@ -109,7 +114,8 @@ func (s *Server) handleFleetRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	spec := fleet.Spec{
 		ID:             req.ID,
-		Instance:       req.Instance,
+		Chain:          req.Instance.Chain,
+		Platform:       req.Instance.Platform,
 		Mapping:        req.Mapping,
 		Period:         req.Bounds.Period,
 		Latency:        req.Bounds.Latency,

@@ -6,12 +6,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"relpipe"
 	"relpipe/internal/fleet"
+	"relpipe/internal/obs"
 	"relpipe/internal/search"
 )
 
@@ -254,6 +256,107 @@ func TestFleetClientIsolation(t *testing.T) {
 	released = true
 	release()
 	tickUntil(t, s, "d1", func(st fleet.Status) bool { return !st.RemapInFlight })
+}
+
+// crashFirstReplica registers req, reports a crash of the processor
+// hosting its first replica and returns the fleet job of the remap that
+// follows, once it is running.
+func crashFirstReplica(t *testing.T, s *Server, url string, req relpipe.FleetRegisterRequest) relpipe.JobStatus {
+	t.Helper()
+	if code := postJSON(t, url+"/v1/fleet/deployments", req, nil); code != http.StatusCreated {
+		t.Fatalf("register = %d", code)
+	}
+	code := postJSON(t, url+"/v1/fleet/deployments/"+req.ID+"/events",
+		relpipe.FleetEventsRequest{Events: []relpipe.FleetEvent{{Type: fleet.EventCrash, Proc: req.Mapping.Procs[0][0]}}}, nil)
+	if code != http.StatusAccepted {
+		t.Fatalf("ingest = %d, want 202", code)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		s.Fleet().Tick()
+		if js := s.Jobs().Snapshot(fleetClient); len(js) == 1 && js[0].State != relpipe.JobQueued {
+			return relpipe.JobStatus(js[0])
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("no running remap job; fleet jobs = %+v", s.Jobs().Snapshot(fleetClient))
+	return relpipe.JobStatus{}
+}
+
+// TestFleetRemapJobProgressAndTrace: a remap job is observed like any
+// other search job. Its restarts are the job's progress, and its search
+// stages land in the job's trace and in the stage histogram.
+func TestFleetRemapJobProgressAndTrace(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	req := fleetTestSetup(t, "web")
+	job := crashFirstReplica(t, s, ts.URL, req)
+	job = waitJob(t, ts.URL, job.ID)
+	restarts := int64(req.Search.Restarts)
+	if job.State != relpipe.JobSucceeded || job.Progress != (relpipe.JobProgress{Done: restarts, Total: restarts}) {
+		t.Fatalf("remap job = %s with progress %+v, want succeeded with %d/%d", job.State, job.Progress, restarts, restarts)
+	}
+	code, body := getBody(t, ts.URL+"/debug/traces?id="+job.TraceID)
+	if code != http.StatusOK {
+		t.Fatalf("GET /debug/traces?id= = %d", code)
+	}
+	var doc struct {
+		Traces []obs.Trace `json:"traces"`
+	}
+	if err := json.Unmarshal([]byte(body), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Traces) != 1 {
+		t.Fatalf("traces = %+v", doc.Traces)
+	}
+	var spans []string
+	for _, sp := range doc.Traces[0].Spans {
+		spans = append(spans, sp.Name)
+	}
+	if !slices.Contains(spans, "search.anneal") {
+		t.Fatalf("remap trace spans = %v, want a search.anneal span", spans)
+	}
+	if n := seriesSum(t, s.Metrics(), `relpipe_solver_stage_duration_seconds_count{stage="search.anneal"}`); n != 1 {
+		t.Fatalf("search.anneal stage observations = %d, want 1", n)
+	}
+}
+
+// TestFleetRemapJobCancel: cancelling a running remap job stops its
+// search. The job ends cancelled, and the controller logs remap-failed
+// and keeps the degraded mapping instead of adopting.
+func TestFleetRemapJobCancel(t *testing.T) {
+	const budget = 1 << 30 // hours of annealing unless cancelled
+	s, ts := newTestServer(t, Options{MaxSearchBudget: budget})
+	req := fleetTestSetup(t, "slow")
+	req.Search = &relpipe.SearchParams{Restarts: 1, Budget: budget, Seed: 1}
+	job := crashFirstReplica(t, s, ts.URL, req)
+
+	dreq, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+job.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dresp, err := http.DefaultClient.Do(dreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dresp.Body.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for !job.State.Terminal() {
+		if time.Now().After(deadline) {
+			t.Fatalf("cancelled remap job still %s after 10s", job.State)
+		}
+		time.Sleep(5 * time.Millisecond)
+		job = jobStatusHTTP(t, ts.URL, job.ID)
+	}
+	if job.State != relpipe.JobCancelled {
+		t.Fatalf("cancelled remap job ended %s", job.State)
+	}
+	st := tickUntil(t, s, "slow", func(st fleet.Status) bool { return !st.RemapInFlight })
+	if st.RemapsFailed != 1 || st.RemapsAdopted != 0 || !st.Degraded {
+		t.Fatalf("after a cancelled remap: %+v", st)
+	}
+	if !slices.ContainsFunc(st.Decisions, func(d fleet.Decision) bool { return d.Kind == fleet.DecisionRemapFailed }) {
+		t.Fatalf("no remap-failed decision; decisions = %+v", st.Decisions)
+	}
 }
 
 // TestFleetValidation covers the error mapping of the fleet routes.

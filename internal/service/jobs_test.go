@@ -78,29 +78,39 @@ func syncBody(t *testing.T, url string, v any) (int, []byte) {
 }
 
 // TestJobDifferentialAgainstSync is the acceptance differential: for
-// optimize (heuristic), adapt and frontier kinds, at solver parallelism
-// 1 and 8, the async job's result document is bit-identical to the
-// synchronous endpoint's for the same request. Caching is disabled so
+// optimize (heuristic), adapt, simulate and frontier kinds, at solver
+// parallelism 1 and 8, the async job's result document is
+// bit-identical to the synchronous endpoint's for the same request, and
+// the job ends with all its progress units done. Caching is disabled so
 // both paths genuinely solve (the cache would otherwise hand the job
 // the sync bytes verbatim).
 func TestJobDifferentialAgainstSync(t *testing.T) {
 	hom := testInstance(3)
 	het := hetInstance(4, 30, 10)
+	sol, err := relpipe.Optimize(hom, relpipe.Bounds{}, relpipe.DP)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
-		kind string
-		path string
-		req  any
+		kind  string
+		path  string
+		req   any
+		units int64 // restarts, replications or frontier stages
 	}{
 		{"optimize", "/v1/optimize", relpipe.OptimizeRequest{
 			Instance: het, Bounds: relpipe.Bounds{Period: 260},
 			Method: "heuristic",
 			Search: &relpipe.SearchParams{Restarts: 4, Budget: 2000, Seed: 7},
-		}},
+		}, 4},
 		{"adapt", "/v1/adapt", relpipe.AdaptRequest{
 			Instance: hom, Policy: "greedy", Horizon: 500,
 			LifeScale: 1e5, Replications: 8, Seed: 5,
-		}},
-		{"frontier", "/v1/frontier", relpipe.FrontierRequest{Instance: hom}},
+		}, 8},
+		{"simulate", "/v1/simulate", relpipe.SimulateRequest{
+			Instance: hom, Mapping: sol.Mapping, Period: sol.Eval.WorstPeriod,
+			DataSets: 50, Seed: 5, InjectFailures: true, Replications: 5,
+		}, 5},
+		{"frontier", "/v1/frontier", relpipe.FrontierRequest{Instance: hom}, 3},
 	}
 	for _, par := range []int{1, 8} {
 		for _, tc := range cases {
@@ -122,8 +132,8 @@ func TestJobDifferentialAgainstSync(t *testing.T) {
 				if !bytes.Equal(want, st.Result) {
 					t.Fatalf("async result differs from sync:\nsync: %s\nasync: %s", want, st.Result)
 				}
-				if st.Progress.Done != st.Progress.Total || st.Progress.Total == 0 {
-					t.Fatalf("terminal progress = %+v, want done == total > 0", st.Progress)
+				if st.Progress != (relpipe.JobProgress{Done: tc.units, Total: tc.units}) {
+					t.Fatalf("terminal progress = %+v, want %d/%d", st.Progress, tc.units, tc.units)
 				}
 				// A job is one logical solve request of its kind.
 				if n := seriesSum(t, srvJobs.Metrics(), `relpipe_requests_total{endpoint="`+tc.kind+`"}`); n != 1 {

@@ -143,7 +143,7 @@ func (m *Metrics) QueueLeave() { m.queueDepth.Dec() }
 func (m *Metrics) ObserveSolve(seconds float64) { m.solveLatency.Observe(seconds) }
 
 // StageObserver returns the hook that turns solver stage events
-// (obs.Stage calls inside core, search, dp, sim, adapt, par) into the
+// (obs.Stage calls inside relpipe, search, dp, sim, adapt, par) into the
 // per-stage latency histogram and unit counters.
 func (m *Metrics) StageObserver() obs.StageObserver {
 	return func(e obs.StageEvent) {

@@ -28,8 +28,11 @@ type BatchResult struct {
 // cfg.Seed (0 aliases the default seed 1, the repo-wide convention), so
 // the batch is bit-identical for every degree and any replication can
 // be reproduced standalone. cfg.Trace must be nil: a shared trace would
-// interleave operations across replications; trace single runs.
-func RunBatch(ctx context.Context, cfg Config, replications, parallelism int) (BatchResult, error) {
+// interleave operations across replications; trace single runs. report,
+// when non-nil, receives (replicationsDone, replications) as
+// replications complete (see internal/progress); it never influences
+// the result.
+func RunBatch(ctx context.Context, cfg Config, replications, parallelism int, report progress.Func) (BatchResult, error) {
 	if replications <= 0 {
 		return BatchResult{}, errors.New("sim: replications must be positive")
 	}
@@ -49,7 +52,7 @@ func RunBatch(ctx context.Context, cfg Config, replications, parallelism int) (B
 	for r := range b.Seeds {
 		b.Seeds[r] = master.Uint64()
 	}
-	reps := progress.NewCounter(int64(replications), cfg.Progress)
+	reps := progress.NewCounter(int64(replications), report)
 	if !cfg.InjectFailures {
 		// No failure sampling, no RNG draws: every replication is the
 		// same run, so simulate once and hand out independent copies.

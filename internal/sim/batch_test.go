@@ -54,7 +54,7 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 	}
 
 	for _, p := range []int{1, 2, 8} {
-		got, err := RunBatch(context.Background(), cfg, reps, p)
+		got, err := RunBatch(context.Background(), cfg, reps, p, nil)
 		if err != nil {
 			t.Fatalf("P=%d: %v", p, err)
 		}
@@ -69,7 +69,7 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 
 func TestRunBatchAggregates(t *testing.T) {
 	cfg := batchConfig(t, 7)
-	b, err := RunBatch(context.Background(), cfg, 4, 2)
+	b, err := RunBatch(context.Background(), cfg, 4, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +105,11 @@ func TestRunBatchAggregates(t *testing.T) {
 
 func TestRunBatchRejectsBadConfig(t *testing.T) {
 	cfg := batchConfig(t, 9)
-	if _, err := RunBatch(context.Background(), cfg, 0, 1); err == nil {
+	if _, err := RunBatch(context.Background(), cfg, 0, 1, nil); err == nil {
 		t.Fatal("zero replications accepted")
 	}
 	cfg.Trace = &Trace{}
-	if _, err := RunBatch(context.Background(), cfg, 2, 1); err == nil {
+	if _, err := RunBatch(context.Background(), cfg, 2, 1, nil); err == nil {
 		t.Fatal("Trace accepted in a batch")
 	}
 }
@@ -118,7 +118,7 @@ func TestRunBatchCancellation(t *testing.T) {
 	cfg := batchConfig(t, 11)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunBatch(ctx, cfg, 64, 4); err == nil {
+	if _, err := RunBatch(ctx, cfg, 64, 4, nil); err == nil {
 		t.Fatal("cancelled batch returned no error")
 	}
 }
@@ -131,18 +131,18 @@ func TestRunBatchSeedZeroAliasesDefaultSeed(t *testing.T) {
 	cfg0.Seed = 0
 	cfg1 := cfg0
 	cfg1.Seed = 1
-	b0, err := RunBatch(context.Background(), cfg0, 4, 1)
+	b0, err := RunBatch(context.Background(), cfg0, 4, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1, err := RunBatch(context.Background(), cfg1, 4, 1)
+	b1, err := RunBatch(context.Background(), cfg1, 4, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(b0, b1) {
 		t.Fatal("RunBatch seed 0 does not alias seed 1")
 	}
-	b2, err := RunBatch(context.Background(), cfg1, 4, 1)
+	b2, err := RunBatch(context.Background(), cfg1, 4, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

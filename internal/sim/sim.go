@@ -6,7 +6,6 @@ import (
 	"relpipe/internal/chain"
 	"relpipe/internal/mapping"
 	"relpipe/internal/platform"
-	"relpipe/internal/progress"
 )
 
 // RoutingMode selects how boundary communications are charged.
@@ -47,10 +46,6 @@ type Config struct {
 	// of a single Run, in event order, for Gantt rendering and
 	// utilization analysis; it never changes the Result.
 	Trace *Trace
-	// Progress, when non-nil, receives (replicationsDone, replications)
-	// from RunBatch as replications complete (see internal/progress).
-	// Single Run ignores it. Reporting never influences the result.
-	Progress progress.Func
 }
 
 // Result aggregates a run.

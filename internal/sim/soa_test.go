@@ -242,7 +242,7 @@ func TestSoABatchMatchesScalarBatch(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, p := range []int{1, 2, 8} {
-				got, err := sim.RunBatch(context.Background(), tc.cfg, replications, p)
+				got, err := sim.RunBatch(context.Background(), tc.cfg, replications, p, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -279,7 +279,7 @@ func TestSoABatchMatchesScalarBatch(t *testing.T) {
 func TestSoABatchNoInjectCopies(t *testing.T) {
 	c, pl, m := sim.Pipeline3()
 	cfg := sim.Config{Chain: c, Platform: pl, Mapping: m, Period: 12, DataSets: 10, Seed: 1}
-	b, err := sim.RunBatch(context.Background(), cfg, 3, 1)
+	b, err := sim.RunBatch(context.Background(), cfg, 3, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestSoABatchCancelledContext(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := sim.RunBatch(ctx, cfg, 4, 2); err == nil {
+	if _, err := sim.RunBatch(ctx, cfg, 4, 2, nil); err == nil {
 		t.Fatal("RunBatch with a cancelled context succeeded")
 	}
 }

@@ -23,11 +23,9 @@ package relpipe
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"relpipe/internal/alloc"
 	"relpipe/internal/chain"
-	"relpipe/internal/core"
 	"relpipe/internal/cost"
 	"relpipe/internal/frontier"
 	"relpipe/internal/heur"
@@ -63,14 +61,6 @@ type (
 	// Eval carries every §4 objective of a mapping: reliability,
 	// expected/worst-case latency and period.
 	Eval = mapping.Eval
-	// Instance bundles a chain with a platform.
-	Instance = core.Instance
-	// Bounds carries period/latency constraints (0 = unconstrained).
-	Bounds = core.Bounds
-	// Method selects the optimization algorithm.
-	Method = core.Method
-	// Solution is a mapping with its evaluation.
-	Solution = core.Solution
 	// SimConfig configures a failure-injection simulation run.
 	SimConfig = sim.Config
 	// SimResult aggregates a simulation run.
@@ -95,31 +85,6 @@ type (
 	SharedResult = multichain.Result
 )
 
-// Optimization methods.
-const (
-	// Auto picks the strongest applicable method.
-	Auto = core.Auto
-	// HeurP is the period-oriented heuristic (§7).
-	HeurP = core.HeurP
-	// HeurL is the latency-oriented heuristic (§7).
-	HeurL = core.HeurL
-	// BestHeuristic runs both heuristics and keeps the better result.
-	BestHeuristic = core.BestHeuristic
-	// DP is the reliability/period dynamic program (§5.1–5.2,
-	// homogeneous platforms).
-	DP = core.DP
-	// Exact enumerates partitions with optimal allocation (homogeneous
-	// platforms, ≤ 22 tasks).
-	Exact = core.Exact
-	// ILP solves the §5.4 integer program by branch and bound.
-	ILP = core.ILP
-	// Heuristic is the large-n search engine: §7 candidates refined by
-	// a deterministic random-restart local-search portfolio. The only
-	// solve path beyond the exact ceiling (~22 tasks) with a latency
-	// bound or a heterogeneous platform; Auto selects it there.
-	Heuristic = core.Heuristic
-)
-
 // Simulation routing modes.
 const (
 	// SimOneHop charges each stage boundary one hop (matches the
@@ -129,19 +94,6 @@ const (
 	// (matches the reliability formula, Eq. 9).
 	SimTwoHop = sim.TwoHop
 )
-
-// ErrInfeasible is returned (wrapped; test with errors.Is) by the
-// solvers when no mapping fits the bounds: Optimize and its variants,
-// MinPeriod, MinimizeCostWith and OptimizeShared.
-var ErrInfeasible = core.ErrInfeasible
-
-// Options tunes how solvers execute: parallelism degree, cancellation,
-// the Heuristic method's search knobs (Restarts, Budget, Seed), a
-// progress hook and shared heuristic tables (core.Options documents each
-// field). Only the search knobs can change an answer: every parallel
-// path reduces in deterministic order, so results are bit-identical to
-// the sequential run for any degree (enforced by differential tests).
-type Options = core.Options
 
 // HeuristicTables holds the pre-built partition tables of the §7
 // heuristics for one instance, plus a memo of the search seeds built
@@ -162,53 +114,6 @@ func BuildHeuristicTables(in Instance) *HeuristicTables {
 	return heur.BuildTables(in.Chain, in.Platform)
 }
 
-// Optimize computes a reliability-maximal mapping under the bounds.
-func Optimize(in Instance, b Bounds, m Method) (Solution, error) {
-	return core.Optimize(in, b, m, Options{})
-}
-
-// OptimizeWith is Optimize with execution options (parallelism degree,
-// cancellation). The solution is identical for every Options value.
-func OptimizeWith(in Instance, b Bounds, m Method, o Options) (Solution, error) {
-	return core.Optimize(in, b, m, o)
-}
-
-// Evaluate computes reliability, latency and period of a mapping (§4).
-func Evaluate(in Instance, m Mapping) (Eval, error) {
-	return core.Evaluate(in, m)
-}
-
-// UnroutedFailProb computes the exact failure probability of a mapping
-// without routing operations (the paper's future-work question): every
-// replica sends directly to every replica of the next interval, crossing
-// each boundary once instead of twice. The evaluation is exponential in
-// the replica count, so a mapping with an interval of more than 8
-// replicas is an error.
-func UnroutedFailProb(in Instance, m Mapping) (float64, error) {
-	return core.UnroutedFailProb(in, m)
-}
-
-// MinPeriod minimizes the period subject to a reliability floor (§5.2,
-// converse problem): the exact DP binary search on homogeneous
-// platforms, the heuristic search engine on heterogeneous ones.
-// minReliability is the required success probability per data set;
-// pass 0 for unconstrained. A floor above 1 admits no mapping: every
-// method answers ErrInfeasible.
-func MinPeriod(in Instance, minReliability float64) (Solution, error) {
-	return MinPeriodMethod(in, minReliability, Auto, Options{})
-}
-
-// MinPeriodMethod is MinPeriod with an explicit method: DP (exact,
-// homogeneous only), Heuristic (the search engine, any platform), or
-// Auto.
-func MinPeriodMethod(in Instance, minReliability float64, m Method, o Options) (Solution, error) {
-	minLogRel := math.Inf(-1)
-	if minReliability > 0 {
-		minLogRel = math.Log(minReliability)
-	}
-	return core.MinPeriodMethod(in, minLogRel, m, o)
-}
-
 // Simulate runs the discrete-event pipeline simulator.
 func Simulate(cfg SimConfig) (SimResult, error) { return sim.Run(cfg) }
 
@@ -220,14 +125,8 @@ type SimBatchResult = sim.BatchResult
 // o.Parallelism workers and returns the per-replication results in
 // order. The batch is bit-identical for every parallelism degree.
 func SimulateBatch(cfg SimConfig, replications int, o Options) (SimBatchResult, error) {
-	if cfg.Progress == nil {
-		cfg.Progress = progress.Func(o.Progress)
-	}
-	return sim.RunBatch(o.Context, cfg, replications, o.Parallelism)
+	return sim.RunBatch(o.Context, cfg, replications, o.Parallelism, o.Progress)
 }
-
-// ParseMethod converts a CLI name ("exact", "heur-p", …) into a Method.
-func ParseMethod(s string) (Method, error) { return core.ParseMethod(s) }
 
 // HomogeneousPlatform builds a platform of p identical processors with
 // the given speed, processor failure rate, link bandwidth, link failure
@@ -247,14 +146,13 @@ func RandomChain(seed uint64, n int, wMin, wMax, oMin, oMax float64) Chain {
 // partition enumeration shards across o.Parallelism workers and the
 // dominance filter (frontier.Front) runs on one, returning a
 // bit-identical frontier for every degree. Like the Exact method of
-// Optimize it enumerates 2^{n-1} partitions, so it stops at
-// core.MaxExactTasks tasks.
+// Optimize it enumerates 2^{n-1} partitions, so it stops at 22 tasks.
 func FrontierWith(in Instance, o Options) ([]FrontierPoint, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	if len(in.Chain) > core.MaxExactTasks {
-		return nil, fmt.Errorf("relpipe: exact frontier limited to %d tasks (2^{n-1} partitions); use FrontierHeuristic", core.MaxExactTasks)
+	if len(in.Chain) > maxExactTasks {
+		return nil, fmt.Errorf("relpipe: exact frontier limited to %d tasks (2^{n-1} partitions); use FrontierHeuristic", maxExactTasks)
 	}
 	return frontier.Compute(o.Context, in.Chain, in.Platform, o.Parallelism, progress.Func(o.Progress))
 }
@@ -264,19 +162,10 @@ func FrontierWith(in Instance, o Options) ([]FrontierPoint, error) {
 // homogeneous platforms within the enumeration ceiling, heuristic
 // beyond it (large chains, heterogeneous platforms).
 func FrontierAuto(in Instance, o Options) ([]FrontierPoint, error) {
-	if in.Platform.Homogeneous() && len(in.Chain) <= core.MaxExactTasks {
+	if in.Platform.Homogeneous() && len(in.Chain) <= maxExactTasks {
 		return FrontierWith(in, o)
 	}
 	return FrontierHeuristic(in, o)
-}
-
-// FrontierHeuristic approximates the Pareto frontier with the search
-// engine for instances beyond the exact enumeration ceiling
-// (large chains, heterogeneous platforms): a lower bound on the true
-// surface built from the §7 seed pool plus search-refined optima under
-// a ladder of period bounds. Deterministic for a fixed o.Seed.
-func FrontierHeuristic(in Instance, o Options) ([]FrontierPoint, error) {
-	return core.FrontierHeuristic(in, o)
 }
 
 // BuildSchedule constructs the closed-form periodic timetable of a
@@ -290,34 +179,18 @@ func BuildSchedule(in Instance, m Mapping, period float64) (*Schedule, error) {
 	return sched.Build(in.Chain, in.Platform, m, period)
 }
 
-// MinimizeCostWith returns the cheapest mapping meeting a reliability
-// floor (success probability per data set; 0 for unconstrained, above 1
-// ErrInfeasible on every method) and the bounds — the resource-cost
-// extension of §9 — with an explicit method and execution options.
-// Exact runs the enumerative solver on homogeneous instances within the
-// partition-enumeration ceiling, Heuristic the search engine on any
-// instance, and Auto picks Exact when it applies and the search
-// otherwise.
-func MinimizeCostWith(in Instance, costs []float64, minReliability float64, b Bounds, m Method, o Options) (CostSolution, error) {
-	minLogRel := math.Inf(-1)
-	if minReliability > 0 {
-		minLogRel = math.Log(minReliability)
-	}
-	return core.MinimizeCost(in, costs, minLogRel, b, m, o)
-}
-
 // OptimizeShared maps several independent applications onto one shared
 // homogeneous platform (the Autosar situation of the paper's §1:
 // multiple vehicle functions sharing the ECUs), partitioning the
 // processors to maximize the joint reliability while every application
 // meets its own period and latency bounds. It returns ErrInfeasible
 // when the applications cannot all fit. Each application's curve
-// enumerates its 2^{n-1} partitions, so an application stops at
-// core.MaxExactTasks tasks.
+// enumerates its 2^{n-1} partitions, so an application stops at 22
+// tasks.
 func OptimizeShared(apps []SharedApp, pl Platform) (SharedResult, error) {
 	for i, app := range apps {
-		if len(app.Chain) > core.MaxExactTasks {
-			return SharedResult{}, fmt.Errorf("relpipe: shared application %d has %d tasks; the exact shared-platform solver is limited to %d (2^{n-1} partitions)", i, len(app.Chain), core.MaxExactTasks)
+		if len(app.Chain) > maxExactTasks {
+			return SharedResult{}, fmt.Errorf("relpipe: shared application %d has %d tasks; the exact shared-platform solver is limited to %d (2^{n-1} partitions)", i, len(app.Chain), maxExactTasks)
 		}
 	}
 	res, err := multichain.Map(apps, pl)

@@ -5,7 +5,7 @@ package relpipe_test
 // tier's injection point) must return exactly the solution of a self-building
 // solve. The per-candidate checks live in internal/heur and
 // internal/search; this layer guards the facade wiring
-// (BuildHeuristicTables, the provider call through core.Options).
+// (BuildHeuristicTables, the provider call through Options.Tables).
 import (
 	"reflect"
 	"testing"

@@ -1,4 +1,4 @@
-package core
+package relpipe
 
 import (
 	"context"
@@ -13,7 +13,6 @@ import (
 	"relpipe/internal/cost"
 	"relpipe/internal/dp"
 	"relpipe/internal/exact"
-	"relpipe/internal/frontier"
 	"relpipe/internal/heur"
 	"relpipe/internal/ilp"
 	"relpipe/internal/mapping"
@@ -22,14 +21,18 @@ import (
 	"relpipe/internal/search"
 )
 
-// Options tunes how a solver executes. The zero value runs at
-// GOMAXPROCS with no cancellation and the search defaults. Parallelism
-// never changes a solver's answer: every parallel path shards its index
-// space and reduces in deterministic order, so results are bit-identical
-// to the sequential run for any degree (see internal/par). The search
-// knobs (Restarts, Budget, Seed) select how much work the Heuristic
-// method spends; for a fixed Seed its answer too is identical at every
-// parallelism degree.
+// Options tunes how solvers execute: parallelism degree, cancellation,
+// the Heuristic method's search knobs (Restarts, Budget, Seed), a
+// progress hook and shared heuristic tables. The zero value runs at
+// GOMAXPROCS with no cancellation and the search defaults.
+//
+// Determinism contract: an answer depends only on the instance, the
+// bounds, the method and the search knobs, never on Parallelism,
+// Context, Progress or Tables. Every parallel path shards its index
+// space and reduces in deterministic order, so results are
+// bit-identical to the sequential run for any degree (see internal/par;
+// enforced by differential tests), and for a fixed Seed the Heuristic
+// method's answer too is identical at every parallelism degree.
 type Options struct {
 	// Parallelism caps the worker goroutines of one solve: 0 means
 	// GOMAXPROCS, 1 (or any negative value) forces sequential
@@ -51,18 +54,18 @@ type Options struct {
 	Seed uint64
 	// Progress, when non-nil, receives (done, total) completion counts
 	// from the long-running engines: heuristic-search restarts,
-	// Monte-Carlo replications (relpipe.SimulateBatch, AdaptBatch) and
-	// frontier sweep stages (relpipe.FrontierWith); the other Optimize
-	// methods finish in one unit of work and report nothing. Reports
-	// may come from parallel workers; the hook must be concurrency-safe
-	// and never influences a result (see internal/progress). This is
-	// the observability hook the async job service streams over SSE.
+	// Monte-Carlo replications (SimulateBatch, AdaptBatch) and frontier
+	// sweep stages (FrontierWith); the other Optimize methods finish in
+	// one unit of work and report nothing. Reports may come from
+	// parallel workers; the hook must be concurrency-safe and never
+	// influences a result (see internal/progress). This is the
+	// observability hook the async job service streams over SSE.
 	Progress func(done, total int64)
 	// Tables, when non-nil, supplies pre-built heuristic partition
-	// tables (heur.BuildTables) for the instance about to be solved.
-	// Only the Heuristic search method consults it, and only at the
-	// moment it actually seeds a search — Auto runs that route to the
-	// exact or DP solvers never invoke the provider, so nothing is
+	// tables (BuildHeuristicTables) for the instance about to be
+	// solved. Only the Heuristic search method consults it, and only at
+	// the moment it actually seeds a search — Auto runs that route to
+	// the exact or DP solvers never invoke the provider, so nothing is
 	// built in vain. The provider may return nil to decline (the
 	// search then builds its own tables); when it does return tables
 	// they must match the instance it was called with. The tables are
@@ -71,11 +74,11 @@ type Options struct {
 	// instance: the service's table tier amortizes one build across the
 	// requests of one instance through this hook. Candidates, and hence
 	// solutions, are bit-identical with or without it.
-	Tables func(Instance) *heur.Tables
+	Tables func(Instance) *HeuristicTables
 }
 
 // tables consults the optional Tables provider.
-func (o Options) tables(in Instance) *heur.Tables {
+func (o Options) tables(in Instance) *HeuristicTables {
 	if o.Tables == nil {
 		return nil
 	}
@@ -89,7 +92,10 @@ func (o Options) ctx() context.Context {
 	return context.Background()
 }
 
-// ErrInfeasible is returned when no mapping satisfies the bounds.
+// ErrInfeasible is returned (wrapped; test with errors.Is) by the
+// solvers when no mapping fits the bounds: Optimize and its variants,
+// MinPeriod, MinimizeCostWith and OptimizeShared. Its "core:" prefix,
+// like the other solver errors', is kept for byte compatibility.
 var ErrInfeasible = errors.New("core: no feasible mapping")
 
 // Instance bundles an application chain with a target platform.
@@ -117,10 +123,11 @@ type Bounds struct {
 // Method selects the optimization algorithm.
 type Method int
 
+// Optimization methods.
 const (
 	// Auto picks the strongest applicable method: the exact solver on
 	// homogeneous platforms of tractable size, the reliability DP when
-	// only a period bound is given, the combined heuristics otherwise.
+	// only a period bound is given, the search engine otherwise.
 	Auto Method = iota
 	// HeurP is the period-oriented heuristic of §7 (Algorithm 4 +
 	// Algo-Alloc).
@@ -131,20 +138,21 @@ const (
 	// BestHeuristic runs both heuristics and keeps the better result,
 	// the selection rule of the paper's experiments.
 	BestHeuristic
-	// DP is Algorithm 1/2: optimal on homogeneous platforms without a
-	// latency bound.
+	// DP is the §5.1–5.2 reliability/period dynamic program (Algorithm
+	// 1/2): optimal on homogeneous platforms without a latency bound.
 	DP
 	// Exact enumerates partitions with optimal allocation: optimal on
-	// homogeneous platforms up to ~22 tasks (the latency-bounded
+	// homogeneous platforms up to 22 tasks (the latency-bounded
 	// problem is NP-complete, Theorem 3).
 	Exact
 	// ILP solves the §5.4 integer program by branch and bound
 	// (homogeneous platforms).
 	ILP
 	// Heuristic is the large-n search engine (internal/search): §7
-	// candidates refined by portfolio local search. Handles any
-	// platform and any chain length; deterministic for a fixed seed at
-	// every parallelism degree.
+	// candidates refined by a deterministic random-restart local-search
+	// portfolio, for any platform and chain length; Auto selects it
+	// beyond the exact ceiling (22 tasks) with a latency bound or on a
+	// heterogeneous platform. Deterministic for a fixed seed.
 	Heuristic
 )
 
@@ -161,7 +169,7 @@ func (m Method) String() string {
 	return fmt.Sprintf("method(%d)", int(m))
 }
 
-// ParseMethod converts a CLI name into a Method.
+// ParseMethod converts a CLI name ("exact", "heur-p", …) into a Method.
 func ParseMethod(s string) (Method, error) {
 	for m, name := range methodNames {
 		if strings.EqualFold(s, name) {
@@ -171,30 +179,35 @@ func ParseMethod(s string) (Method, error) {
 	return Auto, fmt.Errorf("core: unknown method %q", s)
 }
 
-// Solution is the output of Optimize.
+// Solution is a mapping with its evaluation, the output of Optimize.
 type Solution struct {
-	Method  string          `json:"method"`
-	Mapping mapping.Mapping `json:"mapping"`
-	Eval    mapping.Eval    `json:"eval"`
+	Method  string  `json:"method"`
+	Mapping Mapping `json:"mapping"`
+	Eval    Eval    `json:"eval"`
 }
 
-// MaxExactTasks bounds partition enumeration (2^{n-1} partitions): the
-// ceiling above which Auto routes to the search engine. Exported so
-// frontier routing (relpipe.FrontierAuto, cmd/frontier) shares the one
-// constant.
-const MaxExactTasks = 22
+// maxExactTasks bounds partition enumeration (2^{n-1} partitions): Auto
+// routes longer chains elsewhere, and the enumerating solvers refuse them.
+const maxExactTasks = 22
 
-// Optimize computes a mapping of the instance maximizing reliability
-// under the bounds, with the requested method. It returns ErrInfeasible
-// (possibly wrapped) when no mapping fits. The answer is identical for
-// every Options value with the same search knobs.
-func Optimize(in Instance, b Bounds, m Method, o Options) (Solution, error) {
+// Optimize computes a reliability-maximal mapping under the bounds
+// (OptimizeWith with the zero Options).
+func Optimize(in Instance, b Bounds, m Method) (Solution, error) {
+	return OptimizeWith(in, b, m, Options{})
+}
+
+// OptimizeWith computes a mapping of the instance maximizing
+// reliability under the bounds, with the requested method and execution
+// options. It returns ErrInfeasible (possibly wrapped) when no mapping
+// fits. The answer is identical for every Options value with the same
+// search knobs.
+func OptimizeWith(in Instance, b Bounds, m Method, o Options) (Solution, error) {
 	if err := in.Validate(); err != nil {
 		return Solution{}, err
 	}
 	if m == Auto {
 		switch {
-		case in.Platform.Homogeneous() && len(in.Chain) <= MaxExactTasks:
+		case in.Platform.Homogeneous() && len(in.Chain) <= maxExactTasks:
 			m = Exact
 		case in.Platform.Homogeneous() && b.Latency <= 0:
 			m = DP
@@ -213,7 +226,7 @@ func Optimize(in Instance, b Bounds, m Method, o Options) (Solution, error) {
 
 // optimizeResolved dispatches an already-resolved (non-Auto) method.
 func optimizeResolved(in Instance, b Bounds, m Method, o Options) (Solution, error) {
-	wrap := func(mp mapping.Mapping, ev mapping.Eval, err error) (Solution, error) {
+	wrap := func(mp Mapping, ev Eval, err error) (Solution, error) {
 		if err != nil {
 			if errors.Is(err, exact.ErrInfeasible) || errors.Is(err, dp.ErrInfeasible) ||
 				errors.Is(err, ilp.ErrInfeasible) || errors.Is(err, alloc.ErrInfeasible) {
@@ -245,8 +258,8 @@ func optimizeResolved(in Instance, b Bounds, m Method, o Options) (Solution, err
 		}
 		return wrap(dp.OptimizeReliabilityPeriodPar(o.ctx(), in.Chain, in.Platform, b.Period, o.Parallelism))
 	case Exact:
-		if len(in.Chain) > MaxExactTasks {
-			return Solution{}, fmt.Errorf("core: Exact limited to %d tasks (2^{n-1} partitions); use the heuristics", MaxExactTasks)
+		if len(in.Chain) > maxExactTasks {
+			return Solution{}, fmt.Errorf("core: Exact limited to %d tasks (2^{n-1} partitions); use the heuristics", maxExactTasks)
 		}
 		return wrap(exact.OptimalPar(o.ctx(), in.Chain, in.Platform, b.Period, b.Latency, o.Parallelism))
 	case ILP:
@@ -257,7 +270,7 @@ func optimizeResolved(in Instance, b Bounds, m Method, o Options) (Solution, err
 			}
 			return Solution{}, err
 		}
-		return wrap(model.Solve(ilp.Options{}))
+		return wrap(model.Solve())
 	case Heuristic:
 		sopts := o.searchOptions()
 		sopts.Tables = o.tables(in)
@@ -285,13 +298,24 @@ func (o Options) searchOptions() search.Options {
 }
 
 // FrontierHeuristic approximates the Pareto frontier with the search
-// engine (search.Frontier), for instances beyond the exact enumeration
-// ceiling.
-func FrontierHeuristic(in Instance, o Options) ([]frontier.Point, error) {
+// engine for instances beyond the exact enumeration ceiling
+// (large chains, heterogeneous platforms): a lower bound on the true
+// surface built from the §7 seed pool plus search-refined optima under
+// a ladder of period bounds. Deterministic for a fixed o.Seed.
+func FrontierHeuristic(in Instance, o Options) ([]FrontierPoint, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
 	return search.Frontier(in.Chain, in.Platform, o.searchOptions())
+}
+
+// logFloor turns a reliability floor (0 or below: unconstrained) into
+// the log-reliability floor the solvers take.
+func logFloor(minReliability float64) float64 {
+	if minReliability > 0 {
+		return math.Log(minReliability)
+	}
+	return math.Inf(-1)
 }
 
 // searchFloor maps a log-reliability floor into the search convention
@@ -314,24 +338,23 @@ func searchFloor(minLogRel float64) (float64, error) {
 	return minLogRel, nil
 }
 
-// Evaluate computes every §4 objective of a mapping on an instance.
-func Evaluate(in Instance, m mapping.Mapping) (mapping.Eval, error) {
+// Evaluate computes reliability, latency and period of a mapping (§4).
+func Evaluate(in Instance, m Mapping) (Eval, error) {
 	if err := in.Validate(); err != nil {
-		return mapping.Eval{}, err
+		return Eval{}, err
 	}
 	return mapping.Evaluate(in.Chain, in.Platform, m)
 }
 
-// UnroutedFailProb computes the exact failure probability of the mapping
-// *without* routing operations: every replica of an interval sends
-// directly to every replica of the next (the Fig. 4 diagram, each
-// boundary crossed once). The paper inserts routing operations to make
-// the RBD serial-parallel and asks, as future work, whether they can be
-// removed; for chains the answer is yes — a dynamic program over
-// delivering replica subsets evaluates the general diagram exactly in
-// O(m·4^K) (mapping.StageSystem), for at most mapping.MaxUnroutedReplicas
-// replicas per interval.
-func UnroutedFailProb(in Instance, m mapping.Mapping) (float64, error) {
+// UnroutedFailProb computes the exact failure probability of a mapping
+// without routing operations (the paper's future-work question): every
+// replica of an interval sends directly to every replica of the next,
+// crossing each boundary once instead of twice (the Fig. 4 diagram).
+// For chains a dynamic program over delivering replica subsets
+// evaluates that diagram exactly in O(m·4^K) (mapping.StageSystem); as
+// that is exponential in K, an interval of more than 8 replicas is an
+// error.
+func UnroutedFailProb(in Instance, m Mapping) (float64, error) {
 	if err := in.Validate(); err != nil {
 		return 0, err
 	}
@@ -345,13 +368,21 @@ func UnroutedFailProb(in Instance, m mapping.Mapping) (float64, error) {
 	return sys.FailProb(), nil
 }
 
-// MinPeriodMethod returns the mapping minimizing the period subject
-// to a minimum log-reliability (use math.Inf(-1) for unconstrained), the
-// converse problem of §5.2. The method picks the solver: DP (the exact
-// §5.2 binary search, homogeneous only), Heuristic (the search engine,
-// any platform), or Auto (DP when the platform is homogeneous, the
-// search otherwise).
-func MinPeriodMethod(in Instance, minLogRel float64, m Method, o Options) (Solution, error) {
+// MinPeriod minimizes the period subject to a reliability floor (§5.2,
+// converse problem): the exact DP binary search on homogeneous
+// platforms, the heuristic search engine on heterogeneous ones.
+// minReliability is the required success probability per data set;
+// pass 0 for unconstrained. A floor above 1 admits no mapping: every
+// method answers ErrInfeasible.
+func MinPeriod(in Instance, minReliability float64) (Solution, error) {
+	return MinPeriodMethod(in, minReliability, Auto, Options{})
+}
+
+// MinPeriodMethod is MinPeriod with an explicit method and execution
+// options: DP (the exact §5.2 binary search, homogeneous only),
+// Heuristic (the search engine, any platform), or Auto (DP when the
+// platform is homogeneous, the search otherwise).
+func MinPeriodMethod(in Instance, minReliability float64, m Method, o Options) (Solution, error) {
 	if err := in.Validate(); err != nil {
 		return Solution{}, err
 	}
@@ -363,6 +394,7 @@ func MinPeriodMethod(in Instance, minLogRel float64, m Method, o Options) (Solut
 		}
 	}
 	defer obs.Stage(o.ctx(), "minperiod."+m.String(), time.Now(), 0, nil)
+	minLogRel := logFloor(minReliability)
 	switch m {
 	case DP:
 		mp, ev, err := dp.MinPeriodForReliabilityPar(o.ctx(), in.Chain, in.Platform, minLogRel, o.Parallelism)
@@ -394,41 +426,44 @@ func MinPeriodMethod(in Instance, minLogRel float64, m Method, o Options) (Solut
 	}
 }
 
-// MinimizeCost returns the cheapest mapping meeting a
-// log-reliability floor and the bounds. Method Exact runs the
-// enumerative solver of internal/cost (homogeneous platforms within
-// the partition-enumeration ceiling); Heuristic runs the search engine
-// (any platform, any size); Auto picks Exact when it applies and the
-// search otherwise.
-func MinimizeCost(in Instance, costs []float64, minLogRel float64, b Bounds, m Method, o Options) (cost.Solution, error) {
+// MinimizeCostWith returns the cheapest mapping meeting a reliability
+// floor (success probability per data set; 0 for unconstrained, above 1
+// ErrInfeasible on every method) and the bounds — the resource-cost
+// extension of §9 — with an explicit method and execution options.
+// Exact runs the enumerative solver on homogeneous instances within the
+// partition-enumeration ceiling, Heuristic the search engine on any
+// instance, and Auto picks Exact when it applies and the search
+// otherwise.
+func MinimizeCostWith(in Instance, costs []float64, minReliability float64, b Bounds, m Method, o Options) (CostSolution, error) {
 	if err := in.Validate(); err != nil {
-		return cost.Solution{}, err
+		return CostSolution{}, err
 	}
 	if m == Auto {
-		if in.Platform.Homogeneous() && len(in.Chain) <= MaxExactTasks {
+		if in.Platform.Homogeneous() && len(in.Chain) <= maxExactTasks {
 			m = Exact
 		} else {
 			m = Heuristic
 		}
 	}
 	defer obs.Stage(o.ctx(), "mincost."+m.String(), time.Now(), 0, nil)
+	minLogRel := logFloor(minReliability)
 	switch m {
 	case Exact:
-		if len(in.Chain) > MaxExactTasks {
-			return cost.Solution{}, fmt.Errorf("core: exact min-cost limited to %d tasks (2^{n-1} partitions); use the heuristic", MaxExactTasks)
+		if len(in.Chain) > maxExactTasks {
+			return CostSolution{}, fmt.Errorf("core: exact min-cost limited to %d tasks (2^{n-1} partitions); use the heuristic", maxExactTasks)
 		}
 		sol, err := cost.MinimizePar(o.ctx(), in.Chain, in.Platform, costs, minLogRel, b.Period, b.Latency, o.Parallelism)
 		if err != nil {
 			if errors.Is(err, cost.ErrInfeasible) {
-				return cost.Solution{}, fmt.Errorf("%w: %v", ErrInfeasible, err)
+				return CostSolution{}, fmt.Errorf("%w: %v", ErrInfeasible, err)
 			}
-			return cost.Solution{}, err
+			return CostSolution{}, err
 		}
 		return sol, nil
 	case Heuristic:
 		floor, err := searchFloor(minLogRel)
 		if err != nil {
-			return cost.Solution{}, err
+			return CostSolution{}, err
 		}
 		sopts := o.searchOptions()
 		sopts.Tables = o.tables(in)
@@ -437,13 +472,13 @@ func MinimizeCost(in Instance, costs []float64, minLogRel float64, b Bounds, m M
 		sopts.Costs = costs
 		res, ok, err := search.MinimizeCost(in.Chain, in.Platform, sopts)
 		if err != nil {
-			return cost.Solution{}, err
+			return CostSolution{}, err
 		}
 		if !ok {
-			return cost.Solution{}, fmt.Errorf("%w: heuristic search found no mapping meeting the constraints", ErrInfeasible)
+			return CostSolution{}, fmt.Errorf("%w: heuristic search found no mapping meeting the constraints", ErrInfeasible)
 		}
-		return cost.Solution{Mapping: res.M, Eval: res.Ev, TotalCost: res.TotalCost}, nil
+		return CostSolution{Mapping: res.M, Eval: res.Ev, TotalCost: res.TotalCost}, nil
 	default:
-		return cost.Solution{}, fmt.Errorf("core: min-cost supports methods auto, exact and heuristic, not %v", m)
+		return CostSolution{}, fmt.Errorf("core: min-cost supports methods auto, exact and heuristic, not %v", m)
 	}
 }

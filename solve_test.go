@@ -1,4 +1,4 @@
-package core
+package relpipe
 
 import (
 	"encoding/json"
@@ -29,11 +29,11 @@ func hetInstance(n, p int) Instance {
 func TestOptimizeAllMethodsAgreeOnHomogeneous(t *testing.T) {
 	in := homInstance(6, 5)
 	b := Bounds{Period: 200, Latency: 600}
-	solE, err := Optimize(in, b, Exact, Options{})
+	solE, err := OptimizeWith(in, b, Exact, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	solI, err := Optimize(in, b, ILP, Options{})
+	solI, err := OptimizeWith(in, b, ILP, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestOptimizeAllMethodsAgreeOnHomogeneous(t *testing.T) {
 	}
 	// Heuristics are feasible and no better than the optimum.
 	for _, m := range []Method{HeurP, HeurL, BestHeuristic} {
-		sol, err := Optimize(in, b, m, Options{})
+		sol, err := OptimizeWith(in, b, m, Options{})
 		if err != nil {
 			if errors.Is(err, ErrInfeasible) {
 				continue
@@ -60,21 +60,21 @@ func TestOptimizeAllMethodsAgreeOnHomogeneous(t *testing.T) {
 
 func TestOptimizeDPNoLatency(t *testing.T) {
 	in := homInstance(6, 5)
-	sol, err := Optimize(in, Bounds{Period: 200}, DP, Options{})
+	sol, err := OptimizeWith(in, Bounds{Period: 200}, DP, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sol.Eval.WorstPeriod > 200 {
 		t.Fatalf("DP violated period bound: %v", sol.Eval.WorstPeriod)
 	}
-	if _, err := Optimize(in, Bounds{Latency: 500}, DP, Options{}); err == nil {
+	if _, err := OptimizeWith(in, Bounds{Latency: 500}, DP, Options{}); err == nil {
 		t.Fatal("DP accepted a latency bound")
 	}
 }
 
 func TestOptimizeAutoSelection(t *testing.T) {
 	// Homogeneous small: exact.
-	sol, err := Optimize(homInstance(6, 5), Bounds{}, Auto, Options{})
+	sol, err := OptimizeWith(homInstance(6, 5), Bounds{}, Auto, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestOptimizeAutoSelection(t *testing.T) {
 		t.Fatalf("auto picked %q, want exact", sol.Method)
 	}
 	// Heterogeneous: the search engine.
-	sol, err = Optimize(hetInstance(6, 5), Bounds{}, Auto, Options{})
+	sol, err = OptimizeWith(hetInstance(6, 5), Bounds{}, Auto, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +94,11 @@ func TestOptimizeAutoSelection(t *testing.T) {
 func TestOptimizeHeuristicMethod(t *testing.T) {
 	in := homInstance(6, 5)
 	b := Bounds{Period: 200, Latency: 600}
-	solE, err := Optimize(in, b, Exact, Options{})
+	solE, err := OptimizeWith(in, b, Exact, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := Optimize(in, b, Heuristic, Options{})
+	sol, err := OptimizeWith(in, b, Heuristic, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestOptimizeInfeasible(t *testing.T) {
 		if m == DP {
 			b = Bounds{Period: 1e-6}
 		}
-		_, err := Optimize(in, b, m, Options{})
+		_, err := OptimizeWith(in, b, m, Options{})
 		if !errors.Is(err, ErrInfeasible) {
 			t.Fatalf("%v: err = %v, want ErrInfeasible", m, err)
 		}
@@ -130,7 +130,7 @@ func TestOptimizeInfeasible(t *testing.T) {
 func TestOptimizeRejectsInvalidInstance(t *testing.T) {
 	in := homInstance(4, 4)
 	in.Chain = chain.Chain{}
-	if _, err := Optimize(in, Bounds{}, Auto, Options{}); err == nil {
+	if _, err := OptimizeWith(in, Bounds{}, Auto, Options{}); err == nil {
 		t.Fatal("accepted empty chain")
 	}
 }
@@ -140,18 +140,18 @@ func TestOptimizeExactTaskLimit(t *testing.T) {
 		Chain:    chain.PaperRandom(rng.New(1), 23),
 		Platform: platform.PaperHomogeneous(4),
 	}
-	if _, err := Optimize(in, Bounds{}, Exact, Options{}); err == nil {
+	if _, err := OptimizeWith(in, Bounds{}, Exact, Options{}); err == nil {
 		t.Fatal("Exact accepted 23 tasks")
 	}
 	// Auto must fall back (DP without latency) rather than fail.
-	if _, err := Optimize(in, Bounds{Period: 2000}, Auto, Options{}); err != nil {
+	if _, err := OptimizeWith(in, Bounds{Period: 2000}, Auto, Options{}); err != nil {
 		t.Fatalf("auto on 23 tasks: %v", err)
 	}
 }
 
 func TestEvaluateRoundTrip(t *testing.T) {
 	in := homInstance(6, 5)
-	sol, err := Optimize(in, Bounds{}, Exact, Options{})
+	sol, err := OptimizeWith(in, Bounds{}, Exact, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestEvaluateRoundTrip(t *testing.T) {
 
 func TestMinPeriod(t *testing.T) {
 	in := homInstance(6, 5)
-	sol, err := MinPeriodMethod(in, math.Inf(-1), Auto, Options{Parallelism: 1})
+	sol, err := MinPeriodMethod(in, 0, Auto, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestMinPeriod(t *testing.T) {
 		t.Fatalf("method = %q", sol.Method)
 	}
 	// Heterogeneous: auto falls back to the search engine.
-	het, err := MinPeriodMethod(hetInstance(5, 4), math.Inf(-1), Auto, Options{Parallelism: 1})
+	het, err := MinPeriodMethod(hetInstance(5, 4), 0, Auto, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatalf("MinPeriod on heterogeneous platform: %v", err)
 	}
@@ -188,11 +188,11 @@ func TestMinPeriod(t *testing.T) {
 		t.Fatalf("het period = %v", het.Eval.WorstPeriod)
 	}
 	// Explicit DP on a heterogeneous platform still refuses.
-	if _, err := MinPeriodMethod(hetInstance(5, 4), math.Inf(-1), DP, Options{}); err == nil {
+	if _, err := MinPeriodMethod(hetInstance(5, 4), 0, DP, Options{}); err == nil {
 		t.Fatal("explicit DP accepted a heterogeneous platform")
 	}
 	// Unsupported method names fail loudly.
-	if _, err := MinPeriodMethod(homInstance(5, 4), math.Inf(-1), ILP, Options{}); err == nil {
+	if _, err := MinPeriodMethod(homInstance(5, 4), 0, ILP, Options{}); err == nil {
 		t.Fatal("min-period accepted ILP")
 	}
 }
@@ -203,23 +203,23 @@ func TestMinimizeCostMethods(t *testing.T) {
 		Platform: platform.PaperHomogeneous(6),
 	}
 	costs := []float64{5, 1, 4, 2, 3, 6}
-	floor := math.Log(0.999)
-	exactSol, err := MinimizeCost(in, costs, floor, Bounds{}, Exact, Options{})
+	floor := 0.999
+	exactSol, err := MinimizeCostWith(in, costs, floor, Bounds{}, Exact, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	heurSol, err := MinimizeCost(in, costs, floor, Bounds{}, Heuristic, Options{})
+	heurSol, err := MinimizeCostWith(in, costs, floor, Bounds{}, Heuristic, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if heurSol.TotalCost < exactSol.TotalCost-1e-9 {
 		t.Fatalf("heuristic cost %g below the proven optimum %g", heurSol.TotalCost, exactSol.TotalCost)
 	}
-	if heurSol.Eval.LogRel < floor {
+	if heurSol.Eval.LogRel < math.Log(floor) {
 		t.Fatal("heuristic violates the reliability floor")
 	}
 	// Auto on a small homogeneous instance picks the exact solver.
-	autoSol, err := MinimizeCost(in, costs, floor, Bounds{}, Auto, Options{})
+	autoSol, err := MinimizeCostWith(in, costs, floor, Bounds{}, Auto, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,21 +229,21 @@ func TestMinimizeCostMethods(t *testing.T) {
 	// Heterogeneous platforms route to the search engine.
 	hin := hetInstance(6, 6)
 	hcosts := []float64{1, 2, 3, 4, 5, 6}
-	if _, err := MinimizeCost(hin, hcosts, floor, Bounds{}, Auto, Options{}); err != nil {
+	if _, err := MinimizeCostWith(hin, hcosts, floor, Bounds{}, Auto, Options{}); err != nil {
 		t.Fatalf("auto min-cost on heterogeneous platform: %v", err)
 	}
-	if _, err := MinimizeCost(in, costs, floor, Bounds{}, DP, Options{}); err == nil {
+	if _, err := MinimizeCostWith(in, costs, floor, Bounds{}, DP, Options{}); err == nil {
 		t.Fatal("min-cost accepted DP")
 	}
 	// Explicit Exact beyond the enumeration ceiling is refused up front
 	// (2^{n-1} partitions), mirroring Optimize's guard.
 	big := Instance{
-		Chain:    chain.PaperRandom(rng.New(2), MaxExactTasks+1),
+		Chain:    chain.PaperRandom(rng.New(2), maxExactTasks+1),
 		Platform: platform.PaperHomogeneous(6),
 	}
 	bigCosts := make([]float64, 6)
-	if _, err := MinimizeCost(big, bigCosts, floor, Bounds{}, Exact, Options{}); err == nil {
-		t.Fatalf("exact min-cost accepted %d tasks", MaxExactTasks+1)
+	if _, err := MinimizeCostWith(big, bigCosts, floor, Bounds{}, Exact, Options{}); err == nil {
+		t.Fatalf("exact min-cost accepted %d tasks", maxExactTasks+1)
 	}
 }
 
@@ -254,14 +254,14 @@ func TestMinimizeCostMethods(t *testing.T) {
 // platform it is met exactly.
 func TestHeuristicReliabilityFloorOfOne(t *testing.T) {
 	in := hetInstance(5, 4)
-	if _, err := MinPeriodMethod(in, 0, Heuristic, Options{Budget: 300, Restarts: 2}); !errors.Is(err, ErrInfeasible) {
+	if _, err := MinPeriodMethod(in, 1, Heuristic, Options{Budget: 300, Restarts: 2}); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("floor=1 on a failing platform: err = %v, want ErrInfeasible", err)
 	}
 	perfect := Instance{
 		Chain:    chain.PaperRandom(rng.New(3), 6),
 		Platform: platform.Homogeneous(4, 1, 0, 1, 0, 2),
 	}
-	sol, err := MinPeriodMethod(perfect, 0, Heuristic, Options{Budget: 300, Restarts: 2})
+	sol, err := MinPeriodMethod(perfect, 1, Heuristic, Options{Budget: 300, Restarts: 2})
 	if err != nil {
 		t.Fatalf("floor=1 on a zero-failure platform: %v", err)
 	}
@@ -305,7 +305,7 @@ func TestInstanceJSONRoundTrip(t *testing.T) {
 
 func TestSolutionJSONRoundTrip(t *testing.T) {
 	in := homInstance(5, 4)
-	sol, err := Optimize(in, Bounds{}, Exact, Options{})
+	sol, err := OptimizeWith(in, Bounds{}, Exact, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,9 @@
 // so `go doc` stays useful across the tree, and it reports every
 // exported top-level function of a shipped internal/* package that no
 // non-test Go file references: such a function is dead code or a test
-// helper, and belongs in a test file.
+// helper, and belongs in a test file. It also reports every exported
+// field of an exported Options or Config struct in such a package that
+// no non-test Go file outside the package sets: a knob only tests turn.
 //
 // Usage:
 //
@@ -29,6 +31,8 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -74,7 +78,12 @@ func run(root string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	return append(findings, unused...), nil
+	findings = append(findings, unused...)
+	unset, err := checkUnsetOptions(root)
+	if err != nil {
+		return nil, err
+	}
+	return append(findings, unset...), nil
 }
 
 // mdLink matches inline markdown links and images: [text](target).
@@ -253,24 +262,20 @@ var sharedTestHelpers = map[string]bool{
 // funcRef names a top-level function by its package import path.
 type funcRef struct{ pkg, name string }
 
-// checkUnusedExports reports every exported top-level function (methods
-// are not checked) of a shipped internal/* package that no non-test .go
-// file under root references outside its own declaration. The check is
-// syntactic: a pkg.Name selector through an import counts, and so does
-// any bare Name inside the declaring package, which may over-count but
-// never reports a function in use.
-func checkUnusedExports(root string) ([]string, error) {
-	module, err := modulePath(root)
-	if err != nil {
-		return nil, err
-	}
-	type decl struct {
-		ref funcRef
-		pos string
-	}
-	var decls []decl
-	used := map[funcRef]bool{}
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+// goFile is one parsed non-test Go file of the tree.
+type goFile struct {
+	path    string // as walked
+	dir     string // slash-separated, relative to the root
+	pkg     string // import path of the file's package
+	fset    *token.FileSet
+	f       *ast.File
+	imports map[string]string // local name -> import path
+}
+
+// walkGoFiles parses every non-test .go file under root (skipping VCS
+// internals, result trees and testdata) and hands it to fn.
+func walkGoFiles(root, module string, fn func(goFile)) error {
+	return filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -289,13 +294,12 @@ func checkUnusedExports(root string) ([]string, error) {
 			return err
 		}
 		rel = filepath.ToSlash(rel)
-		pkg := module + "/" + rel
 		fset := token.NewFileSet()
 		f, err := parser.ParseFile(fset, path, nil, 0)
 		if err != nil {
 			return fmt.Errorf("parse %s: %w", path, err)
 		}
-		imports := map[string]string{} // local name -> import path
+		imports := map[string]string{}
 		for _, im := range f.Imports {
 			p, _ := strconv.Unquote(im.Path.Value)
 			name := p[strings.LastIndexByte(p, '/')+1:]
@@ -304,7 +308,34 @@ func checkUnusedExports(root string) ([]string, error) {
 			}
 			imports[name] = p
 		}
-		for _, dl := range f.Decls {
+		pkg := module
+		if rel != "." {
+			pkg += "/" + rel
+		}
+		fn(goFile{path: path, dir: rel, pkg: pkg, fset: fset, f: f, imports: imports})
+		return nil
+	})
+}
+
+// checkUnusedExports reports every exported top-level function (methods
+// are not checked) of a shipped internal/* package that no non-test .go
+// file under root references outside its own declaration. The check is
+// syntactic: a pkg.Name selector through an import counts, and so does
+// any bare Name inside the declaring package, which may over-count but
+// never reports a function in use.
+func checkUnusedExports(root string) ([]string, error) {
+	module, err := modulePath(root)
+	if err != nil {
+		return nil, err
+	}
+	type decl struct {
+		ref funcRef
+		pos string
+	}
+	var decls []decl
+	used := map[funcRef]bool{}
+	err = walkGoFiles(root, module, func(gf goFile) {
+		for _, dl := range gf.f.Decls {
 			// Neither a declared name nor a recursive call inside the
 			// function's own body is a reference.
 			var name *ast.Ident
@@ -313,8 +344,8 @@ func checkUnusedExports(root string) ([]string, error) {
 				name = fd.Name
 				if fd.Recv == nil {
 					self = fd.Name.Name
-					if fd.Name.IsExported() && shipped(rel) && !sharedTestHelpers[rel+"."+self] {
-						decls = append(decls, decl{funcRef{pkg, self}, fmt.Sprintf("%s:%d", path, fset.Position(fd.Pos()).Line)})
+					if fd.Name.IsExported() && shipped(gf.dir) && !sharedTestHelpers[gf.dir+"."+self] {
+						decls = append(decls, decl{funcRef{gf.pkg, self}, fmt.Sprintf("%s:%d", gf.path, gf.fset.Position(fd.Pos()).Line)})
 					}
 				}
 			}
@@ -323,7 +354,7 @@ func checkUnusedExports(root string) ([]string, error) {
 				switch n := n.(type) {
 				case *ast.SelectorExpr:
 					if x, ok := n.X.(*ast.Ident); ok {
-						if p, ok := imports[x.Name]; ok {
+						if p, ok := gf.imports[x.Name]; ok {
 							used[funcRef{p, n.Sel.Name}] = true
 							return false
 						}
@@ -333,14 +364,13 @@ func checkUnusedExports(root string) ([]string, error) {
 					return false
 				case *ast.Ident:
 					if n != name && n.Name != self {
-						used[funcRef{pkg, n.Name}] = true
+						used[funcRef{gf.pkg, n.Name}] = true
 					}
 				}
 				return true
 			}
 			ast.Inspect(dl, visit)
 		}
-		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -352,6 +382,182 @@ func checkUnusedExports(root string) ([]string, error) {
 				d.pos, d.ref.pkg[strings.LastIndexByte(d.ref.pkg, '/')+1:], d.ref.name))
 		}
 	}
+	return findings, nil
+}
+
+// typeRef names a top-level type by its package import path.
+type typeRef struct{ pkg, name string }
+
+// optionField names one field of an Options or Config struct.
+type optionField struct {
+	typ   typeRef
+	field string
+}
+
+// checkUnsetOptions reports every exported field of an exported Options
+// or Config struct in a shipped internal/* package that no non-test .go
+// file outside that package sets: such a field is a knob only tests
+// turn, and belongs in a constant, a derived value or an unexported
+// field. Fields of type clock.Clock are exempt, since they exist so
+// that tests can inject a fake clock.
+//
+// The check is syntactic. A keyed literal sets the fields it names on
+// the type it spells, through type aliases (the root package's
+// AdaptOptions is adapt.Options) and through the elided element type
+// of a slice, array or map literal. An assignment, increment or
+// address-of x.F (flag bindings write through the address) sets field
+// F of every tracked type the file can name: one of a package it
+// imports, or one that its own or an imported package aliases.
+func checkUnsetOptions(root string) ([]string, error) {
+	module, err := modulePath(root)
+	if err != nil {
+		return nil, err
+	}
+	clockType := typeRef{module + "/internal/clock", "Clock"}
+	fields := map[optionField]string{} // -> declaring position
+	aliases := map[typeRef]typeRef{}
+	type keyed struct {
+		typ        typeRef
+		field, pkg string
+	}
+	var literals []keyed
+	type write struct {
+		field, pkg string
+		imports    map[string]bool // import paths of the writing file
+	}
+	var writes []write
+	err = walkGoFiles(root, module, func(gf goFile) {
+		imported := map[string]bool{}
+		for _, p := range gf.imports {
+			imported[p] = true
+		}
+		var typeOf func(e ast.Expr) (typeRef, bool)
+		typeOf = func(e ast.Expr) (typeRef, bool) {
+			switch e := e.(type) {
+			case *ast.Ident:
+				return typeRef{gf.pkg, e.Name}, true
+			case *ast.StarExpr:
+				return typeOf(e.X)
+			case *ast.SelectorExpr:
+				if x, ok := e.X.(*ast.Ident); ok {
+					if p, ok := gf.imports[x.Name]; ok {
+						return typeRef{p, e.Sel.Name}, true
+					}
+				}
+			}
+			return typeRef{}, false
+		}
+		wrote := func(e ast.Expr) {
+			if sel, ok := e.(*ast.SelectorExpr); ok {
+				writes = append(writes, write{sel.Sel.Name, gf.pkg, imported})
+			}
+		}
+		elided := map[*ast.CompositeLit]typeRef{}
+		ast.Inspect(gf.f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				if n.Assign.IsValid() {
+					if t, ok := typeOf(n.Type); ok {
+						aliases[typeRef{gf.pkg, n.Name.Name}] = t
+					}
+					return false
+				}
+				st, ok := n.Type.(*ast.StructType)
+				if !ok || !shipped(gf.dir) || (n.Name.Name != "Options" && n.Name.Name != "Config") {
+					return true
+				}
+				for _, fl := range st.Fields.List {
+					if t, ok := typeOf(fl.Type); ok && t == clockType {
+						continue
+					}
+					for _, name := range fl.Names {
+						if name.IsExported() {
+							fields[optionField{typeRef{gf.pkg, n.Name.Name}, name.Name}] = fmt.Sprintf("%s:%d", gf.path, gf.fset.Position(name.Pos()).Line)
+						}
+					}
+				}
+			case *ast.CompositeLit:
+				t, ok := elided[n]
+				if n.Type != nil {
+					t, ok = typeOf(n.Type)
+				}
+				var elem ast.Expr
+				switch lt := n.Type.(type) {
+				case *ast.ArrayType:
+					elem = lt.Elt
+				case *ast.MapType:
+					elem = lt.Value
+				}
+				et, eok := typeOf(elem)
+				for _, el := range n.Elts {
+					kv, isKV := el.(*ast.KeyValueExpr)
+					if isKV {
+						if key, isIdent := kv.Key.(*ast.Ident); isIdent && ok {
+							literals = append(literals, keyed{t, key.Name, gf.pkg})
+						}
+						el = kv.Value
+					}
+					if inner, isLit := el.(*ast.CompositeLit); isLit && inner.Type == nil && eok {
+						elided[inner] = et
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					wrote(lhs)
+				}
+			case *ast.IncDecStmt:
+				wrote(n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					wrote(n.X)
+				}
+			}
+			return true
+		})
+	})
+	if err != nil {
+		return nil, err
+	}
+	resolve := func(t typeRef) typeRef {
+		for seen := 0; seen < len(aliases); seen++ {
+			next, ok := aliases[t]
+			if !ok {
+				break
+			}
+			t = next
+		}
+		return t
+	}
+	aliasedIn := map[typeRef][]string{} // type -> packages aliasing it
+	for a, t := range aliases {
+		t = resolve(t)
+		aliasedIn[t] = append(aliasedIn[t], a.pkg)
+	}
+	set := map[optionField]bool{}
+	for _, l := range literals {
+		if t := resolve(l.typ); t.pkg != l.pkg {
+			set[optionField{t, l.field}] = true
+		}
+	}
+	// sets reports whether w writes field of: the file must name the
+	// type, through an import or an alias.
+	sets := func(w write, of optionField) bool {
+		if w.field != of.field || w.pkg == of.typ.pkg {
+			return false
+		}
+		if w.imports[of.typ.pkg] {
+			return true
+		}
+		return slices.ContainsFunc(aliasedIn[of.typ], func(q string) bool { return q == w.pkg || w.imports[q] })
+	}
+	var findings []string
+	for of, pos := range fields {
+		if !set[of] && !slices.ContainsFunc(writes, func(w write) bool { return sets(w, of) }) {
+			findings = append(findings, fmt.Sprintf("%s: field %s.%s.%s is set by no non-test file outside its package (make it a constant, derive it or unexport it)",
+				pos, of.typ.pkg[strings.LastIndexByte(of.typ.pkg, '/')+1:], of.typ.name, of.field))
+		}
+	}
+	sort.Strings(findings)
 	return findings, nil
 }
 

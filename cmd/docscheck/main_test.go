@@ -126,6 +126,64 @@ func Shadowed() int { return 5 }
 	}
 }
 
+// TestUnsetOptionReported: an exported Options or Config field of a
+// shipped internal package is a finding when only its own package or a
+// test sets it. A keyed literal elsewhere (also through an alias in the
+// root package and through a slice literal's elided element type), an
+// assignment, an address taken, a clock.Clock field, an unexported
+// field and the oracle packages are not.
+func TestUnsetOptionReported(t *testing.T) {
+	root := t.TempDir()
+	write(t, root, "go.mod", "module m\n\ngo 1.24\n")
+	write(t, root, "alias.go", "// Package m re-exports a.\npackage m\n\nimport \"m/internal/a\"\n\ntype AOptions = a.Options\n\nvar _ = AOptions{ViaAlias: 1}\n")
+	write(t, root, "internal/clock/doc.go", "// Package clock tells time.\npackage clock\n\ntype Clock interface{}\n")
+	write(t, root, "internal/a/doc.go", "// Package a does a.\npackage a\n")
+	write(t, root, "internal/a/a.go", `package a
+
+import "m/internal/clock"
+
+type Options struct {
+	Keyed, ViaAlias, Assigned, Addressed int
+	InPackage                            int
+	TestOnly                             int
+	Clock                                clock.Clock
+	hidden                               int
+}
+
+type Config struct{ Elided, Unset int }
+
+var _ = Options{InPackage: 1, hidden: 2}
+`)
+	write(t, root, "internal/a/a_test.go", "package a\n\nvar _ = Options{TestOnly: 1}\n")
+	write(t, root, "cmd/x/main.go", `package main
+
+import (
+	"flag"
+
+	"m/internal/a"
+)
+
+func main() {
+	o := a.Options{Keyed: 1}
+	o.Assigned = 2
+	flag.IntVar(&o.Addressed, "n", 0, "")
+	_ = []a.Config{{Elided: 1}}
+}
+`)
+	write(t, root, "internal/rbd/doc.go", "// Package rbd is an oracle.\npackage rbd\n\ntype Options struct{ Never int }\n")
+	findings, err := run(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range findings {
+		got = append(got, f[strings.Index(f, "field ")+len("field "):strings.Index(f, " is set")])
+	}
+	if strings.Join(got, " ") != "a.Config.Unset a.Options.InPackage a.Options.TestOnly" {
+		t.Fatalf("findings = %v, want a.Config.Unset, a.Options.InPackage and a.Options.TestOnly", findings)
+	}
+}
+
 // TestRepositoryIsClean runs the gate against the real repository (two
 // levels up), so `go test ./...` catches a broken link or an
 // undocumented package before CI does.

@@ -15,7 +15,7 @@ import (
 
 // ErrInfeasible is returned when some interval cannot receive any
 // processor (not enough processors, or every candidate violates the
-// period bound or the compatibility constraints).
+// period bound or is not alive).
 var ErrInfeasible = errors.New("alloc: no feasible allocation")
 
 // Cell is the half-open interval [Lo, Hi) of positive period bounds on
@@ -30,14 +30,10 @@ func (c Cell) Contains(b float64) bool { return c.Lo <= b && b < c.Hi }
 // AllBounds is the Cell of a run that no period bound can change.
 var AllBounds = Cell{Lo: math.SmallestNonzeroFloat64, Hi: math.Inf(1)}
 
-// Constraint reports whether interval j may run on processor u. A nil
-// Constraint allows everything. This models the §7.2 remark that some
-// tasks need a hardware driver present only on some processors.
-type Constraint func(j, u int) bool
-
 // GreedyHet implements the §7.2 allocation heuristic for general
 // platforms under an optional period bound (periodBound <= 0 means
-// unconstrained) and optional compatibility constraints:
+// unconstrained), using only the processors u with alive[u] true (a
+// nil alive admits every processor):
 //
 //  1. processors are considered by increasing λ_u/s_u ("most reliable
 //     first"; with the paper's uniform λ this is fastest first);
@@ -58,7 +54,7 @@ type Constraint func(j, u int) bool
 // the same tests next, and ends in the same mapping or error. An
 // unconstrained run (periodBound <= 0) passes every test it makes and
 // so reports [largest tested compute time, +Inf).
-func GreedyHet(c chain.Chain, pl platform.Platform, parts interval.Partition, periodBound float64, allowed Constraint) (mapping.Mapping, Cell, error) {
+func GreedyHet(c chain.Chain, pl platform.Platform, parts interval.Partition, periodBound float64, alive []bool) (mapping.Mapping, Cell, error) {
 	m := len(parts)
 	p := pl.P()
 	if p < m {
@@ -100,10 +96,7 @@ func GreedyHet(c chain.Chain, pl platform.Platform, parts interval.Partition, pe
 		} else if t > cell.Lo {
 			cell.Lo = t
 		}
-		if allowed != nil && !allowed(j, u) {
-			return false
-		}
-		return true
+		return alive == nil || alive[u]
 	}
 
 	order := make([]int, p)

@@ -87,31 +87,30 @@ func TestGreedyHetConstraints(t *testing.T) {
 	c := chain.Chain{{Work: 10, Out: 1}, {Work: 10, Out: 0}}
 	pl := homPl(4)
 	parts := interval.Partition{{First: 0, Last: 0}, {First: 1, Last: 1}}
-	// Interval 0 may only run on processor 3.
-	constraint := func(j, u int) bool {
-		if j == 0 {
-			return u == 3
-		}
-		return u != 3
-	}
-	m, _, err := GreedyHet(c, pl, parts, 0, constraint)
+	// Processors 0 and 2 are dead.
+	alive := []bool{false, true, false, true}
+	m, _, err := GreedyHet(c, pl, parts, 0, alive)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Procs[0]) != 1 || m.Procs[0][0] != 3 {
-		t.Fatalf("interval 0 procs = %v, want [3]", m.Procs[0])
-	}
-	for _, u := range m.Procs[1] {
-		if u == 3 {
-			t.Fatal("interval 1 uses forbidden processor 3")
+	used := 0
+	for j, ps := range m.Procs {
+		for _, u := range ps {
+			if !alive[u] {
+				t.Fatalf("interval %d uses dead processor %d", j, u)
+			}
+			used++
 		}
+	}
+	if used != 2 {
+		t.Fatalf("procs = %v, want both survivors used", m.Procs)
 	}
 }
 
 func TestGreedyHetConstraintInfeasible(t *testing.T) {
 	c := chain.Chain{{Work: 10, Out: 0}}
 	pl := homPl(2)
-	_, _, err := GreedyHet(c, pl, interval.Single(1), 0, func(j, u int) bool { return false })
+	_, _, err := GreedyHet(c, pl, interval.Single(1), 0, []bool{false, false})
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}

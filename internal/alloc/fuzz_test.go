@@ -25,7 +25,7 @@ import (
 
 // cellSetup draws a small instance whose compute times tie often: works
 // and speeds are small integers half of the time.
-func cellSetup(r *rng.Rand) (chain.Chain, platform.Platform, interval.Partition, Constraint) {
+func cellSetup(r *rng.Rand) (chain.Chain, platform.Platform, interval.Partition, []bool) {
 	n := 1 + r.IntN(10)
 	integral := r.Bernoulli(0.5)
 	c := make(chain.Chain, n)
@@ -53,15 +53,14 @@ func cellSetup(r *rng.Rand) (chain.Chain, platform.Platform, interval.Partition,
 		parts = pp.Clone()
 		return r.Bernoulli(0.6)
 	})
-	var allowed Constraint
+	var alive []bool
 	if r.Bernoulli(0.3) {
-		forbid := make([]bool, m*p)
-		for i := range forbid {
-			forbid[i] = r.Bernoulli(0.2)
+		alive = make([]bool, p)
+		for u := range alive {
+			alive[u] = !r.Bernoulli(0.2)
 		}
-		allowed = func(j, u int) bool { return !forbid[j*p+u] }
 	}
-	return c, pl, parts, allowed
+	return c, pl, parts, alive
 }
 
 // evalFloats lists every float of an evaluation, aggregates and stages.
@@ -83,7 +82,7 @@ func FuzzGreedyCell(f *testing.F) {
 	f.Add(uint64(3), -1.0, 2.0)
 	f.Add(uint64(11), 0.05, 0.05)
 	f.Fuzz(func(t *testing.T, seed uint64, b1, b2 float64) {
-		c, pl, parts, allowed := cellSetup(rng.New(seed))
+		c, pl, parts, alive := cellSetup(rng.New(seed))
 		// Scale the fuzzer's bounds to the instance: 1 is the chain's
 		// whole work on the slowest processor.
 		slowest := math.Inf(1)
@@ -93,7 +92,7 @@ func FuzzGreedyCell(f *testing.F) {
 		scale := c.Work(0, len(c)-1) / slowest
 		b1, b2 = b1*scale, b2*scale
 
-		m1, cell, err1 := GreedyHet(c, pl, parts, b1, allowed)
+		m1, cell, err1 := GreedyHet(c, pl, parts, b1, alive)
 		if !(cell.Lo > 0) {
 			t.Fatalf("bound %v: cell %+v does not start above 0", b1, cell)
 		}
@@ -116,7 +115,7 @@ func FuzzGreedyCell(f *testing.F) {
 			if !cell.Contains(b) {
 				continue
 			}
-			m2, cell2, err2 := GreedyHet(c, pl, parts, b, allowed)
+			m2, cell2, err2 := GreedyHet(c, pl, parts, b, alive)
 			if cell2 != cell {
 				t.Fatalf("bound %v in cell %+v of bound %v reports cell %+v", b, cell, b1, cell2)
 			}

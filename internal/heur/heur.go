@@ -15,9 +15,9 @@ type Options struct {
 	// unconstrained. Feasibility uses the worst-case metrics of §7 (on
 	// homogeneous platforms expected and worst-case coincide).
 	Period, Latency float64
-	// Allowed optionally restricts which processor may serve which
-	// interval (§7.2); nil allows everything.
-	Allowed alloc.Constraint
+	// Alive optionally restricts the allocation to the processors u
+	// with Alive[u] true; nil admits every processor.
+	Alive []bool
 }
 
 // Result is a feasible mapping produced by a heuristic.
@@ -42,7 +42,7 @@ func (o Options) meets(ev mapping.Eval) bool {
 // §7.2 allocation plus the evaluation of the partitioned chain, with the
 // allocation's period-bound cell (alloc.GreedyHet).
 func finishCandidate(c chain.Chain, pl platform.Platform, parts interval.Partition, m int, opts Options) (Result, alloc.Cell, bool) {
-	mp, cell, err := alloc.GreedyHet(c, pl, parts, opts.Period, opts.Allowed)
+	mp, cell, err := alloc.GreedyHet(c, pl, parts, opts.Period, opts.Alive)
 	if err != nil {
 		return Result{}, cell, false
 	}
@@ -57,7 +57,7 @@ func finishCandidate(c chain.Chain, pl platform.Platform, parts interval.Partiti
 // table and Heur-L's communication ordering) pre-built for one
 // instance, plus a memo of the seeds generators built over them (see
 // Gen.Lookup). The tables depend only on the chain and the platform —
-// never on period/latency bounds or allocation constraints — and are
+// never on period/latency bounds or the Alive mask — and are
 // immutable after BuildTables; the memo is internally synchronized. So
 // one Tables value can serve every request against the same instance
 // concurrently. This is the unit the service's table tier keeps per

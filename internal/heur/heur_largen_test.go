@@ -74,46 +74,49 @@ func TestBestAt500StagesIsFeasibleUnderLooseBounds(t *testing.T) {
 	}
 }
 
-// TestAllowedRestrictsLargeAllocations drives the §7.2 Allowed
-// constraint at scale: only every third processor may serve any
-// interval, and the winning mappings must respect it.
+// TestAllowedRestrictsLargeAllocations drives the Alive mask at
+// scale: only every third processor survives, and the winning mappings
+// must use survivors only.
 func TestAllowedRestrictsLargeAllocations(t *testing.T) {
 	c, pl := largeInstance(4, 200, 30)
-	allowed := func(j, u int) bool { return u%3 == 0 }
-	res, ok, err := Best(c, pl, Options{Allowed: allowed})
+	alive := make([]bool, pl.P())
+	for u := range alive {
+		alive[u] = u%3 == 0
+	}
+	res, ok, err := Best(c, pl, Options{Alive: alive})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ok {
-		t.Fatal("no solution with 10 of 30 processors allowed")
+		t.Fatal("no solution with 10 of 30 processors alive")
 	}
 	for j, procs := range res.M.Procs {
 		for _, u := range procs {
 			if u%3 != 0 {
-				t.Fatalf("interval %d uses disallowed processor %d", j, u)
+				t.Fatalf("interval %d uses dead processor %d", j, u)
 			}
 		}
 	}
 	// At most 10 processors are allowed, so at most 10 intervals.
 	if len(res.M.Parts) > 10 {
-		t.Fatalf("%d intervals with only 10 allowed processors", len(res.M.Parts))
+		t.Fatalf("%d intervals with only 10 live processors", len(res.M.Parts))
 	}
 }
 
-// TestAllowedForbiddingEverythingFindsNothing pins the infeasible
-// constraint path: every candidate's allocation fails, so the
+// TestAllowedForbiddingEverythingFindsNothing pins the path where no
+// processor survives: every candidate's allocation fails, so the
 // heuristics return no result (and no error).
 func TestAllowedForbiddingEverythingFindsNothing(t *testing.T) {
 	c, pl := largeInstance(5, 100, 20)
 	for name, fn := range map[string]func(chain.Chain, platform.Platform, Options) (Result, bool, error){
 		"HeurP": HeurP, "HeurL": HeurL, "Best": Best,
 	} {
-		_, ok, err := fn(c, pl, Options{Allowed: func(int, int) bool { return false }})
+		_, ok, err := fn(c, pl, Options{Alive: make([]bool, pl.P())})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if ok {
-			t.Fatalf("%s found a mapping although every processor is forbidden", name)
+			t.Fatalf("%s found a mapping although no processor is alive", name)
 		}
 	}
 }

@@ -97,7 +97,7 @@ func (g *Gen) Build(m int, latencyOriented bool) (Seed, bool) {
 }
 
 func (g *Gen) seedMemo() *seedMemo {
-	if g.opts.Allowed != nil {
+	if g.opts.Alive != nil {
 		return nil
 	}
 	return g.memo

@@ -104,8 +104,8 @@ func TestSeedMemoHitsMatchFreshBuild(t *testing.T) {
 	}
 }
 
-// TestSeedMemoSkipped: without shared tables, or with an allocation
-// constraint, Lookup never finds anything and Build leaves the memo
+// TestSeedMemoSkipped: without shared tables, or with an Alive mask,
+// Lookup never finds anything and Build leaves the memo
 // empty.
 func TestSeedMemoSkipped(t *testing.T) {
 	c := chain.PaperRandom(rng.New(4), 10)
@@ -114,7 +114,7 @@ func TestSeedMemoSkipped(t *testing.T) {
 	size := tables.Bytes()
 	for _, g := range []*Gen{
 		NewGen(c, pl, 5, Options{Period: 50}),
-		NewGen(c, pl, 5, Options{Period: 50, Allowed: func(_, u int) bool { return u > 0 }}).WithTables(tables),
+		NewGen(c, pl, 5, Options{Period: 50, Alive: []bool{false, true, true, true, true}}).WithTables(tables),
 	} {
 		for i := 0; i < 2; i++ {
 			g.Build(3, false)

@@ -38,10 +38,8 @@ type Options struct {
 	// (default 16). The empty client name is one shared bucket.
 	MaxPerClient int
 	// TTL is how long terminal jobs stay queryable before the janitor
-	// collects them (default 10m).
+	// collects them (default 10m). The janitor runs every min(TTL, 1m).
 	TTL time.Duration
-	// GCInterval is the janitor period (default min(TTL, 1m)).
-	GCInterval time.Duration
 
 	// Clock is the engine's time source (default clock.Real()). Tests
 	// inject a *clock.Fake so TTL collection — including the janitor's
@@ -58,9 +56,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.TTL <= 0 {
 		o.TTL = 10 * time.Minute
-	}
-	if o.GCInterval <= 0 {
-		o.GCInterval = min(o.TTL, time.Minute)
 	}
 	if o.Clock == nil {
 		o.Clock = clock.Real()
@@ -99,7 +94,7 @@ func NewEngine(opts Options) *Engine {
 	// The ticker is created here, not inside the goroutine, so a fake
 	// clock advanced right after NewEngine returns is guaranteed to
 	// reach it.
-	go e.janitor(e.opts.Clock.NewTicker(e.opts.GCInterval))
+	go e.janitor(e.opts.Clock.NewTicker(min(e.opts.TTL, time.Minute)))
 	return e
 }
 

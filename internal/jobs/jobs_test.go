@@ -13,9 +13,6 @@ func newTestEngine(t *testing.T, opts Options) (*Engine, *clock.Fake) {
 	t.Helper()
 	clk := clock.NewFake(time.Unix(1000, 0))
 	opts.Clock = clk
-	if opts.GCInterval == 0 {
-		opts.GCInterval = time.Hour // most tests drive collect() directly
-	}
 	e := NewEngine(opts)
 	t.Cleanup(e.Close)
 	return e, clk
@@ -171,12 +168,13 @@ func TestTTLCollect(t *testing.T) {
 }
 
 // TestJanitorFakeClock drives the janitor goroutine itself through the
-// fake clock's ticker: advancing past GCInterval+TTL makes the janitor
-// collect the terminal job with no wall-clock sleeps involved. Only the
-// cross-goroutine handoff needs a poll (the tick is delivered
-// synchronously by Advance; the janitor drains it on its own schedule).
+// fake clock's ticker: advancing past the janitor period (min(TTL, 1m))
+// and the TTL makes the janitor collect the terminal job with no
+// wall-clock sleeps involved. Only the cross-goroutine handoff needs a
+// poll (the tick is delivered synchronously by Advance; the janitor
+// drains it on its own schedule).
 func TestJanitorFakeClock(t *testing.T) {
-	e, clk := newTestEngine(t, Options{TTL: time.Minute, GCInterval: 30 * time.Second})
+	e, clk := newTestEngine(t, Options{TTL: time.Minute})
 	j, err := e.Submit(context.Background(), "k", "c", "", instant(200))
 	if err != nil {
 		t.Fatal(err)

@@ -20,26 +20,16 @@ type StageEvent struct {
 // concurrent use: parallel solver shards report concurrently.
 type StageObserver func(StageEvent)
 
-type stageKey struct{}
-
 // WithStageObserver returns a context that delivers solver stage events
-// to fn. A nil fn returns ctx unchanged.
+// to fn, keeping ctx's trace and current span. A nil fn returns ctx
+// unchanged.
 func WithStageObserver(ctx context.Context, fn StageObserver) context.Context {
 	if fn == nil {
 		return ctx
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return context.WithValue(ctx, stageKey{}, fn)
-}
-
-func observerFrom(ctx context.Context) StageObserver {
-	if ctx == nil {
-		return nil
-	}
-	fn, _ := ctx.Value(stageKey{}).(StageObserver)
-	return fn
+	sc := scopeFrom(ctx)
+	sc.observer = fn
+	return withScope(ctx, sc)
 }
 
 // Active reports whether ctx carries a stage observer or an active
@@ -47,28 +37,22 @@ func observerFrom(ctx context.Context) StageObserver {
 // use it to skip per-worker measurement entirely when nobody is
 // watching, so instrumentation costs nothing on unobserved runs.
 func Active(ctx context.Context) bool {
-	if ctx == nil {
-		return false
-	}
-	if observerFrom(ctx) != nil {
-		return true
-	}
-	_, ok := refFrom(ctx)
-	return ok
+	return scopeFrom(ctx).active()
 }
 
 // Stage reports a completed solver phase that started at start and ends
 // now: it invokes the context's stage observer (if any) and records a
 // child span on the context's trace (if any). Solvers call this
-// unconditionally — with neither installed it costs two context lookups
+// unconditionally — with neither installed it costs one context lookup
 // and nothing else, and it never affects solver results.
 func Stage(ctx context.Context, name string, start time.Time, units int64, attrs map[string]string) {
-	if ctx == nil {
+	sc := scopeFrom(ctx)
+	if !sc.active() {
 		return
 	}
 	end := time.Now()
-	if fn := observerFrom(ctx); fn != nil {
-		fn(StageEvent{Name: name, Duration: end.Sub(start), Units: units, Attrs: attrs})
+	if sc.observer != nil {
+		sc.observer(StageEvent{Name: name, Duration: end.Sub(start), Units: units, Attrs: attrs})
 	}
-	RecordSpan(ctx, name, start, end, attrs)
+	recordSpan(sc, name, start, end, attrs)
 }

@@ -200,21 +200,35 @@ func (h *SpanHandle) End() {
 	}
 }
 
-// spanRef is the context value: which active trace we are in and which
-// span is the current parent.
-type spanRef struct {
-	at     *activeTrace
-	spanID string
+// scope is the one observation context value: the active trace and
+// the current span within it (at nil outside a trace), and the stage
+// observer (nil when none is installed). Every span and trace opened
+// under a scope inherits its observer, so a root installs the observer
+// once and everything below it, detached solves included, sees it.
+type scope struct {
+	at       *activeTrace
+	spanID   string
+	observer StageObserver
 }
 
-type spanRefKey struct{}
+type scopeKey struct{}
 
-func refFrom(ctx context.Context) (spanRef, bool) {
+func scopeFrom(ctx context.Context) scope {
 	if ctx == nil {
-		return spanRef{}, false
+		return scope{}
 	}
-	ref, ok := ctx.Value(spanRefKey{}).(spanRef)
-	return ref, ok
+	sc, _ := ctx.Value(scopeKey{}).(scope)
+	return sc
+}
+
+// active reports whether the scope records anything.
+func (sc scope) active() bool { return sc.at != nil || sc.observer != nil }
+
+func withScope(ctx context.Context, sc scope) context.Context {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	return context.WithValue(ctx, scopeKey{}, sc)
 }
 
 // StartTrace opens a new trace with a fresh ID rooted at a span called
@@ -232,33 +246,33 @@ func (r *Recorder) StartTraceID(ctx context.Context, traceID, name string) (cont
 	if r == nil {
 		return ctx, nil
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	at := &activeTrace{rec: r, traceID: traceID}
 	h := &SpanHandle{
 		at:   at,
 		span: Span{TraceID: traceID, SpanID: at.newSpanID(), Name: name, Start: time.Now()},
 		root: true,
 	}
-	return context.WithValue(ctx, spanRefKey{}, spanRef{at: at, spanID: h.span.SpanID}), h
+	sc := scopeFrom(ctx)
+	sc.at, sc.spanID = at, h.span.SpanID
+	return withScope(ctx, sc), h
 }
 
 // StartSpan opens a child of the current span. Without a trace in ctx
 // it returns ctx unchanged and a nil (inert) handle.
 func StartSpan(ctx context.Context, name string) (context.Context, *SpanHandle) {
-	ref, ok := refFrom(ctx)
-	if !ok {
+	sc := scopeFrom(ctx)
+	if sc.at == nil {
 		return ctx, nil
 	}
 	h := &SpanHandle{
-		at: ref.at,
+		at: sc.at,
 		span: Span{
-			TraceID: ref.at.traceID, SpanID: ref.at.newSpanID(), ParentID: ref.spanID,
+			TraceID: sc.at.traceID, SpanID: sc.at.newSpanID(), ParentID: sc.spanID,
 			Name: name, Start: time.Now(),
 		},
 	}
-	return context.WithValue(ctx, spanRefKey{}, spanRef{at: ref.at, spanID: h.span.SpanID}), h
+	sc.spanID = h.span.SpanID
+	return withScope(ctx, sc), h
 }
 
 // RecordSpan records an already-completed child of the current span —
@@ -266,12 +280,15 @@ func StartSpan(ctx context.Context, name string) (context.Context, *SpanHandle) 
 // between submitting to a worker pool and a worker picking the task up.
 // Without a trace in ctx it is a no-op.
 func RecordSpan(ctx context.Context, name string, start, end time.Time, attrs map[string]string) {
-	ref, ok := refFrom(ctx)
-	if !ok {
+	recordSpan(scopeFrom(ctx), name, start, end, attrs)
+}
+
+func recordSpan(sc scope, name string, start, end time.Time, attrs map[string]string) {
+	if sc.at == nil {
 		return
 	}
-	ref.at.addSpan(Span{
-		TraceID: ref.at.traceID, SpanID: ref.at.newSpanID(), ParentID: ref.spanID,
+	sc.at.addSpan(Span{
+		TraceID: sc.at.traceID, SpanID: sc.at.newSpanID(), ParentID: sc.spanID,
 		Name: name, Start: start, End: end, Attrs: attrs,
 	})
 }
@@ -279,27 +296,25 @@ func RecordSpan(ctx context.Context, name string, start, end time.Time, attrs ma
 // TraceIDFrom returns the current trace's ID, or "" when ctx carries no
 // trace.
 func TraceIDFrom(ctx context.Context) string {
-	ref, ok := refFrom(ctx)
-	if !ok {
-		return ""
+	if at := scopeFrom(ctx).at; at != nil {
+		return at.traceID
 	}
-	return ref.at.traceID
+	return ""
 }
 
-// CopyTrace grafts src's trace reference (active trace and current
-// span) onto dst. This is how a detached execution context — a solve
-// running under context.Background so a departing client cannot cancel
-// work that dedup followers share — keeps recording spans into the
-// originating request's trace.
-func CopyTrace(dst, src context.Context) context.Context {
-	ref, ok := refFrom(src)
-	if !ok {
-		return dst
+// Detach returns a context that carries ctx's observation scope — its
+// trace, current span and stage observer — but none of its deadline,
+// cancellation or other values. This is how a detached execution — a
+// solve running apart from any one request so a departing client
+// cannot cancel work that dedup followers share — keeps recording
+// spans into the originating request's trace and reporting stages to
+// its observer.
+func Detach(ctx context.Context) context.Context {
+	sc := scopeFrom(ctx)
+	if !sc.active() {
+		return context.Background()
 	}
-	if dst == nil {
-		dst = context.Background()
-	}
-	return context.WithValue(dst, spanRefKey{}, ref)
+	return withScope(context.Background(), sc)
 }
 
 // NewTraceID returns a fresh 128-bit hex trace ID.

@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -76,15 +77,15 @@ func TestTraceLifecycleNestedSpans(t *testing.T) {
 }
 
 // TestTraceAcrossGoroutines models the pool handoff: the span-carrying
-// context crosses into worker goroutines (via CopyTrace onto a detached
-// context) and their spans land in the originating trace.
+// context crosses into worker goroutines (through Detach) and their
+// spans land in the originating trace.
 func TestTraceAcrossGoroutines(t *testing.T) {
 	rec := NewRecorder(8)
 	ctx, root := rec.StartTrace(context.Background(), "req")
 
-	detached := CopyTrace(context.Background(), ctx)
+	detached := Detach(ctx)
 	if TraceIDFrom(detached) != TraceIDFrom(ctx) {
-		t.Fatal("CopyTrace did not carry the trace ID")
+		t.Fatal("Detach did not carry the trace ID")
 	}
 
 	var wg sync.WaitGroup
@@ -213,9 +214,63 @@ func TestWithStageObserverNilFn(t *testing.T) {
 	}
 }
 
+// TestScopeInheritsObserver pins the single observation scope: a trace
+// opened under an observer, and the spans below it, report stages to
+// that observer; installing the observer under a trace keeps the
+// trace; and Detach carries both the trace and the observer onto a
+// context that cancelling the original does not reach.
+func TestScopeInheritsObserver(t *testing.T) {
+	rec := NewRecorder(8)
+	var mu sync.Mutex
+	var seen []string
+	observe := func(e StageEvent) {
+		mu.Lock()
+		seen = append(seen, e.Name)
+		mu.Unlock()
+	}
+	parent, cancel := context.WithCancel(WithStageObserver(context.Background(), observe))
+	ctx, root := rec.StartTrace(parent, "root")
+	sctx, sp := StartSpan(ctx, "solve")
+	Stage(sctx, "in-span", time.Now(), 0, nil)
+
+	detached := Detach(sctx)
+	cancel()
+	if detached.Err() != nil {
+		t.Fatal("Detach kept the original's cancellation")
+	}
+	if !Active(detached) || TraceIDFrom(detached) != TraceIDFrom(ctx) {
+		t.Fatal("Detach did not carry the trace")
+	}
+	Stage(detached, "detached", time.Now(), 0, nil)
+	sp.End()
+
+	// Observer installed after the trace: the trace stays.
+	octx := WithStageObserver(ctx, observe)
+	if TraceIDFrom(octx) != TraceIDFrom(ctx) {
+		t.Fatal("WithStageObserver dropped the trace")
+	}
+	Stage(octx, "late", time.Now(), 0, nil)
+	root.End()
+
+	if got := strings.Join(seen, " "); got != "in-span detached late" {
+		t.Fatalf("observer saw %q, want in-span detached late", got)
+	}
+	tr, _ := rec.Find(TraceIDFrom(ctx))
+	parents := map[string]string{}
+	for _, s := range tr.Spans {
+		parents[s.Name] = s.ParentID
+	}
+	if parents["detached"] != parents["in-span"] || parents["in-span"] == "" {
+		t.Fatalf("detached stage span parents %v, want both under the solve span", parents)
+	}
+	if Active(Detach(context.Background())) {
+		t.Fatal("Detach of an unobserved context is active")
+	}
+}
+
 // TestSpanIDsUniqueAndDeterministic pins the per-trace span counter:
 // every span of a trace — the root, nested spans, recorded spans and
-// spans recorded from other goroutines through CopyTrace — gets a
+// spans recorded from other goroutines through Detach — gets a
 // distinct 16-hex-digit id, and replaying the same sequential trace
 // gives the same ids, names and parent links.
 func TestSpanIDsUniqueAndDeterministic(t *testing.T) {
@@ -249,7 +304,7 @@ func TestSpanIDsUniqueAndDeterministic(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wctx := CopyTrace(context.Background(), ctx)
+			wctx := Detach(ctx)
 			for i := 0; i < perWorker; i++ {
 				sctx, sp := StartSpan(wctx, "work")
 				RecordSpan(sctx, "step", time.Now(), time.Now(), nil)

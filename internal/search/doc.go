@@ -19,6 +19,13 @@
 //     processors under a reliability floor and bounds (the §9
 //     resource-cost extension, beyond internal/cost's enumeration).
 //
+// Repair is Optimize after permanent crashes, the one repair search of
+// internal/adapt and internal/fleet: a processor survivor mask keeps
+// every allocation and move on live processors, and the running
+// mapping with its dead replicas stripped leads the seed pool. Both are
+// unexported options that only Repair sets; the public Options carry
+// no per-processor or per-interval constraint.
+//
 // Determinism contract: the result depends only on (instance, Options
 // minus Parallelism/Context/Progress/Tables). The work is bounded by
 // iteration counts, never by wall clock, so a run gives the same answer

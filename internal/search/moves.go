@@ -24,8 +24,10 @@ import (
 //
 // Mappings stay valid by construction: the partition always tiles the
 // chain, every interval keeps 1..K replicas, and a processor serves at
-// most one interval. The Allowed constraint is consulted whenever a
-// processor is granted to an interval index.
+// most one interval. Only live processors (Repair's survivor mask)
+// ever serve: seeds and the warm mapping place survivors only, and the
+// moves that draw a processor from the unused pool, which keeps the
+// dead ones, check it with usable.
 //
 // Moves never alias cur's storage into next (content is always copied
 // into next's own reused arrays) and never read next's prior content,
@@ -72,30 +74,9 @@ func weighted(pairs ...any) []moveKind {
 	return out
 }
 
-// allowed applies the optional constraint.
-func (p problem) allowed(j, u int) bool {
-	return p.opts.Allowed == nil || p.opts.Allowed(j, u)
-}
-
-// allowedFrom re-checks the constraint for every interval at index >=
-// from. Merging or splitting shifts the indices of all subsequent
-// intervals, and Allowed is defined on (interval index, processor) —
-// an assignment legal at index j+1 may be illegal once the interval
-// sits at index j. Moves that shift indices must reject neighbors that
-// would break the constraint, or the search could return a mapping no
-// validator can flag (mapping.Validate knows nothing about Allowed).
-func (p problem) allowedFrom(s *state, from int) bool {
-	if p.opts.Allowed == nil {
-		return true
-	}
-	for j := from; j < len(s.procs); j++ {
-		for _, u := range s.procs[j] {
-			if !p.opts.Allowed(j, u) {
-				return false
-			}
-		}
-	}
-	return true
+// usable reports whether processor u is alive.
+func (p problem) usable(u int) bool {
+	return p.opts.alive == nil || p.opts.alive[u]
 }
 
 // propose draws neighborhoods until one yields a valid neighbor in
@@ -162,8 +143,8 @@ func (p problem) mergeIntervals(cur, next *state, r *rng.Rand) (mapping.Touched,
 	j := r.IntN(m - 1)
 	k := p.pl.MaxReplicas
 
-	// Fuse interval j+1 into j: keep at most K allowed processors in
-	// encounter order, free the rest to the pool.
+	// Fuse interval j+1 into j: keep at most K processors in encounter
+	// order, free the rest to the pool.
 	next.setIntervals(len(cur.procs) - 1)
 	for i := 0; i < j; i++ {
 		next.setProcs(i, cur.procs[i])
@@ -176,15 +157,12 @@ func (p problem) mergeIntervals(cur, next *state, r *rng.Rand) (mapping.Touched,
 			src = cur.procs[j+1]
 		}
 		for _, u := range src {
-			if len(kept) < k && p.allowed(j, u) {
+			if len(kept) < k {
 				kept = append(kept, u)
 			} else {
 				next.unused = append(next.unused, u)
 			}
 		}
-	}
-	if len(kept) == 0 {
-		return mapping.Touched{}, false
 	}
 	next.procs[j] = kept
 	for i := j + 1; i < len(next.procs); i++ {
@@ -194,10 +172,6 @@ func (p problem) mergeIntervals(cur, next *state, r *rng.Rand) (mapping.Touched,
 	next.parts = append(next.parts[:0], cur.parts[:j+1]...)
 	next.parts[j].Last = cur.parts[j+1].Last
 	next.parts = append(next.parts, cur.parts[j+2:]...)
-
-	if !p.allowedFrom(next, j+1) { // intervals past j shifted down one index
-		return mapping.Touched{}, false
-	}
 	return mapping.TouchMerge(j), true
 }
 
@@ -210,7 +184,7 @@ func (p problem) splitInterval(cur, next *state, r *rng.Rand) (mapping.Touched, 
 	}
 	cut := cur.parts[j].First + r.IntN(size-1) // last task of the left half
 
-	// Staff the right half: an unused allowed processor, else a surplus
+	// Staff the right half: an unused live processor, else a surplus
 	// replica of the split interval itself.
 	next.unused = append(next.unused[:0], cur.unused...)
 	rightProc := -1
@@ -218,7 +192,7 @@ func (p problem) splitInterval(cur, next *state, r *rng.Rand) (mapping.Touched, 
 		start := r.IntN(len(next.unused))
 		for i := 0; i < len(next.unused); i++ {
 			idx := (start + i) % len(next.unused)
-			if p.allowed(j+1, next.unused[idx]) {
+			if p.usable(next.unused[idx]) {
 				rightProc = next.unused[idx]
 				next.unused = append(next.unused[:idx], next.unused[idx+1:]...)
 				break
@@ -231,9 +205,6 @@ func (p problem) splitInterval(cur, next *state, r *rng.Rand) (mapping.Touched, 
 			return mapping.Touched{}, false
 		}
 		last := len(left) - 1
-		if !p.allowed(j+1, left[last]) {
-			return mapping.Touched{}, false
-		}
 		rightProc = left[last]
 		left = left[:last]
 	}
@@ -253,10 +224,6 @@ func (p problem) splitInterval(cur, next *state, r *rng.Rand) (mapping.Touched, 
 		interval.Interval{First: cur.parts[j].First, Last: cut},
 		interval.Interval{First: cut + 1, Last: cur.parts[j].Last})
 	next.parts = append(next.parts, cur.parts[j+1:]...)
-
-	if !p.allowedFrom(next, j+2) { // intervals past j shifted up one index
-		return mapping.Touched{}, false
-	}
 	return mapping.TouchSplit(j), true
 }
 
@@ -267,7 +234,7 @@ func (p problem) swapReplica(cur, next *state, r *rng.Rand) (mapping.Touched, bo
 	j := r.IntN(len(cur.parts))
 	ri := r.IntN(len(cur.procs[j]))
 	ui := r.IntN(len(cur.unused))
-	if !p.allowed(j, cur.unused[ui]) {
+	if !p.usable(cur.unused[ui]) {
 		return mapping.Touched{}, false
 	}
 	next.copyFrom(cur)
@@ -284,7 +251,7 @@ func (p problem) addReplica(cur, next *state, r *rng.Rand) (mapping.Touched, boo
 		return mapping.Touched{}, false
 	}
 	ui := r.IntN(len(cur.unused))
-	if !p.allowed(j, cur.unused[ui]) {
+	if !p.usable(cur.unused[ui]) {
 		return mapping.Touched{}, false
 	}
 	next.copyFrom(cur)
@@ -316,9 +283,6 @@ func (p problem) stealReplica(cur, next *state, r *rng.Rand) (mapping.Touched, b
 		return mapping.Touched{}, false
 	}
 	ri := r.IntN(len(cur.procs[src]))
-	if !p.allowed(dst, cur.procs[src][ri]) {
-		return mapping.Touched{}, false
-	}
 	next.copyFrom(cur)
 	next.procs[dst] = append(next.procs[dst], next.procs[src][ri])
 	next.procs[src] = append(next.procs[src][:ri], next.procs[src][ri+1:]...)

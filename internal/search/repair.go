@@ -10,15 +10,13 @@ import (
 // Optimize run restricted to the surviving processors (alive[u] ==
 // false forbids u), warm-started from cur with its dead replicas
 // stripped when that still covers every interval. When the crashes
-// emptied an interval the cold seeds carry the search. It overrides
-// opts.Allowed and opts.Warm; every other option passes through. This
-// is the one repair search of the online-adaptation engine
-// (internal/adapt) and the fleet controller (internal/fleet).
+// emptied an interval the cold seeds carry the search. This is the one
+// repair search of the online-adaptation engine (internal/adapt) and
+// the fleet controller (internal/fleet).
 func Repair(c chain.Chain, pl platform.Platform, cur mapping.Mapping, alive []bool, opts Options) (Result, bool, error) {
-	opts.Allowed = func(_, u int) bool { return alive[u] }
-	opts.Warm = nil
+	opts.alive = alive
 	if masked, whole, _ := cur.Mask(alive); whole {
-		opts.Warm = []mapping.Mapping{masked}
+		opts.warm = &masked
 	}
 	return Optimize(c, pl, opts)
 }

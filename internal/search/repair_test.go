@@ -39,10 +39,9 @@ func TestAdoptTruthTable(t *testing.T) {
 // inlineRepair is the warm-started survivor search exactly as adapt and
 // the fleet submitters wrote it before search.Repair: strip dead
 // replicas by hand, warm-start only from a whole result, and forbid
-// dead processors through Allowed.
+// dead processors through the survivor mask.
 func inlineRepair(c chain.Chain, pl platform.Platform, cur mapping.Mapping, alive []bool, opts Options) (Result, bool, error) {
 	masked := cur.Clone()
-	var warm []mapping.Mapping
 	whole := true
 	for j, ps := range masked.Procs {
 		keep := ps[:0]
@@ -55,10 +54,9 @@ func inlineRepair(c chain.Chain, pl platform.Platform, cur mapping.Mapping, aliv
 		whole = whole && len(keep) > 0
 	}
 	if whole {
-		warm = []mapping.Mapping{masked}
+		opts.warm = &masked
 	}
-	opts.Allowed = func(_, u int) bool { return alive[u] }
-	opts.Warm = warm
+	opts.alive = alive
 	return Optimize(c, pl, opts)
 }
 

@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"time"
 
-	"relpipe/internal/alloc"
 	"relpipe/internal/chain"
 	"relpipe/internal/heur"
 	"relpipe/internal/interval"
@@ -33,20 +32,6 @@ type Options struct {
 	MinLogRel float64
 	// Costs prices each processor for MinimizeCost (len == P).
 	Costs []float64
-	// Allowed optionally restricts which processor may serve which
-	// interval index (§7.2); nil allows everything. The constraint is
-	// consulted whenever a move grants a processor to an interval,
-	// against the interval's index in the current partition.
-	Allowed alloc.Constraint
-	// Warm optionally injects known-good mappings at the head of the
-	// seed pool, ahead of the §7 heuristic candidates regardless of
-	// score: restart 0 refines Warm[0], restart 1 refines Warm[1], and
-	// so on. This is how the online-adaptation engine (internal/adapt)
-	// warm-starts a re-optimization from the mapping that was running
-	// when a processor died. Every warm mapping must be valid for the
-	// instance and satisfy Allowed; Optimize errors otherwise.
-	Warm []mapping.Mapping
-
 	// Restarts is the portfolio size (default 8). Restart 0 refines
 	// the best heuristic seed; later restarts cycle through the seed
 	// pool and add deterministic random perturbations.
@@ -69,6 +54,15 @@ type Options struct {
 	// changes a result; it exists as the reference oracle for those
 	// checks.
 	referenceEval bool
+
+	// alive and warm are set only by Repair. alive restricts every
+	// allocation to the processors u with alive[u] true (nil admits
+	// all). warm, when non-nil, leads the seed pool ahead of the §7
+	// heuristic candidates regardless of score, so restart 0 refines
+	// it; it must be valid for the instance, and Repair builds it with
+	// Mapping.Mask, so it holds survivors only.
+	alive []bool
+	warm  *mapping.Mapping
 
 	// Tables optionally injects pre-built heuristic partition tables
 	// (heur.BuildTables) into the seed-pool sweep, skipping the
@@ -198,18 +192,9 @@ func run(c chain.Chain, pl platform.Platform, opts Options, obj objective) (Resu
 	if err := pl.Validate(); err != nil {
 		return Result{}, false, err
 	}
-	for i, w := range opts.Warm {
+	if w := opts.warm; w != nil {
 		if err := w.Validate(c, pl); err != nil {
-			return Result{}, false, fmt.Errorf("search: warm mapping %d: %w", i, err)
-		}
-		if opts.Allowed != nil {
-			for j, ps := range w.Procs {
-				for _, u := range ps {
-					if !opts.Allowed(j, u) {
-						return Result{}, false, fmt.Errorf("search: warm mapping %d grants forbidden processor %d to interval %d", i, u, j)
-					}
-				}
-			}
+			return Result{}, false, fmt.Errorf("search: warm mapping: %w", err)
 		}
 	}
 	opts = opts.defaults(len(c))
@@ -223,7 +208,7 @@ func run(c chain.Chain, pl platform.Platform, opts Options, obj objective) (Resu
 	})
 	if len(seeds) == 0 {
 		// Not even an unconstrained single-interval allocation exists
-		// (e.g. Allowed forbids every processor): no mapping at all.
+		// (e.g. no processor is alive): no mapping at all.
 		return Result{}, false, nil
 	}
 	seedScore := seeds[0].score
@@ -428,23 +413,18 @@ func (p problem) seedPool(keep int) ([]seedCandidate, cellTally) {
 		cells.misses += more.misses
 	}
 	sort.SliceStable(pool, func(a, b int) bool { return pool[a].score > pool[b].score })
-	if len(p.opts.Warm) > 0 {
-		// Warm mappings lead the pool unconditionally (not merged by
-		// score): the caller asserts these are the states to refine
-		// first, e.g. the mapping that was running before a failure.
-		// Scoring goes through the incremental evaluator's full pass —
-		// bit-identical to EvaluateUnchecked, and it keeps the seed
-		// path on the same code the anneal loop trusts.
+	if w := p.opts.warm; w != nil {
+		// The warm mapping leads the pool unconditionally (not merged
+		// by score): it is the mapping that was running before a
+		// failure, the state to refine first. Scoring goes through the
+		// incremental evaluator's full pass — bit-identical to
+		// EvaluateUnchecked, and it keeps the seed path on the same
+		// code the anneal loop trusts.
 		ev := mapping.NewEvaluator(p.c, p.pl, p.links)
-		warm := make([]seedCandidate, 0, len(p.opts.Warm)+len(pool))
-		for _, w := range p.opts.Warm {
-			st := newState(p.pl, w.Parts.Clone(), cloneProcs(w.Procs))
-			warm = append(warm, seedCandidate{
-				st:    st,
-				score: p.score(ev.Init(w), p.cost(w.Procs)),
-			})
-		}
-		pool = append(warm, pool...)
+		pool = append([]seedCandidate{{
+			st:    newState(p.pl, w.Parts.Clone(), cloneProcs(w.Procs)),
+			score: p.score(ev.Init(*w), p.cost(w.Procs)),
+		}}, pool...)
 	}
 	if len(pool) > keep {
 		pool = pool[:keep]
@@ -468,7 +448,7 @@ func (p problem) candidates(maxM int, heurPeriod float64) (*heur.Gen, []seedCand
 	// One generator per sweep: the Heur-P partition DP is built once for
 	// maxM and shared across every sampled interval count — or not even
 	// once, when the caller supplied batch-shared tables.
-	gen := heur.NewGen(p.c, p.pl, maxM, heur.Options{Period: heurPeriod, Allowed: p.opts.Allowed}).
+	gen := heur.NewGen(p.c, p.pl, maxM, heur.Options{Period: heurPeriod, Alive: p.opts.alive}).
 		WithTables(p.opts.Tables)
 	type slot struct {
 		seedCandidate

@@ -202,46 +202,21 @@ func TestAllowedConstraintRespected(t *testing.T) {
 	c := chain.PaperRandom(r, 20)
 	pl := platform.PaperHeterogeneous(r, 10)
 	// Odd processors only.
-	allowed := func(j, u int) bool { return u%2 == 1 }
-	res, ok, err := Optimize(c, pl, Options{Seed: 1, Allowed: allowed, Restarts: 4, Budget: 800})
+	alive := make([]bool, pl.P())
+	for u := range alive {
+		alive[u] = u%2 == 1
+	}
+	res, ok, err := Optimize(c, pl, Options{Seed: 1, alive: alive, Restarts: 4, Budget: 800})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ok {
-		t.Fatal("no solution with half the processors allowed")
+		t.Fatal("no solution with half the processors alive")
 	}
 	for j, ps := range res.M.Procs {
 		for _, u := range ps {
 			if u%2 != 1 {
-				t.Fatalf("interval %d uses disallowed processor %d", j, u)
-			}
-		}
-	}
-}
-
-// TestAllowedIndexDependentConstraint uses a constraint whose verdict
-// depends on the interval *index*, not just the processor: merges and
-// splits shift subsequent interval indices, and the moves must reject
-// neighbors whose shifted intervals would become disallowed.
-func TestAllowedIndexDependentConstraint(t *testing.T) {
-	r := rng.New(11)
-	c := chain.PaperRandom(r, 24)
-	pl := platform.PaperHeterogeneous(r, 12)
-	// Interval j may only use processors with index >= j.
-	allowed := func(j, u int) bool { return u >= j }
-	for seed := uint64(1); seed <= 4; seed++ {
-		res, ok, err := Optimize(c, pl, Options{Seed: seed, Allowed: allowed, Restarts: 4, Budget: 1500})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if !ok {
-			continue
-		}
-		for j, ps := range res.M.Procs {
-			for _, u := range ps {
-				if !allowed(j, u) {
-					t.Fatalf("seed %d: interval %d uses processor %d (< %d): index-shifted constraint violated", seed, j, u, j)
-				}
+				t.Fatalf("interval %d uses dead processor %d", j, u)
 			}
 		}
 	}
@@ -250,12 +225,12 @@ func TestAllowedIndexDependentConstraint(t *testing.T) {
 func TestAllowedForbiddingEverythingReturnsNotOK(t *testing.T) {
 	c := chain.Chain{{Work: 5, Out: 0}}
 	pl := platform.PaperHomogeneous(3)
-	_, ok, err := Optimize(c, pl, Options{Seed: 1, Allowed: func(int, int) bool { return false }})
+	_, ok, err := Optimize(c, pl, Options{Seed: 1, alive: make([]bool, pl.P())})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok {
-		t.Fatal("found a mapping although every processor is forbidden")
+		t.Fatal("found a mapping although no processor is alive")
 	}
 }
 

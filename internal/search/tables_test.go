@@ -1,8 +1,8 @@
 package search
 
 // Bit-identity of the shared-tables seam at the search layer: a search
-// seeded through pre-built heuristic tables (Options.Tables, the solve
-// batcher's injection point) must return exactly the solution of a
+// seeded through pre-built heuristic tables (Options.Tables, the service
+// table tier's injection point) must return exactly the solution of a
 // self-building search — same mapping, same evaluation bits.
 
 import (

@@ -1,7 +1,6 @@
 package search
 
 import (
-	"strings"
 	"testing"
 
 	"relpipe/internal/chain"
@@ -31,7 +30,7 @@ func TestWarmSeedLeadsPool(t *testing.T) {
 		t.Fatal("degenerate: best heuristic seed scores like the warm mapping")
 	}
 	res, ok, err := Optimize(c, pl, Options{
-		Warm:     []mapping.Mapping{warm},
+		warm:     &warm,
 		Restarts: 1, Budget: 1, Seed: 1,
 	})
 	if err != nil || !ok {
@@ -52,7 +51,7 @@ func TestWarmImprovesOrMatches(t *testing.T) {
 	warm := mapping.Mapping{Parts: interval.Single(len(c)), Procs: [][]int{{3}}}
 	evWarm := mapping.EvaluateUnchecked(c, pl, warm)
 	res, ok, err := Optimize(c, pl, Options{
-		Warm: []mapping.Mapping{warm}, Restarts: 2, Budget: 400, Seed: 1,
+		warm: &warm, Restarts: 2, Budget: 400, Seed: 1,
 	})
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
@@ -62,22 +61,14 @@ func TestWarmImprovesOrMatches(t *testing.T) {
 	}
 }
 
-// TestWarmValidation: invalid warm mappings and Allowed-violating warm
-// mappings must error, not silently join the pool.
+// TestWarmValidation: an invalid warm mapping must error, not silently
+// join the pool.
 func TestWarmValidation(t *testing.T) {
 	r := rng.New(7)
 	c := chain.PaperRandom(r, 6)
 	pl := platform.PaperHeterogeneous(r, 6)
 	bad := mapping.Mapping{Parts: interval.Single(len(c)), Procs: [][]int{{99}}}
-	if _, _, err := Optimize(c, pl, Options{Warm: []mapping.Mapping{bad}}); err == nil {
+	if _, _, err := Optimize(c, pl, Options{warm: &bad}); err == nil {
 		t.Fatal("invalid warm mapping accepted")
-	}
-	warm := mapping.Mapping{Parts: interval.Single(len(c)), Procs: [][]int{{0}}}
-	_, _, err := Optimize(c, pl, Options{
-		Warm:    []mapping.Mapping{warm},
-		Allowed: func(j, u int) bool { return u != 0 },
-	})
-	if err == nil || !strings.Contains(err.Error(), "forbidden") {
-		t.Fatalf("Allowed-violating warm mapping accepted: %v", err)
 	}
 }

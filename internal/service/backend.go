@@ -162,9 +162,10 @@ func (s *Server) solve(ctx context.Context, req Request) outcome {
 		// worker side: a solve that outlives the timeout (its waiter
 		// already got 504) still lands in the cache, so the next
 		// identical request is a hit instead of another doomed solve.
-		// The leader's trace and the stage observer ride along on the
-		// detached context — observation only, never cancellation.
-		execCtx := obs.WithStageObserver(obs.CopyTrace(context.Background(), ctx), s.metrics.StageObserver())
+		// The leader's observation scope (trace and stage observer)
+		// rides along on the detached context — observation only,
+		// never cancellation.
+		execCtx := obs.Detach(ctx)
 		waitCtx, cancel := context.WithTimeout(context.Background(), s.opts.RequestTimeout)
 		defer cancel()
 		enqueued := time.Now()
@@ -197,7 +198,6 @@ func (s *Server) solve(ctx context.Context, req Request) outcome {
 // the running phase, and falls back to a local solve when that owner is
 // unreachable.
 func (s *Server) executeWait(ctx context.Context, req Request, running func(), report progress.Func) outcome {
-	ctx = obs.WithStageObserver(ctx, s.metrics.StageObserver())
 	if out, ok := s.lookup(ctx, req.Key); ok {
 		return out
 	}

@@ -57,7 +57,7 @@ func (fs *fleetSubmitter) SubmitRemap(r fleet.Remap) (<-chan fleet.RemapOutcome,
 			res, err := s.pool.DoWait(ctx, func() (any, error) {
 				ctl.Running()
 				// The job's context cancels the search (DELETE, shutdown)
-				// and carries its trace and the stage observer; restarts
+				// and carries its observation scope (admitJob); restarts
 				// report as the job's progress.
 				result, ok, err := search.Repair(r.Chain, r.Platform, r.Mapping, r.Alive, search.Options{
 					Period:      r.Period,
@@ -66,7 +66,7 @@ func (fs *fleetSubmitter) SubmitRemap(r fleet.Remap) (<-chan fleet.RemapOutcome,
 					Budget:      r.Budget,
 					Seed:        r.Seed,
 					Parallelism: s.exec.parallelism,
-					Context:     obs.WithStageObserver(ctx, s.metrics.StageObserver()),
+					Context:     ctx,
 					Progress:    ctl.Progress,
 				})
 				if err != nil {

@@ -13,7 +13,8 @@ import (
 // capacity; the HTTP layer translates it to 429 + Retry-After.
 var ErrQueueFull = errors.New("service: worker queue full")
 
-// ErrPoolClosed is returned by Pool.Do after Close.
+// ErrPoolClosed is returned by Pool.Do and Pool.DoWait after Close, and
+// by a DoWait that Close interrupted.
 var ErrPoolClosed = errors.New("service: pool closed")
 
 // ErrSolvePanic is returned (wrapped) by Pool.Do when the submitted
@@ -27,9 +28,11 @@ type Pool struct {
 	queue   chan poolTask
 	metrics *Metrics
 
-	mu     sync.Mutex
-	closed bool
-	wg     sync.WaitGroup
+	mu      sync.Mutex
+	closed  bool
+	closing chan struct{} // closed by Close: wakes blocked DoWait senders
+	senders sync.WaitGroup
+	wg      sync.WaitGroup
 }
 
 type poolTask struct {
@@ -52,7 +55,7 @@ func NewPool(workers, queueSize int, metrics *Metrics) *Pool {
 	if queueSize < 1 {
 		queueSize = 4 * workers
 	}
-	p := &Pool{queue: make(chan poolTask, queueSize), metrics: metrics}
+	p := &Pool{queue: make(chan poolTask, queueSize), metrics: metrics, closing: make(chan struct{})}
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go p.worker()
@@ -77,6 +80,27 @@ func (p *Pool) worker() {
 // on its worker (solvers are not preemptible), but its result is
 // discarded without blocking the worker.
 func (p *Pool) Do(ctx context.Context, fn func() (any, error)) (any, error) {
+	return p.submit(ctx, fn, false)
+}
+
+// DoWait submits fn like Do but, instead of failing fast when the queue
+// is full, blocks until a queue slot frees, ctx is cancelled or the
+// pool closes (ErrPoolClosed). This is the async-jobs submission path:
+// a job accepted into the (separately capped) job store waits for pool
+// capacity rather than bouncing with 429, and a cancelled job abandons
+// its slot wait. Like Do, if ctx expires after the task was enqueued,
+// the task still runs to completion on its worker and only the wait is
+// abandoned.
+func (p *Pool) DoWait(ctx context.Context, fn func() (any, error)) (any, error) {
+	return p.submit(ctx, fn, true)
+}
+
+// submit is the one enqueue discipline of Do and DoWait. A send that
+// succeeds at once happens under the mutex, so it never races Close. A
+// send that has to wait cannot hold the mutex; it registers as a
+// sender instead, and Close wakes it and waits for it to leave before
+// closing the queue.
+func (p *Pool) submit(ctx context.Context, fn func() (any, error), wait bool) (any, error) {
 	t := poolTask{fn: fn, res: make(chan poolResult, 1)}
 	p.mu.Lock()
 	if p.closed {
@@ -91,9 +115,19 @@ func (p *Pool) Do(ctx context.Context, fn func() (any, error)) (any, error) {
 	case p.queue <- t:
 		p.mu.Unlock()
 	default:
+		if !wait {
+			p.mu.Unlock()
+			p.metrics.QueueLeave()
+			return nil, ErrQueueFull
+		}
+		p.senders.Add(1)
 		p.mu.Unlock()
-		p.metrics.QueueLeave()
-		return nil, ErrQueueFull
+		err := p.await(ctx, t)
+		p.senders.Done()
+		if err != nil {
+			p.metrics.QueueLeave()
+			return nil, err
+		}
 	}
 	select {
 	case r := <-t.res:
@@ -103,37 +137,15 @@ func (p *Pool) Do(ctx context.Context, fn func() (any, error)) (any, error) {
 	}
 }
 
-// DoWait submits fn like Do but, instead of failing fast when the queue
-// is full, blocks until a queue slot frees or ctx is cancelled. This is
-// the async-jobs submission path: a job accepted into the (separately
-// capped) job store waits for pool capacity rather than bouncing with
-// 429, and a cancelled job abandons its slot wait. Like Do, if ctx
-// expires after the task was enqueued, the task still runs to
-// completion on its worker and only the wait is abandoned.
-//
-// DoWait must not be called concurrently with or after Close: the
-// blocking enqueue cannot hold the pool mutex, so the caller (the jobs
-// engine, which drains before the pool closes) owns that ordering.
-func (p *Pool) DoWait(ctx context.Context, fn func() (any, error)) (any, error) {
-	t := poolTask{fn: fn, res: make(chan poolResult, 1)}
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil, ErrPoolClosed
-	}
-	p.metrics.QueueEnter()
-	p.mu.Unlock()
+// await blocks until t is enqueued, ctx is done or the pool closes.
+func (p *Pool) await(ctx context.Context, t poolTask) error {
 	select {
 	case p.queue <- t:
+		return nil
 	case <-ctx.Done():
-		p.metrics.QueueLeave()
-		return nil, ctx.Err()
-	}
-	select {
-	case r := <-t.res:
-		return r.val, r.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
+		return ctx.Err()
+	case <-p.closing:
+		return ErrPoolClosed
 	}
 }
 
@@ -150,7 +162,8 @@ func runTask(fn func() (any, error)) (val any, err error) {
 }
 
 // Close stops accepting work and waits for queued tasks to drain and
-// workers to exit (graceful shutdown).
+// workers to exit (graceful shutdown). A DoWait still waiting for a
+// queue slot returns ErrPoolClosed.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	if p.closed {
@@ -158,7 +171,9 @@ func (p *Pool) Close() {
 		return
 	}
 	p.closed = true
-	close(p.queue)
+	close(p.closing)
 	p.mu.Unlock()
+	p.senders.Wait()
+	close(p.queue)
 	p.wg.Wait()
 }

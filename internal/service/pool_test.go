@@ -191,6 +191,51 @@ func TestDoWaitCancelledWhileQueued(t *testing.T) {
 	}
 }
 
+// TestDoWaitInterruptedByClose: Close while a DoWait waits for a slot
+// on a full queue must not close the queue under the blocked sender.
+// The DoWait returns ErrPoolClosed, the queued task still drains, and
+// the queue-depth gauge settles at zero.
+func TestDoWaitInterruptedByClose(t *testing.T) {
+	m := NewMetrics()
+	p := NewPool(1, 1, m)
+	block := make(chan struct{})
+	running := make(chan struct{})
+	go p.Do(context.Background(), func() (any, error) {
+		close(running)
+		<-block
+		return nil, nil
+	})
+	<-running
+	queued := make(chan error, 1)
+	go func() {
+		_, err := p.Do(context.Background(), func() (any, error) { return nil, nil })
+		queued <- err
+	}()
+	waitFor(t, func() bool { return len(p.queue) == 1 })
+	waited := make(chan error, 1)
+	go func() {
+		_, err := p.DoWait(context.Background(), func() (any, error) { return nil, nil })
+		waited <- err
+	}()
+	waitFor(t, func() bool { return m.QueueDepth() == 2 })
+	closed := make(chan struct{})
+	go func() {
+		p.Close()
+		close(closed)
+	}()
+	if err := <-waited; !errors.Is(err, ErrPoolClosed) {
+		t.Fatalf("DoWait interrupted by Close = %v, want ErrPoolClosed", err)
+	}
+	close(block)
+	<-closed
+	if err := <-queued; err != nil {
+		t.Fatalf("queued task = %v", err)
+	}
+	if d := m.QueueDepth(); d != 0 {
+		t.Fatalf("queue depth after Close = %v, want 0", d)
+	}
+}
+
 // waitFor polls cond for up to 2 seconds.
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()

@@ -129,6 +129,7 @@ type Server struct {
 	forwards *flightGroup // collapses concurrent identical cluster forwards
 	tables   *tableTier
 	metrics  *Metrics
+	observer obs.StageObserver // metrics.StageObserver, installed once per root
 	recorder *obs.Recorder
 	logger   *slog.Logger
 	jobs     *jobs.Engine
@@ -155,6 +156,7 @@ func NewServer(opts Options) *Server {
 		flights:   newFlightGroup(),
 		forwards:  newFlightGroup(),
 		metrics:   m,
+		observer:  m.StageObserver(),
 		logger:    opts.Logger,
 		shutdownC: make(chan struct{}),
 		tables:    newTableTier(m, tableBudget),
@@ -384,7 +386,7 @@ type solveCtx struct {
 	ctx      context.Context
 	progress progress.Func
 	// tables is the table tier's heuristic-table provider (see
-	// batcher.go; nil for a request without a route). Like the
+	// tables.go; nil for a request without a route). Like the
 	// other fields it never influences an answer: provided tables are
 	// bit-identical to the ones a search builds itself.
 	tables func(relpipe.Instance) *relpipe.HeuristicTables

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"relpipe"
+	"relpipe/internal/obs"
 )
 
 // testInstance is a small homogeneous instance every endpoint can solve
@@ -33,13 +34,14 @@ func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 
 // process runs one body through the synchronous contract, the way a
 // /v1 endpoint does, without the HTTP layer: tests drive parsers and
-// solve closures of their own through it.
+// solve closures of their own through it. It installs the stage
+// observer as serveObserved would, so stage metrics count its solves.
 func (s *Server) process(ctx context.Context, kind string, parse parser, body []byte) outcome {
 	req, err := s.newRequest(kind, parse, body)
 	if err != nil {
 		return errorOutcome(http.StatusBadRequest, err)
 	}
-	return s.execute(ctx, req)
+	return s.execute(obs.WithStageObserver(ctx, s.observer), req)
 }
 
 // postJSON posts v and decodes the response body into out (if non-nil),

@@ -1,6 +1,6 @@
 package service
 
-// Tests of the heuristic-table tier (batcher.go): one build per route
+// Tests of the heuristic-table tier (tables.go): one build per route
 // across concurrent and later requests, the mixed-instance and
 // degraded-instance guards, the byte budget, rider cancellation, and
 // byte-identity of tiered responses to per-request table builds.
@@ -16,9 +16,9 @@ import (
 	"relpipe"
 )
 
-// batcherInstances returns two distinct instances whose canonical
+// tierInstances returns two distinct instances whose canonical
 // hashes — and hence batch routes — differ.
-func batcherInstances() (a, b relpipe.Instance) {
+func tierInstances() (a, b relpipe.Instance) {
 	a, b = testInstance(1), testInstance(2)
 	if a.Canonical() == b.Canonical() {
 		panic("test instances collide")
@@ -26,10 +26,10 @@ func batcherInstances() (a, b relpipe.Instance) {
 	return a, b
 }
 
-func TestBatcherOneBuildPerBatch(t *testing.T) {
+func TestTableTierOneBuildPerBatch(t *testing.T) {
 	m := NewMetrics()
 	tier := newTableTier(m, tableBudget)
-	in, _ := batcherInstances()
+	in, _ := tierInstances()
 	get := tier.provider(in.Canonical())
 
 	// The first concurrent use builds once; every caller gets the one
@@ -73,10 +73,10 @@ func TestBatcherOneBuildPerBatch(t *testing.T) {
 	}
 }
 
-func TestBatcherMixedInstancesDoNotCoalesce(t *testing.T) {
+func TestTableTierMixedInstancesDoNotCoalesce(t *testing.T) {
 	m := NewMetrics()
 	tier := newTableTier(m, tableBudget)
-	inA, inB := batcherInstances()
+	inA, inB := tierInstances()
 	ta, tb := tier.provider(inA.Canonical())(inA), tier.provider(inB.Canonical())(inB)
 	if ta == nil || tb == nil || ta == tb {
 		t.Fatalf("tables %p / %p: want two distinct builds", ta, tb)
@@ -89,15 +89,15 @@ func TestBatcherMixedInstancesDoNotCoalesce(t *testing.T) {
 	}
 }
 
-// TestBatcherRejectsForeignInstance pins the degraded-platform guard: a
+// TestTableTierRejectsForeignInstance pins the degraded-platform guard: a
 // solve keyed under one instance may re-optimize another (the adapt
 // policies re-map platforms with dead processors), and the provider
 // must decline rather than hand it the wrong tables — or retain tables
 // for an instance no request was keyed under.
-func TestBatcherRejectsForeignInstance(t *testing.T) {
+func TestTableTierRejectsForeignInstance(t *testing.T) {
 	m := NewMetrics()
 	tier := newTableTier(m, tableBudget)
-	inA, inB := batcherInstances()
+	inA, inB := tierInstances()
 	get := tier.provider(inA.Canonical())
 	if tb := get(inB); tb != nil {
 		t.Fatalf("provider handed instance A's tables to instance B: %p", tb)
@@ -113,11 +113,11 @@ func TestBatcherRejectsForeignInstance(t *testing.T) {
 	}
 }
 
-// TestBatcherRiderLeavingKeepsBatchAlive pins that eviction never
+// TestTableTierRiderLeavingKeepsBatchAlive pins that eviction never
 // disturbs a solve already holding tables: an evicted route's tables
 // stay valid for their holder, and the route's next use builds afresh.
-func TestBatcherRiderLeavingKeepsBatchAlive(t *testing.T) {
-	inA, inB := batcherInstances()
+func TestTableTierRiderLeavingKeepsBatchAlive(t *testing.T) {
+	inA, inB := tierInstances()
 	m := NewMetrics()
 	// The budget holds one instance's tables, not two.
 	tier := newTableTier(m, relpipe.BuildHeuristicTables(inA).Bytes()+1)
@@ -181,7 +181,7 @@ func TestTableTierEvictsUnderBudget(t *testing.T) {
 // exceed the budget is served its tables but leaves nothing behind, so
 // its next request builds again.
 func TestTableTierOversizeNotRetained(t *testing.T) {
-	in, _ := batcherInstances()
+	in, _ := tierInstances()
 	m := NewMetrics()
 	tier := newTableTier(m, relpipe.BuildHeuristicTables(in).Bytes()-1)
 	for i := 1; i <= 2; i++ {
@@ -197,10 +197,10 @@ func TestTableTierOversizeNotRetained(t *testing.T) {
 	}
 }
 
-// TestBatcherDisabledIsInert: a request without a route takes no part
+// TestTableTierDisabledIsInert: a request without a route takes no part
 // in the tier — it gets no provider, so its search builds its own
 // tables.
-func TestBatcherDisabledIsInert(t *testing.T) {
+func TestTableTierDisabledIsInert(t *testing.T) {
 	tier := newTableTier(NewMetrics(), tableBudget)
 	if p := tier.provider(""); p != nil {
 		t.Fatal("empty route got a provider")
@@ -269,7 +269,7 @@ func plugWorker(s *Server, release <-chan struct{}) <-chan outcome {
 func TestSolveBatchEndToEnd(t *testing.T) {
 	s := NewServer(Options{Workers: 1, CacheSize: -1})
 	defer s.Close()
-	in, _ := batcherInstances()
+	in, _ := tierInstances()
 	const members = 4
 
 	release := make(chan struct{})
@@ -333,7 +333,7 @@ func TestSolveBatchEndToEnd(t *testing.T) {
 func TestSolveBatchRiderCancellationEndToEnd(t *testing.T) {
 	s := NewServer(Options{Workers: 1, CacheSize: -1})
 	defer s.Close()
-	in, _ := batcherInstances()
+	in, _ := tierInstances()
 
 	release := make(chan struct{})
 	plugDone := plugWorker(s, release)
@@ -382,7 +382,7 @@ func TestTableTierMatchesPerRequestBuild(t *testing.T) {
 	defer s.Close()
 	ref := NewServer(Options{Workers: 1, CacheSize: -1})
 	defer ref.Close()
-	inA, inB := batcherInstances()
+	inA, inB := tierInstances()
 	type job struct {
 		kind  string
 		parse parser
@@ -463,7 +463,7 @@ func memoHits(t *testing.T, m *Metrics) int64 {
 func TestTableTierChargesSeedMemo(t *testing.T) {
 	s := NewServer(Options{Workers: 1, CacheSize: -1})
 	defer s.Close()
-	in, _ := batcherInstances()
+	in, _ := tierInstances()
 	bare := relpipe.BuildHeuristicTables(in).Bytes()
 	s.tables = newTableTier(s.metrics, bare+4096)
 	retained := func() int64 {

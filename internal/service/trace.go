@@ -13,8 +13,8 @@ import (
 )
 
 // This file is the observability middleware of the server: every
-// request flows through serveObserved, which opens the request's trace
-// (solver endpoints only), issues the X-Trace-Id header, records the
+// request flows through serveObserved, which installs the stage
+// observer and opens the request's trace (solver endpoints only), issues the X-Trace-Id header, records the
 // per-endpoint HTTP metrics, and emits one structured log line. The
 // recorded traces are served back at GET /debug/traces.
 
@@ -23,11 +23,12 @@ func (s *Server) serveObserved(w http.ResponseWriter, r *http.Request) {
 	endpoint := endpointLabel(r.URL.Path)
 	start := time.Now()
 
-	// Solver endpoints get a trace; the monitoring surface itself
-	// (/metrics, /healthz, /debug) would only pollute the recorder.
+	// Solver endpoints get the request's observation scope: the stage
+	// observer and a trace. The monitoring surface itself (/metrics,
+	// /healthz, /debug) would only pollute the recorder.
 	var root *obs.SpanHandle
 	if strings.HasPrefix(r.URL.Path, "/v1/") {
-		ctx, h := s.recorder.StartTrace(r.Context(), r.Method+" "+endpoint)
+		ctx, h := s.recorder.StartTrace(obs.WithStageObserver(r.Context(), s.observer), r.Method+" "+endpoint)
 		root = h
 		if id := obs.TraceIDFrom(ctx); id != "" {
 			w.Header().Set(relpipe.TraceHeader, id)

@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 
-	"relpipe/internal/alloc"
 	"relpipe/internal/chain"
 	"relpipe/internal/cost"
 	"relpipe/internal/frontier"
@@ -69,8 +68,6 @@ type (
 	// engine and with the same result as an untraced run, for Gantt
 	// rendering and utilization analysis (attach to SimConfig.Trace).
 	SimTrace = sim.Trace
-	// AllocConstraint restricts which processor may host which interval.
-	AllocConstraint = alloc.Constraint
 	// FrontierPoint is one Pareto-optimal (period, latency, reliability)
 	// trade-off.
 	FrontierPoint = frontier.Point

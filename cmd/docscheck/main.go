@@ -403,11 +403,9 @@ type optionField struct {
 //
 // The check is syntactic. A keyed literal sets the fields it names on
 // the type it spells, through type aliases (the root package's
-// AdaptOptions is adapt.Options) and through the elided element type
-// of a slice, array or map literal. An assignment, increment or
-// address-of x.F (flag bindings write through the address) sets field
-// F of every tracked type the file can name: one of a package it
-// imports, or one that its own or an imported package aliases.
+// AdaptOptions is adapt.Options). An assignment to x.F sets field F of
+// every tracked type the file can name: one of a package it imports,
+// or one that its own or an imported package aliases.
 func checkUnsetOptions(root string) ([]string, error) {
 	module, err := modulePath(root)
 	if err != nil {
@@ -447,12 +445,6 @@ func checkUnsetOptions(root string) ([]string, error) {
 			}
 			return typeRef{}, false
 		}
-		wrote := func(e ast.Expr) {
-			if sel, ok := e.(*ast.SelectorExpr); ok {
-				writes = append(writes, write{sel.Sel.Name, gf.pkg, imported})
-			}
-		}
-		elided := map[*ast.CompositeLit]typeRef{}
 		ast.Inspect(gf.f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.TypeSpec:
@@ -477,39 +469,22 @@ func checkUnsetOptions(root string) ([]string, error) {
 					}
 				}
 			case *ast.CompositeLit:
-				t, ok := elided[n]
-				if n.Type != nil {
-					t, ok = typeOf(n.Type)
+				t, ok := typeOf(n.Type)
+				if !ok {
+					return true
 				}
-				var elem ast.Expr
-				switch lt := n.Type.(type) {
-				case *ast.ArrayType:
-					elem = lt.Elt
-				case *ast.MapType:
-					elem = lt.Value
-				}
-				et, eok := typeOf(elem)
 				for _, el := range n.Elts {
-					kv, isKV := el.(*ast.KeyValueExpr)
-					if isKV {
-						if key, isIdent := kv.Key.(*ast.Ident); isIdent && ok {
+					if kv, isKV := el.(*ast.KeyValueExpr); isKV {
+						if key, isIdent := kv.Key.(*ast.Ident); isIdent {
 							literals = append(literals, keyed{t, key.Name, gf.pkg})
 						}
-						el = kv.Value
-					}
-					if inner, isLit := el.(*ast.CompositeLit); isLit && inner.Type == nil && eok {
-						elided[inner] = et
 					}
 				}
 			case *ast.AssignStmt:
 				for _, lhs := range n.Lhs {
-					wrote(lhs)
-				}
-			case *ast.IncDecStmt:
-				wrote(n.X)
-			case *ast.UnaryExpr:
-				if n.Op == token.AND {
-					wrote(n.X)
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						writes = append(writes, write{sel.Sel.Name, gf.pkg, imported})
+					}
 				}
 			}
 			return true

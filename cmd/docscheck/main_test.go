@@ -143,31 +143,25 @@ func TestUnsetOptionReported(t *testing.T) {
 import "m/internal/clock"
 
 type Options struct {
-	Keyed, ViaAlias, Assigned, Addressed int
-	InPackage                            int
-	TestOnly                             int
-	Clock                                clock.Clock
-	hidden                               int
+	Keyed, ViaAlias, Assigned int
+	InPackage                 int
+	TestOnly                  int
+	Clock                     clock.Clock
+	hidden                    int
 }
 
-type Config struct{ Elided, Unset int }
+type Config struct{ Unset int }
 
 var _ = Options{InPackage: 1, hidden: 2}
 `)
 	write(t, root, "internal/a/a_test.go", "package a\n\nvar _ = Options{TestOnly: 1}\n")
 	write(t, root, "cmd/x/main.go", `package main
 
-import (
-	"flag"
-
-	"m/internal/a"
-)
+import "m/internal/a"
 
 func main() {
 	o := a.Options{Keyed: 1}
 	o.Assigned = 2
-	flag.IntVar(&o.Addressed, "n", 0, "")
-	_ = []a.Config{{Elided: 1}}
 }
 `)
 	write(t, root, "internal/rbd/doc.go", "// Package rbd is an oracle.\npackage rbd\n\ntype Options struct{ Never int }\n")

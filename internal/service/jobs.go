@@ -97,8 +97,9 @@ func (s *Server) submitJob(sub relpipe.JobSubmitRequest) (relpipe.JobStatus, err
 // and fleet remaps all enter here. It allocates the trace ID up front,
 // so the returned job's status already carries it next to the job ID,
 // admits the job under client, and runs run inside the job's root span
-// (named span), under the stage observer. The root span's "status" attribute records the
-// outcome's HTTP status; run may add attributes of its own.
+// (named span), under the stage observer. The root span's "status"
+// attribute records the outcome's HTTP status; run may add attributes
+// of its own.
 func (s *Server) admitJob(kind, client, span string, run func(context.Context, jobs.Control, *obs.SpanHandle) jobs.Outcome) (*jobs.Job, error) {
 	tid := obs.NewTraceID()
 	return s.jobs.Submit(context.Background(), kind, client, tid, func(ctx context.Context, ctl jobs.Control) jobs.Outcome {

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"relpipe"
+	"relpipe/internal/obs"
 )
 
 // tierInstances returns two distinct instances whose canonical
@@ -229,7 +230,9 @@ func optimizeBody(t *testing.T, in relpipe.Instance, seed uint64) []byte {
 
 // processUntiered answers body on s with the request's route cleared,
 // so no table tier serves it and its search builds its own tables: the
-// per-request reference the tier must match byte for byte.
+// per-request reference the tier must match byte for byte. Like
+// process, it installs the stage observer, so the reference's seed
+// lookups are counted too.
 func processUntiered(t *testing.T, s *Server, kind string, parse parser, body []byte) outcome {
 	t.Helper()
 	req, err := s.newRequest(kind, parse, body)
@@ -237,7 +240,7 @@ func processUntiered(t *testing.T, s *Server, kind string, parse parser, body []
 		t.Fatal(err)
 	}
 	req.Route = ""
-	return s.execute(context.Background(), req)
+	return s.execute(obs.WithStageObserver(context.Background(), s.observer), req)
 }
 
 // plugWorker occupies the only worker of s with a hand-built request

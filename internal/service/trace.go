@@ -14,9 +14,10 @@ import (
 
 // This file is the observability middleware of the server: every
 // request flows through serveObserved, which installs the stage
-// observer and opens the request's trace (solver endpoints only), issues the X-Trace-Id header, records the
-// per-endpoint HTTP metrics, and emits one structured log line. The
-// recorded traces are served back at GET /debug/traces.
+// observer and opens the request's trace (solver endpoints only),
+// issues the X-Trace-Id header, records the per-endpoint HTTP metrics,
+// and emits one structured log line. The recorded traces are served
+// back at GET /debug/traces.
 
 // serveObserved wraps the route mux with tracing, metrics and logging.
 func (s *Server) serveObserved(w http.ResponseWriter, r *http.Request) {

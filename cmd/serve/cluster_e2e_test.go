@@ -26,7 +26,8 @@ import (
 // exercises the cluster contract end to end over loopback TCP:
 // consistent-hash routing (same owner from every entry node, more than
 // one owner overall), cluster-wide dedup (concurrent identical requests
-// across all nodes collapse to one solve), cross-node job fan-in, and
+// across all nodes collapse to one solve), cross-node job reads (one
+// hop to the node that owns the job ID), and
 // kill-one-node fallback (a dead owner degrades to a local solve, never
 // an error).
 //
@@ -211,7 +212,7 @@ func TestClusterE2E(t *testing.T) {
 	}
 
 	// ---- cross-node jobs: submit on node 0, poll node 1.
-	t.Log("phase: job fan-in")
+	t.Log("phase: cross-node job")
 	jobReq, err := json.Marshal(relpipe.OptimizeRequest{Instance: e2eInstance(42), Method: "dp"})
 	if err != nil {
 		t.Fatal(err)

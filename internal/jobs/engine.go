@@ -72,7 +72,8 @@ type Engine struct {
 
 	mu        sync.Mutex
 	closed    bool
-	node      string // cluster identity stamped on new jobs' statuses
+	node      string               // cluster identity stamped on new jobs' statuses
+	owns      func(id string) bool // cluster ring test new ids must pass (nil: any id)
 	jobs      map[string]*Job
 	live      map[string]int // per-client live job counts
 	submitted uint64         // jobs ever admitted
@@ -125,13 +126,22 @@ func (e *Engine) collect(now time.Time) {
 	}
 }
 
-// newID returns a fresh 128-bit hex job id.
-func newID() string {
-	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic(fmt.Sprintf("jobs: id entropy unavailable: %v", err))
+// newID returns a fresh 128-bit hex job id, drawing again until the
+// ownership predicate set by SetNode (if any) accepts it. The predicate
+// is caller code, so it runs without mu held.
+func (e *Engine) newID() string {
+	e.mu.Lock()
+	owns := e.owns
+	e.mu.Unlock()
+	for {
+		var b [16]byte
+		if _, err := rand.Read(b[:]); err != nil {
+			panic(fmt.Sprintf("jobs: id entropy unavailable: %v", err))
+		}
+		if id := hex.EncodeToString(b[:]); owns == nil || owns(id) {
+			return id
+		}
 	}
-	return hex.EncodeToString(b[:])
 }
 
 // admitLocked enforces the store and client caps, evicting expired or
@@ -167,20 +177,22 @@ func (e *Engine) admitLocked(client string) error {
 }
 
 // SetNode stamps the cluster identity (this node's base URL) onto every
-// subsequently created job's status, so cross-node fan-in can tell a
-// client where its job actually runs. The service calls it when joining
-// a cluster; single-node engines never do, and Node stays empty.
-func (e *Engine) SetNode(node string) {
+// subsequently created job's status, and makes the engine mint only ids
+// that owns accepts — the ids the cluster ring assigns to this node, so
+// any node finds a job's home with one ring lookup of its id. The
+// service calls it when joining a cluster; single-node engines never
+// do, so Node stays empty and any id is minted.
+func (e *Engine) SetNode(node string, owns func(id string) bool) {
 	e.mu.Lock()
-	e.node = node
+	e.node, e.owns = node, owns
 	e.mu.Unlock()
 }
 
 // newJobLocked registers a job shell. Caller holds mu and has passed
 // admitLocked.
-func (e *Engine) newJobLocked(kind, client, traceID string, cancel context.CancelFunc) *Job {
+func (e *Engine) newJobLocked(id, kind, client, traceID string, cancel context.CancelFunc) *Job {
 	j := &Job{
-		id: newID(), kind: kind, client: client, traceID: traceID, node: e.node,
+		id: id, kind: kind, client: client, traceID: traceID, node: e.node,
 		created: e.opts.Clock.Now(), now: e.opts.Clock.Now,
 		cancel: cancel,
 		state:  StateQueued,
@@ -200,6 +212,7 @@ func (e *Engine) newJobLocked(kind, client, traceID string, cancel context.Cance
 // allocates the ID at submit time and starts the trace when the runner
 // executes).
 func (e *Engine) Submit(ctx context.Context, kind, client, traceID string, run Runner) (*Job, error) {
+	id := e.newID()
 	jobCtx, cancel := context.WithCancel(ctx)
 	e.mu.Lock()
 	if err := e.admitLocked(client); err != nil {
@@ -207,7 +220,7 @@ func (e *Engine) Submit(ctx context.Context, kind, client, traceID string, run R
 		cancel()
 		return nil, err
 	}
-	j := e.newJobLocked(kind, client, traceID, cancel)
+	j := e.newJobLocked(id, kind, client, traceID, cancel)
 	e.live[client]++
 	e.wg.Add(1)
 	e.mu.Unlock()
@@ -230,12 +243,13 @@ func (e *Engine) Submit(ctx context.Context, kind, client, traceID string, run R
 // cache-dedup path: an async job whose key is already in the result
 // cache completes instantly without touching a worker.
 func (e *Engine) SubmitCompleted(kind, client string, out Outcome) (*Job, error) {
+	id := e.newID()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err := e.admitLocked(client); err != nil {
 		return nil, err
 	}
-	j := e.newJobLocked(kind, client, "", func() {})
+	j := e.newJobLocked(id, kind, client, "", func() {})
 	j.cached = true
 	j.started = j.created
 	j.progress = Progress{Done: 1, Total: 1}

@@ -82,10 +82,9 @@ type Status struct {
 	// (queryable at /debug/traces); empty for instantly-completed
 	// cache hits, which never execute.
 	TraceID string `json:"traceId,omitempty"`
-	// Node is the cluster node (base URL) the job runs on. In cluster
-	// mode any node answers status queries for any job (cross-node
-	// fan-in); Node says where the work actually lives. Empty on
-	// single-node servers.
+	// Node is the cluster node (base URL) the job runs on: the ring
+	// owner of its ID, so in cluster mode any node answers for any job
+	// with one Owner lookup and one hop. Empty on single-node servers.
 	Node       string    `json:"node,omitempty"`
 	CreatedAt  time.Time `json:"createdAt"`
 	StartedAt  time.Time `json:"startedAt,omitzero"`

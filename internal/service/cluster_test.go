@@ -157,7 +157,7 @@ func TestClusterByteIdenticalToSingleNode(t *testing.T) {
 			}
 
 			// The async-jobs kind: submit on node 0, poll the terminal
-			// status through node 1 (cross-node fan-in), and the result
+			// status through node 1 (one hop to node 0), and the result
 			// document must be byte-identical to the synchronous answer.
 			jobBody := mustMarshal(t, relpipe.OptimizeRequest{Instance: testInstance(37), Method: "dp"})
 			status, want, _ := postRaw(t, single.URL+"/v1/optimize", jobBody)

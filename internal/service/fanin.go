@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"net/url"
@@ -9,60 +10,43 @@ import (
 	"time"
 
 	"relpipe"
+	"relpipe/internal/cluster"
 	"relpipe/internal/jsonscan"
 )
 
 // This file is the cross-node half of the async-jobs surface in cluster
-// mode. Jobs always run on the node that admitted them (the solve may
-// forward, the job record never moves), so "submit on one node, poll or
-// stream from any node" is a read-side problem: a node that does not
-// know a job ID asks every peer in parallel and relays the first
-// definite answer, merges peer listings into /v1/jobs, and proxies the
-// SSE event stream from the job's home node. Every fan-out hop carries
-// relpipe.ForwardedHeader, and forwarded job requests never fan out
-// again — one hop, mirroring the solve path's loop prevention.
+// mode. A job runs on the node that admitted it (the solve may forward,
+// the job record never moves), and that node mints only job IDs the
+// ring assigns to itself (jobs.Engine.SetNode), so a job's home is the
+// ring owner of its ID. A node asked about a job it does not store makes
+// one Owner lookup (remoteOwner, keyed by the ID, as for solves) and one
+// hop: status and cancel relay the owner's answer, and the SSE event
+// stream is proxied from the owner. Only the /v1/jobs listing asks
+// every peer and merges their answers. Every hop carries
+// relpipe.ForwardedHeader, and forwarded job requests never hop again,
+// mirroring the solve path's loop prevention.
 
-// faninHop bounds one job fan-in hop: status lookups are in-memory on
-// the peer, so a short bound keeps a dead peer from stalling every
-// cross-node poll for the full solve HopTimeout.
+// faninHop bounds one job status or cancel hop and each peer's listing:
+// they are in-memory reads on the peer, so a short bound keeps a dead
+// peer from stalling a cross-node poll for the full solve HopTimeout.
 const faninHop = 5 * time.Second
 
-// clusterJobFanIn asks every peer for a job this node does not know
-// (GET for status, DELETE for cancel) and returns the first 200 answer.
-// found=false means no peer knows it either — or this request already
-// is a fan-in hop (never recurse), or the server is single-node.
-func (s *Server) clusterJobFanIn(r *http.Request, method, path string) (outcome, bool) {
-	cl := s.Cluster()
-	if cl == nil || isForwarded(r) {
-		return outcome{}, false
-	}
-	others := cl.Others()
-	if len(others) == 0 {
-		return outcome{}, false
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), faninHop)
-	defer cancel()
-	// One answer per peer on one channel: a peer's 200 can never be
-	// counted as a miss.
-	type answer struct {
-		body []byte
-		node string
-		ok   bool
-	}
-	ch := make(chan answer, len(others))
-	for _, peer := range others {
-		go func(peer string) {
-			status, body, err := cl.Forward(ctx, peer, method, path, nil, false)
-			ch <- answer{body, peer, err == nil && status == http.StatusOK}
-		}(peer)
-	}
-	for range others {
-		if a := <-ch; a.ok {
-			cancel() // the rest of the fan-out is moot
-			return outcome{status: http.StatusOK, body: a.body, node: a.node}, true
+var errNoSuchJob = errors.New("jobs: no such job")
+
+// relayJob answers a status (GET) or cancel (DELETE) request for a job
+// this node does not store: one hop to the ID's owner, whose answer is
+// relayed verbatim. No owner, or an unreachable one, is a 404.
+func (s *Server) relayJob(w http.ResponseWriter, r *http.Request) {
+	if owner := s.remoteOwner(Request{Route: r.PathValue("id"), forwarded: isForwarded(r)}); owner != "" {
+		ctx, cancel := context.WithTimeout(r.Context(), faninHop)
+		defer cancel()
+		status, body, err := s.Cluster().Forward(ctx, owner, r.Method, r.URL.EscapedPath(), nil, false)
+		if !cluster.Unavailable(status, err) {
+			s.writeOutcome(w, outcome{status: status, body: body, node: owner})
+			return
 		}
 	}
-	return outcome{}, false
+	s.writeError(w, http.StatusNotFound, errNoSuchJob)
 }
 
 // clusterJobListMerge folds every peer's job listing into local (the
@@ -113,22 +97,18 @@ func (s *Server) clusterJobListMerge(r *http.Request, local []relpipe.JobStatus)
 	return merged
 }
 
-// clusterJobEventsProxy relays a peer job's SSE stream through this
-// node: locate the job's home node via the status fan-in, open its
-// events endpoint, and copy the stream chunk-by-chunk with a flush per
-// chunk so events keep their latency through the hop. Returns false
-// when no peer knows the job (the caller answers 404). The proxy ends
-// with the upstream stream, the client disconnecting, or this node's
-// own shutdown (mirroring the local stream's shutdown contract).
-func (s *Server) clusterJobEventsProxy(w http.ResponseWriter, r *http.Request) bool {
-	cl := s.Cluster()
-	if cl == nil || isForwarded(r) {
-		return false
-	}
-	id := r.PathValue("id")
-	node, ok := s.clusterJobLocate(r, id)
-	if !ok {
-		return false
+// relayJobEvents proxies the SSE stream of a job this node does not
+// store from the ID's owner, copying it chunk by chunk with a flush per
+// chunk so events keep their latency through the hop. The owner's
+// non-200 answers are relayed verbatim; no owner, or an unreachable one
+// (or one that does not answer within faninHop), is a 404. The proxy
+// ends with the upstream stream, the client disconnecting, or this
+// node's own shutdown (mirroring the local stream's shutdown contract).
+func (s *Server) relayJobEvents(w http.ResponseWriter, r *http.Request) {
+	owner := s.remoteOwner(Request{Route: r.PathValue("id"), forwarded: isForwarded(r)})
+	if owner == "" {
+		s.writeError(w, http.StatusNotFound, errNoSuchJob)
+		return
 	}
 	// BeginShutdown must end proxied streams like local ones, so the
 	// upstream request lives under a context this node's shutdown
@@ -142,42 +122,42 @@ func (s *Server) clusterJobEventsProxy(w http.ResponseWriter, r *http.Request) b
 		case <-ctx.Done():
 		}
 	}()
-	resp, err := cl.Stream(ctx, node, http.MethodGet, "/v1/jobs/"+url.PathEscape(id)+"/events")
+	// Opening the stream is bounded like a status hop, so an owner that
+	// accepts connections but never answers cannot hold the watch; the
+	// stream itself is not.
+	opening := time.AfterFunc(faninHop, cancel)
+	resp, err := s.Cluster().Stream(ctx, owner, http.MethodGet, r.URL.EscapedPath())
+	opening.Stop()
 	if err != nil {
-		s.writeError(w, http.StatusBadGateway, err)
-		return true
+		s.writeError(w, http.StatusNotFound, errNoSuchJob)
+		return
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(resp.Body)
-		s.writeOutcome(w, outcome{status: resp.StatusCode, body: b, node: node})
-		return true
+		b, err := io.ReadAll(resp.Body)
+		if cluster.Unavailable(resp.StatusCode, err) {
+			s.writeError(w, http.StatusNotFound, errNoSuchJob)
+			return
+		}
+		s.writeOutcome(w, outcome{status: resp.StatusCode, body: b, node: owner})
+		return
 	}
-	w.Header().Set(relpipe.NodeHeader, node)
+	w.Header().Set(relpipe.NodeHeader, owner)
 	fl := s.openSSE(w, "jobs")
 	if fl == nil {
-		return true
+		return
 	}
 	buf := make([]byte, 4096)
 	for {
 		n, err := resp.Body.Read(buf)
 		if n > 0 {
 			if _, werr := w.Write(buf[:n]); werr != nil {
-				return true
+				return
 			}
 			fl.Flush()
 		}
 		if err != nil {
-			return true
+			return
 		}
 	}
-}
-
-// clusterJobLocate finds which peer stores a job (its home node).
-func (s *Server) clusterJobLocate(r *http.Request, id string) (string, bool) {
-	out, found := s.clusterJobFanIn(r, http.MethodGet, "/v1/jobs/"+url.PathEscape(id))
-	if !found {
-		return "", false
-	}
-	return out.node, true
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/url"
 	"strconv"
 
 	"relpipe"
@@ -153,17 +152,13 @@ func (s *Server) submitBatchJob(sub relpipe.JobSubmitRequest) (relpipe.JobStatus
 }
 
 // handleJobStatus serves one job snapshot ("GET /v1/jobs/{id}"). A job
-// unknown here but owned by a cluster peer is answered through the
-// cross-node fan-in — submit on one node, poll from any node.
+// not stored here is asked of its ID's ring owner in one hop — submit
+// on one node, poll from any node.
 func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 	s.metrics.Request("jobs")
 	j, ok := s.jobs.Get(r.PathValue("id"))
 	if !ok {
-		if out, found := s.clusterJobFanIn(r, http.MethodGet, "/v1/jobs/"+url.PathEscape(r.PathValue("id"))); found {
-			s.writeOutcome(w, out)
-			return
-		}
-		s.writeError(w, http.StatusNotFound, errors.New("jobs: no such job"))
+		s.relayJob(w, r)
 		return
 	}
 	s.writeJSON(w, http.StatusOK, relpipe.JobStatus(j.Status()))
@@ -187,16 +182,13 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 // asynchronously, as soon as the solver observes its cancelled context
 // (solvers poll between shards/iterations). Cancelling a terminal job
 // is a no-op that returns its result. Jobs running on a cluster peer
-// are cancelled through the same fan-in that serves their status.
+// are cancelled through the same one-hop relay that serves their
+// status.
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	s.metrics.Request("jobs")
 	j, ok, _ := s.jobs.Cancel(r.PathValue("id"))
 	if !ok {
-		if out, found := s.clusterJobFanIn(r, http.MethodDelete, "/v1/jobs/"+url.PathEscape(r.PathValue("id"))); found {
-			s.writeOutcome(w, out)
-			return
-		}
-		s.writeError(w, http.StatusNotFound, errors.New("jobs: no such job"))
+		s.relayJob(w, r)
 		return
 	}
 	s.writeJSON(w, http.StatusOK, relpipe.JobStatus(j.Status()))
@@ -214,10 +206,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	s.metrics.Request("jobs")
 	j, ok := s.jobs.Get(r.PathValue("id"))
 	if !ok {
-		if s.clusterJobEventsProxy(w, r) {
-			return
-		}
-		s.writeError(w, http.StatusNotFound, errors.New("jobs: no such job"))
+		s.relayJobEvents(w, r)
 		return
 	}
 	fl := s.openSSE(w, "jobs")

@@ -475,11 +475,14 @@ func isForwarded(r *http.Request) bool {
 
 // JoinCluster switches the server into cluster mode: requests whose
 // instance hashes to another node are forwarded there (local solve
-// fallback when that owner is unreachable), and the job endpoints fan
-// out across the peers so any node answers for any job. Responses stay
-// byte-identical to single-node mode. HopTimeout defaults to the
-// request timeout plus headroom so a slow-but-healthy owner is never
-// misread as dead. Call after NewServer, before or while serving.
+// fallback when that owner is unreachable), and the job engine mints
+// only IDs the ring assigns to this node, so any node answers for any
+// job with one Owner lookup and one hop. Responses stay byte-identical
+// to single-node mode. HopTimeout defaults to the request timeout plus
+// headroom so a slow-but-healthy owner is never misread as dead. Call
+// after NewServer, before or while serving; jobs admitted before the
+// join stay visible only on this node, which is why cmd/serve joins
+// before it starts serving.
 func (s *Server) JoinCluster(cfg cluster.Config) error {
 	if cfg.HopTimeout <= 0 {
 		cfg.HopTimeout = s.opts.RequestTimeout + 5*time.Second
@@ -489,7 +492,7 @@ func (s *Server) JoinCluster(cfg cluster.Config) error {
 		return err
 	}
 	s.metrics.RegisterClusterStats(cl)
-	s.jobs.SetNode(cl.Self())
+	s.jobs.SetNode(cl.Self(), func(id string) bool { return cl.Owner(id) == cl.Self() })
 	s.cluster.Store(cl)
 	return nil
 }

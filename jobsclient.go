@@ -16,9 +16,10 @@ import (
 //
 // Against a cluster (cmd/serve -peers), BaseURL may point at any
 // member: jobs are any-node, so Status, Watch, Cancel and List work
-// regardless of which node accepted the Submit — the service fans
-// reads out and proxies SSE watches to the owning node. JobStatus.Node
-// reports where the job actually runs.
+// regardless of which node accepted the Submit. A job's ID names its
+// home node on the ring, so the service answers with one Owner lookup
+// and one hop (SSE watches are proxied from it); only List asks every
+// member. JobStatus.Node reports where the job actually runs.
 type JobsClient struct {
 	// BaseURL is the service root, without the /v1 prefix.
 	BaseURL string

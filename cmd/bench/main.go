@@ -2,7 +2,7 @@
 // it measures the solver kernels (exact enumeration and min-cost,
 // Monte-Carlo simulation, frontier sweep, heuristic search, online
 // adaptation with remap repairs, DP, evaluation, cluster routing, the
-// idle fleet tick)
+// idle fleet tick, the request codec)
 // on fixed-seed instances, writes ns/op, allocs/op and B/op as JSON,
 // and gates only what holds on any machine.
 //
@@ -31,9 +31,10 @@
 // neighbor cycle), monte-carlo-soa (flat-array vs scalar engine over
 // the same replication batch), exact-profiles-table (the exact
 // solver's term-table enumeration vs the per-partition exactref oracle
-// on the same chain) and pareto-filter (the frontier's archive
+// on the same chain), pareto-filter (the frontier's archive
 // dominance filter vs the all-pairs exactref oracle on the same
-// profiles).
+// profiles) and request-codec (the service's one-pass request codec vs
+// the encoding/json reference decode on the same documents).
 //
 // ns/op is recorded and feeds those ratios, but is never compared
 // against the baseline: absolute times do not transfer between
@@ -694,6 +695,7 @@ var oracleRatios = []struct{ name, fast, ref, what string }{
 	{"monte-carlo-soa", "monte-carlo-soa", "monte-carlo-scalar", "flat-array vs scalar engine"},
 	{"exact-profiles-table", "exact-profiles/P=1", "exact-profiles-ref", "term table vs per-partition evaluation"},
 	{"pareto-filter", "pareto-filter", "pareto-filter-ref", "archive vs all-pairs dominance filter"},
+	{"request-codec", "request-codec", "request-codec-ref", "one-pass request codec vs encoding/json"},
 }
 
 // parallelRatios are the kernels whose Speedups entry is the P=8/P=1

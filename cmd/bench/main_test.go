@@ -49,6 +49,7 @@ var ciFloors = ratioFloors{
 	"exact-profiles": 2.0, "monte-carlo": 2.0,
 	"search-optimize-delta": 3.0, "monte-carlo-soa": 3.7,
 	"exact-profiles-table": 5.0, "pareto-filter": 10.0,
+	"request-codec": 2.0,
 }
 
 // healthyRatios is a run in which every gated ratio clears its CI floor.
@@ -56,6 +57,7 @@ var healthyRatios = map[string]float64{
 	"exact-profiles": 3.1, "monte-carlo": 2.4,
 	"search-optimize-delta": 8.5, "monte-carlo-soa": 7.5,
 	"exact-profiles-table": 19.0, "pareto-filter": 170.0,
+	"request-codec": 2.8,
 }
 
 // withRatio is healthyRatios with one kernel's ratio replaced.
@@ -99,8 +101,8 @@ func TestCheckRatios(t *testing.T) {
 	runRatioCases(t, []ratioCase{
 		{"no floors", 8, withRatio("exact-profiles", 0.5), ratioFloors{}, 0, ""},
 		{"healthy", 8, healthyRatios, ciFloors, 0, ""},
-		{"missing on 8 cores", 8, map[string]float64{}, ciFloors, 6, "exact-profiles missing from this run"},
-		{"missing on 1 core", 1, map[string]float64{}, ciFloors, 4, "exact-profiles-table missing from this run"},
+		{"missing on 8 cores", 8, map[string]float64{}, ciFloors, 7, "exact-profiles missing from this run"},
+		{"missing on 1 core", 1, map[string]float64{}, ciFloors, 5, "exact-profiles-table missing from this run"},
 	})
 }
 
@@ -161,6 +163,18 @@ func TestCheckParetoSpeedup(t *testing.T) {
 		{"healthy", 1, healthyRatios, pareto, 0, ""},
 		{"filter enforced on 1 core", 1, withRatio("pareto-filter", 4.5), pareto, 1, "pareto-filter speedup 4.50x below floor 10.00x"},
 		{"missing", 1, map[string]float64{}, pareto, 1, "pareto-filter missing from this run"},
+	})
+}
+
+// TestCheckCodecSpeedup: the one-pass request codec against its
+// encoding/json reference is single-threaded too, so it is enforced on
+// any machine; a codec that always falls back reads about 1x.
+func TestCheckCodecSpeedup(t *testing.T) {
+	codec := ratioFloors{"request-codec": ciFloors["request-codec"]}
+	runRatioCases(t, []ratioCase{
+		{"healthy", 1, healthyRatios, codec, 0, ""},
+		{"codec below floor", 1, withRatio("request-codec", 1.05), codec, 1, "request-codec speedup 1.05x below floor 2.00x"},
+		{"missing", 1, map[string]float64{}, codec, 1, "request-codec missing from this run"},
 	})
 }
 

@@ -138,38 +138,40 @@ func (c Chain) MarshalJSON() ([]byte, error) {
 // number values — is scanned in one pass; any other document goes to
 // the strict encoding/json reference, which rejects unknown fields.
 func (c *Chain) UnmarshalJSON(b []byte) error {
-	ts, ok := scan(b)
-	if !ok {
+	s := jsonscan.New(b)
+	ts := Scan(&s)
+	if !s.Done() {
 		var ref []Task
 		if err := jsonscan.Strict(b, &ref); err != nil {
 			return err
 		}
 		ts = ref
 	}
-	*c = Chain(ts)
+	*c = ts
 	return c.Validate()
 }
 
-// scan is the one-pass decode of the common document; ok is false when
-// the document is outside the scanner's grammar.
-func scan(b []byte) (ts []Task, ok bool) {
-	s := jsonscan.New(b)
-	ts = make([]Task, 0, jsonscan.CapHint(b, len(`{"work":1}`)))
+// taskMembers are the member names of a task object.
+var taskMembers = []string{"work", "out"}
+
+// Scan is the one-pass decode of the chain array at s's cursor, shared
+// by UnmarshalJSON and whole-document decoders. It does not validate,
+// and its result is meaningful only if s has not declined.
+func Scan(s *jsonscan.Scanner) Chain {
+	ts := make(Chain, 0, s.ArrayCap(len(`{"work":1}`)))
 	s.Array(func() {
 		var t Task
-		s.Object(func(key []byte) {
-			switch string(key) {
+		s.Members(taskMembers, func(name string) {
+			switch name {
 			case "work":
 				t.Work = s.Float()
 			case "out":
 				t.Out = s.Float()
-			default:
-				s.Decline()
 			}
 		})
 		ts = append(ts, t)
 	})
-	return ts, s.Done()
+	return ts
 }
 
 // String renders the chain compactly: (w1|o1) -> (w2|o2) -> ...

@@ -46,24 +46,58 @@ func (s *Scanner) Array(elem func()) {
 	}
 }
 
-// Object scans the object at the cursor, calling member once per member
-// with its key; member must consume the value or decline. The key
-// aliases the document, so it is valid only during the call.
-func (s *Scanner) Object(member func(key []byte)) {
+// Members scans the object at the cursor as a struct whose member names
+// are names (at most 64), calling member once per member with its name;
+// member must consume the value or decline. A key that matches none of
+// names exactly, a case-variant included, or one the object already
+// had declines: encoding/json matches keys case-insensitively and lets
+// a repeated member overwrite or merge into the first, and the caller
+// leaves both to Strict.
+func (s *Scanner) Members(names []string, member func(name string)) {
 	if !s.expect('{') || s.consume('}') {
 		return
 	}
+	var seen uint64
 	for !s.declined {
 		key := s.key()
 		if !s.expect(':') {
 			return
 		}
-		member(key)
+		i := 0
+		for i < len(names) && string(key) != names[i] {
+			i++
+		}
+		if i == len(names) || seen&(1<<i) != 0 {
+			s.declined = true
+			return
+		}
+		seen |= 1 << i
+		member(names[i])
 		if !s.consume(',') {
 			s.expect('}')
 			return
 		}
 	}
+}
+
+// Text scans a string value of printable ASCII without escapes; any
+// other string, or a value that is not a string, declines.
+func (s *Scanner) Text() string { return string(s.key()) }
+
+// Bool scans true or false; anything else declines.
+func (s *Scanner) Bool() bool {
+	s.skipSpace()
+	rest := s.b[s.i:]
+	switch {
+	case bytes.HasPrefix(rest, []byte("true")):
+		s.i += len("true")
+		return true
+	case bytes.HasPrefix(rest, []byte("false")):
+		s.i += len("false")
+		return false
+	}
+	s.declined = true
+	return false
 }
 
 // Float scans a number into a float64 with strconv.ParseFloat, as
@@ -94,15 +128,43 @@ func (s *Scanner) Int() int {
 	return n
 }
 
+// Uint scans a number into a uint64 with strconv.ParseUint, as
+// encoding/json does for a uint64 field; a sign, a fraction, an
+// exponent or an out-of-range literal declines.
+func (s *Scanner) Uint() uint64 {
+	lit := s.number()
+	if s.declined {
+		return 0
+	}
+	n, err := strconv.ParseUint(string(lit), 10, 64)
+	if err != nil {
+		s.declined = true
+	}
+	return n
+}
+
 // CapHint sizes the slice for an array of flat objects in b: the number
-// of '{' bytes, which is exact for every document the Scanner accepts
-// (keys hold no braces and values are numbers). It is capped at
-// len(b)/minObject, minObject being the length of the shortest element
-// that can pass validation, so that braces inside the strings of a
-// document the Scanner will decline cannot reserve more memory than
-// the document's own size.
+// of '{' bytes, which is exact when b is the array's own bytes and the
+// Scanner accepts it (keys hold no braces and values are numbers). It
+// is capped at len(b)/minObject, minObject being the length of the
+// shortest element that can pass validation, so that braces inside the
+// strings of a document the Scanner will decline cannot reserve more
+// memory than the document's own size.
 func CapHint(b []byte, minObject int) int {
 	return min(bytes.Count(b, []byte{'{'}), len(b)/minObject)
+}
+
+// ArrayCap is CapHint over the array at the cursor, which it reads up to
+// the first ']': the array's own bytes when its elements are flat
+// objects with number values, so braces later in a larger document do
+// not count.
+func (s *Scanner) ArrayCap(minObject int) int {
+	s.skipSpace()
+	rest := s.b[s.i:]
+	if end := bytes.IndexByte(rest, ']'); end >= 0 {
+		rest = rest[:end]
+	}
+	return CapHint(rest, minObject)
 }
 
 // Strict is the reference decode: encoding/json into v with unknown
@@ -150,7 +212,8 @@ func (s *Scanner) expect(c byte) bool {
 	return !s.declined
 }
 
-// key scans an object key: a string of printable ASCII without escapes.
+// key scans a string of printable ASCII without escapes: an object key
+// or a string value.
 func (s *Scanner) key() []byte {
 	if !s.expect('"') {
 		return nil

@@ -59,7 +59,7 @@ func TestStructure(t *testing.T) {
 	scan := func(doc string) (sum float64, ok bool) {
 		s := New([]byte(doc))
 		s.Array(func() {
-			s.Object(func([]byte) { sum += s.Float() })
+			s.Members([]string{"a", "b", "c"}, func(string) { sum += s.Float() })
 		})
 		return sum, s.Done()
 	}
@@ -82,6 +82,77 @@ func TestStructure(t *testing.T) {
 	}
 }
 
+// TestUintGrammar: Uint takes exactly what encoding/json takes for a
+// uint64 field.
+func TestUintGrammar(t *testing.T) {
+	for lit, want := range map[string]uint64{"0": 0, "7": 7, "18446744073709551615": math.MaxUint64} {
+		s := New([]byte(lit))
+		if got := s.Uint(); !s.Done() || got != want {
+			t.Errorf("%q: got %d (accepted %v), want %d", lit, got, s.Done(), want)
+		}
+	}
+	for _, lit := range []string{"-1", "-0", "1.0", "1e2", "18446744073709551616", `"1"`} {
+		s := New([]byte(lit))
+		s.Uint()
+		if s.Done() {
+			t.Errorf("%q: accepted, want declined", lit)
+		}
+	}
+}
+
+// TestStringsAndBools: plain ASCII strings and the two boolean literals
+// scan; escapes, control and non-ASCII bytes, null and case variants
+// decline.
+func TestStringsAndBools(t *testing.T) {
+	for lit, want := range map[string]string{`"dp"`: "dp", ` "two-hop" `: "two-hop", `""`: "", "\"a~\x7f\"": "a~\x7f"} {
+		s := New([]byte(lit))
+		if got := s.Text(); !s.Done() || got != want {
+			t.Errorf("%q: got %q (accepted %v), want %q", lit, got, s.Done(), want)
+		}
+	}
+	for _, lit := range []string{`"d\u0070"`, `"a\"b"`, "\"tab\there\"", `"é"`, `"open`, `null`, `1`} {
+		s := New([]byte(lit))
+		_ = s.Text()
+		if s.Done() {
+			t.Errorf("%q: accepted, want declined", lit)
+		}
+	}
+	for lit, want := range map[string]bool{"true": true, " false ": false} {
+		s := New([]byte(lit))
+		if got := s.Bool(); !s.Done() || got != want {
+			t.Errorf("%q: got %v (accepted %v), want %v", lit, got, s.Done(), want)
+		}
+	}
+	for _, lit := range []string{"True", "null", "1", `"true"`, "tru", "truex"} {
+		s := New([]byte(lit))
+		s.Bool()
+		if s.Done() {
+			t.Errorf("%q: accepted, want declined", lit)
+		}
+	}
+}
+
+// TestMembers: known members in any order and absent members scan; an
+// unknown, case-variant or repeated member declines.
+func TestMembers(t *testing.T) {
+	scan := func(doc string) (got map[string]float64, ok bool) {
+		got = map[string]float64{}
+		s := New([]byte(doc))
+		s.Members([]string{"period", "latency"}, func(name string) { got[name] = s.Float() })
+		return got, s.Done()
+	}
+	for doc, want := range map[string]int{`{}`: 0, `{"latency":2}`: 1, `{"latency":2,"period":1}`: 2} {
+		if got, ok := scan(doc); !ok || len(got) != want {
+			t.Errorf("%q: %v ok %v, want %d members accepted", doc, got, ok, want)
+		}
+	}
+	for _, doc := range []string{`{"x":1}`, `{"Period":1}`, `{"period":1,"period":2}`, `{"period":null}`, `null`, `[]`} {
+		if _, ok := scan(doc); ok {
+			t.Errorf("%q: accepted, want declined", doc)
+		}
+	}
+}
+
 // TestCapHint: exact for flat objects, capped by the document length.
 func TestCapHint(t *testing.T) {
 	if got := CapHint([]byte(`[{"work":1},{"work":2}]`), 10); got != 2 {
@@ -89,5 +160,24 @@ func TestCapHint(t *testing.T) {
 	}
 	if got := CapHint([]byte(`[{"x":"{{{{{{{{{{{{{{{{{{{{"}]`), 10); got != 3 {
 		t.Errorf("braces in a string: %d, want the length cap 3", got)
+	}
+}
+
+// TestArrayCap: the hint counts the array at the cursor only, not the
+// objects that follow it in the document.
+func TestArrayCap(t *testing.T) {
+	s := New([]byte(`{"procs": [{"speed":1},{"speed":2}], "a":{}, "b":{}, "c":{}}`))
+	s.Members([]string{"procs", "a", "b", "c"}, func(name string) {
+		if name == "procs" {
+			if got := s.ArrayCap(len(`{"speed":1}`)); got != 2 {
+				t.Errorf("ArrayCap = %d, want 2", got)
+			}
+			s.Array(func() { s.Members([]string{"speed"}, func(string) { s.Float() }) })
+			return
+		}
+		s.Members(nil, nil)
+	})
+	if !s.Done() {
+		t.Fatal("declined")
 	}
 }

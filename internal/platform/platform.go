@@ -151,8 +151,9 @@ func RandomHeterogeneous(r *rng.Rand, p int, sMin, sMax, lMin, lMax, bandwidth, 
 // document goes to the strict encoding/json reference, which rejects
 // unknown fields.
 func (pl *Platform) UnmarshalJSON(b []byte) error {
-	v, ok := scan(b)
-	if !ok {
+	s := jsonscan.New(b)
+	v := Scan(&s)
+	if !s.Done() {
 		type raw Platform
 		var r raw
 		if err := jsonscan.Strict(b, &r); err != nil {
@@ -164,30 +165,29 @@ func (pl *Platform) UnmarshalJSON(b []byte) error {
 	return pl.Validate()
 }
 
-// scan is the one-pass decode of the common document; ok is false when
-// the document is outside the scanner's grammar.
-func scan(b []byte) (pl Platform, ok bool) {
-	s := jsonscan.New(b)
-	s.Object(func(key []byte) {
-		switch string(key) {
+// platformMembers and procMembers are the member names of a platform
+// and of a processor object.
+var (
+	platformMembers = []string{"procs", "bandwidth", "linkFailRate", "maxReplicas"}
+	procMembers     = []string{"speed", "failRate"}
+)
+
+// Scan is the one-pass decode of the platform object at s's cursor,
+// shared by UnmarshalJSON and whole-document decoders. It does not
+// validate, and its result is meaningful only if s has not declined.
+func Scan(s *jsonscan.Scanner) (pl Platform) {
+	s.Members(platformMembers, func(name string) {
+		switch name {
 		case "procs":
-			if pl.Procs != nil {
-				// encoding/json merges a repeated array into the first
-				// one element by element; leave that to the reference.
-				s.Decline()
-				return
-			}
-			pl.Procs = make([]Processor, 0, jsonscan.CapHint(b, len(`{"speed":1}`)))
+			pl.Procs = make([]Processor, 0, s.ArrayCap(len(`{"speed":1}`)))
 			s.Array(func() {
 				var p Processor
-				s.Object(func(key []byte) {
-					switch string(key) {
+				s.Members(procMembers, func(name string) {
+					switch name {
 					case "speed":
 						p.Speed = s.Float()
 					case "failRate":
 						p.FailRate = s.Float()
-					default:
-						s.Decline()
 					}
 				})
 				pl.Procs = append(pl.Procs, p)
@@ -198,11 +198,9 @@ func scan(b []byte) (pl Platform, ok bool) {
 			pl.LinkFailRate = s.Float()
 		case "maxReplicas":
 			pl.MaxReplicas = s.Int()
-		default:
-			s.Decline()
 		}
 	})
-	return pl, s.Done()
+	return pl
 }
 
 // String renders the platform compactly.

@@ -125,7 +125,7 @@ func (s *Server) handleFleetRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	// Same caps as the synchronous search endpoints: a deployment must
 	// not be a standing grant of unbounded solver work.
-	o, _, err := s.exec.searchOptions(req.Search)
+	o, err := s.exec.searchOptions(req.Search)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return

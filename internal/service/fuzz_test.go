@@ -23,12 +23,13 @@ var fuzzKinds = []string{"optimize", "evaluate", "minperiod", "frontier", "minco
 // every solve kind and /v1/batch. Invariants: the answer is 200 or a
 // 4xx (504 only when a fuzzer-grown solve outlives the request
 // timeout), never a 500 or a panic; the cache key is deterministic; a
-// 200 re-serves byte-identically; and every instance array in the body
-// decodes to the same accept/reject and float bits
-// through the production types (whose one-pass scanner may decline to
-// the reference) as through the encoding/json reference alone. The
-// committed corpus in testdata/fuzz/FuzzRequestDecode replays in every
-// `go test` run.
+// 200 re-serves byte-identically; the body, and every batch item in
+// it, decodes as each solve kind through the one-pass request codec to
+// the same accept/reject, error text and fields, floats by their bits,
+// as through the encoding/json reference alone; and so does every
+// instance array in it through the production Chain and Platform
+// types. The committed corpus in testdata/fuzz/FuzzRequestDecode
+// replays in every `go test` run.
 func FuzzRequestDecode(f *testing.F) {
 	s := NewServer(Options{Workers: 1, RequestTimeout: 2 * time.Second, DisableFleet: true})
 	f.Cleanup(s.Close)
@@ -106,11 +107,13 @@ func checkKeyDeterministic(t *testing.T, s *Server, kind string, body []byte) {
 	}
 }
 
-// checkDecodeOracle finds every instance in a request document (batch
-// items included) and compares the production decode of its chain and
-// platform against the reference decode.
+// checkDecodeOracle compares the production decode of a request
+// document (batch items included) against the reference decode: the
+// whole document as every solve kind, and the chain and platform of
+// its instance on their own.
 func checkDecodeOracle(t *testing.T, body []byte) {
 	t.Helper()
+	checkDocumentOracle(t, body)
 	// The body itself too, so the scanner also meets arbitrary bytes,
 	// not only documents encoding/json already found well-formed.
 	compareChain(t, body)

@@ -2,6 +2,10 @@ package service
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"relpipe"
@@ -76,4 +80,220 @@ func TestKeySuffixGolden(t *testing.T) {
 			t.Errorf("kind %q has no golden key", kind)
 		}
 	}
+}
+
+// keyBase is one request TestKeyCoverage perturbs field by field.
+type keyBase struct {
+	name, kind string
+	req        any // pointer to the request DTO
+}
+
+// keyBases sets every field of every kind's request, and adds, for each
+// kind with search knobs, a base under a method or policy that ignores
+// them.
+func keyBases(t *testing.T) []keyBase {
+	inst := func() relpipe.Instance {
+		var in relpipe.Instance
+		if err := json.Unmarshal([]byte(keyInstance), &in); err != nil {
+			t.Fatal(err)
+		}
+		return in
+	}
+	mp := func() relpipe.Mapping {
+		return relpipe.Mapping{
+			Parts: relpipe.Partition{{First: 0, Last: 1}, {First: 2, Last: 2}},
+			Procs: [][]int{{0, 1}, {2}},
+		}
+	}
+	sp := func() *relpipe.SearchParams { return &relpipe.SearchParams{Restarts: 3, Budget: 500, Seed: 7} }
+	optimize := func(method string) *relpipe.OptimizeRequest {
+		return &relpipe.OptimizeRequest{Instance: inst(), Bounds: relpipe.Bounds{Period: 40.5, Latency: 300},
+			Method: method, Search: sp()}
+	}
+	minPeriod := func(method string) *relpipe.MinPeriodRequest {
+		return &relpipe.MinPeriodRequest{Instance: inst(), MinReliability: 0.9, Method: method, Search: sp()}
+	}
+	minCost := func(method string) *relpipe.MinCostRequest {
+		return &relpipe.MinCostRequest{Instance: inst(), Costs: []float64{1.5, 2, 0.25}, MinReliability: 0.99,
+			Bounds: relpipe.Bounds{Period: 40.5, Latency: 300}, Method: method, Search: sp()}
+	}
+	adapt := func(policy string) *relpipe.AdaptRequest {
+		m := mp()
+		return &relpipe.AdaptRequest{Instance: inst(), Mapping: &m, Policy: policy, Horizon: 1e6,
+			Bounds: relpipe.Bounds{Period: 80, Latency: 900}, LifeScale: 0.5, Spares: 2, SpareCost: 3.25,
+			Costs: []float64{1, 2, 3}, RepairLatency: 0.125, Seed: 9, Replications: 2, Search: sp()}
+	}
+	return []keyBase{
+		{"optimize-heuristic", "optimize", optimize("heuristic")},
+		{"optimize-exact", "optimize", optimize("exact")},
+		{"evaluate", "evaluate", &relpipe.EvaluateRequest{Instance: inst(), Mapping: mp()}},
+		{"minperiod-heuristic", "minperiod", minPeriod("heuristic")},
+		{"minperiod-dp", "minperiod", minPeriod("dp")},
+		{"frontier", "frontier", &relpipe.FrontierRequest{Instance: inst()}},
+		{"mincost-heuristic", "mincost", minCost("heuristic")},
+		{"mincost-exact", "mincost", minCost("exact")},
+		{"simulate", "simulate", &relpipe.SimulateRequest{Instance: inst(), Mapping: mp(), Period: 12.75,
+			DataSets: 50, Seed: 9, InjectFailures: true, Routing: "two-hop", WarmUp: 3, Replications: 4}},
+		{"adapt-remap", "adapt", adapt("remap")},
+		{"adapt-greedy", "adapt", adapt("greedy")},
+	}
+}
+
+// keyExempt lists the fields whose every change may leave a base's key
+// unchanged, each with why the answer cannot change.
+var keyExempt = []struct{ base, prefix, why string }{
+	{"optimize-exact", "Search.", "exact answers never depend on the search knobs"},
+	{"minperiod-dp", "Search.", "DP answers never depend on the search knobs"},
+	{"mincost-exact", "Search.", "exact answers never depend on the search knobs"},
+	{"adapt-greedy", "Search.", "the greedy policy over a supplied mapping never searches"},
+}
+
+// keyAliases lists the pairs of values of one field that must share a
+// key, each with why they mean the same request.
+var keyAliases = []struct {
+	base, path string
+	a, b       any
+	why        string
+}{
+	{"simulate", "Seed", uint64(0), uint64(1), "seed 0 aliases the default seed 1"},
+	{"adapt-remap", "Seed", uint64(0), uint64(1), "seed 0 aliases the default seed 1"},
+	{"optimize-heuristic", "Method", "", "auto", "an empty method means auto"},
+	{"minperiod-heuristic", "Method", "", "auto", "an empty method means auto"},
+	{"mincost-heuristic", "Method", "", "auto", "an empty method means auto"},
+	{"simulate", "Routing", "", "one-hop", "an empty routing means one-hop"},
+	{"adapt-remap", "Policy", "", "remap", "an empty policy means remap"},
+	{"simulate", "Replications", 0, 1, "0 replications run one"},
+	{"adapt-remap", "Replications", 0, 1, "0 replications run one"},
+}
+
+// keyNames are the values a string field of a request can take.
+var keyNames = map[string][]string{
+	"Method":  {"", "auto", "heur-p", "heur-l", "best-heuristic", "dp", "exact", "ilp", "heuristic"},
+	"Routing": {"", "one-hop", "two-hop"},
+	"Policy":  {"", "remap", "spares", "greedy", "none"},
+}
+
+// TestKeyCoverage: changing any field of any request changes its cache
+// key, unless keyExempt or keyAliases names the change; a field added
+// to a request DTO but not to its key would otherwise serve another
+// request's cached answer. Every listed alias must really share a key.
+func TestKeyCoverage(t *testing.T) {
+	s := NewServer(Options{})
+	defer s.Close()
+	keyOf := func(b keyBase) string {
+		t.Helper()
+		body, err := json.Marshal(b.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, _, err := batchParsers[b.kind](body, s.exec)
+		if err != nil {
+			t.Fatalf("%s: %v: %s", b.name, err, body)
+		}
+		return key
+	}
+	exempt := func(base, path string, from, to any) bool {
+		for _, e := range keyExempt {
+			if e.base == base && strings.HasPrefix(path, e.prefix) {
+				return true
+			}
+		}
+		for _, a := range keyAliases {
+			if a.base == base && a.path == path && (from == a.a && to == a.b || from == a.b && to == a.a) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, b := range keyBases(t) {
+		want := keyOf(b)
+		forEachLeaf(reflect.ValueOf(b.req), "", func(path string, leaf reflect.Value) {
+			from := leaf.Interface()
+			for _, to := range perturbations(t, path, leaf) {
+				leaf.Set(reflect.ValueOf(to))
+				if keyOf(b) == want && !exempt(b.name, path, from, to) {
+					t.Errorf("%s: %s %v -> %v leaves the key unchanged", b.name, path, from, to)
+				}
+			}
+			leaf.Set(reflect.ValueOf(from))
+		})
+	}
+	bases := map[string]keyBase{}
+	for _, b := range keyBases(t) {
+		bases[b.name] = b
+	}
+	for _, a := range keyAliases {
+		b := bases[a.base]
+		var keys []string
+		for _, v := range []any{a.a, a.b} {
+			forEachLeaf(reflect.ValueOf(b.req), "", func(path string, leaf reflect.Value) {
+				if path == a.path {
+					leaf.Set(reflect.ValueOf(v).Convert(leaf.Type()))
+				}
+			})
+			keys = append(keys, keyOf(b))
+		}
+		if keys[0] != keys[1] {
+			t.Errorf("%s: %s %v and %v have different keys, but %s", a.base, a.path, a.a, a.b, a.why)
+		}
+	}
+}
+
+// forEachLeaf calls visit on every scalar field reachable from v, with
+// its path ("Instance.Chain[2].Out").
+func forEachLeaf(v reflect.Value, path string, visit func(path string, leaf reflect.Value)) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			forEachLeaf(v.Elem(), path, visit)
+		}
+	case reflect.Struct:
+		for i := range v.NumField() {
+			name := v.Type().Field(i).Name
+			if path != "" {
+				name = path + "." + name
+			}
+			forEachLeaf(v.Field(i), name, visit)
+		}
+	case reflect.Slice:
+		for i := range v.Len() {
+			forEachLeaf(v.Index(i), fmt.Sprintf("%s[%d]", path, i), visit)
+		}
+	default:
+		visit(path, v)
+	}
+}
+
+// perturbations are the other values TestKeyCoverage gives a field, all
+// of which keep the request valid: a float scaled (0 becomes -0, which
+// keeps a last task's zero output valid), an integer incremented, a
+// bool flipped, a name replaced by every other name of its field.
+func perturbations(t *testing.T, path string, leaf reflect.Value) []any {
+	switch leaf.Kind() {
+	case reflect.Float64:
+		if f := leaf.Float(); f != 0 {
+			return []any{f * 1.5}
+		}
+		return []any{math.Copysign(0, -1)}
+	case reflect.Int:
+		return []any{int(leaf.Int()) + 1}
+	case reflect.Uint64:
+		return []any{leaf.Uint() + 1}
+	case reflect.Bool:
+		return []any{!leaf.Bool()}
+	case reflect.String:
+		names, ok := keyNames[path]
+		if !ok {
+			t.Fatalf("%s: no known values for this string field", path)
+		}
+		var out []any
+		for _, n := range names {
+			if n != leaf.String() {
+				out = append(out, n)
+			}
+		}
+		return out
+	}
+	t.Fatalf("%s: no perturbation for kind %s", path, leaf.Kind())
+	return nil
 }

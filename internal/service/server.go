@@ -313,9 +313,9 @@ func (e execOpts) options() relpipe.Options {
 }
 
 // searchOptions validates a request's search knobs against the
-// server's caps and folds them into the solver options. The returned
-// key fragment enters the cache key: search results depend on the
-// knobs (but never on parallelism).
+// server's caps and folds them into the solver options. Search results
+// depend on the knobs (but never on parallelism), so the cache keys
+// carry them (appendSearch).
 //
 // The caps bound a search by iteration count, never by wall clock: a
 // time cap would make the result depend on machine load, and a
@@ -325,22 +325,22 @@ func (e execOpts) options() relpipe.Options {
 // defaults, restarts × budget is the same order of work as a
 // worst-case exact solve, the occupancy the service has always
 // accepted; operators can lower -search-restarts/-search-budget.
-func (e execOpts) searchOptions(sp *relpipe.SearchParams) (relpipe.Options, string, error) {
+func (e execOpts) searchOptions(sp *relpipe.SearchParams) (relpipe.Options, error) {
 	o := e.options()
 	if sp == nil {
-		return o, "|sr=0,sb=0,ss=0", nil
+		return o, nil
 	}
 	if sp.Restarts < 0 || sp.Budget < 0 {
-		return o, "", fmt.Errorf("search: negative restarts or budget")
+		return o, fmt.Errorf("search: negative restarts or budget")
 	}
 	if sp.Restarts > e.maxSearchRestarts {
-		return o, "", fmt.Errorf("search: %d restarts exceeds limit %d", sp.Restarts, e.maxSearchRestarts)
+		return o, fmt.Errorf("search: %d restarts exceeds limit %d", sp.Restarts, e.maxSearchRestarts)
 	}
 	if sp.Budget > e.maxSearchBudget {
-		return o, "", fmt.Errorf("search: budget %d exceeds limit %d", sp.Budget, e.maxSearchBudget)
+		return o, fmt.Errorf("search: budget %d exceeds limit %d", sp.Budget, e.maxSearchBudget)
 	}
 	o.Restarts, o.Budget, o.Seed = sp.Restarts, sp.Budget, sp.Seed
-	return o, fmt.Sprintf("|sr=%d,sb=%d,ss=%d", sp.Restarts, sp.Budget, sp.Seed), nil
+	return o, nil
 }
 
 // searchSensitive reports whether a method's answer can depend on the
@@ -355,25 +355,20 @@ func searchSensitive(m relpipe.Method) bool {
 
 // parseSolveMethod is the shared method/search-knob handling of the
 // optimize, minperiod and mincost parsers: default the method name to
-// auto, validate the search knobs against the caps, and build the
-// method's cache-key fragment (search knobs included only when the
-// method is search-sensitive).
-func parseSolveMethod(methodStr string, sp *relpipe.SearchParams, ex execOpts) (relpipe.Method, relpipe.Options, string, error) {
+// auto and validate the search knobs against the caps.
+func parseSolveMethod(methodStr string, sp *relpipe.SearchParams, ex execOpts) (relpipe.Method, relpipe.Options, error) {
 	if methodStr == "" {
 		methodStr = "auto"
 	}
 	method, err := relpipe.ParseMethod(methodStr)
 	if err != nil {
-		return method, relpipe.Options{}, "", err
+		return method, relpipe.Options{}, err
 	}
-	opts, searchKey, err := ex.searchOptions(sp)
+	opts, err := ex.searchOptions(sp)
 	if err != nil {
-		return method, relpipe.Options{}, "", err
+		return method, relpipe.Options{}, err
 	}
-	if !searchSensitive(method) {
-		searchKey = ""
-	}
-	return method, opts, "|m=" + method.String() + searchKey, nil
+	return method, opts, nil
 }
 
 // solveCtx is the per-execution environment of one solve closure: the
@@ -626,15 +621,14 @@ func withCtx(opts relpipe.Options, sc solveCtx) relpipe.Options {
 
 func parseOptimize(body []byte, ex execOpts) (string, solveFunc, error) {
 	var req relpipe.OptimizeRequest
-	if err := jsonscan.Strict(body, &req); err != nil {
+	if err := decode(body, &req, scanOptimize); err != nil {
 		return "", nil, err
 	}
-	method, opts, methodKey, err := parseSolveMethod(req.Method, req.Search, ex)
+	method, opts, err := parseSolveMethod(req.Method, req.Search, ex)
 	if err != nil {
 		return "", nil, err
 	}
-	key := req.Instance.Canonical() + methodKey + "|" + floatKey(req.Bounds.Period, req.Bounds.Latency)
-	return key, func(sc solveCtx) (any, error) {
+	return optimizeKey(&req, method), func(sc solveCtx) (any, error) {
 		sol, err := relpipe.OptimizeWith(req.Instance, req.Bounds, method, withCtx(opts, sc))
 		if err != nil {
 			return nil, err
@@ -645,11 +639,10 @@ func parseOptimize(body []byte, ex execOpts) (string, solveFunc, error) {
 
 func parseEvaluate(body []byte, _ execOpts) (string, solveFunc, error) {
 	var req relpipe.EvaluateRequest
-	if err := jsonscan.Strict(body, &req); err != nil {
+	if err := decode(body, &req, scanEvaluate); err != nil {
 		return "", nil, err
 	}
-	key := req.Instance.Canonical() + "|" + mappingKey(req.Mapping)
-	return key, func(solveCtx) (any, error) {
+	return evaluateKey(&req), func(solveCtx) (any, error) {
 		ev, err := relpipe.Evaluate(req.Instance, req.Mapping)
 		if err != nil {
 			return nil, err
@@ -660,15 +653,14 @@ func parseEvaluate(body []byte, _ execOpts) (string, solveFunc, error) {
 
 func parseMinPeriod(body []byte, ex execOpts) (string, solveFunc, error) {
 	var req relpipe.MinPeriodRequest
-	if err := jsonscan.Strict(body, &req); err != nil {
+	if err := decode(body, &req, scanMinPeriod); err != nil {
 		return "", nil, err
 	}
-	method, opts, methodKey, err := parseSolveMethod(req.Method, req.Search, ex)
+	method, opts, err := parseSolveMethod(req.Method, req.Search, ex)
 	if err != nil {
 		return "", nil, err
 	}
-	key := req.Instance.Canonical() + methodKey + "|" + floatKey(req.MinReliability)
-	return key, func(sc solveCtx) (any, error) {
+	return minPeriodKey(&req, method), func(sc solveCtx) (any, error) {
 		sol, err := relpipe.MinPeriodMethod(req.Instance, req.MinReliability, method, withCtx(opts, sc))
 		if err != nil {
 			return nil, err
@@ -679,10 +671,10 @@ func parseMinPeriod(body []byte, ex execOpts) (string, solveFunc, error) {
 
 func parseFrontier(body []byte, ex execOpts) (string, solveFunc, error) {
 	var req relpipe.FrontierRequest
-	if err := jsonscan.Strict(body, &req); err != nil {
+	if err := decode(body, &req, scanFrontier); err != nil {
 		return "", nil, err
 	}
-	return req.Instance.Canonical(), func(sc solveCtx) (any, error) {
+	return frontierKey(&req), func(sc solveCtx) (any, error) {
 		pts, err := relpipe.FrontierWith(req.Instance, withCtx(ex.options(), sc))
 		if err != nil {
 			return nil, err
@@ -693,16 +685,14 @@ func parseFrontier(body []byte, ex execOpts) (string, solveFunc, error) {
 
 func parseMinCost(body []byte, ex execOpts) (string, solveFunc, error) {
 	var req relpipe.MinCostRequest
-	if err := jsonscan.Strict(body, &req); err != nil {
+	if err := decode(body, &req, scanMinCost); err != nil {
 		return "", nil, err
 	}
-	method, opts, methodKey, err := parseSolveMethod(req.Method, req.Search, ex)
+	method, opts, err := parseSolveMethod(req.Method, req.Search, ex)
 	if err != nil {
 		return "", nil, err
 	}
-	key := req.Instance.Canonical() + methodKey + "|" + floatKey(req.Costs...) +
-		"|" + floatKey(req.MinReliability, req.Bounds.Period, req.Bounds.Latency)
-	return key, func(sc solveCtx) (any, error) {
+	return minCostKey(&req, method), func(sc solveCtx) (any, error) {
 		sol, err := relpipe.MinimizeCostWith(req.Instance, req.Costs, req.MinReliability, req.Bounds, method, withCtx(opts, sc))
 		if err != nil {
 			return nil, err
@@ -713,7 +703,7 @@ func parseMinCost(body []byte, ex execOpts) (string, solveFunc, error) {
 
 func parseSimulate(body []byte, ex execOpts) (string, solveFunc, error) {
 	var req relpipe.SimulateRequest
-	if err := jsonscan.Strict(body, &req); err != nil {
+	if err := decode(body, &req, scanSimulate); err != nil {
 		return "", nil, err
 	}
 	var routing sim.RoutingMode
@@ -741,10 +731,7 @@ func parseSimulate(body []byte, ex execOpts) (string, solveFunc, error) {
 		// the key also makes the two spellings share one cache entry.
 		req.Seed = 1
 	}
-	key := req.Instance.Canonical() + "|" + mappingKey(req.Mapping) +
-		"|" + floatKey(req.Period) +
-		fmt.Sprintf("|n=%d|s=%d|f=%t|r=%d|w=%d|rep=%d",
-			req.DataSets, req.Seed, req.InjectFailures, routing, req.WarmUp, reps)
+	key := simulateKey(&req, routing, reps)
 	cfg := relpipe.SimConfig{
 		Chain:          req.Instance.Chain,
 		Platform:       req.Instance.Platform,
@@ -782,7 +769,7 @@ func parseSimulate(body []byte, ex execOpts) (string, solveFunc, error) {
 // mirroring how exact methods omit them.
 func parseAdapt(body []byte, ex execOpts) (string, solveFunc, error) {
 	var req relpipe.AdaptRequest
-	if err := jsonscan.Strict(body, &req); err != nil {
+	if err := decode(body, &req, scanAdapt); err != nil {
 		return "", nil, err
 	}
 	policyStr := req.Policy
@@ -808,28 +795,11 @@ func parseAdapt(body []byte, ex execOpts) (string, solveFunc, error) {
 		// normalized before the key so both spellings share one entry.
 		req.Seed = 1
 	}
-	opts, searchKey, err := ex.searchOptions(req.Search)
+	opts, err := ex.searchOptions(req.Search)
 	if err != nil {
 		return "", nil, err
 	}
-	// The knobs shape the answer through two doors: the remap policy's
-	// re-optimizations, and the server-side initial Optimize (method
-	// Auto, search-sensitive) when no mapping is supplied. Only a
-	// non-searching policy over an explicit mapping may drop them.
-	if policy != relpipe.AdaptRemap && req.Mapping != nil {
-		searchKey = ""
-	}
-	mapKey := "opt"
-	if req.Mapping != nil {
-		mapKey = mappingKey(*req.Mapping)
-	}
-	key := req.Instance.Canonical() + "|" + mapKey +
-		"|p=" + policy.String() + searchKey +
-		"|" + floatKey(req.Horizon, req.LifeScale, req.SpareCost, req.RepairLatency,
-		req.Bounds.Period, req.Bounds.Latency) +
-		"|" + floatKey(req.Costs...) +
-		fmt.Sprintf("|sp=%d|s=%d|rep=%d", req.Spares, req.Seed, reps)
-	return key, func(sc solveCtx) (any, error) {
+	return adaptKey(&req, policy, reps), func(sc solveCtx) (any, error) {
 		opts := withCtx(opts, sc)
 		m := relpipe.Mapping{}
 		if req.Mapping != nil {
@@ -1031,45 +1001,4 @@ func writeSSE(w http.ResponseWriter, fl http.Flusher, event string, v any) {
 	}
 	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, b)
 	fl.Flush()
-}
-
-// floatKey renders floats exactly (hex mantissa, comma-separated) for
-// cache keys.
-func floatKey(fs ...float64) string {
-	b := make([]byte, 0, 24*len(fs))
-	for i, f := range fs {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendFloat(b, f, 'x', -1, 64)
-	}
-	return string(b)
-}
-
-// mappingKey renders a mapping canonically for cache keys, as
-// "parts=[0..1][2..2] procs=[[0 1] [2]]".
-func mappingKey(m relpipe.Mapping) string {
-	b := append(make([]byte, 0, 64), "parts="...)
-	for _, iv := range m.Parts {
-		b = append(b, '[')
-		b = strconv.AppendInt(b, int64(iv.First), 10)
-		b = append(b, ".."...)
-		b = strconv.AppendInt(b, int64(iv.Last), 10)
-		b = append(b, ']')
-	}
-	b = append(b, " procs=["...)
-	for i, ps := range m.Procs {
-		if i > 0 {
-			b = append(b, ' ')
-		}
-		b = append(b, '[')
-		for j, p := range ps {
-			if j > 0 {
-				b = append(b, ' ')
-			}
-			b = strconv.AppendInt(b, int64(p), 10)
-		}
-		b = append(b, ']')
-	}
-	return string(append(b, ']'))
 }

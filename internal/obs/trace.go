@@ -234,8 +234,11 @@ func withScope(ctx context.Context, sc scope) context.Context {
 // StartTrace opens a new trace with a fresh ID rooted at a span called
 // name, returning the derived context (carrying the root as current
 // span) and the root handle. A nil recorder returns ctx unchanged and a
-// nil handle.
+// nil handle, and mints no ID: nothing would record it.
 func (r *Recorder) StartTrace(ctx context.Context, name string) (context.Context, *SpanHandle) {
+	if r == nil {
+		return ctx, nil
+	}
 	return r.StartTraceID(ctx, NewTraceID(), name)
 }
 
@@ -317,13 +320,15 @@ func Detach(ctx context.Context) context.Context {
 	return withScope(context.Background(), sc)
 }
 
-// NewTraceID returns a fresh 128-bit hex trace ID.
-func NewTraceID() string { return randomHex(16) }
-
-func randomHex(n int) string {
-	b := make([]byte, n)
-	if _, err := rand.Read(b); err != nil {
+// NewTraceID returns a fresh 128-bit hex trace ID. The random bytes and
+// their hex digits live on the stack, so the returned string is its one
+// allocation.
+func NewTraceID() string {
+	var raw [16]byte
+	if _, err := rand.Read(raw[:]); err != nil {
 		panic(fmt.Sprintf("obs: id entropy unavailable: %v", err))
 	}
-	return hex.EncodeToString(b)
+	var id [2 * len(raw)]byte
+	hex.Encode(id[:], raw[:])
+	return string(id[:])
 }

@@ -329,3 +329,34 @@ func TestSpanIDsUniqueAndDeterministic(t *testing.T) {
 		seen[sp.SpanID] = true
 	}
 }
+
+// TestNewTraceIDAllocs pins the cost of a trace ID: 32 lowercase hex
+// digits in one allocation, the string itself.
+func TestNewTraceIDAllocs(t *testing.T) {
+	a, b := NewTraceID(), NewTraceID()
+	if len(a) != 32 || strings.Trim(a, "0123456789abcdef") != "" || a == b {
+		t.Fatalf("trace IDs %q, %q: want two distinct 32-digit hex strings", a, b)
+	}
+	if raceEnabled {
+		t.Skip("allocation count does not hold under -race")
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = NewTraceID() }); n != 1 {
+		t.Fatalf("NewTraceID allocs = %v, want 1", n)
+	}
+}
+
+// TestNilRecorderMintsNoID: a nil recorder records nothing, so starting
+// a trace on it must not mint (or allocate) an ID.
+func TestNilRecorderMintsNoID(t *testing.T) {
+	var rec *Recorder
+	ctx := context.Background()
+	n := testing.AllocsPerRun(100, func() {
+		got, root := rec.StartTrace(ctx, "req")
+		if got != ctx || root != nil {
+			t.Fatal("nil recorder changed the context or opened a root span")
+		}
+	})
+	if n != 0 {
+		t.Fatalf("nil-recorder StartTrace allocs = %v, want 0", n)
+	}
+}

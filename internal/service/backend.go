@@ -131,7 +131,7 @@ func (s *Server) execute(ctx context.Context, req Request) outcome {
 		if ctx.Err() != nil {
 			// The client itself is gone (not the hop bound): nothing
 			// to fall back for.
-			return errorOutcome(statusForJob(ctx.Err()), ctx.Err()), nil
+			return errorOutcome(statusFor(ctx.Err()), ctx.Err()), nil
 		}
 		s.metrics.ClusterFallback(owner)
 		return s.solve(ctx, req), nil
@@ -171,8 +171,7 @@ func (s *Server) solve(ctx context.Context, req Request) outcome {
 		enqueued := time.Now()
 		val, err := s.pool.Do(waitCtx, func() (any, error) {
 			obs.RecordSpan(execCtx, "queue.wait", enqueued, time.Now(), nil)
-			defer s.tables.settle(req.Route)
-			return s.solveToBytes(req.Key, req.solve, solveCtx{ctx: execCtx, tables: s.tables.provider(req.Route)})
+			return s.solveToBytes(execCtx, req, nil)
 		})
 		if err != nil {
 			return errorOutcome(statusFor(err), err), nil
@@ -213,7 +212,7 @@ func (s *Server) executeWait(ctx context.Context, req Request, running func(), r
 			return out
 		}
 		if ctx.Err() != nil {
-			return errorOutcome(statusForJob(ctx.Err()), ctx.Err())
+			return errorOutcome(statusFor(ctx.Err()), ctx.Err())
 		}
 		s.metrics.ClusterFallback(owner)
 	}
@@ -223,11 +222,10 @@ func (s *Server) executeWait(ctx context.Context, req Request, running func(), r
 		if running != nil {
 			running()
 		}
-		defer s.tables.settle(req.Route)
-		return s.solveToBytes(req.Key, req.solve, solveCtx{ctx: ctx, progress: report, tables: s.tables.provider(req.Route)})
+		return s.solveToBytes(ctx, req, report)
 	})
 	if err != nil {
-		return errorOutcome(statusForJob(err), err)
+		return errorOutcome(statusFor(err), err)
 	}
 	return outcome{status: http.StatusOK, body: val.([]byte)}
 }

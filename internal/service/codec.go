@@ -17,7 +17,7 @@ import (
 // that on every document it accepts it decodes exactly what Strict
 // decodes (FuzzRequestDecode holds it to that). Batch, job-submit and
 // fleet documents stay on Strict; batch and job items reach the
-// per-kind decoders through the parsers.
+// per-kind decoders through the kinds table (kinds.go).
 
 // decode fills req from body with the kind's one-pass scan, or with
 // Strict on the same bytes when the scan declines. An instance whose
@@ -40,34 +40,16 @@ func scanDocument[T any](body []byte, req *T, scan func(*jsonscan.Scanner, *T)) 
 	return s.Done()
 }
 
-// DecodeRequest decodes a /v1 solve document of the given kind
-// ("optimize", "evaluate", "minperiod", "frontier", "mincost",
-// "simulate", "adapt") into a new request DTO, as the endpoint does:
-// one pass, with Strict as the fallback and the source of errors.
-func DecodeRequest(kind string, body []byte) (any, error) {
-	dec, ok := requestDecoders[kind]
+// DecodeRequest decodes a /v1 solve document of the named kind (an
+// entry of the kinds table, such as "optimize") into a new request DTO,
+// as the endpoint does: one pass, with Strict as the fallback and the
+// source of errors.
+func DecodeRequest(name string, body []byte) (any, error) {
+	k, ok := kinds[name]
 	if !ok {
-		return nil, fmt.Errorf("service: unknown request kind %q", kind)
+		return nil, fmt.Errorf("service: unknown request kind %q", name)
 	}
-	return dec(body)
-}
-
-// requestDecoders backs DecodeRequest with the kinds' scan functions.
-var requestDecoders = map[string]func([]byte) (any, error){
-	"optimize":  decoderOf(scanOptimize),
-	"evaluate":  decoderOf(scanEvaluate),
-	"minperiod": decoderOf(scanMinPeriod),
-	"frontier":  decoderOf(scanFrontier),
-	"mincost":   decoderOf(scanMinCost),
-	"simulate":  decoderOf(scanSimulate),
-	"adapt":     decoderOf(scanAdapt),
-}
-
-func decoderOf[T any](scan func(*jsonscan.Scanner, *T)) func([]byte) (any, error) {
-	return func(body []byte) (any, error) {
-		req := new(T)
-		return req, decode(body, req, scan)
-	}
+	return k.decode(body)
 }
 
 // Member names of every object the request documents hold, in the

@@ -76,7 +76,7 @@ func TestCodecAcceptsCommonDocuments(t *testing.T) {
 		checkDocumentOracle(t, c.body())
 	}
 	reqs := commonRequests()
-	for kind := range batchParsers {
+	for kind := range kinds {
 		body, err := json.Marshal(reqs[kind])
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)

@@ -125,7 +125,7 @@ func (s *Server) handleFleetRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	// Same caps as the synchronous search endpoints: a deployment must
 	// not be a standing grant of unbounded solver work.
-	o, err := s.exec.searchOptions(req.Search)
+	o, err := s.exec.checkSearch(req.Search)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
@@ -133,7 +133,7 @@ func (s *Server) handleFleetRegister(w http.ResponseWriter, r *http.Request) {
 	spec.Restarts, spec.Budget, spec.Seed = o.Restarts, o.Budget, o.Seed
 	st, err := s.fleet.Register(spec)
 	if err != nil {
-		s.writeError(w, fleetErrStatus(err), err)
+		s.writeError(w, statusFor(err), err)
 		return
 	}
 	s.writeJSON(w, http.StatusCreated, st)
@@ -197,7 +197,7 @@ func (s *Server) handleFleetIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	n, err := s.fleet.Ingest(r.PathValue("id"), req.Events)
 	if err != nil {
-		s.writeError(w, fleetErrStatus(err), err)
+		s.writeError(w, statusFor(err), err)
 		return
 	}
 	s.writeJSON(w, http.StatusAccepted, relpipe.FleetEventsResponse{Accepted: n})
@@ -258,21 +258,5 @@ func (s *Server) handleFleetEvents(w http.ResponseWriter, r *http.Request) {
 			}
 			return
 		}
-	}
-}
-
-// fleetErrStatus maps controller errors to HTTP statuses.
-func fleetErrStatus(err error) int {
-	switch {
-	case errors.Is(err, fleet.ErrNotFound):
-		return http.StatusNotFound
-	case errors.Is(err, fleet.ErrExists):
-		return http.StatusConflict
-	case errors.Is(err, fleet.ErrFull):
-		return http.StatusTooManyRequests
-	case errors.Is(err, fleet.ErrClosed):
-		return http.StatusServiceUnavailable
-	default:
-		return http.StatusBadRequest
 	}
 }

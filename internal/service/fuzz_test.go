@@ -31,7 +31,10 @@ var fuzzKinds = []string{"optimize", "evaluate", "minperiod", "frontier", "minco
 // types. The committed corpus in testdata/fuzz/FuzzRequestDecode
 // replays in every `go test` run.
 func FuzzRequestDecode(f *testing.F) {
-	s := NewServer(Options{Workers: 1, RequestTimeout: 2 * time.Second, DisableFleet: true})
+	// Small search caps bound the search work a mutated body may ask
+	// for on the only worker; maxSimDataSets bounds simulate bodies.
+	s := NewServer(Options{Workers: 1, RequestTimeout: 2 * time.Second, DisableFleet: true,
+		MaxSearchRestarts: 2, MaxSearchBudget: 1000})
 	f.Cleanup(s.Close)
 	f.Fuzz(func(t *testing.T, k uint8, body []byte) {
 		kind := fuzzKinds[int(k)%len(fuzzKinds)]
@@ -95,12 +98,12 @@ func checkKeyDeterministic(t *testing.T, s *Server, kind string, body []byte) {
 		}
 	}
 	for _, it := range items {
-		parse, ok := batchParsers[it.kind]
+		k, ok := kinds[it.kind]
 		if !ok {
 			continue
 		}
-		k1, _, err1 := parse(it.body, s.exec)
-		k2, _, err2 := parse(it.body, s.exec)
+		k1, _, err1 := k.parse(it.body, s.exec)
+		k2, _, err2 := k.parse(it.body, s.exec)
 		if k1 != k2 || (err1 == nil) != (err2 == nil) {
 			t.Fatalf("%s: parse not deterministic: %q/%v then %q/%v", it.kind, k1, err1, k2, err2)
 		}

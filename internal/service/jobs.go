@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -46,7 +45,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	st, err := s.submitJob(req)
 	if err != nil {
-		s.writeError(w, jobErrStatus(err), err)
+		s.writeError(w, statusFor(err), err)
 		return
 	}
 	s.writeJSON(w, jobStatusCode, st)
@@ -60,11 +59,11 @@ func (s *Server) submitJob(sub relpipe.JobSubmitRequest) (relpipe.JobStatus, err
 	if sub.Kind == "batch" {
 		return s.submitBatchJob(sub)
 	}
-	parse, ok := batchParsers[sub.Kind]
+	k, ok := kinds[sub.Kind]
 	if !ok {
 		return zero, fmt.Errorf("jobs: unknown kind %q", sub.Kind)
 	}
-	req, err := s.newRequest(sub.Kind, parse, sub.Request)
+	req, err := s.newRequest(sub.Kind, k.parse, sub.Request)
 	if err != nil {
 		return zero, err
 	}
@@ -93,14 +92,18 @@ func (s *Server) submitJob(sub relpipe.JobSubmitRequest) (relpipe.JobStatus, err
 }
 
 // admitJob is the one job-admission path: single-kind jobs, batch jobs
-// and fleet remaps all enter here. It allocates the trace ID up front,
-// so the returned job's status already carries it next to the job ID,
-// admits the job under client, and runs run inside the job's root span
-// (named span), under the stage observer. The root span's "status"
-// attribute records the outcome's HTTP status; run may add attributes
-// of its own.
+// and fleet remaps all enter here. When the server records traces it
+// allocates the trace ID up front, so the returned job's status
+// already carries it next to the job ID; without a recorder the job
+// has none. It admits the job under client and runs run inside the
+// job's root span (named span), under the stage observer. The root
+// span's "status" attribute records the outcome's HTTP status; run may
+// add attributes of its own.
 func (s *Server) admitJob(kind, client, span string, run func(context.Context, jobs.Control, *obs.SpanHandle) jobs.Outcome) (*jobs.Job, error) {
-	tid := obs.NewTraceID()
+	var tid string
+	if s.recorder != nil {
+		tid = obs.NewTraceID()
+	}
 	return s.jobs.Submit(context.Background(), kind, client, tid, func(ctx context.Context, ctl jobs.Control) jobs.Outcome {
 		ctx, root := s.recorder.StartTraceID(obs.WithStageObserver(ctx, s.observer), tid, span)
 		defer root.End()
@@ -132,7 +135,7 @@ func (s *Server) submitBatchJob(sub relpipe.JobSubmitRequest) (relpipe.JobStatus
 		root.SetAttr("items", strconv.FormatInt(total, 10))
 		results := s.runBatchItems(batch.Jobs, func(req Request) outcome {
 			if err := ctx.Err(); err != nil {
-				return errorOutcome(statusForJob(err), err)
+				return errorOutcome(statusFor(err), err)
 			}
 			return s.executeWait(ctx, req, nil, nil)
 		}, func(done int64) { ctl.Progress(done, total) })
@@ -236,31 +239,6 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 
 // errorOutcomeJob renders an error as a job outcome.
 func errorOutcomeJob(err error) jobs.Outcome {
-	out := errorOutcome(statusForJob(err), err)
+	out := errorOutcome(statusFor(err), err)
 	return jobs.Outcome{Status: out.status, Body: out.body}
-}
-
-// statusForJob extends statusFor with the cancellation code: a job
-// aborted through DELETE records 499 (the de-facto "client closed
-// request" status) as its would-have-been HTTP status; the job state
-// is what reports the cancellation.
-func statusForJob(err error) int {
-	if errors.Is(err, context.Canceled) {
-		return 499
-	}
-	return statusFor(err)
-}
-
-// jobErrStatus maps submit-time errors to HTTP statuses: the capacity
-// errors are backpressure (429 + Retry-After), shutdown is 503,
-// anything else is a bad request.
-func jobErrStatus(err error) int {
-	switch {
-	case errors.Is(err, jobs.ErrStoreFull), errors.Is(err, jobs.ErrClientCap):
-		return http.StatusTooManyRequests
-	case errors.Is(err, jobs.ErrClosed):
-		return http.StatusServiceUnavailable
-	default:
-		return http.StatusBadRequest
-	}
 }

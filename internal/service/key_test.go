@@ -64,10 +64,10 @@ func TestKeySuffixGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	digest := in.Canonical()
-	kinds := map[string]bool{}
+	covered := map[string]bool{}
 	for _, c := range keyGoldenCases {
-		kinds[c.kind] = true
-		key, _, err := batchParsers[c.kind](c.body(), s.exec)
+		covered[c.kind] = true
+		key, _, err := kinds[c.kind].parse(c.body(), s.exec)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -75,8 +75,8 @@ func TestKeySuffixGolden(t *testing.T) {
 			t.Errorf("%s: key = %q, want digest + %q", c.name, key, c.suffix)
 		}
 	}
-	for kind := range batchParsers {
-		if !kinds[kind] {
+	for kind := range kinds {
+		if !covered[kind] {
 			t.Errorf("kind %q has no golden key", kind)
 		}
 	}
@@ -186,7 +186,7 @@ func TestKeyCoverage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		key, _, err := batchParsers[b.kind](body, s.exec)
+		key, _, err := kinds[b.kind].parse(body, s.exec)
 		if err != nil {
 			t.Fatalf("%s: %v: %s", b.name, err, body)
 		}

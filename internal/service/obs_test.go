@@ -164,11 +164,26 @@ func TestTraceHeaderAndDebugTraces(t *testing.T) {
 	}
 }
 
+// TestTraceDisabled: without a recorder nothing mints trace IDs, so a
+// /v1 response carries no X-Trace-Id and a job status no traceId
+// (TestTraceHeaderAndDebugTraces and TestAsyncJobCarriesTraceID pin
+// both with one).
 func TestTraceDisabled(t *testing.T) {
 	_, ts := newTestServer(t, Options{TraceCapacity: -1})
-	code := postJSON(t, ts.URL+"/v1/optimize", relpipe.OptimizeRequest{Instance: testInstance(23), Method: "dp"}, nil)
+	req := relpipe.OptimizeRequest{Instance: testInstance(23), Method: "dp"}
+	code, _, hdr := postRaw(t, ts.URL+"/v1/optimize", mustMarshal(t, req))
 	if code != http.StatusOK {
 		t.Fatalf("status = %d", code)
+	}
+	if tid, ok := hdr[relpipe.TraceHeader]; ok {
+		t.Fatalf("disabled recorder: response carries X-Trace-Id %q", tid)
+	}
+	st := submitJobHTTP(t, ts.URL, "optimize", req, "c")
+	if st.TraceID != "" {
+		t.Fatalf("disabled recorder: job status carries traceId %q", st.TraceID)
+	}
+	if st = waitJob(t, ts.URL, st.ID); st.State != relpipe.JobSucceeded {
+		t.Fatalf("untraced job state = %q", st.State)
 	}
 	code, body := getBody(t, ts.URL+"/debug/traces")
 	if code != http.StatusOK || !strings.Contains(body, `"traces":[]`) {
@@ -314,7 +329,7 @@ func TestDedupWaitSpan(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
 	slow := func(body []byte, _ execOpts) (string, solveFunc, error) {
-		return "k", func(solveCtx) (any, error) {
+		return "k", func(relpipe.Options) (any, error) {
 			select {
 			case started <- struct{}{}:
 			default:

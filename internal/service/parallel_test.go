@@ -1,8 +1,11 @@
 package service
 
 import (
+	"encoding/json"
 	"net/http"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"relpipe"
@@ -100,5 +103,58 @@ func TestSimulateReplicationsBounds(t *testing.T) {
 	}
 	if code := req(1024); code != http.StatusOK {
 		t.Fatalf("limit replications: status = %d, want 200", code)
+	}
+}
+
+// TestSimulateDataSetBound: replications × dataSets above maxSimDataSets
+// answers 400 naming the limit, on the endpoint, as a batch item and as
+// a job submission, and before any solve starts (so before any
+// per-data-set allocation). A request at the limit parses.
+func TestSimulateDataSetBound(t *testing.T) {
+	in := testInstance(3)
+	sol, err := relpipe.Optimize(in, relpipe.Bounds{}, relpipe.DP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := func(reps, dataSets int) []byte {
+		return mustMarshal(t, relpipe.SimulateRequest{
+			Instance: in, Mapping: sol.Mapping,
+			Period: sol.Eval.WorstPeriod, DataSets: dataSets, Replications: reps,
+		})
+	}
+	limit := strconv.Itoa(maxSimDataSets)
+	over := doc(8, 100_000_000)
+	s, ts := newTestServer(t, Options{})
+
+	code, body, _ := postRaw(t, ts.URL+"/v1/simulate", over)
+	if code != http.StatusBadRequest || !strings.Contains(string(body), limit) {
+		t.Fatalf("endpoint: %d %s, want 400 naming the limit %s", code, body, limit)
+	}
+	batch := mustMarshal(t, relpipe.BatchRequest{Jobs: []relpipe.BatchJob{{Kind: "simulate", Request: over}}})
+	var br relpipe.BatchResponse
+	if code := postJSON(t, ts.URL+"/v1/batch", json.RawMessage(batch), &br); code != http.StatusOK {
+		t.Fatalf("batch: status %d", code)
+	}
+	if r := br.Results[0]; r.Status != http.StatusBadRequest || !strings.Contains(string(r.Body), limit) {
+		t.Fatalf("batch item: %d %s, want 400 naming the limit", r.Status, r.Body)
+	}
+	job := mustMarshal(t, relpipe.JobSubmitRequest{Kind: "simulate", Request: over})
+	code, body, _ = postRaw(t, ts.URL+"/v1/jobs", job)
+	if code != http.StatusBadRequest || !strings.Contains(string(body), limit) {
+		t.Fatalf("job submit: %d %s, want 400 naming the limit", code, body)
+	}
+	if n := seriesSum(t, s.Metrics(), "relpipe_solves_total"); n != 0 {
+		t.Fatalf("solves = %d, want 0: the bound must reject before solving", n)
+	}
+
+	parse := kinds["simulate"].parse
+	if _, _, err := parse(doc(4, maxSimDataSets/4), s.exec); err != nil {
+		t.Fatalf("at the limit: %v", err)
+	}
+	if _, _, err := parse(doc(4, maxSimDataSets/4+1), s.exec); err == nil {
+		t.Fatal("one data set over the limit parsed")
+	}
+	if _, _, err := parse(doc(0, maxSimDataSets+1), s.exec); err == nil {
+		t.Fatal("default replication over the limit parsed")
 	}
 }

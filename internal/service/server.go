@@ -24,7 +24,6 @@ import (
 	"relpipe/internal/jsonscan"
 	"relpipe/internal/obs"
 	"relpipe/internal/progress"
-	"relpipe/internal/sim"
 )
 
 // Options configures a Server. Zero values select the defaults noted on
@@ -64,7 +63,8 @@ type Options struct {
 	MaxDeployments int
 	// TraceCapacity bounds the in-memory trace recorder queryable at
 	// /debug/traces (default 256 most-recent traces; negative disables
-	// recording — spans become no-ops, X-Trace-Id still issued).
+	// recording — spans become no-ops and no trace ID is minted, so
+	// responses carry no X-Trace-Id and jobs no traceId).
 	TraceCapacity int
 	// EnablePprof mounts the net/http/pprof handlers under /debug/pprof/
 	// (default off: the profiling surface stays private unless an
@@ -117,6 +117,11 @@ const (
 	// batch allocates per-replication state up front, so an unbounded
 	// value would let one small request exhaust memory.
 	maxReplications = 1024
+	// maxSimDataSets bounds replications × dataSets of one /v1/simulate
+	// request (400 above): a simulated data set holds about 90 bytes of
+	// engine state and latency record per replication until the run
+	// ends, so the bound keeps one request near 100 MB.
+	maxSimDataSets = 1 << 20
 )
 
 // Server is the HTTP solver service. Create with NewServer, serve it as
@@ -203,13 +208,9 @@ func NewServer(opts Options) *Server {
 		s.fleet.Start()
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/optimize", s.solveHandler("optimize", parseOptimize))
-	mux.HandleFunc("POST /v1/evaluate", s.solveHandler("evaluate", parseEvaluate))
-	mux.HandleFunc("POST /v1/minperiod", s.solveHandler("minperiod", parseMinPeriod))
-	mux.HandleFunc("POST /v1/frontier", s.solveHandler("frontier", parseFrontier))
-	mux.HandleFunc("POST /v1/mincost", s.solveHandler("mincost", parseMinCost))
-	mux.HandleFunc("POST /v1/simulate", s.solveHandler("simulate", parseSimulate))
-	mux.HandleFunc("POST /v1/adapt", s.solveHandler("adapt", parseAdapt))
+	for name, k := range kinds {
+		mux.HandleFunc("POST /v1/"+name, s.solveHandler(name, k.parse))
+	}
 	mux.HandleFunc("POST /v1/batch", s.handleBatch)
 	mux.HandleFunc("POST /v1/jobs", s.handleJobSubmit)
 	mux.HandleFunc("GET /v1/jobs", s.handleJobList)
@@ -262,30 +263,21 @@ func (s *Server) BeginShutdown() {
 // for every in-flight job to reach a terminal state — their statuses
 // stay queryable via Jobs().Snapshot — and only then the worker pool
 // (which the jobs run on) drains and closes. New requests get 503.
-func (s *Server) Close() {
-	s.BeginShutdown()
-	s.stopFleet()
-	s.jobs.Close()
-	s.pool.Close()
-}
-
-// stopFleet halts the fleet control loop before the job engine drains:
-// a ticking controller could otherwise submit a remap into a closing
-// engine. Stopped controller state stays queryable.
-func (s *Server) stopFleet() {
-	if s.fleet != nil {
-		s.fleet.Stop()
-	}
-}
+func (s *Server) Close() { s.CloseWithin(0) }
 
 // CloseWithin is Close with a drain budget for the async jobs: jobs
 // still live after d are cancelled (through the same context plumbing
 // DELETE uses) and land as cancelled instead of pinning shutdown — so a
 // supervisor's kill timeout can't outrun the terminal-status dump.
-// d <= 0 behaves like Close.
+// d <= 0 behaves like Close. The fleet control loop halts before the
+// job engine drains: a ticking controller could otherwise submit a
+// remap into a closing engine. Stopped controller state stays
+// queryable.
 func (s *Server) CloseWithin(d time.Duration) {
 	s.BeginShutdown()
-	s.stopFleet()
+	if s.fleet != nil {
+		s.fleet.Stop()
+	}
 	s.jobs.CloseWithin(d)
 	s.pool.Close()
 }
@@ -298,109 +290,16 @@ func (s *Server) Jobs() *jobs.Engine { return s.jobs }
 // embedders drive ticks and inspect deployments through it.
 func (s *Server) Fleet() *fleet.Controller { return s.fleet }
 
-// execOpts is the execution budget handed to every solve closure: the
-// solver-level parallelism one request may use inside its worker slot
-// (never part of cache keys because parallelism never changes a
-// solver's answer) and the per-request search caps.
+// execOpts is the server's execution budget: the solver-level
+// parallelism one request may use inside its worker slot, which the
+// executor sets on every solve (never part of cache keys because
+// parallelism never changes a solver's answer), and the per-request
+// search caps the parsers check.
 type execOpts struct {
 	parallelism       int
 	maxSearchRestarts int
 	maxSearchBudget   int
 }
-
-func (e execOpts) options() relpipe.Options {
-	return relpipe.Options{Parallelism: e.parallelism}
-}
-
-// searchOptions validates a request's search knobs against the
-// server's caps and folds them into the solver options. Search results
-// depend on the knobs (but never on parallelism), so the cache keys
-// carry them (appendSearch).
-//
-// The caps bound a search by iteration count, never by wall clock: a
-// time cap would make the result depend on machine load, and a
-// truncated answer cached under the deterministic seed-keyed entry
-// would poison the cache (two replicas would serve different mappings
-// for the same request forever). They bound the worst case — at the
-// defaults, restarts × budget is the same order of work as a
-// worst-case exact solve, the occupancy the service has always
-// accepted; operators can lower -search-restarts/-search-budget.
-func (e execOpts) searchOptions(sp *relpipe.SearchParams) (relpipe.Options, error) {
-	o := e.options()
-	if sp == nil {
-		return o, nil
-	}
-	if sp.Restarts < 0 || sp.Budget < 0 {
-		return o, fmt.Errorf("search: negative restarts or budget")
-	}
-	if sp.Restarts > e.maxSearchRestarts {
-		return o, fmt.Errorf("search: %d restarts exceeds limit %d", sp.Restarts, e.maxSearchRestarts)
-	}
-	if sp.Budget > e.maxSearchBudget {
-		return o, fmt.Errorf("search: budget %d exceeds limit %d", sp.Budget, e.maxSearchBudget)
-	}
-	o.Restarts, o.Budget, o.Seed = sp.Restarts, sp.Budget, sp.Seed
-	return o, nil
-}
-
-// searchSensitive reports whether a method's answer can depend on the
-// search knobs: the explicit heuristic, or auto (which may route
-// there). Exact/DP/ILP answers never do, so their cache keys omit the
-// knobs — identical solves with and without an (ignored) search block
-// share one entry, the same reasoning that keeps parallelism out of
-// every key.
-func searchSensitive(m relpipe.Method) bool {
-	return m == relpipe.Heuristic || m == relpipe.Auto
-}
-
-// parseSolveMethod is the shared method/search-knob handling of the
-// optimize, minperiod and mincost parsers: default the method name to
-// auto and validate the search knobs against the caps.
-func parseSolveMethod(methodStr string, sp *relpipe.SearchParams, ex execOpts) (relpipe.Method, relpipe.Options, error) {
-	if methodStr == "" {
-		methodStr = "auto"
-	}
-	method, err := relpipe.ParseMethod(methodStr)
-	if err != nil {
-		return method, relpipe.Options{}, err
-	}
-	opts, err := ex.searchOptions(sp)
-	if err != nil {
-		return method, relpipe.Options{}, err
-	}
-	return method, opts, nil
-}
-
-// solveCtx is the per-execution environment of one solve closure: the
-// cancellation context (background on the synchronous path, the job's
-// context on the async path) and an optional progress hook (nil
-// synchronously; the job's Control asynchronously). Neither influences
-// the solver's answer, so solve closures built from the same request
-// produce bit-identical bodies on both paths.
-type solveCtx struct {
-	ctx      context.Context
-	progress progress.Func
-	// tables is the table tier's heuristic-table provider (see
-	// tables.go; nil for a request without a route). Like the
-	// other fields it never influences an answer: provided tables are
-	// bit-identical to the ones a search builds itself.
-	tables func(relpipe.Instance) *relpipe.HeuristicTables
-}
-
-func (sc solveCtx) context() context.Context {
-	if sc.ctx != nil {
-		return sc.ctx
-	}
-	return context.Background()
-}
-
-// parser turns a decoded request body into a canonical cache key and a
-// solve closure producing the response DTO under the given execution
-// budget.
-type parser func(body []byte, ex execOpts) (key string, solve solveFunc, err error)
-
-// solveFunc produces a response DTO under a solveCtx.
-type solveFunc func(sc solveCtx) (any, error)
 
 // outcome is the materialized HTTP answer of one solve, shared verbatim
 // by deduplicated and cached requests. node, when set, names the
@@ -496,17 +395,26 @@ func (s *Server) JoinCluster(cfg cluster.Config) error {
 // for tests and embedders.
 func (s *Server) Cluster() *cluster.Cluster { return s.cluster.Load() }
 
-// solveToBytes executes one solve closure under sc, marshals the
-// response DTO and caches the bytes. It is the single execution path
-// shared by the synchronous endpoints and the async jobs engine, which
-// is what makes an async result bit-identical to the synchronous one
-// for the same request: same closure, same marshaling, same cache
-// entry. A failed (or cancelled) solve caches nothing.
-func (s *Server) solveToBytes(key string, solve solveFunc, sc solveCtx) ([]byte, error) {
+// solveToBytes executes req's solve closure, marshals the response DTO
+// and caches the bytes. It is the single execution path shared by the
+// synchronous endpoints and the async jobs engine, which is what makes
+// an async result bit-identical to the synchronous one for the same
+// request: same closure, same marshaling, same cache entry. It fills
+// the execution half of the closure's relpipe.Options: the server's
+// parallelism, ctx (background on the synchronous path, the job's
+// context on the async one), report (nil synchronously) and the table
+// tier's provider for req's route; none of them changes an answer. A
+// failed (or cancelled) solve caches nothing.
+func (s *Server) solveToBytes(ctx context.Context, req Request, report progress.Func) ([]byte, error) {
+	defer s.tables.settle(req.Route)
 	s.metrics.Solve()
-	spanCtx, sp := obs.StartSpan(sc.context(), "solve")
-	sc.ctx = spanCtx // solver stages nest under the solve span
-	v, err := solve(sc)
+	ctx, sp := obs.StartSpan(ctx, "solve") // solver stages nest under the solve span
+	v, err := req.solve(relpipe.Options{
+		Parallelism: s.exec.parallelism,
+		Context:     ctx,
+		Progress:    report,
+		Tables:      s.tables.provider(req.Route),
+	})
 	if err != nil {
 		sp.SetAttr("error", err.Error())
 		sp.End()
@@ -515,11 +423,11 @@ func (s *Server) solveToBytes(key string, solve solveFunc, sc solveCtx) ([]byte,
 	sp.End()
 	t0 := time.Now()
 	b, err := json.Marshal(v)
-	obs.RecordSpan(sc.ctx, "marshal", t0, time.Now(), nil)
+	obs.RecordSpan(ctx, "marshal", t0, time.Now(), nil)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", errEncodeResponse, err)
 	}
-	s.cache.Put(key, b)
+	s.cache.Put(req.Key, b)
 	return b, nil
 }
 
@@ -579,9 +487,9 @@ func (s *Server) runBatchItems(items []relpipe.BatchJob, run func(Request) outco
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			var out outcome
-			if parse, ok := batchParsers[job.Kind]; !ok {
+			if k, ok := kinds[job.Kind]; !ok {
 				out = errorOutcome(http.StatusBadRequest, fmt.Errorf("batch: unknown kind %q", job.Kind))
-			} else if req, err := s.newRequest(job.Kind, parse, job.Request); err != nil {
+			} else if req, err := s.newRequest(job.Kind, k.parse, job.Request); err != nil {
 				out = errorOutcome(http.StatusBadRequest, err)
 			} else {
 				out = run(req)
@@ -594,271 +502,6 @@ func (s *Server) runBatchItems(items []relpipe.BatchJob, run func(Request) outco
 	}
 	wg.Wait()
 	return results
-}
-
-// batchParsers dispatches batch job kinds to the endpoint parsers.
-var batchParsers = map[string]parser{
-	"optimize":  parseOptimize,
-	"evaluate":  parseEvaluate,
-	"minperiod": parseMinPeriod,
-	"frontier":  parseFrontier,
-	"mincost":   parseMinCost,
-	"simulate":  parseSimulate,
-	"adapt":     parseAdapt,
-}
-
-// ---- endpoint parsers ----
-
-// withCtx fills the execution-time fields of a solver Options value
-// from the solveCtx: cancellation and the progress hook. Neither enters
-// a cache key (they never change an answer).
-func withCtx(opts relpipe.Options, sc solveCtx) relpipe.Options {
-	opts.Context = sc.context()
-	opts.Progress = sc.progress
-	opts.Tables = sc.tables
-	return opts
-}
-
-func parseOptimize(body []byte, ex execOpts) (string, solveFunc, error) {
-	var req relpipe.OptimizeRequest
-	if err := decode(body, &req, scanOptimize); err != nil {
-		return "", nil, err
-	}
-	method, opts, err := parseSolveMethod(req.Method, req.Search, ex)
-	if err != nil {
-		return "", nil, err
-	}
-	return optimizeKey(&req, method), func(sc solveCtx) (any, error) {
-		sol, err := relpipe.OptimizeWith(req.Instance, req.Bounds, method, withCtx(opts, sc))
-		if err != nil {
-			return nil, err
-		}
-		return relpipe.OptimizeResponse{Solution: sol}, nil
-	}, nil
-}
-
-func parseEvaluate(body []byte, _ execOpts) (string, solveFunc, error) {
-	var req relpipe.EvaluateRequest
-	if err := decode(body, &req, scanEvaluate); err != nil {
-		return "", nil, err
-	}
-	return evaluateKey(&req), func(solveCtx) (any, error) {
-		ev, err := relpipe.Evaluate(req.Instance, req.Mapping)
-		if err != nil {
-			return nil, err
-		}
-		return relpipe.EvaluateResponse{Eval: ev}, nil
-	}, nil
-}
-
-func parseMinPeriod(body []byte, ex execOpts) (string, solveFunc, error) {
-	var req relpipe.MinPeriodRequest
-	if err := decode(body, &req, scanMinPeriod); err != nil {
-		return "", nil, err
-	}
-	method, opts, err := parseSolveMethod(req.Method, req.Search, ex)
-	if err != nil {
-		return "", nil, err
-	}
-	return minPeriodKey(&req, method), func(sc solveCtx) (any, error) {
-		sol, err := relpipe.MinPeriodMethod(req.Instance, req.MinReliability, method, withCtx(opts, sc))
-		if err != nil {
-			return nil, err
-		}
-		return relpipe.OptimizeResponse{Solution: sol}, nil
-	}, nil
-}
-
-func parseFrontier(body []byte, ex execOpts) (string, solveFunc, error) {
-	var req relpipe.FrontierRequest
-	if err := decode(body, &req, scanFrontier); err != nil {
-		return "", nil, err
-	}
-	return frontierKey(&req), func(sc solveCtx) (any, error) {
-		pts, err := relpipe.FrontierWith(req.Instance, withCtx(ex.options(), sc))
-		if err != nil {
-			return nil, err
-		}
-		return relpipe.FrontierResponse{Points: pts}, nil
-	}, nil
-}
-
-func parseMinCost(body []byte, ex execOpts) (string, solveFunc, error) {
-	var req relpipe.MinCostRequest
-	if err := decode(body, &req, scanMinCost); err != nil {
-		return "", nil, err
-	}
-	method, opts, err := parseSolveMethod(req.Method, req.Search, ex)
-	if err != nil {
-		return "", nil, err
-	}
-	return minCostKey(&req, method), func(sc solveCtx) (any, error) {
-		sol, err := relpipe.MinimizeCostWith(req.Instance, req.Costs, req.MinReliability, req.Bounds, method, withCtx(opts, sc))
-		if err != nil {
-			return nil, err
-		}
-		return relpipe.MinCostResponse{Solution: sol}, nil
-	}, nil
-}
-
-func parseSimulate(body []byte, ex execOpts) (string, solveFunc, error) {
-	var req relpipe.SimulateRequest
-	if err := decode(body, &req, scanSimulate); err != nil {
-		return "", nil, err
-	}
-	var routing sim.RoutingMode
-	switch req.Routing {
-	case "", "one-hop":
-		routing = sim.OneHop
-	case "two-hop":
-		routing = sim.TwoHop
-	default:
-		return "", nil, fmt.Errorf("simulate: unknown routing %q (want one-hop or two-hop)", req.Routing)
-	}
-	if req.Replications < 0 {
-		return "", nil, fmt.Errorf("simulate: negative replications %d", req.Replications)
-	}
-	if req.Replications > maxReplications {
-		return "", nil, fmt.Errorf("simulate: %d replications exceeds limit %d", req.Replications, maxReplications)
-	}
-	reps := req.Replications
-	if reps == 0 {
-		reps = 1
-	}
-	if req.Seed == 0 {
-		// Seed 0 aliases the default seed 1 (the repo-wide convention,
-		// matching cmd/simulate and sim.RunBatch); normalizing before
-		// the key also makes the two spellings share one cache entry.
-		req.Seed = 1
-	}
-	key := simulateKey(&req, routing, reps)
-	cfg := relpipe.SimConfig{
-		Chain:          req.Instance.Chain,
-		Platform:       req.Instance.Platform,
-		Mapping:        req.Mapping,
-		Period:         req.Period,
-		DataSets:       req.DataSets,
-		Seed:           req.Seed,
-		InjectFailures: req.InjectFailures,
-		Routing:        routing,
-		WarmUp:         req.WarmUp,
-	}
-	return key, func(sc solveCtx) (any, error) {
-		if reps > 1 {
-			batch, err := relpipe.SimulateBatch(cfg, reps, withCtx(ex.options(), sc))
-			if err != nil {
-				return nil, err
-			}
-			return simulateResponse(batch.DataSets(), batch.Successes(),
-				batch.SuccessRate(), batch.MeanLatency(), batch.MaxLatency(), batch.MeanSteadyPeriod()), nil
-		}
-		res, err := relpipe.Simulate(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return simulateResponse(res.DataSets, res.Successes,
-			res.SuccessRate(), res.MeanLatency(), res.MaxLatency(), res.SteadyPeriod), nil
-	}, nil
-}
-
-// parseAdapt handles the online-adaptation endpoint. Replications are
-// capped like /v1/simulate's (each replication may run many remap
-// searches, so an unbounded value would monopolize a worker); the remap
-// search knobs are capped like every search-sensitive endpoint's and
-// enter the cache key only when the policy actually searches (remap),
-// mirroring how exact methods omit them.
-func parseAdapt(body []byte, ex execOpts) (string, solveFunc, error) {
-	var req relpipe.AdaptRequest
-	if err := decode(body, &req, scanAdapt); err != nil {
-		return "", nil, err
-	}
-	policyStr := req.Policy
-	if policyStr == "" {
-		policyStr = "remap"
-	}
-	policy, err := relpipe.ParseAdaptPolicy(policyStr)
-	if err != nil {
-		return "", nil, err
-	}
-	if req.Replications < 0 {
-		return "", nil, fmt.Errorf("adapt: negative replications %d", req.Replications)
-	}
-	if req.Replications > maxReplications {
-		return "", nil, fmt.Errorf("adapt: %d replications exceeds limit %d", req.Replications, maxReplications)
-	}
-	reps := req.Replications
-	if reps == 0 {
-		reps = 1
-	}
-	if req.Seed == 0 {
-		// Seed 0 aliases the default seed 1 (the repo-wide convention);
-		// normalized before the key so both spellings share one entry.
-		req.Seed = 1
-	}
-	opts, err := ex.searchOptions(req.Search)
-	if err != nil {
-		return "", nil, err
-	}
-	return adaptKey(&req, policy, reps), func(sc solveCtx) (any, error) {
-		opts := withCtx(opts, sc)
-		m := relpipe.Mapping{}
-		if req.Mapping != nil {
-			m = *req.Mapping
-		} else {
-			// The server-side initial optimize is cancellable but reports
-			// no progress: mixing its restart counts with the batch's
-			// replication counts would interleave two different units.
-			noProg := opts
-			noProg.Progress = nil
-			sol, err := relpipe.OptimizeWith(req.Instance, req.Bounds, relpipe.Auto, noProg)
-			if err != nil {
-				return nil, err
-			}
-			m = sol.Mapping
-		}
-		batch, err := relpipe.AdaptBatch(req.Instance, m, relpipe.AdaptOptions{
-			Policy:        policy,
-			Horizon:       req.Horizon,
-			Period:        req.Bounds.Period,
-			Latency:       req.Bounds.Latency,
-			LifeScale:     req.LifeScale,
-			Spares:        req.Spares,
-			SpareCost:     req.SpareCost,
-			Costs:         req.Costs,
-			RepairLatency: req.RepairLatency,
-			Seed:          req.Seed,
-			Restarts:      opts.Restarts,
-			Budget:        opts.Budget,
-		}, reps, opts)
-		if err != nil {
-			return nil, err
-		}
-		return relpipe.AdaptResponse{Policy: policy.String(), Summary: batch.Summarize()}, nil
-	}, nil
-}
-
-// simulateResponse builds the wire aggregate shared by the single-run
-// and batched simulate paths. The simulator reports undefined aggregates
-// as NaN (no successful data set, or too few post-warm-up completions
-// for SteadyPeriod), which json.Marshal rejects; the wire format uses 0
-// for "undefined" (Successes / DataSets disambiguate).
-func simulateResponse(dataSets, successes int, successRate, meanLatency, maxLatency, steadyPeriod float64) relpipe.SimulateResponse {
-	return relpipe.SimulateResponse{
-		DataSets:     dataSets,
-		Successes:    successes,
-		SuccessRate:  finiteOrZero(successRate),
-		MeanLatency:  finiteOrZero(meanLatency),
-		MaxLatency:   finiteOrZero(maxLatency),
-		SteadyPeriod: finiteOrZero(steadyPeriod),
-	}
-}
-
-// finiteOrZero maps NaN/±Inf to 0 so responses stay marshalable.
-func finiteOrZero(f float64) float64 {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return 0
-	}
-	return f
 }
 
 // ---- shared plumbing ----
@@ -903,15 +546,24 @@ const readPresize = 64 << 10
 // errEncodeResponse marks a response DTO that json.Marshal rejected.
 var errEncodeResponse = errors.New("service: encode response")
 
-// statusFor maps solver and infrastructure errors to HTTP statuses.
+// statusFor maps solver, infrastructure, job-engine and fleet errors to
+// HTTP statuses. Capacity errors are backpressure (429 + Retry-After),
+// and a job aborted through DELETE records 499 (the de-facto "client
+// closed request" status) as its would-have-been HTTP status; the job
+// state is what reports the cancellation.
 func statusFor(err error) int {
 	switch {
 	case errors.Is(err, relpipe.ErrInfeasible), errors.Is(err, cost.ErrInfeasible):
 		return http.StatusUnprocessableEntity
-	case errors.Is(err, ErrQueueFull):
+	case errors.Is(err, ErrQueueFull), errors.Is(err, jobs.ErrStoreFull), errors.Is(err, jobs.ErrClientCap),
+		errors.Is(err, fleet.ErrFull):
 		return http.StatusTooManyRequests
-	case errors.Is(err, ErrPoolClosed):
+	case errors.Is(err, ErrPoolClosed), errors.Is(err, jobs.ErrClosed), errors.Is(err, fleet.ErrClosed):
 		return http.StatusServiceUnavailable
+	case errors.Is(err, fleet.ErrNotFound):
+		return http.StatusNotFound
+	case errors.Is(err, fleet.ErrExists):
+		return http.StatusConflict
 	case errors.As(err, new(*json.UnsupportedValueError)):
 		// A finite request whose answer overflows to ±Inf or NaN,
 		// which JSON cannot carry: the request is at fault, not the
@@ -921,6 +573,8 @@ func statusFor(err error) int {
 		return http.StatusInternalServerError
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
+	case errors.Is(err, context.Canceled):
+		return 499
 	default:
 		return http.StatusBadRequest
 	}

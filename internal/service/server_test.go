@@ -388,7 +388,7 @@ func TestQueueFullIs429WithRetryAfter(t *testing.T) {
 	block := make(chan struct{})
 	started := make(chan struct{})
 	blocking := func(body []byte, _ execOpts) (string, solveFunc, error) {
-		return string(body), func(solveCtx) (any, error) {
+		return string(body), func(relpipe.Options) (any, error) {
 			if string(body) == "A" {
 				close(started)
 			}
@@ -565,7 +565,7 @@ func TestTimedOutSolveStillCaches(t *testing.T) {
 	defer s.Close()
 	done := make(chan struct{})
 	slow := func(body []byte, _ execOpts) (string, solveFunc, error) {
-		return "k", func(solveCtx) (any, error) {
+		return "k", func(relpipe.Options) (any, error) {
 			defer close(done)
 			time.Sleep(100 * time.Millisecond)
 			return map[string]int{"x": 1}, nil
@@ -577,7 +577,7 @@ func TestTimedOutSolveStillCaches(t *testing.T) {
 	<-done // the abandoned solve has finished; its Put follows at once
 	waitFor(t, func() bool { _, ok := s.cache.Get("slow|k"); return ok })
 	fail := func(body []byte, _ execOpts) (string, solveFunc, error) {
-		return "k", func(solveCtx) (any, error) {
+		return "k", func(relpipe.Options) (any, error) {
 			t.Error("identical request re-solved instead of hitting the cache")
 			return nil, nil
 		}, nil

@@ -252,7 +252,7 @@ func plugWorker(s *Server, release <-chan struct{}) <-chan outcome {
 	go func() {
 		done <- s.execute(context.Background(), Request{
 			Kind: "optimize", Key: "plug", Route: "plug-route",
-			solve: func(solveCtx) (any, error) {
+			solve: func(relpipe.Options) (any, error) {
 				close(started)
 				<-release
 				return relpipe.OptimizeResponse{}, nil
@@ -287,7 +287,7 @@ func TestSolveBatchEndToEnd(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			outs[i] = s.process(context.Background(), "optimize", parseOptimize, bodies[i])
+			outs[i] = s.process(context.Background(), "optimize", kinds["optimize"].parse, bodies[i])
 		}(i)
 	}
 	waitFor(t, func() bool { return seriesSum(t, s.metrics, "relpipe_queue_depth") == members })
@@ -304,7 +304,7 @@ func TestSolveBatchEndToEnd(t *testing.T) {
 	}
 
 	// One at a time, later: the tables are still in the tier.
-	outs[members] = s.process(context.Background(), "optimize", parseOptimize, bodies[members])
+	outs[members] = s.process(context.Background(), "optimize", kinds["optimize"].parse, bodies[members])
 	if got := seriesSum(t, s.metrics, "relpipe_solve_batch_tables_built_total"); got != 1 {
 		t.Fatalf("tables built after a later request = %d, want 1", got)
 	}
@@ -315,7 +315,7 @@ func TestSolveBatchEndToEnd(t *testing.T) {
 		if out.status != http.StatusOK {
 			t.Fatalf("request %d status = %d", i, out.status)
 		}
-		want := processUntiered(t, ref, "optimize", parseOptimize, bodies[i])
+		want := processUntiered(t, ref, "optimize", kinds["optimize"].parse, bodies[i])
 		if want.status != http.StatusOK {
 			t.Fatalf("untiered request %d status = %d", i, want.status)
 		}
@@ -343,7 +343,7 @@ func TestSolveBatchRiderCancellationEndToEnd(t *testing.T) {
 	riderCtx, cancelRider := context.WithCancel(context.Background())
 	riderDone := make(chan outcome, 1)
 	go func() {
-		req, err := s.newRequest("optimize", parseOptimize, optimizeBody(t, in, 7))
+		req, err := s.newRequest("optimize", kinds["optimize"].parse, optimizeBody(t, in, 7))
 		if err != nil {
 			panic(err)
 		}
@@ -351,7 +351,7 @@ func TestSolveBatchRiderCancellationEndToEnd(t *testing.T) {
 	}()
 	memberDone := make(chan outcome, 1)
 	go func() {
-		memberDone <- s.process(context.Background(), "optimize", parseOptimize, optimizeBody(t, in, 8))
+		memberDone <- s.process(context.Background(), "optimize", kinds["optimize"].parse, optimizeBody(t, in, 8))
 	}()
 	waitFor(t, func() bool { return seriesSum(t, s.metrics, "relpipe_queue_depth") == 2 })
 	cancelRider()
@@ -363,7 +363,7 @@ func TestSolveBatchRiderCancellationEndToEnd(t *testing.T) {
 	if out := <-memberDone; out.status != http.StatusOK {
 		t.Fatalf("surviving member got %d, want 200", out.status)
 	}
-	if out := s.process(context.Background(), "optimize", parseOptimize, optimizeBody(t, in, 9)); out.status != http.StatusOK {
+	if out := s.process(context.Background(), "optimize", kinds["optimize"].parse, optimizeBody(t, in, 9)); out.status != http.StatusOK {
 		t.Fatalf("later request got %d, want 200", out.status)
 	}
 	if got := seriesSum(t, s.metrics, "relpipe_solve_batch_tables_built_total"); got != 1 {
@@ -401,20 +401,20 @@ func TestTableTierMatchesPerRequestBuild(t *testing.T) {
 		for seed := uint64(1); seed <= 3; seed++ {
 			search := &relpipe.SearchParams{Restarts: 2, Budget: 300, Seed: seed}
 			group = append(group,
-				job{"optimize", parseOptimize, relpipe.OptimizeRequest{
+				job{"optimize", kinds["optimize"].parse, relpipe.OptimizeRequest{
 					Instance: in, Bounds: relpipe.Bounds{Period: 200, Latency: 700}, Method: "heuristic", Search: search}},
-				job{"minperiod", parseMinPeriod, relpipe.MinPeriodRequest{
+				job{"minperiod", kinds["minperiod"].parse, relpipe.MinPeriodRequest{
 					Instance: in, MinReliability: 0.5, Method: "heuristic", Search: search}},
-				job{"mincost", parseMinCost, relpipe.MinCostRequest{
+				job{"mincost", kinds["mincost"].parse, relpipe.MinCostRequest{
 					Instance: in, Costs: costs, Bounds: relpipe.Bounds{Period: 200, Latency: 700}, Method: "heuristic", Search: search}},
 			)
 		}
 		for _, period := range []float64{200.25, 200.5, 90, 130, 260, 1000} {
 			search := &relpipe.SearchParams{Restarts: 2, Budget: 300, Seed: 4}
 			group = append(group,
-				job{"optimize", parseOptimize, relpipe.OptimizeRequest{
+				job{"optimize", kinds["optimize"].parse, relpipe.OptimizeRequest{
 					Instance: in, Bounds: relpipe.Bounds{Period: period, Latency: 700}, Method: "heuristic", Search: search}},
-				job{"mincost", parseMinCost, relpipe.MinCostRequest{
+				job{"mincost", kinds["mincost"].parse, relpipe.MinCostRequest{
 					Instance: in, Costs: costs, Bounds: relpipe.Bounds{Period: period}, Method: "heuristic", Search: search}},
 			)
 		}
@@ -492,7 +492,7 @@ func TestTableTierChargesSeedMemo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.process(context.Background(), "optimize", parseOptimize, body)
+		s.process(context.Background(), "optimize", kinds["optimize"].parse, body)
 		got := retained()
 		if got > s.tables.budget {
 			t.Fatalf("request %d: tier retains %d bytes over its budget %d", i, got, s.tables.budget)

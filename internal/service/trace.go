@@ -76,10 +76,13 @@ func endpointLabel(path string) string {
 		return "/debug/pprof"
 	}
 	switch path {
-	case "/v1/optimize", "/v1/evaluate", "/v1/minperiod", "/v1/frontier",
-		"/v1/mincost", "/v1/simulate", "/v1/adapt", "/v1/batch",
-		"/healthz", "/readyz", "/metrics", "/debug/traces":
+	case "/v1/batch", "/healthz", "/readyz", "/metrics", "/debug/traces":
 		return path
+	}
+	if name, ok := strings.CutPrefix(path, "/v1/"); ok {
+		if _, ok := kinds[name]; ok {
+			return path
+		}
 	}
 	return "other"
 }

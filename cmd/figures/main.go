@@ -24,6 +24,22 @@ import (
 	"relpipe/internal/textplot"
 )
 
+// pairs are the paper's figures, computed two at a time; extras are the
+// beyond-the-paper figures behind -extra.
+var (
+	pairs = []struct {
+		ids [2]string
+		fn  func(expfig.Config) (expfig.Figure, expfig.Figure)
+	}{
+		{[2]string{"fig06", "fig07"}, expfig.Fig6and7},
+		{[2]string{"fig08", "fig09"}, expfig.Fig8and9},
+		{[2]string{"fig10", "fig11"}, expfig.Fig10and11},
+		{[2]string{"fig12", "fig13"}, expfig.Fig12and13},
+		{[2]string{"fig14", "fig15"}, expfig.Fig14and15},
+	}
+	extras = []func(expfig.Config) expfig.Figure{expfig.RoutingOverhead, expfig.HeuristicGap, expfig.AdaptPolicySweep}
+)
+
 func main() {
 	outDir := flag.String("out", "results", "output directory")
 	instances := flag.Int("instances", 100, "instances per experiment")
@@ -53,17 +69,6 @@ func main() {
 	}
 	cfg := expfig.Config{Instances: *instances, Seed: *seed, Step: *step, HetSpeedMax: *hetSpeedMax, Parallelism: *parallel}
 
-	type pairFn func(expfig.Config) (expfig.Figure, expfig.Figure)
-	pairs := []struct {
-		ids [2]string
-		fn  pairFn
-	}{
-		{[2]string{"fig06", "fig07"}, expfig.Fig6and7},
-		{[2]string{"fig08", "fig09"}, expfig.Fig8and9},
-		{[2]string{"fig10", "fig11"}, expfig.Fig10and11},
-		{[2]string{"fig12", "fig13"}, expfig.Fig12and13},
-		{[2]string{"fig14", "fig15"}, expfig.Fig14and15},
-	}
 	for _, p := range pairs {
 		if len(want) > 0 && !want[p.ids[0]] && !want[p.ids[1]] {
 			continue
@@ -82,7 +87,7 @@ func main() {
 		}
 	}
 	if *extra {
-		for _, fn := range []func(expfig.Config) expfig.Figure{expfig.RoutingOverhead, expfig.HeuristicGap, expfig.AdaptPolicySweep} {
+		for _, fn := range extras {
 			start := time.Now()
 			f := fn(cfg)
 			fmt.Printf("%s computed in %v\n", f.ID, time.Since(start).Round(time.Millisecond))

@@ -146,7 +146,7 @@ func BenchmarkHeurPHeterogeneous(b *testing.B) {
 	c := chain.PaperRandom(r, 15)
 	pl := platform.PaperHeterogeneous(r, 10)
 	for i := 0; i < b.N; i++ {
-		if _, _, err := heur.HeurP(c, pl, heur.Options{Period: 40, Latency: 150}); err != nil {
+		if _, _, err := heur.HeurP(c, pl, heur.Options{Period: 40, Latency: 150}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -157,7 +157,7 @@ func BenchmarkHeurLHeterogeneous(b *testing.B) {
 	c := chain.PaperRandom(r, 15)
 	pl := platform.PaperHeterogeneous(r, 10)
 	for i := 0; i < b.N; i++ {
-		if _, _, err := heur.HeurL(c, pl, heur.Options{Period: 40, Latency: 150}); err != nil {
+		if _, _, err := heur.HeurL(c, pl, heur.Options{Period: 40, Latency: 150}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -264,7 +264,7 @@ func BenchmarkAblationHeuristicGap(b *testing.B) {
 			if err != nil {
 				continue
 			}
-			res, ok, err := heur.Best(in.c, in.pl, heur.Options{Period: 150, Latency: 750})
+			res, ok, err := heur.Best(in.c, in.pl, heur.Options{Period: 150, Latency: 750}, nil)
 			if err != nil || !ok {
 				continue
 			}
@@ -328,7 +328,7 @@ func BenchmarkAblationHetGap(b *testing.B) {
 			if err != nil {
 				continue
 			}
-			res, ok, err := heur.Best(in.c, in.pl, heur.Options{})
+			res, ok, err := heur.Best(in.c, in.pl, heur.Options{}, nil)
 			if err != nil || !ok {
 				continue
 			}

@@ -398,7 +398,7 @@ func adaptBench() func(sz sizes) func() {
 		r := rng.New(42)
 		c := chain.PaperRandom(r, 40)
 		pl := platform.PaperHeterogeneous(r, 12)
-		res, ok, err := heur.Best(c, pl, heur.Options{})
+		res, ok, err := heur.Best(c, pl, heur.Options{}, nil)
 		if err != nil || !ok {
 			panic(fmt.Sprintf("adapt bench: ok=%v err=%v", ok, err))
 		}

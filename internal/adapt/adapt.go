@@ -100,10 +100,17 @@ type Options struct {
 	// 0 aliases the default seed 1 (the repo-wide convention).
 	Seed uint64
 	// Restarts and Budget tune the PolicyRemap search re-optimization
-	// (defaults 2 restarts, 500 iterations: warm-started searches need
-	// far less than cold solves).
+	// (defaults DefaultRestarts and DefaultBudget: warm-started searches
+	// need far less than cold solves).
 	Restarts, Budget int
 }
+
+// DefaultRestarts and DefaultBudget are the restarts and per-restart
+// iterations of a remap search when Options set none.
+const (
+	DefaultRestarts = 2
+	DefaultBudget   = 500
+)
 
 // defaults resolves the option defaults.
 func (o Options) defaults() Options {
@@ -114,10 +121,10 @@ func (o Options) defaults() Options {
 		o.LifeScale = 1
 	}
 	if o.Restarts <= 0 {
-		o.Restarts = 2
+		o.Restarts = DefaultRestarts
 	}
 	if o.Budget <= 0 {
-		o.Budget = 500
+		o.Budget = DefaultBudget
 	}
 	return o
 }

@@ -35,7 +35,7 @@ func hetInstance(t *testing.T, seed uint64, n, p int, per, lat float64) (chain.C
 	r := rng.New(seed)
 	c := chain.PaperRandom(r, n)
 	pl := platform.PaperHeterogeneous(r, p)
-	res, ok, err := heur.Best(c, pl, heur.Options{Period: per, Latency: lat})
+	res, ok, err := heur.Best(c, pl, heur.Options{Period: per, Latency: lat}, nil)
 	if err != nil || !ok {
 		t.Fatalf("heur.Best: ok=%v err=%v", ok, err)
 	}

@@ -55,7 +55,7 @@ func AdaptPolicySweep(cfg Config) Figure {
 	policies := adapt.Policies()
 	// rels[i][s][xi]: per-instance curves, reduced in instance order.
 	rels, err := par.Map(context.Background(), cfg.Parallelism, cfg.Instances, func(i int) ([][]float64, error) {
-		res, ok, err := heur.Best(specs[i].c, specs[i].pl, heur.Options{})
+		res, ok, err := heur.Best(specs[i].c, specs[i].pl, heur.Options{}, nil)
 		if err != nil || !ok {
 			panic(fmt.Sprintf("expfig: unconstrained heuristic failed on instance %d (ok=%v err=%v)", i, ok, err))
 		}

@@ -79,24 +79,20 @@ type Figure struct {
 	Series []Series `json:"series"`
 }
 
-// candidate is an allocation-resolved heuristic schedule on a homogeneous
-// platform: feasibility against any (P, L) pair is a filter, the best
-// reliability a max. Candidates let a full bound sweep reuse one
-// partition+allocation pass per instance.
-type candidate struct {
-	period, latency, logRel float64
-}
-
 // homInstance carries the precomputed per-instance state of the
-// homogeneous sweeps.
+// homogeneous sweeps: the Pareto-filtered optimal profiles, and the
+// heuristic tables every sweep point runs Heur-L and Heur-P through, so
+// their seed memo answers each period-bound cell once.
 type homInstance struct {
-	optimal      []exact.Profile // Pareto-filtered optimal profiles
-	heurL, heurP []candidate
+	c       chain.Chain
+	pl      platform.Platform
+	optimal []exact.Profile
+	tables  *heur.Tables
 }
 
-// buildHom precomputes profiles and heuristic candidates for every
-// instance of the homogeneous experiments. Instances build in parallel:
-// their generators are split off the master sequentially first, so the
+// buildHom precomputes profiles and heuristic tables for every instance
+// of the homogeneous experiments. Instances build in parallel: their
+// generators are split off the master sequentially first, so the
 // result is bit-identical to a sequential build for any parallelism.
 func buildHom(cfg Config) []homInstance {
 	master := rng.New(cfg.Seed)
@@ -111,11 +107,7 @@ func buildHom(cfg Config) []homInstance {
 		if err != nil {
 			panic(fmt.Sprintf("expfig: %v", err)) // impossible with valid generators
 		}
-		return homInstance{
-			optimal: frontier.Front(profiles, exact.Profile.Criteria),
-			heurL:   heurCandidates(c, pl, true),
-			heurP:   heurCandidates(c, pl, false),
-		}, nil
+		return homInstance{c: c, pl: pl, optimal: frontier.Front(profiles, exact.Profile.Criteria), tables: heur.NewTables(c, pl)}, nil
 	})
 	if err != nil {
 		panic(fmt.Sprintf("expfig: %v", err)) // unreachable: the build never errors
@@ -123,49 +115,19 @@ func buildHom(cfg Config) []homInstance {
 	return out
 }
 
-// heurCandidates runs one heuristic's partition step for every interval
-// count and allocates with unconstrained Algo-Alloc, through one
-// heur.Gen so that the partition table is built once per instance; on a
-// homogeneous platform the allocation does not depend on the bounds, so
-// the candidates can be filtered per bound afterwards. This mirrors
-// heur.HeurL/HeurP exactly (verified by TestCandidatesMatchHeur).
-func heurCandidates(c chain.Chain, pl platform.Platform, latencyOriented bool) []candidate {
-	var out []candidate
-	maxM := len(c)
-	if pl.P() < maxM {
-		maxM = pl.P()
+// heur runs Heur-L (latencyOriented) or Heur-P on the instance under
+// the bounds and returns the winner's log-reliability, and whether the
+// heuristic found a mapping.
+func (in homInstance) heur(latencyOriented bool, period, latency float64) (float64, bool) {
+	fn := heur.HeurP
+	if latencyOriented {
+		fn = heur.HeurL
 	}
-	g := heur.NewGen(c, pl, maxM, heur.Options{})
-	for m := 1; m <= maxM; m++ {
-		res, ok := g.Candidate(m, latencyOriented)
-		if !ok {
-			continue
-		}
-		out = append(out, candidate{
-			period:  res.Ev.WorstPeriod,
-			latency: res.Ev.WorstLatency,
-			logRel:  res.Ev.LogRel,
-		})
+	res, ok, err := fn(in.c, in.pl, heur.Options{Period: period, Latency: latency}, in.tables)
+	if err != nil {
+		panic(fmt.Sprintf("expfig: %v", err)) // impossible with valid generators
 	}
-	return out
-}
-
-// bestCandidate returns the best log-reliability among candidates meeting
-// the bounds, and whether any did.
-func bestCandidate(cs []candidate, period, latency float64) (float64, bool) {
-	best, ok := math.Inf(-1), false
-	for _, c := range cs {
-		if period > 0 && c.period > period {
-			continue
-		}
-		if latency > 0 && c.latency > latency {
-			continue
-		}
-		if c.logRel > best {
-			best, ok = c.logRel, true
-		}
-	}
-	return best, ok
+	return res.Ev.LogRel, ok
 }
 
 // homSweep evaluates the three §8.1 curves over the given (P, L) pairs
@@ -186,8 +148,8 @@ func homSweep(id1, id2, title1, title2, xlabel string, xs, periods, latencies []
 		var nBoth int
 		for _, in := range insts {
 			iOpt := exact.BestUnder(in.optimal, P, L)
-			lrL, okL := bestCandidate(in.heurL, P, L)
-			lrP, okP := bestCandidate(in.heurP, P, L)
+			lrL, okL := in.heur(true, P, L)
+			lrP, okP := in.heur(false, P, L)
 			if iOpt >= 0 {
 				nOpt++
 			}
@@ -279,10 +241,12 @@ func Fig10and11(cfg Config) (Figure, Figure) {
 }
 
 // hetInstance pairs one chain with its heterogeneous platform and the
-// speed-5 homogeneous comparison platform (§8.2).
+// speed-5 homogeneous comparison platform (§8.2), each with the
+// heuristic tables every sweep point runs through.
 type hetInstance struct {
-	c        chain.Chain
-	het, hom platform.Platform
+	c                    chain.Chain
+	het, hom             platform.Platform
+	hetTables, homTables *heur.Tables
 }
 
 func buildHet(cfg Config) []hetInstance {
@@ -293,6 +257,8 @@ func buildHet(cfg Config) []hetInstance {
 		out[i].het = platform.RandomHeterogeneous(master.Split(), cfg.Procs,
 			1, cfg.HetSpeedMax, 1e-8, 1e-8, 1, 1e-5, 3)
 		out[i].hom = platform.PaperHomogeneousComparison(cfg.Procs)
+		out[i].hetTables = heur.NewTables(out[i].c, out[i].het)
+		out[i].homTables = heur.NewTables(out[i].c, out[i].hom)
 	}
 	return out
 }
@@ -323,7 +289,7 @@ func hetSweep(id1, id2, title1, title2, xlabel string, xs, periods, latencies []
 		fails[s] = make([]float64, len(xs))
 	}
 	type variant struct {
-		fn  func(chain.Chain, platform.Platform, heur.Options) (heur.Result, bool, error)
+		fn  func(chain.Chain, platform.Platform, heur.Options, *heur.Tables) (heur.Result, bool, error)
 		het bool
 	}
 	variants := []variant{
@@ -335,11 +301,11 @@ func hetSweep(id1, id2, title1, title2, xlabel string, xs, periods, latencies []
 			n := 0
 			failSum := 0.0
 			for _, in := range insts {
-				pl := in.hom
+				pl, tables := in.hom, in.homTables
 				if v.het {
-					pl = in.het
+					pl, tables = in.het, in.hetTables
 				}
-				res, ok, err := v.fn(in.c, pl, opts)
+				res, ok, err := v.fn(in.c, pl, opts, tables)
 				if err != nil {
 					panic(fmt.Sprintf("expfig: %v", err))
 				}

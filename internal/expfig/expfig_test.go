@@ -4,55 +4,12 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"relpipe/internal/chain"
-	"relpipe/internal/heur"
-	"relpipe/internal/platform"
-	"relpipe/internal/rng"
 )
 
 // small returns a reduced configuration that keeps tests fast while
 // preserving the qualitative shapes.
 func small() Config {
 	return Config{Instances: 12, Tasks: 15, Procs: 10, Seed: 42, Step: 4}
-}
-
-func TestCandidatesMatchHeur(t *testing.T) {
-	// The sweep's candidate-filtering shortcut must agree with running
-	// the heuristics directly on homogeneous platforms.
-	master := rng.New(5)
-	pl := platform.PaperHomogeneous(10)
-	for i := 0; i < 10; i++ {
-		c := chain.PaperRandom(master.Split(), 15)
-		candL := heurCandidates(c, pl, true)
-		candP := heurCandidates(c, pl, false)
-		for _, b := range []struct{ P, L float64 }{
-			{100, 750}, {250, 750}, {400, 600}, {80, 1200}, {500, 500},
-		} {
-			wantL, okWL, err := heur.HeurL(c, pl, heur.Options{Period: b.P, Latency: b.L})
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotL, okGL := bestCandidate(candL, b.P, b.L)
-			if okWL != okGL {
-				t.Fatalf("HeurL feasibility mismatch at P=%v L=%v: %v vs %v", b.P, b.L, okWL, okGL)
-			}
-			if okWL && math.Abs(wantL.Ev.LogRel-gotL) > 1e-9*(1+math.Abs(gotL)) {
-				t.Fatalf("HeurL logRel mismatch at P=%v L=%v", b.P, b.L)
-			}
-			wantP, okWP, err := heur.HeurP(c, pl, heur.Options{Period: b.P, Latency: b.L})
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotP, okGP := bestCandidate(candP, b.P, b.L)
-			if okWP != okGP {
-				t.Fatalf("HeurP feasibility mismatch at P=%v L=%v", b.P, b.L)
-			}
-			if okWP && math.Abs(wantP.Ev.LogRel-gotP) > 1e-9*(1+math.Abs(gotP)) {
-				t.Fatalf("HeurP logRel mismatch at P=%v L=%v", b.P, b.L)
-			}
-		}
-	}
 }
 
 func TestFig6ShapeAndDominance(t *testing.T) {

@@ -7,4 +7,8 @@
 // communications, Heur-P balances interval loads), allocates processors
 // with the §7.2 variant of Algo-Alloc, and keeps the most reliable
 // mapping that meets the bounds.
+//
+// Every candidate comes out of one path: Tables owns an instance's
+// partition tables, each built at most once, and its seed memo, and Gen
+// views one Tables under one set of bounds.
 package heur

@@ -19,18 +19,15 @@ func largeInstance(seed uint64, n, p int) (chain.Chain, platform.Platform) {
 
 func TestCandidateGenerationAt500Stages(t *testing.T) {
 	c, pl := largeInstance(1, 500, 60)
-	g := NewGen(c, pl, 60, Options{})
+	g := NewGen(c, pl, Options{}, nil)
 	for _, m := range []int{1, 2, 10, 37, 60} {
 		for _, latencyOriented := range []bool{false, true} {
-			res, ok := g.Candidate(m, latencyOriented)
+			res, ok := candidate(g, m, latencyOriented)
 			if !ok {
 				t.Fatalf("m=%d latencyOriented=%v: no candidate", m, latencyOriented)
 			}
 			if len(res.M.Parts) != m {
 				t.Fatalf("m=%d: candidate has %d intervals", m, len(res.M.Parts))
-			}
-			if res.Intervals != m {
-				t.Fatalf("m=%d: Intervals field = %d", m, res.Intervals)
 			}
 			if err := res.M.Validate(c, pl); err != nil {
 				t.Fatalf("m=%d latencyOriented=%v: invalid mapping: %v", m, latencyOriented, err)
@@ -44,14 +41,14 @@ func TestCandidateGenerationAt500Stages(t *testing.T) {
 
 func TestCandidateRejectsOutOfRangeM(t *testing.T) {
 	c, pl := largeInstance(2, 500, 60)
-	g := NewGen(c, pl, 60, Options{})
+	g := NewGen(c, pl, Options{}, nil)
 	for _, m := range []int{0, -1, 501} {
-		if _, ok := g.Candidate(m, true); ok {
+		if _, ok := candidate(g, m, true); ok {
 			t.Fatalf("m=%d accepted", m)
 		}
 	}
 	// m beyond the processor count cannot be allocated.
-	if _, ok := g.Candidate(61, true); ok {
+	if _, ok := candidate(g, 61, true); ok {
 		t.Fatal("m=61 on 60 processors accepted")
 	}
 }
@@ -59,7 +56,7 @@ func TestCandidateRejectsOutOfRangeM(t *testing.T) {
 func TestBestAt500StagesIsFeasibleUnderLooseBounds(t *testing.T) {
 	c, pl := largeInstance(3, 500, 60)
 	// Generous bounds: the heuristics must find something.
-	res, ok, err := Best(c, pl, Options{Period: 200, Latency: 20000})
+	res, ok, err := Best(c, pl, Options{Period: 200, Latency: 20000}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +80,7 @@ func TestAllowedRestrictsLargeAllocations(t *testing.T) {
 	for u := range alive {
 		alive[u] = u%3 == 0
 	}
-	res, ok, err := Best(c, pl, Options{Alive: alive})
+	res, ok, err := Best(c, pl, Options{Alive: alive}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,10 +105,10 @@ func TestAllowedRestrictsLargeAllocations(t *testing.T) {
 // heuristics return no result (and no error).
 func TestAllowedForbiddingEverythingFindsNothing(t *testing.T) {
 	c, pl := largeInstance(5, 100, 20)
-	for name, fn := range map[string]func(chain.Chain, platform.Platform, Options) (Result, bool, error){
+	for name, fn := range map[string]func(chain.Chain, platform.Platform, Options, *Tables) (Result, bool, error){
 		"HeurP": HeurP, "HeurL": HeurL, "Best": Best,
 	} {
-		_, ok, err := fn(c, pl, Options{Alive: make([]bool, pl.P())})
+		_, ok, err := fn(c, pl, Options{Alive: make([]bool, pl.P())}, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -125,10 +122,10 @@ func TestAllowedForbiddingEverythingFindsNothing(t *testing.T) {
 // period below any single task's compute time admits no mapping.
 func TestInfeasibleBoundsLargeN(t *testing.T) {
 	c, pl := largeInstance(6, 300, 40)
-	for name, fn := range map[string]func(chain.Chain, platform.Platform, Options) (Result, bool, error){
+	for name, fn := range map[string]func(chain.Chain, platform.Platform, Options, *Tables) (Result, bool, error){
 		"HeurP": HeurP, "HeurL": HeurL, "Best": Best,
 	} {
-		_, ok, err := fn(c, pl, Options{Period: 1e-9})
+		_, ok, err := fn(c, pl, Options{Period: 1e-9}, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -144,9 +141,9 @@ func TestInfeasibleBoundsLargeN(t *testing.T) {
 func TestCandidatePeriodBoundRestrictsAllocation(t *testing.T) {
 	c, pl := largeInstance(7, 100, 20)
 	const bound = 50.0
-	g := NewGen(c, pl, 20, Options{Period: bound})
+	g := NewGen(c, pl, Options{Period: bound}, nil)
 	for m := 1; m <= 20; m++ {
-		res, ok := g.Candidate(m, false)
+		res, ok := candidate(g, m, false)
 		if !ok {
 			continue
 		}

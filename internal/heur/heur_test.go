@@ -20,10 +20,10 @@ func TestHeuristicsFindUnconstrainedSolutions(t *testing.T) {
 	r := rng.New(1)
 	c := chain.PaperRandom(r, 15)
 	pl := homPl(10)
-	for name, fn := range map[string]func(chain.Chain, platform.Platform, Options) (Result, bool, error){
+	for name, fn := range map[string]func(chain.Chain, platform.Platform, Options, *Tables) (Result, bool, error){
 		"HeurP": HeurP, "HeurL": HeurL, "Best": Best,
 	} {
-		res, ok, err := fn(c, pl, Options{})
+		res, ok, err := fn(c, pl, Options{}, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -48,8 +48,8 @@ func TestSolutionsRespectBounds(t *testing.T) {
 			pl = homPl(8)
 		}
 		opts := Options{Period: r.Uniform(30, 300), Latency: r.Uniform(100, 900)}
-		for _, fn := range []func(chain.Chain, platform.Platform, Options) (Result, bool, error){HeurP, HeurL} {
-			res, ok, err := fn(c, pl, opts)
+		for _, fn := range []func(chain.Chain, platform.Platform, Options, *Tables) (Result, bool, error){HeurP, HeurL} {
+			res, ok, err := fn(c, pl, opts, nil)
 			if err != nil {
 				return false
 			}
@@ -78,8 +78,8 @@ func TestHeuristicsNeverBeatExactOnHomogeneous(t *testing.T) {
 		pl := homPl(2 + r.IntN(7))
 		opts := Options{Period: r.Uniform(30, 400), Latency: r.Uniform(100, 1200)}
 		_, evOpt, errOpt := exact.OptimalPar(context.Background(), c, pl, opts.Period, opts.Latency, 1)
-		for _, fn := range []func(chain.Chain, platform.Platform, Options) (Result, bool, error){HeurP, HeurL} {
-			res, ok, err := fn(c, pl, opts)
+		for _, fn := range []func(chain.Chain, platform.Platform, Options, *Tables) (Result, bool, error){HeurP, HeurL} {
+			res, ok, err := fn(c, pl, opts, nil)
 			if err != nil {
 				return false
 			}
@@ -108,12 +108,12 @@ func TestBestIsAtLeastEachHeuristic(t *testing.T) {
 		c := chain.PaperRandom(r, 8)
 		pl := platform.PaperHeterogeneous(r, 8)
 		opts := Options{Period: r.Uniform(5, 100), Latency: r.Uniform(20, 400)}
-		rb, okB, err := Best(c, pl, opts)
+		rb, okB, err := Best(c, pl, opts, nil)
 		if err != nil {
 			return false
 		}
-		rp, okP, _ := HeurP(c, pl, opts)
-		rl, okL, _ := HeurL(c, pl, opts)
+		rp, okP, _ := HeurP(c, pl, opts, nil)
+		rl, okL, _ := HeurL(c, pl, opts, nil)
 		if okB != (okP || okL) {
 			return false
 		}
@@ -135,7 +135,7 @@ func TestHeurPPrefersBalancedUnderTightPeriod(t *testing.T) {
 	// mapping does not: Heur-P must find the split.
 	c := chain.Chain{{Work: 50, Out: 1}, {Work: 50, Out: 0}}
 	pl := homPl(4)
-	res, ok, err := HeurP(c, pl, Options{Period: 60})
+	res, ok, err := HeurP(c, pl, Options{Period: 60}, nil)
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
@@ -155,7 +155,7 @@ func TestHeurLMinimizesCommUnderLooseBounds(t *testing.T) {
 	pl := homPl(6)
 	// Latency 32 admits only partitions whose total comm <= 2
 	// (30 compute + comm): the cut after task 1 (o=1) or no cut.
-	res, ok, err := HeurL(c, pl, Options{Latency: 32})
+	res, ok, err := HeurL(c, pl, Options{Latency: 32}, nil)
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
@@ -172,10 +172,10 @@ func TestHeurLMinimizesCommUnderLooseBounds(t *testing.T) {
 func TestInfeasibleBounds(t *testing.T) {
 	c := chain.Chain{{Work: 100, Out: 0}}
 	pl := homPl(3)
-	for name, fn := range map[string]func(chain.Chain, platform.Platform, Options) (Result, bool, error){
+	for name, fn := range map[string]func(chain.Chain, platform.Platform, Options, *Tables) (Result, bool, error){
 		"HeurP": HeurP, "HeurL": HeurL, "Best": Best,
 	} {
-		_, ok, err := fn(c, pl, Options{Period: 1})
+		_, ok, err := fn(c, pl, Options{Period: 1}, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -187,12 +187,12 @@ func TestInfeasibleBounds(t *testing.T) {
 
 func TestInvalidInputsReturnError(t *testing.T) {
 	bad := chain.Chain{}
-	if _, _, err := HeurP(bad, homPl(2), Options{}); err == nil {
+	if _, _, err := HeurP(bad, homPl(2), Options{}, nil); err == nil {
 		t.Fatal("HeurP accepted empty chain")
 	}
 	pl := homPl(2)
 	pl.Bandwidth = 0
-	if _, _, err := HeurL(chain.Chain{{Work: 1, Out: 0}}, pl, Options{}); err == nil {
+	if _, _, err := HeurL(chain.Chain{{Work: 1, Out: 0}}, pl, Options{}, nil); err == nil {
 		t.Fatal("HeurL accepted invalid platform")
 	}
 }
@@ -207,10 +207,10 @@ func TestHeterogeneousOutperformsSlowHomogeneous(t *testing.T) {
 		het := platform.PaperHeterogeneous(r.Split(), 10)
 		hom := platform.PaperHomogeneousComparison(10)
 		opts := Options{Period: 40, Latency: 150}
-		if _, ok, _ := Best(c, het, opts); ok {
+		if _, ok, _ := Best(c, het, opts, nil); ok {
 			solvedHet++
 		}
-		if _, ok, _ := Best(c, hom, opts); ok {
+		if _, ok, _ := Best(c, hom, opts, nil); ok {
 			solvedHom++
 		}
 	}

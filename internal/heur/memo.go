@@ -3,7 +3,6 @@ package heur
 import (
 	"math"
 	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"relpipe/internal/alloc"
@@ -65,42 +64,35 @@ func (s Seed) Cost(prices []float64) float64 {
 }
 
 // Lookup returns candidate (m, orientation) under g's period bound from
-// the seed memo of g's shared tables: ok reports a feasible candidate,
-// found that the memo holds one for the bound's cell. found is false on
-// a miss, and always when g has no shared tables or an allocation
-// constraint (the memo is keyed by neither).
+// the seed memo of g's tables: ok reports a feasible candidate, found
+// that the memo holds one for the bound's cell. found is false on a
+// miss, and always under an Alive mask (the memo is not keyed by it).
 func (g *Gen) Lookup(m int, latencyOriented bool) (s Seed, ok, found bool) {
-	memo := g.seedMemo()
-	if memo == nil {
+	if g.opts.Alive != nil {
 		return Seed{}, false, false
 	}
-	return memo.lookup(memoKeyOf(m, latencyOriented, g.opts.Period), g.opts.Period)
+	return g.t.memo.lookup(memoKeyOf(m, latencyOriented, g.opts.Period), g.opts.Period)
 }
 
-// Build computes candidate (m, orientation) as a Seed — the same
-// partition, allocation and evaluation as Candidate — and records it in
-// the seed memo whenever Lookup would consult one. ok is false when the
-// candidate does not exist.
+// Build computes candidate (m, orientation) as a Seed — its partition,
+// the §7.2 allocation under g's period bound, and the evaluation — and
+// records it in the seed memo whenever Lookup would consult it. ok is
+// false when the candidate does not exist.
 func (g *Gen) Build(m int, latencyOriented bool) (Seed, bool) {
 	sp := memoSpan{cell: alloc.AllBounds}
 	if parts, ok := g.Partition(m, latencyOriented); ok {
-		var res Result
-		res, sp.cell, sp.ok = finishCandidate(g.c, g.pl, parts, m, g.opts)
-		if sp.ok {
-			sp.seed = newSeed(res.Ev, res.M.Procs)
+		mp, cell, err := alloc.GreedyHet(g.c, g.pl, parts, g.opts.Period, g.opts.Alive)
+		sp.cell = cell
+		if err == nil {
+			if ev, err := mapping.Evaluate(g.c, g.pl, mp); err == nil {
+				sp.seed, sp.ok = newSeed(ev, mp.Procs), true
+			}
 		}
 	}
-	if memo := g.seedMemo(); memo != nil {
-		memo.insert(memoKeyOf(m, latencyOriented, g.opts.Period), g.opts.Period, sp)
+	if g.opts.Alive == nil {
+		g.t.bytes.Add(g.t.memo.insert(memoKeyOf(m, latencyOriented, g.opts.Period), g.opts.Period, sp))
 	}
 	return sp.seed, sp.ok
-}
-
-func (g *Gen) seedMemo() *seedMemo {
-	if g.opts.Alive != nil {
-		return nil
-	}
-	return g.memo
 }
 
 // seedMemo keeps the seeds built over one Tables value, so a seed is
@@ -115,7 +107,6 @@ func (g *Gen) seedMemo() *seedMemo {
 type seedMemo struct {
 	mu    sync.RWMutex
 	cells map[memoKey][]memoSpan
-	bytes atomic.Int64 // heap footprint, counted in Tables.Bytes
 }
 
 type memoKey struct {
@@ -174,7 +165,9 @@ func (sm *seedMemo) lookup(k memoKey, bound float64) (Seed, bool, bool) {
 	return spans[i].seed, spans[i].ok, true
 }
 
-func (sm *seedMemo) insert(k memoKey, bound float64, sp memoSpan) {
+// insert records sp as the cell of bound under k and returns the bytes
+// the memo grew by.
+func (sm *seedMemo) insert(k memoKey, bound float64, sp memoSpan) int64 {
 	if k.unbounded {
 		bound, sp.cell = 0, unboundedCell
 	}
@@ -183,7 +176,7 @@ func (sm *seedMemo) insert(k memoKey, bound float64, sp memoSpan) {
 	spans, known := sm.cells[k]
 	i, found := find(spans, bound)
 	if found {
-		return // a concurrent build of the same cell got here first
+		return 0 // a concurrent build of the same cell got here first
 	}
 	if sm.cells == nil {
 		sm.cells = make(map[memoKey][]memoSpan)
@@ -197,5 +190,5 @@ func (sm *seedMemo) insert(k memoKey, bound float64, sp memoSpan) {
 	if !known {
 		grown += memoKeyBytes
 	}
-	sm.bytes.Add(grown)
+	return grown
 }

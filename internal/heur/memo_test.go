@@ -20,7 +20,7 @@ import (
 // freshSeed is the oracle of one memo hit: the candidate's partition,
 // GreedyHet under bound and a full Evaluate, with nothing shared.
 func freshSeed(c chain.Chain, pl platform.Platform, m int, latencyOriented bool, bound float64) (mapping.Mapping, mapping.Eval, bool) {
-	parts, ok := NewGen(c, pl, maxM(c, pl), Options{}).Partition(m, latencyOriented)
+	parts, ok := NewGen(c, pl, Options{}, nil).Partition(m, latencyOriented)
 	if !ok {
 		return mapping.Mapping{}, mapping.Eval{}, false
 	}
@@ -41,7 +41,7 @@ func TestSeedMemoHitsMatchFreshBuild(t *testing.T) {
 			pl = homPl(3 + r.IntN(8))
 		}
 		tables := BuildTables(c, pl)
-		mm := maxM(c, pl)
+		mm := maxIntervals(c, pl)
 		prices := make([]float64, pl.P())
 		for u := range prices {
 			prices[u] = r.Uniform(0.1, 3)
@@ -58,7 +58,7 @@ func TestSeedMemoHitsMatchFreshBuild(t *testing.T) {
 		bounds = append(bounds, 0, -1, math.NaN())
 		hits := 0
 		for _, bound := range bounds {
-			g := NewGen(c, pl, mm, Options{Period: bound}).WithTables(tables)
+			g := NewGen(c, pl, Options{Period: bound}, tables)
 			for m := 1; m <= mm; m++ {
 				for _, lo := range []bool{false, true} {
 					s, ok, found := g.Lookup(m, lo)
@@ -104,29 +104,30 @@ func TestSeedMemoHitsMatchFreshBuild(t *testing.T) {
 	}
 }
 
-// TestSeedMemoSkipped: without shared tables, or with an Alive mask,
-// Lookup never finds anything and Build leaves the memo
-// empty.
+// TestSeedMemoSkipped: under an Alive mask Lookup never finds anything
+// and Build leaves the memo empty; a generator without shared tables
+// memoizes into private tables of its own, never into another's.
 func TestSeedMemoSkipped(t *testing.T) {
 	c := chain.PaperRandom(rng.New(4), 10)
 	pl := homPl(5)
 	tables := BuildTables(c, pl)
 	size := tables.Bytes()
-	for _, g := range []*Gen{
-		NewGen(c, pl, 5, Options{Period: 50}),
-		NewGen(c, pl, 5, Options{Period: 50, Alive: []bool{false, true, true, true, true}}).WithTables(tables),
-	} {
-		for i := 0; i < 2; i++ {
-			g.Build(3, false)
-			if _, _, found := g.Lookup(3, false); found {
-				t.Fatal("memo consulted where it must be skipped")
-			}
+	masked := NewGen(c, pl, Options{Period: 50, Alive: []bool{false, true, true, true, true}}, tables)
+	for i := 0; i < 2; i++ {
+		masked.Build(3, false)
+		if _, _, found := masked.Lookup(3, false); found {
+			t.Fatal("memo consulted under an Alive mask")
 		}
+	}
+	private := NewGen(c, pl, Options{Period: 50}, nil)
+	private.Build(3, false)
+	if _, _, found := private.Lookup(3, false); !found || private.t == tables {
+		t.Fatalf("private generator did not memoize into its own tables (found %v)", found)
 	}
 	if tables.Bytes() != size {
 		t.Fatalf("skipped memo grew the tables from %d to %d bytes", size, tables.Bytes())
 	}
-	g := NewGen(c, pl, 5, Options{Period: 50}).WithTables(tables)
+	g := NewGen(c, pl, Options{Period: 50}, tables)
 	g.Build(3, false)
 	if _, _, found := g.Lookup(3, false); !found || tables.Bytes() <= size {
 		t.Fatalf("memo did not keep the built seed (found %v, %d bytes)", found, tables.Bytes())

@@ -1,11 +1,13 @@
 package heur
 
-// Tests of the shared-table seam (BuildTables / Gen.WithTables): shared
+// Tests of the shared-table seam (NewGen's tables argument): shared
 // tables must be invisible in the results — every candidate bit-equal
-// to the self-built path — and the adoption guards must refuse tables
-// that cannot serve a generator.
+// to private tables — the adoption guard must refuse tables that cannot
+// serve a generator, and each table must build lazily, at most once.
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"relpipe/internal/chain"
@@ -22,12 +24,30 @@ func evalsEq(a, b mapping.Eval) bool {
 		a.ExpPeriod == b.ExpPeriod && a.WorstPeriod == b.WorstPeriod
 }
 
-func maxM(c chain.Chain, pl platform.Platform) int {
-	m := len(c)
-	if pl.P() < m {
-		m = pl.P()
+// candidate materializes candidate (m, orientation) of g the way the
+// heuristics materialize their winner: Build, then the partition, the
+// seed's replica sets and their evaluation.
+func candidate(g *Gen, m int, latencyOriented bool) (Result, bool) {
+	s, ok := g.Build(m, latencyOriented)
+	if !ok {
+		return Result{}, false
 	}
-	return m
+	parts, _ := g.Partition(m, latencyOriented)
+	mp := mapping.Mapping{Parts: parts, Procs: s.Procs()}
+	ev, err := mapping.Evaluate(g.c, g.pl, mp)
+	return Result{M: mp, Ev: ev}, err == nil
+}
+
+func sameResult(a, b Result) bool {
+	if !evalsEq(a.Ev, b.Ev) || len(a.M.Parts) != len(b.M.Parts) {
+		return false
+	}
+	for j := range a.M.Parts {
+		if a.M.Parts[j] != b.M.Parts[j] {
+			return false
+		}
+	}
+	return true
 }
 
 func TestWithTablesCandidatesBitIdentical(t *testing.T) {
@@ -37,55 +57,60 @@ func TestWithTablesCandidatesBitIdentical(t *testing.T) {
 		platform.RandomHeterogeneous(r, 5, 0.5, 2, 1e-3, 1e-2, 1, 1e-3, 3),
 	} {
 		c := chain.PaperRandom(r, 10)
-		mm := maxM(c, pl)
+		mm := maxIntervals(c, pl)
 		tables := BuildTables(c, pl)
 		if tables.MaxIntervals() != mm {
 			t.Fatalf("MaxIntervals = %d, want %d", tables.MaxIntervals(), mm)
 		}
 		opts := Options{Period: 120}
-		plain := NewGen(c, pl, mm, opts)
-		shared := NewGen(c, pl, mm, opts).WithTables(tables)
+		plain := NewGen(c, pl, opts, nil)
+		shared := NewGen(c, pl, opts, tables)
 		for m := 1; m <= mm; m++ {
 			for _, latencyOriented := range []bool{false, true} {
-				got, okG := shared.Candidate(m, latencyOriented)
-				want, okW := plain.Candidate(m, latencyOriented)
+				got, okG := candidate(shared, m, latencyOriented)
+				want, okW := candidate(plain, m, latencyOriented)
 				if okG != okW {
 					t.Fatalf("m=%d lat=%v: ok %v vs %v", m, latencyOriented, okG, okW)
 				}
-				if !okG {
-					continue
-				}
-				if !evalsEq(got.Ev, want.Ev) || got.Intervals != want.Intervals {
+				if okG && !sameResult(got, want) {
 					t.Fatalf("m=%d lat=%v: shared-tables candidate diverges: %+v vs %+v",
-						m, latencyOriented, got.Ev, want.Ev)
+						m, latencyOriented, got, want)
 				}
-				if len(got.M.Parts) != len(want.M.Parts) {
-					t.Fatalf("m=%d lat=%v: partitions differ", m, latencyOriented)
-				}
-				for j := range got.M.Parts {
-					if got.M.Parts[j] != want.M.Parts[j] {
-						t.Fatalf("m=%d lat=%v: interval %d differs", m, latencyOriented, j)
-					}
-				}
+			}
+		}
+		for name, fn := range map[string]func(chain.Chain, platform.Platform, Options, *Tables) (Result, bool, error){
+			"HeurP": HeurP, "HeurL": HeurL, "Best": Best,
+		} {
+			got, okG, errG := fn(c, pl, opts, tables)
+			want, okW, errW := fn(c, pl, opts, nil)
+			if errG != nil || errW != nil || okG != okW || (okG && !sameResult(got, want)) {
+				t.Fatalf("%s: shared tables give %+v %v %v, private %+v %v %v", name, got, okG, errG, want, okW, errW)
 			}
 		}
 	}
 }
 
-// TestWithTablesSupportsSmallerGenerators: tables built for the full
+// TestWithTablesSupportsSmallerGenerators: tables built for a larger
 // interval range serve a generator sweeping a prefix of it (the
 // HeurPTable contract: Partition(m) is bit-identical for any m ≤ the
 // build-time maxM).
 func TestWithTablesSupportsSmallerGenerators(t *testing.T) {
 	r := rng.New(5)
 	c := chain.PaperRandom(r, 8)
-	pl := homPl(8)
-	tables := BuildTables(c, pl)
-	for _, m := range []int{1, 3} {
-		got, okG := NewGen(c, pl, m, Options{}).WithTables(tables).Candidate(m, false)
-		want, okW := NewGen(c, pl, m, Options{}).Candidate(m, false)
-		if okG != okW || (okG && !evalsEq(got.Ev, want.Ev)) {
-			t.Fatalf("maxM=%d: shared tables diverge (ok %v/%v)", m, okG, okW)
+	tables := BuildTables(c, homPl(8))
+	for _, p := range []int{1, 3} {
+		pl := homPl(p)
+		shared := NewGen(c, pl, Options{}, tables)
+		if shared.t != tables {
+			t.Fatalf("P=%d: generator refused tables with a larger range", p)
+		}
+		private := NewGen(c, pl, Options{}, nil)
+		for m := 1; m <= p; m++ {
+			got, okG := shared.Partition(m, false)
+			want, okW := private.Partition(m, false)
+			if okG != okW || !reflect.DeepEqual(got, want) {
+				t.Fatalf("P=%d m=%d: shared tables diverge (%v %v / %v %v)", p, m, got, okG, want, okW)
+			}
 		}
 	}
 }
@@ -95,13 +120,14 @@ func TestWithTablesRejectsMismatches(t *testing.T) {
 	c8, c10 := chain.PaperRandom(r, 8), chain.PaperRandom(r, 10)
 	pl := homPl(4)
 
-	// Different chain length: adoption refused, lazy build keeps working.
-	g := NewGen(c10, pl, 4, Options{}).WithTables(BuildTables(c8, pl))
-	if g.pTable != nil || g.lTable != nil {
+	// Different chain length: refused, private tables keep working.
+	other := BuildTables(c8, pl)
+	g := NewGen(c10, pl, Options{}, other)
+	if g.t == other {
 		t.Fatal("generator adopted tables for a different chain")
 	}
-	if _, ok := g.Candidate(2, false); !ok {
-		t.Fatal("lazy build broken after refused adoption")
+	if _, ok := candidate(g, 2, false); !ok {
+		t.Fatal("private tables broken after refused adoption")
 	}
 
 	// Smaller interval range than the generator sweeps: refused (the
@@ -110,17 +136,63 @@ func TestWithTablesRejectsMismatches(t *testing.T) {
 	if small.MaxIntervals() != 2 {
 		t.Fatalf("MaxIntervals = %d, want 2", small.MaxIntervals())
 	}
-	g = NewGen(c8, pl, 4, Options{}).WithTables(small)
-	if g.pTable != nil {
+	if g := NewGen(c8, pl, Options{}, small); g.t == small {
 		t.Fatal("generator adopted tables with a smaller interval range")
 	}
 
-	// Nil tables: no-op.
-	if g := NewGen(c8, pl, 4, Options{}).WithTables(nil); g.pTable != nil {
-		t.Fatal("nil tables adopted")
+	// Nil tables: private ones.
+	if g := NewGen(c8, pl, Options{}, nil); g.t == nil {
+		t.Fatal("nil tables left the generator without tables")
+	}
+}
+
+// TestTablesBuildLazilyOnce: each partition table is built on the
+// first candidate of its orientation and never again — a lone Heur-L
+// run leaves the Heur-P table unbuilt — and concurrent heuristic runs
+// through one Tables value answer exactly as private runs do.
+func TestTablesBuildLazilyOnce(t *testing.T) {
+	r := rng.New(9)
+	c := chain.PaperRandom(r, 12)
+	pl := platform.RandomHeterogeneous(r, 6, 0.5, 2, 1e-3, 1e-2, 1, 1e-3, 3)
+	tables := NewTables(c, pl)
+	if tables.Bytes() != 0 {
+		t.Fatalf("fresh tables hold %d bytes", tables.Bytes())
+	}
+	if _, _, err := HeurL(c, pl, Options{Period: 150}, tables); err != nil {
+		t.Fatal(err)
+	}
+	if tables.pTable != nil || tables.lTable == nil {
+		t.Fatalf("a Heur-L run built the Heur-P table (%v) or not its own (%v)", tables.pTable != nil, tables.lTable != nil)
+	}
+	l := tables.lTable
+
+	periods := []float64{0, 60, 90, 150, 150, 400}
+	got := make([]Result, len(periods))
+	oks := make([]bool, len(periods))
+	var wg sync.WaitGroup
+	for i, period := range periods {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			got[i], oks[i], err = Best(c, pl, Options{Period: period}, tables)
+			if err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if tables.lTable != l || tables.pTable == nil {
+		t.Fatal("the tables were rebuilt, or Heur-P's never built")
+	}
+	for i, period := range periods {
+		want, ok, err := Best(c, pl, Options{Period: period}, nil)
+		if err != nil || ok != oks[i] || (ok && !sameResult(got[i], want)) {
+			t.Fatalf("period %v: shared %+v %v, private %+v %v %v", period, got[i], oks[i], want, ok, err)
+		}
 	}
 }
 
 // MaxIntervals returns the largest interval count the tables support,
-// min(len(chain), P) at build time.
+// min(len(chain), P) at construction.
 func (t *Tables) MaxIntervals() int { return t.maxM }

@@ -95,7 +95,7 @@ func testQualityLargeNBeatsSeeds(t *testing.T) {
 		r := rng.New(tc.seed)
 		c := chain.PaperRandom(r, tc.n)
 		pl := platform.PaperHeterogeneous(r, tc.p)
-		hres, hok, err := heur.Best(c, pl, heur.Options{Period: tc.per, Latency: tc.lat})
+		hres, hok, err := heur.Best(c, pl, heur.Options{Period: tc.per, Latency: tc.lat}, nil)
 		if err != nil || !hok {
 			t.Fatalf("n=%d: heuristic seed missing (ok=%v err=%v)", tc.n, hok, err)
 		}

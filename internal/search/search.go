@@ -64,14 +64,15 @@ type Options struct {
 	alive []bool
 	warm  *mapping.Mapping
 
-	// Tables optionally injects pre-built heuristic partition tables
-	// (heur.BuildTables) into the seed-pool sweep, skipping the
-	// per-search table construction. The tables must have been built
-	// for this exact instance — the service's table tier shares them
-	// across requests whose cache keys carry the same canonical
-	// instance — and are consulted read-only, so one value may serve
-	// any number of concurrent searches. Candidates are bit-identical
-	// with or without them; nil keeps the self-built path.
+	// Tables optionally injects the instance's heuristic tables
+	// (heur.NewTables) into the seed-pool sweep: their partition tables
+	// are built at most once and their seed memo answers a period-bound
+	// cell another search already built. They must belong to this exact
+	// instance — the service's table tier shares them across requests
+	// whose cache keys carry the same canonical instance — and are
+	// internally synchronized, so one value may serve any number of
+	// concurrent searches. Candidates are bit-identical with or without
+	// them; nil gives each sweep private tables.
 	Tables *heur.Tables
 
 	// Parallelism caps the portfolio's worker goroutines
@@ -125,19 +126,20 @@ const (
 	minCost
 )
 
+// DefaultRestarts is the restart count of a search that sets none.
+const DefaultRestarts = 8
+
+// DefaultBudget is the per-restart iteration budget of a search over a
+// chain of n tasks that sets none: 40 per task, within [2000, 20000].
+func DefaultBudget(n int) int { return min(max(40*n, 2000), 20000) }
+
 // defaults resolves the budget knobs for a chain of n tasks.
 func (o Options) defaults(n int) Options {
 	if o.Restarts <= 0 {
-		o.Restarts = 8
+		o.Restarts = DefaultRestarts
 	}
 	if o.Budget <= 0 {
-		o.Budget = 40 * n
-		if o.Budget < 2000 {
-			o.Budget = 2000
-		}
-		if o.Budget > 20000 {
-			o.Budget = 20000
-		}
+		o.Budget = DefaultBudget(n)
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -448,8 +450,7 @@ func (p problem) candidates(maxM int, heurPeriod float64) (*heur.Gen, []seedCand
 	// One generator per sweep: the Heur-P partition DP is built once for
 	// maxM and shared across every sampled interval count — or not even
 	// once, when the caller supplied batch-shared tables.
-	gen := heur.NewGen(p.c, p.pl, maxM, heur.Options{Period: heurPeriod, Alive: p.opts.alive}).
-		WithTables(p.opts.Tables)
+	gen := heur.NewGen(p.c, p.pl, heur.Options{Period: heurPeriod, Alive: p.opts.alive}, p.opts.Tables)
 	type slot struct {
 		seedCandidate
 		ok, found bool

@@ -130,6 +130,7 @@ func (s *Server) handleFleetRegister(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	o = s.exec.capDefaults(o, search.DefaultRestarts, search.DefaultBudget(len(spec.Chain)))
 	spec.Restarts, spec.Budget, spec.Seed = o.Restarts, o.Budget, o.Seed
 	st, err := s.fleet.Register(spec)
 	if err != nil {

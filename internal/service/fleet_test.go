@@ -320,6 +320,23 @@ func TestFleetRemapJobProgressAndTrace(t *testing.T) {
 	}
 }
 
+// TestFleetRemapWithinCaps: a deployment registered without search
+// knobs remaps with the search defaults, kept within the server's caps:
+// under a restart cap of 1 its remap job runs one restart, not the
+// default 8.
+func TestFleetRemapWithinCaps(t *testing.T) {
+	s, ts := newTestServer(t, Options{MaxSearchRestarts: 1, MaxSearchBudget: 400})
+	req := fleetTestSetup(t, "web")
+	req.Search = nil
+	job := waitJob(t, ts.URL, crashFirstReplica(t, s, ts.URL, req).ID)
+	if job.State != relpipe.JobSucceeded || job.Progress != (relpipe.JobProgress{Done: 1, Total: 1}) {
+		t.Fatalf("remap job = %s with progress %+v, want succeeded with 1/1", job.State, job.Progress)
+	}
+	if n := seriesSum(t, s.Metrics(), `relpipe_solver_stage_units_total{stage="search.anneal"}`); n > 400 {
+		t.Fatalf("remap annealed %d iterations, caps allow 400", n)
+	}
+}
+
 // TestFleetRemapJobCancel: cancelling a running remap job stops its
 // search. The job ends cancelled, and the controller logs remap-failed
 // and keeps the degraded mapping instead of adopting.

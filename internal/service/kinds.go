@@ -5,7 +5,9 @@ import (
 	"math"
 
 	"relpipe"
+	"relpipe/internal/adapt"
 	"relpipe/internal/jsonscan"
+	"relpipe/internal/search"
 	"relpipe/internal/sim"
 )
 
@@ -92,6 +94,20 @@ func (e execOpts) checkSearch(sp *relpipe.SearchParams) (relpipe.SearchParams, e
 	return *sp, nil
 }
 
+// capDefaults sets each knob sp leaves at zero to its cap where the
+// engine's default for it (restarts, budget) exceeds that cap, so every
+// search a request starts runs within the caps. Defaults within the
+// caps stay zero, so at the default caps no key or answer moves.
+func (e execOpts) capDefaults(sp relpipe.SearchParams, restarts, budget int) relpipe.SearchParams {
+	if sp.Restarts == 0 && restarts > e.maxSearchRestarts {
+		sp.Restarts = e.maxSearchRestarts
+	}
+	if sp.Budget == 0 && budget > e.maxSearchBudget {
+		sp.Budget = e.maxSearchBudget
+	}
+	return sp
+}
+
 // withSearch sets the search knobs of o.
 func withSearch(o relpipe.Options, sp relpipe.SearchParams) relpipe.Options {
 	o.Restarts, o.Budget, o.Seed = sp.Restarts, sp.Budget, sp.Seed
@@ -109,9 +125,10 @@ func searchSensitive(m relpipe.Method) bool {
 }
 
 // parseSolveMethod is the shared method/search-knob handling of the
-// optimize, minperiod and mincost kinds: default the method name to
-// auto and validate the search knobs against the caps.
-func parseSolveMethod(methodStr string, sp *relpipe.SearchParams, ex execOpts) (relpipe.Method, relpipe.SearchParams, error) {
+// optimize, minperiod and mincost kinds over n tasks: default the
+// method name to auto, validate the search knobs against the caps and
+// keep the defaulted ones within them.
+func parseSolveMethod(methodStr string, sp *relpipe.SearchParams, n int, ex execOpts) (relpipe.Method, relpipe.SearchParams, error) {
 	if methodStr == "" {
 		methodStr = "auto"
 	}
@@ -120,7 +137,7 @@ func parseSolveMethod(methodStr string, sp *relpipe.SearchParams, ex execOpts) (
 		return method, relpipe.SearchParams{}, err
 	}
 	knobs, err := ex.checkSearch(sp)
-	return method, knobs, err
+	return method, ex.capDefaults(knobs, search.DefaultRestarts, search.DefaultBudget(n)), err
 }
 
 // replications checks the Monte-Carlo replication count of a simulate
@@ -137,7 +154,7 @@ func replications(area string, n int) (int, error) {
 }
 
 func prepareOptimize(req *relpipe.OptimizeRequest, ex execOpts) (string, solveFunc, error) {
-	method, knobs, err := parseSolveMethod(req.Method, req.Search, ex)
+	method, knobs, err := parseSolveMethod(req.Method, req.Search, len(req.Instance.Chain), ex)
 	if err != nil {
 		return "", nil, err
 	}
@@ -161,7 +178,7 @@ func prepareEvaluate(req *relpipe.EvaluateRequest, _ execOpts) (string, solveFun
 }
 
 func prepareMinPeriod(req *relpipe.MinPeriodRequest, ex execOpts) (string, solveFunc, error) {
-	method, knobs, err := parseSolveMethod(req.Method, req.Search, ex)
+	method, knobs, err := parseSolveMethod(req.Method, req.Search, len(req.Instance.Chain), ex)
 	if err != nil {
 		return "", nil, err
 	}
@@ -185,7 +202,7 @@ func prepareFrontier(req *relpipe.FrontierRequest, _ execOpts) (string, solveFun
 }
 
 func prepareMinCost(req *relpipe.MinCostRequest, ex execOpts) (string, solveFunc, error) {
-	method, knobs, err := parseSolveMethod(req.Method, req.Search, ex)
+	method, knobs, err := parseSolveMethod(req.Method, req.Search, len(req.Instance.Chain), ex)
 	if err != nil {
 		return "", nil, err
 	}
@@ -280,8 +297,11 @@ func prepareAdapt(req *relpipe.AdaptRequest, ex execOpts) (string, solveFunc, er
 	if err != nil {
 		return "", nil, err
 	}
+	// The initial optimize defaults its knobs like any search; the
+	// remaps default theirs like adapt does. Both stay within the caps.
+	initial := ex.capDefaults(knobs, search.DefaultRestarts, search.DefaultBudget(len(req.Instance.Chain)))
+	remap := ex.capDefaults(knobs, adapt.DefaultRestarts, adapt.DefaultBudget)
 	return adaptKey(req, policy, reps), func(o relpipe.Options) (any, error) {
-		o = withSearch(o, knobs)
 		m := relpipe.Mapping{}
 		if req.Mapping != nil {
 			m = *req.Mapping
@@ -289,7 +309,7 @@ func prepareAdapt(req *relpipe.AdaptRequest, ex execOpts) (string, solveFunc, er
 			// The server-side initial optimize is cancellable but reports
 			// no progress: mixing its restart counts with the batch's
 			// replication counts would interleave two different units.
-			noProg := o
+			noProg := withSearch(o, initial)
 			noProg.Progress = nil
 			sol, err := relpipe.OptimizeWith(req.Instance, req.Bounds, relpipe.Auto, noProg)
 			if err != nil {
@@ -308,8 +328,8 @@ func prepareAdapt(req *relpipe.AdaptRequest, ex execOpts) (string, solveFunc, er
 			Costs:         req.Costs,
 			RepairLatency: req.RepairLatency,
 			Seed:          req.Seed,
-			Restarts:      knobs.Restarts,
-			Budget:        knobs.Budget,
+			Restarts:      remap.Restarts,
+			Budget:        remap.Budget,
 		}, reps, o)
 		if err != nil {
 			return nil, err

@@ -154,7 +154,7 @@ func (m *Metrics) StageObserver() obs.StageObserver {
 	}
 }
 
-// TableBuilt counts one heuristic-table build by the table tier.
+// TableBuilt counts one route's heur.Tables created by the table tier.
 func (m *Metrics) TableBuilt() { m.batchTablesBuilt.Inc() }
 
 // BatchCoalesce counts a heuristic solve served tables that the table

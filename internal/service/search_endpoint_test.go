@@ -1,6 +1,9 @@
 package service
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"net/http"
 	"testing"
 
@@ -103,6 +106,66 @@ func TestSearchBudgetCaps(t *testing.T) {
 			Search: &relpipe.SearchParams{Restarts: 4, Budget: 1000, Seed: 1}}, nil)
 	if code != http.StatusOK {
 		t.Fatalf("at-cap request: status = %d", code)
+	}
+}
+
+// TestSearchCapsBoundDefaultedKnobs: the caps bound every search a
+// request starts, also where the request leaves the knobs to their
+// defaults (8 restarts and 2000 iterations for the search, 2 and 500
+// for adapt's remaps). Under caps below every default, a request with
+// no search block must answer exactly as one that spells the caps out,
+// and each search it starts must stay within restarts × budget
+// iterations.
+func TestSearchCapsBoundDefaultedKnobs(t *testing.T) {
+	const restarts, budget = 1, 400
+	s := NewServer(Options{MaxSearchRestarts: restarts, MaxSearchBudget: budget, CacheSize: -1})
+	defer s.Close()
+	in := hetInstance(3, 30, 10)
+	costs := make([]float64, in.Platform.P())
+	for u := range costs {
+		costs[u] = float64(1 + u%3)
+	}
+	capped := &relpipe.SearchParams{Restarts: restarts, Budget: budget}
+	bounds := relpipe.Bounds{Period: 400, Latency: 4000}
+	for _, tc := range []struct {
+		kind string
+		req  func(sp *relpipe.SearchParams) any
+	}{
+		{"optimize", func(sp *relpipe.SearchParams) any {
+			return relpipe.OptimizeRequest{Instance: in, Bounds: bounds, Method: "heuristic", Search: sp}
+		}},
+		{"minperiod", func(sp *relpipe.SearchParams) any {
+			return relpipe.MinPeriodRequest{Instance: in, MinReliability: 0.5, Method: "heuristic", Search: sp}
+		}},
+		{"mincost", func(sp *relpipe.SearchParams) any {
+			return relpipe.MinCostRequest{Instance: in, Costs: costs, Bounds: bounds, Method: "heuristic", Search: sp}
+		}},
+		{"adapt", func(sp *relpipe.SearchParams) any {
+			return relpipe.AdaptRequest{Instance: in, Bounds: bounds, Policy: "remap", Horizon: 500, LifeScale: 1e5, Search: sp}
+		}},
+	} {
+		body := func(sp *relpipe.SearchParams) []byte {
+			b, err := json.Marshal(tc.req(sp))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+		anneal := func() (searches, iters int64) {
+			return seriesSum(t, s.metrics, `relpipe_solver_stage_duration_seconds_count{stage="search.anneal"}`),
+				seriesSum(t, s.metrics, `relpipe_solver_stage_units_total{stage="search.anneal"}`)
+		}
+		searches0, iters0 := anneal()
+		got := s.process(context.Background(), tc.kind, kinds[tc.kind].parse, body(nil))
+		searches, iters := anneal()
+		searches, iters = searches-searches0, iters-iters0
+		if searches == 0 || iters > searches*restarts*budget {
+			t.Errorf("%s: %d defaulted searches ran %d iterations, caps allow %d each", tc.kind, searches, iters, restarts*budget)
+		}
+		want := s.process(context.Background(), tc.kind, kinds[tc.kind].parse, body(capped))
+		if got.status != http.StatusOK || want.status != http.StatusOK || !bytes.Equal(got.body, want.body) {
+			t.Errorf("%s: defaulted knobs answer %d %s, knobs at the caps %d %s", tc.kind, got.status, got.body, want.status, want.body)
+		}
 	}
 }
 

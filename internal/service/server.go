@@ -39,10 +39,11 @@ type Options struct {
 	// RequestTimeout bounds the wait for one solve (default 30s).
 	RequestTimeout time.Duration
 	// MaxSearchRestarts and MaxSearchBudget cap the heuristic-search
-	// knobs one request may ask for (defaults 32 restarts, 200000
-	// iterations per restart); like maxReplications they keep a single
-	// request from monopolizing a worker slot. Requests above the caps
-	// get 400.
+	// knobs of every search one request starts (defaults 32 restarts,
+	// 200000 iterations per restart); like maxReplications they keep a
+	// single request from monopolizing a worker slot. Requests asking
+	// for more get 400; a knob left to its engine default runs at the
+	// cap where the default exceeds it.
 	MaxSearchRestarts int
 	MaxSearchBudget   int
 	// MaxJobs bounds the async job store (default 1024 jobs of every

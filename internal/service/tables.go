@@ -1,24 +1,27 @@
 package service
 
-// Heuristic-table tier: every heuristic search over one instance starts
-// by building the same §7 partition tables (Heur-P's Algorithm 4 table
-// and Heur-L's cut ordering). They depend only on the chain and the
+// Heuristic-table tier: every heuristic search over one instance seeds
+// from the same §7 partition tables (Heur-P's Algorithm 4 table and
+// Heur-L's cut ordering). They depend only on the chain and the
 // platform, never on bounds, method or search knobs, so the tier keeps
-// them per instance route (Request.Route, the leading
-// Instance.Canonical() segment of every cache key) across requests:
-// concurrent requests on one instance share one build, and later ones
-// build nothing. Tables are immutable after construction (see
-// heur.Tables), so sharing them never changes an answer — responses
-// stay byte-identical to a per-request build. Each Tables value also
-// carries a seed memo that searches fill as they run (one §7 seed per
-// interval count, orientation and period-bound cell); its bytes count
-// against the same budget, charged when the solve that grew it ends.
+// one heur.Tables value per instance route (Request.Route, the leading
+// Instance.Canonical() segment of every cache key) across requests. The
+// tier builds nothing itself: heur.Tables builds each partition table
+// at most once, on the first candidate that needs it, so concurrent
+// requests on one instance share one build and later ones build
+// nothing. Sharing never changes an answer — responses stay
+// byte-identical to a per-request build. Each Tables value also carries
+// a seed memo that searches fill as they run (one §7 seed per interval
+// count, orientation and period-bound cell). The tier charges all of an
+// entry's growth, tables and memo alike, when a solve on its route ends
+// (settle).
 
 import (
 	"container/list"
 	"sync"
 
 	"relpipe"
+	"relpipe/internal/heur"
 )
 
 // tableBudget bounds the bytes of tables and seed memos the tier
@@ -31,8 +34,7 @@ import (
 const tableBudget = 16 << 20
 
 // tableTier is a byte-budgeted LRU of heuristic tables keyed by
-// instance route, with one single-flight build per route. Every Server
-// has one.
+// instance route. Every Server has one.
 type tableTier struct {
 	metrics *Metrics
 	budget  int64
@@ -40,16 +42,15 @@ type tableTier struct {
 	mu      sync.Mutex
 	entries map[string]*list.Element // route → element holding a *tierEntry
 	lru     *list.List               // front = most recently used
-	bytes   int64                    // footprint of the retained entries
+	bytes   int64                    // footprint charged to the retained entries
 }
 
-// tierEntry is one route's tables: built once, by the first solve that
-// asks, while later askers wait on once.
+// tierEntry is one route's tables and the bytes charged for them so
+// far.
 type tierEntry struct {
 	route  string
-	once   sync.Once
 	tables *relpipe.HeuristicTables
-	bytes  int64 // counted in tableTier.bytes; 0 until built and retained
+	bytes  int64 // counted in tableTier.bytes
 }
 
 func newTableTier(m *Metrics, budget int64) *tableTier {
@@ -57,9 +58,9 @@ func newTableTier(m *Metrics, budget int64) *tableTier {
 }
 
 // provider returns the relpipe.Options.Tables hook of a request on
-// route; a request without a route gets nil, so its search builds its
-// own tables. Only a solve that actually seeds a heuristic search calls
-// the hook, so exact and DP requests never create an entry.
+// route; a request without a route gets nil, so its search uses
+// private tables. Only a solve that actually seeds a heuristic search
+// calls the hook, so exact and DP requests never create an entry.
 func (t *tableTier) provider(route string) func(relpipe.Instance) *relpipe.HeuristicTables {
 	if route == "" {
 		return nil
@@ -67,62 +68,35 @@ func (t *tableTier) provider(route string) func(relpipe.Instance) *relpipe.Heuri
 	return func(in relpipe.Instance) *relpipe.HeuristicTables { return t.get(route, in) }
 }
 
-// get returns the tables of in, building them on the route's first use.
-// It declines (nil) when in is not the route's instance: a solve may
-// re-optimize a *different* instance than the one it was keyed under
-// (the adapt policies re-map degraded platforms mid-solve), and those
-// must not receive this route's tables. Declining just means the search
-// builds its own.
+// get returns the tables of in, creating the route's entry on its first
+// use; the tables build lazily inside heur.Tables. It declines (nil)
+// when in is not the route's instance, so a solve can only ever be
+// handed the tables of the instance its route names; declining just
+// means the search uses private tables.
 func (t *tableTier) get(route string, in relpipe.Instance) *relpipe.HeuristicTables {
 	if in.Canonical() != route {
 		return nil
 	}
 	t.mu.Lock()
-	var e *tierEntry
+	defer t.mu.Unlock()
 	if el, ok := t.entries[route]; ok {
 		t.lru.MoveToFront(el)
-		e = el.Value.(*tierEntry)
 		t.metrics.BatchCoalesce()
-	} else {
-		e = &tierEntry{route: route}
-		t.entries[route] = t.lru.PushFront(e)
+		return el.Value.(*tierEntry).tables
 	}
-	t.mu.Unlock()
-	e.once.Do(func() {
-		e.tables = relpipe.BuildHeuristicTables(in)
-		t.metrics.TableBuilt()
-		t.retain(e, e.tables.Bytes())
-	})
+	e := &tierEntry{route: route, tables: heur.NewTables(in.Chain, in.Platform)}
+	t.entries[route] = t.lru.PushFront(e)
+	t.metrics.TableBuilt()
 	return e.tables
 }
 
-// retain charges a freshly built entry's footprint to the budget and
-// evicts least recently used entries until the tier fits. An entry
-// evicted while it was building is not charged: it is no longer held.
-func (t *tableTier) retain(e *tierEntry, bytes int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	el, ok := t.entries[e.route]
-	if !ok || el.Value.(*tierEntry) != e {
-		return
-	}
-	if bytes > t.budget {
-		t.remove(el)
-		return
-	}
-	e.bytes = bytes
-	t.bytes += bytes
-	for t.bytes > t.budget {
-		t.remove(t.lru.Back())
-	}
-}
-
-// settle charges the growth of route's seed memo since its last charge,
-// once a solve that may have grown it has ended, and evicts least
-// recently used entries until the tier fits its budget again — the
-// route's own entry when it alone no longer fits. Between a solve's
-// table lookup and its settle, the tier holds at most the cells that
-// in-flight solves add.
+// settle charges the growth of route's tables since their last charge —
+// the partition tables the first solve built and the seed-memo cells
+// every solve added — once a solve that may have grown them has ended,
+// and evicts least recently used entries until the tier fits its budget
+// again: the route's own entry when it alone no longer fits. Between a
+// solve's table lookup and its settle, the tier holds uncharged at most
+// what in-flight solves build and add.
 func (t *tableTier) settle(route string) {
 	if route == "" {
 		return
@@ -134,9 +108,6 @@ func (t *tableTier) settle(route string) {
 		return
 	}
 	e := el.Value.(*tierEntry)
-	if e.bytes == 0 {
-		return // still building: retain charges it
-	}
 	grown := e.tables.Bytes() - e.bytes
 	if grown <= 0 {
 		return

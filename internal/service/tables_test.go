@@ -1,9 +1,10 @@
 package service
 
-// Tests of the heuristic-table tier (tables.go): one build per route
-// across concurrent and later requests, the mixed-instance and
-// degraded-instance guards, the byte budget, rider cancellation, and
-// byte-identity of tiered responses to per-request table builds.
+// Tests of the heuristic-table tier (tables.go): one Tables value per
+// route across concurrent and later requests, the mixed-instance and
+// foreign-instance guards, the byte budget charged at settle, rider
+// cancellation, and byte-identity of tiered responses to per-request
+// table builds.
 
 import (
 	"bytes"
@@ -14,6 +15,7 @@ import (
 	"testing"
 
 	"relpipe"
+	"relpipe/internal/heur"
 	"relpipe/internal/obs"
 )
 
@@ -25,6 +27,24 @@ func tierInstances() (a, b relpipe.Instance) {
 		panic("test instances collide")
 	}
 	return a, b
+}
+
+// build builds both partition tables of tb, as a search's seed sweep
+// does on its first candidates of each orientation.
+func build(in relpipe.Instance, tb *relpipe.HeuristicTables) {
+	g := heur.NewGen(in.Chain, in.Platform, heur.Options{}, tb)
+	g.Partition(1, false)
+	g.Partition(1, true)
+}
+
+// use is one heuristic solve's use of the tier on in's route: it takes
+// the tables through the provider, builds them and settles the route,
+// as the end of the solve does.
+func use(tier *tableTier, in relpipe.Instance) *relpipe.HeuristicTables {
+	tb := tier.provider(in.Canonical())(in)
+	build(in, tb)
+	tier.settle(in.Canonical())
+	return tb
 }
 
 func TestTableTierOneBuildPerBatch(t *testing.T) {
@@ -58,9 +78,14 @@ func TestTableTierOneBuildPerBatch(t *testing.T) {
 		}
 	}
 
+	// Nothing is charged until a solve settles.
+	if tier.bytes != 0 {
+		t.Fatalf("tier charged %d bytes before any settle", tier.bytes)
+	}
+
 	// A later request on the same route, through a fresh provider,
 	// reuses the retained tables.
-	if tb := tier.provider(in.Canonical())(in); tb != tables[0] {
+	if tb := use(tier, in); tb != tables[0] {
 		t.Fatalf("later request got tables %p, want the retained %p", tb, tables[0])
 	}
 	if got := seriesSum(t, m, "relpipe_solve_batch_tables_built_total"); got != 1 {
@@ -69,7 +94,7 @@ func TestTableTierOneBuildPerBatch(t *testing.T) {
 	if got := seriesSum(t, m, "relpipe_solve_batch_coalesced_total"); got != members {
 		t.Fatalf("coalesced after a later request = %d, want %d", got, members)
 	}
-	if tier.bytes != tables[0].Bytes() || tier.lru.Len() != 1 {
+	if tier.bytes == 0 || tier.bytes != tables[0].Bytes() || tier.lru.Len() != 1 {
 		t.Fatalf("tier holds %d entries, %d bytes; want 1 entry of %d bytes", tier.lru.Len(), tier.bytes, tables[0].Bytes())
 	}
 }
@@ -122,19 +147,19 @@ func TestTableTierRiderLeavingKeepsBatchAlive(t *testing.T) {
 	m := NewMetrics()
 	// The budget holds one instance's tables, not two.
 	tier := newTableTier(m, relpipe.BuildHeuristicTables(inA).Bytes()+1)
-	held := tier.provider(inA.Canonical())(inA)
+	held := use(tier, inA)
 	if held == nil {
 		t.Fatal("no tables")
 	}
 	size := held.Bytes()
-	tier.provider(inB.Canonical())(inB) // evicts A
+	use(tier, inB) // evicts A
 	if _, ok := tier.entries[inA.Canonical()]; ok {
 		t.Fatal("A's tables were not evicted")
 	}
 	if held.Bytes() != size {
 		t.Fatal("the holder's tables changed after eviction")
 	}
-	if tb := tier.provider(inA.Canonical())(inA); tb == nil || tb == held {
+	if tb := use(tier, inA); tb == nil || tb == held {
 		t.Fatalf("evicted route got tables %p, want a fresh build (held %p)", tb, held)
 	}
 	if got := seriesSum(t, m, "relpipe_solve_batch_tables_built_total"); got != 3 {
@@ -155,7 +180,7 @@ func TestTableTierEvictsUnderBudget(t *testing.T) {
 	}
 	m := NewMetrics()
 	tier := newTableTier(m, 2*size) // room for two instances
-	get := func(in relpipe.Instance) *relpipe.HeuristicTables { return tier.provider(in.Canonical())(in) }
+	get := func(in relpipe.Instance) *relpipe.HeuristicTables { return use(tier, in) }
 	a := get(ins[0])
 	get(ins[1])
 	if got := get(ins[0]); got != a { // A is now the most recently used
@@ -179,14 +204,14 @@ func TestTableTierEvictsUnderBudget(t *testing.T) {
 }
 
 // TestTableTierOversizeNotRetained: an instance whose tables alone
-// exceed the budget is served its tables but leaves nothing behind, so
-// its next request builds again.
+// exceed the budget is served its tables but leaves nothing behind once
+// its solve settles, so its next request builds again.
 func TestTableTierOversizeNotRetained(t *testing.T) {
 	in, _ := tierInstances()
 	m := NewMetrics()
 	tier := newTableTier(m, relpipe.BuildHeuristicTables(in).Bytes()-1)
 	for i := 1; i <= 2; i++ {
-		if tb := tier.provider(in.Canonical())(in); tb == nil {
+		if tb := use(tier, in); tb == nil {
 			t.Fatal("oversize instance was not served tables")
 		}
 		if tier.lru.Len() != 0 || len(tier.entries) != 0 || tier.bytes != 0 {
@@ -519,7 +544,9 @@ func TestTableTierChargesSeedMemo(t *testing.T) {
 		s.tables.remove(el)
 	}
 	s.tables.mu.Unlock()
-	if tb := get(in); tb.Bytes() != bare {
+	tb := get(in)
+	build(in, tb)
+	if tb.Bytes() != bare {
 		t.Fatalf("tables after eviction hold %d bytes, want the bare %d", tb.Bytes(), bare)
 	}
 }

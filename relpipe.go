@@ -92,21 +92,21 @@ const (
 	SimTwoHop = sim.TwoHop
 )
 
-// HeuristicTables holds the pre-built partition tables of the §7
-// heuristics for one instance, plus a memo of the search seeds built
-// over them (one per interval count, orientation and period-bound cell
-// on which the §7.2 allocation cannot change). The tables are immutable
-// after construction and the memo is internally synchronized, so one
-// value is safe to share across concurrent solves of that instance;
-// Bytes grows as the memo fills.
+// HeuristicTables holds the partition tables of the §7 heuristics for
+// one instance, each built at most once, plus a memo of the search
+// seeds built over them (one per interval count, orientation and
+// period-bound cell on which the §7.2 allocation cannot change). The
+// builds and the memo are internally synchronized, so one value is safe
+// to share across concurrent solves of that instance; Bytes grows as
+// the tables are built and the memo fills.
 type HeuristicTables = heur.Tables
 
-// BuildHeuristicTables eagerly builds the heuristic partition tables
-// for an instance, for sharing across solves via Options.Tables: only
-// the Heuristic search method consults the provider, and only when it
-// actually seeds a search; returning nil declines and the search builds
-// its own. Candidates, and hence solutions, are bit-identical with or
-// without it.
+// BuildHeuristicTables returns the heuristic tables of an instance with
+// both partition tables already built, for sharing across solves via
+// Options.Tables: only the Heuristic search method consults the
+// provider, and only when it actually seeds a search; returning nil
+// declines and the search uses private tables. Candidates, and hence
+// solutions, are bit-identical with or without it.
 func BuildHeuristicTables(in Instance) *HeuristicTables {
 	return heur.BuildTables(in.Chain, in.Platform)
 }

@@ -61,16 +61,16 @@ type Options struct {
 	// influences a result (see internal/progress). This is the
 	// observability hook the async job service streams over SSE.
 	Progress func(done, total int64)
-	// Tables, when non-nil, supplies pre-built heuristic partition
-	// tables (BuildHeuristicTables) for the instance about to be
-	// solved. Only the Heuristic search method consults it, and only at
-	// the moment it actually seeds a search — Auto runs that route to
-	// the exact or DP solvers never invoke the provider, so nothing is
-	// built in vain. The provider may return nil to decline (the
-	// search then builds its own tables); when it does return tables
-	// they must match the instance it was called with. The tables are
-	// immutable and their seed memo is internally synchronized, so one
-	// value is safe to share across concurrent solves of the same
+	// Tables, when non-nil, supplies the heuristic tables
+	// (HeuristicTables) of the instance about to be solved. Only the
+	// Heuristic search method consults it, and only at the moment it
+	// actually seeds a search — Auto runs that route to the exact or DP
+	// solvers never invoke the provider, so nothing is built in vain.
+	// The provider may return nil to decline (the search then uses
+	// private tables); when it does return tables they must match the
+	// instance it was called with. The tables build lazily, at most
+	// once, and they and their seed memo are internally synchronized, so
+	// one value is safe to share across concurrent solves of the same
 	// instance: the service's table tier amortizes one build across the
 	// requests of one instance through this hook. Candidates, and hence
 	// solutions, are bit-identical with or without it.
@@ -244,7 +244,7 @@ func optimizeResolved(in Instance, b Bounds, m Method, o Options) (Solution, err
 		} else if m == HeurL {
 			fn = heur.HeurL
 		}
-		res, ok, err := fn(in.Chain, in.Platform, heur.Options{Period: b.Period, Latency: b.Latency})
+		res, ok, err := fn(in.Chain, in.Platform, heur.Options{Period: b.Period, Latency: b.Latency}, nil)
 		if err != nil {
 			return Solution{}, err
 		}

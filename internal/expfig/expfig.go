@@ -107,7 +107,8 @@ func buildHom(cfg Config) []homInstance {
 		if err != nil {
 			panic(fmt.Sprintf("expfig: %v", err)) // impossible with valid generators
 		}
-		return homInstance{c: c, pl: pl, optimal: frontier.Front(profiles, exact.Profile.Criteria), tables: heur.NewTables(c, pl)}, nil
+		optimal := frontier.Front(profiles, exact.Profile.Criteria)
+		return homInstance{c: c, pl: pl, optimal: optimal, tables: heur.NewTables(c, pl)}, nil
 	})
 	if err != nil {
 		panic(fmt.Sprintf("expfig: %v", err)) // unreachable: the build never errors
@@ -115,10 +116,10 @@ func buildHom(cfg Config) []homInstance {
 	return out
 }
 
-// heur runs Heur-L (latencyOriented) or Heur-P on the instance under
-// the bounds and returns the winner's log-reliability, and whether the
-// heuristic found a mapping.
-func (in homInstance) heur(latencyOriented bool, period, latency float64) (float64, bool) {
+// heuristic runs Heur-L (latencyOriented) or Heur-P on the instance
+// under the bounds and returns the winner's log-reliability, and
+// whether the heuristic found a mapping.
+func (in homInstance) heuristic(latencyOriented bool, period, latency float64) (float64, bool) {
 	fn := heur.HeurP
 	if latencyOriented {
 		fn = heur.HeurL
@@ -148,8 +149,8 @@ func homSweep(id1, id2, title1, title2, xlabel string, xs, periods, latencies []
 		var nBoth int
 		for _, in := range insts {
 			iOpt := exact.BestUnder(in.optimal, P, L)
-			lrL, okL := in.heur(true, P, L)
-			lrP, okP := in.heur(false, P, L)
+			lrL, okL := in.heuristic(true, P, L)
+			lrP, okP := in.heuristic(false, P, L)
 			if iOpt >= 0 {
 				nOpt++
 			}

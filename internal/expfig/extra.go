@@ -41,11 +41,11 @@ func HeuristicGap(cfg Config) Figure {
 			if opt == 0 {
 				continue
 			}
-			if lrL, ok := in.heur(true, P, latency); ok {
+			if lrL, ok := in.heuristic(true, P, latency); ok {
 				sumL += lrL / opt
 				nL++
 			}
-			if lrP, ok := in.heur(false, P, latency); ok {
+			if lrP, ok := in.heuristic(false, P, latency); ok {
 				sumP += lrP / opt
 				nP++
 			}

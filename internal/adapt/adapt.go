@@ -2,6 +2,7 @@ package adapt
 
 import (
 	"container/heap"
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -252,6 +253,9 @@ type engine struct {
 	c    chain.Chain
 	pl   platform.Platform
 	opts Options
+	// ctx is the context remap searches run under: they report their
+	// stages to its observer and stop when it is cancelled.
+	ctx context.Context
 
 	now       float64    // time of the crash being handled
 	queue     crashQueue // pending crashes, at most one per processor
@@ -292,6 +296,11 @@ type engine struct {
 // Run executes one lifetime simulation of the initial mapping m0 and
 // returns its trace and metrics.
 func Run(c chain.Chain, pl platform.Platform, m0 mapping.Mapping, opts Options) (RunResult, error) {
+	return run(context.Background(), c, pl, m0, opts)
+}
+
+// run is Run under ctx, which the remap policy's searches receive.
+func run(ctx context.Context, c chain.Chain, pl platform.Platform, m0 mapping.Mapping, opts Options) (RunResult, error) {
 	if err := c.Validate(); err != nil {
 		return RunResult{}, err
 	}
@@ -307,7 +316,7 @@ func Run(c chain.Chain, pl platform.Platform, m0 mapping.Mapping, opts Options) 
 	opts = opts.defaults()
 
 	e := &engine{
-		c: c, pl: pl, opts: opts,
+		c: c, pl: pl, opts: opts, ctx: ctx,
 		queue:         make(crashQueue, 0, pl.P()),
 		cur:           m0.Clone(),
 		alive:         make([]bool, pl.P()),

@@ -44,11 +44,15 @@ func RunBatch(ctx context.Context, c chain.Chain, pl platform.Platform, m0 mappi
 		seeds[r] = master.Uint64()
 	}
 	reps := progress.NewCounter(int64(replications), report)
+	// Remap searches report their stages to ctx's observer but not to
+	// its trace: one search per crash of every replication would grow
+	// the trace with the request's size.
+	searchCtx := obs.Untraced(ctx)
 	batchStart := time.Now()
 	runs, err := par.Map(ctx, parallelism, replications, func(r int) (RunResult, error) {
 		o := opts
 		o.Seed = seeds[r]
-		res, err := Run(c, pl, m0, o)
+		res, err := run(searchCtx, c, pl, m0, o)
 		if err == nil {
 			reps.Add(1)
 		}

@@ -108,7 +108,9 @@ func (e *engine) patchMeetsBounds(j, v int) bool {
 // valid, if needed, by the greedy patch), and reports whether the
 // result was adopted. The search runs sequentially — replications
 // already shard across workers — with a seed drawn from the policy
-// stream, so the run stays a pure function of Options.Seed.
+// stream, so the run stays a pure function of Options.Seed. The search
+// runs under the engine's context: it reports its search.seed and
+// search.anneal stages there, and a cancellation aborts the run.
 func (e *engine) repairRemap(j int) bool {
 	seed := e.policyRnd.Uint64()
 	cand := e.cur
@@ -123,7 +125,7 @@ func (e *engine) repairRemap(j int) bool {
 	res, ok, err := search.Repair(e.c, e.pl, cand, e.alive, search.Options{
 		Period: e.period, Latency: e.opts.Latency,
 		Restarts: e.opts.Restarts, Budget: e.opts.Budget,
-		Seed: seed, Parallelism: -1,
+		Seed: seed, Parallelism: -1, Context: e.ctx,
 	})
 	if err != nil {
 		e.err = err

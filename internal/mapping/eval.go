@@ -11,36 +11,80 @@ package mapping
 // neighbor's terms are the committed terms with one or two entries
 // recomputed.
 //
-// The floating-point contract is the delicate part. The Evaluator is
-// bit-identical to EvaluateUnchecked, not merely close, because it
-// never subtracts a term out of a running aggregate (the classic
-// incremental-evaluation trick, which drifts and breaks on ±Inf): it
-// recombines the memoized terms from scratch, in ascending interval
-// order, through the same aggregation code the full pass uses. The
-// re-aggregation is O(m) cheap flops; the expensive transcendentals
-// (expm1/log1p per replica, Eq. 3/9) are only re-run for the touched
-// intervals. FuzzEvalDelta and internal/search's metamorphic suite
-// enforce the bit-identity.
+// The search scores a mapping from three aggregates only — LogRel,
+// WorstPeriod and WorstLatency, the Score — so the Evaluator computes
+// only those: its terms carry no expected cost (Eq. 3), and it never
+// forms FailProb. EvaluateUnchecked computes the same terms and adds the
+// expected-cost side on top.
+//
+// The floating-point contract is the delicate part. The Evaluator's
+// Score is bit-identical to EvaluateUnchecked's, not merely close,
+// because it never subtracts a term out of a running aggregate (the
+// classic incremental-evaluation trick, which drifts and breaks on
+// ±Inf): it recombines the memoized terms from scratch, in ascending
+// interval order, through the same aggregation code the full pass uses.
+// The re-aggregation is O(m) cheap flops; the expensive transcendentals
+// (expm1/log1p per replica, Eq. 9) are only re-run for the touched
+// intervals, and only for replicas the factor cache does not hold.
+// FuzzEvalDelta and internal/search's metamorphic suite enforce the
+// bit-identity.
 
 import (
 	"math"
-	"slices"
 
 	"relpipe/internal/chain"
 	"relpipe/internal/failure"
+	"relpipe/internal/interval"
 	"relpipe/internal/platform"
 )
 
-// stageTerm memoizes everything the aggregation pass needs about one
-// interval: the public StageEval quantities plus the derived
-// log-reliability and outgoing communication time.
-type stageTerm struct {
-	StageEval
-	logRel  float64 // log(1 - FailProb), the Eq. (9) contribution
-	outTime float64 // CommTime(Out), charged to latency and the period
+// Score is the part of an Eval the local search reads: the aggregates
+// its objectives and constraints are stated in.
+type Score struct {
+	LogRel       float64 // log of Eq. (9)
+	WorstPeriod  float64 // WP, Eq. (8)
+	WorstLatency float64 // WL, Eq. (7)
 }
 
-// replica is one entry of computeTerm's scratch: a processor of the
+// term memoizes what the score's aggregation reads about one interval.
+type term struct {
+	logRel    float64 // log(1 - FailProb), the Eq. (9) contribution
+	worstCost float64 // wc(I_j, P_j), Eq. (4)
+	outTime   float64 // CommTime(Out), charged to latency and the period
+}
+
+// scoreTerm builds the term of an interval of the given work, replica
+// set, stage failure probability and output size; the full pass and
+// the Evaluator both end each interval here.
+func scoreTerm(pl platform.Platform, procs []int, work, failProb, out float64) term {
+	return term{
+		logRel:    failure.LogRel(failProb),
+		worstCost: WorstCost(pl, procs, work),
+		outTime:   pl.CommTime(out),
+	}
+}
+
+// computeLeg is the failure probability of processor u computing work.
+func computeLeg(pl platform.Platform, u int, work float64) float64 {
+	return failure.Prob(pl.Procs[u].FailRate, pl.ComputeTime(u, work))
+}
+
+// replicaFactor is the failure probability of one replica whose
+// incoming, compute and outgoing legs have log-reliability lIn,
+// LogRel(fComp) and lOut. The legs fold in failure.Serial's order,
+// starting from 0.0 (so a zero-rate replica gives Serial's −0, not
+// +0), and a stage multiplies its replicas' factors in Procs order as
+// the parallel composition does: the floats are exactly those of
+// ReplicaFailProb's product.
+func replicaFactor(lIn, fComp, lOut float64) float64 {
+	s := 0.0
+	s += lIn
+	s += failure.LogRel(fComp)
+	s += lOut
+	return -math.Expm1(s)
+}
+
+// replica is one entry of the full pass's scratch: a processor of the
 // interval and the failure probability of its compute leg, reordered in
 // place for the expected-cost sum.
 type replica struct {
@@ -71,71 +115,27 @@ func linkLeg(pl platform.Platform, data float64) float64 {
 	return failure.LogRel(failure.Prob(pl.LinkFailRate, pl.CommTime(data)))
 }
 
-// computeTerm fills t for interval j of m, whose incoming and outgoing
-// link legs are lIn and lOut. reps is the scratch for the replicas'
-// compute legs; the (possibly grown) slice is returned so callers can
-// reuse it allocation-free.
-//
-// Each replica's failure probability folds its three legs in
-// failure.Serial's order, starting from 0.0 (so a zero-rate replica
-// gives Serial's −0, not +0), and the stage multiplies them as the
-// parallel composition does: the floats are exactly those of
-// ReplicaFailProb's product. The compute leg is computed once and
-// reused by the Eq. (3) expected cost.
-func computeTerm(t *stageTerm, c chain.Chain, pl platform.Platform, m Mapping, j int, lIn, lOut float64, reps []replica) []replica {
-	t.Work = m.Parts.Work(c, j)
-	t.In = m.Parts.In(c, j)
-	t.Out = m.Parts.Out(c, j)
-	reps = slices.Grow(reps[:0], len(m.Procs[j]))
-	f := 1.0
-	for _, u := range m.Procs[j] {
-		fComp := failure.Prob(pl.Procs[u].FailRate, pl.ComputeTime(u, t.Work))
-		s := 0.0
-		s += lIn
-		s += failure.LogRel(fComp)
-		s += lOut
-		f *= -math.Expm1(s)
-		reps = append(reps, replica{u: u, fComp: fComp})
-	}
-	t.FailProb = f
-	t.ExpCost = expectedCost(pl, reps, t.Work)
-	t.WorstCost = WorstCost(pl, m.Procs[j], t.Work)
-	t.logRel = failure.LogRel(t.FailProb)
-	t.outTime = pl.CommTime(t.Out)
-	return reps
-}
-
-// aggregate folds per-interval terms into an Eval in ascending interval
-// order — the exact accumulator sequence of the one-pass full
-// evaluation, so recombining memoized terms is bit-identical to
-// recomputing them. Stages is left nil: scoring reads only the
-// aggregate scalars.
-func aggregate(terms []stageTerm) Eval {
-	var ev Eval
+// aggregate folds per-interval terms into a Score in ascending interval
+// order — the exact accumulator sequence of the full evaluation, so
+// recombining memoized terms is bit-identical to recomputing them.
+func aggregate(terms []term) Score {
+	var s Score
 	commMax := 0.0
 	for i := range terms {
 		t := &terms[i]
-		ev.LogRel += t.logRel
-		ev.ExpLatency += t.ExpCost + t.outTime
-		ev.WorstLatency += t.WorstCost + t.outTime
+		s.LogRel += t.logRel
+		s.WorstLatency += t.worstCost + t.outTime
 		if t.outTime > commMax {
 			commMax = t.outTime
 		}
-		if t.ExpCost > ev.ExpPeriod {
-			ev.ExpPeriod = t.ExpCost
-		}
-		if t.WorstCost > ev.WorstPeriod {
-			ev.WorstPeriod = t.WorstCost
+		if t.worstCost > s.WorstPeriod {
+			s.WorstPeriod = t.worstCost
 		}
 	}
-	if commMax > ev.ExpPeriod {
-		ev.ExpPeriod = commMax
+	if commMax > s.WorstPeriod {
+		s.WorstPeriod = commMax
 	}
-	if commMax > ev.WorstPeriod {
-		ev.WorstPeriod = commMax
-	}
-	ev.FailProb = failure.FromLogRel(ev.LogRel)
-	return ev
+	return s
 }
 
 // Touched describes how a proposed neighbor relates to the evaluator's
@@ -171,57 +171,120 @@ func TouchMerge(j int) Touched { return Touched{A: j, B: -1, ShiftFrom: j + 1, S
 // intervals shift up one index.
 func TouchSplit(j int) Touched { return Touched{A: j, B: j + 1, ShiftFrom: j + 2, ShiftBy: -1} }
 
+// The replica-factor cache. A replica's factor, replicaFactor of its
+// three legs, is a pure function of (First, Last, u): the link legs
+// are Links entries First and Last+1, and the compute leg reads the
+// interval's work and u's rate and speed. Each Evaluator keeps a
+// direct-mapped table from that key to the factor; a key that hashes
+// to an occupied slot overwrites it. A hit returns the float a miss
+// computed, so cached and recomputed factors are bit-identical by
+// construction. Replica moves keep the interval's (First, Last), so
+// their untouched replicas hit, and a walk revisits the same intervals
+// often enough that most factors repeat within a restart.
+const (
+	factorBits  = 11
+	factorSlots = 1 << factorBits // 16 bytes each: 32 KiB per Evaluator
+)
+
+// factorSlot is one cache entry; key 0 marks an empty slot.
+type factorSlot struct {
+	key uint64
+	f   float64
+}
+
+// factorKey packs (first, last, u) as 24, 24 and 16 bits. Storing
+// last+1 keeps every key nonzero, so a zeroed table starts empty. The
+// packing is injective on instances with fewer than 2^24 tasks and at
+// most 2^16 processors (NewEvaluator checks this; larger instances
+// compute every factor).
+func factorKey(first, last, u int) uint64 {
+	return uint64(first)<<40 | uint64(last+1)<<16 | uint64(u)
+}
+
 // Evaluator scores neighbor mappings incrementally. Init performs one
-// full evaluation and memoizes the per-interval terms; Apply scores a
-// neighbor by recomputing only the touched intervals' terms, and the
+// full scoring pass and memoizes the per-interval terms; Apply scores
+// a neighbor by recomputing only the touched intervals' terms, and the
 // caller then either Commits the neighbor (it became the current state)
 // or Reverts it. Exactly one of Commit/Revert must follow every Apply.
 //
-// All scratch state lives on the evaluator, so the Apply/Commit/Revert
-// cycle allocates nothing once the buffers reach steady-state capacity.
-// An Evaluator is not safe for concurrent use; the search engine owns
-// one per restart.
+// All scratch state, the replica-factor cache included, lives on the
+// evaluator, so the Apply/Commit/Revert cycle allocates nothing once
+// the term buffers reach steady-state capacity. An Evaluator is not
+// safe for concurrent use; the search engine owns one per restart.
 type Evaluator struct {
 	c         chain.Chain
 	pl        platform.Platform
 	links     Links
-	cur, next []stageTerm
-	reps      []replica
+	cur, next []term
 	pending   bool
+	keyed     bool // factorKey is injective on this instance
+	// hits and misses count the replica factors served from the cache
+	// and computed.
+	hits, misses int
+	factors      [factorSlots]factorSlot
 }
 
 // NewEvaluator returns an evaluator for one instance; links must be
 // NewLinks(c, pl), built once per instance and shared by its
 // evaluators. Call Init before the first Apply.
 func NewEvaluator(c chain.Chain, pl platform.Platform, links Links) *Evaluator {
-	return &Evaluator{c: c, pl: pl, links: links}
+	return &Evaluator{c: c, pl: pl, links: links, keyed: len(c) < 1<<24 && pl.P() <= 1<<16}
 }
 
-// term recomputes interval j of m into t, reading its link legs from
-// the table.
-func (e *Evaluator) term(t *stageTerm, m Mapping, j int) {
+// FactorCounts reports how many replica factors the evaluator has
+// served from its cache (hits) and computed (misses) since it was
+// built.
+func (e *Evaluator) FactorCounts() (hits, misses int) { return e.hits, e.misses }
+
+// factor returns the failure probability of replica u of interval iv,
+// whose work is given: the cached float when the slot holds the key,
+// else replicaFactor of its legs, which then takes the slot.
+func (e *Evaluator) factor(iv interval.Interval, u int, work float64) float64 {
+	if !e.keyed {
+		e.misses++
+		return replicaFactor(e.links[iv.First], computeLeg(e.pl, u, work), e.links[iv.Last+1])
+	}
+	key := factorKey(iv.First, iv.Last, u)
+	s := &e.factors[(key*0x9E3779B97F4A7C15)>>(64-factorBits)]
+	if s.key == key {
+		e.hits++
+		return s.f
+	}
+	e.misses++
+	f := replicaFactor(e.links[iv.First], computeLeg(e.pl, u, work), e.links[iv.Last+1])
+	*s = factorSlot{key: key, f: f}
+	return f
+}
+
+// term computes the term of interval j of m.
+func (e *Evaluator) term(m Mapping, j int) term {
 	iv := m.Parts[j]
-	e.reps = computeTerm(t, e.c, e.pl, m, j, e.links[iv.First], e.links[iv.Last+1], e.reps)
+	work := m.Parts.Work(e.c, j)
+	f := 1.0
+	for _, u := range m.Procs[j] {
+		f *= e.factor(iv, u, work)
+	}
+	return scoreTerm(e.pl, m.Procs[j], work, f, e.c.Out(iv.Last))
 }
 
-// Init fully evaluates m, commits its terms as the base state, and
-// returns the aggregate. The mapping must be valid (the hot loop builds
+// Init scores m in full, commits its terms as the base state, and
+// returns its Score. The mapping must be valid (the hot loop builds
 // neighbors valid by construction, like EvaluateUnchecked's callers).
-// The returned Eval carries no Stages slice.
-func (e *Evaluator) Init(m Mapping) Eval {
+// The factor cache survives Init: it depends on the instance only.
+func (e *Evaluator) Init(m Mapping) Score {
 	e.pending = false
 	e.cur = resizeTerms(e.cur, len(m.Parts))
 	for j := range e.cur {
-		e.term(&e.cur[j], m, j)
+		e.cur[j] = e.term(m, j)
 	}
 	return aggregate(e.cur)
 }
 
 // Apply scores the neighbor m, which must differ from the committed
 // mapping exactly as t describes. Terms for t's touched intervals are
-// recomputed; every other term is reused bit-for-bit. The returned Eval
-// (Stages nil) is bit-identical to EvaluateUnchecked(c, pl, m).
-func (e *Evaluator) Apply(m Mapping, t Touched) Eval {
+// recomputed; every other term is reused bit-for-bit. The returned
+// Score is bit-identical to EvaluateUnchecked(c, pl, m).Score().
+func (e *Evaluator) Apply(m Mapping, t Touched) Score {
 	if e.pending {
 		panic("mapping: Evaluator.Apply without Commit/Revert of the previous Apply")
 	}
@@ -231,7 +294,7 @@ func (e *Evaluator) Apply(m Mapping, t Touched) Eval {
 	e.next = resizeTerms(e.next, len(m.Parts))
 	for j := range e.next {
 		if j == t.A || j == t.B {
-			e.term(&e.next[j], m, j)
+			e.next[j] = e.term(m, j)
 			continue
 		}
 		src := j
@@ -263,9 +326,9 @@ func (e *Evaluator) Revert() {
 }
 
 // resizeTerms resizes ts to n entries, reusing its backing array.
-func resizeTerms(ts []stageTerm, n int) []stageTerm {
+func resizeTerms(ts []term, n int) []term {
 	if n <= cap(ts) {
 		return ts[:n]
 	}
-	return append(ts[:cap(ts)], make([]stageTerm, n-cap(ts))...)
+	return append(ts[:cap(ts)], make([]term, n-cap(ts))...)
 }

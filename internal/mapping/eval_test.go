@@ -1,24 +1,26 @@
 package mapping
 
 // Unit and property tests for the incremental Evaluator: bit-identity
-// with the full evaluation after every kind of neighborhood move, the
-// Apply/Commit/Revert state machine, and the zero-allocation contract
-// of the steady-state cycle. FuzzEvalDelta extends the bit-identity
-// check to fuzzer-chosen instances and move scripts.
+// of its Score with the full evaluation's after every kind of
+// neighborhood move, a walk long enough to overwrite replica-factor
+// cache slots, the Apply/Commit/Revert state machine, and the
+// zero-allocation contract of the steady-state cycle. FuzzEvalDelta
+// extends the bit-identity check to fuzzer-chosen instances and move
+// scripts.
 
 import (
 	"math"
 	"testing"
 	"testing/quick"
 
+	"relpipe/internal/chain"
 	"relpipe/internal/interval"
 	"relpipe/internal/platform"
 	"relpipe/internal/rng"
 )
 
 // evalBits collapses the aggregate scalars of an Eval to their exact
-// bit patterns; two Evals compare equal iff the incremental and full
-// paths agree bit-for-bit.
+// bit patterns; two Evals compare equal iff they agree bit-for-bit.
 func evalBits(ev Eval) [6]uint64 {
 	return [6]uint64{
 		math.Float64bits(ev.LogRel),
@@ -28,6 +30,21 @@ func evalBits(ev Eval) [6]uint64 {
 		math.Float64bits(ev.WorstPeriod),
 		math.Float64bits(ev.WorstLatency),
 	}
+}
+
+// scoreBits collapses a Score to its exact bit patterns; the
+// Evaluator's Score must equal the full pass's Eval.Score() under it.
+func scoreBits(s Score) [3]uint64 {
+	return [3]uint64{
+		math.Float64bits(s.LogRel),
+		math.Float64bits(s.WorstPeriod),
+		math.Float64bits(s.WorstLatency),
+	}
+}
+
+// fullScore is the Score of the full evaluation of m.
+func fullScore(c chain.Chain, pl platform.Platform, m Mapping) [3]uint64 {
+	return scoreBits(EvaluateUnchecked(c, pl, m).Score())
 }
 
 // unusedProcs lists the processors of pl that serve no interval of m,
@@ -167,7 +184,7 @@ func TestEvaluatorInitMatchesFull(t *testing.T) {
 		r := rng.New(seed)
 		c, pl, m := randomSetup(r)
 		ev := NewEvaluator(c, pl, NewLinks(c, pl))
-		return evalBits(ev.Init(m)) == evalBits(EvaluateUnchecked(c, pl, m))
+		return scoreBits(ev.Init(m)) == fullScore(c, pl, m)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -182,7 +199,7 @@ func TestEvaluatorRandomWalkMatchesFull(t *testing.T) {
 		r := rng.New(seed)
 		c, pl, m := randomSetup(r)
 		ev := NewEvaluator(c, pl, NewLinks(c, pl))
-		if evalBits(ev.Init(m)) != evalBits(EvaluateUnchecked(c, pl, m)) {
+		if scoreBits(ev.Init(m)) != fullScore(c, pl, m) {
 			return false
 		}
 		for step := 0; step < 40; step++ {
@@ -194,7 +211,7 @@ func TestEvaluatorRandomWalkMatchesFull(t *testing.T) {
 			if err := nm.Validate(c, pl); err != nil {
 				t.Fatalf("neighborMove kind %d built an invalid mapping: %v", kind, err)
 			}
-			if evalBits(ev.Apply(nm, touched)) != evalBits(EvaluateUnchecked(c, pl, nm)) {
+			if scoreBits(ev.Apply(nm, touched)) != fullScore(c, pl, nm) {
 				return false
 			}
 			if r.Bernoulli(0.5) {
@@ -209,6 +226,82 @@ func TestEvaluatorRandomWalkMatchesFull(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func TestEvaluatorCacheCollisionWalk(t *testing.T) {
+	// A 500-task chain on 60 processors: the walk's intervals and
+	// replicas produce far more distinct (First, Last, u) keys than
+	// the cache has slots, so colliding keys overwrite each other and
+	// evicted factors are recomputed. Every Apply must still match
+	// the full pass bit for bit.
+	r := rng.New(500)
+	c := chain.PaperRandom(r, 500)
+	pl := platform.PaperHeterogeneous(r, 60)
+	counts := make([]int, 40)
+	for j := range counts {
+		counts[j] = 1
+	}
+	for j := 0; j < 20; j++ {
+		counts[j] = 2
+	}
+	m := AssignSequential(interval.FromEnds(evenEnds(len(c), len(counts))), counts)
+	if err := m.Validate(c, pl); err != nil {
+		t.Fatal(err)
+	}
+	keys := map[[3]int]bool{}
+	noteKeys := func(m Mapping, js ...int) {
+		for _, j := range js {
+			if j < 0 {
+				continue
+			}
+			for _, u := range m.Procs[j] {
+				keys[[3]int{m.Parts[j].First, m.Parts[j].Last, u}] = true
+			}
+		}
+	}
+	ev := NewEvaluator(c, pl, NewLinks(c, pl))
+	if scoreBits(ev.Init(m)) != fullScore(c, pl, m) {
+		t.Fatal("Init diverges from the full evaluation")
+	}
+	for j := range m.Parts {
+		noteKeys(m, j)
+	}
+	for step := 0; step < 6000; step++ {
+		kind := r.IntN(7)
+		nm, touched, ok := neighborMove(pl, m, kind, r.IntN(1<<16), r.IntN(1<<16))
+		if !ok {
+			continue
+		}
+		noteKeys(nm, touched.A, touched.B)
+		if got, want := ev.Apply(nm, touched), fullScore(c, pl, nm); scoreBits(got) != want {
+			t.Fatalf("step %d (kind %d): delta score %+v diverges from the full pass", step, kind, got)
+		}
+		if r.Bernoulli(0.5) {
+			ev.Commit()
+			m = nm
+		} else {
+			ev.Revert()
+		}
+	}
+	hits, misses := ev.FactorCounts()
+	t.Logf("%d distinct factor keys, %d hits, %d misses", len(keys), hits, misses)
+	if len(keys) <= factorSlots {
+		t.Fatalf("walk produced %d distinct factor keys, want more than the %d slots", len(keys), factorSlots)
+	}
+	// Every miss but a key's first computes a factor the cache held
+	// and lost to a colliding key.
+	if misses <= len(keys) || hits == 0 {
+		t.Fatalf("hits %d, misses %d over %d distinct keys: want hits and overwritten slots", hits, misses, len(keys))
+	}
+}
+
+// evenEnds returns the ends of m near-equal intervals of n tasks.
+func evenEnds(n, m int) []int {
+	ends := make([]int, m)
+	for j := range ends {
+		ends[j] = (j+1)*n/m - 1
+	}
+	return ends
 }
 
 func TestEvaluatorStateMachinePanics(t *testing.T) {

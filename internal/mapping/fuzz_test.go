@@ -2,8 +2,9 @@ package mapping
 
 // FuzzEvalDelta is the differential fuzz target of the incremental
 // evaluator: the fuzzer picks an instance (via seed) and a move script,
-// and every Apply along the resulting commit/revert walk must agree
-// bit-for-bit with a from-scratch EvaluateUnchecked of the neighbor.
+// and the Score of every Apply along the resulting commit/revert walk
+// must agree bit-for-bit with a from-scratch EvaluateUnchecked of the
+// neighbor.
 // The seed corpus under testdata/fuzz/FuzzEvalDelta covers each of the
 // seven neighborhood kinds and replays in every ordinary `go test` run;
 // CI additionally runs the target under -fuzz for a fixed budget.
@@ -25,7 +26,7 @@ func FuzzEvalDelta(f *testing.F) {
 		r := rng.New(seed)
 		c, pl, m := randomSetup(r)
 		ev := NewEvaluator(c, pl, NewLinks(c, pl))
-		if evalBits(ev.Init(m)) != evalBits(EvaluateUnchecked(c, pl, m)) {
+		if scoreBits(ev.Init(m)) != fullScore(c, pl, m) {
 			t.Fatalf("Init diverges from full evaluation on seed %d", seed)
 		}
 		// Each move consumes four script bytes: neighborhood kind, two
@@ -42,7 +43,7 @@ func FuzzEvalDelta(f *testing.F) {
 				t.Fatalf("step %d: neighborMove kind %d built an invalid mapping: %v", step, kind, err)
 			}
 			got, want := ev.Apply(nm, touched), EvaluateUnchecked(c, pl, nm)
-			if evalBits(got) != evalBits(want) {
+			if scoreBits(got) != scoreBits(want.Score()) {
 				t.Fatalf("step %d (kind %d, commit %v): delta eval %+v diverges from full eval %+v",
 					step, kind, commit, got, want)
 			}

@@ -3,6 +3,7 @@ package mapping
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"relpipe/internal/chain"
 	"relpipe/internal/failure"
@@ -189,6 +190,11 @@ type Eval struct {
 	Stages       []StageEval
 }
 
+// Score returns the aggregates of e the local search reads.
+func (e Eval) Score() Score {
+	return Score{LogRel: e.LogRel, WorstPeriod: e.WorstPeriod, WorstLatency: e.WorstLatency}
+}
+
 // Reliability returns 1 - FailProb, for display.
 func (e Eval) Reliability() float64 { return 1 - e.FailProb }
 
@@ -206,22 +212,49 @@ func Evaluate(c chain.Chain, pl platform.Platform, m Mapping) (Eval, error) {
 // mappings per solve; re-validating each would dominate the iteration
 // cost). The numbers are bit-identical to Evaluate's.
 //
-// EvaluateUnchecked shares its per-interval and aggregation code with
-// the incremental Evaluator (eval.go), which keeps the full pass the
-// reference oracle the delta path is checked against.
+// EvaluateUnchecked computes each interval's score term exactly as
+// the incremental Evaluator (eval.go) does, and adds the Eq. (3)
+// expected cost on top, which keeps the full pass the reference oracle
+// the delta path is checked against.
 func EvaluateUnchecked(c chain.Chain, pl platform.Platform, m Mapping) Eval {
-	terms := make([]stageTerm, len(m.Parts))
+	terms := make([]term, len(m.Parts))
+	ev := Eval{Stages: make([]StageEval, len(m.Parts))}
 	var reps []replica
 	for j := range terms {
-		lIn := linkLeg(pl, m.Parts.In(c, j))
-		lOut := linkLeg(pl, m.Parts.Out(c, j))
-		reps = computeTerm(&terms[j], c, pl, m, j, lIn, lOut, reps)
+		st := &ev.Stages[j]
+		st.Work, st.In, st.Out = m.Parts.Work(c, j), m.Parts.In(c, j), m.Parts.Out(c, j)
+		lIn, lOut := linkLeg(pl, st.In), linkLeg(pl, st.Out)
+		reps = slices.Grow(reps[:0], len(m.Procs[j]))
+		f := 1.0
+		for _, u := range m.Procs[j] {
+			fComp := computeLeg(pl, u, st.Work)
+			f *= replicaFactor(lIn, fComp, lOut)
+			reps = append(reps, replica{u: u, fComp: fComp})
+		}
+		st.FailProb = f
+		st.ExpCost = expectedCost(pl, reps, st.Work)
+		terms[j] = scoreTerm(pl, m.Procs[j], st.Work, f, st.Out)
+		st.WorstCost = terms[j].worstCost
 	}
-	ev := aggregate(terms)
-	ev.Stages = make([]StageEval, len(terms))
-	for j := range terms {
-		ev.Stages[j] = terms[j].StageEval
+	s := aggregate(terms)
+	ev.LogRel, ev.WorstPeriod, ev.WorstLatency = s.LogRel, s.WorstPeriod, s.WorstLatency
+	// The expected-cost side of Eqs. (5) and (6), folded in the same
+	// ascending order.
+	commMax := 0.0
+	for j, st := range ev.Stages {
+		out := terms[j].outTime
+		ev.ExpLatency += st.ExpCost + out
+		if out > commMax {
+			commMax = out
+		}
+		if st.ExpCost > ev.ExpPeriod {
+			ev.ExpPeriod = st.ExpCost
+		}
 	}
+	if commMax > ev.ExpPeriod {
+		ev.ExpPeriod = commMax
+	}
+	ev.FailProb = failure.FromLogRel(ev.LogRel)
 	return ev
 }
 

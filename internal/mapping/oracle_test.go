@@ -1,7 +1,7 @@
 package mapping
 
 // The per-replica formulas of §4, kept as the test oracle of the
-// evaluator's hoisted term (computeTerm): the stage failure probability
+// evaluator's hoisted term (scoreTerm and replicaFactor): the stage failure probability
 // as the product of ReplicaFailProb over the replicas (Eq. 9's inner
 // product) and Eq. (3)'s expected cost computed from scratch. The
 // shipped code folds the same quantities with the link legs hoisted and
@@ -112,13 +112,22 @@ func stageBits(st StageEval) [6]uint64 {
 	}
 }
 
+// termBits collapses an evaluator term to the bit patterns of its
+// floats.
+func termBits(t term) [3]uint64 {
+	return [3]uint64{math.Float64bits(t.logRel), math.Float64bits(t.worstCost), math.Float64bits(t.outTime)}
+}
+
 // TestHoistedTermBitIdentical holds EvaluateUnchecked and the
 // incremental Evaluator (Init, then a commit/revert walk of Apply over
-// all seven neighborhoods) to the per-replica oracle bit for bit: every
-// StageEval float and every Eval aggregate, in every rate regime. The
+// all seven neighborhoods) to the per-replica oracle bit for bit, in
+// every rate regime: EvaluateUnchecked on every StageEval float and
+// every Eval aggregate, the Evaluator on its Score and on each term's
+// log-reliability, worst cost and outgoing communication time. The
 // zeroRates regime is the signed-zero trap: there every replica's
 // failure probability is Serial's −0, which a fold starting from the
-// incoming leg instead of 0.0 would turn into +0.
+// incoming leg instead of 0.0 would turn into +0 (and the term's
+// log-reliability from +0 into −0).
 func TestHoistedTermBitIdentical(t *testing.T) {
 	negZeroSeen := false
 	for regime := 0; regime < numRegimes; regime++ {
@@ -137,12 +146,17 @@ func TestHoistedTermBitIdentical(t *testing.T) {
 					negZeroSeen = negZeroSeen || (want[j].FailProb == 0 && math.Signbit(want[j].FailProb))
 				}
 			}
-			terms := func(ts []stageTerm) []StageEval {
-				out := make([]StageEval, len(ts))
-				for j := range ts {
-					out[j] = ts[j].StageEval
+			checkTerms := func(what string, got []term, want []StageEval) {
+				t.Helper()
+				if len(got) != len(want) {
+					t.Fatalf("regime %d seed %d %s: %d terms, want %d", regime, seed, what, len(got), len(want))
 				}
-				return out
+				for j, st := range want {
+					w := term{logRel: failure.LogRel(st.FailProb), worstCost: st.WorstCost, outTime: pl.CommTime(st.Out)}
+					if termBits(got[j]) != termBits(w) {
+						t.Fatalf("regime %d seed %d %s term %d: %+v, oracle %+v", regime, seed, what, j, got[j], w)
+					}
+				}
 			}
 
 			want := oracleEval(c, pl, m)
@@ -153,20 +167,20 @@ func TestHoistedTermBitIdentical(t *testing.T) {
 			checkStages("EvaluateUnchecked", got.Stages, want.Stages)
 
 			ev := NewEvaluator(c, pl, NewLinks(c, pl))
-			if evalBits(ev.Init(m)) != evalBits(want) {
+			if scoreBits(ev.Init(m)) != scoreBits(want.Score()) {
 				t.Fatalf("regime %d seed %d: Init diverges from the oracle", regime, seed)
 			}
-			checkStages("Init", terms(ev.cur), want.Stages)
+			checkTerms("Init", ev.cur, want.Stages)
 			for step := 0; step < 20; step++ {
 				nm, touched, ok := neighborMove(pl, m, r.IntN(7), r.IntN(1<<16), r.IntN(1<<16))
 				if !ok {
 					continue
 				}
 				want := oracleEval(c, pl, nm)
-				if got := ev.Apply(nm, touched); evalBits(got) != evalBits(want) {
+				if got := ev.Apply(nm, touched); scoreBits(got) != scoreBits(want.Score()) {
 					t.Fatalf("regime %d seed %d step %d: Apply %+v, oracle %+v", regime, seed, step, got, want)
 				}
-				checkStages("Apply", terms(ev.next), want.Stages)
+				checkTerms("Apply", ev.next, want.Stages)
 				if r.Bernoulli(0.5) {
 					ev.Commit()
 					m = nm

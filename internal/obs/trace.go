@@ -320,6 +320,20 @@ func Detach(ctx context.Context) context.Context {
 	return withScope(context.Background(), sc)
 }
 
+// Untraced returns a context that keeps ctx's stage observer but not
+// its trace: stages reported under it reach the observer, and so the
+// metrics, but record no span. Work that reports stages once per item
+// of a loop the request sizes (a remap search per crash of every
+// replication) runs under it, so the request's trace stays bounded.
+func Untraced(ctx context.Context) context.Context {
+	sc := scopeFrom(ctx)
+	if sc.at == nil {
+		return ctx
+	}
+	sc.at, sc.spanID = nil, ""
+	return withScope(ctx, sc)
+}
+
 // NewTraceID returns a fresh 128-bit hex trace ID. The random bytes and
 // their hex digits live on the stack, so the returned string is its one
 // allocation.

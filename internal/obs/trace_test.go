@@ -207,6 +207,36 @@ func TestStageObserverAndSpan(t *testing.T) {
 	}
 }
 
+func TestUntracedKeepsObserverDropsSpans(t *testing.T) {
+	rec := NewRecorder(4)
+	var mu sync.Mutex
+	var seen []string
+	ctx := WithStageObserver(context.Background(), func(e StageEvent) {
+		mu.Lock()
+		seen = append(seen, e.Name)
+		mu.Unlock()
+	})
+	ctx, root := rec.StartTrace(ctx, "req")
+	Stage(Untraced(ctx), "search.anneal", time.Now(), 1, nil)
+	Stage(ctx, "adapt.batch", time.Now(), 1, nil)
+	root.End()
+	mu.Lock()
+	defer mu.Unlock()
+	if len(seen) != 2 || seen[0] != "search.anneal" || seen[1] != "adapt.batch" {
+		t.Errorf("observer saw %v, want [search.anneal adapt.batch]", seen)
+	}
+	tr, _ := rec.Find(TraceIDFrom(ctx))
+	if len(tr.Spans) != 2 || tr.Spans[0].Name != "adapt.batch" {
+		t.Errorf("trace spans %+v, want adapt.batch and the root only", tr.Spans)
+	}
+	if TraceIDFrom(Untraced(ctx)) != "" {
+		t.Error("Untraced context still carries the trace")
+	}
+	if bg := context.Background(); Untraced(bg) != bg {
+		t.Error("Untraced of an untraced context should return it unchanged")
+	}
+}
+
 func TestWithStageObserverNilFn(t *testing.T) {
 	ctx := context.Background()
 	if got := WithStageObserver(ctx, nil); got != ctx {

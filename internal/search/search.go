@@ -180,10 +180,16 @@ type restartOut struct {
 	cost     float64
 	iters    int
 	accepted int
-	// deltaEvals/fullEvals count incremental vs full evaluations; they
-	// feed the search.anneal stage attributes, never the result.
-	deltaEvals int
-	fullEvals  int
+	// deltaEvals/fullEvals count incremental vs full evaluations,
+	// factorHits/factorMisses the evaluator's replica-factor cache, and
+	// metropolisSkips the worsening moves the Metropolis shortcut
+	// rejected; they feed the search.anneal stage attributes, never the
+	// result.
+	deltaEvals      int
+	fullEvals       int
+	factorHits      int
+	factorMisses    int
+	metropolisSkips int
 }
 
 // run drives the shared pipeline: validate, seed, portfolio, reduce.
@@ -231,21 +237,28 @@ func run(c chain.Chain, pl platform.Platform, opts Options, obj objective) (Resu
 	// Deterministic best-of reduce: highest score wins, ties go to the
 	// lowest restart index (par.Map returns results in index order).
 	best := outs[0]
-	var iters, accepted, deltaEvals, fullEvals int64
+	var iters, accepted int64
+	var sum restartOut // counters only
 	for i, o := range outs {
 		iters += int64(o.iters)
 		accepted += int64(o.accepted)
-		deltaEvals += int64(o.deltaEvals)
-		fullEvals += int64(o.fullEvals)
+		sum.deltaEvals += o.deltaEvals
+		sum.fullEvals += o.fullEvals
+		sum.factorHits += o.factorHits
+		sum.factorMisses += o.factorMisses
+		sum.metropolisSkips += o.metropolisSkips
 		if i > 0 && o.score > best.score {
 			best = o
 		}
 	}
 	obs.Stage(opts.Context, "search.anneal", annealStart, iters, map[string]string{
-		"restarts":   strconv.Itoa(opts.Restarts),
-		"accepted":   strconv.FormatInt(accepted, 10),
-		"deltaEvals": strconv.FormatInt(deltaEvals, 10),
-		"fullEvals":  strconv.FormatInt(fullEvals, 10),
+		"restarts":        strconv.Itoa(opts.Restarts),
+		"accepted":        strconv.FormatInt(accepted, 10),
+		"deltaEvals":      strconv.Itoa(sum.deltaEvals),
+		"fullEvals":       strconv.Itoa(sum.fullEvals),
+		"factorHits":      strconv.Itoa(sum.factorHits),
+		"factorMisses":    strconv.Itoa(sum.factorMisses),
+		"metropolisSkips": strconv.Itoa(sum.metropolisSkips),
 	})
 
 	// Re-evaluate through the validating path: the engine's own
@@ -262,7 +275,7 @@ func run(c chain.Chain, pl platform.Platform, opts Options, obj objective) (Resu
 			SeedScore: seedScore, BestScore: best.score,
 		},
 	}
-	return res, prob.feasible(ev), nil
+	return res, prob.feasible(ev.Score()), nil
 }
 
 // problem bundles the immutable inputs of one run.
@@ -289,10 +302,10 @@ func (p problem) minLogRel() float64 {
 	return p.opts.MinLogRel
 }
 
-// violation measures how far an evaluation is from feasibility (0 when
-// feasible). Terms are normalized so one violated constraint cannot
-// drown out progress on another.
-func (p problem) violation(ev mapping.Eval) float64 {
+// violation measures how far a mapping's score aggregates are from
+// feasibility (0 when feasible). Terms are normalized so one violated
+// constraint cannot drown out progress on another.
+func (p problem) violation(ev mapping.Score) float64 {
 	v := 0.0
 	if p.obj != minPeriod && p.opts.Period > 0 && ev.WorstPeriod > p.opts.Period {
 		v += (ev.WorstPeriod - p.opts.Period) / p.opts.Period
@@ -306,7 +319,7 @@ func (p problem) violation(ev mapping.Eval) float64 {
 	return v
 }
 
-func (p problem) feasible(ev mapping.Eval) bool { return p.violation(ev) == 0 }
+func (p problem) feasible(ev mapping.Score) bool { return p.violation(ev) == 0 }
 
 // infeasiblePenalty separates every infeasible score from every
 // feasible one: feasible scores are -WorstPeriod, -cost or LogRel, all
@@ -317,11 +330,12 @@ func (p problem) feasible(ev mapping.Eval) bool { return p.violation(ev) == 0 }
 // violations down to ~1e-9 relative.
 const infeasiblePenalty = -1e9
 
-// score maps an evaluation to the scalar the annealer maximizes.
+// score maps a mapping's score aggregates to the scalar the annealer
+// maximizes.
 // Infeasible states score infeasiblePenalty·(1+violation): always
 // below any realistic feasible score, and monotonically decreasing in
 // the violation so the annealer can descend toward feasibility.
-func (p problem) score(ev mapping.Eval, cost float64) float64 {
+func (p problem) score(ev mapping.Score, cost float64) float64 {
 	if v := p.violation(ev); v > 0 {
 		return infeasiblePenalty * (1 + v)
 	}
@@ -418,14 +432,11 @@ func (p problem) seedPool(keep int) ([]seedCandidate, cellTally) {
 	if w := p.opts.warm; w != nil {
 		// The warm mapping leads the pool unconditionally (not merged
 		// by score): it is the mapping that was running before a
-		// failure, the state to refine first. Scoring goes through the
-		// incremental evaluator's full pass — bit-identical to
-		// EvaluateUnchecked, and it keeps the seed path on the same
-		// code the anneal loop trusts.
-		ev := mapping.NewEvaluator(p.c, p.pl, p.links)
+		// failure, the state to refine first. One full pass scores it:
+		// an Evaluator's factor cache would not pay for one mapping.
 		pool = append([]seedCandidate{{
 			st:    newState(p.pl, w.Parts.Clone(), cloneProcs(w.Procs)),
-			score: p.score(ev.Init(*w), p.cost(w.Procs)),
+			score: p.score(mapping.EvaluateUnchecked(p.c, p.pl, *w).Score(), p.cost(w.Procs)),
 		}}, pool...)
 	}
 	if len(pool) > keep {
@@ -486,7 +497,7 @@ func (p problem) candidates(maxM int, heurPeriod float64) (*heur.Gen, []seedCand
 		if p.obj == minCost {
 			cost = sl.seed.Cost(p.opts.Costs)
 		}
-		ev := mapping.Eval{WorstPeriod: sl.seed.WorstPeriod, WorstLatency: sl.seed.WorstLatency, LogRel: sl.seed.LogRel}
+		ev := mapping.Score{WorstPeriod: sl.seed.WorstPeriod, WorstLatency: sl.seed.WorstLatency, LogRel: sl.seed.LogRel}
 		sl.score = p.score(ev, cost)
 		pool = append(pool, sl.seedCandidate)
 	}
@@ -530,7 +541,7 @@ func (p problem) restart(r int, seeds []seedCandidate) (restartOut, error) {
 	var eval *mapping.Evaluator
 	var curScore float64
 	if p.opts.referenceEval {
-		curScore = p.score(mapping.EvaluateUnchecked(p.c, p.pl, cur.mapping()), curCost)
+		curScore = p.score(mapping.EvaluateUnchecked(p.c, p.pl, cur.mapping()).Score(), curCost)
 		out.fullEvals++
 	} else {
 		eval = mapping.NewEvaluator(p.c, p.pl, p.links)
@@ -565,11 +576,26 @@ func (p problem) restart(r int, seeds []seedCandidate) (restartOut, error) {
 			nextScore = p.score(eval.Apply(next.mapping(), touched), nextCost)
 			out.deltaEvals++
 		} else {
-			nextScore = p.score(mapping.EvaluateUnchecked(p.c, p.pl, next.mapping()), nextCost)
+			nextScore = p.score(mapping.EvaluateUnchecked(p.c, p.pl, next.mapping()).Score(), nextCost)
 			out.fullEvals++
 		}
 		delta := nextScore - curScore
-		if delta >= 0 || rand.Float64() < math.Exp(delta/temperature(t0, it, budget)) {
+		accept := delta >= 0
+		if !accept {
+			u := rand.Float64()
+			if eval == nil {
+				// The reference path keeps the plain test, so the
+				// metamorphic suite also checks the shortcut.
+				accept = u < math.Exp(delta/temperature(t0, it, budget))
+			} else {
+				var skipped bool
+				accept, skipped = metropolis(u, delta, t0, it, budget)
+				if skipped {
+					out.metropolisSkips++
+				}
+			}
+		}
+		if accept {
 			if eval != nil {
 				eval.Commit()
 			}
@@ -585,6 +611,9 @@ func (p problem) restart(r int, seeds []seedCandidate) (restartOut, error) {
 		} else if stall++; stall > patience {
 			break
 		}
+	}
+	if eval != nil {
+		out.factorHits, out.factorMisses = eval.FactorCounts()
 	}
 	out.score = bestScore
 	out.m = best.mapping()
@@ -605,6 +634,37 @@ func scoreMagnitude(score float64) float64 {
 // temperature is the geometric cooling schedule.
 func temperature(t0 float64, it, budget int) float64 {
 	return t0 * math.Pow(1e-3, float64(it)/float64(budget))
+}
+
+// metropolisCutoff bounds the exponent below which no draw can pass the
+// Metropolis test: Exp(−40) ≈ 4.2e-18 < 2⁻⁵³.
+const metropolisCutoff = -40
+
+// metropolis is the annealer's acceptance test of a worsening move,
+// u < Exp(delta/temperature(t0, it, budget)), for a draw u of
+// rng.Float64 and 0 ≤ it < budget. When u != 0 and
+// delta/t0 < metropolisCutoff it rejects without evaluating the
+// temperature's Pow or the Exp (skipped is then true), and the answer
+// is still exactly the plain test's:
+//
+//   - The cooling factor P = Pow(1e-3, it/budget) lies in (0, 1], and
+//     rounding is monotone, so the temperature T = fl(t0·P) lies
+//     between 0 and t0. Dividing delta by the smaller magnitude only
+//     moves the quotient away from zero, so
+//     fl(delta/T) ≤ fl(delta/t0) < −40. (A T that underflows to zero
+//     keeps t0's sign, and the quotient is then −Inf.)
+//   - Exp(x) for x < −40 is below Exp(−40) ≈ 4.2e-18, within an ulp on
+//     every architecture, hence below 2⁻⁵³ ≈ 1.1e-16. rng.Float64
+//     returns multiples of 2⁻⁵³, so a nonzero u is at least 2⁻⁵³ and
+//     u < Exp(delta/T) is false.
+//   - A NaN or +Inf quotient fails the shortcut's test and falls
+//     through to the plain test; so does u = 0, for which 0 < Exp(x)
+//     may hold.
+func metropolis(u, delta, t0 float64, it, budget int) (accept, skipped bool) {
+	if u != 0 && delta/t0 < metropolisCutoff {
+		return false, true
+	}
+	return u < math.Exp(delta/temperature(t0, it, budget)), false
 }
 
 // state is one point of the search space: a partition with its replica

@@ -329,9 +329,9 @@ func TestFrontierApproximation(t *testing.T) {
 // outrank every infeasible one.
 func TestInfeasibleScoreGradient(t *testing.T) {
 	p := problem{opts: Options{Period: 10, Latency: 100}, obj: maxReliability}
-	small := mapping.Eval{WorstPeriod: 10.1, WorstLatency: 50, LogRel: -1}  // violation 0.01
-	large := mapping.Eval{WorstPeriod: 20, WorstLatency: 50, LogRel: -1}    // violation 1
-	feasible := mapping.Eval{WorstPeriod: 5, WorstLatency: 50, LogRel: -50} // poor but feasible
+	small := mapping.Score{WorstPeriod: 10.1, WorstLatency: 50, LogRel: -1}  // violation 0.01
+	large := mapping.Score{WorstPeriod: 20, WorstLatency: 50, LogRel: -1}    // violation 1
+	feasible := mapping.Score{WorstPeriod: 5, WorstLatency: 50, LogRel: -50} // poor but feasible
 	if !(p.score(small, 0) > p.score(large, 0)) {
 		t.Fatalf("violation gradient flattened: %g !> %g", p.score(small, 0), p.score(large, 0))
 	}

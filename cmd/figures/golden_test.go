@@ -5,34 +5,14 @@ package main
 // parallelism 1 and 8.
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/debug"
 	"sort"
 	"testing"
 
 	"relpipe/internal/expfig"
+	"relpipe/internal/golden"
 )
-
-// skipOffGoldenArch skips where the digests cannot hold: Go may fuse
-// multiply-adds on arm64, ppc64le, s390x and on amd64 with GOAMD64=v3
-// or above, which moves float bits.
-func skipOffGoldenArch(t *testing.T) {
-	level := "v1"
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "GOAMD64" {
-				level = s.Value
-			}
-		}
-	}
-	if runtime.GOARCH != "amd64" || (level != "v1" && level != "v2") {
-		t.Skipf("digests hold on amd64 without FMA fusion (GOAMD64 v1/v2); this build is %s/%s", runtime.GOARCH, level)
-	}
-}
 
 // figuresGolden holds the SHA-256 of every file `figures -instances 10
 // -step 2 -seed 1 -extra` writes. A digest changes only when a change
@@ -95,8 +75,7 @@ func figureDigests(t *testing.T, cfg expfig.Config) map[string]string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum := sha256.Sum256(b)
-		sums[e.Name()] = hex.EncodeToString(sum[:])
+		sums[e.Name()] = golden.Sum(b)
 	}
 	return sums
 }
@@ -105,7 +84,7 @@ func TestFiguresGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("computes every figure twice")
 	}
-	skipOffGoldenArch(t)
+	golden.SkipOffArch(t)
 	seq := figureDigests(t, expfig.Config{Instances: 10, Step: 2, Seed: 1, Parallelism: 1})
 	par := figureDigests(t, expfig.Config{Instances: 10, Step: 2, Seed: 1, Parallelism: 8})
 	names := make([]string, 0, len(seq))
@@ -117,9 +96,7 @@ func TestFiguresGolden(t *testing.T) {
 		if par[name] != seq[name] {
 			t.Errorf("%s: digest %s at parallelism 8, %s at 1", name, par[name], seq[name])
 		}
-		if want := figuresGolden[name]; seq[name] != want {
-			t.Errorf("%s: digest %s, golden %s", name, seq[name], want)
-		}
+		golden.Check(t, name, seq[name], figuresGolden[name])
 	}
 	if len(seq) != len(par) || len(seq) != len(figuresGolden) {
 		t.Errorf("%d files at parallelism 1, %d at 8, %d golden", len(seq), len(par), len(figuresGolden))

@@ -1,68 +1,321 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"relpipe"
+	"relpipe/internal/golden"
 )
 
-func writeInstance(t *testing.T, dir string) string {
+// runCLI runs relpipe in-process and returns its exit status, stdout
+// and stderr.
+func runCLI(args ...string) (int, string, string) {
+	var out, errb bytes.Buffer
+	code := run(args, &out, &errb)
+	return code, out.String(), errb.String()
+}
+
+// writeJSONFile marshals v into dir/name and returns the path.
+func writeJSONFile(t *testing.T, dir, name string, v any) string {
 	t.Helper()
-	in := relpipe.Instance{
-		Chain:    relpipe.RandomChain(3, 8, 1, 100, 1, 10),
-		Platform: relpipe.HomogeneousPlatform(6, 1, 1e-8, 1, 1e-5, 3),
-	}
-	b, err := json.Marshal(in)
+	b, err := json.Marshal(v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "inst.json")
+	path := filepath.Join(dir, name)
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
 }
 
+// writeInstance writes a seeded 8-task instance on 6 homogeneous
+// processors to dir and returns its path.
+func writeInstance(t *testing.T, dir string, seed uint64) string {
+	t.Helper()
+	return writeJSONFile(t, dir, "inst.json", relpipe.Instance{
+		Chain:    relpipe.RandomChain(seed, 8, 1, 100, 1, 10),
+		Platform: relpipe.HomogeneousPlatform(6, 1, 1e-8, 1, 1e-5, 3),
+	})
+}
+
+// readJSONFile decodes the JSON file at path into v.
+func readJSONFile(t *testing.T, path string, v any) {
+	t.Helper()
+	if err := readJSON(path, v); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// cliGolden is the table of TestCLIGolden. Each case runs in one shared
+// directory, in order, and names its files relative to it. stdout and
+// file are the SHA-256 of the output and of the -o/-csv file out. They
+// were recorded with the seven commands that relpipe's subcommands
+// replaced: relpipe for optimize, evaluate and generate, and one binary
+// each for the others. want lists substrings that the file (or stdout
+// without a file) holds in this order, and absent one it must not hold.
+var cliGolden = []struct {
+	name     string
+	args     []string
+	parallel bool // also takes -parallel; the digests hold at 1 and 8
+	out      string
+	stdout   string
+	file     string
+	want     []string
+	absent   string
+}{
+	{name: "generate-hom", out: "hom.json",
+		args:   []string{"generate", "-tasks", "10", "-procs", "6", "-seed", "3", "-o", "hom.json"},
+		stdout: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+		file:   "08f7cb0da85d88a1e12f858fd38db42f3f09c93433b2c66d6e607ccf8203d4ef"},
+	{name: "generate-het", out: "het.json",
+		args:   []string{"generate", "-tasks", "40", "-procs", "12", "-seed", "5", "-het", "-o", "het.json"},
+		stdout: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+		file:   "eafc6f1d03a16a5da1187cc95ba36b5ce77e0e81e657dd336e9b1b7675aa17be"},
+	{name: "optimize-exact", parallel: true, out: "exact.json",
+		args:   []string{"optimize", "-instance", "hom.json", "-period", "200", "-latency", "800", "-method", "exact", "-o", "exact.json"},
+		stdout: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+		file:   "1c41d202a15bfc8b59d0d439c1143308dddbb078677f5980745ff4bc1efb0f4f"},
+	{name: "optimize-heuristic", parallel: true,
+		args:   []string{"optimize", "-instance", "het.json", "-period", "12", "-method", "heuristic", "-restarts", "3", "-budget", "400", "-search-seed", "7"},
+		stdout: "006dfc3fd732eadac1e164d3e0ed6f8891a2376a912a21c25ff6e444d6b26935"},
+	{name: "evaluate",
+		args:   []string{"evaluate", "-instance", "hom.json", "-solution", "exact.json"},
+		stdout: "3d41780c5ea976e136ec0495fe4dcbdb7ddc79d6185e6cf953807fc672fe7fdb"},
+	{name: "simulate-reps1", parallel: true,
+		args:   []string{"simulate", "-instance", "hom.json", "-period", "200", "-latency", "800", "-datasets", "2000", "-scale", "100", "-seed", "2"},
+		stdout: "29b4e793cdb6d9f9bdca0f3ab98434bd2af5e05091c8d7be6daab60ae599e457"},
+	{name: "simulate-reps4", parallel: true,
+		args:   []string{"simulate", "-instance", "hom.json", "-period", "200", "-latency", "800", "-datasets", "500", "-scale", "100", "-reps", "4"},
+		stdout: "a31355c701c4494675bf4dcccb592bb85a33fec9e60739a0f4fcae299c3a5328"},
+	{name: "adapt-all", parallel: true,
+		args:   []string{"adapt", "-instance", "hom.json", "-period", "200", "-latency", "800", "-lifescale", "3e4", "-replications", "8"},
+		stdout: "5cf29164eedea2a18e48822a8bbfd1fb55ebcbbdee8245497b69d3dda2238ebf",
+		want:   []string{"static mapping", "policy", "missionRel", "\nremap", "\nspares", "\ngreedy", "\nnone"}},
+	{name: "adapt-trace", parallel: true,
+		args:   []string{"adapt", "-instance", "hom.json", "-policy", "greedy", "-lifescale", "1e5", "-replications", "3", "-seed", "4", "-trace"},
+		stdout: "e60fad2cca1d8f1cf56bb153be4db07e5d0d11fd67166c01de2b7281b6e88a96",
+		want:   []string{"\ngreedy", "trace (greedy"}, absent: "remap"},
+	{name: "frontier-auto", parallel: true, out: "front.csv",
+		args:   []string{"frontier", "-instance", "hom.json", "-floor", "0.999", "-csv", "front.csv"},
+		stdout: "99b766ec64f461ab27eeafe3a73d61ea8b7563224e47a6cf4a17ff5745862985",
+		file:   "0db252debbab7021fb2b557ef34956f5f1db1ddff9ff35d21e315ecc9e0cb507",
+		want:   []string{"period,latency,failProb", "\n", "\n"}},
+	{name: "frontier-heuristic", parallel: true,
+		args:   []string{"frontier", "-instance", "het.json", "-method", "heuristic", "-restarts", "2", "-budget", "300"},
+		stdout: "d0afcc0c1199b3300b37f01346a90d98f10384102af25fd3bee349e1090e9913",
+		want:   []string{"Pareto-optimal trade-offs (method heuristic)", "period/latency staircase"}},
+	{name: "report", out: "report.md",
+		args:   []string{"report", "-instance", "hom.json", "-period", "200", "-latency", "800", "-method", "exact", "-simulate", "1000", "-o", "report.md"},
+		stdout: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+		file:   "6ab8243f47fb26081f06074c211fc7aa33eba003207c498425b2ac0e04345e84",
+		want:   []string{"# Dependability report", "Monte-Carlo"}},
+}
+
+// TestCLIGolden pins every subcommand that computes an answer byte for
+// byte, at -parallel 1 and 8 where it takes one.
+func TestCLIGolden(t *testing.T) {
+	golden.SkipOffArch(t)
+	t.Chdir(t.TempDir())
+	for _, c := range cliGolden {
+		pars := []string{""}
+		if c.parallel {
+			pars = []string{"1", "8"}
+		}
+		for _, p := range pars {
+			args := c.args
+			if p != "" {
+				args = append(args[:len(args):len(args)], "-parallel", p)
+			}
+			code, stdout, stderr := runCLI(args...)
+			if code != 0 {
+				t.Fatalf("%s -parallel %q: exit %d: %s", c.name, p, code, stderr)
+			}
+			golden.Check(t, c.name+" -parallel "+p+" stdout", golden.Sum([]byte(stdout)), c.stdout)
+			text := stdout
+			if c.out != "" {
+				b, err := os.ReadFile(c.out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				golden.Check(t, c.name+" -parallel "+p+" "+c.out, golden.Sum(b), c.file)
+				text = string(b)
+			}
+			for _, w := range c.want {
+				i := strings.Index(text, w)
+				if i < 0 {
+					t.Fatalf("%s: output lacks %q (in order):\n%s", c.name, w, text)
+				}
+				text = text[i+len(w):]
+			}
+			if c.absent != "" && strings.Contains(stdout, c.absent) {
+				t.Errorf("%s: output holds %q:\n%s", c.name, c.absent, stdout)
+			}
+		}
+	}
+}
+
+// TestLoadInstanceValidates runs every subcommand that reads an
+// instance on files it must reject: the error names the file where it
+// does not decode, and an invalid instance fails before anything else
+// is read or solved. Each invocation also carries a flag or file that
+// would fail later, so the instance's error must come first.
+func TestLoadInstanceValidates(t *testing.T) {
+	dir := t.TempDir()
+	sol := filepath.Join(dir, "sol.json")
+	if err := os.WriteFile(sol, []byte("[]"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{
+		"malformed": "{notjson",
+		"negative":  `{"chain":[{"work":1,"out":0}],"platform":{"procs":[{"speed":1,"failRate":-1}],"bandwidth":1,"linkFailRate":0,"maxReplicas":1}}`,
+		"chainless": `{"platform":{"procs":[{"speed":1,"failRate":0}],"bandwidth":1,"linkFailRate":0,"maxReplicas":1}}`,
+	}
+	want := map[string]string{"malformed": "invalid character", "negative": "negative failure rate", "chainless": "chain: empty chain"}
+	for name, doc := range files {
+		path := filepath.Join(dir, name+".json")
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, args := range [][]string{
+			{"optimize", "-method", "bogus"}, {"evaluate", "-solution", sol},
+			{"simulate", "-scale", "-1", "-method", "bogus"}, {"adapt", "-policy", "bogus"},
+			{"frontier", "-method", "bogus"}, {"report", "-method", "bogus"},
+		} {
+			code, stdout, stderr := runCLI(append(args, "-instance", path)...)
+			if code != 1 || stdout != "" || !strings.Contains(stderr, want[name]) {
+				t.Errorf("%s on %s: exit %d, stdout %q, stderr %q", args[0], name, code, stdout, stderr)
+			}
+			if name != "chainless" && !strings.Contains(stderr, path+": ") {
+				t.Errorf("%s on %s: error does not name the file: %s", args[0], name, stderr)
+			}
+		}
+	}
+}
+
+// TestSubcommandErrors: every malformed or failing invocation exits
+// non-zero.
+func TestSubcommandErrors(t *testing.T) {
+	dir := t.TempDir()
+	inst := writeInstance(t, dir, 3)
+	bad := filepath.Join(dir, "bad.json")
+	if err := os.WriteFile(bad, []byte("{notjson"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	url, _ := startService(t)
+	missing := filepath.Join(dir, "nope.json")
+	for _, c := range []struct {
+		code int
+		args []string
+	}{
+		{2, nil}, {2, []string{"bogus"}}, {2, []string{"optimize", "-nosuchflag"}},
+		{1, []string{"optimize", "-period", "10"}},
+		{1, []string{"optimize", "-instance", missing}},
+		{1, []string{"optimize", "-instance", inst, "-method", "bogus"}},
+		{1, []string{"optimize", "-instance", inst, "-period", "0.001"}},
+		{1, []string{"evaluate", "-instance", inst}},
+		{1, []string{"evaluate", "-instance", inst, "-solution", bad}},
+		{1, []string{"simulate", "-datasets", "100"}},
+		{1, []string{"simulate", "-instance", missing}},
+		{1, []string{"simulate", "-instance", inst, "-method", "bogus"}},
+		{1, []string{"simulate", "-instance", inst, "-period", "0.001"}},
+		{1, []string{"adapt", "-replications", "4"}},
+		{1, []string{"adapt", "-instance", inst, "-policy", "bogus"}},
+		{1, []string{"adapt", "-instance", inst, "-method", "bogus"}},
+		{1, []string{"adapt", "-instance", inst, "-horizon", "-5"}},
+		{1, []string{"frontier"}},
+		{1, []string{"frontier", "-instance", missing}},
+		{1, []string{"frontier", "-instance", inst, "-method", "nope"}},
+		{1, []string{"report"}},
+		{1, []string{"report", "-instance", inst, "-method", "bogus"}},
+		{1, []string{"jobs", "bogus"}},
+		{1, []string{"jobs", "submit"}},
+		{1, []string{"jobs", "status"}},
+		{1, []string{"fleet", "-addr", url, "status", "missing"}},
+		{1, []string{"fleet", "-addr", url, "feed", "x"}},
+		{1, []string{"fleet", "-addr", url, "bogus"}},
+		{1, []string{"fleet", "-addr", url, "register"}},
+	} {
+		if code, _, stderr := runCLI(c.args...); code != c.code {
+			t.Errorf("relpipe %q: exit %d, want %d: %s", c.args, code, c.code, stderr)
+		}
+	}
+}
+
+// TestOutputWriteErrors: a failed write of an -o or -csv file exits 1.
+func TestOutputWriteErrors(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full")
+	}
+	inst := writeInstance(t, t.TempDir(), 11)
+	for _, args := range [][]string{
+		{"report", "-instance", inst, "-o", "/dev/full"},
+		{"optimize", "-instance", inst, "-o", "/dev/full"},
+		{"generate", "-o", "/dev/full"},
+		{"frontier", "-instance", inst, "-csv", "/dev/full"},
+	} {
+		if code, _, stderr := runCLI(args...); code != 1 || !strings.Contains(stderr, "no space left") {
+			t.Errorf("relpipe %q: exit %d: %s", args, code, stderr)
+		}
+	}
+}
+
+// TestSeedZeroAliasesDefaultSeed pins the repository-wide seed
+// convention at the command line: -seed 0 and the default -seed 1
+// print identical results, for simulate single-run and batched, and
+// for adapt.
+func TestSeedZeroAliasesDefaultSeed(t *testing.T) {
+	inst := writeInstance(t, t.TempDir(), 5)
+	for _, args := range [][]string{
+		{"simulate", "-period", "200", "-datasets", "500", "-scale", "1e5", "-reps", "1", "-parallel", "1"},
+		{"simulate", "-period", "200", "-datasets", "500", "-scale", "1e5", "-reps", "4", "-parallel", "1"},
+		{"adapt", "-policy", "spares", "-horizon", "500", "-replications", "4", "-lifescale", "1e5", "-restarts", "1", "-budget", "100"},
+	} {
+		var outs [2]string
+		for i, seed := range []string{"0", "1"} {
+			code, stdout, stderr := runCLI(append(args, "-instance", inst, "-seed", seed)...)
+			if code != 0 {
+				t.Fatalf("%q: exit %d: %s", args, code, stderr)
+			}
+			// adapt's header echoes the seed; compare from its table on.
+			outs[i] = stdout
+			if args[0] == "adapt" {
+				outs[i] = stdout[strings.Index(stdout, "policy"):]
+			}
+		}
+		if outs[0] != outs[1] {
+			t.Errorf("%q: -seed 0 prints\n%s\n-seed 1 prints\n%s", args, outs[0], outs[1])
+		}
+	}
+}
+
 func TestCmdGenerateAndOptimizeAndEvaluate(t *testing.T) {
 	dir := t.TempDir()
 	instPath := filepath.Join(dir, "gen.json")
-	if err := cmdGenerate([]string{"-tasks", "8", "-procs", "6", "-seed", "2", "-o", instPath}); err != nil {
-		t.Fatal(err)
+	solPath := filepath.Join(dir, "sol.json")
+	for _, args := range [][]string{
+		{"generate", "-tasks", "8", "-procs", "6", "-seed", "2", "-o", instPath},
+		{"optimize", "-instance", instPath, "-period", "200", "-latency", "700", "-method", "exact", "-o", solPath},
+		{"evaluate", "-instance", instPath, "-solution", solPath},
+	} {
+		if code, _, stderr := runCLI(args...); code != 0 {
+			t.Fatalf("%s: exit %d: %s", args[0], code, stderr)
+		}
 	}
 	var in relpipe.Instance
-	b, err := os.ReadFile(instPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(b, &in); err != nil {
-		t.Fatal(err)
-	}
+	readJSONFile(t, instPath, &in)
 	if len(in.Chain) != 8 || in.Platform.P() != 6 {
 		t.Fatalf("generated %d tasks / %d procs", len(in.Chain), in.Platform.P())
 	}
-
-	solPath := filepath.Join(dir, "sol.json")
-	err = cmdOptimize([]string{"-instance", instPath, "-period", "200", "-latency", "700", "-method", "exact", "-o", solPath})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var sol relpipe.Solution
-	b, err = os.ReadFile(solPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(b, &sol); err != nil {
-		t.Fatal(err)
-	}
+	readJSONFile(t, solPath, &sol)
 	if sol.Method != "exact" || len(sol.Mapping.Parts) == 0 {
 		t.Fatalf("solution = %+v", sol)
-	}
-
-	if err := cmdEvaluate([]string{"-instance", instPath, "-solution", solPath}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -73,91 +326,35 @@ func TestCmdGenerateAndOptimizeAndEvaluate(t *testing.T) {
 func TestCmdOptimizeHeuristic500Stages(t *testing.T) {
 	dir := t.TempDir()
 	instPath := filepath.Join(dir, "big.json")
-	if err := cmdGenerate([]string{"-tasks", "500", "-procs", "60", "-het", "-seed", "42", "-o", instPath}); err != nil {
-		t.Fatal(err)
-	}
 	solPath := filepath.Join(dir, "big-sol.json")
-	err := cmdOptimize([]string{"-instance", instPath, "-method", "heuristic", "-o", solPath})
-	if err != nil {
-		t.Fatal(err)
+	for _, args := range [][]string{
+		{"generate", "-tasks", "500", "-procs", "60", "-het", "-seed", "42", "-o", instPath},
+		{"optimize", "-instance", instPath, "-method", "heuristic", "-o", solPath},
+	} {
+		if code, _, stderr := runCLI(args...); code != 0 {
+			t.Fatalf("%s: exit %d: %s", args[0], code, stderr)
+		}
 	}
 	var sol relpipe.Solution
-	b, err := os.ReadFile(solPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(b, &sol); err != nil {
-		t.Fatal(err)
-	}
+	readJSONFile(t, solPath, &sol)
 	if sol.Method != "heuristic" || len(sol.Mapping.Parts) == 0 {
 		t.Fatalf("solution = method %q, %d intervals", sol.Method, len(sol.Mapping.Parts))
 	}
 	var in relpipe.Instance
-	b, _ = os.ReadFile(instPath)
-	if err := json.Unmarshal(b, &in); err != nil {
-		t.Fatal(err)
-	}
+	readJSONFile(t, instPath, &in)
 	if err := sol.Mapping.Validate(in.Chain, in.Platform); err != nil {
 		t.Fatalf("500-stage mapping invalid: %v", err)
 	}
 }
 
 func TestCmdGenerateHeterogeneous(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "het.json")
-	if err := cmdGenerate([]string{"-het", "-seed", "4", "-o", path}); err != nil {
-		t.Fatal(err)
+	path := filepath.Join(t.TempDir(), "het.json")
+	if code, _, stderr := runCLI("generate", "-het", "-seed", "4", "-o", path); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
 	}
 	var in relpipe.Instance
-	b, _ := os.ReadFile(path)
-	if err := json.Unmarshal(b, &in); err != nil {
-		t.Fatal(err)
-	}
+	readJSONFile(t, path, &in)
 	if in.Platform.Homogeneous() {
 		t.Fatal("-het produced a homogeneous platform")
-	}
-}
-
-func TestCmdOptimizeErrors(t *testing.T) {
-	dir := t.TempDir()
-	if err := cmdOptimize([]string{"-period", "10"}); err == nil {
-		t.Fatal("missing -instance accepted")
-	}
-	if err := cmdOptimize([]string{"-instance", filepath.Join(dir, "nope.json")}); err == nil {
-		t.Fatal("missing file accepted")
-	}
-	instPath := writeInstance(t, dir)
-	if err := cmdOptimize([]string{"-instance", instPath, "-method", "bogus"}); err == nil {
-		t.Fatal("bogus method accepted")
-	}
-	// Infeasible bounds surface as an error.
-	if err := cmdOptimize([]string{"-instance", instPath, "-period", "0.001"}); err == nil {
-		t.Fatal("infeasible bounds accepted")
-	}
-}
-
-func TestCmdEvaluateErrors(t *testing.T) {
-	dir := t.TempDir()
-	instPath := writeInstance(t, dir)
-	if err := cmdEvaluate([]string{"-instance", instPath}); err == nil {
-		t.Fatal("missing -solution accepted")
-	}
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte("{notjson"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := cmdEvaluate([]string{"-instance", instPath, "-solution", bad}); err == nil {
-		t.Fatal("corrupt solution accepted")
-	}
-}
-
-func TestLoadInstanceValidates(t *testing.T) {
-	dir := t.TempDir()
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte(`{"chain":[],"platform":{"procs":[{"speed":1,"failRate":0}],"bandwidth":1,"linkFailRate":0,"maxReplicas":1}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadInstance(bad); err == nil {
-		t.Fatal("empty chain accepted")
 	}
 }

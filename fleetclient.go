@@ -12,7 +12,7 @@ import (
 // FleetClient is a minimal Go client for the service's fleet API
 // (POST/GET/DELETE /v1/fleet/deployments, see API.md). The zero value
 // is not usable; set BaseURL (e.g. "http://localhost:8080"). It exists
-// so programs — cmd/fleet among them — register deployments, feed
+// so programs — relpipe fleet among them — register deployments, feed
 // telemetry and watch the controller's decision stream with the same
 // DTOs the server uses.
 type FleetClient struct {

@@ -5,33 +5,14 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"runtime"
-	"runtime/debug"
 	"testing"
 
 	"relpipe/internal/chain"
+	"relpipe/internal/golden"
 	"relpipe/internal/platform"
 	"relpipe/internal/rng"
 	"relpipe/internal/search"
 )
-
-// skipOffGoldenArch skips where a committed float digest cannot hold.
-// Go may fuse multiply-adds on arm64, ppc64le, s390x and on amd64 built
-// with GOAMD64=v3 or higher, which moves float bits; the digests are
-// recorded on amd64 at GOAMD64=v1 and hold there and at v2.
-func skipOffGoldenArch(t *testing.T) {
-	level := "v1"
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "GOAMD64" {
-				level = s.Value
-			}
-		}
-	}
-	if runtime.GOARCH != "amd64" || (level != "v1" && level != "v2") {
-		t.Skipf("digest holds on amd64 without FMA fusion (GOAMD64 v1/v2); this build is %s/%s", runtime.GOARCH, level)
-	}
-}
 
 // The digests below change only when a change moves answers on
 // purpose; it records the new digest and says why in its change notes.
@@ -46,7 +27,7 @@ const batchGolden = "5dcb8543d8e180ecd60f01ffdfcae783dc91de805fd99b9b40189e929d8
 // change of one bit moves the digest. The remap rows must really
 // repair, or the digest would not cover the warm-started search.
 func TestBatchGolden(t *testing.T) {
-	skipOffGoldenArch(t)
+	golden.SkipOffArch(t)
 	h := sha256.New()
 	remapRepairs := 0.0
 	for _, seed := range []uint64{21, 22, 23} {
@@ -75,9 +56,7 @@ func TestBatchGolden(t *testing.T) {
 	if remapRepairs == 0 {
 		t.Fatal("remap rows never repaired; the digest would not cover the remap search")
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != batchGolden {
-		t.Errorf("RunBatch digest = %s, want %s", got, batchGolden)
-	}
+	golden.Check(t, "RunBatch", hex.EncodeToString(h.Sum(nil)), batchGolden)
 }
 
 // repairGolden is the SHA-256 of TestRepairSweepGolden's repairs.
@@ -91,7 +70,7 @@ const repairGolden = "e4f2b326a68a752b9c6a38853e3deddd79da1aa45ffb81d59e5b487141
 // interval a survivor, so Repair warm-starts from the masked mapping;
 // the sweep must contain such runs and cold ones.
 func TestRepairSweepGolden(t *testing.T) {
-	skipOffGoldenArch(t)
+	golden.SkipOffArch(t)
 	h := sha256.New()
 	warm, cold := 0, 0
 	for seed := uint64(1); seed <= 4; seed++ {
@@ -135,9 +114,7 @@ func TestRepairSweepGolden(t *testing.T) {
 	if warm == 0 || cold == 0 {
 		t.Fatalf("sweep has %d warm-started and %d cold repairs, want both", warm, cold)
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != repairGolden {
-		t.Errorf("Repair sweep digest = %s, want %s (%d warm, %d cold)", got, repairGolden, warm, cold)
-	}
+	golden.Check(t, fmt.Sprintf("Repair sweep (%d warm, %d cold)", warm, cold), hex.EncodeToString(h.Sum(nil)), repairGolden)
 }
 
 func allAlive(p int) []bool {

@@ -2,19 +2,16 @@ package fleet
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"runtime/debug"
 	"testing"
 	"time"
 
 	"relpipe/internal/chain"
 	"relpipe/internal/clock"
+	"relpipe/internal/golden"
 	"relpipe/internal/mapping"
 	"relpipe/internal/platform"
 	"relpipe/internal/rng"
@@ -618,13 +615,11 @@ func TestDeterminism(t *testing.T) {
 	if !bytes.Contains(seq1, []byte(`"remap-adopted"`)) {
 		t.Fatal("scenario never adopted a remap — script lost its teeth")
 	}
-	if why := offGoldenArch(); why != "" {
+	if why := golden.Unpinned(); why != "" {
 		t.Log("decision-log digest not checked: " + why)
 		return
 	}
-	if sum := sha256.Sum256(seq1); hex.EncodeToString(sum[:]) != decisionLogGolden {
-		t.Fatalf("decision-log digest %x, golden %s", sum, decisionLogGolden)
-	}
+	golden.Check(t, "decision log", golden.Sum(seq1), decisionLogGolden)
 }
 
 // decisionLogGolden is the SHA-256 of runScriptedScenario's log. It
@@ -632,24 +627,6 @@ func TestDeterminism(t *testing.T) {
 // purpose; that change records the new digest and says why in its
 // change notes.
 const decisionLogGolden = "8738a7bd18b091c2be2ad28064820eec903c16f3c154cf8c8be922674cccac78"
-
-// offGoldenArch says why the digest cannot hold on this build, or ""
-// where it does: Go may fuse multiply-adds on arm64, ppc64le, s390x and
-// on amd64 with GOAMD64=v3 or above, which moves float bits.
-func offGoldenArch() string {
-	level := "v1"
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "GOAMD64" {
-				level = s.Value
-			}
-		}
-	}
-	if runtime.GOARCH != "amd64" || (level != "v1" && level != "v2") {
-		return fmt.Sprintf("it holds on amd64 without FMA fusion (GOAMD64 v1/v2); this build is %s/%s", runtime.GOARCH, level)
-	}
-	return ""
-}
 
 // TestSubscribeNotifies: decisions wake subscribers; deregistration
 // wakes them too so streams can end.

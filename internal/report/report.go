@@ -50,7 +50,24 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Generate writes the report for the instance to w.
+// errWriter keeps the first error of the writes through it and skips
+// every write after that error.
+type errWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (e *errWriter) Write(b []byte) (int, error) {
+	if e.err != nil {
+		return 0, e.err
+	}
+	n, err := e.w.Write(b)
+	e.err = err
+	return n, err
+}
+
+// Generate writes the report for the instance to w and returns the
+// first error of writing it.
 func Generate(in relpipe.Instance, opts Options, w io.Writer) error {
 	opts = opts.withDefaults()
 	if err := in.Validate(); err != nil {
@@ -61,8 +78,9 @@ func Generate(in relpipe.Instance, opts Options, w io.Writer) error {
 		return fmt.Errorf("report: optimization failed: %w", err)
 	}
 
+	ew := &errWriter{w: w}
 	p := func(format string, args ...interface{}) {
-		fmt.Fprintf(w, format, args...)
+		fmt.Fprintf(ew, format, args...)
 	}
 	p("# Dependability report\n\n")
 
@@ -180,5 +198,5 @@ func Generate(in relpipe.Instance, opts Options, w io.Writer) error {
 		p("| steady period | ≥ %.6g | %.6g |\n", ev.WorstPeriod, res.SteadyPeriod)
 		p("\n")
 	}
-	return nil
+	return ew.err
 }

@@ -9,7 +9,7 @@ import (
 
 // TestSimulateSeedZeroAliasesSeedOne pins the repo-wide seed
 // convention at the service layer: seed 0 and seed 1 are one request
-// (same behaviour as cmd/simulate and sim.RunBatch) and share one
+// (same behaviour as relpipe simulate and sim.RunBatch) and share one
 // cache entry.
 func TestSimulateSeedZeroAliasesSeedOne(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1})

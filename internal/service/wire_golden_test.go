@@ -5,30 +5,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"runtime"
-	"runtime/debug"
 	"testing"
 
 	"relpipe"
+	"relpipe/internal/golden"
 )
-
-// skipOffGoldenArch skips where a committed float digest cannot hold.
-// Go may fuse multiply-adds on arm64, ppc64le, s390x and on amd64 built
-// with GOAMD64=v3 or higher, which moves float bits; the digest is
-// recorded on amd64 at GOAMD64=v1 and holds there and at v2.
-func skipOffGoldenArch(t *testing.T) {
-	level := "v1"
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "GOAMD64" {
-				level = s.Value
-			}
-		}
-	}
-	if runtime.GOARCH != "amd64" || (level != "v1" && level != "v2") {
-		t.Skipf("digest holds on amd64 without FMA fusion (GOAMD64 v1/v2); this build is %s/%s", runtime.GOARCH, level)
-	}
-}
 
 // everyKindGolden is the SHA-256 of TestEveryKindWireGolden's answers.
 // It changes only when a change moves answers on purpose; that change
@@ -111,7 +92,7 @@ func everyKindRequests(t *testing.T) []wireCase {
 // status and body with the committed digest, so a refactor of the
 // request path that moves any byte of any kind's answer fails here.
 func TestEveryKindWireGolden(t *testing.T) {
-	skipOffGoldenArch(t)
+	golden.SkipOffArch(t)
 	cases := everyKindRequests(t)
 	_, seq := newTestServer(t, Options{SolverParallelism: 1})
 	_, par := newTestServer(t, Options{SolverParallelism: 8})
@@ -128,7 +109,5 @@ func TestEveryKindWireGolden(t *testing.T) {
 		fmt.Fprintf(h, "%s %d %d\n", c.kind, code, len(body))
 		h.Write(body)
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != everyKindGolden {
-		t.Errorf("every-kind wire digest = %s, want %s", got, everyKindGolden)
-	}
+	golden.Check(t, "every-kind wire", hex.EncodeToString(h.Sum(nil)), everyKindGolden)
 }

@@ -11,7 +11,7 @@ import (
 // JobsClient is a minimal Go client for the service's async job API
 // (POST/GET/DELETE /v1/jobs, see API.md). The zero value is not usable;
 // set BaseURL (e.g. "http://localhost:8080"). It exists so programs —
-// cmd/jobs among them — drive the jobs flow with the same DTOs the
+// relpipe jobs among them — drive the jobs flow with the same DTOs the
 // server uses instead of hand-rolling HTTP and SSE plumbing.
 //
 // Against a cluster (cmd/serve -peers), BaseURL may point at any

@@ -1,41 +1,29 @@
-package main
+// Package adapt holds the end-to-end tests of "relpipe adapt", which
+// replaced the adapt command. They run the built relpipe binary.
+package adapt
 
 import (
-	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
-	"relpipe"
+	"relpipe/internal/clitest"
 )
 
-func writeInstance(t *testing.T) string {
+func TestMain(m *testing.M) { clitest.Main(m) }
+
+// adapt runs relpipe adapt on the instance at path.
+func adapt(t *testing.T, path string, args ...string) (int, string, string) {
 	t.Helper()
-	in := relpipe.Instance{
-		Chain:    relpipe.RandomChain(5, 8, 1, 100, 1, 10),
-		Platform: relpipe.HomogeneousPlatform(6, 1, 1e-8, 1, 1e-5, 3),
-	}
-	b, err := json.Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "inst.json")
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
+	return clitest.Run(t, append([]string{"adapt", "-instance", path}, args...)...)
 }
 
 func TestComparisonTable(t *testing.T) {
-	path := writeInstance(t)
-	var out bytes.Buffer
-	err := run(&out, path, "all", 1000, 8, 2, 1.0, 0, 1e5, 0, 0, "auto", 1, 200, 1, 0, false)
-	if err != nil {
-		t.Fatal(err)
+	path := clitest.WriteInstance(t, t.TempDir(), 5)
+	code, got, stderr := adapt(t, path, "-policy", "all", "-horizon", "1000", "-replications", "8",
+		"-spares", "2", "-sparecost", "1", "-lifescale", "1e5", "-restarts", "1", "-budget", "200")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
 	}
-	got := out.String()
 	for _, want := range []string{"static mapping", "policy", "missionRel", "remap", "spares", "greedy", "none"} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("output missing %q:\n%s", want, got)
@@ -48,13 +36,12 @@ func TestComparisonTable(t *testing.T) {
 }
 
 func TestSinglePolicyWithTrace(t *testing.T) {
-	path := writeInstance(t)
-	var out bytes.Buffer
-	err := run(&out, path, "greedy", 1000, 4, 0, 0, 0, 1e5, 0, 0, "auto", 1, 200, 1, 1, true)
-	if err != nil {
-		t.Fatal(err)
+	path := clitest.WriteInstance(t, t.TempDir(), 5)
+	code, got, stderr := adapt(t, path, "-policy", "greedy", "-horizon", "1000", "-replications", "4",
+		"-spares", "0", "-lifescale", "1e5", "-restarts", "1", "-budget", "200", "-parallel", "1", "-trace")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
 	}
-	got := out.String()
 	if !strings.Contains(got, "trace (greedy") {
 		t.Fatalf("missing trace:\n%s", got)
 	}
@@ -64,33 +51,34 @@ func TestSinglePolicyWithTrace(t *testing.T) {
 }
 
 func TestSeedZeroMatchesSeedOne(t *testing.T) {
-	path := writeInstance(t)
-	render := func(seed uint64) string {
-		var out bytes.Buffer
-		if err := run(&out, path, "spares", 500, 4, 2, 0, 0, 1e5, 0, 0, "auto", 1, 100, seed, 1, false); err != nil {
-			t.Fatal(err)
+	path := clitest.WriteInstance(t, t.TempDir(), 5)
+	render := func(seed string) string {
+		code, s, stderr := adapt(t, path, "-policy", "spares", "-horizon", "500", "-replications", "4",
+			"-spares", "2", "-lifescale", "1e5", "-restarts", "1", "-budget", "100", "-seed", seed, "-parallel", "1")
+		if code != 0 {
+			t.Fatalf("-seed %s: exit %d: %s", seed, code, stderr)
 		}
 		// The header echoes the seed; compare only the table.
-		s := out.String()
 		return s[strings.Index(s, "policy"):]
 	}
-	if render(0) != render(1) {
+	if render("0") != render("1") {
 		t.Fatal("-seed 0 does not alias -seed 1")
 	}
 }
 
 func TestRunErrors(t *testing.T) {
-	path := writeInstance(t)
-	if err := run(os.Stdout, "", "all", 1000, 4, 0, 0, 0, 1, 0, 0, "auto", 1, 100, 1, 1, false); err == nil {
-		t.Fatal("missing instance accepted")
-	}
-	if err := run(os.Stdout, path, "bogus", 1000, 4, 0, 0, 0, 1, 0, 0, "auto", 1, 100, 1, 1, false); err == nil {
-		t.Fatal("bogus policy accepted")
-	}
-	if err := run(os.Stdout, path, "all", 1000, 4, 0, 0, 0, 1, 0, 0, "bogus", 1, 100, 1, 1, false); err == nil {
-		t.Fatal("bogus method accepted")
-	}
-	if err := run(os.Stdout, path, "all", -5, 4, 0, 0, 0, 1, 0, 0, "auto", 1, 100, 1, 1, false); err == nil {
-		t.Fatal("negative horizon accepted")
+	path := clitest.WriteInstance(t, t.TempDir(), 5)
+	for _, c := range []struct {
+		what string
+		args []string
+	}{
+		{"missing instance", []string{"adapt", "-replications", "4"}},
+		{"bogus policy", []string{"adapt", "-instance", path, "-policy", "bogus"}},
+		{"bogus method", []string{"adapt", "-instance", path, "-method", "bogus"}},
+		{"negative horizon", []string{"adapt", "-instance", path, "-horizon", "-5"}},
+	} {
+		if code, _, stderr := clitest.Run(t, c.args...); code != 1 {
+			t.Errorf("%s accepted: exit %d: %s", c.what, code, stderr)
+		}
 	}
 }

@@ -234,7 +234,7 @@ func checkPackageComments(root string) ([]string, error) {
 
 // oracleDirs are the test-only packages (the CI oracle guard keeps them
 // out of shipped binaries): their exports serve tests alone.
-var oracleDirs = []string{"internal/sim/simref", "internal/exact/exactref", "internal/rbd", "internal/reduction", "internal/golden"}
+var oracleDirs = []string{"internal/sim/simref", "internal/exact/exactref", "internal/rbd", "internal/reduction", "internal/golden", "internal/clitest"}
 
 // shipped reports whether the package in dir (slash-separated, relative
 // to the root) is an internal package that ships in binaries.

@@ -1,139 +1,28 @@
-package main
+// Package fleet holds the end-to-end tests of "relpipe fleet", which
+// replaced the fleet command. They run the built relpipe binary.
+package fleet
 
 import (
-	"bytes"
-	"encoding/json"
-	"net/http/httptest"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
-	"time"
 
-	"relpipe"
-	"relpipe/internal/search"
-	"relpipe/internal/service"
+	"relpipe/internal/clitest"
 )
 
-// startService serves a real solver service over httptest for the CLI.
-func startService(t *testing.T) (string, *service.Server) {
-	t.Helper()
-	svc := service.NewServer(service.Options{Workers: 2})
-	ts := httptest.NewServer(svc)
-	t.Cleanup(func() { ts.Close(); svc.Close() })
-	return ts.URL, svc
-}
-
-// writeRegister optimizes a small instance and writes its register
-// document (period slack 4x so a remap can re-replicate).
-func writeRegister(t *testing.T, id string) (string, relpipe.FleetRegisterRequest) {
-	t.Helper()
-	in := relpipe.Instance{
-		Chain:    relpipe.RandomChain(1, 8, 1, 100, 1, 10),
-		Platform: relpipe.HomogeneousPlatform(6, 1, 1e-8, 1, 1e-5, 3),
-	}
-	res, _, err := search.Optimize(in.Chain, in.Platform, search.Options{Restarts: 2, Budget: 500, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := relpipe.FleetRegisterRequest{
-		ID:             id,
-		Instance:       in,
-		Mapping:        res.M,
-		Bounds:         relpipe.Bounds{Period: 4 * res.Ev.WorstPeriod},
-		MinReliability: 1e-12,
-		Search:         &relpipe.SearchParams{Restarts: 2, Budget: 500, Seed: 1},
-	}
-	b, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "deployment.json")
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path, req
-}
-
-func TestCLIRegisterFeedStatusRemove(t *testing.T) {
-	url, svc := startService(t)
-	path, req := writeRegister(t, "cli")
-
-	var out, errb bytes.Buffer
-	if code := run([]string{"-addr", url, "register", "-file", path}, &out, &errb); code != 0 {
-		t.Fatalf("register exit %d: %s", code, errb.String())
-	}
-	if !strings.Contains(out.String(), "cli") || !strings.Contains(out.String(), "healthy") {
-		t.Fatalf("register output: %s", out.String())
-	}
-
-	out.Reset()
-	if code := run([]string{"-addr", url, "list"}, &out, &errb); code != 0 || !strings.Contains(out.String(), "cli") {
-		t.Fatalf("list exit %d: %s", code, out.String())
-	}
-
-	// Feed a crash report for a mapped processor and wait for the
-	// autonomous remap to be adopted.
-	victim := req.Mapping.Procs[0][0]
-	out.Reset()
-	if code := run([]string{"-addr", url, "feed", "cli", "-crash", itoa(victim)}, &out, &errb); code != 0 {
-		t.Fatalf("feed exit %d: %s", code, errb.String())
-	}
-	if !strings.Contains(out.String(), "accepted 1") {
-		t.Fatalf("feed output: %s", out.String())
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		svc.Fleet().Tick()
-		if st, ok := svc.Fleet().Status("cli"); ok && st.RemapsAdopted >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			st, _ := svc.Fleet().Status("cli")
-			t.Fatalf("no adoption; status %+v", st)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-
-	out.Reset()
-	if code := run([]string{"-addr", url, "status", "cli"}, &out, &errb); code != 0 {
-		t.Fatalf("status exit %d: %s", code, errb.String())
-	}
-	var st relpipe.FleetDeployment
-	if err := json.Unmarshal(out.Bytes(), &st); err != nil {
-		t.Fatalf("status output not a FleetDeployment: %v: %s", err, out.String())
-	}
-	if st.ID != "cli" || st.RemapsAdopted != 1 {
-		t.Fatalf("status = %+v", st)
-	}
-
-	out.Reset()
-	if code := run([]string{"-addr", url, "rm", "cli"}, &out, &errb); code != 0 {
-		t.Fatalf("rm exit %d: %s", code, errb.String())
-	}
-	if code := run([]string{"-addr", url, "status", "cli"}, &out, &errb); code != 1 {
-		t.Fatalf("status after rm exit %d, want 1", code)
-	}
-}
+func TestMain(m *testing.M) { clitest.Main(m) }
 
 func TestCLIErrors(t *testing.T) {
-	url, _ := startService(t)
-	var out, errb bytes.Buffer
-	if code := run([]string{"-addr", url, "status", "missing"}, &out, &errb); code != 1 {
-		t.Fatalf("missing status exit %d, want 1", code)
+	url, _ := clitest.StartService(t)
+	for _, c := range []struct {
+		what string
+		args []string
+	}{
+		{"missing status", []string{"status", "missing"}},
+		{"eventless feed", []string{"feed", "x"}},
+		{"unknown command", []string{"bogus"}},
+		{"fileless register", []string{"register"}},
+	} {
+		if code, _, stderr := clitest.Run(t, append([]string{"fleet", "-addr", url}, c.args...)...); code != 1 {
+			t.Errorf("%s: exit %d, want 1: %s", c.what, code, stderr)
+		}
 	}
-	if code := run([]string{"-addr", url, "feed", "x"}, &out, &errb); code != 1 {
-		t.Fatalf("eventless feed exit %d, want 1", code)
-	}
-	if code := run([]string{"-addr", url, "bogus"}, &out, &errb); code != 1 {
-		t.Fatalf("unknown command exit %d, want 1", code)
-	}
-	if code := run([]string{"-addr", url, "register"}, &out, &errb); code != 1 {
-		t.Fatalf("fileless register exit %d, want 1", code)
-	}
-}
-
-func itoa(n int) string {
-	b, _ := json.Marshal(n)
-	return string(b)
 }

@@ -1,44 +1,39 @@
-package main
+// Package frontier holds the end-to-end tests of "relpipe frontier",
+// which replaced the frontier command. They run the built relpipe
+// binary.
+package frontier
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"relpipe"
+	"relpipe/internal/clitest"
 )
 
-func writeInstance(t *testing.T, dir string) string {
-	t.Helper()
-	in := relpipe.Instance{
-		Chain:    relpipe.RandomChain(9, 8, 1, 100, 1, 10),
-		Platform: relpipe.HomogeneousPlatform(6, 1, 1e-8, 1, 1e-5, 3),
-	}
-	b, err := json.Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "inst.json")
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
+func TestMain(m *testing.M) { clitest.Main(m) }
 
-func TestRunWritesCSV(t *testing.T) {
+// frontierCSV runs relpipe frontier with args on a seeded instance and
+// returns the CSV file it writes.
+func frontierCSV(t *testing.T, args ...string) string {
+	t.Helper()
 	dir := t.TempDir()
-	instPath := writeInstance(t, dir)
 	csvPath := filepath.Join(dir, "front.csv")
-	if err := run(instPath, "auto", 0.999, csvPath, relpipe.Options{Parallelism: 2}); err != nil {
-		t.Fatal(err)
+	args = append([]string{"frontier", "-instance", clitest.WriteInstance(t, dir, 9), "-csv", csvPath}, args...)
+	if code, _, stderr := clitest.Run(t, args...); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
 	}
 	b, err := os.ReadFile(csvPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(string(b)), "\n")
+	return string(b)
+}
+
+func TestRunWritesCSV(t *testing.T) {
+	b := frontierCSV(t, "-method", "auto", "-floor", "0.999", "-parallel", "2")
+	lines := strings.Split(strings.TrimSpace(b), "\n")
 	if len(lines) < 2 || !strings.HasPrefix(lines[0], "period,latency,failProb") {
 		t.Fatalf("unexpected CSV:\n%s", b)
 	}
@@ -47,32 +42,24 @@ func TestRunWritesCSV(t *testing.T) {
 // TestRunHeuristicMethod drives the search-approximation path end to
 // end on an instance the exact enumeration also handles.
 func TestRunHeuristicMethod(t *testing.T) {
-	dir := t.TempDir()
-	instPath := writeInstance(t, dir)
-	csvPath := filepath.Join(dir, "front-heur.csv")
-	opts := relpipe.Options{Restarts: 2, Budget: 300, Seed: 1}
-	if err := run(instPath, "heuristic", 0, csvPath, opts); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(csvPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(string(b), "period,latency,failProb") {
+	b := frontierCSV(t, "-method", "heuristic", "-restarts", "2", "-budget", "300", "-seed", "1")
+	if !strings.HasPrefix(b, "period,latency,failProb") {
 		t.Fatalf("unexpected CSV:\n%s", b)
 	}
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run("", "auto", 0, "", relpipe.Options{}); err == nil {
-		t.Fatal("missing instance accepted")
-	}
-	if err := run("/nonexistent.json", "auto", 0, "", relpipe.Options{}); err == nil {
-		t.Fatal("missing file accepted")
-	}
-	dir := t.TempDir()
-	instPath := writeInstance(t, dir)
-	if err := run(instPath, "nope", 0, "", relpipe.Options{}); err == nil {
-		t.Fatal("unknown method accepted")
+	path := clitest.WriteInstance(t, t.TempDir(), 9)
+	for _, c := range []struct {
+		what string
+		args []string
+	}{
+		{"missing instance", []string{"frontier"}},
+		{"missing file", []string{"frontier", "-instance", "/nonexistent.json"}},
+		{"unknown method", []string{"frontier", "-instance", path, "-method", "nope"}},
+	} {
+		if code, _, stderr := clitest.Run(t, c.args...); code != 1 {
+			t.Errorf("%s accepted: exit %d: %s", c.what, code, stderr)
+		}
 	}
 }

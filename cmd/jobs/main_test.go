@@ -1,96 +1,19 @@
-package main
+// Package jobs holds the end-to-end tests of "relpipe jobs", which
+// replaced the jobs command. They run the built relpipe binary.
+package jobs
 
 import (
-	"bytes"
-	"encoding/json"
-	"net/http/httptest"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
-	"relpipe"
-	"relpipe/internal/service"
+	"relpipe/internal/clitest"
 )
 
-// startService serves a real solver service over httptest for the CLI.
-func startService(t *testing.T) string {
-	t.Helper()
-	svc := service.NewServer(service.Options{Workers: 2})
-	ts := httptest.NewServer(svc)
-	t.Cleanup(func() { ts.Close(); svc.Close() })
-	return ts.URL
-}
-
-// writeRequest marshals a request document to a temp file.
-func writeRequest(t *testing.T, v any) string {
-	t.Helper()
-	b, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "req.json")
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func TestCLISubmitWaitStatusList(t *testing.T) {
-	url := startService(t)
-	req := writeRequest(t, relpipe.OptimizeRequest{
-		Instance: relpipe.Instance{
-			Chain:    relpipe.RandomChain(1, 8, 1, 100, 1, 10),
-			Platform: relpipe.HomogeneousPlatform(4, 1, 1e-8, 1, 1e-5, 3),
-		},
-		Method: "dp",
-	})
-
-	var out, errb bytes.Buffer
-	code := run([]string{"-addr", url, "submit", "-kind", "optimize", "-request", req,
-		"-client", "cli-test", "-wait"}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("submit -wait exit %d: %s / %s", code, out.String(), errb.String())
-	}
-	if !strings.Contains(out.String(), "succeeded") {
-		t.Fatalf("submit -wait output missing terminal state: %s", out.String())
-	}
-	if !strings.Contains(out.String(), `"solution"`) {
-		t.Fatalf("submit -wait output missing result document: %s", out.String())
-	}
-
-	// The job id is the first token of the first line.
-	id := strings.Fields(strings.SplitN(out.String(), "\n", 2)[0])[0]
-	out.Reset()
-	if code := run([]string{"-addr", url, "status", id}, &out, &errb); code != 0 {
-		t.Fatalf("status exit %d: %s", code, errb.String())
-	}
-	var st relpipe.JobStatus
-	if err := json.Unmarshal(out.Bytes(), &st); err != nil {
-		t.Fatalf("status output not a JobStatus: %v: %s", err, out.String())
-	}
-	if st.ID != id || st.State != relpipe.JobSucceeded {
-		t.Fatalf("status = %+v", st)
-	}
-
-	out.Reset()
-	if code := run([]string{"-addr", url, "list", "-client", "cli-test"}, &out, &errb); code != 0 {
-		t.Fatalf("list exit %d: %s", code, errb.String())
-	}
-	if !strings.Contains(out.String(), id) {
-		t.Fatalf("list missing job %s: %s", id, out.String())
-	}
-}
+func TestMain(m *testing.M) { clitest.Main(m) }
 
 func TestCLIUnknownCommandAndMissingFlags(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"bogus"}, &out, &errb); code != 1 {
-		t.Fatalf("unknown command exit %d", code)
-	}
-	if code := run([]string{"submit"}, &out, &errb); code != 1 {
-		t.Fatalf("submit without flags exit %d", code)
-	}
-	if code := run([]string{"status"}, &out, &errb); code != 1 {
-		t.Fatalf("status without id exit %d", code)
+	for _, args := range [][]string{{"bogus"}, {"submit"}, {"status"}} {
+		if code, _, stderr := clitest.Run(t, append([]string{"jobs"}, args...)...); code != 1 {
+			t.Errorf("jobs %q: exit %d, want 1: %s", args, code, stderr)
+		}
 	}
 }

@@ -2,29 +2,19 @@ package main
 
 import (
 	"encoding/json"
-	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"relpipe"
+	"relpipe/internal/clitest"
 	"relpipe/internal/search"
-	"relpipe/internal/service"
 )
 
-// startService serves a real solver service over httptest.
-func startService(t *testing.T) (string, *service.Server) {
-	t.Helper()
-	svc := service.NewServer(service.Options{Workers: 2})
-	ts := httptest.NewServer(svc)
-	t.Cleanup(func() { ts.Close(); svc.Close() })
-	return ts.URL, svc
-}
-
 func TestJobsSubmitWaitStatusList(t *testing.T) {
-	url, _ := startService(t)
-	req := writeJSONFile(t, t.TempDir(), "req.json", relpipe.OptimizeRequest{
+	url, _ := clitest.StartService(t)
+	req := clitest.WriteJSON(t, t.TempDir(), "req.json", relpipe.OptimizeRequest{
 		Instance: relpipe.Instance{
 			Chain:    relpipe.RandomChain(1, 8, 1, 100, 1, 10),
 			Platform: relpipe.HomogeneousPlatform(4, 1, 1e-8, 1, 1e-5, 3),
@@ -66,7 +56,7 @@ func TestJobsSubmitWaitStatusList(t *testing.T) {
 }
 
 func TestFleetRegisterFeedStatusRemove(t *testing.T) {
-	url, svc := startService(t)
+	url, svc := clitest.StartService(t)
 	// Register a searched mapping with period slack 4x, so that a remap
 	// can re-replicate.
 	in := relpipe.Instance{
@@ -77,7 +67,7 @@ func TestFleetRegisterFeedStatusRemove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := writeJSONFile(t, t.TempDir(), "deployment.json", relpipe.FleetRegisterRequest{
+	path := clitest.WriteJSON(t, t.TempDir(), "deployment.json", relpipe.FleetRegisterRequest{
 		ID:             "cli",
 		Instance:       in,
 		Mapping:        res.M,

@@ -1,39 +1,25 @@
-package main
+// Package report holds the end-to-end tests of "relpipe report", which
+// replaced the report command. They run the built relpipe binary.
+package report
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"relpipe"
+	"relpipe/internal/clitest"
 )
 
-func writeInstance(t *testing.T, dir string) string {
-	t.Helper()
-	in := relpipe.Instance{
-		Chain:    relpipe.RandomChain(11, 8, 1, 100, 1, 10),
-		Platform: relpipe.HomogeneousPlatform(6, 1, 1e-8, 1, 1e-5, 3),
-	}
-	b, err := json.Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "inst.json")
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
+func TestMain(m *testing.M) { clitest.Main(m) }
 
 func TestRunWritesReport(t *testing.T) {
 	dir := t.TempDir()
-	instPath := writeInstance(t, dir)
 	outPath := filepath.Join(dir, "report.md")
-	err := run(instPath, 250, 800, "exact", 36, 8760, 1000, 1e5, 1, outPath)
-	if err != nil {
-		t.Fatal(err)
+	code, _, stderr := clitest.Run(t, "report", "-instance", clitest.WriteInstance(t, dir, 11),
+		"-period", "250", "-latency", "800", "-method", "exact", "-simulate", "1000", "-o", outPath)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
 	}
 	b, err := os.ReadFile(outPath)
 	if err != nil {
@@ -48,12 +34,11 @@ func TestRunWritesReport(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run("", 0, 0, "auto", 36, 1, 0, 1, 1, "-"); err == nil {
-		t.Fatal("missing instance accepted")
+	path := clitest.WriteInstance(t, t.TempDir(), 11)
+	if code, _, stderr := clitest.Run(t, "report", "-o", "-"); code != 1 {
+		t.Errorf("missing instance accepted: exit %d: %s", code, stderr)
 	}
-	dir := t.TempDir()
-	instPath := writeInstance(t, dir)
-	if err := run(instPath, 0, 0, "bogus", 36, 1, 0, 1, 1, "-"); err == nil {
-		t.Fatal("bogus method accepted")
+	if code, _, stderr := clitest.Run(t, "report", "-instance", path, "-method", "bogus", "-o", "-"); code != 1 {
+		t.Errorf("bogus method accepted: exit %d: %s", code, stderr)
 	}
 }

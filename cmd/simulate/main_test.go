@@ -1,85 +1,58 @@
-package main
+// Package simulate holds the end-to-end tests of "relpipe simulate",
+// which replaced the simulate command. They run the built relpipe
+// binary.
+package simulate
 
 import (
-	"encoding/json"
-	"io"
-	"os"
-	"path/filepath"
 	"testing"
 
-	"relpipe"
+	"relpipe/internal/clitest"
 )
 
-func writeInstance(t *testing.T) string {
-	t.Helper()
-	in := relpipe.Instance{
-		Chain:    relpipe.RandomChain(5, 8, 1, 100, 1, 10),
-		Platform: relpipe.HomogeneousPlatform(6, 1, 1e-8, 1, 1e-5, 3),
-	}
-	b, err := json.Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "inst.json")
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
+func TestMain(m *testing.M) { clitest.Main(m) }
 
 func TestRunEndToEnd(t *testing.T) {
-	path := writeInstance(t)
-	if err := run(path, 200, 0, 2000, 1, 1e5, "auto", 1, 0); err != nil {
-		t.Fatal(err)
+	path := clitest.WriteInstance(t, t.TempDir(), 5)
+	code, stdout, stderr := clitest.Run(t, "simulate", "-instance", path, "-period", "200",
+		"-datasets", "2000", "-scale", "1e5")
+	if code != 0 || stdout == "" {
+		t.Fatalf("exit %d, stdout %q: %s", code, stdout, stderr)
 	}
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run("", 0, 0, 100, 1, 1, "auto", 1, 0); err == nil {
-		t.Fatal("missing instance accepted")
+	path := clitest.WriteInstance(t, t.TempDir(), 5)
+	for _, c := range []struct {
+		what string
+		args []string
+	}{
+		{"missing instance", []string{"simulate", "-datasets", "100"}},
+		{"missing file", []string{"simulate", "-instance", "/nonexistent.json"}},
+		{"bogus method", []string{"simulate", "-instance", path, "-method", "bogus"}},
+		{"infeasible bounds", []string{"simulate", "-instance", path, "-period", "0.001"}},
+	} {
+		if code, _, stderr := clitest.Run(t, c.args...); code != 1 {
+			t.Errorf("%s accepted: exit %d: %s", c.what, code, stderr)
+		}
 	}
-	if err := run("/nonexistent.json", 0, 0, 100, 1, 1, "auto", 1, 0); err == nil {
-		t.Fatal("missing file accepted")
-	}
-	path := writeInstance(t)
-	if err := run(path, 0, 0, 100, 1, 1, "bogus", 1, 0); err == nil {
-		t.Fatal("bogus method accepted")
-	}
-	if err := run(path, 0.001, 0, 100, 1, 1, "auto", 1, 0); err == nil {
-		t.Fatal("infeasible bounds accepted")
-	}
-}
-
-// captureRun runs the CLI body with stdout captured.
-func captureRun(t *testing.T, path string, seed uint64, reps int) string {
-	t.Helper()
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = w
-	runErr := run(path, 200, 0, 500, seed, 1e5, "auto", reps, 1)
-	w.Close()
-	os.Stdout = old
-	b, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
-	return string(b)
 }
 
 // TestSeedZeroAliasesDefaultSeed pins the repo-wide seed convention at
 // the CLI layer: `-seed 0` and the default `-seed 1` print identical
 // results, single-run and batched.
 func TestSeedZeroAliasesDefaultSeed(t *testing.T) {
-	path := writeInstance(t)
-	for _, reps := range []int{1, 4} {
-		if got0, got1 := captureRun(t, path, 0, reps), captureRun(t, path, 1, reps); got0 != got1 {
-			t.Fatalf("reps=%d: -seed 0 output differs from -seed 1:\n%s\nvs\n%s", reps, got0, got1)
+	path := clitest.WriteInstance(t, t.TempDir(), 5)
+	render := func(seed, reps string) string {
+		code, stdout, stderr := clitest.Run(t, "simulate", "-instance", path, "-period", "200",
+			"-datasets", "500", "-scale", "1e5", "-seed", seed, "-reps", reps, "-parallel", "1")
+		if code != 0 {
+			t.Fatalf("-seed %s -reps %s: exit %d: %s", seed, reps, code, stderr)
+		}
+		return stdout
+	}
+	for _, reps := range []string{"1", "4"} {
+		if got0, got1 := render("0", reps), render("1", reps); got0 != got1 {
+			t.Fatalf("reps=%s: -seed 0 output differs from -seed 1:\n%s\nvs\n%s", reps, got0, got1)
 		}
 	}
 }

@@ -2,12 +2,12 @@ package main
 
 // TestFiguresGolden pins every figure the command writes, -extra
 // included, byte for byte: one SHA-256 per emitted file, the same at
-// parallelism 1 and 8.
+// parallelism 1 and 8. The command must write every pinned file and
+// no other.
 
 import (
 	"os"
 	"path/filepath"
-	"sort"
 	"testing"
 
 	"relpipe/internal/expfig"
@@ -47,9 +47,9 @@ var figuresGolden = map[string]string{
 	"figB1.txt": "87caaa013601981600fdf55ae7a77372ab7defa2ca2baf9bc9a69c19d0987e2e",
 }
 
-// figureDigests computes every figure under cfg, writes each through
-// emit into a fresh directory and returns the SHA-256 of each file.
-func figureDigests(t *testing.T, cfg expfig.Config) map[string]string {
+// figureFiles computes every figure under cfg, writes each through
+// emit into a fresh directory and returns the bytes of each file.
+func figureFiles(t *testing.T, cfg expfig.Config) map[string][]byte {
 	t.Helper()
 	dir := t.TempDir()
 	var figs []expfig.Figure
@@ -69,36 +69,26 @@ func figureDigests(t *testing.T, cfg expfig.Config) map[string]string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sums := make(map[string]string, len(entries))
+	files := make(map[string][]byte, len(entries))
 	for _, e := range entries {
 		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		sums[e.Name()] = golden.Sum(b)
+		files[e.Name()] = b
 	}
-	return sums
+	return files
 }
 
 func TestFiguresGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("computes every figure twice")
 	}
-	golden.SkipOffArch(t)
-	seq := figureDigests(t, expfig.Config{Instances: 10, Step: 2, Seed: 1, Parallelism: 1})
-	par := figureDigests(t, expfig.Config{Instances: 10, Step: 2, Seed: 1, Parallelism: 8})
-	names := make([]string, 0, len(seq))
-	for name := range seq {
-		names = append(names, name)
+	pins := make(map[string]golden.Pin, len(figuresGolden))
+	for name, sum := range figuresGolden {
+		pins[name] = golden.Digest(sum)
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		if par[name] != seq[name] {
-			t.Errorf("%s: digest %s at parallelism 8, %s at 1", name, par[name], seq[name])
-		}
-		golden.Check(t, name, seq[name], figuresGolden[name])
-	}
-	if len(seq) != len(par) || len(seq) != len(figuresGolden) {
-		t.Errorf("%d files at parallelism 1, %d at 8, %d golden", len(seq), len(par), len(figuresGolden))
-	}
+	golden.Outputs(t, pins, func(par int) map[string][]byte {
+		return figureFiles(t, expfig.Config{Instances: 10, Step: 2, Seed: 1, Parallelism: par})
+	})
 }

@@ -63,3 +63,17 @@ func TestRunErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestRunFullStdout: a frontier whose stdout cannot be written exits 1
+// and says why.
+func TestRunFullStdout(t *testing.T) {
+	full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
+	if err != nil {
+		t.Skip("no /dev/full")
+	}
+	defer full.Close()
+	code, stderr := clitest.RunTo(t, full, "frontier", "-instance", clitest.WriteInstance(t, t.TempDir(), 9))
+	if code != 1 || !strings.HasPrefix(stderr, "relpipe frontier: ") || !strings.Contains(stderr, "no space left") {
+		t.Errorf("exit %d: %s", code, stderr)
+	}
+}

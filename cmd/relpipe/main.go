@@ -143,12 +143,18 @@ func main() {
 }
 
 // run dispatches args to their subcommand and returns the exit status.
+// A command that returns nil after a failed write to stdout fails with
+// the write's error.
 func run(args []string, stdout, stderr io.Writer) int {
 	if len(args) == 0 || commands[args[0]] == nil {
 		fmt.Fprint(stderr, usage)
 		return 2
 	}
-	err := commands[args[0]](args[1:], stdout, stderr)
+	out := &errWriter{w: stdout}
+	err := commands[args[0]](args[1:], out, stderr)
+	if err == nil {
+		err = out.err
+	}
 	switch {
 	case err == nil, errors.Is(err, flag.ErrHelp):
 		return 0
@@ -158,6 +164,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "relpipe %s: %v\n", args[0], err)
 	}
 	return 1
+}
+
+// errWriter keeps the first error of the writes through it and skips
+// every write after that error, so that a command which prints with
+// fmt.Fprint and returns nil still fails when its output is lost.
+type errWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (e *errWriter) Write(b []byte) (int, error) {
+	if e.err != nil {
+		return 0, e.err
+	}
+	n, err := e.w.Write(b)
+	e.err = err
+	return n, err
 }
 
 // newFlags returns the flag set of one subcommand, reporting on stderr.

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -29,17 +31,18 @@ func readJSONFile(t *testing.T, path string, v any) {
 }
 
 // cliGolden is the table of TestCLIGolden. Each case runs in one shared
-// directory, in order, and names its files relative to it. stdout and
-// file are the SHA-256 of the output and of the -o/-csv file out. They
-// were recorded with the seven commands that relpipe's subcommands
-// replaced: relpipe for optimize, evaluate and generate, and one binary
-// each for the others.
+// directory, in order, and names its files relative to it. stdout,
+// stderr ("" for none) and file are the SHA-256 of the output, the
+// diagnostics and the -o/-csv file out. They were recorded with the
+// seven commands that relpipe's subcommands replaced: relpipe for
+// optimize, evaluate and generate, and one binary each for the others.
 var cliGolden = []struct {
 	name     string
 	args     []string
 	parallel bool // also takes -parallel; the digests hold at 1 and 8
 	out      string
 	stdout   string
+	stderr   string
 	file     string
 }{
 	{name: "generate-hom", out: "hom.json",
@@ -53,10 +56,12 @@ var cliGolden = []struct {
 	{name: "optimize-exact", parallel: true, out: "exact.json",
 		args:   []string{"optimize", "-instance", "hom.json", "-period", "200", "-latency", "800", "-method", "exact", "-o", "exact.json"},
 		stdout: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+		stderr: "371191b3d4b5175522652ca6eb21e9eef01e8de08781db1ec806177097eb5e07",
 		file:   "1c41d202a15bfc8b59d0d439c1143308dddbb078677f5980745ff4bc1efb0f4f"},
 	{name: "optimize-heuristic", parallel: true,
 		args:   []string{"optimize", "-instance", "het.json", "-period", "12", "-method", "heuristic", "-restarts", "3", "-budget", "400", "-search-seed", "7"},
-		stdout: "006dfc3fd732eadac1e164d3e0ed6f8891a2376a912a21c25ff6e444d6b26935"},
+		stdout: "006dfc3fd732eadac1e164d3e0ed6f8891a2376a912a21c25ff6e444d6b26935",
+		stderr: "c4a4e5734ef60b0aafccc8ac7cab742ebdd533b70f0a7944ac1c334de2d9a50f"},
 	{name: "evaluate",
 		args:   []string{"evaluate", "-instance", "hom.json", "-solution", "exact.json"},
 		stdout: "3d41780c5ea976e136ec0495fe4dcbdb7ddc79d6185e6cf953807fc672fe7fdb"},
@@ -88,32 +93,38 @@ var cliGolden = []struct {
 // TestCLIGolden pins every subcommand that computes an answer byte for
 // byte, at -parallel 1 and 8 where it takes one.
 func TestCLIGolden(t *testing.T) {
-	golden.SkipOffArch(t)
-	t.Chdir(t.TempDir())
+	pins := map[string]golden.Pin{}
 	for _, c := range cliGolden {
-		pars := []string{""}
-		if c.parallel {
-			pars = []string{"1", "8"}
+		pins[c.name+" stdout"] = golden.Digest(c.stdout)
+		pins[c.name+" stderr"] = golden.Digest(cmp.Or(c.stderr, golden.Sum(nil)))
+		if c.out != "" {
+			pins[c.name+" "+c.out] = golden.Digest(c.file)
 		}
-		for _, p := range pars {
+	}
+	golden.Outputs(t, pins, func(par int) map[string][]byte {
+		t.Chdir(t.TempDir())
+		outputs := map[string][]byte{}
+		for _, c := range cliGolden {
 			args := c.args
-			if p != "" {
-				args = append(args[:len(args):len(args)], "-parallel", p)
+			if c.parallel {
+				args = append(args[:len(args):len(args)], "-parallel", strconv.Itoa(par))
 			}
 			code, stdout, stderr := runCLI(args...)
 			if code != 0 {
-				t.Fatalf("%s -parallel %q: exit %d: %s", c.name, p, code, stderr)
+				t.Fatalf("%s at P=%d: exit %d: %s", c.name, par, code, stderr)
 			}
-			golden.Check(t, c.name+" -parallel "+p+" stdout", golden.Sum([]byte(stdout)), c.stdout)
+			outputs[c.name+" stdout"] = []byte(stdout)
+			outputs[c.name+" stderr"] = []byte(stderr)
 			if c.out != "" {
 				b, err := os.ReadFile(c.out)
 				if err != nil {
 					t.Fatal(err)
 				}
-				golden.Check(t, c.name+" -parallel "+p+" "+c.out, golden.Sum(b), c.file)
+				outputs[c.name+" "+c.out] = b
 			}
 		}
-	}
+		return outputs
+	})
 }
 
 // TestLoadInstanceValidates runs every subcommand that reads an

@@ -4,6 +4,8 @@
 package simulate
 
 import (
+	"os"
+	"strings"
 	"testing"
 
 	"relpipe/internal/clitest"
@@ -54,5 +56,19 @@ func TestSeedZeroAliasesDefaultSeed(t *testing.T) {
 		if got0, got1 := render("0", reps), render("1", reps); got0 != got1 {
 			t.Fatalf("reps=%s: -seed 0 output differs from -seed 1:\n%s\nvs\n%s", reps, got0, got1)
 		}
+	}
+}
+
+// TestRunFullStdout: a simulation whose stdout cannot be written exits
+// 1 and says why.
+func TestRunFullStdout(t *testing.T) {
+	full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
+	if err != nil {
+		t.Skip("no /dev/full")
+	}
+	defer full.Close()
+	code, stderr := clitest.RunTo(t, full, "simulate", "-instance", clitest.WriteInstance(t, t.TempDir(), 5), "-datasets", "100")
+	if code != 1 || !strings.HasPrefix(stderr, "relpipe simulate: ") || !strings.Contains(stderr, "no space left") {
+		t.Errorf("exit %d: %s", code, stderr)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http/httptest"
 	"os"
 	"os/exec"
@@ -75,13 +76,22 @@ func build() {
 // stderr. The process is killed if the test ends first.
 func Run(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
+	var out bytes.Buffer
+	code, stderr = RunTo(t, &out, args...)
+	return code, out.String(), stderr
+}
+
+// RunTo is Run with relpipe's stdout on w; an *os.File, such as
+// /dev/full, becomes the process's stdout itself.
+func RunTo(t *testing.T, w io.Writer, args ...string) (code int, stderr string) {
+	t.Helper()
 	buildOnce.Do(build)
 	if buildErr != nil {
 		t.Fatal(buildErr)
 	}
-	var out, errb bytes.Buffer
+	var errb bytes.Buffer
 	cmd := exec.CommandContext(t.Context(), bin, args...)
-	cmd.Stdout, cmd.Stderr = &out, &errb
+	cmd.Stdout, cmd.Stderr = w, &errb
 	err := cmd.Run()
 	var exit *exec.ExitError
 	switch {
@@ -90,7 +100,7 @@ func Run(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	case err != nil:
 		t.Fatalf("relpipe %q: %v", args, err)
 	}
-	return code, out.String(), errb.String()
+	return code, errb.String()
 }
 
 // WriteJSON marshals v into dir/name and returns the path.

@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"os"
 	"testing"
 
 	"relpipe/internal/chain"
 	"relpipe/internal/frontier"
+	"relpipe/internal/golden"
 	"relpipe/internal/platform"
 	"relpipe/internal/rng"
 )
@@ -55,22 +55,19 @@ func renderFrontier(w *bytes.Buffer, name string, pts []frontier.Point) {
 }
 
 // TestFrontierGolden compares every point of the pinned frontiers, each
-// float by its bits, with the committed file. The test never rewrites
-// the file.
+// float by its bits, with the committed file, at search parallelism 1
+// and 8. The test never rewrites the file.
 func TestFrontierGolden(t *testing.T) {
-	want, err := os.ReadFile(frontierGoldenFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got bytes.Buffer
-	for _, tc := range frontierGoldenCases() {
-		pts, err := Frontier(tc.c, tc.pl, tc.opts)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+	golden.Bytes(t, "search.Frontier points", golden.File(frontierGoldenFile), func(par int) []byte {
+		var got bytes.Buffer
+		for _, tc := range frontierGoldenCases() {
+			tc.opts.Parallelism = par
+			pts, err := Frontier(tc.c, tc.pl, tc.opts)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			renderFrontier(&got, tc.name, pts)
 		}
-		renderFrontier(&got, tc.name, pts)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("search.Frontier points differ from %s:\n%s", frontierGoldenFile, got.String())
-	}
+		return got.Bytes()
+	})
 }

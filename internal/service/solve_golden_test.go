@@ -1,15 +1,17 @@
 package service
 
 import (
-	"bytes"
 	"fmt"
+	"maps"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"relpipe"
+	"relpipe/internal/golden"
 )
 
 // solveGoldenDir holds the pinned exact-solver wire bytes: one
@@ -17,10 +19,14 @@ import (
 // per case. The name's prefix is the endpoint.
 const solveGoldenDir = "testdata/solvegolden"
 
-// solveGoldenRequests builds the pinned request bodies: exact optimize
-// with bounds on 10-13 tasks and frontiers on 10-12 tasks, over
+// solveGoldenRequests builds the pinned request bodies. Exact optimize
+// with bounds on 10-13 tasks and frontiers on 10-12 tasks run over
 // platforms with more processors than tasks, fewer (so the enumeration
-// skips partitions) and high failure rates.
+// skips partitions) and high failure rates. Exact min-cost cases set a
+// reliability floor with bounds, a floor alone, bounds alone, and a
+// floor no mapping reaches (422); prices differ per processor so the
+// cheapest-prefix choice matters, and failure rates are high enough
+// that the floors need replicas.
 func solveGoldenRequests(t *testing.T) map[string][]byte {
 	t.Helper()
 	platforms := []relpipe.Platform{
@@ -28,19 +34,23 @@ func solveGoldenRequests(t *testing.T) map[string][]byte {
 		relpipe.HomogeneousPlatform(6, 1, 1e-3, 1, 1e-4, 2),
 		relpipe.HomogeneousPlatform(16, 1, 1e-4, 2, 1e-5, 4),
 	}
-	reqs := map[string][]byte{}
-	for i := range 8 {
-		n := 10 + i%4
-		c := relpipe.RandomChain(uint64(100+i), n, 1, 100, 1, 10)
+	// chainBounds bounds the period by the chain's largest task and a
+	// share of its work, and the latency a little above its total work.
+	chainBounds := func(c relpipe.Chain, share, slack float64) relpipe.Bounds {
 		total, most := 0.0, 0.0
 		for _, task := range c {
 			total += task.Work
 			most = max(most, task.Work)
 		}
-		b := relpipe.Bounds{Period: max(1.5*most, total/float64(2+i%3)), Latency: 1.1*total + float64(10*(i%4))}
+		return relpipe.Bounds{Period: max(1.5*most, total/share), Latency: 1.1*total + slack}
+	}
+	reqs := map[string][]byte{}
+	for i := range 8 {
+		n := 10 + i%4
+		c := relpipe.RandomChain(uint64(100+i), n, 1, 100, 1, 10)
 		reqs[fmt.Sprintf("optimize-%02d-n%d", i, n)] = mustMarshal(t, relpipe.OptimizeRequest{
 			Instance: relpipe.Instance{Chain: c, Platform: platforms[i%len(platforms)]},
-			Bounds:   b, Method: "exact",
+			Bounds:   chainBounds(c, float64(2+i%3), float64(10*(i%4))), Method: "exact",
 		})
 	}
 	for i := range 4 {
@@ -50,54 +60,7 @@ func solveGoldenRequests(t *testing.T) map[string][]byte {
 			Instance: relpipe.Instance{Chain: c, Platform: platforms[i%len(platforms)]},
 		})
 	}
-	return reqs
-}
-
-// TestSolveWireGolden posts every pinned exact-optimize and frontier
-// request and compares the response body byte for byte with the
-// committed one. The bytes are an oracle independent of the solver
-// code: a kernel change that moves any float of any answer fails here.
-// The request files must also equal what solveGoldenRequests builds, so
-// the generator stays the record of how the cases were chosen.
-func TestSolveWireGolden(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
-	reqs := solveGoldenRequests(t)
-	if len(reqs) != 12 {
-		t.Fatalf("%d golden requests, want 12", len(reqs))
-	}
-	for name, body := range reqs {
-		t.Run(name, func(t *testing.T) {
-			committed, err := os.ReadFile(filepath.Join(solveGoldenDir, name+".req.json"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(body, committed) {
-				t.Fatalf("generated request differs from %s.req.json", name)
-			}
-			want, err := os.ReadFile(filepath.Join(solveGoldenDir, name+".resp.json"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			path := "/v1/" + strings.SplitN(name, "-", 2)[0]
-			code, got, _ := postRaw(t, ts.URL+path, body)
-			if code != http.StatusOK {
-				t.Fatalf("status %d: %s", code, got)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("response bytes differ from %s.resp.json\n got %s\nwant %s", name, got, want)
-			}
-		})
-	}
-}
-
-// minCostGoldenRequests builds the pinned exact /v1/mincost bodies: a
-// reliability floor with bounds, a floor alone, bounds alone, and a
-// floor no mapping reaches (422). Prices differ per processor so the
-// cheapest-prefix choice matters, and failure rates are high enough
-// that the floors need replicas.
-func minCostGoldenRequests(t *testing.T) map[string][]byte {
-	t.Helper()
-	cases := []struct {
+	for i, tc := range []struct {
 		name  string
 		n     int
 		pl    relpipe.Platform
@@ -108,9 +71,7 @@ func minCostGoldenRequests(t *testing.T) map[string][]byte {
 		{"floor", 11, relpipe.HomogeneousPlatform(8, 1, 1e-3, 2, 1e-4, 4), 0.9, false},
 		{"bounds", 10, relpipe.HomogeneousPlatform(12, 1, 1e-5, 1, 1e-5, 2), 0, true},
 		{"infeasible", 12, relpipe.HomogeneousPlatform(6, 1, 1e-3, 1, 1e-4, 2), 0.999999, false},
-	}
-	reqs := map[string][]byte{}
-	for i, tc := range cases {
+	} {
 		c := relpipe.RandomChain(uint64(300+i), tc.n, 1, 100, 1, 10)
 		costs := make([]float64, tc.pl.P())
 		for u := range costs {
@@ -118,12 +79,7 @@ func minCostGoldenRequests(t *testing.T) map[string][]byte {
 		}
 		var b relpipe.Bounds
 		if tc.tight {
-			total, most := 0.0, 0.0
-			for _, task := range c {
-				total += task.Work
-				most = max(most, task.Work)
-			}
-			b = relpipe.Bounds{Period: max(1.5*most, total/3), Latency: 1.1*total + 20}
+			b = chainBounds(c, 3, 20)
 		}
 		reqs[fmt.Sprintf("mincost-%02d-%s-n%d", i, tc.name, tc.n)] = mustMarshal(t, relpipe.MinCostRequest{
 			Instance:       relpipe.Instance{Chain: c, Platform: tc.pl},
@@ -136,39 +92,43 @@ func minCostGoldenRequests(t *testing.T) map[string][]byte {
 	return reqs
 }
 
-// TestMinCostWireGolden is TestSolveWireGolden for the exact min-cost
-// solver: every pinned /v1/mincost body must come back byte for byte,
-// the infeasible case as its 422 error document.
-func TestMinCostWireGolden(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
-	reqs := minCostGoldenRequests(t)
-	if len(reqs) != 4 {
-		t.Fatalf("%d golden requests, want 4", len(reqs))
+// TestSolveWireGolden posts every pinned exact optimize, frontier and
+// min-cost request to a server at SolverParallelism 1 and to one at 8
+// and compares each response body byte for byte with the committed
+// one; the infeasible min-cost case answers 422 with its error
+// document. The bytes are an oracle independent of the solver code: a
+// kernel change that moves any float of any answer fails here. The
+// request files must also equal what solveGoldenRequests builds, so
+// the generator stays the record of how the cases were chosen, and the
+// directory must hold no other file.
+func TestSolveWireGolden(t *testing.T) {
+	reqs := solveGoldenRequests(t)
+	files, err := os.ReadDir(solveGoldenDir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, body := range reqs {
+	if len(reqs) != 16 || len(files) != 2*len(reqs) {
+		t.Fatalf("%d golden requests and %d files in %s, want 16 and 32", len(reqs), len(files), solveGoldenDir)
+	}
+	for _, name := range slices.Sorted(maps.Keys(reqs)) {
+		body := reqs[name]
 		t.Run(name, func(t *testing.T) {
-			committed, err := os.ReadFile(filepath.Join(solveGoldenDir, name+".req.json"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(body, committed) {
-				t.Fatalf("generated request differs from %s.req.json", name)
-			}
-			want, err := os.ReadFile(filepath.Join(solveGoldenDir, name+".resp.json"))
-			if err != nil {
-				t.Fatal(err)
-			}
 			wantCode := http.StatusOK
 			if strings.Contains(name, "infeasible") {
 				wantCode = http.StatusUnprocessableEntity
 			}
-			code, got, _ := postRaw(t, ts.URL+"/v1/mincost", body)
-			if code != wantCode {
-				t.Fatalf("status %d, want %d: %s", code, wantCode, got)
+			pins := map[string]golden.Pin{}
+			for _, file := range []string{name + ".req.json", name + ".resp.json"} {
+				pins[file] = golden.File(filepath.Join(solveGoldenDir, file))
 			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("response bytes differ from %s.resp.json\n got %s\nwant %s", name, got, want)
-			}
+			golden.Outputs(t, pins, func(par int) map[string][]byte {
+				_, ts := newTestServer(t, Options{SolverParallelism: par})
+				code, got, _ := postRaw(t, ts.URL+"/v1/"+strings.SplitN(name, "-", 2)[0], body)
+				if code != wantCode {
+					t.Errorf("P=%d: status %d, want %d: %s", par, code, wantCode, got)
+				}
+				return map[string][]byte{name + ".req.json": body, name + ".resp.json": got}
+			})
 		})
 	}
 }

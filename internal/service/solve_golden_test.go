@@ -92,14 +92,13 @@ func solveGoldenRequests(t *testing.T) map[string][]byte {
 	return reqs
 }
 
-// TestSolveWireGolden posts every pinned exact optimize, frontier and
-// min-cost request to a server at SolverParallelism 1 and to one at 8
-// and compares each response body byte for byte with the committed
-// one; the infeasible min-cost case answers 422 with its error
-// document. The bytes are an oracle independent of the solver code: a
-// kernel change that moves any float of any answer fails here. The
-// request files must also equal what solveGoldenRequests builds, so
-// the generator stays the record of how the cases were chosen, and the
+// TestSolveWireGolden posts every pinned exact optimize and frontier
+// request to a server at SolverParallelism 1 and to one at 8 and
+// compares each response body byte for byte with the committed one.
+// The bytes are an oracle independent of the solver code: a kernel
+// change that moves any float of any answer fails here. The request
+// files must also equal what solveGoldenRequests builds, so the
+// generator stays the record of how the cases were chosen, and the
 // directory must hold no other file.
 func TestSolveWireGolden(t *testing.T) {
 	reqs := solveGoldenRequests(t)
@@ -110,7 +109,25 @@ func TestSolveWireGolden(t *testing.T) {
 	if len(reqs) != 16 || len(files) != 2*len(reqs) {
 		t.Fatalf("%d golden requests and %d files in %s, want 16 and 32", len(reqs), len(files), solveGoldenDir)
 	}
+	runSolveGolden(t, reqs, func(name string) bool { return !strings.HasPrefix(name, "mincost-") })
+}
+
+// TestMinCostWireGolden runs the min-cost rows of the same table: every
+// pinned /v1/mincost body must come back byte for byte at P=1 and P=8,
+// the infeasible case as its 422 error document.
+func TestMinCostWireGolden(t *testing.T) {
+	runSolveGolden(t, solveGoldenRequests(t), func(name string) bool { return strings.HasPrefix(name, "mincost-") })
+}
+
+// runSolveGolden posts each request whose name keep accepts to the
+// endpoint its name's prefix names, as a subtest of that name, and
+// compares the request and response bytes with the committed files
+// through the golden harness.
+func runSolveGolden(t *testing.T, reqs map[string][]byte, keep func(string) bool) {
 	for _, name := range slices.Sorted(maps.Keys(reqs)) {
+		if !keep(name) {
+			continue
+		}
 		body := reqs[name]
 		t.Run(name, func(t *testing.T) {
 			wantCode := http.StatusOK
